@@ -16,19 +16,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from netanom import synth
 from netanom._docjson import pretty_dumps
-from netanom.decision import DetectionConfig, classify_scores, train_profile
-from netanom.evaluation import (
-    confusion,
-    metrics,
-    render_table,
-    report_to_doc,
-    roc_sweep,
-    summarize_reports,
-    write_roc_csv,
-)
+from netanom.decision import train_profile
+from netanom.evaluation import render_table, report_to_doc, roc_csv, summarize_reports, sweep
 from netanom.gmm import EmConfig
 from netanom.ingest import SamplePlan, default_schema, load_schema, parse_flow_csvs, stratified_sample
 from netanom.preprocess import fit_preprocess
+
+W_GRID = [1.5, 2.0, 2.5, 3.0]
 
 
 def run_one(records, schema, args, seed, out_dir):
@@ -40,18 +34,10 @@ def run_one(records, schema, args, seed, out_dir):
     profile = train_profile(
         train_matrix, EmConfig(n_components=k, seed=seed), preprocess_digest=pp.digest()
     )
-    test_matrix = pp.apply_records(test)
-    truths = [r.truth for r in test]
-    grid = [1.5, 2.0, 2.5, 3.0]
-    points = roc_sweep(test_matrix, truths, profile, grid)
+    scores = profile.score_matrix(pp.apply_records(test))
+    reports = sweep(scores, [r.truth for r in test], profile, W_GRID)
 
-    scores = profile.score_matrix(test_matrix)
-    reports = []
-    for w in grid:
-        flagged = classify_scores(scores, profile, DetectionConfig(w))
-        reports.append(metrics(confusion(flagged.astype(int), truths), w=w))
-
-    write_roc_csv(points, out_dir / f"roc_seed{seed}.csv")
+    (out_dir / f"roc_seed{seed}.csv").write_text(roc_csv(reports), encoding="utf-8")
     (out_dir / f"reports_seed{seed}.json").write_text(
         pretty_dumps({"seed": seed, "points": [report_to_doc(r) for r in reports]})
     )
@@ -95,7 +81,7 @@ def main() -> int:
 
     if args.samples > 1:
         print("\nacross samples (per w):")
-        for wi, w in enumerate([1.5, 2.0, 2.5, 3.0]):
+        for wi, w in enumerate(W_GRID):
             summary = summarize_reports([reports[wi] for reports in per_w_reports])
             micro = summary["micro_pooled_records"]
             macro = summary["macro_mean_over_samples"]
@@ -109,7 +95,7 @@ def main() -> int:
             pretty_dumps(
                 {
                     f"w={w:g}": summarize_reports([r[wi] for r in per_w_reports])
-                    for wi, w in enumerate([1.5, 2.0, 2.5, 3.0])
+                    for wi, w in enumerate(W_GRID)
                 }
             )
         )

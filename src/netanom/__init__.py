@@ -3,8 +3,8 @@
 Pipeline: ingest flow CSVs, preprocess (encode, reduce, standardize), fit a
 Gaussian mixture over normal traffic, band its training-score quartiles with
 a width multiplier w, and flag records scoring outside the band. Includes
-evaluation (accuracy / detection rate / false-positive rate, ROC sweeps over
-w) and a multi-node collaborative detection simulator built on a shared
+evaluation (accuracy / detection rate / false-positive rate, one sweep over
+a w grid) and a multi-node collaborative detection simulator built on a shared
 append-only capture store.
 """
 
@@ -21,7 +21,7 @@ from .decision import (
     save_profile,
     train_profile,
 )
-from .evaluation import ConfusionCounts, MetricsReport, RocPoint, confusion, metrics, roc_sweep
+from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics, roc_csv, sweep
 from .gmm import EmConfig, FitReport, MixtureModel, fit_em, log_likelihood, mixture_logpdf
 from .ingest import (
     FeatureSchema,
@@ -47,7 +47,6 @@ __all__ = [
     "MixtureModel",
     "NormalProfile",
     "PreprocessModel",
-    "RocPoint",
     "SamplePlan",
     "Verdict",
     "classify",
@@ -65,9 +64,10 @@ __all__ = [
     "mixture_logpdf",
     "parse_flow_csv",
     "quartile",
-    "roc_sweep",
+    "roc_csv",
     "save_profile",
     "stratified_sample",
+    "sweep",
     "train_profile",
     "write_flow_csv",
 ]

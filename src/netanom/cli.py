@@ -26,15 +26,7 @@ from .decision import (
     save_profile_file,
     train_profile,
 )
-from .evaluation import (
-    EvaluationError,
-    confusion,
-    metrics,
-    render_table,
-    report_to_doc,
-    roc_points_to_csv,
-    roc_sweep,
-)
+from .evaluation import EvaluationError, render_table, report_to_doc, roc_csv, sweep
 from .gmm import EmConfig, GmmError
 from .ingest import (
     IngestError,
@@ -348,8 +340,7 @@ def _cmd_evaluate(args, parser) -> int:
         return 1
     truths = _require_truths(records)
     scores = profile.score_matrix(preprocess.apply_records(records))
-    flagged = classify_scores(scores, profile, det)
-    report = metrics(confusion(flagged.astype(int), truths), w=args.w)
+    (report,) = sweep(scores, truths, profile, [det.w])
 
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -397,21 +388,15 @@ def _cmd_roc(args, parser) -> int:
         print("error: test file has no records", file=sys.stderr)
         return 1
     truths = _require_truths(records)
-    matrix = preprocess.apply_records(records)
-    points = roc_sweep(matrix, truths, profile, grid)
-
-    reports = []
-    scores = profile.score_matrix(matrix)
-    for w in grid:
-        flagged = classify_scores(scores, profile, DetectionConfig(w, enforce_range=False))
-        reports.append(metrics(confusion(flagged.astype(int), truths), w=w))
+    scores = profile.score_matrix(preprocess.apply_records(records))
+    reports = sweep(scores, truths, profile, grid)
 
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
     text_path = prefix.with_suffix(".txt")
-    csv_path.write_text(roc_points_to_csv(points), encoding="utf-8")
+    csv_path.write_text(roc_csv(reports), encoding="utf-8")
     json_path.write_text(pretty_dumps({"version": 1, "points": [report_to_doc(r) for r in reports]}), encoding="utf-8")
     text_path.write_text(render_table(reports, include_reference=True), encoding="utf-8")
     _write_manifest(
@@ -435,7 +420,6 @@ def _cmd_simulate(args, parser) -> int:
     if not records:
         print("error: test file has no records", file=sys.stderr)
         return 1
-    _require_truths(records)
     store = replay(records, cfg, preprocess.schema)
     outcome = run_simulation(store, profile, preprocess, cfg)
 

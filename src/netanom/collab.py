@@ -7,11 +7,13 @@ interval by interval, against one shared normal profile; a coordinator sums
 the per-node confusion counts. Nodes never exchange verdicts: sharing stops
 at the capture/logging layer, so partitioning can never change outcomes.
 
-Two transports move a node's partition to its worker: direct in-process
-hand-off, and a loopback TCP protocol with length-prefixed JSON frames
-(4-byte big-endian length, then the UTF-8 payload), one long-lived
-connection per node. Both feed the same record-local classification path,
-so their reports are identical byte for byte.
+One runner starts a thread per node and retries each node's attempt; the
+two transports differ only in how an attempt fetches the node's partition.
+In-process reads ``store.partition(node)`` directly; the loopback transport
+serves it over TCP with length-prefixed JSON frames (4-byte big-endian
+length, then the UTF-8 payload), one connection per attempt. Both feed the
+same record-local classification path, so their reports are identical byte
+for byte. Truth labels are checked once, up front, for both transports.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -96,13 +98,13 @@ class CaptureMessage:
 class SharedStore:
     """Append-only capture log with one totally-ordered stream per node.
 
-    Messages are immutable and never deleted; readers track progress with a
-    per-node cursor that can be reset and replayed for audits.
+    Messages are immutable and never deleted. Readers hold no state in the
+    store: ``partition(node)`` returns the whole stream every time, which is
+    also how a run is audited afterwards.
     """
 
     def __init__(self):
         self._streams: dict[str, list[CaptureMessage]] = {}
-        self._cursors: dict[str, int] = {}
 
     def append(self, msg: CaptureMessage) -> None:
         stream = self._streams.setdefault(msg.node, [])
@@ -112,31 +114,13 @@ class SharedStore:
                 f"node {msg.node!r}: seq {msg.seq} does not increase past {last}"
             )
         stream.append(msg)
-        self._cursors.setdefault(msg.node, 0)
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(self._streams)
 
     def partition(self, node: str) -> tuple[CaptureMessage, ...]:
-        """Full cursor-independent view of one node's stream."""
+        """Full view of one node's stream, in sequence order."""
         return tuple(self._streams.get(node, ()))
-
-    def read_next(self, node: str) -> CaptureMessage | None:
-        stream = self._streams.get(node, [])
-        pos = self._cursors.get(node, 0)
-        if pos >= len(stream):
-            return None
-        self._cursors[node] = pos + 1
-        return stream[pos]
-
-    def drain(self, node: str) -> tuple[CaptureMessage, ...]:
-        out = []
-        while (msg := self.read_next(node)) is not None:
-            out.append(msg)
-        return tuple(out)
-
-    def reset_cursor(self, node: str) -> None:
-        self._cursors[node] = 0
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._streams.values())
@@ -314,8 +298,9 @@ def _process_messages(
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
-) -> tuple[ConfusionCounts | None, tuple[int, ...]]:
-    """Classify one node's partition, interval batch by interval batch."""
+) -> dict:
+    """Classify one node's partition, interval batch by interval batch, into
+    the node's result payload (the loopback ``result`` frame)."""
     verdicts: list[int] = []
     truths: list[int] = []
     start = 0
@@ -325,19 +310,20 @@ def _process_messages(
         while stop < len(messages) and messages[stop].interval_id == interval:
             stop += 1
         batch = messages[start:stop]
-        for msg in batch:
-            if msg.truth is None:
-                raise SimulationError(
-                    f"record from {msg.origin} has no truth label; metrics are impossible"
-                )
         matrix = preprocess.apply_records([m.record() for m in batch])
         flagged = classify_scores(profile.score_matrix(matrix), profile, det)
         verdicts.extend(int(v) for v in flagged)
         truths.extend(m.truth for m in batch)
         start = stop
-    if not verdicts:
-        return None, ()
-    return confusion(verdicts, truths), tuple(verdicts)
+    counts = confusion(verdicts, truths) if verdicts else None
+    return {
+        "type": "result",
+        "counts": None
+        if counts is None
+        else {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
+        "verdicts": verdicts,
+        "n": len(verdicts),
+    }
 
 
 def _send_frame(sock: socket.socket, obj: dict) -> None:
@@ -383,19 +369,6 @@ def _attempt_loop(node: str, cfg: SimulationConfig, attempt_fn) -> tuple[dict | 
     return None, cfg.retry_budget + 1, last_error
 
 
-def _payload_from_processing(
-    counts: ConfusionCounts | None, verdicts: tuple[int, ...]
-) -> dict:
-    return {
-        "type": "result",
-        "counts": None
-        if counts is None
-        else {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-        "verdicts": list(verdicts),
-        "n": len(verdicts),
-    }
-
-
 def _result_from_payload(node: str, payload: dict, attempts: int) -> NodeResult:
     counts_doc = payload["counts"]
     counts = ConfusionCounts(**counts_doc) if counts_doc is not None else None
@@ -409,26 +382,17 @@ def _result_from_payload(node: str, payload: dict, attempts: int) -> NodeResult:
     )
 
 
-def _run_in_process(
-    store: SharedStore,
-    preprocess: PreprocessModel,
-    profile: NormalProfile,
-    cfg: SimulationConfig,
-) -> dict[str, NodeResult]:
+def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
+    """Run ``attempt(node)`` on one thread per node under the crash-stop
+    retry loop. ``attempt`` returns the node's result payload. A data error
+    in any node is fatal and re-raised once every thread has finished."""
     results: dict[str, NodeResult] = {}
     fatal: list[Exception] = []
     lock = threading.Lock()
 
     def work(node: str) -> None:
-        def attempt():
-            store.reset_cursor(node)
-            counts, verdicts = _process_messages(
-                store.drain(node), preprocess, profile, cfg.w_for(node)
-            )
-            return _payload_from_processing(counts, verdicts)
-
         try:
-            payload, attempts, error = _attempt_loop(node, cfg, attempt)
+            payload, attempts, error = _attempt_loop(node, cfg, lambda: attempt(node))
         except Exception as exc:  # data errors are fatal, not node failures
             with lock:
                 fatal.append(exc)
@@ -472,12 +436,10 @@ def _run_loopback(
                 if hello.get("type") != "hello":
                     raise TransportError(f"expected hello frame, got {hello.get('type')!r}")
                 node = hello["node"]
-                store.reset_cursor(node)
-                count = 0
-                while (msg := store.read_next(node)) is not None:
+                messages = store.partition(node)
+                for msg in messages:
                     _send_frame(conn, msg.to_wire())
-                    count += 1
-                _send_frame(conn, {"type": "end", "count": count})
+                _send_frame(conn, {"type": "end", "count": len(messages)})
                 payload = _recv_frame(conn)
                 if payload.get("type") != "result":
                     raise TransportError(f"expected result frame, got {payload.get('type')!r}")
@@ -499,62 +461,35 @@ def _run_loopback(
             t.start()
             handler_threads.append(t)
 
+    def attempt(node: str) -> dict:
+        with socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT) as sock:
+            _send_frame(sock, {"type": "hello", "node": node})
+            messages = []
+            while True:
+                frame = _recv_frame(sock)
+                if frame["type"] == "capture":
+                    messages.append(CaptureMessage.from_wire(frame))
+                elif frame["type"] == "end":
+                    break
+                else:
+                    raise TransportError(f"unexpected frame type {frame['type']!r}")
+            _send_frame(sock, _process_messages(messages, preprocess, profile, cfg.w_for(node)))
+            ack = _recv_frame(sock)
+            if ack.get("type") != "ack":
+                raise TransportError("missing ack from the store service")
+        with lock:
+            return wire_results[node]
+
     server_thread = threading.Thread(target=serve)
     server_thread.start()
-
-    results: dict[str, NodeResult] = {}
-    fatal: list[Exception] = []
-    results_lock = threading.Lock()
-
-    def work(node: str) -> None:
-        def attempt():
-            with socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT) as sock:
-                _send_frame(sock, {"type": "hello", "node": node})
-                messages = []
-                while True:
-                    frame = _recv_frame(sock)
-                    if frame["type"] == "capture":
-                        messages.append(CaptureMessage.from_wire(frame))
-                    elif frame["type"] == "end":
-                        break
-                    else:
-                        raise TransportError(f"unexpected frame type {frame['type']!r}")
-                counts, verdicts = _process_messages(
-                    messages, preprocess, profile, cfg.w_for(node)
-                )
-                _send_frame(sock, _payload_from_processing(counts, verdicts))
-                ack = _recv_frame(sock)
-                if ack.get("type") != "ack":
-                    raise TransportError("missing ack from the store service")
-            with lock:
-                return wire_results[node]
-
-        try:
-            payload, attempts, error = _attempt_loop(node, cfg, attempt)
-        except Exception as exc:
-            with results_lock:
-                fatal.append(exc)
-            return
-        if payload is None:
-            result = NodeResult(node, None, (), 0, failed=True, attempts=attempts, error=error)
-        else:
-            result = _result_from_payload(node, payload, attempts)
-        with results_lock:
-            results[node] = result
-
-    workers = [threading.Thread(target=work, args=(node,)) for node in cfg.nodes]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    done.set()
-    server_thread.join()
-    for t in handler_threads:
-        t.join()
-    server.close()
-    if fatal:
-        raise fatal[0]
-    return results
+    try:
+        return _run_nodes(cfg, attempt)
+    finally:
+        done.set()
+        server_thread.join()
+        for t in handler_threads:
+            t.join()
+        server.close()
 
 
 def run_simulation(
@@ -573,10 +508,13 @@ def run_simulation(
         for msg in store.partition(node):
             if msg.truth is None:
                 raise SimulationError(
-                    f"record from {msg.origin} has no truth label; metrics are impossible"
+                    f"unlabeled row: {msg.origin[0]} row {msg.origin[1]}; metrics need ground truth"
                 )
     if cfg.transport == "in-process":
-        results = _run_in_process(store, preprocess, profile, cfg)
+        results = _run_nodes(
+            cfg,
+            lambda node: _process_messages(store.partition(node), preprocess, profile, cfg.w_for(node)),
+        )
     else:
         results = _run_loopback(store, preprocess, profile, cfg)
 

@@ -1,4 +1,8 @@
-"""Confusion counting, detection metrics, and the w-sweep ROC data.
+"""Confusion counting, detection metrics, and the w sweep.
+
+A test set is scored once; ``sweep`` re-thresholds those scores at each w of
+a grid and returns one ``MetricsReport`` per w. The ROC CSV, the JSON
+reports and the text table are all rendered from those same reports.
 
 Accuracy = (TP+TN)/(TP+TN+FP+FN); detection rate = TP/(TP+FN); false
 positive rate = FP/(FP+TN). Undefined-denominator cases are reported as an
@@ -9,7 +13,6 @@ an empty class usually means the sampling is broken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -65,14 +68,6 @@ class MetricsReport:
     w: float | None
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    w: float
-    dr: float | None
-    fpr: float | None
-    accuracy: float
-
-
 def confusion(predictions: Sequence[int], truths: Sequence[int]) -> ConfusionCounts:
     """Exact confusion counts for binary predictions against binary truths."""
     pred = np.asarray(predictions)
@@ -106,34 +101,24 @@ def metrics(counts: ConfusionCounts, w: float | None = None) -> MetricsReport:
     )
 
 
-def evaluate_scores(
-    scores: np.ndarray, truths: Sequence[int], profile: NormalProfile, cfg: DetectionConfig
-) -> MetricsReport:
-    """Metrics of the band rule at one w over precomputed scores."""
-    flagged = classify_scores(scores, profile, cfg)
-    return metrics(confusion(flagged.astype(int), truths), w=cfg.w)
-
-
-def roc_sweep(
-    test_matrix: np.ndarray,
+def sweep(
+    scores: np.ndarray,
     truths: Sequence[int],
     profile: NormalProfile,
     w_grid: Sequence[float],
-) -> list[RocPoint]:
-    """One ROC point per w. Scores are computed once and re-thresholded:
-    the verdict depends on w only through the band edges."""
+) -> list[MetricsReport]:
+    """One report per w over precomputed scores. The verdict depends on w
+    only through the band edges, so the scores are re-thresholded, never
+    recomputed."""
     if len(w_grid) == 0:
         raise EvaluationError("w_grid must be non-empty")
     if any(w < 0 for w in w_grid):
         raise EvaluationError("w values must be non-negative")
-    scores = profile.score_matrix(np.asarray(test_matrix, dtype=np.float64))
-    points = []
+    reports = []
     for w in w_grid:
-        rep = evaluate_scores(scores, truths, profile, DetectionConfig(w, enforce_range=False))
-        points.append(
-            RocPoint(w=w, dr=rep.detection_rate, fpr=rep.false_positive_rate, accuracy=rep.accuracy)
-        )
-    return points
+        flagged = classify_scores(scores, profile, DetectionConfig(w, enforce_range=False))
+        reports.append(metrics(confusion(flagged.astype(int), truths), w=w))
+    return reports
 
 
 def report_to_doc(report: MetricsReport) -> dict:
@@ -186,18 +171,14 @@ def render_table(reports: Sequence[MetricsReport], *, include_reference: bool = 
     return out + "\n"
 
 
-def roc_points_to_csv(points: Sequence[RocPoint]) -> str:
-    """Plot-ready sweep data: header plus one `w,dr,fpr,accuracy` row per w."""
+def roc_csv(reports: Sequence[MetricsReport]) -> str:
+    """Plot-ready sweep data: header plus one `w,dr,fpr,accuracy` row per report."""
     lines = ["w,dr,fpr,accuracy"]
-    for p in points:
-        dr = "undefined" if p.dr is None else repr(p.dr)
-        fpr = "undefined" if p.fpr is None else repr(p.fpr)
-        lines.append(f"{p.w!r},{dr},{fpr},{p.accuracy!r}")
+    for rep in reports:
+        dr = "undefined" if rep.detection_rate is None else repr(rep.detection_rate)
+        fpr = "undefined" if rep.false_positive_rate is None else repr(rep.false_positive_rate)
+        lines.append(f"{rep.w!r},{dr},{fpr},{rep.accuracy!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_roc_csv(points: Sequence[RocPoint], path) -> None:
-    Path(path).write_text(roc_points_to_csv(points), encoding="utf-8")
 
 
 def summarize_reports(reports: Sequence[MetricsReport]) -> dict:

@@ -25,7 +25,7 @@ from netanom.decision import (
     save_profile,
     train_profile,
 )
-from netanom.evaluation import ConfusionCounts, confusion, metrics, report_to_doc, roc_sweep
+from netanom.evaluation import ConfusionCounts, confusion, metrics, report_to_doc, sweep
 from netanom.gmm import EmConfig, fit_em, score_records
 from netanom.ingest import ColumnSpec, FeatureSchema, FlowRecord, SamplePlan, default_schema, stratified_sample
 from netanom.preprocess import STD_FLOOR, fit_encoders, fit_pca, fit_preprocess
@@ -61,7 +61,7 @@ def pipeline():
     test_matrix = pp.apply_records(test)
     truths = np.array([r.truth for r in test])
     scores = profile.score_matrix(test_matrix)
-    points = roc_sweep(test_matrix, truths, profile, W_GRID)
+    points = sweep(scores, truths, profile, W_GRID)
     duration = time.perf_counter() - started
     return {
         "schema": schema,
@@ -113,13 +113,13 @@ def test_criterion_1_sample_run_band_nesting_and_operating_point(pipeline):
         }
         assert np.all(flagged[1.5] | ~flagged[3.0]), "flagged set at w=3 must nest in w=1.5"
         by_w = {p.w: p for p in points}
-        assert by_w[3.0].fpr <= by_w[1.5].fpr
+        assert by_w[3.0].false_positive_rate <= by_w[1.5].false_positive_rate
 
         # (b) best w on the grid: max DR subject to FPR <= 15%
-        eligible = [p for p in points if p.fpr is not None and p.fpr <= 0.15]
-        assert eligible, f"no grid point reaches FPR <= 15%: {[(p.w, p.fpr) for p in points]}"
-        best = max(eligible, key=lambda p: (p.dr, -p.w))
-        assert best.dr >= 0.70, f"best w={best.w} reaches DR {best.dr:.3f} < 0.70"
+        eligible = [p for p in points if p.false_positive_rate is not None and p.false_positive_rate <= 0.15]
+        assert eligible, f"no grid point reaches FPR <= 15%: {[(p.w, p.false_positive_rate) for p in points]}"
+        best = max(eligible, key=lambda p: (p.detection_rate, -p.w))
+        assert best.detection_rate >= 0.70, f"best w={best.w} reaches DR {best.detection_rate:.3f} < 0.70"
 
         assert pipeline["duration"] < RUNTIME_BUDGET_SECONDS
         n_test = len(pipeline["test"])
@@ -127,10 +127,10 @@ def test_criterion_1_sample_run_band_nesting_and_operating_point(pipeline):
             {
                 "records": f"{len(pipeline['train']) + n_test}",
                 "best_w": best.w,
-                "DR": f"{best.dr:.4f}",
-                "FPR": f"{best.fpr:.4f}",
-                "fpr_w1.5": f"{by_w[1.5].fpr:.4f}",
-                "fpr_w3": f"{by_w[3.0].fpr:.4f}",
+                "DR": f"{best.detection_rate:.4f}",
+                "FPR": f"{best.false_positive_rate:.4f}",
+                "fpr_w1.5": f"{by_w[1.5].false_positive_rate:.4f}",
+                "fpr_w3": f"{by_w[3.0].false_positive_rate:.4f}",
                 "runtime_s": f"{pipeline['duration']:.1f}",
             }
         )

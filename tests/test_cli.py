@@ -29,6 +29,20 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _write_unlabeled(workspace, path, schema):
+    """The first 10 test records with their label column blanked."""
+    from netanom.ingest import FlowRecord, parse_flow_csv, write_flow_csv
+
+    records = parse_flow_csv(workspace / "split" / "test.csv", schema)[:10]
+    stripped = []
+    for r in records:
+        vals = list(r.values)
+        vals[schema.label_index] = ""
+        stripped.append(FlowRecord(tuple(vals), None, r.origin))
+    write_flow_csv(stripped, schema, path)
+    return path
+
+
 def _read_verdicts(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -250,17 +264,7 @@ class TestEvaluateAndRoc:
         assert err.value.code == 2
 
     def test_unlabeled_test_rejected(self, workspace, tmp_path, schema):
-        from netanom.ingest import parse_flow_csv, write_flow_csv, FlowRecord
-
-        records = parse_flow_csv(workspace / "split" / "test.csv", schema)[:10]
-        label_idx = schema.label_index
-        stripped = []
-        for r in records:
-            vals = list(r.values)
-            vals[label_idx] = ""
-            stripped.append(FlowRecord(tuple(vals), None, r.origin))
-        unlabeled = tmp_path / "unlabeled.csv"
-        write_flow_csv(stripped, schema, unlabeled)
+        unlabeled = _write_unlabeled(workspace, tmp_path / "unlabeled.csv", schema)
         assert main([
             "evaluate", "--profile", str(workspace / "profile.json"),
             "--test", str(unlabeled), "--w", "2", "--out", str(tmp_path / "r"),
@@ -315,6 +319,16 @@ class TestSimulate:
             ]) == 0
         for name in ("aggregate.json", "node_A.json", "node_B.json", "node_C.json"):
             assert (tmp_path / "outa" / name).read_bytes() == (tmp_path / "outb" / name).read_bytes()
+
+    def test_unlabeled_test_rejected(self, workspace, tmp_path, schema, capsys):
+        unlabeled = _write_unlabeled(workspace, tmp_path / "unlabeled.csv", schema)
+        cfg = self._write_cfg(tmp_path / "simu.json")
+        assert main([
+            "simulate", "--config", str(cfg), "--profile", str(workspace / "profile.json"),
+            "--test", str(unlabeled), "--out", str(tmp_path / "simuout"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"unlabeled row: {unlabeled.name} row 1;" in err
 
     def test_injected_failure_reported(self, workspace, tmp_path):
         cfg = self._write_cfg(tmp_path / "simf.json", fail_nodes=["B"], retry_budget=1)

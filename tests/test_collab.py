@@ -1,8 +1,11 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from netanom import collab
 from netanom.collab import (
+    TRANSPORTS,
     CaptureMessage,
     SharedStore,
     SimulationConfig,
@@ -104,13 +107,14 @@ class TestSharedStore:
         store.append(self._msg("B", 1))
         assert len(store) == 2
 
-    def test_cursor_read_and_audit_replay(self, sim_records, schema):
+    def test_partition_read_and_audit_replay(self, sim_records, schema):
         store = replay(sim_records[:30], _cfg(), schema)
-        first_pass = store.drain("A")
-        assert store.read_next("A") is None  # cursor exhausted
-        store.reset_cursor("A")
-        second_pass = store.drain("A")
-        assert second_pass == first_pass == store.partition("A")
+        first_pass = store.partition("A")
+        # the whole stream, in order: round-robin gives A every third record
+        assert [m.origin for m in first_pass] == [r.origin for r in sim_records[:30:3]]
+        assert [m.seq for m in first_pass] == list(range(1, 11))
+        second_pass = store.partition("A")  # reading leaves no state behind
+        assert second_pass == first_pass
 
     def test_wire_roundtrip(self):
         msg = CaptureMessage("A", 3, 1, ("tcp", "80"), 1, ("f.csv", 17))
@@ -199,13 +203,14 @@ class TestRunSimulation:
 
     def test_post_run_store_audit(self, sim_records, schema, fitted):
         pp, profile = fitted
-        cfg = _cfg()
-        store = replay(sim_records, cfg, schema)
-        before = {n: store.partition(n) for n in cfg.nodes}
-        run_simulation(store, profile, pp, cfg)
-        for node in cfg.nodes:
-            store.reset_cursor(node)
-            assert store.drain(node) == before[node]  # nothing mutated or lost
+        for transport in TRANSPORTS:
+            cfg = _cfg(transport=transport)
+            store = replay(sim_records, cfg, schema)
+            before = {n: store.partition(n) for n in cfg.nodes}
+            run_simulation(store, profile, pp, cfg)
+            for node in cfg.nodes:
+                assert store.partition(node) == before[node]  # nothing mutated or lost
+            assert len(store) == len(sim_records)
 
     def test_injected_failure_excludes_partition(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -235,6 +240,56 @@ class TestRunSimulation:
             replay(sim_records, _cfg(fail_nodes=("C",)), schema), profile, pp, _cfg(fail_nodes=("C",))
         )
         assert outcome.aggregate_counts == healthy.aggregate_counts
+
+    def test_retry_recovers_in_process(self, sim_records, schema, fitted, monkeypatch):
+        pp, profile = fitted
+        real = collab._process_messages
+        crashed = []
+
+        def flaky(messages, *args):
+            if messages[0].node == "B" and not crashed:
+                crashed.append(True)
+                raise OSError("transient failure")
+            return real(messages, *args)
+
+        monkeypatch.setattr(collab, "_process_messages", flaky)
+        cfg = _cfg()
+        outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        assert crashed
+        assert not outcome.partial and outcome.failed_nodes == ()
+        assert outcome.node_results["B"].attempts == 2
+        assert not outcome.node_results["B"].failed
+        assert outcome.node_results["B"].error is None
+        assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
+        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.per_node_reports == clean.per_node_reports
+
+    def test_retry_recovers_over_loopback(self, sim_records, schema, fitted, monkeypatch):
+        pp, profile = fitted
+        real = collab.socket.create_connection
+        crashed = []
+
+        def flaky(*args, **kwargs):
+            if not crashed:
+                crashed.append(True)
+                raise OSError("connection refused")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(collab.socket, "create_connection", flaky)
+        cfg = _cfg(transport="loopback-socket")
+        outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        assert crashed
+        assert not outcome.partial and outcome.failed_nodes == ()
+        # the first connection, whichever node opened it, is the one that failed
+        attempts = sorted(r.attempts for r in outcome.node_results.values())
+        assert attempts == [1, 1, 2]
+        assert not any(r.failed or r.error for r in outcome.node_results.values())
+        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.per_node_reports == clean.per_node_reports
 
     def test_all_failed_rejected(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -273,3 +328,37 @@ class TestRunSimulation:
         assert outcome.per_node_reports["A"].w == 3.0
         assert outcome.per_node_reports["B"].w == 2.0
         assert outcome.aggregate_report.w is None  # mixed w across nodes
+
+
+class TestRunnerProperty:
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_transports_agree_on_random_topologies(self, data, sim_records, schema, fitted):
+        pp, profile = fitted
+        records = sim_records[:120]
+        n_nodes = data.draw(st.integers(1, 4), label="nodes")
+        nodes = tuple("ABCD"[:n_nodes])
+        explicit = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=len(records), max_size=len(records)),
+            label="explicit",
+        )
+        interval = data.draw(st.integers(1, 64), label="interval_size")
+        outcomes = {}
+        for transport in TRANSPORTS:
+            cfg = _cfg(
+                nodes=nodes,
+                assignment="explicit",
+                explicit_assignment=tuple(explicit),
+                interval_size=interval,
+                transport=transport,
+            )
+            outcomes[transport] = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+        a, b = outcomes["in-process"], outcomes["loopback-socket"]
+        for node in nodes:
+            assert a.node_results[node].verdicts == b.node_results[node].verdicts
+            assert a.node_results[node].counts == b.node_results[node].counts
+        assert a.per_node_reports == b.per_node_reports
+        assert a.aggregate_report == b.aggregate_report
+
+        flagged = classify_scores(profile.score_matrix(pp.apply_records(records)), profile, DetectionConfig(2.0))
+        assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in records])

@@ -10,9 +10,9 @@ from netanom.evaluation import (
     render_table,
     report_from_doc,
     report_to_doc,
-    roc_points_to_csv,
-    roc_sweep,
+    roc_csv,
     summarize_reports,
+    sweep,
 )
 
 
@@ -122,38 +122,39 @@ class TestRocSweep:
     def test_paper_grid_gives_four_points(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        points = roc_sweep(matrix, truths, profile, [1.5, 2.0, 2.5, 3.0])
-        assert [p.w for p in points] == [1.5, 2.0, 2.5, 3.0]
+        reports = sweep(profile.score_matrix(matrix), truths, profile, [1.5, 2.0, 2.5, 3.0])
+        assert [r.w for r in reports] == [1.5, 2.0, 2.5, 3.0]
 
     def test_singleton_grid_matches_direct_metrics(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        (point,) = roc_sweep(matrix, truths, profile, [2.0])
         scores = profile.score_matrix(matrix)
+        (report,) = sweep(scores, truths, profile, [2.0])
         flagged = classify_scores(scores, profile, DetectionConfig(2.0))
         rep = metrics(confusion(flagged.astype(int), truths), w=2.0)
-        assert point.dr == rep.detection_rate
-        assert point.fpr == rep.false_positive_rate
-        assert point.accuracy == rep.accuracy
+        assert report.detection_rate == rep.detection_rate
+        assert report.false_positive_rate == rep.false_positive_rate
+        assert report.accuracy == rep.accuracy
 
     def test_fpr_non_increasing_in_w(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        points = roc_sweep(matrix, truths, profile, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-        fprs = [p.fpr for p in points]
+        grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+        reports = sweep(profile.score_matrix(matrix), truths, profile, grid)
+        fprs = [r.false_positive_rate for r in reports]
         assert all(a >= b for a, b in zip(fprs, fprs[1:]))
-        drs = [p.dr for p in points]
+        drs = [r.detection_rate for r in reports]
         assert all(a >= b for a, b in zip(drs, drs[1:]))
 
     def test_rethresholding_equals_reclassification(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        points = roc_sweep(matrix, truths, profile, [1.5, 3.0])
-        for point in points:
-            cfg = DetectionConfig(point.w)
+        reports = sweep(profile.score_matrix(matrix), truths, profile, [1.5, 3.0])
+        for report in reports:
+            cfg = DetectionConfig(report.w)
             flagged = classify_scores(profile.score_matrix(matrix), profile, cfg)
-            rep = metrics(confusion(flagged.astype(int), truths), w=point.w)
-            assert (point.dr, point.fpr, point.accuracy) == (
+            rep = metrics(confusion(flagged.astype(int), truths), w=report.w)
+            assert (report.detection_rate, report.false_positive_rate, report.accuracy) == (
                 rep.detection_rate, rep.false_positive_rate, rep.accuracy,
             )
 
@@ -161,21 +162,31 @@ class TestRocSweep:
         _, profile = fitted
         matrix, truths = labeled_test_set
         with pytest.raises(EvaluationError):
-            roc_sweep(matrix, truths, profile, [])
+            sweep(profile.score_matrix(matrix), truths, profile, [])
+
+    def test_negative_w_rejected(self, fitted, labeled_test_set):
+        _, profile = fitted
+        matrix, truths = labeled_test_set
+        with pytest.raises(EvaluationError, match="non-negative"):
+            sweep(profile.score_matrix(matrix), truths, profile, [1.5, -0.5])
 
     def test_csv_emission(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        points = roc_sweep(matrix, truths, profile, [1.5, 2.0])
-        text = roc_points_to_csv(points)
+        reports = sweep(profile.score_matrix(matrix), truths, profile, [1.5, 2.0])
+        text = roc_csv(reports)
         lines = text.strip().split("\n")
         assert lines[0] == "w,dr,fpr,accuracy"
         assert len(lines) == 3
         w, dr, fpr, acc = lines[1].split(",")
         assert float(w) == 1.5
-        assert float(dr) == points[0].dr
-        assert float(fpr) == points[0].fpr
-        assert float(acc) == points[0].accuracy
+        assert float(dr) == reports[0].detection_rate
+        assert float(fpr) == reports[0].false_positive_rate
+        assert float(acc) == reports[0].accuracy
+
+    def test_csv_marks_undefined(self):
+        rep = metrics(ConfusionCounts(tp=0, tn=9, fp=1, fn=0), w=2.0)
+        assert roc_csv([rep]).split("\n")[1] == "2.0,undefined,0.1,0.9"
 
 
 class TestReports:
