@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -157,6 +158,7 @@ def _write_manifest(
     inputs: list,
     outputs: list,
     started: float,
+    **blocks,
 ) -> None:
     doc = {
         "version": 1,
@@ -166,6 +168,7 @@ def _write_manifest(
         "artifact_version": __version__,
         "input_digests": {str(p): _file_digest(p) for p in inputs},
         "output_digests": {str(p): _file_digest(p) for p in outputs},
+        **blocks,
         "duration_seconds": time.perf_counter() - started,
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
@@ -251,6 +254,7 @@ def _cmd_train(args, parser) -> int:
     preprocess_path = _sibling(out, "preprocess")
     save_preprocess(preprocess, preprocess_path)
     save_profile_file(profile, out)
+    rep = profile.fit_report
     _write_manifest(
         _sibling(out, "manifest"),
         "train",
@@ -267,8 +271,10 @@ def _cmd_train(args, parser) -> int:
         [args.train] + ([args.schema] if args.schema else []),
         [out, preprocess_path],
         started,
+        em={key: value for key, value in asdict(rep).items() if key != "trace"},
     )
-    rep = profile.fit_report
+    if not rep.converged:
+        print(f"warning: EM did not converge in {rep.iterations} iterations (tol={args.tol})", file=sys.stderr)
     print(
         f"trained K={k} profile on {len(records)} normals "
         f"(iterations={rep.iterations}, converged={rep.converged}); wrote {out}"

@@ -16,7 +16,7 @@ low-dimensional (d <= 3) fidelity experiments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +26,7 @@ from ._docjson import digest_of, pretty_dumps
 from .gmm import (
     EmConfig,
     FitReport,
-    GaussianComponent,
+    GmmError,
     MixtureModel,
     fit_em,
     mixture_logpdf,
@@ -192,30 +192,6 @@ def ensure_bound(profile: NormalProfile, preprocess_model) -> None:
         )
 
 
-def _em_config_to_doc(cfg: EmConfig | None) -> dict | None:
-    if cfg is None:
-        return None
-    return {
-        "n_components": cfg.n_components,
-        "max_iter": cfg.max_iter,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "variance_floor": cfg.variance_floor,
-    }
-
-
-def _fit_report_to_doc(report: FitReport | None) -> dict | None:
-    if report is None:
-        return None
-    return {
-        "iterations": report.iterations,
-        "final_log_likelihood": report.final_log_likelihood,
-        "converged": report.converged,
-        "trace": list(report.trace),
-        "reseeds": report.reseeds,
-    }
-
-
 def profile_to_doc(profile: NormalProfile) -> dict:
     payload = {
         "version": PROFILE_FORMAT_VERSION,
@@ -223,14 +199,14 @@ def profile_to_doc(profile: NormalProfile) -> dict:
         "K": profile.model.k,
         "d": profile.model.d,
         "weights": profile.model.weights.tolist(),
-        "means": profile.model.means().tolist(),
-        "variances": profile.model.variances().tolist(),
+        "means": profile.model.means.tolist(),
+        "variances": profile.model.variances.tolist(),
         "lower": profile.lower,
         "upper": profile.upper,
         "iqr": profile.iqr,
         "preprocess_digest": profile.preprocess_digest,
-        "em_config": _em_config_to_doc(profile.em_config),
-        "fit_report": _fit_report_to_doc(profile.fit_report),
+        "em_config": None if profile.em_config is None else asdict(profile.em_config),
+        "fit_report": None if profile.fit_report is None else asdict(profile.fit_report),
     }
     payload["checksum"] = digest_of(payload)
     return payload
@@ -245,27 +221,17 @@ def profile_from_doc(doc: dict) -> NormalProfile:
     if doc.get("checksum") != digest_of(body):
         raise ProfileFormatError("profile checksum mismatch: document is corrupted")
     try:
-        weights = np.asarray(doc["weights"], dtype=np.float64)
-        means = np.asarray(doc["means"], dtype=np.float64)
-        variances = np.asarray(doc["variances"], dtype=np.float64)
-        comps = tuple(GaussianComponent(means[i], variances[i]) for i in range(means.shape[0]))
-        model = MixtureModel(weights, comps)
+        model = MixtureModel(
+            np.asarray(doc["weights"], dtype=np.float64),
+            np.asarray(doc["means"], dtype=np.float64),
+            np.asarray(doc["variances"], dtype=np.float64),
+        )
         if model.k != doc["K"] or model.d != doc["d"]:
             raise ProfileFormatError("profile K/d fields disagree with the parameter arrays")
         em_doc = doc.get("em_config")
         em_cfg = EmConfig(**em_doc) if em_doc else None
         rep_doc = doc.get("fit_report")
-        report = (
-            FitReport(
-                iterations=rep_doc["iterations"],
-                final_log_likelihood=rep_doc["final_log_likelihood"],
-                converged=rep_doc["converged"],
-                trace=tuple(rep_doc["trace"]),
-                reseeds=rep_doc.get("reseeds", 0),
-            )
-            if rep_doc
-            else None
-        )
+        report = FitReport(**{**rep_doc, "trace": tuple(rep_doc["trace"])}) if rep_doc else None
         return NormalProfile(
             model=model,
             lower=doc["lower"],
@@ -278,7 +244,7 @@ def profile_from_doc(doc: dict) -> NormalProfile:
         )
     except ProfileFormatError:
         raise
-    except (KeyError, TypeError, IndexError, DecisionError) as exc:
+    except (KeyError, TypeError, IndexError, DecisionError, GmmError) as exc:
         raise ProfileFormatError(f"malformed profile document: {exc}") from exc
 
 

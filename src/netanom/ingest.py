@@ -319,10 +319,10 @@ def parse_flow_csv(
 
 
 def parse_flow_csvs(paths: Iterable, schema: FeatureSchema, *, strict: bool = True) -> list[FlowRecord]:
-    """Parse several files and concatenate the records in file order."""
+    """Parse several files (paths, never CSV text) and concatenate the records in file order."""
     out: list[FlowRecord] = []
     for p in paths:
-        out.extend(parse_flow_csv(p, schema, strict=strict))
+        out.extend(parse_flow_csv(Path(p), schema, strict=strict))
     return out
 
 

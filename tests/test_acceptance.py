@@ -144,7 +144,7 @@ def test_criterion_2_em_recovers_synthetic_clusters(random_fits):
         b = rng.normal(loc=+5.0, scale=1.0, size=(500, 2))
         data = np.vstack([a, b])[rng.permutation(1000)]
         model, report = fit_em(data, EmConfig(n_components=2, seed=0))
-        means = model.means()
+        means = model.means
         order = np.argsort(means[:, 0])
         err_low = np.max(np.abs(means[order[0]] - (-5.0)))
         err_high = np.max(np.abs(means[order[1]] - 5.0))
@@ -169,8 +169,8 @@ def test_criterion_3_density_normalization():
         mu, var = 1.3, 4.7
         data = np.random.default_rng(0).normal(mu, math.sqrt(var), size=(400, 1))
         model, _ = fit_em(data, EmConfig(n_components=1, seed=0))
-        sd = math.sqrt(model.variances()[0, 0])
-        center = model.means()[0, 0]
+        sd = math.sqrt(model.variances[0, 0])
+        center = model.means[0, 0]
         xs = np.linspace(center - 12 * sd, center + 12 * sd, 100_000)
         integral = np.trapezoid(np.exp(score_records(xs[:, None], model)), xs)
         assert abs(integral - 1.0) < 1e-6

@@ -132,6 +132,35 @@ class TestTrain:
         assert main(args + ["--out", str(tmp_path / "p2.json")]) == 0
         assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
 
+    def test_path_with_comma_is_a_file(self, workspace, tmp_path):
+        folder = tmp_path / "a,b"
+        folder.mkdir()
+        train = folder / "t.csv"
+        train.write_bytes((workspace / "split" / "train_normal.csv").read_bytes())
+        out = tmp_path / "comma.json"
+        assert main([
+            "train", "--train", str(train), "--schema", str(workspace / "schema.json"),
+            "--components", "2", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["K"] == 2
+
+    @pytest.mark.parametrize(
+        "fit_args, converged",
+        [(["--components", "1"], True), (["--components", "3", "--max-iter", "2", "--tol", "1e-300"], False)],
+        ids=["converged", "unconverged"],
+    )
+    def test_unconverged_fit_warns_once(self, workspace, tmp_path, capsys, fit_args, converged):
+        out = tmp_path / "fit.json"
+        assert main([
+            "train", "--train", str(workspace / "split" / "train_normal.csv"),
+            "--schema", str(workspace / "schema.json"), *fit_args, "--out", str(out),
+        ]) == 0
+        assert out.exists()
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert len(warnings) == (0 if converged else 1)
+        assert all(w.startswith("warning: EM did not converge in 2 iterations") for w in warnings)
+        assert json.loads((tmp_path / "fit.manifest.json").read_text())["em"]["converged"] is converged
+
     def test_bad_components_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -357,3 +386,7 @@ class TestManifests:
         assert manifest["seed"] == 0
         assert manifest["artifact_version"]
         assert manifest["input_digests"] and manifest["output_digests"]
+        report = json.loads((workspace / "profile.json").read_text())["fit_report"]
+        assert manifest["em"] == {
+            key: report[key] for key in ("iterations", "converged", "reseeds", "final_log_likelihood")
+        }

@@ -19,13 +19,12 @@ from netanom.decision import (
     save_profile,
     train_profile,
 )
-from netanom.gmm import EmConfig, GaussianComponent, MixtureModel, score_records
+from netanom.gmm import EmConfig, MixtureModel, score_records
 
 
 def _toy_profile(lower, upper, d=1):
     """Profile with a hand-set band; the embedded model is irrelevant."""
-    comp = GaussianComponent(np.zeros(d), np.ones(d))
-    model = MixtureModel(np.array([1.0]), (comp,))
+    model = MixtureModel(np.array([1.0]), np.zeros((1, d)), np.ones((1, d)))
     return NormalProfile(
         model=model, lower=lower, upper=upper, iqr=upper - lower, preprocess_digest="x"
     )
@@ -201,8 +200,8 @@ class TestPersistence:
         assert back.preprocess_digest == profile.preprocess_digest
         assert back.score_space == profile.score_space
         assert np.array_equal(back.model.weights, profile.model.weights)
-        assert np.array_equal(back.model.means(), profile.model.means())
-        assert np.array_equal(back.model.variances(), profile.model.variances())
+        assert np.array_equal(back.model.means, profile.model.means)
+        assert np.array_equal(back.model.variances, profile.model.variances)
         assert back.em_config == profile.em_config
         assert back.fit_report == profile.fit_report
 
@@ -233,6 +232,20 @@ class TestPersistence:
         doc = profile_to_doc(profile)
         doc["version"] = 99
         with pytest.raises(ProfileFormatError, match="version"):
+            load_profile(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["variances", "means"])
+    def test_invalid_mixture_rejected(self, fitted, field):
+        from netanom._docjson import digest_of
+
+        _, profile = fitted
+        doc = profile_to_doc(profile)
+        if field == "variances":
+            doc["variances"][0][0] = 1e-9  # below the floor
+        else:
+            doc["means"] = doc["means"][:-1]  # one component short
+        doc["checksum"] = digest_of({k: v for k, v in doc.items() if k != "checksum"})
+        with pytest.raises(ProfileFormatError, match="malformed"):
             load_profile(json.dumps(doc))
 
     def test_not_json_rejected(self):

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netanom.gmm import (
+    LOG_2PI,
+    VARIANCE_FLOOR,
     EmConfig,
-    GaussianComponent,
     GmmError,
     MixtureModel,
+    _expanded_log_terms,
+    _log_normalize,
+    _m_step,
     fit_em,
     gaussian_logpdf_1d,
     log_likelihood,
@@ -19,10 +23,11 @@ from netanom.gmm import (
 
 
 def _model(weights, means, variances):
-    means = np.asarray(means, dtype=np.float64)
-    variances = np.asarray(variances, dtype=np.float64)
-    comps = tuple(GaussianComponent(means[i], variances[i]) for i in range(means.shape[0]))
-    return MixtureModel(np.asarray(weights, dtype=np.float64), comps)
+    return MixtureModel(
+        np.asarray(weights, dtype=np.float64),
+        np.asarray(means, dtype=np.float64),
+        np.asarray(variances, dtype=np.float64),
+    )
 
 
 def _mpmath_mixture_logpdf(x, weights, means, variances):
@@ -72,7 +77,7 @@ class TestMixtureLogpdf:
         model = _model([1.0], [[0.5, -2.0, 3.0]], [[1.0, 0.5, 2.0]])
         x = [0.1, 0.2, 0.3]
         expected = sum(
-            gaussian_logpdf_1d(x[j], model.components[0].mean[j], model.components[0].var[j])
+            gaussian_logpdf_1d(x[j], model.means[0, j], model.variances[0, j])
             for j in range(3)
         )
         assert mixture_logpdf(x, model) == pytest.approx(expected, rel=1e-14)
@@ -143,6 +148,22 @@ class TestMixtureLogpdf:
         assert integral == pytest.approx(1.0, abs=1e-6)
 
 
+class TestScoreRecords:
+    def test_scores_are_record_local_bitwise(self):
+        rng = np.random.default_rng(4)
+        k, d = 6, 5
+        model = _model(
+            rng.dirichlet(np.ones(k)), rng.normal(size=(k, d)), 10.0 ** rng.uniform(-6, 1, size=(k, d))
+        )
+        x = rng.normal(scale=2.0, size=(20_000, d))  # spans more than two score chunks
+        whole = score_records(x, model)
+        for size in (1, 7, 8191, 8193):
+            parts = [score_records(x[i : i + size], model) for i in range(0, 20_000, size)[:50]]
+            assert np.array_equal(np.concatenate(parts), whole[: sum(p.size for p in parts)])
+        rows = rng.choice(20_000, size=30, replace=False)
+        assert np.array_equal([mixture_logpdf(x[i], model) for i in rows], whole[rows])
+
+
 class TestLogLikelihood:
     def test_single_record(self):
         model = _model([1.0], [[0.0, 1.0]], [[1.0, 1.0]])
@@ -180,14 +201,14 @@ class TestFitEm:
         x = rng.normal(size=(200, 3)) * 2.0 + 1.0
         model, report = fit_em(x, EmConfig(n_components=1, seed=0))
         assert model.weights.tolist() == [1.0]
-        assert model.components[0].mean == pytest.approx(x.mean(axis=0), abs=1e-12)
-        assert model.components[0].var == pytest.approx(x.var(axis=0), abs=1e-12)
+        assert model.means[0] == pytest.approx(x.mean(axis=0), abs=1e-12)
+        assert model.variances[0] == pytest.approx(x.var(axis=0), abs=1e-12)
         assert report.converged
 
     def test_two_cluster_recovery(self):
         data = _two_cluster_data()
         model, report = fit_em(data, EmConfig(n_components=2, seed=0))
-        means = model.means()
+        means = model.means
         # match each fitted mean to its nearest generator mean
         order = np.argsort(means[:, 0])
         assert means[order[0]] == pytest.approx(np.full(2, -5.0), abs=0.2)
@@ -221,14 +242,27 @@ class TestFitEm:
         m1, r1 = fit_em(data, cfg)
         m2, r2 = fit_em(data, cfg)
         assert np.array_equal(m1.weights, m2.weights)
-        assert np.array_equal(m1.means(), m2.means())
-        assert np.array_equal(m1.variances(), m2.variances())
+        assert np.array_equal(m1.means, m2.means)
+        assert np.array_equal(m1.variances, m2.variances)
+        assert r1.trace == r2.trace
+
+    def test_deterministic_bitwise_at_threaded_size(self):
+        # 20,000 x 10 with K=10 is far above OpenBLAS's single-thread cutoff
+        # for GEMM, so on a multi-core host the EM products run threaded.
+        rng = np.random.default_rng(2024)
+        data = rng.normal(size=(20_000, 10)) + rng.integers(0, 4, size=(20_000, 1))
+        cfg = EmConfig(n_components=10, seed=5, max_iter=5)
+        m1, r1 = fit_em(data, cfg)
+        m2, r2 = fit_em(data, cfg)
+        assert np.array_equal(m1.weights, m2.weights)
+        assert np.array_equal(m1.means, m2.means)
+        assert np.array_equal(m1.variances, m2.variances)
         assert r1.trace == r2.trace
 
     def test_identical_rows_floor_variance(self):
         x = np.ones((20, 2)) * 7.0
         model, _ = fit_em(x, EmConfig(n_components=2, seed=0))
-        assert np.all(model.variances() == 1e-6)
+        assert np.all(model.variances == 1e-6)
         scores = score_records(x, model)
         assert np.all(scores == scores[0])
 
@@ -255,7 +289,7 @@ class TestFitEm:
         model, report = fit_em(data, EmConfig(n_components=k, seed=seed, max_iter=60))
         assert abs(model.weights.sum() - 1.0) < 1e-12
         assert np.all(model.weights >= 0)
-        assert np.all(model.variances() >= 1e-6 * (1 - 1e-12))
+        assert np.all(model.variances >= 1e-6 * (1 - 1e-12))
         if report.reseeds == 0:
             assert np.all(np.diff(report.trace) >= -1e-9)
 
@@ -270,9 +304,123 @@ class TestModelValidation:
             _model([1.5, -0.5], [[0.0], [1.0]], [[1.0], [1.0]])
 
     def test_dimensions_must_agree(self):
-        comps = (
-            GaussianComponent(np.zeros(1), np.ones(1)),
-            GaussianComponent(np.zeros(2), np.ones(2)),
-        )
         with pytest.raises(GmmError):
-            MixtureModel(np.array([0.5, 0.5]), comps)
+            MixtureModel(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 2)))
+
+
+def _reference_log_terms(x, logw, means, variances):
+    """The broadcast E-step the expanded kernel replaced: (N, K) centred form."""
+    diff = x[:, None, :] - means[None, :, :]
+    quad = np.sum(diff * diff / variances[None, :, :], axis=2)
+    logdet = np.sum(np.log(variances), axis=1)
+    return logw[None, :] - 0.5 * (x.shape[1] * LOG_2PI + logdet[None, :] + quad)
+
+
+def _reference_m_step(resp, x, floor):
+    """The per-component M-step the matrix product replaced, with the centred
+    variance; ``resp`` is (K, N)."""
+    means = np.empty((resp.shape[0], x.shape[1]))
+    variances = np.empty_like(means)
+    for i, r in enumerate(resp):
+        mass = r.sum()
+        mu = r @ x / mass
+        centered = x - mu
+        means[i] = mu
+        variances[i] = np.maximum(r @ (centered * centered) / mass, floor)
+    return means, variances
+
+
+def _feats(x):
+    return np.ascontiguousarray(np.hstack([x * x, x]).T)
+
+
+def _expanded(x, logw, means, variances):
+    return _expanded_log_terms(_feats(x), logw, means, variances)
+
+
+def _new_m_step(resp, x, floor=VARIANCE_FLOOR):
+    return _m_step(resp, resp.sum(axis=1), _feats(x), floor)
+
+
+class TestKernelOracles:
+    """The matrix-product EM kernels against the centred forms they replaced."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_e_step_matches_centred(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(1, 60)), int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        # z-scored scale, variances from 1e-2 to 1e2
+        x = rng.normal(scale=3.0, size=(n, d))
+        means = rng.normal(scale=3.0, size=(k, d))
+        variances = 10.0 ** rng.uniform(-2, 2, size=(k, d))
+        logw = np.log(rng.dirichlet(np.ones(k)))
+        got = _expanded(x, logw, means, variances)
+        want = _reference_log_terms(x, logw, means, variances).T
+        # relative to 1e-9; atol covers terms that happen to sit near zero
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_m_step_matches_centred(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(2, 80)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        centre = rng.uniform(-10, 10, size=d)
+        spread = 10.0 ** rng.uniform(-1, 1, size=d)
+        x = centre + spread * rng.normal(size=(n, d))
+        resp = rng.dirichlet(np.ones(k), size=n).T
+        got_means, got_vars = _new_m_step(resp, x)
+        want_means, want_vars = _reference_m_step(resp, x, VARIANCE_FLOOR)
+        np.testing.assert_allclose(got_means, want_means, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got_vars, want_vars, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.floats(-1e3, 1e3))
+    def test_floored_variance_error_bound(self, seed, centre):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(2, 400)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        # spread far below the floor: every component is floored
+        x = centre + 10.0 ** rng.uniform(-7, -4) * rng.normal(size=(n, d))
+        resp = rng.dirichlet(np.ones(k), size=n).T
+        _, got_vars = _new_m_step(resp, x)
+        _, want_vars = _reference_m_step(resp, x, VARIANCE_FLOOR)
+        assert np.all(want_vars == VARIANCE_FLOOR)
+        assert np.max(np.abs(got_vars - want_vars)) < VARIANCE_FLOOR / 10
+        # the bound holds before the floor hides it, too
+        _, raw_got = _new_m_step(resp, x, 0.0)
+        _, raw_want = _reference_m_step(resp, x, 0.0)
+        assert np.max(np.abs(raw_got - raw_want)) < VARIANCE_FLOOR / 10
+
+    def test_empty_component_gets_finite_rows(self):
+        x = np.arange(10.0).reshape(5, 2)
+        resp = np.vstack([np.ones(5), np.zeros(5)])  # the second component is empty
+        with np.errstate(all="raise"):
+            means, variances = _new_m_step(resp, x)
+        assert np.all(np.isfinite(means)) and np.all(variances >= VARIANCE_FLOOR)
+        assert np.array_equal(means[0], x.mean(axis=0))
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1))
+    def test_outliers_stay_finite(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(2, 60)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        x = rng.normal(size=(n, d))
+        rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        x[rows] = 1e4 * rng.choice([-1.0, 1.0], size=(rows.size, d))
+        means = rng.normal(size=(k, d))
+        means[0] = x[rows[0]]  # one component sits on the outliers
+        variances = 10.0 ** rng.uniform(-6, 0, size=(k, d))
+        logw = np.log(rng.dirichlet(np.ones(k)))
+        terms = _expanded(x, logw, means, variances)
+        # The expansion cancels: the error is bounded by ulps of the summed
+        # magnitudes, (x^2 + 2|x m| + m^2) / var, not of (x - m)^2 / var.
+        prec = 1.0 / variances
+        scale = (x * x) @ prec.T + 2.0 * np.abs(x) @ (np.abs(means) * prec).T
+        scale += np.sum(means * means * prec, axis=1)
+        want = _reference_log_terms(x, logw, means, variances)
+        bound = (2 * d + 4) * np.finfo(float).eps * (scale + np.abs(want))
+        assert np.all(np.abs(terms.T - want) <= bound)
+        lse = _log_normalize(terms)
+        assert np.all(np.isfinite(lse)) and np.all(np.isfinite(terms))
+        got_means, got_vars = _new_m_step(terms, x)
+        assert np.all(np.isfinite(got_means)) and np.all(got_vars >= VARIANCE_FLOOR)
