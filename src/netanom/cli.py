@@ -445,6 +445,13 @@ def _cmd_simulate(args, parser) -> int:
     manifest_extras = {
         "simulation": simconfig_to_doc(cfg),
         "failed_nodes": list(outcome.failed_nodes),
+        "nodes": {
+            node: {
+                key: getattr(outcome.node_results[node], key)
+                for key in ("attempts", "error", "n_records", "frames", "wire_bytes")
+            }
+            for node in cfg.nodes
+        },
         "partial": outcome.partial,
         "records": len(records),
     }

@@ -9,11 +9,25 @@ at the capture/logging layer, so partitioning can never change outcomes.
 
 One runner starts a thread per node and retries each node's attempt; the
 two transports differ only in how an attempt fetches the node's partition.
-In-process reads ``store.partition(node)`` directly; the loopback transport
-serves it over TCP with length-prefixed JSON frames (4-byte big-endian
-length, then the UTF-8 payload), one connection per attempt. Both feed the
-same record-local classification path, so their reports are identical byte
-for byte. Truth labels are checked once, up front, for both transports.
+Both hand the same classify function one batch of records per interval, and
+scoring is record-local, so their reports are identical byte for byte.
+In-process batches come from ``store.partition(node)`` directly. The
+loopback transport serves the partition over TCP, one connection per
+attempt, with length-prefixed JSON frames (4-byte big-endian length, then
+the UTF-8 payload):
+
+    worker -> store   hello     {node}
+    store -> worker   interval  {interval_id, first_seq, values, truth, origin}, ...
+    store -> worker   end       {count}
+    worker -> store   result    {counts, verdicts, n}
+    store -> worker   ack
+
+An interval frame holds one interval's records as columns; record ``i`` has
+seq ``first_seq + i``. An interval whose frame would pass ``_MAX_FRAME`` is
+split into several frames with the same ``interval_id``, which the worker
+joins again. The worker classifies each interval as it arrives and checks
+``end.count`` against the records it received. Truth labels are checked
+once, up front, for both transports.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -29,7 +43,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
@@ -68,28 +82,6 @@ class CaptureMessage:
     values: tuple[str, ...]
     truth: int | None
     origin: tuple[str, int]
-
-    def to_wire(self) -> dict:
-        return {
-            "type": "capture",
-            "node": self.node,
-            "seq": self.seq,
-            "interval_id": self.interval_id,
-            "values": list(self.values),
-            "truth": self.truth,
-            "origin": [self.origin[0], self.origin[1]],
-        }
-
-    @staticmethod
-    def from_wire(doc: dict) -> "CaptureMessage":
-        return CaptureMessage(
-            node=doc["node"],
-            seq=doc["seq"],
-            interval_id=doc["interval_id"],
-            values=tuple(doc["values"]),
-            truth=doc["truth"],
-            origin=(doc["origin"][0], doc["origin"][1]),
-        )
 
     def record(self) -> FlowRecord:
         return FlowRecord(self.values, self.truth, self.origin)
@@ -224,10 +216,15 @@ def _assign_nodes(
         if schema is None:
             raise SimulationError("hash-of-source assignment needs the record schema")
         idx = schema.index_of(cfg.hash_column)
+        node_of: dict[str, str] = {}  # sources repeat: hash each value once
         out = []
         for rec in records:
-            h = hashlib.sha256(rec.values[idx].encode("utf-8")).digest()
-            out.append(cfg.nodes[int.from_bytes(h[:8], "big") % n])
+            value = rec.values[idx]
+            node = node_of.get(value)
+            if node is None:
+                h = hashlib.sha256(value.encode("utf-8")).digest()
+                node = node_of[value] = cfg.nodes[int.from_bytes(h[:8], "big") % n]
+            out.append(node)
         return out
     # explicit
     if cfg.explicit_assignment is None:
@@ -274,6 +271,12 @@ def replay(
 
 @dataclass(frozen=True)
 class NodeResult:
+    """One node's outcome. ``error`` says why a failed node failed; for a
+    node that recovered on the loopback transport it holds the store
+    service's error from a retried attempt, if there was one. ``frames``
+    and ``wire_bytes`` count both directions of the successful loopback
+    connection, length prefixes included; they are 0 in-process."""
+
     node: str
     counts: ConfusionCounts | None
     verdicts: tuple[int, ...]
@@ -281,6 +284,8 @@ class NodeResult:
     failed: bool
     attempts: int
     error: str | None = None
+    frames: int = 0
+    wire_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -293,28 +298,38 @@ class SimulationOutcome:
     partial: bool
 
 
-def _process_messages(
-    messages: Sequence[CaptureMessage],
+def _intervals(messages: Sequence[CaptureMessage]) -> Iterator[Sequence[CaptureMessage]]:
+    """Split a node's stream into runs of one interval with consecutive seqs
+    (a replay gives every interval consecutive seqs)."""
+    start = 0
+    while start < len(messages):
+        first = messages[start]
+        stop = start + 1
+        while (
+            stop < len(messages)
+            and messages[stop].interval_id == first.interval_id
+            and messages[stop].seq == first.seq + (stop - start)
+        ):
+            stop += 1
+        yield messages[start:stop]
+        start = stop
+
+
+def _classify_intervals(
+    batches: Iterable[Sequence[FlowRecord]],
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
 ) -> dict:
-    """Classify one node's partition, interval batch by interval batch, into
-    the node's result payload (the loopback ``result`` frame)."""
+    """Classify one node's partition, one interval batch at a time as the
+    batches arrive, into the node's result payload (the loopback ``result``
+    frame)."""
     verdicts: list[int] = []
     truths: list[int] = []
-    start = 0
-    while start < len(messages):
-        stop = start
-        interval = messages[start].interval_id
-        while stop < len(messages) and messages[stop].interval_id == interval:
-            stop += 1
-        batch = messages[start:stop]
-        matrix = preprocess.apply_records([m.record() for m in batch])
-        flagged = classify_scores(profile.score_matrix(matrix), profile, det)
+    for batch in batches:
+        flagged = classify_scores(profile.score_matrix(preprocess.apply_records(batch)), profile, det)
         verdicts.extend(int(v) for v in flagged)
-        truths.extend(m.truth for m in batch)
-        start = stop
+        truths.extend(r.truth for r in batch)
     counts = confusion(verdicts, truths) if verdicts else None
     return {
         "type": "result",
@@ -326,29 +341,104 @@ def _process_messages(
     }
 
 
-def _send_frame(sock: socket.socket, obj: dict) -> None:
+def _encode_frame(obj: dict) -> bytes:
     data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    sock.sendall(struct.pack(">I", len(data)) + data)
+    return struct.pack(">I", len(data)) + data
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _interval_frames(run: Sequence[CaptureMessage]) -> Iterator[bytes]:
+    """Encode one interval run as frames of at most ``_MAX_FRAME`` payload
+    bytes, halving the run until each part fits."""
+    data = _encode_frame({
+        "type": "interval",
+        "interval_id": run[0].interval_id,
+        "first_seq": run[0].seq,
+        "values": [m.values for m in run],
+        "truth": [m.truth for m in run],
+        "origin": [m.origin for m in run],
+    })
+    if len(data) - 4 <= _MAX_FRAME:
+        yield data
+    elif len(run) == 1:
+        raise TransportError(
+            f"record {run[0].origin[0]} row {run[0].origin[1]} needs a frame of "
+            f"{len(data) - 4} bytes, over the {_MAX_FRAME} limit"
+        )
+    else:
+        half = len(run) // 2
+        yield from _interval_frames(run[:half])
+        yield from _interval_frames(run[half:])
 
 
-def _recv_frame(sock: socket.socket) -> dict:
-    header = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", header)
-    if length > _MAX_FRAME:
-        raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
-    return json.loads(_recv_exact(sock, length).decode("utf-8"))
+def _frame_records(frame: dict) -> list[FlowRecord]:
+    """The records of one interval frame, in seq order from ``first_seq``."""
+    columns = zip(frame["values"], frame["truth"], frame["origin"])
+    return [FlowRecord(tuple(v), t, (o[0], o[1])) for v, t, o in columns]
+
+
+class _Channel:
+    """Length-prefixed JSON frames over one socket, counting the frames and
+    bytes that pass in both directions."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.frames = 0
+        self.wire_bytes = 0
+
+    def send(self, obj: dict) -> None:
+        self.send_encoded(_encode_frame(obj))
+
+    def send_encoded(self, data: bytes) -> None:
+        self.sock.sendall(data)
+        self.frames += 1
+        self.wire_bytes += len(data)
+
+    def recv(self) -> dict:
+        (length,) = struct.unpack(">I", self._recv_exact(4))
+        if length > _MAX_FRAME:
+            raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
+        frame = json.loads(self._recv_exact(length))
+        self.frames += 1
+        self.wire_bytes += 4 + length
+        return frame
+
+    def _recv_exact(self, n: int) -> bytes:
+        chunks = []
+        remaining = n
+        while remaining:
+            chunk = self.sock.recv(remaining)
+            if not chunk:
+                raise TransportError("connection closed mid-frame")
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(chunks)
+
+
+def _received_intervals(channel: _Channel) -> Iterator[list[FlowRecord]]:
+    """Yield one batch per interval as its frames arrive, joining the frames
+    of a split interval, until the ``end`` frame, whose count must match
+    (a short or misaligned frame shows up there)."""
+    batch: list[FlowRecord] = []
+    interval = None
+    received = 0
+    while True:
+        frame = channel.recv()
+        kind = frame.get("type")
+        if kind == "end":
+            break
+        if kind != "interval":
+            raise TransportError(f"unexpected frame type {kind!r}")
+        records = _frame_records(frame)
+        if frame["interval_id"] != interval and batch:
+            yield batch
+            batch = []
+        interval = frame["interval_id"]
+        batch.extend(records)
+        received += len(records)
+    if frame["count"] != received:
+        raise TransportError(f"end frame counts {frame['count']} records, {received} received")
+    if batch:
+        yield batch
 
 
 #: Failures worth retrying: crashes and transport trouble, not data errors.
@@ -379,6 +469,9 @@ def _result_from_payload(node: str, payload: dict, attempts: int) -> NodeResult:
         n_records=payload["n"],
         failed=False,
         attempts=attempts,
+        error=payload.get("error"),
+        frames=payload.get("frames", 0),
+        wire_bytes=payload.get("wire_bytes", 0),
     )
 
 
@@ -424,61 +517,76 @@ def _run_loopback(
     server.settimeout(0.2)
     port = server.getsockname()[1]
     wire_results: dict[str, dict] = {}
+    # The store service's errors, by the worker's address until a worker
+    # claims them, then by node: the store fails a wrong hello before it
+    # knows the node.
+    handler_errors: dict[tuple, str] = {}
+    node_errors: dict[str, str] = {}
     lock = threading.Lock()
     done = threading.Event()
     handler_threads: list[threading.Thread] = []
 
-    def handle(conn: socket.socket) -> None:
-        try:
-            with conn:
+    def handle(conn: socket.socket, peer: tuple) -> None:
+        with conn:
+            try:
                 conn.settimeout(_SOCKET_TIMEOUT)
-                hello = _recv_frame(conn)
+                channel = _Channel(conn)
+                hello = channel.recv()
                 if hello.get("type") != "hello":
                     raise TransportError(f"expected hello frame, got {hello.get('type')!r}")
                 node = hello["node"]
                 messages = store.partition(node)
-                for msg in messages:
-                    _send_frame(conn, msg.to_wire())
-                _send_frame(conn, {"type": "end", "count": len(messages)})
-                payload = _recv_frame(conn)
+                for run in _intervals(messages):
+                    for data in _interval_frames(run):
+                        channel.send_encoded(data)
+                channel.send({"type": "end", "count": len(messages)})
+                payload = channel.recv()
                 if payload.get("type") != "result":
                     raise TransportError(f"expected result frame, got {payload.get('type')!r}")
                 with lock:
                     wire_results[node] = payload
-                _send_frame(conn, {"type": "ack"})
-        except (TransportError, OSError, json.JSONDecodeError):
-            pass  # the worker side will retry or give up
+                channel.send({"type": "ack"})
+            except Exception as exc:  # recorded before the close the worker sees
+                with lock:
+                    handler_errors[peer] = f"{type(exc).__name__}: {exc}"
 
     def serve() -> None:
         while not done.is_set():
             try:
-                conn, _ = server.accept()
+                conn, peer = server.accept()
             except socket.timeout:
                 continue
             except OSError:
                 break
-            t = threading.Thread(target=handle, args=(conn,))
+            t = threading.Thread(target=handle, args=(conn, peer))
             t.start()
             handler_threads.append(t)
 
     def attempt(node: str) -> dict:
         with socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT) as sock:
-            _send_frame(sock, {"type": "hello", "node": node})
-            messages = []
-            while True:
-                frame = _recv_frame(sock)
-                if frame["type"] == "capture":
-                    messages.append(CaptureMessage.from_wire(frame))
-                elif frame["type"] == "end":
-                    break
-                else:
-                    raise TransportError(f"unexpected frame type {frame['type']!r}")
-            _send_frame(sock, _process_messages(messages, preprocess, profile, cfg.w_for(node)))
-            ack = _recv_frame(sock)
-            if ack.get("type") != "ack":
-                raise TransportError("missing ack from the store service")
+            local = sock.getsockname()
+            channel = _Channel(sock)
+            try:
+                channel.send({"type": "hello", "node": node})
+                batches = _received_intervals(channel)
+                channel.send(_classify_intervals(batches, preprocess, profile, cfg.w_for(node)))
+                if channel.recv().get("type") != "ack":
+                    raise TransportError("missing ack from the store service")
+            except _RETRYABLE as exc:
+                with lock:
+                    server_error = handler_errors.pop(local, None)
+                    if server_error is None:
+                        raise
+                    node_errors[node] = server_error
+                raise TransportError(f"{type(exc).__name__}: {exc}; store service: {server_error}") from exc
         with lock:
-            return wire_results[node]
+            payload = wire_results[node]
+        return {
+            **payload,
+            "error": node_errors.get(node),
+            "frames": channel.frames,
+            "wire_bytes": channel.wire_bytes,
+        }
 
     server_thread = threading.Thread(target=serve)
     server_thread.start()
@@ -511,10 +619,12 @@ def run_simulation(
                     f"unlabeled row: {msg.origin[0]} row {msg.origin[1]}; metrics need ground truth"
                 )
     if cfg.transport == "in-process":
-        results = _run_nodes(
-            cfg,
-            lambda node: _process_messages(store.partition(node), preprocess, profile, cfg.w_for(node)),
-        )
+
+        def attempt(node: str) -> dict:
+            batches = ([m.record() for m in run] for run in _intervals(store.partition(node)))
+            return _classify_intervals(batches, preprocess, profile, cfg.w_for(node))
+
+        results = _run_nodes(cfg, attempt)
     else:
         results = _run_loopback(store, preprocess, profile, cfg)
 

@@ -242,10 +242,10 @@ def default_schema() -> FeatureSchema:
 
 
 def _open_text(source):
-    """Yield (text stream, default file id, needs_close) for the input."""
-    if isinstance(source, (str, os.PathLike)) and not isinstance(source, bytes):
-        if isinstance(source, str) and (source == "" or "\n" in source or "," in source):
-            return io.StringIO(source), "<memory>", False
+    """Return (text stream, default file id, needs_close) for the input. A
+    ``str`` or path-like is always a path; CSV text comes as bytes or a
+    stream."""
+    if isinstance(source, (str, os.PathLike)):
         path = Path(source)
         return path.open("r", encoding="utf-8", newline=""), path.name, True
     if isinstance(source, (bytes, bytearray)):
@@ -268,8 +268,8 @@ def parse_flow_csv(
 ) -> list[FlowRecord]:
     """Parse a flow CSV into records, in file order.
 
-    ``source`` may be a path, an open text/binary stream, bytes, or CSV
-    text itself (a str containing a newline or comma). The header row is
+    ``source`` may be a path (a ``str`` or path-like, never CSV text), an
+    open text/binary stream, or bytes. The header row is
     optional and auto-detected by matching the schema's column names. In
     strict mode (default) the first malformed row raises
     :class:`ParseError`; in lenient mode malformed rows are skipped and

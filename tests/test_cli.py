@@ -390,3 +390,36 @@ class TestManifests:
         assert manifest["em"] == {
             key: report[key] for key in ("iterations", "converged", "reseeds", "final_log_likelihood")
         }
+
+    def test_simulate_records_each_node(self, workspace, tmp_path):
+        keys = {"attempts", "error", "n_records", "frames", "wire_bytes"}
+        for transport in ("in-process", "loopback-socket"):
+            cfg = tmp_path / f"{transport}.json"
+            cfg.write_text(json.dumps({
+                "version": 1, "nodes": ["A", "B", "C"], "assignment": "round-robin",
+                "interval_size": 64, "w": 2.0, "transport": transport,
+                "fail_nodes": ["C"], "retry_budget": 1,
+            }))
+            out = tmp_path / transport
+            assert main([
+                "simulate", "--config", str(cfg), "--profile", str(workspace / "profile.json"),
+                "--test", str(workspace / "split" / "test.csv"), "--out", str(out),
+            ]) == 0
+            params = json.loads((out / "manifest.json").read_text())["parameters"]
+            nodes = params["nodes"]
+            assert params["failed_nodes"] == ["C"]
+            assert list(nodes) == ["A", "B", "C"]
+            assert all(set(doc) == keys for doc in nodes.values())
+            assert nodes["C"] == {
+                "attempts": 2, "error": "SimulatedNodeFailure: node 'C': injected crash",
+                "n_records": 0, "frames": 0, "wire_bytes": 0,
+            }
+            for i, node in enumerate("AB"):
+                doc = nodes[node]
+                assert doc["n_records"] == len(range(i, params["records"], 3))  # round-robin share
+                assert doc["attempts"] == 1 and doc["error"] is None
+                if transport == "in-process":
+                    assert doc["frames"] == doc["wire_bytes"] == 0
+                else:
+                    assert 0 < doc["frames"] < doc["n_records"]
+                    assert doc["wire_bytes"] > 0

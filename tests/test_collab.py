@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -56,6 +58,15 @@ class TestReplay:
         )
         assert all(count == 1 for count in origins.values())
         assert min(spread) > 0  # hash should spread across all three
+
+    def test_hash_of_source_matches_per_record_hash(self, sim_records, schema):
+        cfg = _cfg(assignment="hash-of-source")
+        idx = schema.index_of("srcip")
+        expected = []
+        for rec in sim_records:
+            h = hashlib.sha256(rec.values[idx].encode("utf-8")).digest()
+            expected.append(cfg.nodes[int.from_bytes(h[:8], "big") % len(cfg.nodes)])
+        assert collab._assign_nodes(sim_records, cfg, schema) == expected
 
     def test_hash_of_source_groups_sources(self, sim_records, schema):
         store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
@@ -116,9 +127,38 @@ class TestSharedStore:
         second_pass = store.partition("A")  # reading leaves no state behind
         assert second_pass == first_pass
 
-    def test_wire_roundtrip(self):
-        msg = CaptureMessage("A", 3, 1, ("tcp", "80"), 1, ("f.csv", 17))
-        assert CaptureMessage.from_wire(msg.to_wire()) == msg
+    @pytest.mark.parametrize(
+        "max_frame, splits", [(collab._MAX_FRAME, False), (1200, True)], ids=["one-frame", "split"]
+    )
+    def test_interval_frame_roundtrip(self, sim_records, schema, monkeypatch, max_frame, splits):
+        monkeypatch.setattr(collab, "_MAX_FRAME", max_frame)
+        messages = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
+        runs = list(collab._intervals(messages))
+        assert [len(run) for run in runs] == [16, 16, 8]
+        for run in runs:
+            decoded = []
+            frames = list(collab._interval_frames(run))
+            for data in frames:
+                assert int.from_bytes(data[:4], "big") == len(data) - 4 <= max_frame
+                frame = json.loads(data[4:])
+                assert frame["type"] == "interval"
+                assert frame["interval_id"] == run[0].interval_id
+                records = collab._frame_records(frame)
+                seqs = range(frame["first_seq"], frame["first_seq"] + len(records))
+                decoded.extend(zip(seqs, records))
+            assert (len(frames) > 1) == splits
+            assert [seq for seq, _ in decoded] == [m.seq for m in run]
+            assert [r.values for _, r in decoded] == [m.values for m in run]
+            assert [r.truth for _, r in decoded] == [m.truth for m in run]
+            assert [r.origin for _, r in decoded] == [m.origin for m in run]
+            assert [r for _, r in decoded] == [m.record() for m in run]
+
+    def test_interval_runs_break_at_seq_gaps(self):
+        store = SharedStore()
+        for seq in (1, 2, 4, 5):
+            store.append(self._msg("A", seq))
+        runs = list(collab._intervals(store.partition("A")))
+        assert [[m.seq for m in run] for run in runs] == [[1, 2], [4, 5]]
 
 
 class TestConfig:
@@ -243,17 +283,19 @@ class TestRunSimulation:
 
     def test_retry_recovers_in_process(self, sim_records, schema, fitted, monkeypatch):
         pp, profile = fitted
-        real = collab._process_messages
+        real = collab._classify_intervals
         crashed = []
+        cfg = _cfg()
+        first_of_b = replay(sim_records, cfg, schema).partition("B")[0].origin
 
-        def flaky(messages, *args):
-            if messages[0].node == "B" and not crashed:
+        def flaky(batches, *args):
+            batches = list(batches)
+            if batches[0][0].origin == first_of_b and not crashed:
                 crashed.append(True)
                 raise OSError("transient failure")
-            return real(messages, *args)
+            return real(batches, *args)
 
-        monkeypatch.setattr(collab, "_process_messages", flaky)
-        cfg = _cfg()
+        monkeypatch.setattr(collab, "_classify_intervals", flaky)
         outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         monkeypatch.undo()
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
@@ -290,6 +332,58 @@ class TestRunSimulation:
         assert not any(r.failed or r.error for r in outcome.node_results.values())
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
+
+    def test_store_service_error_recorded_and_retried(self, sim_records, schema, fitted, monkeypatch):
+        pp, profile = fitted
+        real = collab._Channel.send
+        sent_bad = []
+
+        def flaky(channel, obj):
+            if obj.get("type") == "hello" and obj["node"] == "B" and not sent_bad:
+                sent_bad.append(True)
+                obj = {**obj, "type": "capture"}
+            real(channel, obj)
+
+        monkeypatch.setattr(collab._Channel, "send", flaky)
+        cfg = _cfg(transport="loopback-socket")
+        outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        assert sent_bad
+        b = outcome.node_results["B"]
+        assert not b.failed and b.attempts == 2
+        assert b.error == "TransportError: expected hello frame, got 'capture'"
+        assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
+        assert outcome.node_results["A"].error is None
+        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.per_node_reports == clean.per_node_reports
+
+    @pytest.mark.parametrize("always", [False, True])
+    def test_truncated_stream_retried(self, sim_records, schema, fitted, monkeypatch, always):
+        pp, profile = fitted
+        real = collab._interval_frames
+        dropped = []
+
+        def truncating(run):
+            if run[0].node == "B" and (always or not dropped):
+                dropped.append(True)
+                return iter(())
+            return real(run)
+
+        monkeypatch.setattr(collab, "_interval_frames", truncating)
+        cfg = _cfg(transport="loopback-socket", retry_budget=1)
+        outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        b = outcome.node_results["B"]
+        assert b.attempts == 2
+        if always:
+            assert b.failed and outcome.failed_nodes == ("B",)
+            assert b.error.startswith("TransportError: end frame counts 200 records, ")
+            return
+        clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        assert not b.failed and not outcome.partial
+        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert b.verdicts == clean.node_results["B"].verdicts
 
     def test_all_failed_rejected(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -343,6 +437,8 @@ class TestRunnerProperty:
             label="explicit",
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
+        # 600 bytes holds one record, so intervals split across frames
+        max_frame = data.draw(st.integers(600, 30_000), label="max_frame")
         outcomes = {}
         for transport in TRANSPORTS:
             cfg = _cfg(
@@ -352,13 +448,16 @@ class TestRunnerProperty:
                 interval_size=interval,
                 transport=transport,
             )
-            outcomes[transport] = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(collab, "_MAX_FRAME", max_frame)
+                outcomes[transport] = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         for node in nodes:
             assert a.node_results[node].verdicts == b.node_results[node].verdicts
             assert a.node_results[node].counts == b.node_results[node].counts
         assert a.per_node_reports == b.per_node_reports
         assert a.aggregate_report == b.aggregate_report
+        assert not b.failed_nodes
 
         flagged = classify_scores(profile.score_matrix(pp.apply_records(records)), profile, DetectionConfig(2.0))
         assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in records])

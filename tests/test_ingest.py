@@ -91,36 +91,36 @@ class TestSchema:
 
 class TestParse:
     def test_parse_basic(self):
-        recs = parse_flow_csv("tcp,100,0\nudp,200,1\n", TINY, file_id="f")
+        recs = parse_flow_csv(io.StringIO("tcp,100,0\nudp,200,1\n"), TINY, file_id="f")
         assert [r.values for r in recs] == [("tcp", "100", "0"), ("udp", "200", "1")]
         assert [r.truth for r in recs] == [0, 1]
         assert [r.origin for r in recs] == [("f", 1), ("f", 2)]
 
     def test_header_autodetected(self):
-        with_header = parse_flow_csv("proto,bytes,label\ntcp,100,0\n", TINY)
-        without = parse_flow_csv("tcp,100,0\n", TINY)
+        with_header = parse_flow_csv(io.StringIO("proto,bytes,label\ntcp,100,0\n"), TINY)
+        without = parse_flow_csv(io.StringIO("tcp,100,0\n"), TINY)
         assert [r.values for r in with_header] == [r.values for r in without]
         assert with_header[0].origin[1] == 1
 
     def test_empty_source(self):
-        assert parse_flow_csv("", TINY) == []
+        assert parse_flow_csv(io.StringIO(""), TINY) == []
         assert parse_flow_csv(io.BytesIO(b""), TINY) == []
 
     def test_label_rule(self):
-        recs = parse_flow_csv("tcp,1,1\ntcp,1,0\ntcp,1,attack\ntcp,1,\n", TINY)
+        recs = parse_flow_csv(io.StringIO("tcp,1,1\ntcp,1,0\ntcp,1,attack\ntcp,1,\n"), TINY)
         assert [r.truth for r in recs] == [1, 0, 0, None]
 
     def test_short_row_strict_names_row(self):
         text = "tcp,100,0\nudp,200\nicmp,300,1\n"
         with pytest.raises(ParseError) as err:
-            parse_flow_csv(text, TINY, file_id="three.csv")
+            parse_flow_csv(io.StringIO(text), TINY, file_id="three.csv")
         assert err.value.row == 2
         assert err.value.file_id == "three.csv"
 
     def test_short_row_lenient_keeps_others(self):
         text = "tcp,100,0\nudp,200\nicmp,300,1\n"
         issues: list[RowIssue] = []
-        recs = parse_flow_csv(text, TINY, file_id="three.csv", strict=False, issues=issues)
+        recs = parse_flow_csv(io.StringIO(text), TINY, file_id="three.csv", strict=False, issues=issues)
         assert [r.origin[1] for r in recs] == [1, 3]
         assert len(issues) == 1 and issues[0].row == 2
 
@@ -142,6 +142,14 @@ class TestParse:
         assert recs[0].origin == ("flows.csv", 1)
         assert recs[0].truth == 1
 
+    def test_str_with_comma_is_a_path(self, tmp_path):
+        p = tmp_path / "a,b" / "t.csv"
+        p.parent.mkdir()
+        p.write_text("tcp,5,1\nudp,6,0\n")
+        recs = parse_flow_csv(str(p), TINY)
+        assert [r.origin for r in recs] == [("t.csv", 1), ("t.csv", 2)]
+        assert [r.truth for r in recs] == [1, 0]
+
     @given(
         st.lists(
             st.tuples(
@@ -158,7 +166,7 @@ class TestParse:
                    for i, row in enumerate(rows)]
         buf = io.StringIO()
         write_flow_csv(records, TINY, buf)
-        reparsed = parse_flow_csv(buf.getvalue(), TINY)
+        reparsed = parse_flow_csv(io.StringIO(buf.getvalue()), TINY)
         assert [r.values for r in reparsed] == [r.values for r in records]
         assert [r.truth for r in reparsed] == [r.truth for r in records]
 
