@@ -1,33 +1,34 @@
 """Multi-node detection simulation over a shared capture store.
 
 A replay assigns flow records to named nodes and appends them to an
-append-only log, one totally-ordered stream per node. Each node then
-independently preprocesses and classifies exactly its own partition,
-interval by interval, against one shared normal profile; a coordinator sums
-the per-node confusion counts. Nodes never exchange verdicts: sharing stops
-at the capture/logging layer, so partitioning can never change outcomes.
+append-only log, one totally-ordered stream per node; a record's seq is its
+1-based position in its node's stream. Each node then independently
+preprocesses and classifies exactly its own partition, one interval (a
+slice of ``interval_size`` records) at a time, against one shared normal
+profile; a coordinator sums the per-node confusion counts. Nodes never
+exchange verdicts: sharing stops at the capture/logging layer, so
+partitioning can never change outcomes.
 
 One runner starts a thread per node and retries each node's attempt; the
 two transports differ only in how an attempt fetches the node's partition.
-Both hand the same classify function one batch of records per interval, and
-scoring is record-local, so their reports are identical byte for byte.
+Both hand the same classify function batches of records, and scoring is
+record-local, so their reports are identical byte for byte.
 In-process batches come from ``store.partition(node)`` directly. The
 loopback transport serves the partition over TCP, one connection per
 attempt, with length-prefixed JSON frames (4-byte big-endian length, then
 the UTF-8 payload):
 
     worker -> store   hello     {node}
-    store -> worker   interval  {interval_id, first_seq, values, truth, origin}, ...
+    store -> worker   interval  {values, truth, origin}, ...
     store -> worker   end       {count}
     worker -> store   result    {counts, verdicts, n}
     store -> worker   ack
 
-An interval frame holds one interval's records as columns; record ``i`` has
-seq ``first_seq + i``. An interval whose frame would pass ``_MAX_FRAME`` is
-split into several frames with the same ``interval_id``, which the worker
-joins again. The worker classifies each interval as it arrives and checks
-``end.count`` against the records it received. Truth labels are checked
-once, up front, for both transports.
+An interval frame holds one interval's records as columns, in stream order.
+An interval whose frame would pass ``_MAX_FRAME`` is split into several
+frames. The worker classifies each frame's records as they arrive and
+checks ``end.count`` against the records it received. Truth labels are
+checked once, up front, for both transports.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -41,7 +42,7 @@ import json
 import socket
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -71,46 +72,25 @@ class SimulatedNodeFailure(SimulationError):
     """Raised inside a worker whose node is configured to crash."""
 
 
-@dataclass(frozen=True)
-class CaptureMessage:
-    """One logged observation: node, per-node sequence, batching interval,
-    and the raw record payload."""
-
-    node: str
-    seq: int
-    interval_id: int
-    values: tuple[str, ...]
-    truth: int | None
-    origin: tuple[str, int]
-
-    def record(self) -> FlowRecord:
-        return FlowRecord(self.values, self.truth, self.origin)
-
-
 class SharedStore:
-    """Append-only capture log with one totally-ordered stream per node.
+    """Append-only capture log with one totally-ordered stream of
+    ``FlowRecord``s per node; a record's seq is its 1-based position there.
 
-    Messages are immutable and never deleted. Readers hold no state in the
+    Records are immutable and never deleted. Readers hold no state in the
     store: ``partition(node)`` returns the whole stream every time, which is
     also how a run is audited afterwards.
     """
 
     def __init__(self):
-        self._streams: dict[str, list[CaptureMessage]] = {}
+        self._streams: dict[str, list[FlowRecord]] = {}
 
-    def append(self, msg: CaptureMessage) -> None:
-        stream = self._streams.setdefault(msg.node, [])
-        last = stream[-1].seq if stream else 0
-        if msg.seq <= last:
-            raise SimulationError(
-                f"node {msg.node!r}: seq {msg.seq} does not increase past {last}"
-            )
-        stream.append(msg)
+    def append(self, node: str, record: FlowRecord) -> None:
+        self._streams.setdefault(node, []).append(record)
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(self._streams)
 
-    def partition(self, node: str) -> tuple[CaptureMessage, ...]:
+    def partition(self, node: str) -> tuple[FlowRecord, ...]:
         """Full view of one node's stream, in sequence order."""
         return tuple(self._streams.get(node, ()))
 
@@ -160,42 +140,53 @@ class SimulationConfig:
 
 
 def simconfig_to_doc(cfg: SimulationConfig) -> dict:
-    return {
-        "version": SIMCONFIG_FORMAT_VERSION,
-        "nodes": list(cfg.nodes),
-        "assignment": cfg.assignment,
-        "interval_size": cfg.interval_size,
-        "w": cfg.w,
-        "node_w": dict(cfg.node_w) if cfg.node_w else None,
-        "transport": cfg.transport,
-        "hash_column": cfg.hash_column,
-        "explicit_assignment": list(cfg.explicit_assignment) if cfg.explicit_assignment else None,
-        "fail_nodes": list(cfg.fail_nodes),
-        "retry_budget": cfg.retry_budget,
-        "port": cfg.port,
-        "allow_any_w": cfg.allow_any_w,
-    }
+    doc: dict = {"version": SIMCONFIG_FORMAT_VERSION}
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, (tuple, Mapping)):
+            value = list(value) if isinstance(value, tuple) else dict(value)
+        doc[field.name] = value
+    return doc
 
 
-def simconfig_from_doc(doc: dict) -> SimulationConfig:
+# The JSON type, and its name, a config field arrives as, by the head of the
+# field's annotation (annotations are strings here, see the __future__ import).
+_JSON_TYPES = {
+    "tuple": (list, "a list"),
+    "Mapping": (dict, "an object"),
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "a boolean"),
+}
+
+
+def simconfig_from_doc(doc) -> SimulationConfig:
+    """Build a config from its JSON document. Absent keys take the
+    ``SimulationConfig`` defaults; a missing ``nodes``, an unknown key or a
+    value of the wrong JSON type raises ``SimulationError`` naming the key."""
+    if not isinstance(doc, dict):
+        raise SimulationError(f"simulation config must be a JSON object, not {type(doc).__name__}")
     if doc.get("version") != SIMCONFIG_FORMAT_VERSION:
         raise SimulationError(f"unsupported simulation config version: {doc.get('version')!r}")
-    return SimulationConfig(
-        nodes=tuple(doc["nodes"]),
-        assignment=doc.get("assignment", "round-robin"),
-        interval_size=doc.get("interval_size", 100),
-        w=doc.get("w", 1.5),
-        node_w=doc.get("node_w"),
-        transport=doc.get("transport", "in-process"),
-        hash_column=doc.get("hash_column", "srcip"),
-        explicit_assignment=(
-            tuple(doc["explicit_assignment"]) if doc.get("explicit_assignment") else None
-        ),
-        fail_nodes=tuple(doc.get("fail_nodes", ())),
-        retry_budget=doc.get("retry_budget", 3),
-        port=doc.get("port", 0),
-        allow_any_w=doc.get("allow_any_w", False),
-    )
+    by_name = {field.name: field for field in fields(SimulationConfig)}
+    kwargs = {}
+    for key, value in doc.items():
+        if key == "version":
+            continue
+        field = by_name.get(key)
+        if field is None:
+            raise SimulationError(f"unknown simulation config key {key!r}")
+        if value is None and field.type.endswith("| None"):
+            kwargs[key] = None
+            continue
+        expected, name = _JSON_TYPES[field.type.split("[")[0]]
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            raise SimulationError(f"simulation config key {key!r} must be {name}, got {type(value).__name__}")
+        kwargs[key] = tuple(value) if expected is list else value
+    if "nodes" not in kwargs:
+        raise SimulationError("simulation config is missing the 'nodes' key")
+    return SimulationConfig(**kwargs)
 
 
 def load_simconfig(path) -> SimulationConfig:
@@ -246,26 +237,12 @@ def replay(
     cfg: SimulationConfig,
     schema: FeatureSchema | None = None,
 ) -> SharedStore:
-    """Append every record once under its assigned node, with per-node
-    sequence numbers from 1 and interval ids of ``interval_size`` records."""
+    """Append every record once, in input order, under its assigned node."""
     if not records:
         raise SimulationError("cannot replay an empty record list")
-    assignment = _assign_nodes(records, cfg, schema)
     store = SharedStore()
-    seq: dict[str, int] = {node: 0 for node in cfg.nodes}
-    for rec, node in zip(records, assignment):
-        seq[node] += 1
-        s = seq[node]
-        store.append(
-            CaptureMessage(
-                node=node,
-                seq=s,
-                interval_id=(s - 1) // cfg.interval_size + 1,
-                values=rec.values,
-                truth=rec.truth,
-                origin=rec.origin,
-            )
-        )
+    for rec, node in zip(records, _assign_nodes(records, cfg, schema)):
+        store.append(node, rec)
     return store
 
 
@@ -298,21 +275,9 @@ class SimulationOutcome:
     partial: bool
 
 
-def _intervals(messages: Sequence[CaptureMessage]) -> Iterator[Sequence[CaptureMessage]]:
-    """Split a node's stream into runs of one interval with consecutive seqs
-    (a replay gives every interval consecutive seqs)."""
-    start = 0
-    while start < len(messages):
-        first = messages[start]
-        stop = start + 1
-        while (
-            stop < len(messages)
-            and messages[stop].interval_id == first.interval_id
-            and messages[stop].seq == first.seq + (stop - start)
-        ):
-            stop += 1
-        yield messages[start:stop]
-        start = stop
+def _intervals(records: Sequence[FlowRecord], size: int) -> Iterator[Sequence[FlowRecord]]:
+    """A node's stream cut into intervals of ``size`` records."""
+    return (records[i : i + size] for i in range(0, len(records), size))
 
 
 def _classify_intervals(
@@ -321,8 +286,8 @@ def _classify_intervals(
     profile: NormalProfile,
     det: DetectionConfig,
 ) -> dict:
-    """Classify one node's partition, one interval batch at a time as the
-    batches arrive, into the node's result payload (the loopback ``result``
+    """Classify one node's partition, one batch at a time as the batches
+    arrive, into the node's result payload (the loopback ``result``
     frame)."""
     verdicts: list[int] = []
     truths: list[int] = []
@@ -346,16 +311,14 @@ def _encode_frame(obj: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def _interval_frames(run: Sequence[CaptureMessage]) -> Iterator[bytes]:
-    """Encode one interval run as frames of at most ``_MAX_FRAME`` payload
-    bytes, halving the run until each part fits."""
+def _interval_frames(run: Sequence[FlowRecord]) -> Iterator[bytes]:
+    """Encode one interval as frames of at most ``_MAX_FRAME`` payload
+    bytes, halving the interval until each part fits."""
     data = _encode_frame({
         "type": "interval",
-        "interval_id": run[0].interval_id,
-        "first_seq": run[0].seq,
-        "values": [m.values for m in run],
-        "truth": [m.truth for m in run],
-        "origin": [m.origin for m in run],
+        "values": [r.values for r in run],
+        "truth": [r.truth for r in run],
+        "origin": [r.origin for r in run],
     })
     if len(data) - 4 <= _MAX_FRAME:
         yield data
@@ -371,7 +334,7 @@ def _interval_frames(run: Sequence[CaptureMessage]) -> Iterator[bytes]:
 
 
 def _frame_records(frame: dict) -> list[FlowRecord]:
-    """The records of one interval frame, in seq order from ``first_seq``."""
+    """The records of one interval frame, in stream order."""
     columns = zip(frame["values"], frame["truth"], frame["origin"])
     return [FlowRecord(tuple(v), t, (o[0], o[1])) for v, t, o in columns]
 
@@ -415,30 +378,17 @@ class _Channel:
 
 
 def _received_intervals(channel: _Channel) -> Iterator[list[FlowRecord]]:
-    """Yield one batch per interval as its frames arrive, joining the frames
-    of a split interval, until the ``end`` frame, whose count must match
-    (a short or misaligned frame shows up there)."""
-    batch: list[FlowRecord] = []
-    interval = None
+    """Yield each interval frame's records as the frame arrives, until the
+    ``end`` frame, whose count must match (a lost frame shows up there)."""
     received = 0
-    while True:
-        frame = channel.recv()
-        kind = frame.get("type")
-        if kind == "end":
-            break
-        if kind != "interval":
-            raise TransportError(f"unexpected frame type {kind!r}")
+    while (frame := channel.recv()).get("type") == "interval":
         records = _frame_records(frame)
-        if frame["interval_id"] != interval and batch:
-            yield batch
-            batch = []
-        interval = frame["interval_id"]
-        batch.extend(records)
         received += len(records)
+        yield records
+    if frame.get("type") != "end":
+        raise TransportError(f"unexpected frame type {frame.get('type')!r}")
     if frame["count"] != received:
         raise TransportError(f"end frame counts {frame['count']} records, {received} received")
-    if batch:
-        yield batch
 
 
 #: Failures worth retrying: crashes and transport trouble, not data errors.
@@ -535,11 +485,11 @@ def _run_loopback(
                 if hello.get("type") != "hello":
                     raise TransportError(f"expected hello frame, got {hello.get('type')!r}")
                 node = hello["node"]
-                messages = store.partition(node)
-                for run in _intervals(messages):
+                records = store.partition(node)
+                for run in _intervals(records, cfg.interval_size):
                     for data in _interval_frames(run):
                         channel.send_encoded(data)
-                channel.send({"type": "end", "count": len(messages)})
+                channel.send({"type": "end", "count": len(records)})
                 payload = channel.recv()
                 if payload.get("type") != "result":
                     raise TransportError(f"expected result frame, got {payload.get('type')!r}")
@@ -613,15 +563,15 @@ def run_simulation(
     """
     ensure_bound(profile, preprocess)
     for node in cfg.nodes:
-        for msg in store.partition(node):
-            if msg.truth is None:
+        for rec in store.partition(node):
+            if rec.truth is None:
                 raise SimulationError(
-                    f"unlabeled row: {msg.origin[0]} row {msg.origin[1]}; metrics need ground truth"
+                    f"unlabeled row: {rec.origin[0]} row {rec.origin[1]}; metrics need ground truth"
                 )
     if cfg.transport == "in-process":
 
         def attempt(node: str) -> dict:
-            batches = ([m.record() for m in run] for run in _intervals(store.partition(node)))
+            batches = _intervals(store.partition(node), cfg.interval_size)
             return _classify_intervals(batches, preprocess, profile, cfg.w_for(node))
 
         results = _run_nodes(cfg, attempt)

@@ -141,7 +141,9 @@ def schema_to_doc(schema: FeatureSchema) -> dict:
 
 
 def schema_from_doc(doc: dict) -> FeatureSchema:
-    if not isinstance(doc, dict) or doc.get("version") != SCHEMA_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"schema document must be a JSON object, not {type(doc).__name__}")
+    if doc.get("version") != SCHEMA_FORMAT_VERSION:
         raise SchemaError(f"unsupported schema document version: {doc.get('version')!r}")
     try:
         columns = tuple(ColumnSpec(c["name"], c["kind"]) for c in doc["columns"])
@@ -150,14 +152,11 @@ def schema_from_doc(doc: dict) -> FeatureSchema:
         raise SchemaError(f"malformed schema document: {exc}") from exc
 
 
-def load_schema(source) -> FeatureSchema:
-    """Load a schema from a path, or from JSON text/bytes."""
-    if isinstance(source, (str, bytes)) and not _looks_like_path(source):
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+def load_schema(path) -> FeatureSchema:
+    """Load a schema from a JSON file; for JSON text, use ``json.loads``
+    and ``schema_from_doc``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema is not valid JSON: {exc}") from exc
     return schema_from_doc(doc)
@@ -167,13 +166,6 @@ def save_schema(schema: FeatureSchema, path) -> None:
     from ._docjson import pretty_dumps
 
     Path(path).write_text(pretty_dumps(schema_to_doc(schema)), encoding="utf-8")
-
-
-def _looks_like_path(source) -> bool:
-    if isinstance(source, bytes):
-        return False
-    # JSON schema text always starts with "{"; anything else is a path.
-    return not source.lstrip().startswith("{")
 
 
 # Bundled default layout matching UNSW-NB15-style flow CSVs: 47 flow

@@ -280,7 +280,9 @@ def preprocess_to_doc(model: PreprocessModel) -> dict:
 
 
 def preprocess_from_doc(doc: dict) -> PreprocessModel:
-    if not isinstance(doc, dict) or doc.get("version") != PREPROCESS_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise PreprocessError(f"preprocessing document must be a JSON object, not {type(doc).__name__}")
+    if doc.get("version") != PREPROCESS_FORMAT_VERSION:
         raise PreprocessError(f"unsupported preprocessing document version: {doc.get('version')!r}")
     try:
         schema = schema_from_doc(doc["schema"])
@@ -310,15 +312,11 @@ def save_preprocess(model: PreprocessModel, path) -> None:
     Path(path).write_text(pretty_dumps(preprocess_to_doc(model)), encoding="utf-8")
 
 
-def load_preprocess(source) -> PreprocessModel:
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = str(source)
+def load_preprocess(path) -> PreprocessModel:
+    """Load a preprocessing model from a JSON file; for JSON text, use
+    ``json.loads`` and ``preprocess_from_doc``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PreprocessError(f"preprocessing document is not valid JSON: {exc}") from exc
     return preprocess_from_doc(doc)

@@ -205,6 +205,22 @@ class TestDetect:
             "--w", "1.5", "--out", str(tmp_path / "v.csv"),
         ]) == 1
 
+    def test_paths_starting_with_a_brace_are_files(self, workspace, tmp_path, monkeypatch):
+        run = tmp_path / "{run}"
+        run.mkdir()
+        for name in ("schema.json", "profile.json", "profile.preprocess.json"):
+            (run / name).write_bytes((workspace / name).read_bytes())
+        test = str(workspace / "split" / "test.csv")
+        assert main(["detect", "--profile", str(workspace / "profile.json"), "--input", test,
+                     "--w", "2", "--out", str(tmp_path / "v.csv")]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["detect", "--profile", "{run}/profile.json", "--input", test,
+                     "--w", "2", "--out", "{run}/v.csv"]) == 0
+        assert (run / "v.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+        assert main(["train", "--train", str(workspace / "split" / "train_normal.csv"),
+                     "--schema", "{run}/schema.json", "--components", "2", "--out", "{run}/p.json"]) == 0
+        assert json.loads((run / "p.json").read_text())["K"] == 2
+
     def test_w_range_enforced(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -358,6 +374,26 @@ class TestSimulate:
         ]) == 1
         err = capsys.readouterr().err
         assert f"unlabeled row: {unlabeled.name} row 1;" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "simulation config must be a JSON object, not list"),
+            ({"version": 1, "w": 2.0}, "simulation config is missing the 'nodes' key"),
+            ({"version": 1, "nodes": ["A", "B"], "interval-size": 7}, "unknown simulation config key 'interval-size'"),
+            ({"version": 1, "nodes": "AB"}, "simulation config key 'nodes' must be a list, got str"),
+        ],
+        ids=["not-an-object", "no-nodes", "unknown-key", "string-for-list"],
+    )
+    def test_bad_config_fails_loudly(self, workspace, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([
+            "simulate", "--config", str(cfg), "--profile", str(workspace / "profile.json"),
+            "--test", str(workspace / "split" / "test.csv"), "--out", str(tmp_path / "badout"),
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "badout").exists()
 
     def test_injected_failure_reported(self, workspace, tmp_path):
         cfg = self._write_cfg(tmp_path / "simf.json", fail_nodes=["B"], retry_budget=1)

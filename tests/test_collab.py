@@ -1,6 +1,10 @@
 import hashlib
+import importlib.util
 import json
+import re
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from netanom import collab
 from netanom.collab import (
     TRANSPORTS,
-    CaptureMessage,
     SharedStore,
     SimulationConfig,
     SimulationError,
@@ -19,6 +22,10 @@ from netanom.collab import (
 )
 from netanom.decision import DetectionConfig, classify_scores
 from netanom.evaluation import ConfusionCounts, confusion
+from netanom.ingest import FlowRecord
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +43,15 @@ def _cfg(**kwargs):
 class TestReplay:
     def test_round_robin_seqs(self, sim_records, schema):
         store = replay(sim_records[:9], _cfg(), schema)
-        for node in ("A", "B", "C"):
-            assert [m.seq for m in store.partition(node)] == [1, 2, 3]
+        for i, node in enumerate(("A", "B", "C")):
+            # seq n is the n-th record the node received
+            assert store.partition(node) == tuple(sim_records[i:9:3])
 
     def test_interval_batching(self, sim_records, schema):
-        store = replay(sim_records[:9], _cfg(interval_size=2), schema)
-        assert [m.interval_id for m in store.partition("A")] == [1, 1, 2]
+        records = replay(sim_records[:9], _cfg(interval_size=2), schema).partition("A")
+        runs = list(collab._intervals(records, 2))
+        assert [len(run) for run in runs] == [2, 1]
+        assert [list(run) for run in runs] == [[sim_records[0], sim_records[3]], [sim_records[6]]]
 
     def test_deterministic(self, sim_records, schema):
         a = replay(sim_records, _cfg(), schema)
@@ -102,28 +112,24 @@ class TestReplay:
 
 
 class TestSharedStore:
-    def _msg(self, node, seq):
-        return CaptureMessage(node, seq, 1, ("x",), 0, ("f", seq))
-
-    def test_seq_must_increase(self):
-        store = SharedStore()
-        store.append(self._msg("A", 1))
-        store.append(self._msg("A", 2))
-        with pytest.raises(SimulationError, match="seq"):
-            store.append(self._msg("A", 2))
+    def _rec(self, row):
+        return FlowRecord(("x",), 0, ("f", row))
 
     def test_streams_are_independent(self):
         store = SharedStore()
-        store.append(self._msg("A", 1))
-        store.append(self._msg("B", 1))
-        assert len(store) == 2
+        store.append("A", self._rec(1))
+        store.append("B", self._rec(1))
+        store.append("A", self._rec(2))
+        assert len(store) == 3
+        assert store.nodes() == ("A", "B")
+        assert store.partition("A") == (self._rec(1), self._rec(2))
+        assert store.partition("B") == (self._rec(1),)
 
     def test_partition_read_and_audit_replay(self, sim_records, schema):
         store = replay(sim_records[:30], _cfg(), schema)
         first_pass = store.partition("A")
         # the whole stream, in order: round-robin gives A every third record
-        assert [m.origin for m in first_pass] == [r.origin for r in sim_records[:30:3]]
-        assert [m.seq for m in first_pass] == list(range(1, 11))
+        assert first_pass == tuple(sim_records[:30:3])
         second_pass = store.partition("A")  # reading leaves no state behind
         assert second_pass == first_pass
 
@@ -132,8 +138,9 @@ class TestSharedStore:
     )
     def test_interval_frame_roundtrip(self, sim_records, schema, monkeypatch, max_frame, splits):
         monkeypatch.setattr(collab, "_MAX_FRAME", max_frame)
-        messages = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
-        runs = list(collab._intervals(messages))
+        records = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
+        assert records == tuple(sim_records[:40])
+        runs = list(collab._intervals(records, 16))
         assert [len(run) for run in runs] == [16, 16, 8]
         for run in runs:
             decoded = []
@@ -142,29 +149,49 @@ class TestSharedStore:
                 assert int.from_bytes(data[:4], "big") == len(data) - 4 <= max_frame
                 frame = json.loads(data[4:])
                 assert frame["type"] == "interval"
-                assert frame["interval_id"] == run[0].interval_id
-                records = collab._frame_records(frame)
-                seqs = range(frame["first_seq"], frame["first_seq"] + len(records))
-                decoded.extend(zip(seqs, records))
+                assert set(frame) == {"type", "values", "truth", "origin"}
+                decoded.extend(collab._frame_records(frame))
             assert (len(frames) > 1) == splits
-            assert [seq for seq, _ in decoded] == [m.seq for m in run]
-            assert [r.values for _, r in decoded] == [m.values for m in run]
-            assert [r.truth for _, r in decoded] == [m.truth for m in run]
-            assert [r.origin for _, r in decoded] == [m.origin for m in run]
-            assert [r for _, r in decoded] == [m.record() for m in run]
-
-    def test_interval_runs_break_at_seq_gaps(self):
-        store = SharedStore()
-        for seq in (1, 2, 4, 5):
-            store.append(self._msg("A", seq))
-        runs = list(collab._intervals(store.partition("A")))
-        assert [[m.seq for m in run] for run in runs] == [[1, 2], [4, 5]]
+            assert [r.values for r in decoded] == [r.values for r in run]
+            assert [r.truth for r in decoded] == [r.truth for r in run]
+            assert [r.origin for r in decoded] == [r.origin for r in run]
+            assert decoded == list(run)
 
 
 class TestConfig:
     def test_doc_roundtrip(self):
         cfg = _cfg(transport="loopback-socket", fail_nodes=("B",), node_w={"A": 2.5})
         assert simconfig_from_doc(simconfig_to_doc(cfg)) == cfg
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert simconfig_from_doc({"version": 1, "nodes": ["A"]}) == SimulationConfig(nodes=("A",))
+
+    def test_documented_configs_load(self, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = readme.split("A simulation config:\n\n```json\n", 1)[1].split("```", 1)[0]
+        cfg = simconfig_from_doc(json.loads(example))
+        assert (cfg.nodes, cfg.interval_size, cfg.transport) == (("A", "B", "C"), 500, "loopback-socket")
+
+        spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+        bench_run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench_run)  # its dataclasses look it up
+        spec.loader.exec_module(bench_run)
+        cfg = simconfig_from_doc(bench_run.SIM_CONFIG)
+        assert (cfg.nodes, cfg.assignment, cfg.interval_size) == (("A", "B"), "hash-of-source", 500)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"version": 1, "nodes": ["A"], "w": True}, "'w' must be a number, got bool"),
+            ({"version": 1, "nodes": ["A"], "interval_size": "7"}, "'interval_size' must be an integer, got str"),
+            ({"version": 1, "nodes": ["A"], "node_w": ["A"]}, "'node_w' must be an object, got list"),
+            ({"version": 1, "nodes": None}, "'nodes' must be a list, got NoneType"),
+        ],
+        ids=["bool-for-number", "str-for-int", "list-for-object", "null-for-list"],
+    )
+    def test_wrong_json_type_names_the_key(self, doc, message):
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            simconfig_from_doc(doc)
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -363,15 +390,16 @@ class TestRunSimulation:
         pp, profile = fitted
         real = collab._interval_frames
         dropped = []
+        cfg = _cfg(transport="loopback-socket", retry_budget=1)
+        of_b = set(replay(sim_records, cfg, schema).partition("B"))
 
         def truncating(run):
-            if run[0].node == "B" and (always or not dropped):
+            if run[0] in of_b and (always or not dropped):
                 dropped.append(True)
                 return iter(())
             return real(run)
 
         monkeypatch.setattr(collab, "_interval_frames", truncating)
-        cfg = _cfg(transport="loopback-socket", retry_budget=1)
         outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         monkeypatch.undo()
         b = outcome.node_results["B"]
@@ -404,8 +432,6 @@ class TestRunSimulation:
             run_simulation(store, profile, other_pp, cfg)
 
     def test_unlabeled_records_rejected(self, schema, fitted):
-        from netanom.ingest import FlowRecord
-
         pp, profile = fitted
         width = schema.width
         rec = FlowRecord(tuple(["0"] * width), None, ("f", 1))

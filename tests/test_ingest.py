@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,7 +81,16 @@ class TestSchema:
         path = tmp_path / "schema.json"
         save_schema(TINY, path)
         assert load_schema(path) == TINY
-        assert load_schema(path.read_text()) == TINY
+        assert schema_from_doc(json.loads(path.read_text())) == TINY
+
+    def test_garbage_rejected(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_bytes(b"{not json")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_schema(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError, match="JSON object"):
+            load_schema(path)
 
     def test_bad_version_rejected(self):
         doc = schema_to_doc(TINY)

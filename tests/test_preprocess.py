@@ -229,6 +229,11 @@ class TestSerialization:
         with pytest.raises(PreprocessError, match="version"):
             preprocess_from_doc(doc)
 
-    def test_garbage_rejected(self):
+    def test_garbage_rejected(self, tmp_path):
+        path = tmp_path / "garbage.preprocess.json"
+        path.write_bytes(b"{not json")
         with pytest.raises(PreprocessError):
-            load_preprocess(b"{not json")
+            load_preprocess(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(PreprocessError, match="JSON object"):
+            load_preprocess(path)

@@ -34,3 +34,15 @@ def test_run_collab_demo_smoke(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "node B: FAILED" in result.stdout
     assert "aggregate over healthy nodes" in result.stdout
+
+
+def test_fixed_corpus_digests(tmp_path):
+    result = _run("fixed_corpus.py", "--out", str(tmp_path / "fc"), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    digests = {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+    assert len(lines) == len(digests) == 21
+    assert all(len(d) == 64 for d in digests.values())
+    assert not any("manifest" in path for path in digests)
+    for name in ("aggregate.json", "aggregate.txt", "node_A.json", "node_B.json", "node_C.json"):
+        assert digests[f"sim-in-process/{name}"] == digests[f"sim-loopback-socket/{name}"]
