@@ -11,24 +11,27 @@ partitioning can never change outcomes.
 
 One runner starts a thread per node and retries each node's attempt; the
 two transports differ only in how an attempt fetches the node's partition.
-Both hand the same classify function batches of records, and scoring is
-record-local, so their reports are identical byte for byte.
-In-process batches come from ``store.partition(node)`` directly. The
-loopback transport serves the partition over TCP, one connection per
-attempt, with length-prefixed JSON frames (4-byte big-endian length, then
-the UTF-8 payload):
+The store cuts a partition into intervals that carry only what a node
+reads: the field texts of the columns the preprocessing model reads
+(``PreprocessModel.columns``), plus each record's truth and origin. Both
+transports hand the same classify function these intervals, each node
+still parses and standardizes the texts itself, and scoring is
+record-local, so their reports are identical byte for byte. In-process,
+an interval is handed over as is. The loopback transport serves the
+partition over TCP, one connection per attempt, with length-prefixed JSON
+frames (4-byte big-endian length, then the UTF-8 payload):
 
     worker -> store   hello     {node}
-    store -> worker   interval  {values, truth, origin}, ...
+    store -> worker   interval  {values: {column: [text, ...]}, truth, origin}, ...
     store -> worker   end       {count}
     worker -> store   result    {counts, verdicts, n}
     store -> worker   ack
 
-An interval frame holds one interval's records as columns, in stream order.
-An interval whose frame would pass ``_MAX_FRAME`` is split into several
-frames. The worker classifies each frame's records as they arrive and
-checks ``end.count`` against the records it received. Truth labels are
-checked once, up front, for both transports.
+An interval frame is one interval, in stream order. An interval whose
+frame would pass ``_MAX_FRAME`` is halved until each part fits its own
+frame. The worker classifies each frame as it arrives and checks
+``end.count`` against the records it received. Truth labels are checked
+once, up front, for both transports.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -48,7 +51,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
-from .ingest import FeatureSchema, FlowRecord
+from .ingest import FeatureSchema, FlowRecord, RecordColumns
 from .preprocess import PreprocessModel
 
 SIMCONFIG_FORMAT_VERSION = 1
@@ -161,10 +164,18 @@ _JSON_TYPES = {
 }
 
 
+def _check_json_type(key: str, value, annotation: str) -> None:
+    expected, name = _JSON_TYPES[annotation]
+    if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+        raise SimulationError(f"simulation config key {key!r} must be {name}, got {type(value).__name__}")
+
+
 def simconfig_from_doc(doc) -> SimulationConfig:
     """Build a config from its JSON document. Absent keys take the
     ``SimulationConfig`` defaults; a missing ``nodes``, an unknown key or a
-    value of the wrong JSON type raises ``SimulationError`` naming the key."""
+    value of the wrong JSON type raises ``SimulationError`` naming the key.
+    A JSON integer for a ``w`` becomes a ``float``, so ``"w": 2`` reports
+    exactly as ``"w": 2.0`` does."""
     if not isinstance(doc, dict):
         raise SimulationError(f"simulation config must be a JSON object, not {type(doc).__name__}")
     if doc.get("version") != SIMCONFIG_FORMAT_VERSION:
@@ -180,10 +191,14 @@ def simconfig_from_doc(doc) -> SimulationConfig:
         if value is None and field.type.endswith("| None"):
             kwargs[key] = None
             continue
-        expected, name = _JSON_TYPES[field.type.split("[")[0]]
-        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
-            raise SimulationError(f"simulation config key {key!r} must be {name}, got {type(value).__name__}")
-        kwargs[key] = tuple(value) if expected is list else value
+        _check_json_type(key, value, field.type.split("[")[0])
+        if field.type == "float":
+            value = float(value)
+        elif key == "node_w":
+            for node, w in value.items():
+                _check_json_type(f"{key}.{node}", w, "float")
+            value = {node: float(w) for node, w in value.items()}
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     if "nodes" not in kwargs:
         raise SimulationError("simulation config is missing the 'nodes' key")
     return SimulationConfig(**kwargs)
@@ -275,26 +290,45 @@ class SimulationOutcome:
     partial: bool
 
 
-def _intervals(records: Sequence[FlowRecord], size: int) -> Iterator[Sequence[FlowRecord]]:
-    """A node's stream cut into intervals of ``size`` records."""
-    return (records[i : i + size] for i in range(0, len(records), size))
+def _slice(interval: dict, start: int, stop: int) -> dict:
+    """Records ``start`` to ``stop`` of an interval, as an interval."""
+    return {
+        "values": {name: texts[start:stop] for name, texts in interval["values"].items()},
+        "truth": interval["truth"][start:stop],
+        "origin": interval["origin"][start:stop],
+    }
+
+
+def _intervals(records: Sequence[FlowRecord], preprocess: PreprocessModel, size: int) -> Iterator[dict]:
+    """A node's stream cut into intervals of ``size`` records. An interval
+    holds only what a node reads: ``values``, the field texts of the columns
+    ``preprocess`` reads (``{column: [text per record]}``), and the records'
+    ``truth`` and ``origin`` lists, all in stream order."""
+    for start in range(0, len(records), size):
+        run = records[start : start + size]
+        yield {
+            "values": dict(RecordColumns(run, preprocess.schema, preprocess.columns)),
+            "truth": [r.truth for r in run],
+            "origin": [r.origin for r in run],
+        }
 
 
 def _classify_intervals(
-    batches: Iterable[Sequence[FlowRecord]],
+    intervals: Iterable[dict],
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
 ) -> dict:
-    """Classify one node's partition, one batch at a time as the batches
-    arrive, into the node's result payload (the loopback ``result``
-    frame)."""
+    """Classify one node's partition, one interval at a time as the
+    intervals arrive, into the node's result payload (the loopback
+    ``result`` frame)."""
     verdicts: list[int] = []
     truths: list[int] = []
-    for batch in batches:
-        flagged = classify_scores(profile.score_matrix(preprocess.apply_records(batch)), profile, det)
-        verdicts.extend(int(v) for v in flagged)
-        truths.extend(r.truth for r in batch)
+    for interval in intervals:
+        matrix = preprocess.apply_columns(interval["values"], interval["origin"])
+        flagged = classify_scores(profile.score_matrix(matrix), profile, det)
+        verdicts.extend(flagged.astype(int).tolist())
+        truths.extend(interval["truth"])
     counts = confusion(verdicts, truths) if verdicts else None
     return {
         "type": "result",
@@ -311,32 +345,22 @@ def _encode_frame(obj: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def _interval_frames(run: Sequence[FlowRecord]) -> Iterator[bytes]:
+def _interval_frames(interval: dict) -> Iterator[bytes]:
     """Encode one interval as frames of at most ``_MAX_FRAME`` payload
     bytes, halving the interval until each part fits."""
-    data = _encode_frame({
-        "type": "interval",
-        "values": [r.values for r in run],
-        "truth": [r.truth for r in run],
-        "origin": [r.origin for r in run],
-    })
+    data = _encode_frame({"type": "interval", **interval})
+    n = len(interval["truth"])
     if len(data) - 4 <= _MAX_FRAME:
         yield data
-    elif len(run) == 1:
+    elif n == 1:
+        origin = interval["origin"][0]
         raise TransportError(
-            f"record {run[0].origin[0]} row {run[0].origin[1]} needs a frame of "
+            f"record {origin[0]} row {origin[1]} needs a frame of "
             f"{len(data) - 4} bytes, over the {_MAX_FRAME} limit"
         )
     else:
-        half = len(run) // 2
-        yield from _interval_frames(run[:half])
-        yield from _interval_frames(run[half:])
-
-
-def _frame_records(frame: dict) -> list[FlowRecord]:
-    """The records of one interval frame, in stream order."""
-    columns = zip(frame["values"], frame["truth"], frame["origin"])
-    return [FlowRecord(tuple(v), t, (o[0], o[1])) for v, t, o in columns]
+        yield from _interval_frames(_slice(interval, 0, n // 2))
+        yield from _interval_frames(_slice(interval, n // 2, n))
 
 
 class _Channel:
@@ -377,14 +401,13 @@ class _Channel:
         return b"".join(chunks)
 
 
-def _received_intervals(channel: _Channel) -> Iterator[list[FlowRecord]]:
-    """Yield each interval frame's records as the frame arrives, until the
-    ``end`` frame, whose count must match (a lost frame shows up there)."""
+def _received_intervals(channel: _Channel) -> Iterator[dict]:
+    """Yield each interval frame as it arrives, until the ``end`` frame,
+    whose count must match (a lost frame shows up there)."""
     received = 0
     while (frame := channel.recv()).get("type") == "interval":
-        records = _frame_records(frame)
-        received += len(records)
-        yield records
+        received += len(frame["truth"])
+        yield frame
     if frame.get("type") != "end":
         raise TransportError(f"unexpected frame type {frame.get('type')!r}")
     if frame["count"] != received:
@@ -486,8 +509,8 @@ def _run_loopback(
                     raise TransportError(f"expected hello frame, got {hello.get('type')!r}")
                 node = hello["node"]
                 records = store.partition(node)
-                for run in _intervals(records, cfg.interval_size):
-                    for data in _interval_frames(run):
+                for interval in _intervals(records, preprocess, cfg.interval_size):
+                    for data in _interval_frames(interval):
                         channel.send_encoded(data)
                 channel.send({"type": "end", "count": len(records)})
                 payload = channel.recv()
@@ -518,8 +541,8 @@ def _run_loopback(
             channel = _Channel(sock)
             try:
                 channel.send({"type": "hello", "node": node})
-                batches = _received_intervals(channel)
-                channel.send(_classify_intervals(batches, preprocess, profile, cfg.w_for(node)))
+                intervals = _received_intervals(channel)
+                channel.send(_classify_intervals(intervals, preprocess, profile, cfg.w_for(node)))
                 if channel.recv().get("type") != "ack":
                     raise TransportError("missing ack from the store service")
             except _RETRYABLE as exc:
@@ -571,8 +594,8 @@ def run_simulation(
     if cfg.transport == "in-process":
 
         def attempt(node: str) -> dict:
-            batches = _intervals(store.partition(node), cfg.interval_size)
-            return _classify_intervals(batches, preprocess, profile, cfg.w_for(node))
+            intervals = _intervals(store.partition(node), preprocess, cfg.interval_size)
+            return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
 
         results = _run_nodes(cfg, attempt)
     else:

@@ -11,7 +11,9 @@ import csv
 import io
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -120,8 +122,25 @@ class FlowRecord:
     truth: int | None
     origin: tuple[str, int]
 
-    def value(self, schema: FeatureSchema, name: str) -> str:
-        return self.values[schema.index_of(name)]
+
+class RecordColumns(Mapping):
+    """Read-only view of the named columns of ``records``: ``view[name]`` is
+    the list of the records' field texts for ``name``, in record order. A
+    column is built when it is read, so a caller that reads one column at a
+    time holds one column at a time."""
+
+    def __init__(self, records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]):
+        self._rows = [r.values for r in records]
+        self._index = {name: schema.index_of(name) for name in names}
+
+    def __getitem__(self, name: str) -> list[str]:
+        return list(map(itemgetter(self._index[name]), self._rows))
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._docjson import digest_of, pretty_dumps
-from .ingest import FeatureSchema, FlowRecord, schema_from_doc, schema_to_doc
+from .ingest import FeatureSchema, FlowRecord, RecordColumns, schema_from_doc, schema_to_doc
 
 PREPROCESS_FORMAT_VERSION = 1
 
@@ -62,16 +62,11 @@ def fit_encoders(train: Sequence[FlowRecord], schema: FeatureSchema) -> EncoderM
     """
     if not train:
         raise PreprocessError("cannot fit encoders on an empty training set")
-    cat_cols = [(c.name, schema.index_of(c.name)) for c in schema.columns if c.kind == "categorical"]
-    codes: dict[str, dict[str, int]] = {}
-    for name, idx in cat_cols:
-        table: dict[str, int] = {}
-        for rec in train:
-            v = rec.values[idx]
-            if v not in table:
-                table[v] = len(table) + 1
-        codes[name] = table
-    return EncoderMap(codes)
+    categorical = RecordColumns(train, schema, (c.name for c in schema.columns if c.kind == "categorical"))
+    return EncoderMap({
+        name: {value: code for code, value in enumerate(dict.fromkeys(texts), 1)}
+        for name, texts in categorical.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -162,19 +157,29 @@ class PreprocessModel:
     def reduction_mode(self) -> str:
         return "select" if self.selected is not None else "pca"
 
-    def apply(self, record: FlowRecord) -> np.ndarray:
-        """Preprocess one record into a length-d vector."""
-        return self.apply_records([record])[0]
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The record columns the pipeline reads, in encode order."""
+        return self.selected if self.selected is not None else self.schema.feature_names()
+
+    def apply_columns(
+        self, columns: Mapping[str, Sequence[str]], origins: Sequence[Sequence]
+    ) -> np.ndarray:
+        """Preprocess N records given as columns into an (N, d) matrix.
+
+        ``columns`` maps each name in :attr:`columns` to the records' field
+        texts (other names are ignored); ``origins`` holds each record's
+        (file id, row number), which an error about a bad value names. A
+        missing column, or one without a text per record, raises
+        :class:`PreprocessError`.
+        """
+        encoded = _encode_columns(columns, origins, self.schema, self.encoder, self.columns)
+        reduced = encoded if self.pca is None else self.pca.transform(encoded)
+        return self.zscore.normalize(reduced)
 
     def apply_records(self, records: Sequence[FlowRecord]) -> np.ndarray:
         """Preprocess records into an (N, d) matrix."""
-        if self.selected is not None:
-            encoded = _encoded_matrix(records, self.schema, self.encoder, self.selected)
-            reduced = encoded
-        else:
-            encoded = _encoded_matrix(records, self.schema, self.encoder, self.schema.feature_names())
-            reduced = self.pca.transform(encoded)
-        return self.zscore.normalize(reduced)
+        return self.apply_columns(RecordColumns(records, self.schema, self.columns), [r.origin for r in records])
 
     def digest(self) -> str:
         """Content hash binding profiles to this exact fitted pipeline."""
@@ -205,54 +210,51 @@ def fit_preprocess(
     if not train:
         raise PreprocessError("cannot fit preprocessing on an empty training set")
     kind, k = parse_reduction_mode(mode)
+    features = CURATED_FEATURES if kind == "table1" else schema.feature_names()
+    schema.validate_selection(features)
     encoder = fit_encoders(train, schema)
+    matrix = _encode_columns(RecordColumns(train, schema, features), [r.origin for r in train], schema, encoder, features)
     if kind == "table1":
-        schema.validate_selection(CURATED_FEATURES)
-        matrix = _encoded_matrix(train, schema, encoder, CURATED_FEATURES)
-        zscore = fit_zscore(matrix)
-        return PreprocessModel(schema, encoder, tuple(CURATED_FEATURES), None, zscore)
-    all_features = schema.feature_names()
-    matrix = _encoded_matrix(train, schema, encoder, all_features)
+        return PreprocessModel(schema, encoder, tuple(CURATED_FEATURES), None, fit_zscore(matrix))
     pca = fit_pca(matrix, k)
-    zscore = fit_zscore(pca.transform(matrix))
-    return PreprocessModel(schema, encoder, None, pca, zscore)
+    return PreprocessModel(schema, encoder, None, pca, fit_zscore(pca.transform(matrix)))
 
 
-def _encoded_matrix(
-    records: Sequence[FlowRecord],
+def _encode_columns(
+    columns: Mapping[str, Sequence[str]],
+    origins: Sequence[Sequence],
     schema: FeatureSchema,
     encoder: EncoderMap,
     features: Sequence[str],
 ) -> np.ndarray:
     """Build the numeric matrix for the named features (encode step)."""
-    n = len(records)
+    n = len(origins)
     out = np.empty((n, len(features)), dtype=np.float64)
     for j, name in enumerate(features):
-        idx = schema.index_of(name)
-        kind = schema.columns[idx].kind
+        texts = columns.get(name, ())
+        if len(texts) != n:
+            raise PreprocessError(f"column {name!r} holds {len(texts)} values for {n} records")
+        kind = schema.kind_of(name)
         if kind == "categorical":
             table = encoder.codes.get(name, {})
-            out[:, j] = [table.get(rec.values[idx], UNSEEN_CODE) for rec in records]
+            out[:, j] = [table.get(text, UNSEEN_CODE) for text in texts]
         elif kind == "numeric":
-            column = [rec.values[idx] for rec in records]
             try:
-                values = np.asarray(column, dtype=np.float64)
+                values = np.asarray(texts, dtype=np.float64)
             except ValueError:
-                for rec in records:
+                for text, origin in zip(texts, origins):
                     try:
-                        float(rec.values[idx])
+                        float(text)
                     except ValueError:
                         raise PreprocessError(
-                            f"column {name!r}: non-numeric value {rec.values[idx]!r} "
-                            f"in record from {rec.origin}"
+                            f"column {name!r}: non-numeric value {text!r} in {origin[0]} row {origin[1]}"
                         ) from None
                 raise
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                rec = records[bad[0]]
+                origin = origins[bad[0]]
                 raise PreprocessError(
-                    f"column {name!r}: non-finite value {rec.values[idx]!r} "
-                    f"in record from {rec.origin}"
+                    f"column {name!r}: non-finite value {texts[bad[0]]!r} in {origin[0]} row {origin[1]}"
                 )
             out[:, j] = values
         else:

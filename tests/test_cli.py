@@ -354,6 +354,25 @@ class TestSimulate:
         plain = json.loads((tmp_path / "plain.json").read_text())
         assert agg == plain
 
+    @pytest.mark.parametrize(
+        "extra", [{"w": 2}, {"w": 3, "node_w": {"solo": 2}}], ids=["integer-w", "integer-node-w"]
+    )
+    def test_integer_w_reports_like_evaluate(self, workspace, tmp_path, extra):
+        cfg = self._write_cfg(tmp_path / "simw.json", nodes=["solo"], **extra)
+        out = tmp_path / "simwout"
+        assert main([
+            "simulate", "--config", str(cfg), "--profile", str(workspace / "profile.json"),
+            "--test", str(workspace / "split" / "test.csv"), "--out", str(out),
+        ]) == 0
+        assert main([
+            "evaluate", "--profile", str(workspace / "profile.json"),
+            "--test", str(workspace / "split" / "test.csv"),
+            "--w", "2", "--out", str(tmp_path / "plain"),
+        ]) == 0
+        plain = (tmp_path / "plain.json").read_bytes()
+        assert (out / "aggregate.json").read_bytes() == plain
+        assert (out / "node_solo.json").read_bytes() == plain
+
     def test_transports_agree_byte_for_byte(self, workspace, tmp_path):
         cfg_a = self._write_cfg(tmp_path / "sa.json", transport="in-process")
         cfg_b = self._write_cfg(tmp_path / "sb.json", transport="loopback-socket")
@@ -458,4 +477,6 @@ class TestManifests:
                     assert doc["frames"] == doc["wire_bytes"] == 0
                 else:
                     assert 0 < doc["frames"] < doc["n_records"]
-                    assert doc["wire_bytes"] > 0
+                    # Frames carry the 10 modeled columns (about 81 B a record,
+                    # replies included), not all 49 fields (about 387 B).
+                    assert 0 < doc["wire_bytes"] < 120 * doc["n_records"]

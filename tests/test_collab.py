@@ -20,9 +20,11 @@ from netanom.collab import (
     simconfig_from_doc,
     simconfig_to_doc,
 )
-from netanom.decision import DetectionConfig, classify_scores
+from netanom.decision import DetectionConfig, classify_scores, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
-from netanom.ingest import FlowRecord
+from netanom.gmm import EmConfig
+from netanom.ingest import FlowRecord, RecordColumns
+from netanom.preprocess import PreprocessError, fit_preprocess
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +34,24 @@ ROOT = Path(__file__).resolve().parent.parent
 def sim_records(split):
     _, test = split
     return test[:600]
+
+
+@pytest.fixture(scope="module")
+def fitted_pca(split, schema):
+    """(preprocess model, normal profile) for a pca:3 reduction, which reads
+    every feature column."""
+    train, _ = split
+    pp = fit_preprocess(train, schema, "pca:3")
+    profile = train_profile(pp.apply_records(train), EmConfig(n_components=3, seed=0), preprocess_digest=pp.digest())
+    return pp, profile
+
+
+def _with_value(records, schema, index, column, text):
+    """``records`` with one field of record ``index`` replaced."""
+    rec = records[index]
+    values = list(rec.values)
+    values[schema.index_of(column)] = text
+    return [*records[:index], FlowRecord(tuple(values), rec.truth, rec.origin), *records[index + 1 :]]
 
 
 def _cfg(**kwargs):
@@ -47,11 +67,21 @@ class TestReplay:
             # seq n is the n-th record the node received
             assert store.partition(node) == tuple(sim_records[i:9:3])
 
-    def test_interval_batching(self, sim_records, schema):
+    def test_interval_batching(self, sim_records, schema, fitted):
+        pp, _ = fitted
         records = replay(sim_records[:9], _cfg(interval_size=2), schema).partition("A")
-        runs = list(collab._intervals(records, 2))
-        assert [len(run) for run in runs] == [2, 1]
-        assert [list(run) for run in runs] == [[sim_records[0], sim_records[3]], [sim_records[6]]]
+        intervals = list(collab._intervals(records, pp, 2))
+        runs = [[sim_records[0], sim_records[3]], [sim_records[6]]]
+        assert [len(interval["truth"]) for interval in intervals] == [2, 1]
+        # an interval holds its records' modeled columns, truths and origins
+        assert intervals == [
+            {
+                "values": dict(RecordColumns(run, schema, pp.columns)),
+                "truth": [r.truth for r in run],
+                "origin": [r.origin for r in run],
+            }
+            for run in runs
+        ]
 
     def test_deterministic(self, sim_records, schema):
         a = replay(sim_records, _cfg(), schema)
@@ -134,34 +164,54 @@ class TestSharedStore:
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
-        "max_frame, splits", [(collab._MAX_FRAME, False), (1200, True)], ids=["one-frame", "split"]
+        # a one-record table1 frame takes about 270 bytes, a 16-record one about 1,400
+        "max_frame, splits", [(collab._MAX_FRAME, False), (600, True)], ids=["one-frame", "split"]
     )
-    def test_interval_frame_roundtrip(self, sim_records, schema, monkeypatch, max_frame, splits):
+    def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
+        pp, _ = fitted
         monkeypatch.setattr(collab, "_MAX_FRAME", max_frame)
         records = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
         assert records == tuple(sim_records[:40])
-        runs = list(collab._intervals(records, 16))
-        assert [len(run) for run in runs] == [16, 16, 8]
-        for run in runs:
-            decoded = []
-            frames = list(collab._interval_frames(run))
+        runs = [records[:16], records[16:32], records[32:]]
+        intervals = list(collab._intervals(records, pp, 16))
+        assert [len(interval["truth"]) for interval in intervals] == [16, 16, 8]
+        for run, interval in zip(runs, intervals):
+            decoded = {"values": {name: [] for name in pp.columns}, "truth": [], "origin": []}
+            frames = list(collab._interval_frames(interval))
             for data in frames:
                 assert int.from_bytes(data[:4], "big") == len(data) - 4 <= max_frame
                 frame = json.loads(data[4:])
                 assert frame["type"] == "interval"
                 assert set(frame) == {"type", "values", "truth", "origin"}
-                decoded.extend(collab._frame_records(frame))
+                assert tuple(frame["values"]) == pp.columns
+                for name in pp.columns:
+                    decoded["values"][name].extend(frame["values"][name])
+                decoded["truth"].extend(frame["truth"])
+                decoded["origin"].extend(tuple(o) for o in frame["origin"])
             assert (len(frames) > 1) == splits
-            assert [r.values for r in decoded] == [r.values for r in run]
-            assert [r.truth for r in decoded] == [r.truth for r in run]
-            assert [r.origin for r in decoded] == [r.origin for r in run]
-            assert decoded == list(run)
+            assert decoded["values"] == dict(RecordColumns(run, schema, pp.columns))
+            assert decoded["truth"] == [r.truth for r in run]
+            assert decoded["origin"] == [r.origin for r in run]
+            assert decoded == interval
+
+    @pytest.mark.parametrize("mode", ["table1", "pca:3"])
+    def test_frames_carry_the_model_columns(self, sim_records, schema, fitted, fitted_pca, mode):
+        pp, _ = fitted if mode == "table1" else fitted_pca
+        records = replay(sim_records[:40], _cfg(nodes=("A",)), schema).partition("A")
+        for interval in collab._intervals(records, pp, 16):
+            for data in collab._interval_frames(interval):
+                assert tuple(json.loads(data[4:])["values"]) == pp.columns
+        assert pp.columns == (pp.selected if mode == "table1" else schema.feature_names())
 
 
 class TestConfig:
     def test_doc_roundtrip(self):
         cfg = _cfg(transport="loopback-socket", fail_nodes=("B",), node_w={"A": 2.5})
         assert simconfig_from_doc(simconfig_to_doc(cfg)) == cfg
+
+    def test_integer_w_becomes_float(self):
+        cfg = simconfig_from_doc({"version": 1, "nodes": ["A", "B"], "w": 2, "node_w": {"A": 3}})
+        assert (repr(cfg.w), repr(cfg.node_w["A"])) == ("2.0", "3.0")
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         assert simconfig_from_doc({"version": 1, "nodes": ["A"]}) == SimulationConfig(nodes=("A",))
@@ -186,8 +236,9 @@ class TestConfig:
             ({"version": 1, "nodes": ["A"], "interval_size": "7"}, "'interval_size' must be an integer, got str"),
             ({"version": 1, "nodes": ["A"], "node_w": ["A"]}, "'node_w' must be an object, got list"),
             ({"version": 1, "nodes": None}, "'nodes' must be a list, got NoneType"),
+            ({"version": 1, "nodes": ["A"], "node_w": {"A": "2"}}, "'node_w.A' must be a number, got str"),
         ],
-        ids=["bool-for-number", "str-for-int", "list-for-object", "null-for-list"],
+        ids=["bool-for-number", "str-for-int", "list-for-object", "null-for-list", "str-in-node-w"],
     )
     def test_wrong_json_type_names_the_key(self, doc, message):
         with pytest.raises(SimulationError, match=re.escape(message)):
@@ -268,6 +319,45 @@ class TestRunSimulation:
         for node in inproc_cfg.nodes:
             assert a.node_results[node].verdicts == b.node_results[node].verdicts
 
+    def test_loopback_agrees_with_in_process_pca(self, sim_records, schema, fitted_pca):
+        pp, profile = fitted_pca
+        outcomes = {}
+        for transport in TRANSPORTS:
+            cfg = _cfg(transport=transport, assignment="hash-of-source")
+            outcomes[transport] = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        a, b = outcomes["in-process"], outcomes["loopback-socket"]
+        assert a.per_node_reports == b.per_node_reports
+        for node in ("A", "B", "C"):
+            assert a.node_results[node].verdicts == b.node_results[node].verdicts
+        flagged = classify_scores(profile.score_matrix(pp.apply_records(sim_records)), profile, DetectionConfig(2.0))
+        assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in sim_records])
+
+    @pytest.mark.parametrize("text, reason", [("fast", "non-numeric"), ("inf", "non-finite")])
+    def test_bad_modeled_value_fails_alike_on_both_transports(self, sim_records, schema, fitted, text, reason):
+        pp, profile = fitted
+        records = _with_value(sim_records, schema, 37, "tcprtt", text)
+        file_id, row = records[37].origin
+        messages = {}
+        for transport in TRANSPORTS:
+            cfg = _cfg(transport=transport)
+            with pytest.raises(PreprocessError) as excinfo:
+                run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+            messages[transport] = str(excinfo.value)
+        assert messages["in-process"] == messages["loopback-socket"]
+        assert messages["in-process"] == f"column 'tcprtt': {reason} value {text!r} in {file_id} row {row}"
+
+    def test_bad_unmodeled_value_changes_no_verdict(self, sim_records, schema, fitted):
+        pp, profile = fitted
+        assert "sbytes" not in pp.columns
+        records = _with_value(sim_records, schema, 37, "sbytes", "fast")
+        clean = run_simulation(replay(sim_records, _cfg(), schema), profile, pp, _cfg())
+        for transport in TRANSPORTS:
+            cfg = _cfg(transport=transport)
+            outcome = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+            assert outcome.per_node_reports == clean.per_node_reports
+            for node in cfg.nodes:
+                assert outcome.node_results[node].verdicts == clean.node_results[node].verdicts
+
     def test_post_run_store_audit(self, sim_records, schema, fitted):
         pp, profile = fitted
         for transport in TRANSPORTS:
@@ -315,12 +405,12 @@ class TestRunSimulation:
         cfg = _cfg()
         first_of_b = replay(sim_records, cfg, schema).partition("B")[0].origin
 
-        def flaky(batches, *args):
-            batches = list(batches)
-            if batches[0][0].origin == first_of_b and not crashed:
+        def flaky(intervals, *args):
+            intervals = list(intervals)
+            if intervals[0]["origin"][0] == first_of_b and not crashed:
                 crashed.append(True)
                 raise OSError("transient failure")
-            return real(batches, *args)
+            return real(intervals, *args)
 
         monkeypatch.setattr(collab, "_classify_intervals", flaky)
         outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
@@ -391,13 +481,13 @@ class TestRunSimulation:
         real = collab._interval_frames
         dropped = []
         cfg = _cfg(transport="loopback-socket", retry_budget=1)
-        of_b = set(replay(sim_records, cfg, schema).partition("B"))
+        of_b = {r.origin for r in replay(sim_records, cfg, schema).partition("B")}
 
-        def truncating(run):
-            if run[0] in of_b and (always or not dropped):
+        def truncating(interval):
+            if interval["origin"][0] in of_b and (always or not dropped):
                 dropped.append(True)
                 return iter(())
-            return real(run)
+            return real(interval)
 
         monkeypatch.setattr(collab, "_interval_frames", truncating)
         outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
@@ -463,8 +553,10 @@ class TestRunnerProperty:
             label="explicit",
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
-        # 600 bytes holds one record, so intervals split across frames
-        max_frame = data.draw(st.integers(600, 30_000), label="max_frame")
+        # 400 bytes holds a one-record interval frame (at most about 270) and
+        # the result frame for 120 records (about 330); a 64-record interval
+        # frame takes about 5,000, so most draws split intervals across frames.
+        max_frame = data.draw(st.integers(400, 6_000), label="max_frame")
         outcomes = {}
         for transport in TRANSPORTS:
             cfg = _cfg(

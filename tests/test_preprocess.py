@@ -170,36 +170,48 @@ class TestPipeline:
         model = fit_preprocess(train, schema, "table1")
         batch = model.apply_records(train[:5])
         for i in range(5):
-            assert np.array_equal(model.apply(train[i]), batch[i])
+            assert np.array_equal(model.apply_records([train[i]])[0], batch[i])
 
     def test_apply_is_pure(self, split, schema):
         train, _ = split
         model = fit_preprocess(train, schema, "table1")
-        a = model.apply(train[0])
-        b = model.apply(train[0])
+        a = model.apply_records(train[:1])
+        b = model.apply_records(train[:1])
         assert np.array_equal(a, b)
 
     def test_non_numeric_value_names_column(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 20, 2)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
         bad = FlowRecord(("tcp", "garbage", "", "0"), 0, ("test", 9))
-        with pytest.raises(PreprocessError, match="'bytes'"):
-            model.apply(bad)
+        with pytest.raises(PreprocessError, match="'bytes'.* in test row 9$"):
+            model.apply_records([bad])
 
     def test_non_finite_value_rejected(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 20, 2)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
         for junk in ("nan", "inf", "-inf"):
             bad = FlowRecord(("tcp", junk, "", "0"), 0, ("test", 9))
-            with pytest.raises(PreprocessError, match="non-finite"):
-                model.apply(bad)
+            with pytest.raises(PreprocessError, match="non-finite.* in test row 9$"):
+                model.apply_records([bad])
 
     def test_unseen_category_uses_reserved_code(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 30, 2)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:2")
-        seen = model.apply(FlowRecord(("tcp", "10", "", "0"), 0, ("t", 1)))
-        unseen = model.apply(FlowRecord(("sctp", "10", "", "0"), 0, ("t", 2)))
+        seen = model.apply_records([FlowRecord(("tcp", "10", "", "0"), 0, ("t", 1))])[0]
+        unseen = model.apply_records([FlowRecord(("sctp", "10", "", "0"), 0, ("t", 2))])[0]
         assert not np.array_equal(seen, unseen)
+
+    def test_apply_columns_reads_only_the_model_columns(self):
+        train = [_rec("tcp", 10, 1), _rec("udp", 20, 2), _rec("tcp", 40, 3)]
+        model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
+        assert model.columns == ("proto", "bytes")
+        columns = {"proto": ["udp", "tcp"], "bytes": ["20", "40"]}
+        expected = model.apply_records(train[1:])
+        assert np.array_equal(model.apply_columns(columns, [("t", 1), ("t", 2)]), expected)
+        with pytest.raises(PreprocessError, match="column 'bytes' holds 0 values for 2 records"):
+            model.apply_columns({"proto": ["udp", "tcp"]}, [("t", 1), ("t", 2)])
+        with pytest.raises(PreprocessError, match="column 'proto' holds 1 values for 2 records"):
+            model.apply_columns({**columns, "proto": ["udp"]}, [("t", 1), ("t", 2)])
 
     def test_mode_parsing(self):
         assert parse_reduction_mode("table1") == ("table1", None)
