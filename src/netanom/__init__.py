@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 from .decision import (
     DetectionConfig,
     NormalProfile,
-    Verdict,
-    classify,
     classify_scores,
     load_profile,
     quartile,
@@ -22,7 +20,7 @@ from .decision import (
     train_profile,
 )
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics, roc_csv, sweep
-from .gmm import EmConfig, FitReport, MixtureModel, fit_em, log_likelihood, mixture_logpdf
+from .gmm import EmConfig, FitReport, MixtureModel, fit_em, log_likelihood
 from .ingest import (
     FeatureSchema,
     FlowRecord,
@@ -48,8 +46,6 @@ __all__ = [
     "NormalProfile",
     "PreprocessModel",
     "SamplePlan",
-    "Verdict",
-    "classify",
     "classify_scores",
     "confusion",
     "default_schema",
@@ -61,7 +57,6 @@ __all__ = [
     "load_schema",
     "log_likelihood",
     "metrics",
-    "mixture_logpdf",
     "parse_flow_csv",
     "quartile",
     "roc_csv",

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -40,7 +41,7 @@ from .ingest import (
 )
 from .preprocess import (
     PreprocessError,
-    fit_preprocess,
+    _fit_and_apply,
     load_preprocess,
     parse_reduction_mode,
     save_preprocess,
@@ -243,8 +244,7 @@ def _cmd_train(args, parser) -> int:
             print(f"error: attack-labeled row in training input: {rec.origin[0]} row {rec.origin[1]}", file=sys.stderr)
             return 1
 
-    preprocess = fit_preprocess(records, schema, args.features)
-    matrix = preprocess.apply_records(records)
+    preprocess, matrix = _fit_and_apply(records, schema, args.features)
     k = matrix.shape[1] if args.components == "auto" else int(args.components)
     cfg = EmConfig(n_components=k, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
     profile = train_profile(matrix, cfg, preprocess_digest=preprocess.digest())
@@ -375,6 +375,8 @@ def _parse_w_grid(spec: str, parser) -> list[float]:
         a, b, step = (float(x) for x in parts)
     except ValueError:
         parser.error("--w-grid values must be numbers")
+    if not all(map(math.isfinite, (a, b, step))):
+        parser.error("--w-grid values must be finite")
     if step <= 0 or a < 0 or b < a:
         parser.error("--w-grid needs 0 <= A <= B and STEP > 0")
     grid = []

@@ -117,6 +117,10 @@ class SimulationConfig:
     allow_any_w: bool = False
 
     def __post_init__(self):
+        # A w given as an integer reports exactly as the same w as a float.
+        object.__setattr__(self, "w", float(self.w))
+        if self.node_w is not None:
+            object.__setattr__(self, "node_w", {node: float(w) for node, w in self.node_w.items()})
         if not self.nodes:
             raise SimulationError("topology must have at least one node")
         if len(set(self.nodes)) != len(self.nodes):
@@ -173,9 +177,7 @@ def _check_json_type(key: str, value, annotation: str) -> None:
 def simconfig_from_doc(doc) -> SimulationConfig:
     """Build a config from its JSON document. Absent keys take the
     ``SimulationConfig`` defaults; a missing ``nodes``, an unknown key or a
-    value of the wrong JSON type raises ``SimulationError`` naming the key.
-    A JSON integer for a ``w`` becomes a ``float``, so ``"w": 2`` reports
-    exactly as ``"w": 2.0`` does."""
+    value of the wrong JSON type raises ``SimulationError`` naming the key."""
     if not isinstance(doc, dict):
         raise SimulationError(f"simulation config must be a JSON object, not {type(doc).__name__}")
     if doc.get("version") != SIMCONFIG_FORMAT_VERSION:
@@ -192,12 +194,9 @@ def simconfig_from_doc(doc) -> SimulationConfig:
             kwargs[key] = None
             continue
         _check_json_type(key, value, field.type.split("[")[0])
-        if field.type == "float":
-            value = float(value)
-        elif key == "node_w":
+        if key == "node_w":
             for node, w in value.items():
                 _check_json_type(f"{key}.{node}", w, "float")
-            value = {node: float(w) for node, w in value.items()}
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     if "nodes" not in kwargs:
         raise SimulationError("simulation config is missing the 'nodes' key")

@@ -5,17 +5,17 @@ record, and keeps the first/third quartiles and their gap (the IQR) of those
 scores. At test time a record is an attack exactly when its score falls
 strictly outside (lower - w*IQR, upper + w*IQR).
 
-Scores are log-densities by default. Quartiles are order statistics and the
-log transform is monotone, so Q1/Q3 identify the same records as they would
-for raw densities, but the band geometry differs from a raw-space band; this
-is deliberate, since raw densities underflow for the high-dimensional
-outliers the rule exists to flag. A raw-density score space is available for
-low-dimensional (d <= 3) fidelity experiments.
+Scores are log-densities. Quartiles are order statistics and the log
+transform is monotone, so Q1/Q3 identify the same records as they would for
+raw densities, but the band geometry differs from a raw-space band; this is
+deliberate, since raw densities underflow for the high-dimensional outliers
+the rule exists to flag.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,13 +29,13 @@ from .gmm import (
     GmmError,
     MixtureModel,
     fit_em,
-    mixture_logpdf,
     score_records,
 )
 
 PROFILE_FORMAT_VERSION = 1
 
-SCORE_SPACES = ("log-density", "density")
+#: The profile document's ``score_space`` value; no other is accepted.
+_SCORE_SPACE = "log-density"
 
 #: w outside this interval needs an explicit override.
 W_RANGE = (1.5, 3.0)
@@ -81,6 +81,8 @@ class DetectionConfig:
     enforce_range: bool = True
 
     def __post_init__(self):
+        if not math.isfinite(self.w):
+            raise DecisionError(f"w must be finite, got {self.w}")
         if self.w < 0:
             raise DecisionError(f"w must be non-negative, got {self.w}")
         if self.enforce_range and not W_RANGE[0] <= self.w <= W_RANGE[1]:
@@ -99,13 +101,10 @@ class NormalProfile:
     upper: float  # Q3 of training scores
     iqr: float  # upper - lower
     preprocess_digest: str
-    score_space: str = "log-density"
     em_config: EmConfig | None = None
     fit_report: FitReport | None = None
 
     def __post_init__(self):
-        if self.score_space not in SCORE_SPACES:
-            raise DecisionError(f"unknown score space {self.score_space!r}")
         if not self.lower <= self.upper:
             raise DecisionError(f"lower {self.lower} must not exceed upper {self.upper}")
         if self.iqr != self.upper - self.lower:
@@ -114,20 +113,9 @@ class NormalProfile:
     def band(self, cfg: DetectionConfig) -> tuple[float, float]:
         return (self.lower - cfg.w * self.iqr, self.upper + cfg.w * self.iqr)
 
-    def score(self, x) -> float:
-        s = mixture_logpdf(x, self.model)
-        return float(np.exp(s)) if self.score_space == "density" else s
-
     def score_matrix(self, data: np.ndarray) -> np.ndarray:
-        s = score_records(data, self.model)
-        return np.exp(s) if self.score_space == "density" else s
-
-
-@dataclass(frozen=True)
-class Verdict:
-    label: str  # "normal" | "attack"
-    score: float
-    band: tuple[float, float]
+        """Log-density score of every row of ``data``; shape (N,)."""
+        return score_records(data, self.model)
 
 
 def train_profile(
@@ -135,7 +123,6 @@ def train_profile(
     cfg: EmConfig,
     *,
     preprocess_digest: str = "",
-    score_space: str = "log-density",
 ) -> NormalProfile:
     """Build a normal profile from a preprocessed, purely-normal matrix.
 
@@ -143,12 +130,8 @@ def train_profile(
     corrupt the band.
     """
     data = np.asarray(train_normal, dtype=np.float64)
-    if score_space == "density" and data.shape[1] > 3:
-        raise DecisionError("raw-density scoring is limited to d <= 3")
     model, report = fit_em(data, cfg)
     scores = score_records(data, model)
-    if score_space == "density":
-        scores = np.exp(scores)
     lower = quartile(scores, 1)
     upper = quartile(scores, 3)
     return NormalProfile(
@@ -157,26 +140,14 @@ def train_profile(
         upper=upper,
         iqr=upper - lower,
         preprocess_digest=preprocess_digest,
-        score_space=score_space,
         em_config=cfg,
         fit_report=report,
     )
 
 
-def classify(x, profile: NormalProfile, cfg: DetectionConfig) -> Verdict:
-    """Verdict for one preprocessed record.
-
-    Attack iff the score falls strictly outside the band; scores exactly on
-    a band edge count as normal.
-    """
-    score = profile.score(x)
-    lo, hi = profile.band(cfg)
-    label = "attack" if (score < lo or score > hi) else "normal"
-    return Verdict(label=label, score=score, band=(lo, hi))
-
-
 def classify_scores(scores: np.ndarray, profile: NormalProfile, cfg: DetectionConfig) -> np.ndarray:
-    """Boolean attack mask for precomputed scores (re-thresholding path)."""
+    """Boolean attack mask for precomputed scores: attack iff the score falls
+    strictly outside the band; a score exactly on a band edge is normal."""
     s = np.asarray(scores, dtype=np.float64)
     lo, hi = profile.band(cfg)
     return (s < lo) | (s > hi)
@@ -195,7 +166,7 @@ def ensure_bound(profile: NormalProfile, preprocess_model) -> None:
 def profile_to_doc(profile: NormalProfile) -> dict:
     payload = {
         "version": PROFILE_FORMAT_VERSION,
-        "score_space": profile.score_space,
+        "score_space": _SCORE_SPACE,
         "K": profile.model.k,
         "d": profile.model.d,
         "weights": profile.model.weights.tolist(),
@@ -220,6 +191,8 @@ def profile_from_doc(doc: dict) -> NormalProfile:
     body = {k: v for k, v in doc.items() if k != "checksum"}
     if doc.get("checksum") != digest_of(body):
         raise ProfileFormatError("profile checksum mismatch: document is corrupted")
+    if doc.get("score_space") != _SCORE_SPACE:
+        raise ProfileFormatError(f"unsupported score space: {doc.get('score_space')!r}")
     try:
         model = MixtureModel(
             np.asarray(doc["weights"], dtype=np.float64),
@@ -238,7 +211,6 @@ def profile_from_doc(doc: dict) -> NormalProfile:
             upper=doc["upper"],
             iqr=doc["iqr"],
             preprocess_digest=doc["preprocess_digest"],
-            score_space=doc["score_space"],
             em_config=em_cfg,
             fit_report=report,
         )

@@ -137,19 +137,6 @@ def report_to_doc(report: MetricsReport) -> dict:
     }
 
 
-def report_from_doc(doc: dict) -> MetricsReport:
-    if doc.get("version") != REPORT_FORMAT_VERSION:
-        raise EvaluationError(f"unsupported report version: {doc.get('version')!r}")
-    counts = ConfusionCounts(**doc["counts"])
-    return MetricsReport(
-        accuracy=doc["accuracy"],
-        detection_rate=doc["detection_rate"],
-        false_positive_rate=doc["false_positive_rate"],
-        counts=counts,
-        w=doc["w"],
-    )
-
-
 def _fmt_ratio(value: float | None) -> str:
     return "undefined" if value is None else f"{value * 100:.2f}%"
 

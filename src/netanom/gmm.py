@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -217,14 +217,6 @@ def score_records(data: np.ndarray, model: MixtureModel) -> np.ndarray:
         terms = logw + _component_log_densities(block, model.means, model.variances)
         out[start : start + _SCORE_CHUNK] = _log_normalize(terms)
     return out
-
-
-def mixture_logpdf(x: Sequence[float] | np.ndarray, model: MixtureModel) -> float:
-    """Mixture log-density of a single length-d observation."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != model.d:
-        raise GmmError(f"observation has shape {v.shape}, model expects ({model.d},)")
-    return float(score_records(v[None, :], model)[0])
 
 
 def log_likelihood(data: np.ndarray, model: MixtureModel) -> float:

@@ -143,13 +143,6 @@ class RecordColumns(Mapping):
         return len(self._index)
 
 
-@dataclass(frozen=True)
-class RowIssue:
-    file_id: str
-    row: int
-    reason: str
-
-
 def schema_to_doc(schema: FeatureSchema) -> dict:
     return {
         "version": SCHEMA_FORMAT_VERSION,
@@ -274,17 +267,13 @@ def parse_flow_csv(
     schema: FeatureSchema,
     *,
     file_id: str | None = None,
-    strict: bool = True,
-    issues: list[RowIssue] | None = None,
 ) -> list[FlowRecord]:
     """Parse a flow CSV into records, in file order.
 
     ``source`` may be a path (a ``str`` or path-like, never CSV text), an
     open text/binary stream, or bytes. The header row is
-    optional and auto-detected by matching the schema's column names. In
-    strict mode (default) the first malformed row raises
-    :class:`ParseError`; in lenient mode malformed rows are skipped and
-    reported through ``issues``.
+    optional and auto-detected by matching the schema's column names. The
+    first malformed row raises :class:`ParseError`.
 
     Labels parse as: empty field -> unlabeled (None); field equal to the
     schema's positive value -> 1; anything else -> 0.
@@ -311,12 +300,7 @@ def parse_flow_csv(
                     continue  # header row
             row_no += 1
             if len(fields) != width:
-                issue = RowIssue(fid, row_no, f"expected {width} fields, got {len(fields)}")
-                if strict:
-                    raise ParseError(issue.file_id, issue.row, issue.reason)
-                if issues is not None:
-                    issues.append(issue)
-                continue
+                raise ParseError(fid, row_no, f"expected {width} fields, got {len(fields)}")
             raw_label = fields[label_idx].strip()
             if raw_label == "":
                 truth = None
@@ -329,11 +313,11 @@ def parse_flow_csv(
     return records
 
 
-def parse_flow_csvs(paths: Iterable, schema: FeatureSchema, *, strict: bool = True) -> list[FlowRecord]:
+def parse_flow_csvs(paths: Iterable, schema: FeatureSchema) -> list[FlowRecord]:
     """Parse several files (paths, never CSV text) and concatenate the records in file order."""
     out: list[FlowRecord] = []
     for p in paths:
-        out.extend(parse_flow_csv(Path(p), schema, strict=strict))
+        out.extend(parse_flow_csv(Path(p), schema))
     return out
 
 

@@ -207,6 +207,12 @@ def fit_preprocess(
     mode: str = "table1",
 ) -> PreprocessModel:
     """Fit the full pipeline on training records."""
+    return _fit_and_apply(train, schema, mode)[0]
+
+
+def _fit_and_apply(train: Sequence[FlowRecord], schema: FeatureSchema, mode: str) -> tuple[PreprocessModel, np.ndarray]:
+    """``fit_preprocess`` plus the training records' (N, d) matrix: the bits
+    ``apply_records(train)`` gives, from the fit's one encode pass."""
     if not train:
         raise PreprocessError("cannot fit preprocessing on an empty training set")
     kind, k = parse_reduction_mode(mode)
@@ -214,10 +220,11 @@ def fit_preprocess(
     schema.validate_selection(features)
     encoder = fit_encoders(train, schema)
     matrix = _encode_columns(RecordColumns(train, schema, features), [r.origin for r in train], schema, encoder, features)
-    if kind == "table1":
-        return PreprocessModel(schema, encoder, tuple(CURATED_FEATURES), None, fit_zscore(matrix))
-    pca = fit_pca(matrix, k)
-    return PreprocessModel(schema, encoder, None, pca, fit_zscore(pca.transform(matrix)))
+    pca = fit_pca(matrix, k) if kind == "pca" else None
+    reduced = matrix if pca is None else pca.transform(matrix)
+    zscore = fit_zscore(reduced)
+    selected = tuple(CURATED_FEATURES) if pca is None else None
+    return PreprocessModel(schema, encoder, selected, pca, zscore), zscore.normalize(reduced)
 
 
 def _encode_columns(

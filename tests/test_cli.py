@@ -161,6 +161,35 @@ class TestTrain:
         assert all(w.startswith("warning: EM did not converge in 2 iterations") for w in warnings)
         assert json.loads((tmp_path / "fit.manifest.json").read_text())["em"]["converged"] is converged
 
+    def test_training_records_encoded_once(self, workspace, tmp_path, monkeypatch):
+        from netanom import preprocess
+
+        encode, calls = preprocess._encode_columns, []
+        monkeypatch.setattr(preprocess, "_encode_columns", lambda *args: calls.append(args) or encode(*args))
+        assert main([
+            "train", "--train", str(workspace / "split" / "train_normal.csv"),
+            "--schema", str(workspace / "schema.json"), "--components", "2", "--out", str(tmp_path / "p.json"),
+        ]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("features", ["table1", "pca:3"])
+    def test_profile_matches_apply_records(self, workspace, tmp_path, schema, features):
+        from netanom.decision import save_profile, train_profile
+        from netanom.gmm import EmConfig
+        from netanom.ingest import parse_flow_csv
+        from netanom.preprocess import fit_preprocess
+
+        train = workspace / "split" / "train_normal.csv"
+        out = tmp_path / "p.json"
+        assert main([
+            "train", "--train", str(train), "--schema", str(workspace / "schema.json"),
+            "--features", features, "--components", "3", "--seed", "4", "--out", str(out),
+        ]) == 0
+        records = parse_flow_csv(train, schema)
+        pp = fit_preprocess(records, schema, features)
+        profile = train_profile(pp.apply_records(records), EmConfig(3, seed=4), preprocess_digest=pp.digest())
+        assert out.read_bytes() == save_profile(profile)
+
     def test_bad_components_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -235,6 +264,16 @@ class TestDetect:
             "--w", "7", "--allow-any-w", "--out", str(tmp_path / "v.csv"),
         ]) == 0
 
+    def test_non_finite_w_usage_error(self, workspace, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "detect", "--profile", str(workspace / "profile.json"),
+                "--input", str(workspace / "split" / "test.csv"),
+                "--w", "nan", "--allow-any-w", "--out", str(tmp_path / "v.csv"),
+            ])
+        assert err.value.code == 2
+        assert not (tmp_path / "v.csv").exists()
+
 
 class TestEvaluateAndRoc:
     def test_evaluate_writes_report(self, workspace, tmp_path):
@@ -308,6 +347,17 @@ class TestEvaluateAndRoc:
             ])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("grid", ["1.5:inf:0.5", "nan:3:0.5", "1.5:3:nan", "1.5:3:inf"])
+    def test_non_finite_grid_usage_error(self, workspace, tmp_path, capsys, grid):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "roc", "--profile", str(workspace / "profile.json"),
+                "--test", str(workspace / "split" / "test.csv"),
+                "--w-grid", grid, "--out", str(tmp_path / "r"),
+            ])
+        assert err.value.code == 2
+        assert "--w-grid values must be finite" in capsys.readouterr().err
+
     def test_unlabeled_test_rejected(self, workspace, tmp_path, schema):
         unlabeled = _write_unlabeled(workspace, tmp_path / "unlabeled.csv", schema)
         assert main([
@@ -373,6 +423,27 @@ class TestSimulate:
         assert (out / "aggregate.json").read_bytes() == plain
         assert (out / "node_solo.json").read_bytes() == plain
 
+    def test_python_built_integer_w_reports_like_evaluate(self, workspace, tmp_path):
+        from netanom._docjson import pretty_dumps
+        from netanom.collab import SimulationConfig, replay, run_simulation
+        from netanom.decision import load_profile_file
+        from netanom.evaluation import report_to_doc
+        from netanom.ingest import parse_flow_csv
+        from netanom.preprocess import load_preprocess
+
+        profile = load_profile_file(workspace / "profile.json")
+        pp = load_preprocess(workspace / "profile.preprocess.json")
+        cfg = SimulationConfig(nodes=("solo",), w=2)
+        records = parse_flow_csv(workspace / "split" / "test.csv", pp.schema)
+        doc = report_to_doc(run_simulation(replay(records, cfg, pp.schema), profile, pp, cfg).aggregate_report)
+        assert repr(doc["w"]) == "2.0"
+        assert main([
+            "evaluate", "--profile", str(workspace / "profile.json"),
+            "--test", str(workspace / "split" / "test.csv"),
+            "--w", "2", "--out", str(tmp_path / "plain"),
+        ]) == 0
+        assert pretty_dumps(doc).encode("utf-8") == (tmp_path / "plain.json").read_bytes()
+
     def test_transports_agree_byte_for_byte(self, workspace, tmp_path):
         cfg_a = self._write_cfg(tmp_path / "sa.json", transport="in-process")
         cfg_b = self._write_cfg(tmp_path / "sb.json", transport="loopback-socket")
@@ -401,8 +472,9 @@ class TestSimulate:
             ({"version": 1, "w": 2.0}, "simulation config is missing the 'nodes' key"),
             ({"version": 1, "nodes": ["A", "B"], "interval-size": 7}, "unknown simulation config key 'interval-size'"),
             ({"version": 1, "nodes": "AB"}, "simulation config key 'nodes' must be a list, got str"),
+            ({"version": 1, "nodes": ["A"], "w": float("nan"), "allow_any_w": True}, "w must be finite, got nan"),
         ],
-        ids=["not-an-object", "no-nodes", "unknown-key", "string-for-list"],
+        ids=["not-an-object", "no-nodes", "unknown-key", "string-for-list", "non-finite-w"],
     )
     def test_bad_config_fails_loudly(self, workspace, tmp_path, capsys, doc, message):
         cfg = tmp_path / "bad.json"

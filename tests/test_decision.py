@@ -10,7 +10,6 @@ from netanom.decision import (
     DetectionConfig,
     NormalProfile,
     ProfileFormatError,
-    classify,
     classify_scores,
     ensure_bound,
     load_profile,
@@ -79,6 +78,11 @@ class TestDetectionConfig:
         with pytest.raises(DecisionError):
             DetectionConfig(-1.0, enforce_range=False)
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_non_finite_rejected_even_overridden(self, w):
+        with pytest.raises(DecisionError, match="finite"):
+            DetectionConfig(w, enforce_range=False)
+
 
 class TestClassify:
     def test_band_fixture(self):
@@ -112,18 +116,19 @@ class TestClassify:
     def test_classify_single_record(self):
         # standard normal at x=0 scores log(1/sqrt(2*pi)) ~ -0.919
         profile = _toy_profile(-3.0, -1.0)  # iqr = 2, band at w=1.5: (-6, 2)
-        verdict = classify(np.array([0.0]), profile, DetectionConfig(1.5))
-        assert verdict.label == "normal"
-        assert verdict.band == (-6.0, 2.0)
-        assert verdict.score == pytest.approx(-0.9189385332046727)
-        far = classify(np.array([10.0]), profile, DetectionConfig(1.5))
-        assert far.label == "attack"
-        assert far.score < -6.0
+        cfg = DetectionConfig(1.5)
+        assert profile.band(cfg) == (-6.0, 2.0)
+        (score,) = profile.score_matrix(np.array([0.0])[None, :])
+        assert score == pytest.approx(-0.9189385332046727)
+        assert classify_scores(np.array([score]), profile, cfg).tolist() == [False]
+        (far,) = profile.score_matrix(np.array([10.0])[None, :])
+        assert far < -6.0
+        assert classify_scores(np.array([far]), profile, cfg).tolist() == [True]
 
     def test_dimension_mismatch(self):
         profile = _toy_profile(0.0, 1.0, d=2)
         with pytest.raises(Exception):
-            classify(np.array([0.0]), profile, DetectionConfig(1.5))
+            classify_scores(profile.score_matrix(np.array([0.0])[None, :]), profile, DetectionConfig(1.5))
 
     @given(st.integers(0, 2**32 - 1))
     def test_band_nesting(self, seed):
@@ -176,14 +181,6 @@ class TestTrainProfile:
             flagged = classify_scores(scores, profile, DetectionConfig(w, enforce_range=False))
             assert flagged.mean() <= 0.5
 
-    def test_density_space_low_dim_only(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(DecisionError, match="d <= 3"):
-            train_profile(rng.normal(size=(50, 4)), EmConfig(n_components=1), score_space="density")
-        profile = train_profile(rng.normal(size=(50, 2)), EmConfig(n_components=1), score_space="density")
-        assert profile.score_space == "density"
-        assert profile.lower > 0  # raw densities are positive
-
     def test_profile_invariants(self):
         with pytest.raises(DecisionError):
             _toy_profile(1.0, 0.0)
@@ -198,7 +195,8 @@ class TestPersistence:
         assert back.upper == profile.upper
         assert back.iqr == profile.iqr
         assert back.preprocess_digest == profile.preprocess_digest
-        assert back.score_space == profile.score_space
+        assert profile_to_doc(back) == profile_to_doc(profile)
+        assert profile_to_doc(back)["score_space"] == "log-density"
         assert np.array_equal(back.model.weights, profile.model.weights)
         assert np.array_equal(back.model.means, profile.model.means)
         assert np.array_equal(back.model.variances, profile.model.variances)
@@ -252,15 +250,15 @@ class TestPersistence:
         with pytest.raises(ProfileFormatError):
             load_profile(b"\x00\x01binary junk")
 
-    def test_density_space_roundtrip(self):
-        rng = np.random.default_rng(8)
-        profile = train_profile(
-            rng.normal(size=(60, 2)), EmConfig(n_components=1, seed=0), score_space="density"
-        )
-        back = load_profile(save_profile(profile))
-        assert back.score_space == "density"
-        x = rng.normal(size=(20, 2))
-        assert np.array_equal(back.score_matrix(x), profile.score_matrix(x))
+    def test_other_score_space_rejected(self, fitted):
+        from netanom._docjson import digest_of
+
+        _, profile = fitted
+        doc = profile_to_doc(profile)
+        doc["score_space"] = "density"
+        doc["checksum"] = digest_of({k: v for k, v in doc.items() if k != "checksum"})
+        with pytest.raises(ProfileFormatError, match="score space"):
+            load_profile(json.dumps(doc))
 
 
 class TestBinding:

@@ -8,7 +8,6 @@ from netanom.evaluation import (
     confusion,
     metrics,
     render_table,
-    report_from_doc,
     report_to_doc,
     roc_csv,
     summarize_reports,
@@ -190,14 +189,9 @@ class TestRocSweep:
 
 
 class TestReports:
-    def test_doc_roundtrip(self):
-        rep = metrics(ConfusionCounts(9, 90, 1, 0), w=2.5)
-        assert report_from_doc(report_to_doc(rep)) == rep
-
     def test_undefined_survives_roundtrip(self):
         rep = metrics(ConfusionCounts(0, 9, 1, 0), w=1.5)
-        back = report_from_doc(report_to_doc(rep))
-        assert back.detection_rate is None
+        assert report_to_doc(rep)["detection_rate"] is None
 
     def test_table_mentions_reference_rows(self):
         rep = metrics(ConfusionCounts(9, 90, 1, 0), w=2.0)

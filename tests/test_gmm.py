@@ -17,9 +17,13 @@ from netanom.gmm import (
     fit_em,
     gaussian_logpdf_1d,
     log_likelihood,
-    mixture_logpdf,
     score_records,
 )
+
+
+def _score_one(x, model):
+    """Mixture log-density of one observation, scored as a one-row batch."""
+    return score_records(np.asarray(x, dtype=np.float64)[None, :], model)[0]
 
 
 def _model(weights, means, variances):
@@ -80,13 +84,13 @@ class TestMixtureLogpdf:
             gaussian_logpdf_1d(x[j], model.means[0, j], model.variances[0, j])
             for j in range(3)
         )
-        assert mixture_logpdf(x, model) == pytest.approx(expected, rel=1e-14)
+        assert _score_one(x, model) == pytest.approx(expected, rel=1e-14)
 
     def test_duplicate_components_collapse(self):
         one = _model([1.0], [[1.0, 2.0]], [[0.5, 1.5]])
         two = _model([0.5, 0.5], [[1.0, 2.0], [1.0, 2.0]], [[0.5, 1.5], [0.5, 1.5]])
         for x in ([0.0, 0.0], [5.0, -3.0]):
-            assert mixture_logpdf(x, two) == pytest.approx(mixture_logpdf(x, one), rel=1e-13)
+            assert _score_one(x, two) == pytest.approx(_score_one(x, one), rel=1e-13)
 
     def test_against_high_precision_oracle(self):
         rng = np.random.default_rng(7)
@@ -96,25 +100,25 @@ class TestMixtureLogpdf:
         model = _model(weights, means, variances)
         for _ in range(20):
             x = rng.normal(scale=3.0, size=2)
-            got = mixture_logpdf(x, model)
+            got = _score_one(x, model)
             want = _mpmath_mixture_logpdf(x, weights, means, variances)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_far_outlier_stays_finite(self):
         model = _model([0.5, 0.5], [[0.0], [1.0]], [[1.0], [1.0]])
-        score = mixture_logpdf([1e4], model)
+        score = _score_one([1e4], model)
         assert math.isfinite(score) and score < -1e7
 
     def test_extreme_spread_no_overflow(self):
         # one very tight and one very wide component; log-space must not overflow
         model = _model([0.5, 0.5], [[0.0], [0.0]], [[1e-6], [1e6]])
-        assert math.isfinite(mixture_logpdf([0.0], model))
-        assert math.isfinite(mixture_logpdf([1e3], model))
+        assert math.isfinite(_score_one([0.0], model))
+        assert math.isfinite(_score_one([1e3], model))
 
     def test_dimension_mismatch(self):
         model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(GmmError):
-            mixture_logpdf([0.0], model)
+            _score_one([0.0], model)
 
     @given(st.integers(0, 2**32 - 1))
     def test_component_permutation_invariance(self, seed):
@@ -128,7 +132,7 @@ class TestMixtureLogpdf:
         a = _model(w, means, variances)
         b = _model(w[perm], means[perm], variances[perm])
         x = rng.normal(size=d)
-        assert mixture_logpdf(x, a) == pytest.approx(mixture_logpdf(x, b), rel=1e-12, abs=1e-12)
+        assert _score_one(x, a) == pytest.approx(_score_one(x, b), rel=1e-12, abs=1e-12)
 
     def test_split_component_invariance(self):
         base = _model([0.6, 0.4], [[0.0], [3.0]], [[1.0], [0.5]])
@@ -136,7 +140,7 @@ class TestMixtureLogpdf:
             [0.3, 0.3, 0.4], [[0.0], [0.0], [3.0]], [[1.0], [1.0], [0.5]]
         )
         for x in ([-1.0], [0.0], [2.5], [10.0]):
-            assert mixture_logpdf(x, split) == pytest.approx(mixture_logpdf(x, base), rel=1e-12)
+            assert _score_one(x, split) == pytest.approx(_score_one(x, base), rel=1e-12)
 
     def test_density_normalizes_1d(self):
         mu, var = 0.7, 2.3
@@ -161,14 +165,14 @@ class TestScoreRecords:
             parts = [score_records(x[i : i + size], model) for i in range(0, 20_000, size)[:50]]
             assert np.array_equal(np.concatenate(parts), whole[: sum(p.size for p in parts)])
         rows = rng.choice(20_000, size=30, replace=False)
-        assert np.array_equal([mixture_logpdf(x[i], model) for i in rows], whole[rows])
+        assert np.array_equal([_score_one(x[i], model) for i in rows], whole[rows])
 
 
 class TestLogLikelihood:
     def test_single_record(self):
         model = _model([1.0], [[0.0, 1.0]], [[1.0, 1.0]])
         x = np.array([[0.3, 0.9]])
-        assert log_likelihood(x, model) == pytest.approx(mixture_logpdf(x[0], model), rel=1e-15)
+        assert log_likelihood(x, model) == pytest.approx(_score_one(x[0], model), rel=1e-15)
 
     def test_duplication_doubles(self):
         rng = np.random.default_rng(11)
@@ -183,7 +187,7 @@ class TestLogLikelihood:
         x = np.array(
             [[0.0, 0.0], [1.0, 1.0], [-2.0, 0.5], [2.0, -1.0], [0.3, 0.3]]
         )
-        brute = math.fsum(mixture_logpdf(row, model) for row in x)
+        brute = math.fsum(_score_one(row, model) for row in x)
         assert log_likelihood(x, model) == pytest.approx(brute, abs=1e-12)
 
 

@@ -9,7 +9,6 @@ from netanom.ingest import (
     FeatureSchema,
     FlowRecord,
     ParseError,
-    RowIssue,
     SampleError,
     SamplePlan,
     SchemaError,
@@ -126,13 +125,6 @@ class TestParse:
             parse_flow_csv(io.StringIO(text), TINY, file_id="three.csv")
         assert err.value.row == 2
         assert err.value.file_id == "three.csv"
-
-    def test_short_row_lenient_keeps_others(self):
-        text = "tcp,100,0\nudp,200\nicmp,300,1\n"
-        issues: list[RowIssue] = []
-        recs = parse_flow_csv(io.StringIO(text), TINY, file_id="three.csv", strict=False, issues=issues)
-        assert [r.origin[1] for r in recs] == [1, 3]
-        assert len(issues) == 1 and issues[0].row == 2
 
     def test_multiple_files_concatenate(self, tmp_path):
         paths = []
