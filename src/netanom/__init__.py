@@ -23,9 +23,11 @@ from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics, roc_
 from .gmm import EmConfig, FitReport, MixtureModel, fit_em, log_likelihood
 from .ingest import (
     FeatureSchema,
+    FlowBatch,
     FlowRecord,
     SamplePlan,
     default_schema,
+    iter_flow_batches,
     load_schema,
     parse_flow_csv,
     stratified_sample,
@@ -40,6 +42,7 @@ __all__ = [
     "EmConfig",
     "FeatureSchema",
     "FitReport",
+    "FlowBatch",
     "FlowRecord",
     "MetricsReport",
     "MixtureModel",
@@ -53,6 +56,7 @@ __all__ = [
     "fit_pca",
     "fit_preprocess",
     "fit_zscore",
+    "iter_flow_batches",
     "load_profile",
     "load_schema",
     "log_likelihood",

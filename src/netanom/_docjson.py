@@ -25,5 +25,10 @@ def digest_of(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
 
 
-def digest_of_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def digest_of_file(path) -> str:
+    """sha256 of a file's bytes, read 1 MiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
+    return h.hexdigest()

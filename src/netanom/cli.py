@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from ._docjson import digest_of_bytes, pretty_dumps
+from ._docjson import digest_of_file, pretty_dumps
 from .collab import SimulationError, load_simconfig, replay, run_simulation, simconfig_to_doc
 from .decision import (
     DecisionError,
@@ -34,6 +37,7 @@ from .ingest import (
     IngestError,
     SamplePlan,
     default_schema,
+    iter_flow_batches,
     load_schema,
     parse_flow_csvs,
     stratified_sample,
@@ -46,6 +50,9 @@ from .preprocess import (
     parse_reduction_mode,
     save_preprocess,
 )
+
+#: Most points a ``--w-grid`` may ask for.
+MAX_GRID_POINTS = 10_000
 
 _ERRORS = (
     IngestError,
@@ -147,10 +154,6 @@ def _load_schema_arg(path: str | None):
     return load_schema(Path(path)) if path else default_schema()
 
 
-def _file_digest(path) -> str:
-    return digest_of_bytes(Path(path).read_bytes())
-
-
 def _write_manifest(
     manifest_path: Path,
     command: str,
@@ -167,8 +170,8 @@ def _write_manifest(
         "parameters": parameters,
         "seed": seed,
         "artifact_version": __version__,
-        "input_digests": {str(p): _file_digest(p) for p in inputs},
-        "output_digests": {str(p): _file_digest(p) for p in outputs},
+        "input_digests": {str(p): digest_of_file(p) for p in inputs},
+        "output_digests": {str(p): digest_of_file(p) for p in outputs},
         **blocks,
         "duration_seconds": time.perf_counter() - started,
     }
@@ -298,22 +301,36 @@ def _detection_config(args, parser) -> DetectionConfig:
         parser.error(str(exc))
 
 
+def _scored_batches(path, profile, preprocess):
+    """Yield ``(batch, scores)`` for each :class:`FlowBatch` of the capture at
+    ``path``: each batch is scored as it is read."""
+    for batch in iter_flow_batches(Path(path), preprocess.schema, preprocess.columns):
+        yield batch, profile.score_matrix(preprocess.apply_columns(batch.columns, batch.origins()))
+
+
 def _cmd_detect(args, parser) -> int:
     started = time.perf_counter()
     det = _detection_config(args, parser)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    records = parse_flow_csvs([args.input], preprocess.schema)
-
-    lines = ["origin_file,origin_row,score,label"]
-    if records:
-        scores = profile.score_matrix(preprocess.apply_records(records))
-        flagged = classify_scores(scores, profile, det)
-        for rec, score, is_attack in zip(records, scores, flagged):
-            label = "attack" if is_attack else "normal"
-            lines.append(f"{rec.origin[0]},{rec.origin[1]},{float(score)!r},{label}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Verdicts go to a sibling that replaces ``out`` only once every row is
+    # scored, so a bad row in a later batch leaves no verdicts file.
+    partial = out.with_name(out.name + ".tmp")
+    n_records = 0
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            fh.write("origin_file,origin_row,score,label\n")
+            for batch, scores in _scored_batches(args.input, profile, preprocess):
+                flagged = classify_scores(scores, profile, det)
+                fh.writelines(
+                    f"{batch.file_id},{row},{score!r},{'attack' if is_attack else 'normal'}\n"
+                    for row, score, is_attack in zip(batch.rows.tolist(), scores.tolist(), flagged.tolist())
+                )
+                n_records += len(batch.rows)
+        os.replace(partial, out)
+    finally:
+        partial.unlink(missing_ok=True)
     _write_manifest(
         _sibling(out, "manifest"),
         "detect",
@@ -323,30 +340,34 @@ def _cmd_detect(args, parser) -> int:
         [out],
         started,
     )
-    print(f"classified {len(records)} records at w={args.w:g}; wrote {out}")
+    print(f"classified {n_records} records at w={args.w:g}; wrote {out}")
     return 0
 
 
-def _require_truths(records):
-    for rec in records:
-        if rec.truth is None:
+def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray] | None:
+    """Scores and truths of every row of a labeled capture, or None when it
+    has no rows. Only the scores and truths outlive their batch."""
+    scores, truths = [], []
+    for batch, batch_scores in _scored_batches(path, profile, preprocess):
+        unlabeled = np.flatnonzero(batch.truth < 0)
+        if unlabeled.size:
             raise EvaluationError(
-                f"unlabeled row: {rec.origin[0]} row {rec.origin[1]}; metrics need ground truth"
+                f"unlabeled row: {batch.file_id} row {batch.rows[unlabeled[0]]}; metrics need ground truth"
             )
-    return [rec.truth for rec in records]
+        scores.append(batch_scores)
+        truths.append(batch.truth)
+    return (np.concatenate(scores), np.concatenate(truths)) if scores else None
 
 
 def _cmd_evaluate(args, parser) -> int:
     started = time.perf_counter()
     det = _detection_config(args, parser)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    records = parse_flow_csvs([args.test], preprocess.schema)
-    if not records:
+    labeled = _labeled_scores(args.test, profile, preprocess)
+    if labeled is None:
         print("error: test file has no records", file=sys.stderr)
         return 1
-    truths = _require_truths(records)
-    scores = profile.score_matrix(preprocess.apply_records(records))
-    (report,) = sweep(scores, truths, profile, [det.w])
+    (report,) = sweep(*labeled, profile, [det.w])
 
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -379,6 +400,8 @@ def _parse_w_grid(spec: str, parser) -> list[float]:
         parser.error("--w-grid values must be finite")
     if step <= 0 or a < 0 or b < a:
         parser.error("--w-grid needs 0 <= A <= B and STEP > 0")
+    if (b - a) / step + 1 > MAX_GRID_POINTS:
+        parser.error(f"--w-grid may hold at most {MAX_GRID_POINTS} points")
     grid = []
     i = 0
     while (w := a + i * step) <= b + 1e-9:
@@ -391,13 +414,11 @@ def _cmd_roc(args, parser) -> int:
     started = time.perf_counter()
     grid = _parse_w_grid(args.w_grid, parser)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    records = parse_flow_csvs([args.test], preprocess.schema)
-    if not records:
+    labeled = _labeled_scores(args.test, profile, preprocess)
+    if labeled is None:
         print("error: test file has no records", file=sys.stderr)
         return 1
-    truths = _require_truths(records)
-    scores = profile.score_matrix(preprocess.apply_records(records))
-    reports = sweep(scores, truths, profile, grid)
+    reports = sweep(*labeled, profile, grid)
 
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)

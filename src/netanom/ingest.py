@@ -1,8 +1,9 @@
 """Flow-record ingestion: feature schemas, CSV parsing, and seeded sampling.
 
-A :class:`FeatureSchema` describes the column layout of a flow CSV. Records
-are kept as raw text fields plus a parsed binary truth label; all numeric
-interpretation happens later, in the preprocessing stage.
+A :class:`FeatureSchema` describes the column layout of a flow CSV. A capture
+is read either whole, as a list of :class:`FlowRecord`, or as a stream of
+:class:`FlowBatch` that holds only the requested columns. Field texts stay
+text; all numeric interpretation happens later, in the preprocessing stage.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,6 +123,29 @@ class FlowRecord:
     values: tuple[str, ...]
     truth: int | None
     origin: tuple[str, int]
+
+
+#: Rows per batch that :func:`iter_flow_batches` yields.
+BATCH_ROWS = 8192
+
+
+@dataclass(frozen=True)
+class FlowBatch:
+    """Consecutive data rows of one file, held as columns.
+
+    ``columns`` maps each requested column name to the rows' field texts.
+    ``truth`` is an int8 array: 1 for attack, 0 for normal, -1 for an empty
+    label field. ``rows`` holds the 1-based data-row numbers.
+    """
+
+    columns: dict[str, list[str]]
+    truth: np.ndarray
+    file_id: str
+    rows: np.ndarray
+
+    def origins(self) -> list[tuple[str, int]]:
+        """Each row's (file id, row number), as in :attr:`FlowRecord.origin`."""
+        return [(self.file_id, row) for row in self.rows.tolist()]
 
 
 class RecordColumns(Mapping):
@@ -262,6 +287,37 @@ def _open_text(source):
     raise IngestError(f"unsupported source type: {type(source)!r}")
 
 
+def _read_rows(stream, schema: FeatureSchema, fid: str, project) -> Iterator[tuple[int, int, tuple]]:
+    """Yield ``(row number, truth, project(fields))`` for each data row of a
+    flow CSV text stream, in file order.
+
+    A first row that matches the schema's column names is a header and is
+    skipped, as are blank lines. Rows are numbered from 1, counting data
+    rows only. A row of the wrong width raises :class:`ParseError`. Truth is
+    -1 for an empty label field, 1 for the schema's positive value and 0 for
+    anything else.
+    """
+    label_idx = schema.label_index
+    positive = schema.positive_label_value
+    width = schema.width
+    lowered_names = [n.lower() for n in schema.names]
+    row_no = 0
+    first = True
+    for fields in csv.reader(stream):
+        if not fields:
+            continue  # blank line
+        if first:
+            first = False
+            if [f.strip().lstrip("\ufeff").lower() for f in fields] == lowered_names:
+                continue  # header row
+        row_no += 1
+        if len(fields) != width:
+            raise ParseError(fid, row_no, f"expected {width} fields, got {len(fields)}")
+        raw_label = fields[label_idx].strip()
+        truth = -1 if raw_label == "" else 1 if raw_label == positive else 0
+        yield row_no, truth, project(fields)
+
+
 def parse_flow_csv(
     source,
     schema: FeatureSchema,
@@ -280,37 +336,54 @@ def parse_flow_csv(
     """
     stream, default_id, needs_close = _open_text(source)
     fid = file_id if file_id is not None else default_id
-    label_idx = schema.label_index
-    positive = schema.positive_label_value
-    width = schema.width
-    lowered_names = [n.lower() for n in schema.names]
-
-    records: list[FlowRecord] = []
     try:
-        reader = csv.reader(stream)
-        row_no = 0
-        first = True
-        for fields in reader:
-            if not fields:
-                continue  # blank line
-            if first:
-                first = False
-                stripped = [f.strip().lstrip("﻿").lower() for f in fields]
-                if stripped == lowered_names:
-                    continue  # header row
-            row_no += 1
-            if len(fields) != width:
-                raise ParseError(fid, row_no, f"expected {width} fields, got {len(fields)}")
-            raw_label = fields[label_idx].strip()
-            if raw_label == "":
-                truth = None
-            else:
-                truth = 1 if raw_label == positive else 0
-            records.append(FlowRecord(tuple(fields), truth, (fid, row_no)))
+        return [
+            FlowRecord(values, None if truth < 0 else truth, (fid, row))
+            for row, truth, values in _read_rows(stream, schema, fid, tuple)
+        ]
     finally:
         if needs_close:
             stream.close()
-    return records
+
+
+def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
+    """Read a flow CSV as batches of up to :data:`BATCH_ROWS` rows, in file
+    order, each holding only ``columns``.
+
+    ``source`` is what :func:`parse_flow_csv` takes, and the header, row
+    numbering and label rules are the same. Each row is cut down to
+    ``columns`` as it is read, so no full row outlives its line. A malformed
+    row raises :class:`ParseError` after the batches before it are yielded.
+    """
+    names = tuple(columns)
+    index = [schema.index_of(name) for name in names]
+    # itemgetter returns a bare field, not a 1-tuple, for a single index.
+    project = itemgetter(*index) if len(index) > 1 else lambda fields: tuple(fields[i] for i in index)
+    stream, fid, needs_close = _open_text(source)
+    try:
+        rows = _read_rows(stream, schema, fid, project)
+        while True:
+            # Appending field by field leaves no per-row object alive past
+            # its line, so the read allocates nothing for cyclic GC to scan.
+            row_nos, truths = [], []
+            texts = {name: [] for name in names}
+            appends = [column.append for column in texts.values()]
+            for row_no, truth, projected in islice(rows, BATCH_ROWS):
+                row_nos.append(row_no)
+                truths.append(truth)
+                for append, text in zip(appends, projected):
+                    append(text)
+            if not row_nos:
+                return
+            yield FlowBatch(
+                columns=texts,
+                truth=np.array(truths, dtype=np.int8),
+                file_id=fid,
+                rows=np.array(row_nos, dtype=np.int64),
+            )
+    finally:
+        if needs_close:
+            stream.close()
 
 
 def parse_flow_csvs(paths: Iterable, schema: FeatureSchema) -> list[FlowRecord]:

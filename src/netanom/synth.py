@@ -10,12 +10,13 @@ traffic. Identical (n, seed, attack_fraction) always yields identical rows.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import FlowRecord, default_schema, write_flow_csv
+from .ingest import FlowRecord, default_schema, parse_flow_csv
 
 _SERVICE_PORTS = {
     "http": 80,
@@ -188,14 +189,14 @@ _INT_COLUMNS = {
 
 def _format_column(name: str, arr: np.ndarray) -> list[str]:
     if name in _INT_COLUMNS:
-        return [str(int(v)) for v in arr]
+        return list(map(str, arr.astype(np.int64).tolist()))
     if arr.dtype == object or arr.dtype.kind in "US":
-        return [str(v) for v in arr]
-    return [f"{float(v):.6f}" for v in arr]
+        return list(map(str, arr.tolist()))
+    return list(map("{:.6f}".format, arr.tolist()))
 
 
-def generate_rows(n: int, seed: int, attack_fraction: float = 0.35) -> list[list[str]]:
-    """Generate n flow rows in schema column order, shuffled and timestamped."""
+def _generate_columns(n: int, seed: int, attack_fraction: float) -> dict[str, np.ndarray]:
+    """n flows as one array per schema column, shuffled and timestamped."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= attack_fraction <= 1.0:
@@ -231,30 +232,32 @@ def generate_rows(n: int, seed: int, attack_fraction: float = 0.35) -> list[list
     stime = 1424219000 + np.cumsum(rng.exponential(0.08, n)).astype(np.int64)
     merged["stime"] = stime
     merged["ltime"] = stime + np.ceil(merged["dur"]).astype(np.int64)
+    return merged
 
-    formatted = [_format_column(name, merged[name]) for name in names]
-    return [list(row) for row in zip(*formatted)]
+
+def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
+    """Write a header and the columns as CSV lines, formatting one column at
+    a time; no field needs quoting."""
+    names = default_schema().names
+    stream.write(",".join(names) + "\n")
+    formatted = [_format_column(name, columns[name]) for name in names]
+    stream.writelines(f"{','.join(row)}\n" for row in zip(*formatted))
 
 
 def generate_records(
     n: int, seed: int, attack_fraction: float = 0.35, *, file_id: str = "synthetic"
 ) -> list[FlowRecord]:
-    """Rows wrapped as parsed records (truth from the label column)."""
-    schema = default_schema()
-    label_idx = schema.label_index
-    rows = generate_rows(n, seed, attack_fraction)
-    return [
-        FlowRecord(tuple(row), 1 if row[label_idx] == "1" else 0, (file_id, i + 1))
-        for i, row in enumerate(rows)
-    ]
+    """The rows :func:`write_synthetic_csv` writes, parsed back into records."""
+    buf = io.StringIO()
+    _write_csv(buf, _generate_columns(n, seed, attack_fraction))
+    buf.seek(0)
+    return parse_flow_csv(buf, default_schema(), file_id=file_id)
 
 
-def write_synthetic_csv(
-    path, n: int, seed: int, attack_fraction: float = 0.35, *, header: bool = True
-) -> dict:
+def write_synthetic_csv(path, n: int, seed: int, attack_fraction: float = 0.35) -> dict:
     """Write a synthetic flow CSV; returns a small summary dict."""
-    schema = default_schema()
-    records = generate_records(n, seed, attack_fraction, file_id=Path(path).name)
-    write_flow_csv(records, schema, path, header=header)
-    n_attack = sum(r.truth for r in records)
+    columns = _generate_columns(n, seed, attack_fraction)
+    with Path(path).open("w", encoding="utf-8", newline="") as stream:
+        _write_csv(stream, columns)
+    n_attack = int(columns["label"].sum())
     return {"rows": n, "normal": n - n_attack, "attack": n_attack, "seed": seed}

@@ -1,10 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netanom.cli import main
+import netanom
+from netanom import ingest
+from netanom.cli import MAX_GRID_POINTS, _build_parser, _parse_w_grid, main
 from netanom.evaluation import confusion
 
 
@@ -358,12 +366,157 @@ class TestEvaluateAndRoc:
         assert err.value.code == 2
         assert "--w-grid values must be finite" in capsys.readouterr().err
 
+    def test_too_long_grid_usage_error(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "roc", "--profile", str(workspace / "profile.json"),
+                "--test", str(workspace / "split" / "test.csv"),
+                "--w-grid", "0:1e9:1e-3", "--out", str(tmp_path / "r"),
+            ])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"netanom: error: --w-grid may hold at most {MAX_GRID_POINTS} points"]
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_length_bound(self):
+        parser = _build_parser()
+        assert len(_parse_w_grid(f"0:{MAX_GRID_POINTS - 1}:1", parser)) == MAX_GRID_POINTS
+        with pytest.raises(SystemExit):
+            _parse_w_grid(f"0:{MAX_GRID_POINTS}:1", parser)
+
     def test_unlabeled_test_rejected(self, workspace, tmp_path, schema):
         unlabeled = _write_unlabeled(workspace, tmp_path / "unlabeled.csv", schema)
         assert main([
             "evaluate", "--profile", str(workspace / "profile.json"),
             "--test", str(unlabeled), "--w", "2", "--out", str(tmp_path / "r"),
         ]) == 1
+
+
+def _capture_lines(workspace, n):
+    """Header plus the first ``n`` data lines of the workspace's test split."""
+    return (workspace / "split" / "test.csv").read_text().splitlines()[: n + 1]
+
+
+def _stream_args(workspace, command, capture, out, w="2"):
+    """argv for one streamed command (detect, evaluate or roc) on ``capture``."""
+    common = ["--profile", str(workspace / "profile.json")]
+    if command == "detect":
+        return ["detect", *common, "--input", str(capture), "--w", w, "--out", str(out / "verdicts.csv")]
+    if command == "evaluate":
+        return ["evaluate", *common, "--test", str(capture), "--w", w, "--out", str(out / "eval")]
+    return ["roc", *common, "--test", str(capture), "--w-grid", "1.5:3:0.5", "--out", str(out / "roc")]
+
+
+#: Runs the command in argv[1:] as a child and prints its exit code and
+#: ru_maxrss. The child is started from this small process, not from the
+#: test process: Linux counts the RSS of the forking image in a child's
+#: ru_maxrss.
+_MAXRSS_PROBE = (
+    "import os, subprocess, sys\n"
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(p.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+class TestStreamedCommands:
+    """detect, evaluate and roc score the capture one FlowBatch at a time."""
+
+    @settings(max_examples=10)
+    @given(batch_rows=st.sampled_from([1, 7, 8192]), n=st.integers(1, 200), w=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_outputs_do_not_depend_on_the_batch_size(self, workspace, batch_rows, n, w):
+        from netanom._docjson import pretty_dumps
+        from netanom.decision import DetectionConfig, classify_scores, load_profile_file
+        from netanom.evaluation import render_table, report_to_doc, roc_csv, sweep
+        from netanom.ingest import parse_flow_csv
+        from netanom.preprocess import load_preprocess
+
+        profile = load_profile_file(workspace / "profile.json")
+        pp = load_preprocess(workspace / "profile.preprocess.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            capture = tmp / "capture.csv"
+            capture.write_text("\n".join(_capture_lines(workspace, n)) + "\n")
+
+            # Reference: the whole file as records, scored at once.
+            records = parse_flow_csv(capture, pp.schema)
+            scores = profile.score_matrix(pp.apply_records(records))
+            truths = [r.truth for r in records]
+            flagged = classify_scores(scores, profile, DetectionConfig(w))
+            (report,) = sweep(scores, truths, profile, [w])
+            reports = sweep(scores, truths, profile, [1.5, 2.0, 2.5, 3.0])
+            expected = {
+                "verdicts.csv": "origin_file,origin_row,score,label\n" + "".join(
+                    f"{r.origin[0]},{r.origin[1]},{float(s)!r},{'attack' if f else 'normal'}\n"
+                    for r, s, f in zip(records, scores, flagged)
+                ),
+                "eval.json": pretty_dumps(report_to_doc(report)),
+                "eval.txt": render_table([report]),
+                "roc.csv": roc_csv(reports),
+                "roc.json": pretty_dumps({"version": 1, "points": [report_to_doc(r) for r in reports]}),
+                "roc.txt": render_table(reports, include_reference=True),
+            }
+
+            out = tmp / "out"
+            with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+                for command in ("detect", "evaluate", "roc"):
+                    assert main(_stream_args(workspace, command, capture, out, str(w))) == 0
+            for name, text in expected.items():
+                assert (out / name).read_text() == text, name
+
+    @pytest.mark.parametrize("fault", ["short-row", "non-numeric"])
+    def test_bad_row_in_a_later_batch_leaves_no_verdicts(self, workspace, schema, tmp_path, monkeypatch, capsys, fault):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        lines = _capture_lines(workspace, 20)
+        fields = lines[bad].split(",")  # lines[0] is the header
+        if fault == "short-row":
+            fields.pop()
+        else:
+            fields[schema.index_of("tcprtt")] = "fast"
+        lines[bad] = ",".join(fields)
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(_stream_args(workspace, "detect", capture, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (f"capture.csv, row {bad}:" if fault == "short-row" else f"'fast' in capture.csv row {bad}") in err
+        assert not any(out.glob("*"))  # no verdicts, no partial file, no manifest
+
+    @pytest.mark.parametrize("command", ["evaluate", "roc"])
+    def test_unlabeled_row_in_a_later_batch_names_it(self, workspace, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        lines = _capture_lines(workspace, 20)
+        lines[bad] = lines[bad][: lines[bad].rindex(",") + 1]  # empty label field
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(_stream_args(workspace, command, capture, out)) == 1
+        assert capsys.readouterr().err == f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n"
+        assert not out.exists()
+
+    def test_peak_memory_is_flat_in_the_capture_size(self, workspace, tmp_path):
+        from netanom.synth import write_synthetic_csv
+
+        once, four = tmp_path / "once.csv", tmp_path / "four.csv"
+        write_synthetic_csv(once, 20_000, seed=11)
+        header, body = once.read_text().split("\n", 1)
+        four.write_text(header + "\n" + body * 4)
+        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
+        for command in ("detect", "roc"):
+            peaks = []
+            for capture in (once, four):
+                argv = _stream_args(workspace, command, capture, tmp_path / capture.stem)
+                probe = subprocess.run(
+                    [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                code, maxrss_kib = map(int, probe.stdout.split())
+                assert code == 0, probe.stderr
+                peaks.append(maxrss_kib / 1024)
+            assert peaks[1] - peaks[0] < 8, f"{command}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB at 4x the rows"
 
 
 class TestSimulate:

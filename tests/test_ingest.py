@@ -1,9 +1,12 @@
 import io
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from netanom import ingest
 from netanom.ingest import (
     ColumnSpec,
     FeatureSchema,
@@ -13,6 +16,7 @@ from netanom.ingest import (
     SamplePlan,
     SchemaError,
     default_schema,
+    iter_flow_batches,
     load_schema,
     parse_flow_csv,
     parse_flow_csvs,
@@ -171,6 +175,61 @@ class TestParse:
         reparsed = parse_flow_csv(io.StringIO(buf.getvalue()), TINY)
         assert [r.values for r in reparsed] == [r.values for r in records]
         assert [r.truth for r in reparsed] == [r.truth for r in records]
+
+
+class TestBatches:
+    @settings(max_examples=30)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(alphabet="ab,\"\n x", max_size=6),
+                st.integers(0, 10**6).map(str),
+                st.sampled_from(["0", "1", "weird", ""]),
+            ),
+            max_size=25,
+        ),
+        header=st.booleans(),
+        batch_rows=st.sampled_from([1, 2, 7, 8192]),
+        columns=st.sampled_from([(), ("bytes",), ("label", "proto"), ("proto", "bytes", "label")]),
+    )
+    def test_batches_concatenate_to_the_parse(self, rows, header, batch_rows, columns):
+        records = [_rec(row, None, i + 1) for i, row in enumerate(rows)]
+        buf = io.StringIO()
+        write_flow_csv(records, TINY, buf, header=header)
+        text = buf.getvalue().replace("\n", "\n\n", 1)  # one blank line
+        parsed = parse_flow_csv(io.StringIO(text), TINY)
+        with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+            batches = list(iter_flow_batches(io.StringIO(text), TINY, columns))
+        assert all(0 < len(b.rows) <= batch_rows for b in batches)
+        assert all(list(b.columns) == list(columns) for b in batches)
+        assert all(b.file_id == "<memory>" and b.truth.dtype == np.int8 for b in batches)
+        for name in columns:
+            expected = [r.values[TINY.index_of(name)] for r in parsed]
+            assert [t for b in batches for t in b.columns[name]] == expected
+        assert [t for b in batches for t in b.truth.tolist()] == [-1 if r.truth is None else r.truth for r in parsed]
+        assert [o for b in batches for o in b.origins()] == [r.origin for r in parsed]
+
+    def test_bad_row_raises_after_earlier_batches(self, monkeypatch):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
+        text = "tcp,1,0\ntcp,2,0\ntcp,3,1\nudp\n"
+        batches = iter_flow_batches(io.BytesIO(text.encode()), TINY, ("bytes",))
+        assert next(batches).columns == {"bytes": ["1", "2"]}
+        with pytest.raises(ParseError) as err:
+            next(batches)
+        assert (err.value.file_id, err.value.row) == ("<memory>", 4)
+
+    def test_path_file_id_and_closed_when_abandoned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 1)
+        path = tmp_path / "flows.csv"
+        path.write_text("proto,bytes,label\ntcp,5,1\nudp,6,0\n")
+        batches = iter_flow_batches(path, TINY, ("proto",))
+        first = next(batches)
+        assert (first.file_id, first.rows.tolist(), first.truth.tolist()) == ("flows.csv", [1], [1])
+        batches.close()  # closes the file; a leak fails the suite as a ResourceWarning
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(SchemaError, match="nope"):
+            list(iter_flow_batches(io.StringIO("tcp,1,0\n"), TINY, ("nope",)))
 
 
 def _make_records(n_normal, n_attack):

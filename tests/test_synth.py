@@ -1,19 +1,58 @@
-import pytest
+import io
 
-from netanom.ingest import default_schema, parse_flow_csv
-from netanom.synth import generate_records, generate_rows, write_synthetic_csv
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netanom import synth
+from netanom.ingest import FlowRecord, default_schema, parse_flow_csv, write_flow_csv
+from netanom.synth import generate_records, write_synthetic_csv
+
+
+def _reference_csv(n, seed, attack_fraction) -> bytes:
+    """The row path the column writer replaced: format every value on its
+    own, build one list per row, wrap the rows in records and write them
+    with ``write_flow_csv``."""
+    schema = default_schema()
+    columns = synth._generate_columns(n, seed, attack_fraction)
+
+    def _format(name, arr):
+        if name in synth._INT_COLUMNS:
+            return [str(int(v)) for v in arr]
+        if arr.dtype == object or arr.dtype.kind in "US":
+            return [str(v) for v in arr]
+        return [f"{float(v):.6f}" for v in arr]
+
+    rows = [list(row) for row in zip(*(_format(name, columns[name]) for name in schema.names))]
+    label_idx = schema.label_index
+    records = [FlowRecord(tuple(row), 1 if row[label_idx] == "1" else 0, ("ref", i + 1)) for i, row in enumerate(rows)]
+    buf = io.StringIO()
+    write_flow_csv(records, schema, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=10)
+@given(
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    attack_fraction=st.floats(0.0, 1.0),
+)
+def test_written_bytes_equal_the_row_path(tmp_path_factory, n, seed, attack_fraction):
+    path = tmp_path_factory.mktemp("synth") / "flows.csv"
+    write_synthetic_csv(path, n, seed, attack_fraction)
+    assert path.read_bytes() == _reference_csv(n, seed, attack_fraction)
 
 
 def test_rows_match_schema_width():
     schema = default_schema()
-    rows = generate_rows(200, seed=1)
-    assert len(rows) == 200
-    assert all(len(r) == schema.width for r in rows)
+    records = generate_records(200, seed=1)
+    assert len(records) == 200
+    assert all(len(r.values) == schema.width for r in records)
+    assert [r.origin for r in records] == [("synthetic", i) for i in range(1, 201)]
 
 
 def test_deterministic_per_seed():
-    assert generate_rows(300, seed=9) == generate_rows(300, seed=9)
-    assert generate_rows(300, seed=9) != generate_rows(300, seed=10)
+    assert generate_records(300, seed=9) == generate_records(300, seed=9)
+    assert generate_records(300, seed=9) != generate_records(300, seed=10)
 
 
 def test_attack_fraction_respected():
@@ -37,6 +76,7 @@ def test_written_csv_parses_back(tmp_path):
     records = parse_flow_csv(path, schema)
     assert len(records) == 400
     assert sum(r.truth for r in records) == summary["attack"]
+    assert [r.values for r in records] == [r.values for r in generate_records(400, seed=2, attack_fraction=0.4)]
 
 
 def test_numeric_columns_parse_as_floats():
@@ -47,8 +87,11 @@ def test_numeric_columns_parse_as_floats():
             float(rec.values[idx])
 
 
-def test_bad_arguments():
+def test_bad_arguments(tmp_path):
     with pytest.raises(ValueError):
-        generate_rows(0, seed=1)
+        generate_records(0, seed=1)
     with pytest.raises(ValueError):
-        generate_rows(10, seed=1, attack_fraction=1.5)
+        generate_records(10, seed=1, attack_fraction=1.5)
+    with pytest.raises(ValueError):
+        write_synthetic_csv(tmp_path / "never.csv", 0, seed=1)
+    assert not (tmp_path / "never.csv").exists()
