@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from ._docjson import digest_of_file, pretty_dumps
-from .collab import SimulationError, load_simconfig, replay, run_simulation, simconfig_to_doc
+from .collab import SimulationError, load_simconfig, replay_chunks, run_simulation, simconfig_to_doc
 from .decision import (
     DecisionError,
     DetectionConfig,
@@ -445,11 +446,19 @@ def _cmd_simulate(args, parser) -> int:
     started = time.perf_counter()
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    records = parse_flow_csvs([args.test], preprocess.schema)
-    if not records:
+    read = preprocess.columns
+    if cfg.assignment == "hash-of-source" and cfg.hash_column not in read:
+        read += (cfg.hash_column,)
+    batches = iter_flow_batches(Path(args.test), preprocess.schema, read)
+    first = next(batches, None)
+    if first is None:
         print("error: test file has no records", file=sys.stderr)
         return 1
-    store = replay(records, cfg, preprocess.schema)
+    chunks = (
+        {"values": batch.columns, "truth": batch.truth.tolist(), "origin": batch.origins()}
+        for batch in itertools.chain([first], batches)
+    )
+    store = replay_chunks(chunks, preprocess.columns, cfg)
     outcome = run_simulation(store, profile, preprocess, cfg)
 
     out = Path(args.out)
@@ -471,12 +480,12 @@ def _cmd_simulate(args, parser) -> int:
         "nodes": {
             node: {
                 key: getattr(outcome.node_results[node], key)
-                for key in ("attempts", "error", "n_records", "frames", "wire_bytes")
+                for key in ("attempts", "error", "n_records", "frames", "wire_bytes", "wall_s")
             }
             for node in cfg.nodes
         },
         "partial": outcome.partial,
-        "records": len(records),
+        "records": len(store),
     }
     _write_manifest(
         out / "manifest.json",
@@ -488,7 +497,7 @@ def _cmd_simulate(args, parser) -> int:
         started,
     )
     status = f"partial (failed: {', '.join(outcome.failed_nodes)})" if outcome.partial else "complete"
-    print(f"simulated {len(cfg.nodes)} node(s) over {len(records)} records [{status}]; wrote {out}")
+    print(f"simulated {len(cfg.nodes)} node(s) over {len(store)} records [{status}]; wrote {out}")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Multi-node detection simulation over a shared capture store.
 
-A replay assigns flow records to named nodes and appends them to an
-append-only log, one totally-ordered stream per node; a record's seq is its
-1-based position in its node's stream. Each node then independently
-preprocesses and classifies exactly its own partition, one interval (a
-slice of ``interval_size`` records) at a time, against one shared normal
-profile; a coordinator sums the per-node confusion counts. Nodes never
+A replay reads a capture in chunks of columns, assigns each record to a
+named node and appends it to an append-only log, one totally-ordered stream
+of columns per node; a record's seq is its 1-based position in its node's
+stream. Each node then independently preprocesses and classifies exactly
+its own partition, one interval (a slice of ``interval_size`` records) at a
+time, against one shared normal profile; a coordinator sums the per-node
+confusion counts. Nodes never
 exchange verdicts: sharing stops at the capture/logging layer, so
 partitioning can never change outcomes.
 
@@ -45,13 +46,16 @@ import json
 import socket
 import struct
 import threading
+import time
+from collections import defaultdict
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
-from .ingest import FeatureSchema, FlowRecord, RecordColumns
+from .ingest import FeatureSchema, FlowRecord, SchemaError
 from .preprocess import PreprocessModel
 
 SIMCONFIG_FORMAT_VERSION = 1
@@ -76,29 +80,51 @@ class SimulatedNodeFailure(SimulationError):
 
 
 class SharedStore:
-    """Append-only capture log with one totally-ordered stream of
-    ``FlowRecord``s per node; a record's seq is its 1-based position there.
+    """Append-only capture log with one totally-ordered stream per node; a
+    record's seq is its 1-based position there.
 
-    Records are immutable and never deleted. Readers hold no state in the
-    store: ``partition(node)`` returns the whole stream every time, which is
-    also how a run is audited afterwards.
+    A stream is held as columns, in the shape of an interval:
+    ``{"values": {column: [text, ...]}, "truth": [...], "origin": [...]}``,
+    with truth 1 for attack, 0 for normal and -1 for unlabeled. Records are
+    never changed or deleted. Readers hold no state in the store:
+    ``partition(node)`` returns the whole stream every time, which is also
+    how a run is audited afterwards.
     """
 
-    def __init__(self):
-        self._streams: dict[str, list[FlowRecord]] = {}
+    def __init__(self, columns: Iterable[str]):
+        self.columns = tuple(columns)
+        self._streams: dict[str, dict] = {}
 
-    def append(self, node: str, record: FlowRecord) -> None:
-        self._streams.setdefault(node, []).append(record)
+    def extend(self, chunk: dict, nodes: Sequence[str]) -> None:
+        """Append the records of ``chunk``, a stream-shaped dict holding every
+        store column, each under its node in ``nodes``."""
+        rows_of: defaultdict[str, list[int]] = defaultdict(list)
+        for row, node in enumerate(nodes):
+            rows_of[node].append(row)
+        for node, rows in rows_of.items():
+            stream = self._streams.get(node)
+            if stream is None:
+                stream = self._streams[node] = self._empty()
+            # itemgetter returns a bare item, not a 1-tuple, for one index.
+            take = itemgetter(*rows) if len(rows) > 1 else lambda seq: (seq[rows[0]],)
+            for name, texts in stream["values"].items():
+                texts.extend(take(chunk["values"][name]))
+            stream["truth"].extend(take(chunk["truth"]))
+            stream["origin"].extend(take(chunk["origin"]))
+
+    def _empty(self) -> dict:
+        return {"values": {name: [] for name in self.columns}, "truth": [], "origin": []}
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(self._streams)
 
-    def partition(self, node: str) -> tuple[FlowRecord, ...]:
-        """Full view of one node's stream, in sequence order."""
-        return tuple(self._streams.get(node, ()))
+    def partition(self, node: str) -> dict:
+        """Full view of one node's stream, in sequence order. The stream is
+        the store's own: readers must not change it."""
+        return self._streams[node] if node in self._streams else self._empty()
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._streams.values())
+        return sum(len(s["truth"]) for s in self._streams.values())
 
 
 @dataclass(frozen=True)
@@ -211,39 +237,59 @@ def load_simconfig(path) -> SimulationConfig:
     return simconfig_from_doc(doc)
 
 
-def _assign_nodes(
-    records: Sequence[FlowRecord], cfg: SimulationConfig, schema: FeatureSchema | None
-) -> list[str]:
+def _node_assigner(cfg: SimulationConfig):
+    """``assign(chunk, start)``: the node of each record of ``chunk``, whose
+    first record is record ``start`` of the whole replay. Explicit
+    assignment may name fewer nodes than the chunk has records;
+    :func:`replay_chunks` checks its length once every chunk is in."""
     n = len(cfg.nodes)
     if cfg.assignment == "round-robin":
-        return [cfg.nodes[i % n] for i in range(len(records))]
-    if cfg.assignment == "hash-of-source":
-        if schema is None:
-            raise SimulationError("hash-of-source assignment needs the record schema")
-        idx = schema.index_of(cfg.hash_column)
-        node_of: dict[str, str] = {}  # sources repeat: hash each value once
+        return lambda chunk, start: [cfg.nodes[i % n] for i in range(start, start + len(chunk["truth"]))]
+    if cfg.assignment == "explicit":
+        return lambda chunk, start: (cfg.explicit_assignment or ())[start : start + len(chunk["truth"])]
+    node_of: dict[str, str] = {}  # sources repeat: hash each value once
+
+    def assign(chunk: dict, start: int) -> list[str]:
+        texts = chunk["values"].get(cfg.hash_column)
+        if texts is None:
+            raise SchemaError(f"no column named {cfg.hash_column!r}")
         out = []
-        for rec in records:
-            value = rec.values[idx]
+        for value in texts:
             node = node_of.get(value)
             if node is None:
                 h = hashlib.sha256(value.encode("utf-8")).digest()
                 node = node_of[value] = cfg.nodes[int.from_bytes(h[:8], "big") % n]
             out.append(node)
         return out
-    # explicit
-    if cfg.explicit_assignment is None:
-        raise SimulationError("explicit assignment requires explicit_assignment in the config")
-    if len(cfg.explicit_assignment) != len(records):
-        raise SimulationError(
-            f"explicit assignment has {len(cfg.explicit_assignment)} entries "
-            f"for {len(records)} records"
-        )
-    known = set(cfg.nodes)
-    for name in cfg.explicit_assignment:
-        if name not in known:
-            raise SimulationError(f"explicit assignment names unknown node {name!r}")
-    return list(cfg.explicit_assignment)
+
+    return assign
+
+
+def replay_chunks(chunks: Iterable[dict], columns: Iterable[str], cfg: SimulationConfig) -> SharedStore:
+    """Append every record of ``chunks`` once, in input order, under its
+    assigned node. A chunk is a stream-shaped dict (see :class:`SharedStore`)
+    holding ``columns`` and, for hash-of-source assignment, the hash column.
+    Every chunk is read before an explicit assignment is checked."""
+    assign = _node_assigner(cfg)
+    store = SharedStore(columns)
+    n_records = 0
+    for chunk in chunks:
+        store.extend(chunk, assign(chunk, n_records))
+        n_records += len(chunk["truth"])
+    if n_records == 0:
+        raise SimulationError("cannot replay an empty record list")
+    if cfg.assignment == "explicit":
+        if cfg.explicit_assignment is None:
+            raise SimulationError("explicit assignment requires explicit_assignment in the config")
+        if len(cfg.explicit_assignment) != n_records:
+            raise SimulationError(
+                f"explicit assignment has {len(cfg.explicit_assignment)} entries "
+                f"for {n_records} records"
+            )
+        unknown = [name for name in cfg.explicit_assignment if name not in cfg.nodes]
+        if unknown:
+            raise SimulationError(f"explicit assignment names unknown node {unknown[0]!r}")
+    return store
 
 
 def replay(
@@ -251,13 +297,18 @@ def replay(
     cfg: SimulationConfig,
     schema: FeatureSchema | None = None,
 ) -> SharedStore:
-    """Append every record once, in input order, under its assigned node."""
+    """Append every record once, in input order, under its assigned node:
+    the records as one chunk over every column of ``schema``."""
     if not records:
         raise SimulationError("cannot replay an empty record list")
-    store = SharedStore()
-    for rec, node in zip(records, _assign_nodes(records, cfg, schema)):
-        store.append(node, rec)
-    return store
+    if schema is None:
+        raise SimulationError("replay needs the record schema to name the columns")
+    chunk = {
+        "values": dict(zip(schema.names, zip(*(r.values for r in records)))),
+        "truth": [-1 if r.truth is None else r.truth for r in records],
+        "origin": [r.origin for r in records],
+    }
+    return replay_chunks([chunk], schema.names, cfg)
 
 
 @dataclass(frozen=True)
@@ -266,7 +317,8 @@ class NodeResult:
     node that recovered on the loopback transport it holds the store
     service's error from a retried attempt, if there was one. ``frames``
     and ``wire_bytes`` count both directions of the successful loopback
-    connection, length prefixes included; they are 0 in-process."""
+    connection, length prefixes included; they are 0 in-process.
+    ``wall_s`` is the node's wall time over all its attempts, in seconds."""
 
     node: str
     counts: ConfusionCounts | None
@@ -277,6 +329,7 @@ class NodeResult:
     error: str | None = None
     frames: int = 0
     wire_bytes: int = 0
+    wall_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -298,18 +351,18 @@ def _slice(interval: dict, start: int, stop: int) -> dict:
     }
 
 
-def _intervals(records: Sequence[FlowRecord], preprocess: PreprocessModel, size: int) -> Iterator[dict]:
+def _intervals(stream: dict, preprocess: PreprocessModel, size: int) -> Iterator[dict]:
     """A node's stream cut into intervals of ``size`` records. An interval
     holds only what a node reads: ``values``, the field texts of the columns
     ``preprocess`` reads (``{column: [text per record]}``), and the records'
     ``truth`` and ``origin`` lists, all in stream order."""
-    for start in range(0, len(records), size):
-        run = records[start : start + size]
-        yield {
-            "values": dict(RecordColumns(run, preprocess.schema, preprocess.columns)),
-            "truth": [r.truth for r in run],
-            "origin": [r.origin for r in run],
-        }
+    modeled = {
+        "values": {name: stream["values"][name] for name in preprocess.columns},
+        "truth": stream["truth"],
+        "origin": stream["origin"],
+    }
+    for start in range(0, len(stream["truth"]), size):
+        yield _slice(modeled, start, start + size)
 
 
 def _classify_intervals(
@@ -431,7 +484,7 @@ def _attempt_loop(node: str, cfg: SimulationConfig, attempt_fn) -> tuple[dict | 
     return None, cfg.retry_budget + 1, last_error
 
 
-def _result_from_payload(node: str, payload: dict, attempts: int) -> NodeResult:
+def _result_from_payload(node: str, payload: dict, attempts: int, wall_s: float) -> NodeResult:
     counts_doc = payload["counts"]
     counts = ConfusionCounts(**counts_doc) if counts_doc is not None else None
     return NodeResult(
@@ -444,6 +497,7 @@ def _result_from_payload(node: str, payload: dict, attempts: int) -> NodeResult:
         error=payload.get("error"),
         frames=payload.get("frames", 0),
         wire_bytes=payload.get("wire_bytes", 0),
+        wall_s=wall_s,
     )
 
 
@@ -456,16 +510,18 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
     lock = threading.Lock()
 
     def work(node: str) -> None:
+        started = time.perf_counter()
         try:
             payload, attempts, error = _attempt_loop(node, cfg, lambda: attempt(node))
         except Exception as exc:  # data errors are fatal, not node failures
             with lock:
                 fatal.append(exc)
             return
+        wall_s = time.perf_counter() - started
         if payload is None:
-            result = NodeResult(node, None, (), 0, failed=True, attempts=attempts, error=error)
+            result = NodeResult(node, None, (), 0, failed=True, attempts=attempts, error=error, wall_s=wall_s)
         else:
-            result = _result_from_payload(node, payload, attempts)
+            result = _result_from_payload(node, payload, attempts, wall_s)
         with lock:
             results[node] = result
 
@@ -507,11 +563,11 @@ def _run_loopback(
                 if hello.get("type") != "hello":
                     raise TransportError(f"expected hello frame, got {hello.get('type')!r}")
                 node = hello["node"]
-                records = store.partition(node)
-                for interval in _intervals(records, preprocess, cfg.interval_size):
+                stream = store.partition(node)
+                for interval in _intervals(stream, preprocess, cfg.interval_size):
                     for data in _interval_frames(interval):
                         channel.send_encoded(data)
-                channel.send({"type": "end", "count": len(records)})
+                channel.send({"type": "end", "count": len(stream["truth"])})
                 payload = channel.recv()
                 if payload.get("type") != "result":
                     raise TransportError(f"expected result frame, got {payload.get('type')!r}")
@@ -584,12 +640,14 @@ def run_simulation(
     failed nodes are excluded and flagged, never silently dropped.
     """
     ensure_bound(profile, preprocess)
+    missing = [name for name in preprocess.columns if name not in store.columns]
+    if missing:
+        raise SimulationError(f"the store lacks the modeled columns {missing}")
     for node in cfg.nodes:
-        for rec in store.partition(node):
-            if rec.truth is None:
-                raise SimulationError(
-                    f"unlabeled row: {rec.origin[0]} row {rec.origin[1]}; metrics need ground truth"
-                )
+        stream = store.partition(node)
+        if -1 in stream["truth"]:
+            file_id, row = stream["origin"][stream["truth"].index(-1)]
+            raise SimulationError(f"unlabeled row: {file_id} row {row}; metrics need ground truth")
     if cfg.transport == "in-process":
 
         def attempt(node: str) -> dict:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -270,21 +271,27 @@ def default_schema() -> FeatureSchema:
     )
 
 
+@contextmanager
 def _open_text(source):
-    """Return (text stream, default file id, needs_close) for the input. A
-    ``str`` or path-like is always a path; CSV text comes as bytes or a
-    stream."""
+    """Yield (text stream, default file id) for the input. A ``str`` or
+    path-like is always a path, which is opened and closed here; CSV text
+    comes as bytes or an open text or binary stream, which is read as it is
+    consumed and left open."""
     if isinstance(source, (str, os.PathLike)):
         path = Path(source)
-        return path.open("r", encoding="utf-8", newline=""), path.name, True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(bytes(source).decode("utf-8")), "<memory>", False
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data), "<memory>", False
-    raise IngestError(f"unsupported source type: {type(source)!r}")
+        with path.open("r", encoding="utf-8", newline="") as stream:
+            yield stream, path.name
+    elif isinstance(source, io.TextIOBase):
+        yield source, "<memory>"
+    elif isinstance(source, (bytes, bytearray, io.BufferedIOBase, io.RawIOBase)):
+        binary = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
+        stream = io.TextIOWrapper(binary, encoding="utf-8", newline="")
+        try:
+            yield stream, "<memory>"
+        finally:
+            stream.detach()  # closing the wrapper would close the caller's stream
+    else:
+        raise IngestError(f"unsupported source type: {type(source)!r}")
 
 
 def _read_rows(stream, schema: FeatureSchema, fid: str, project) -> Iterator[tuple[int, int, tuple]]:
@@ -334,16 +341,12 @@ def parse_flow_csv(
     Labels parse as: empty field -> unlabeled (None); field equal to the
     schema's positive value -> 1; anything else -> 0.
     """
-    stream, default_id, needs_close = _open_text(source)
-    fid = file_id if file_id is not None else default_id
-    try:
+    with _open_text(source) as (stream, default_id):
+        fid = file_id if file_id is not None else default_id
         return [
             FlowRecord(values, None if truth < 0 else truth, (fid, row))
             for row, truth, values in _read_rows(stream, schema, fid, tuple)
         ]
-    finally:
-        if needs_close:
-            stream.close()
 
 
 def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
@@ -359,8 +362,7 @@ def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> 
     index = [schema.index_of(name) for name in names]
     # itemgetter returns a bare field, not a 1-tuple, for a single index.
     project = itemgetter(*index) if len(index) > 1 else lambda fields: tuple(fields[i] for i in index)
-    stream, fid, needs_close = _open_text(source)
-    try:
+    with _open_text(source) as (stream, fid):
         rows = _read_rows(stream, schema, fid, project)
         while True:
             # Appending field by field leaves no per-row object alive past
@@ -381,9 +383,6 @@ def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> 
                 file_id=fid,
                 rows=np.array(row_nos, dtype=np.int64),
             )
-    finally:
-        if needs_close:
-            stream.close()
 
 
 def parse_flow_csvs(paths: Iterable, schema: FeatureSchema) -> list[FlowRecord]:

@@ -519,6 +519,131 @@ class TestStreamedCommands:
             assert peaks[1] - peaks[0] < 8, f"{command}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB at 4x the rows"
 
 
+def _simulate_args(workspace, capture, config, out):
+    return ["simulate", "--config", str(config), "--profile", str(workspace / "profile.json"),
+            "--test", str(capture), "--out", str(out)]
+
+
+class TestStreamedSimulate:
+    """simulate fills its store from FlowBatches, not from parsed records."""
+
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    @pytest.mark.parametrize("assignment", ["round-robin", "hash-of-source", "explicit"])
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_reports_do_not_depend_on_the_batch_size(self, workspace, assignment, transport, data):
+        from netanom._docjson import pretty_dumps
+        from netanom.collab import replay, run_simulation, simconfig_from_doc
+        from netanom.decision import load_profile_file
+        from netanom.evaluation import render_table, report_to_doc
+        from netanom.ingest import parse_flow_csv
+        from netanom.preprocess import load_preprocess
+
+        batch_rows = data.draw(st.sampled_from([1, 7, 8192]), label="batch_rows")
+        n = data.draw(st.integers(1, 150), label="n")
+        nodes = ["A", "B", "C"]
+        doc = {"version": 1, "nodes": nodes, "assignment": assignment, "transport": transport,
+               "interval_size": data.draw(st.integers(1, 40), label="interval_size"), "w": 2.0}
+        if assignment == "explicit":
+            doc["explicit_assignment"] = data.draw(st.lists(st.sampled_from(nodes), min_size=n, max_size=n))
+        profile = load_profile_file(workspace / "profile.json")
+        pp = load_preprocess(workspace / "profile.preprocess.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            capture = tmp / "capture.csv"
+            capture.write_text("\n".join(_capture_lines(workspace, n)) + "\n")
+            config = tmp / "sim.json"
+            config.write_text(json.dumps(doc))
+
+            # Reference: the whole file as records, replayed as one chunk.
+            cfg = simconfig_from_doc(doc)
+            outcome = run_simulation(replay(parse_flow_csv(capture, pp.schema), cfg, pp.schema), profile, pp, cfg)
+            expected = {f"node_{node}.json": pretty_dumps(report_to_doc(r)) for node, r in outcome.per_node_reports.items()}
+            expected["aggregate.json"] = pretty_dumps(report_to_doc(outcome.aggregate_report))
+            expected["aggregate.txt"] = render_table([outcome.aggregate_report])
+
+            out = tmp / "out"
+            with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+                assert main(_simulate_args(workspace, capture, config, out)) == 0
+            assert sorted(p.name for p in out.glob("node_*.json")) == sorted(k for k in expected if k.startswith("node_"))
+            for name, text in expected.items():
+                assert (out / name).read_text() == text, name
+            params = json.loads((out / "manifest.json").read_text())["parameters"]
+            assert params["records"] == n
+            for node in nodes:
+                result = outcome.node_results[node]
+                got = params["nodes"][node]
+                assert (got["n_records"], got["frames"], got["wire_bytes"]) == (result.n_records, result.frames, result.wire_bytes)
+
+    def _faulty_capture(self, workspace, tmp_path, fault_rows):
+        """A 20-row capture, with ``fault_rows`` mapping a data row to
+        ``"short"`` (its label field dropped) or ``"unlabeled"`` (its label
+        field emptied); and a sim config for it."""
+        lines = _capture_lines(workspace, 20)
+        for row, fault in fault_rows.items():
+            cut = lines[row].rindex(",")  # lines[0] is the header
+            lines[row] = lines[row][:cut] if fault == "short" else lines[row][: cut + 1]
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "hash-of-source", "w": 2.0}))
+        return capture, config
+
+    def test_short_row_in_a_later_batch_beats_an_earlier_unlabeled_row(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        capture, config = self._faulty_capture(workspace, tmp_path, {2: "unlabeled", bad: "short"})
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == f"error: capture.csv, row {bad}: expected 49 fields, got 48\n"
+        assert not out.exists()  # no report, no manifest
+
+    def test_unlabeled_row_in_a_later_batch_names_it(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        capture, config = self._faulty_capture(workspace, tmp_path, {bad: "unlabeled"})
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", [19, 21])
+    def test_explicit_assignment_of_the_wrong_length(self, workspace, tmp_path, monkeypatch, capsys, entries):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        capture, config = self._faulty_capture(workspace, tmp_path, {})
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "explicit",
+                                      "explicit_assignment": (["A", "B"] * 11)[:entries], "w": 2.0}))
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == f"error: explicit assignment has {entries} entries for 20 records\n"
+        assert not out.exists()
+
+    def test_peak_memory_per_record(self, workspace, tmp_path):
+        from netanom.synth import write_synthetic_csv
+
+        once, four = tmp_path / "once.csv", tmp_path / "four.csv"
+        write_synthetic_csv(once, 20_000, seed=11)
+        header, body = once.read_text().split("\n", 1)
+        four.write_text(header + "\n" + body * 4)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "hash-of-source",
+                                      "interval_size": 500, "w": 2.0, "transport": "loopback-socket"}))
+        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
+        peaks_kib = []
+        for capture in (once, four):
+            argv = _simulate_args(workspace, capture, config, tmp_path / capture.stem)
+            probe = subprocess.run(
+                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            code, maxrss_kib = map(int, probe.stdout.split())
+            assert code == 0, probe.stderr
+            peaks_kib.append(maxrss_kib)
+        per_record = (peaks_kib[1] - peaks_kib[0]) / 60_000
+        # The store holds each record's modeled field texts, truth and origin.
+        assert per_record < 1.2, f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.2f} KiB per added record"
+
+
 class TestSimulate:
     def _write_cfg(self, path, **kwargs):
         doc = {"version": 1, "nodes": ["A", "B", "C"], "assignment": "round-robin",
@@ -626,8 +751,9 @@ class TestSimulate:
             ({"version": 1, "nodes": ["A", "B"], "interval-size": 7}, "unknown simulation config key 'interval-size'"),
             ({"version": 1, "nodes": "AB"}, "simulation config key 'nodes' must be a list, got str"),
             ({"version": 1, "nodes": ["A"], "w": float("nan"), "allow_any_w": True}, "w must be finite, got nan"),
+            ({"version": 1, "nodes": ["A"], "assignment": "hash-of-source", "hash_column": "nope"}, "no column named 'nope'"),
         ],
-        ids=["not-an-object", "no-nodes", "unknown-key", "string-for-list", "non-finite-w"],
+        ids=["not-an-object", "no-nodes", "unknown-key", "string-for-list", "non-finite-w", "unknown-hash-column"],
     )
     def test_bad_config_fails_loudly(self, workspace, tmp_path, capsys, doc, message):
         cfg = tmp_path / "bad.json"
@@ -672,7 +798,7 @@ class TestManifests:
         }
 
     def test_simulate_records_each_node(self, workspace, tmp_path):
-        keys = {"attempts", "error", "n_records", "frames", "wire_bytes"}
+        keys = {"attempts", "error", "n_records", "frames", "wire_bytes", "wall_s"}
         for transport in ("in-process", "loopback-socket"):
             cfg = tmp_path / f"{transport}.json"
             cfg.write_text(json.dumps({
@@ -690,6 +816,9 @@ class TestManifests:
             assert params["failed_nodes"] == ["C"]
             assert list(nodes) == ["A", "B", "C"]
             assert all(set(doc) == keys for doc in nodes.values())
+            for doc in nodes.values():
+                wall_s = doc.pop("wall_s")
+                assert isinstance(wall_s, float) and wall_s >= 0.0
             assert nodes["C"] == {
                 "attempts": 2, "error": "SimulatedNodeFailure: node 'C': injected crash",
                 "n_records": 0, "frames": 0, "wire_bytes": 0,

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib.util
 import json
@@ -16,6 +17,7 @@ from netanom.collab import (
     SimulationConfig,
     SimulationError,
     replay,
+    replay_chunks,
     run_simulation,
     simconfig_from_doc,
     simconfig_to_doc,
@@ -23,7 +25,7 @@ from netanom.collab import (
 from netanom.decision import DetectionConfig, classify_scores, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
-from netanom.ingest import FlowRecord, RecordColumns
+from netanom.ingest import FlowRecord, RecordColumns, SchemaError
 from netanom.preprocess import PreprocessError, fit_preprocess
 
 
@@ -54,6 +56,16 @@ def _with_value(records, schema, index, column, text):
     return [*records[:index], FlowRecord(tuple(values), rec.truth, rec.origin), *records[index + 1 :]]
 
 
+def _stream(records, schema):
+    """What the store holds for ``records``, in order: every schema column's
+    field texts, the truths (-1 for unlabeled) and the origins."""
+    return {
+        "values": {name: [r.values[i] for r in records] for i, name in enumerate(schema.names)},
+        "truth": [-1 if r.truth is None else r.truth for r in records],
+        "origin": [r.origin for r in records],
+    }
+
+
 def _cfg(**kwargs):
     defaults = dict(nodes=("A", "B", "C"), assignment="round-robin", interval_size=50, w=2.0)
     defaults.update(kwargs)
@@ -65,7 +77,7 @@ class TestReplay:
         store = replay(sim_records[:9], _cfg(), schema)
         for i, node in enumerate(("A", "B", "C")):
             # seq n is the n-th record the node received
-            assert store.partition(node) == tuple(sim_records[i:9:3])
+            assert store.partition(node) == _stream(sim_records[i:9:3], schema)
 
     def test_interval_batching(self, sim_records, schema, fitted):
         pp, _ = fitted
@@ -91,10 +103,10 @@ class TestReplay:
 
     def test_every_record_exactly_once(self, sim_records, schema):
         store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
-        spread = [len(store.partition(n)) for n in ("A", "B", "C")]
+        spread = [len(store.partition(n)["truth"]) for n in ("A", "B", "C")]
         assert sum(spread) == len(sim_records)
         origins = Counter(
-            m.origin for n in ("A", "B", "C") for m in store.partition(n)
+            origin for n in ("A", "B", "C") for origin in store.partition(n)["origin"]
         )
         assert all(count == 1 for count in origins.values())
         assert min(spread) > 0  # hash should spread across all three
@@ -106,23 +118,24 @@ class TestReplay:
         for rec in sim_records:
             h = hashlib.sha256(rec.values[idx].encode("utf-8")).digest()
             expected.append(cfg.nodes[int.from_bytes(h[:8], "big") % len(cfg.nodes)])
-        assert collab._assign_nodes(sim_records, cfg, schema) == expected
+        # one assigner over two chunks: its value -> node memo spans both
+        assign = collab._node_assigner(cfg)
+        head, tail = _stream(sim_records[:250], schema), _stream(sim_records[250:], schema)
+        assert assign(head, 0) + assign(tail, 250) == expected
 
     def test_hash_of_source_groups_sources(self, sim_records, schema):
         store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
-        idx = schema.index_of("srcip")
         source_to_node = {}
         for node in ("A", "B", "C"):
-            for m in store.partition(node):
-                src = m.values[idx]
+            for src in store.partition(node)["values"]["srcip"]:
                 assert source_to_node.setdefault(src, node) == node
 
     def test_explicit_assignment(self, sim_records, schema):
         names = ["A", "A", "B"]
         store = replay(sim_records[:3], _cfg(explicit_assignment=tuple(names), assignment="explicit"), schema)
-        assert len(store.partition("A")) == 2
-        assert len(store.partition("B")) == 1
-        assert len(store.partition("C")) == 0
+        assert store.partition("A") == _stream([sim_records[0], sim_records[1]], schema)
+        assert store.partition("B") == _stream([sim_records[2]], schema)
+        assert store.partition("C") == _stream([], schema)
 
     def test_explicit_unknown_node_rejected(self, sim_records, schema):
         with pytest.raises(SimulationError, match="unknown node"):
@@ -139,27 +152,58 @@ class TestReplay:
     def test_empty_records_rejected(self, schema):
         with pytest.raises(SimulationError):
             replay([], _cfg(), schema)
+        with pytest.raises(SimulationError, match="empty"):
+            replay_chunks(iter(()), schema.names, _cfg())
+
+    def test_replay_needs_the_schema_and_the_hash_column(self, sim_records, schema):
+        with pytest.raises(SimulationError, match="schema"):
+            replay(sim_records[:3], _cfg())
+        with pytest.raises(SchemaError, match="no column named 'nope'"):
+            replay(sim_records[:3], _cfg(assignment="hash-of-source", hash_column="nope"), schema)
+
+    @pytest.mark.parametrize("assignment", ["round-robin", "hash-of-source", "explicit"])
+    def test_chunks_replay_like_one_chunk(self, sim_records, schema, assignment):
+        records = sim_records[:100]
+        names = ("A", "B", "C")
+        cfg = _cfg(assignment=assignment, explicit_assignment=tuple(names[(i * 5 + i // 7) % 3] for i in range(100)))
+        whole = replay(records, cfg, schema)
+        bounds = [0, 1, 8, 40, 41, 100]
+        chunks = [_stream(records[a:b], schema) for a, b in zip(bounds, bounds[1:])]
+        chunked = replay_chunks(iter(chunks), schema.names, cfg)
+        assert chunked.nodes() == whole.nodes()
+        for node in names:
+            assert chunked.partition(node) == whole.partition(node)
+
+    def test_store_keeps_only_its_columns(self, sim_records, schema):
+        cfg = _cfg(assignment="hash-of-source")
+        store = replay_chunks([_stream(sim_records[:30], schema)], ("tcprtt", "proto"), cfg)
+        full = replay(sim_records[:30], cfg, schema)
+        assert store.columns == ("tcprtt", "proto")
+        for node in cfg.nodes:
+            part = full.partition(node)
+            assert store.partition(node) == {
+                "values": {name: part["values"][name] for name in ("tcprtt", "proto")},
+                "truth": part["truth"],
+                "origin": part["origin"],
+            }
 
 
 class TestSharedStore:
-    def _rec(self, row):
-        return FlowRecord(("x",), 0, ("f", row))
-
     def test_streams_are_independent(self):
-        store = SharedStore()
-        store.append("A", self._rec(1))
-        store.append("B", self._rec(1))
-        store.append("A", self._rec(2))
-        assert len(store) == 3
+        store = SharedStore(("x",))
+        store.extend({"values": {"x": ["a", "b", "c"]}, "truth": [0, 1, -1], "origin": [("f", 1), ("f", 2), ("f", 3)]}, ["A", "B", "A"])
+        store.extend({"values": {"x": ["d"]}, "truth": [1], "origin": [("g", 1)]}, ["B"])
+        assert len(store) == 4
         assert store.nodes() == ("A", "B")
-        assert store.partition("A") == (self._rec(1), self._rec(2))
-        assert store.partition("B") == (self._rec(1),)
+        assert store.partition("A") == {"values": {"x": ["a", "c"]}, "truth": [0, -1], "origin": [("f", 1), ("f", 3)]}
+        assert store.partition("B") == {"values": {"x": ["b", "d"]}, "truth": [1, 1], "origin": [("f", 2), ("g", 1)]}
+        assert store.partition("C") == {"values": {"x": []}, "truth": [], "origin": []}
 
     def test_partition_read_and_audit_replay(self, sim_records, schema):
         store = replay(sim_records[:30], _cfg(), schema)
-        first_pass = store.partition("A")
+        first_pass = copy.deepcopy(store.partition("A"))
         # the whole stream, in order: round-robin gives A every third record
-        assert first_pass == tuple(sim_records[:30:3])
+        assert first_pass == _stream(sim_records[:30:3], schema)
         second_pass = store.partition("A")  # reading leaves no state behind
         assert second_pass == first_pass
 
@@ -170,10 +214,10 @@ class TestSharedStore:
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
         pp, _ = fitted
         monkeypatch.setattr(collab, "_MAX_FRAME", max_frame)
-        records = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
-        assert records == tuple(sim_records[:40])
-        runs = [records[:16], records[16:32], records[32:]]
-        intervals = list(collab._intervals(records, pp, 16))
+        stream = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
+        assert stream == _stream(sim_records[:40], schema)
+        runs = [sim_records[:16], sim_records[16:32], sim_records[32:40]]
+        intervals = list(collab._intervals(stream, pp, 16))
         assert [len(interval["truth"]) for interval in intervals] == [16, 16, 8]
         for run, interval in zip(runs, intervals):
             decoded = {"values": {name: [] for name in pp.columns}, "truth": [], "origin": []}
@@ -301,9 +345,10 @@ class TestRunSimulation:
             store = replay(sim_records, store_cfg, schema)
             pairs = []
             for node in store_cfg.nodes:
-                msgs = store.partition(node)
+                origins = store.partition(node)["origin"]
                 verdicts = outcome.node_results[node].verdicts
-                pairs.extend((m.origin, v) for m, v in zip(msgs, verdicts))
+                assert len(origins) == len(verdicts)
+                pairs.extend(zip(origins, verdicts))
             return Counter(pairs)
 
         assert verdict_multiset(three, three_cfg) == verdict_multiset(one, _cfg(nodes=("solo",)))
@@ -363,7 +408,7 @@ class TestRunSimulation:
         for transport in TRANSPORTS:
             cfg = _cfg(transport=transport)
             store = replay(sim_records, cfg, schema)
-            before = {n: store.partition(n) for n in cfg.nodes}
+            before = copy.deepcopy({n: store.partition(n) for n in cfg.nodes})
             run_simulation(store, profile, pp, cfg)
             for node in cfg.nodes:
                 assert store.partition(node) == before[node]  # nothing mutated or lost
@@ -403,7 +448,7 @@ class TestRunSimulation:
         real = collab._classify_intervals
         crashed = []
         cfg = _cfg()
-        first_of_b = replay(sim_records, cfg, schema).partition("B")[0].origin
+        first_of_b = replay(sim_records, cfg, schema).partition("B")["origin"][0]
 
         def flaky(intervals, *args):
             intervals = list(intervals)
@@ -481,7 +526,7 @@ class TestRunSimulation:
         real = collab._interval_frames
         dropped = []
         cfg = _cfg(transport="loopback-socket", retry_budget=1)
-        of_b = {r.origin for r in replay(sim_records, cfg, schema).partition("B")}
+        of_b = set(replay(sim_records, cfg, schema).partition("B")["origin"])
 
         def truncating(interval):
             if interval["origin"][0] in of_b and (always or not dropped):
@@ -528,6 +573,13 @@ class TestRunSimulation:
         cfg = _cfg(nodes=("solo",))
         store = replay([rec], cfg, schema)
         with pytest.raises(SimulationError, match="truth"):
+            run_simulation(store, profile, pp, cfg)
+
+    def test_store_without_the_modeled_columns_rejected(self, sim_records, schema, fitted):
+        pp, profile = fitted
+        cfg = _cfg()
+        store = replay_chunks([_stream(sim_records[:30], schema)], ("srcip", "tcprtt"), cfg)
+        with pytest.raises(SimulationError, match="lacks the modeled columns"):
             run_simulation(store, profile, pp, cfg)
 
     def test_per_node_w_overrides(self, sim_records, schema, fitted):

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -230,6 +231,38 @@ class TestBatches:
     def test_unknown_column_rejected(self):
         with pytest.raises(SchemaError, match="nope"):
             list(iter_flow_batches(io.StringIO("tcp,1,0\n"), TINY, ("nope",)))
+
+    def test_open_streams_and_bytes_are_read_as_consumed(self, tmp_path):
+        """An open binary or text stream, or bytes, is decoded as it is read:
+        the first batch peaks near what it peaks at from the path, not at
+        the size of the capture, and the caller's stream stays open."""
+        from netanom.synth import write_synthetic_csv
+
+        path = tmp_path / "capture.csv"
+        write_synthetic_csv(path, 20_000, seed=3)  # about 5.3 MB
+        schema = default_schema()
+
+        def first_batch(source):
+            tracemalloc.start()
+            try:
+                batches = iter_flow_batches(source, schema, ("proto",))
+                batch = next(batches)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            batches.close()
+            return batch, peak
+
+        reference, path_peak = first_batch(path)
+        with path.open("rb") as binary, path.open("r", encoding="utf-8", newline="") as text:
+            for source in (binary, text, path.read_bytes()):
+                batch, peak = first_batch(source)
+                assert peak < 1.5 * path_peak, f"{type(source).__name__}: {peak} bytes against {path_peak} from the path"
+                assert batch.columns == reference.columns and batch.file_id == "<memory>"
+                assert batch.rows.tolist() == reference.rows.tolist()
+                assert batch.truth.tolist() == reference.truth.tolist()
+            assert not binary.closed and not text.closed
+            assert binary.readline() and text.readline()
 
 
 def _make_records(n_normal, n_attack):

@@ -48,12 +48,9 @@ def test_fixed_corpus_digests(tmp_path):
         assert digests[f"sim-in-process/{name}"] == digests[f"sim-loopback-socket/{name}"]
 
 
-def test_traced_bench_instruments_every_layer(tmp_path, monkeypatch, split):
-    """The traced benchmark (bench/tracing.py, loaded unchanged) still finds
-    every function it wraps and records a span in each layer it reports."""
+def _load_bench(monkeypatch):
+    """bench/run.py and bench/tracing.py, loaded unchanged, as modules."""
     import importlib.util
-
-    from netanom.ingest import default_schema, write_flow_csv
 
     bench = Path(__file__).resolve().parent.parent / "bench"
     modules = {}
@@ -62,16 +59,58 @@ def test_traced_bench_instruments_every_layer(tmp_path, monkeypatch, split):
         modules[name] = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, modules[name])
         spec.loader.exec_module(modules[name])
-    tracing = modules["tracing"]
+    return modules["run"], modules["tracing"]
 
+
+def _traced_pipeline(monkeypatch, tmp_path, split, workload):
+    """The traced bench's pipeline for ``workload`` on the ``split`` fixture,
+    trained, with the test records written where its jobs read them."""
+    from netanom.ingest import default_schema, write_flow_csv
+
+    run_module, tracing = _load_bench(monkeypatch)
     train, test = split
     (tmp_path / "split").mkdir()
     write_flow_csv(test, default_schema(), tmp_path / "split" / "test.csv")
-    run = modules["run"].Run(workload="detect", seed=0, dir=tmp_path, deadline=0.0)
+    run = run_module.Run(workload=workload, seed=0, dir=tmp_path, deadline=0.0)
     pipeline, tracer = tracing.Pipeline(run), tracing.Tracer("test")
     pipeline.train(tracer, train, budget=5, out=tmp_path / "profile.json")
+    return tracing, pipeline, tracer
+
+
+def test_traced_bench_instruments_every_layer(tmp_path, monkeypatch, split):
+    """The traced benchmark (bench/tracing.py, loaded unchanged) still finds
+    every function it wraps and records a span in each layer it reports."""
+    tracing, pipeline, tracer = _traced_pipeline(monkeypatch, tmp_path, split, "detect")
     out = tracing.job_detect(pipeline, tracer)
     assert pipeline.missing == []
-    assert out["parsed"] == len(out["flagged"]) == len(test)
+    assert out["parsed"] == len(out["flagged"]) == len(split[1])
     names = {span["name"] for span in tracer.spans}
     assert {"gmm.fit_em", "gmm.score", "preprocess.apply", "ingest.parse"} <= names
+
+
+def test_traced_bench_simulates_parsed_records(tmp_path, monkeypatch, split):
+    """The traced simulate job (bench/tracing.py, loaded unchanged) still
+    builds its store from parsed records with ``replay``, records its collab
+    spans, and both transports agree on that store with the single-process
+    counts."""
+    import dataclasses
+
+    from netanom.collab import run_simulation
+
+    tracing, pipeline, tracer = _traced_pipeline(monkeypatch, tmp_path, split, "simulate")
+    out = tracing.job_simulate(pipeline, tracer)
+    assert pipeline.missing == []
+    assert out["parsed"] == len(out["store"]) == len(split[1])
+    names = {span["name"] for span in tracer.spans}
+    assert {"ingest.parse", "collab.replay", "collab.loopback"} <= names
+
+    loopback = out["loopback"]
+    cfg = dataclasses.replace(out["cfg"], transport="in-process")
+    in_process = run_simulation(out["store"], out["profile"], pipeline.preprocess, cfg)
+    assert not loopback.failed_nodes and not in_process.failed_nodes
+    assert loopback.per_node_reports == in_process.per_node_reports
+    for node in cfg.nodes:
+        assert loopback.node_results[node].verdicts == in_process.node_results[node].verdicts
+        assert loopback.node_results[node].frames > 0
+    reference = pipeline.reference_w2(out["profile"], split[1])
+    assert tracing.counts_of(loopback.aggregate_counts) == reference
