@@ -37,19 +37,19 @@ from .gmm import EmConfig, GmmError
 from .ingest import (
     IngestError,
     SamplePlan,
+    copy_rows,
     default_schema,
     iter_flow_batches,
     load_schema,
-    parse_flow_csvs,
-    stratified_sample,
-    write_flow_csv,
+    stratified_indices,
 )
 from .preprocess import (
     PreprocessError,
-    _fit_and_apply,
+    fit_preprocess_batches,
     load_preprocess,
     parse_reduction_mode,
     save_preprocess,
+    training_columns,
 )
 
 #: Most points a ``--w-grid`` may ask for.
@@ -192,16 +192,19 @@ def _cmd_sample(args, parser) -> int:
             parser.error(f"--{name.replace('_', '-')} must be in [0, 1]")
     started = time.perf_counter()
     schema = _load_schema_arg(args.schema)
-    records = parse_flow_csvs(args.input, schema)
+    # Pass 1 reads the truths alone; pass 2 copies the chosen rows.
+    truth = np.concatenate(
+        [np.empty(0, dtype=np.int8)]
+        + [batch.truth for path in args.input for batch in iter_flow_batches(Path(path), schema, ())]
+    )
     plan = SamplePlan(args.size, args.normal_frac, args.train_frac, args.seed)
-    train, test = stratified_sample(records, plan)
+    train_ids, test_ids = stratified_indices(truth, plan)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_path = out / "train_normal.csv"
     test_path = out / "test.csv"
-    write_flow_csv(train, schema, train_path)
-    write_flow_csv(test, schema, test_path)
+    copy_rows(args.input, schema, [(train_path, train_ids), (test_path, test_ids)])
     _write_manifest(
         out / "manifest.json",
         "sample",
@@ -217,8 +220,10 @@ def _cmd_sample(args, parser) -> int:
         list(args.input) + ([args.schema] if args.schema else []),
         [train_path, test_path],
         started,
+        train_records=len(train_ids),
+        test_records=len(test_ids),
     )
-    print(f"sampled {len(train)} training normals and {len(test)} test records into {out}")
+    print(f"sampled {len(train_ids)} training normals and {len(test_ids)} test records into {out}")
     return 0
 
 
@@ -236,19 +241,12 @@ def _cmd_train(args, parser) -> int:
         if k < 1:
             parser.error("--components must be >= 1")
     schema = _load_schema_arg(args.schema)
-    records = parse_flow_csvs([args.train], schema)
-    if not records:
+    batches = _training_batches(Path(args.train), schema, training_columns(schema, args.features))
+    first = next(batches, None)
+    if first is None:
         print("error: training file has no records", file=sys.stderr)
         return 1
-    for rec in records:
-        if rec.truth is None:
-            print(f"error: unlabeled row in training input: {rec.origin[0]} row {rec.origin[1]}", file=sys.stderr)
-            return 1
-        if rec.truth == 1:
-            print(f"error: attack-labeled row in training input: {rec.origin[0]} row {rec.origin[1]}", file=sys.stderr)
-            return 1
-
-    preprocess, matrix = _fit_and_apply(records, schema, args.features)
+    preprocess, matrix = fit_preprocess_batches(itertools.chain([first], batches), schema, args.features)
     k = matrix.shape[1] if args.components == "auto" else int(args.components)
     cfg = EmConfig(n_components=k, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
     profile = train_profile(matrix, cfg, preprocess_digest=preprocess.digest())
@@ -275,15 +273,27 @@ def _cmd_train(args, parser) -> int:
         [args.train] + ([args.schema] if args.schema else []),
         [out, preprocess_path],
         started,
+        records=len(matrix),
         em={key: value for key, value in asdict(rep).items() if key != "trace"},
     )
     if not rep.converged:
         print(f"warning: EM did not converge in {rep.iterations} iterations (tol={args.tol})", file=sys.stderr)
     print(
-        f"trained K={k} profile on {len(records)} normals "
+        f"trained K={k} profile on {len(matrix)} normals "
         f"(iterations={rep.iterations}, converged={rep.converged}); wrote {out}"
     )
     return 0
+
+
+def _training_batches(path: Path, schema, columns):
+    """Yield ``(columns, origins)`` for each batch of the training file,
+    once every row of the batch is checked to be labeled normal."""
+    for batch in iter_flow_batches(path, schema, columns):
+        bad = np.flatnonzero(batch.truth != 0)
+        if bad.size:
+            kind = "unlabeled" if batch.truth[bad[0]] < 0 else "attack-labeled"
+            raise IngestError(f"{kind} row in training input: {batch.file_id} row {batch.rows[bad[0]]}")
+        yield batch.columns, batch.origins()
 
 
 def _load_pipeline(args):

@@ -542,7 +542,6 @@ def _run_loopback(
     cfg: SimulationConfig,
 ) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
-    server.settimeout(0.2)
     port = server.getsockname()[1]
     wire_results: dict[str, dict] = {}
     # The store service's errors, by the worker's address until a worker
@@ -579,12 +578,15 @@ def _run_loopback(
                     handler_errors[peer] = f"{type(exc).__name__}: {exc}"
 
     def serve() -> None:
-        while not done.is_set():
+        # Blocks in accept until the wake-up connection made once every node
+        # is done; a connection accepted after ``done`` is that one.
+        while True:
             try:
                 conn, peer = server.accept()
-            except socket.timeout:
-                continue
             except OSError:
+                break
+            if done.is_set():
+                conn.close()
                 break
             t = threading.Thread(target=handle, args=(conn, peer))
             t.start()
@@ -622,6 +624,7 @@ def _run_loopback(
         return _run_nodes(cfg, attempt)
     finally:
         done.set()
+        socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT).close()
         server_thread.join()
         for t in handler_threads:
             t.join()

@@ -13,7 +13,7 @@ import io
 import json
 import os
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -432,21 +432,22 @@ class SamplePlan:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def stratified_sample(
-    records: Sequence[FlowRecord], plan: SamplePlan
-) -> tuple[list[FlowRecord], list[FlowRecord]]:
-    """Draw (train_normal, test) without replacement, deterministically.
+def stratified_indices(truth: np.ndarray, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (train_normal, test) row indices without replacement,
+    deterministically, from the rows' truths (1 attack, 0 normal, -1
+    unlabeled; as in :attr:`FlowBatch.truth`).
 
     Per class, indices are shuffled with a generator seeded from the plan and
-    prefixes are taken; the train partition holds only normal records and is
-    disjoint from test. Output lists preserve the input ordering.
+    prefixes are taken; the train indices are all normal rows and are
+    disjoint from the test ones. Both arrays are sorted.
     """
-    unlabeled = sum(1 for r in records if r.truth is None)
+    truth = np.asarray(truth)
+    unlabeled = int(np.count_nonzero(truth < 0))
     if unlabeled:
         raise SampleError(f"{unlabeled} records lack a truth label; sampling needs labeled data")
 
-    normal_idx = np.array([i for i, r in enumerate(records) if r.truth == 0], dtype=np.int64)
-    attack_idx = np.array([i for i, r in enumerate(records) if r.truth == 1], dtype=np.int64)
+    normal_idx = np.flatnonzero(truth == 0)
+    attack_idx = np.flatnonzero(truth == 1)
 
     n_normal = round(plan.total_size * plan.normal_fraction)
     n_attack = plan.total_size - n_normal
@@ -462,7 +463,41 @@ def stratified_sample(
     n_train = round(n_normal * plan.train_fraction_of_normal)
     train_ids = np.sort(chosen_normal[:n_train])
     test_ids = np.sort(np.concatenate([chosen_normal[n_train:], chosen_attack]))
+    return train_ids, test_ids
 
-    train = [records[i] for i in train_ids]
-    test = [records[i] for i in test_ids]
-    return train, test
+
+def stratified_sample(
+    records: Sequence[FlowRecord], plan: SamplePlan
+) -> tuple[list[FlowRecord], list[FlowRecord]]:
+    """Draw (train_normal, test) records as :func:`stratified_indices` draws
+    their indices. Output lists preserve the input ordering."""
+    truth = np.array([-1 if r.truth is None else r.truth for r in records], dtype=np.int8)
+    train_ids, test_ids = stratified_indices(truth, plan)
+    return [records[i] for i in train_ids], [records[i] for i in test_ids]
+
+
+def copy_rows(paths: Sequence, schema: FeatureSchema, picks: Sequence[tuple[object, np.ndarray]]) -> None:
+    """Write, for each ``(dest, indices)`` of ``picks``, a flow CSV of the
+    data rows of ``paths`` at ``indices``, in file order.
+
+    Rows are indexed from 0 across the files in order, as a concatenation of
+    their :attr:`FlowBatch.truth` arrays is. Each file is read a row at a
+    time, and the output bytes are those :func:`write_flow_csv` writes for
+    the same rows.
+    """
+    owner = np.full(max((int(ids.max()) + 1 for _, ids in picks if ids.size), default=0), -1, dtype=np.int8)
+    for k, (_, ids) in enumerate(picks):
+        owner[ids] = k
+    with ExitStack() as stack:
+        writers = []
+        for dest, _ in picks:
+            stream = stack.enter_context(Path(dest).open("w", encoding="utf-8", newline=""))
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(schema.names)
+            writers.append(writer.writerow)
+        owners = iter(owner.tolist())
+        for path in paths:
+            with _open_text(Path(path)) as (stream, fid):
+                for (_, _, fields), k in zip(_read_rows(stream, schema, fid, lambda fields: fields), owners):
+                    if k >= 0:
+                        writers[k](fields)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,11 +62,27 @@ def fit_encoders(train: Sequence[FlowRecord], schema: FeatureSchema) -> EncoderM
     """
     if not train:
         raise PreprocessError("cannot fit encoders on an empty training set")
-    categorical = RecordColumns(train, schema, (c.name for c in schema.columns if c.kind == "categorical"))
-    return EncoderMap({
-        name: {value: code for code, value in enumerate(dict.fromkeys(texts), 1)}
-        for name, texts in categorical.items()
-    })
+    codes = _empty_codes(schema)
+    _grow_codes(codes, RecordColumns(train, schema, codes), len(train))
+    return EncoderMap(codes)
+
+
+def _empty_codes(schema: FeatureSchema) -> dict[str, dict[str, int]]:
+    return {c.name: {} for c in schema.columns if c.kind == "categorical"}
+
+
+def _grow_codes(codes: dict[str, dict[str, int]], columns: Mapping[str, Sequence[str]], n: int) -> None:
+    """Give each categorical value of ``columns`` not yet in ``codes`` the
+    next code of its feature. First-seen order makes this batch-invariant:
+    growing the tables batch by batch ends with the codes of one pass over
+    all the rows."""
+    for name, table in codes.items():
+        texts = columns.get(name, ())
+        if len(texts) != n:
+            raise PreprocessError(f"column {name!r} holds {len(texts)} values for {n} records")
+        for text in dict.fromkeys(texts):
+            if text not in table:
+                table[text] = len(table) + 1
 
 
 @dataclass(frozen=True)
@@ -201,30 +217,63 @@ def parse_reduction_mode(mode: str) -> tuple[str, int | None]:
     raise PreprocessError(f"unknown reduction mode {mode!r} (expected 'table1' or 'pca:<k>')")
 
 
-def fit_preprocess(
-    train: Sequence[FlowRecord],
-    schema: FeatureSchema,
-    mode: str = "table1",
-) -> PreprocessModel:
-    """Fit the full pipeline on training records."""
-    return _fit_and_apply(train, schema, mode)[0]
-
-
-def _fit_and_apply(train: Sequence[FlowRecord], schema: FeatureSchema, mode: str) -> tuple[PreprocessModel, np.ndarray]:
-    """``fit_preprocess`` plus the training records' (N, d) matrix: the bits
-    ``apply_records(train)`` gives, from the fit's one encode pass."""
-    if not train:
-        raise PreprocessError("cannot fit preprocessing on an empty training set")
-    kind, k = parse_reduction_mode(mode)
+def _reduction_features(schema: FeatureSchema, kind: str) -> tuple[str, ...]:
     features = CURATED_FEATURES if kind == "table1" else schema.feature_names()
     schema.validate_selection(features)
-    encoder = fit_encoders(train, schema)
-    matrix = _encode_columns(RecordColumns(train, schema, features), [r.origin for r in train], schema, encoder, features)
+    return features
+
+
+def training_columns(schema: FeatureSchema, mode: str) -> tuple[str, ...]:
+    """The record columns a fit in ``mode`` reads, in schema order: every
+    categorical column, since the encoder covers them all, and the
+    reduction's features."""
+    kind, _ = parse_reduction_mode(mode)
+    needed = set(_reduction_features(schema, kind)).union(_empty_codes(schema))
+    return tuple(name for name in schema.names if name in needed)
+
+
+def fit_preprocess_batches(
+    batches: Iterable[tuple[Mapping[str, Sequence[str]], Sequence[Sequence]]],
+    schema: FeatureSchema,
+    mode: str = "table1",
+) -> tuple[PreprocessModel, np.ndarray]:
+    """Fit the full pipeline in one pass over training records given as
+    ``(columns, origins)`` batches, as :meth:`PreprocessModel.apply_columns`
+    takes them, holding at least :func:`training_columns`.
+
+    Each batch grows the category code tables and is then encoded once with
+    them; PCA and the z-score are fitted on the concatenated (N, D) matrix.
+    Returns the model and the training records' (N, d) matrix: the bits
+    ``apply_columns`` gives for them.
+    """
+    kind, k = parse_reduction_mode(mode)
+    features = _reduction_features(schema, kind)
+    codes = _empty_codes(schema)
+    encoder = EncoderMap(codes)
+    parts = []
+    for columns, origins in batches:
+        _grow_codes(codes, columns, len(origins))
+        parts.append(_encode_columns(columns, origins, schema, encoder, features))
+    matrix = np.concatenate(parts) if parts else np.empty((0, len(features)))
+    del parts  # PCA's peak comes next
+    if not len(matrix):
+        raise PreprocessError("cannot fit preprocessing on an empty training set")
     pca = fit_pca(matrix, k) if kind == "pca" else None
     reduced = matrix if pca is None else pca.transform(matrix)
     zscore = fit_zscore(reduced)
     selected = tuple(CURATED_FEATURES) if pca is None else None
     return PreprocessModel(schema, encoder, selected, pca, zscore), zscore.normalize(reduced)
+
+
+def fit_preprocess(
+    train: Sequence[FlowRecord],
+    schema: FeatureSchema,
+    mode: str = "table1",
+) -> PreprocessModel:
+    """Fit the full pipeline on training records, passed to
+    :func:`fit_preprocess_batches` as one batch."""
+    columns = RecordColumns(train, schema, training_columns(schema, mode))
+    return fit_preprocess_batches([(columns, [r.origin for r in train])], schema, mode)[0]
 
 
 def _encode_columns(

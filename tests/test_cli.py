@@ -169,16 +169,21 @@ class TestTrain:
         assert all(w.startswith("warning: EM did not converge in 2 iterations") for w in warnings)
         assert json.loads((tmp_path / "fit.manifest.json").read_text())["em"]["converged"] is converged
 
-    def test_training_records_encoded_once(self, workspace, tmp_path, monkeypatch):
+    def test_training_records_encoded_once(self, workspace, tmp_path, monkeypatch, schema):
+        """Each training row is encoded exactly once, whatever the batch size."""
         from netanom import preprocess
+        from netanom.ingest import parse_flow_csv
 
-        encode, calls = preprocess._encode_columns, []
-        monkeypatch.setattr(preprocess, "_encode_columns", lambda *args: calls.append(args) or encode(*args))
+        train = workspace / "split" / "train_normal.csv"
+        encode, rows = preprocess._encode_columns, []
+        monkeypatch.setattr(preprocess, "_encode_columns", lambda *args: rows.append(len(args[1])) or encode(*args))
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 100)
         assert main([
-            "train", "--train", str(workspace / "split" / "train_normal.csv"),
+            "train", "--train", str(train),
             "--schema", str(workspace / "schema.json"), "--components", "2", "--out", str(tmp_path / "p.json"),
         ]) == 0
-        assert len(calls) == 1
+        assert len(rows) > 1 and max(rows) == 100
+        assert sum(rows) == len(parse_flow_csv(train, schema))
 
     @pytest.mark.parametrize("features", ["table1", "pca:3"])
     def test_profile_matches_apply_records(self, workspace, tmp_path, schema, features):
@@ -390,6 +395,173 @@ class TestEvaluateAndRoc:
             "evaluate", "--profile", str(workspace / "profile.json"),
             "--test", str(unlabeled), "--w", "2", "--out", str(tmp_path / "r"),
         ]) == 1
+
+
+def _train_lines(workspace, n):
+    """Header plus the first ``n`` data lines of the workspace's training normals."""
+    return (workspace / "split" / "train_normal.csv").read_text().splitlines()[: n + 1]
+
+
+def _train_args(train, out, features="table1"):
+    return ["train", "--train", str(train), "--features", features, "--components", "2", "--seed", "4", "--out", str(out)]
+
+
+class TestStreamedTrainAndSample:
+    """train fits from FlowBatches; sample reads truths, then copies rows."""
+
+    @settings(max_examples=10)
+    @given(
+        batch_rows=st.sampled_from([1, 7, 8192]),
+        n=st.integers(10, 200),
+        features=st.sampled_from(["table1", "pca:3"]),
+    )
+    def test_train_outputs_do_not_depend_on_the_batch_size(self, workspace, schema, batch_rows, n, features):
+        from netanom._docjson import pretty_dumps
+        from netanom.decision import save_profile, train_profile
+        from netanom.gmm import EmConfig
+        from netanom.ingest import parse_flow_csv
+        from netanom.preprocess import fit_preprocess, preprocess_to_doc
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            train = tmp / "train.csv"
+            train.write_text("\n".join(_train_lines(workspace, n)) + "\n")
+
+            # Reference: the whole file as records, fitted at once.
+            records = parse_flow_csv(train, schema)
+            pp = fit_preprocess(records, schema, features)
+            profile = train_profile(pp.apply_records(records), EmConfig(2, seed=4), preprocess_digest=pp.digest())
+
+            out = tmp / "p.json"
+            with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+                assert main(_train_args(train, out, features)) == 0
+            assert out.read_bytes() == save_profile(profile)
+            assert (tmp / "p.preprocess.json").read_text() == pretty_dumps(preprocess_to_doc(pp))
+            assert json.loads((tmp / "p.manifest.json").read_text())["records"] == n
+
+    @settings(max_examples=10)
+    @given(
+        batch_rows=st.sampled_from([1, 7, 8192]),
+        cut=st.integers(0, 300),
+        size=st.integers(1, 200),
+        seed=st.integers(0, 3),
+    )
+    def test_sample_outputs_do_not_depend_on_the_batch_size(self, workspace, schema, batch_rows, cut, size, seed):
+        from netanom.ingest import SampleError, SamplePlan, parse_flow_csvs, stratified_sample, write_flow_csv
+
+        lines = (workspace / "data.csv").read_text().splitlines()[:301]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            first, second = tmp / "a.csv", tmp / "b.csv"
+            first.write_text("\n".join(lines[: cut + 1]) + "\n")  # with the header
+            second.write_text("".join(line + "\n" for line in lines[cut + 1 :]))  # without one
+
+            out = tmp / "out"
+            argv = ["sample", "--input", str(first), str(second), "--size", str(size), "--normal-frac", "0.6",
+                    "--train-frac", "0.5", "--seed", str(seed), "--out", str(out)]
+            try:
+                train, test = stratified_sample(parse_flow_csvs([first, second], schema), SamplePlan(size, 0.6, 0.5, seed))
+            except SampleError:
+                with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+                    assert main(argv) == 1
+                assert not out.exists()
+                return
+            write_flow_csv(train, schema, tmp / "train_normal.csv")
+            write_flow_csv(test, schema, tmp / "test.csv")
+
+            with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+                assert main(argv) == 0
+            for name in ("train_normal.csv", "test.csv"):
+                assert (out / name).read_bytes() == (tmp / name).read_bytes(), name
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["train_records"], manifest["test_records"]) == (len(train), len(test))
+
+    @pytest.mark.parametrize("fault", ["unlabeled", "attack-labeled", "short-row", "non-numeric"])
+    def test_bad_row_in_a_later_batch_names_it(self, workspace, schema, tmp_path, monkeypatch, capsys, fault):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        lines = _train_lines(workspace, 20)
+        fields = lines[bad].split(",")  # lines[0] is the header
+        if fault == "unlabeled":
+            fields[schema.label_index] = ""
+        elif fault == "attack-labeled":
+            fields[schema.label_index] = schema.positive_label_value
+        elif fault == "short-row":
+            fields.pop()
+        else:
+            fields[schema.index_of("tcprtt")] = "fast"
+        lines[bad] = ",".join(fields)
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(_train_args(train, out / "p.json")) == 1
+        assert capsys.readouterr().err == "error: " + {
+            "unlabeled": f"unlabeled row in training input: train.csv row {bad}",
+            "attack-labeled": f"attack-labeled row in training input: train.csv row {bad}",
+            "short-row": f"train.csv, row {bad}: expected 49 fields, got 48",
+            "non-numeric": f"column 'tcprtt': non-numeric value 'fast' in train.csv row {bad}",
+        }[fault] + "\n"
+        assert not out.exists()  # no profile, no preprocess, no manifest
+
+    def test_train_errors_come_in_file_order(self, workspace, schema, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        lines = _train_lines(workspace, 20)
+        early = lines[2].split(",")
+        early[schema.index_of("tcprtt")] = "fast"
+        lines[2] = ",".join(early)
+        late = lines[8].split(",")
+        late[schema.label_index] = schema.positive_label_value
+        lines[8] = ",".join(late)
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join(lines) + "\n")
+        assert main(_train_args(train, tmp_path / "out" / "p.json")) == 1
+        assert capsys.readouterr().err == "error: column 'tcprtt': non-numeric value 'fast' in train.csv row 2\n"
+
+    def test_sample_peak_memory_is_flat_in_the_input_size(self, tmp_path):
+        from netanom.synth import write_synthetic_csv
+
+        once, four = tmp_path / "once.csv", tmp_path / "four.csv"
+        write_synthetic_csv(once, 20_000, seed=11)
+        header, body = once.read_text().split("\n", 1)
+        four.write_text(header + "\n" + body * 4)
+        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
+        peaks = []
+        for corpus in (once, four):
+            argv = ["sample", "--input", str(corpus), "--size", "5000", "--seed", "1", "--out", str(tmp_path / corpus.stem)]
+            probe = subprocess.run(
+                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            code, maxrss_kib = map(int, probe.stdout.split())
+            assert code == 0, probe.stderr
+            peaks.append(maxrss_kib / 1024)
+        assert peaks[1] - peaks[0] < 8, f"sample: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB at 4x the rows"
+
+    def test_train_peak_memory_per_record(self, tmp_path):
+        from netanom.synth import write_synthetic_csv
+
+        once, four = tmp_path / "once.csv", tmp_path / "four.csv"
+        write_synthetic_csv(once, 20_000, seed=11, attack_fraction=0.0)
+        header, body = once.read_text().split("\n", 1)
+        four.write_text(header + "\n" + body * 4)
+        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
+        peaks_kib = []
+        for train in (once, four):
+            argv = ["train", "--train", str(train), "--max-iter", "5", "--out", str(tmp_path / train.stem / "p.json")]
+            probe = subprocess.run(
+                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            code, maxrss_kib = map(int, probe.stdout.split())
+            assert code == 0, probe.stderr
+            peaks_kib.append(maxrss_kib)
+        per_record = (peaks_kib[1] - peaks_kib[0]) / 60_000
+        # The (N, d) training matrix and EM's (2d, N) and (K, N) arrays grow
+        # with N; the field texts are held one batch at a time. Measured 0.45
+        # KiB per record; 2.8 when train parsed whole records.
+        assert per_record < 1.0, (
+            f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.2f} KiB per added record"
+        )
 
 
 def _capture_lines(workspace, n):

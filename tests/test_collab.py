@@ -470,6 +470,26 @@ class TestRunSimulation:
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
 
+    def test_store_service_blocks_in_accept(self, sim_records, schema, fitted, monkeypatch):
+        """The accept loop has no poll timeout: it returns once per worker
+        connection and once for the wake-up after the last node is done."""
+        pp, profile = fitted
+        real = collab.socket.socket.accept
+        returns = []
+
+        def counting(sock):
+            accepted = real(sock)
+            returns.append(sock.gettimeout())
+            return accepted
+
+        monkeypatch.setattr(collab.socket.socket, "accept", counting)
+        cfg = _cfg(transport="loopback-socket")
+        outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        assert not outcome.partial
+        connections = sum(r.attempts for r in outcome.node_results.values())
+        assert returns == [None] * (connections + 1)
+
     def test_retry_recovers_over_loopback(self, sim_records, schema, fitted, monkeypatch):
         pp, profile = fitted
         real = collab.socket.create_connection

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,10 @@ def test_fixed_corpus_digests(tmp_path):
     assert not any("manifest" in path for path in digests)
     for name in ("aggregate.json", "aggregate.txt", "node_A.json", "node_B.json", "node_C.json"):
         assert digests[f"sim-in-process/{name}"] == digests[f"sim-loopback-socket/{name}"]
+    # sample --size 4000 at the default fractions: 2600 normals, 60% of them for training.
+    sample = json.loads((tmp_path / "fc" / "split" / "manifest.json").read_text())
+    assert (sample["train_records"], sample["test_records"]) == (1560, 2440)
+    assert json.loads((tmp_path / "fc" / "profile.manifest.json").read_text())["records"] == 1560
 
 
 def _load_bench(monkeypatch):
