@@ -328,7 +328,7 @@ def _cmd_detect(args, parser) -> int:
     # Verdicts go to a sibling that replaces ``out`` only once every row is
     # scored, so a bad row in a later batch leaves no verdicts file.
     partial = out.with_name(out.name + ".tmp")
-    n_records = 0
+    n_records = n_flagged = 0
     try:
         with partial.open("w", encoding="utf-8") as fh:
             fh.write("origin_file,origin_row,score,label\n")
@@ -339,6 +339,7 @@ def _cmd_detect(args, parser) -> int:
                     for row, score, is_attack in zip(batch.rows.tolist(), scores.tolist(), flagged.tolist())
                 )
                 n_records += len(batch.rows)
+                n_flagged += int(np.count_nonzero(flagged))
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
@@ -350,6 +351,8 @@ def _cmd_detect(args, parser) -> int:
         [profile_path, preprocess_path, args.input],
         [out],
         started,
+        records=n_records,
+        flagged=n_flagged,
     )
     print(f"classified {n_records} records at w={args.w:g}; wrote {out}")
     return 0
@@ -456,10 +459,10 @@ def _cmd_simulate(args, parser) -> int:
     started = time.perf_counter()
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    read = preprocess.columns
-    if cfg.assignment == "hash-of-source" and cfg.hash_column not in read:
-        read += (cfg.hash_column,)
-    batches = iter_flow_batches(Path(args.test), preprocess.schema, read)
+    # Sources are hashed by their field texts.
+    hashed = (cfg.hash_column,) if cfg.assignment == "hash-of-source" else ()
+    read = preprocess.columns + tuple(name for name in hashed if name not in preprocess.columns)
+    batches = iter_flow_batches(Path(args.test), preprocess.schema, read, keep_text=hashed)
     first = next(batches, None)
     if first is None:
         print("error: test file has no records", file=sys.stderr)

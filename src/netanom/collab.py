@@ -13,17 +13,19 @@ partitioning can never change outcomes.
 One runner starts a thread per node and retries each node's attempt; the
 two transports differ only in how an attempt fetches the node's partition.
 The store cuts a partition into intervals that carry only what a node
-reads: the field texts of the columns the preprocessing model reads
-(``PreprocessModel.columns``), plus each record's truth and origin. Both
-transports hand the same classify function these intervals, each node
-still parses and standardizes the texts itself, and scoring is
-record-local, so their reports are identical byte for byte. In-process,
-an interval is handed over as is. The loopback transport serves the
-partition over TCP, one connection per attempt, with length-prefixed JSON
-frames (4-byte big-endian length, then the UTF-8 payload):
+reads: the columns the preprocessing model reads (``PreprocessModel.columns``)
+as the store holds them, numeric ones as float64 values and the others as
+field texts, plus each record's truth and origin. Both transports hand the
+same classify function these intervals, each node still encodes and
+standardizes the columns itself, and scoring is record-local, so their
+reports are identical byte for byte. In-process, an interval is handed over
+as is. The loopback transport serves the partition over TCP, one
+connection per attempt, with length-prefixed JSON frames (4-byte big-endian
+length, then the UTF-8 payload); a float travels as its shortest repr,
+which reads back to the same bits:
 
     worker -> store   hello     {node}
-    store -> worker   interval  {values: {column: [text, ...]}, truth, origin}, ...
+    store -> worker   interval  {values: {column: [value, ...]}, truth, origin}, ...
     store -> worker   end       {count}
     worker -> store   result    {counts, verdicts, n}
     store -> worker   ack
@@ -52,6 +54,8 @@ from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
@@ -84,15 +88,19 @@ class SharedStore:
     record's seq is its 1-based position there.
 
     A stream is held as columns, in the shape of an interval:
-    ``{"values": {column: [text, ...]}, "truth": [...], "origin": [...]}``,
-    with truth 1 for attack, 0 for normal and -1 for unlabeled. Records are
-    never changed or deleted. Readers hold no state in the store:
-    ``partition(node)`` returns the whole stream every time, which is also
-    how a run is audited afterwards.
+    ``{"values": {column: values}, "truth": [...], "origin": [...]}``, with
+    truth 1 for attack, 0 for normal and -1 for unlabeled. A column is a
+    float64 array when every chunk gave it as one (a numeric column of a
+    :class:`~netanom.ingest.FlowBatch`), else a list of the chunks' values.
+    Records are never changed or deleted. Readers hold no state in the
+    store: ``partition(node)`` returns the whole stream every time, which is
+    also how a run is audited afterwards.
     """
 
     def __init__(self, columns: Iterable[str]):
         self.columns = tuple(columns)
+        # Per node, each column as the parts the chunks gave, joined into
+        # one on the first read after an append.
         self._streams: dict[str, dict] = {}
 
     def extend(self, chunk: dict, nodes: Sequence[str]) -> None:
@@ -107,8 +115,9 @@ class SharedStore:
                 stream = self._streams[node] = self._empty()
             # itemgetter returns a bare item, not a 1-tuple, for one index.
             take = itemgetter(*rows) if len(rows) > 1 else lambda seq: (seq[rows[0]],)
-            for name, texts in stream["values"].items():
-                texts.extend(take(chunk["values"][name]))
+            for name, parts in stream["values"].items():
+                column = chunk["values"][name]
+                parts.append(column[np.array(rows)] if isinstance(column, np.ndarray) else list(take(column)))
             stream["truth"].extend(take(chunk["truth"]))
             stream["origin"].extend(take(chunk["origin"]))
 
@@ -121,10 +130,27 @@ class SharedStore:
     def partition(self, node: str) -> dict:
         """Full view of one node's stream, in sequence order. The stream is
         the store's own: readers must not change it."""
-        return self._streams[node] if node in self._streams else self._empty()
+        stream = self._streams.get(node)
+        if stream is None:
+            return self._empty()
+        for parts in stream["values"].values():
+            if len(parts) > 1:
+                parts[:] = [_join(parts)]
+        return {
+            "values": {name: parts[0] for name, parts in stream["values"].items()},
+            "truth": stream["truth"],
+            "origin": stream["origin"],
+        }
 
     def __len__(self) -> int:
         return sum(len(s["truth"]) for s in self._streams.values())
+
+
+def _join(parts: list) -> np.ndarray | list:
+    """One column from its parts: an array if every part is one, else a list."""
+    if all(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate(parts)
+    return [value for part in parts for value in (part.tolist() if isinstance(part, np.ndarray) else part)]
 
 
 @dataclass(frozen=True)
@@ -353,8 +379,8 @@ def _slice(interval: dict, start: int, stop: int) -> dict:
 
 def _intervals(stream: dict, preprocess: PreprocessModel, size: int) -> Iterator[dict]:
     """A node's stream cut into intervals of ``size`` records. An interval
-    holds only what a node reads: ``values``, the field texts of the columns
-    ``preprocess`` reads (``{column: [text per record]}``), and the records'
+    holds only what a node reads: ``values``, the columns ``preprocess``
+    reads (``{column: values}``, as the store holds them), and the records'
     ``truth`` and ``origin`` lists, all in stream order."""
     modeled = {
         "values": {name: stream["values"][name] for name in preprocess.columns},
@@ -393,7 +419,8 @@ def _classify_intervals(
 
 
 def _encode_frame(obj: dict) -> bytes:
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    # A float64 column goes out as a list of its floats.
+    data = json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist).encode("utf-8")
     return struct.pack(">I", len(data)) + data
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decision import DetectionConfig, NormalProfile, classify_scores
+from .decision import DetectionConfig, NormalProfile
 
 REPORT_FORMAT_VERSION = 1
 
@@ -108,17 +108,36 @@ def sweep(
     w_grid: Sequence[float],
 ) -> list[MetricsReport]:
     """One report per w over precomputed scores. The verdict depends on w
-    only through the band edges, so the scores are re-thresholded, never
-    recomputed."""
+    only through the band edges, so the scores are never recomputed: each
+    class's scores are sorted once, and the records flagged at a w are
+    counted by binary search at its edges (Fawcett 2006, "An introduction
+    to ROC analysis", Algorithm 1). The counts are those of
+    :func:`~netanom.decision.classify_scores` and :func:`confusion` at each
+    w; a NaN score or band edge compares false, as it does there."""
     if len(w_grid) == 0:
         raise EvaluationError("w_grid must be non-empty")
     if any(w < 0 for w in w_grid):
         raise EvaluationError("w values must be non-negative")
-    reports = []
-    for w in w_grid:
-        flagged = classify_scores(scores, profile, DetectionConfig(w, enforce_range=False))
-        reports.append(metrics(confusion(flagged.astype(int), truths), w=w))
-    return reports
+    bands = np.array([profile.band(DetectionConfig(w, enforce_range=False)) for w in w_grid])
+    s = np.asarray(scores, dtype=np.float64)
+    none_flagged = confusion(np.zeros(s.shape, dtype=int), truths)  # checks the truths once
+    is_attack = np.asarray(truths).astype(bool)
+    fps, tps = (_flagged(np.sort(s[is_attack == attack]), bands).tolist() for attack in (False, True))
+    return [
+        metrics(ConfusionCounts(tp=tp, tn=none_flagged.tn - fp, fp=fp, fn=none_flagged.fn - tp), w=w)
+        for w, fp, tp in zip(w_grid, fps, tps)
+    ]
+
+
+def _flagged(ordered: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """Per ``(lo, hi)`` row of ``bands``, how many of the sorted scores
+    ``ordered`` fall strictly outside the band, as ``s < lo or s > hi``
+    counts them."""
+    ordered = ordered[~np.isnan(ordered)]  # sorted last, never flagged
+    lo, hi = bands[:, 0], bands[:, 1]
+    below = np.where(np.isnan(lo), 0, np.searchsorted(ordered, lo, side="left"))
+    above = len(ordered) - np.searchsorted(ordered, hi, side="right")  # a NaN edge sorts past every score
+    return below + above
 
 
 def report_to_doc(report: MetricsReport) -> dict:

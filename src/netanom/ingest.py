@@ -1,9 +1,15 @@
 """Flow-record ingestion: feature schemas, CSV parsing, and seeded sampling.
 
 A :class:`FeatureSchema` describes the column layout of a flow CSV. A capture
-is read either whole, as a list of :class:`FlowRecord`, or as a stream of
-:class:`FlowBatch` that holds only the requested columns. Field texts stay
-text; all numeric interpretation happens later, in the preprocessing stage.
+is read either whole, as a list of :class:`FlowRecord` holding field texts,
+or as a stream of :class:`FlowBatch` that holds only the requested columns:
+numeric columns as float64 arrays, the others as field texts.
+
+Batches are read at C speed by ``np.loadtxt`` when their lines are plain:
+no quote, carriage return or blank line, and the schema's width on every
+line. Any other batch, or one ``np.loadtxt`` rejects, is re-read by the
+``csv`` module, which also decides every error message and row number, so
+the two readers never disagree on what a batch holds.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import os
 from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -134,12 +140,16 @@ BATCH_ROWS = 8192
 class FlowBatch:
     """Consecutive data rows of one file, held as columns.
 
-    ``columns`` maps each requested column name to the rows' field texts.
-    ``truth`` is an int8 array: 1 for attack, 0 for normal, -1 for an empty
-    label field. ``rows`` holds the 1-based data-row numbers.
+    ``columns`` maps each requested column name to the rows' values. A
+    numeric column is a float64 array when every field parses as a finite
+    float, with the bits ``np.asarray(texts, np.float64)`` gives; otherwise,
+    and for every other column kind, it is the list of field texts, so a
+    bad value can still be named. ``truth`` is an int8 array: 1 for attack,
+    0 for normal, -1 for an empty label field. ``rows`` holds the 1-based
+    data-row numbers.
     """
 
-    columns: dict[str, list[str]]
+    columns: dict[str, np.ndarray | list[str]]
     truth: np.ndarray
     file_id: str
     rows: np.ndarray
@@ -294,35 +304,102 @@ def _open_text(source):
         raise IngestError(f"unsupported source type: {type(source)!r}")
 
 
-def _read_rows(stream, schema: FeatureSchema, fid: str, project) -> Iterator[tuple[int, int, tuple]]:
-    """Yield ``(row number, truth, project(fields))`` for each data row of a
-    flow CSV text stream, in file order.
+def _truth_of(label: str, positive: str) -> int:
+    """-1 for an empty label field, 1 for the positive value, else 0."""
+    label = label.strip()
+    return -1 if label == "" else 1 if label == positive else 0
 
-    A first row that matches the schema's column names is a header and is
-    skipped, as are blank lines. Rows are numbered from 1, counting data
-    rows only. A row of the wrong width raises :class:`ParseError`. Truth is
-    -1 for an empty label field, 1 for the schema's positive value and 0 for
-    anything else.
+
+def _read_rows(
+    lines, schema: FeatureSchema, fid: str, project, *, row_no: int = 0, header: bool = True
+) -> Iterator[tuple[int, int, tuple]]:
+    """Yield ``(row number, truth, project(fields))`` for each data row of
+    flow CSV text given as an iterable of lines, in file order.
+
+    While ``header`` holds, the first row that is not blank may be a header:
+    it is skipped if it matches the schema's column names. Blank lines are
+    skipped. Rows are numbered from ``row_no + 1``, counting data rows only.
+    A row of the wrong width raises :class:`ParseError`. Truth is -1 for an
+    empty label field, 1 for the schema's positive value and 0 for anything
+    else.
     """
     label_idx = schema.label_index
     positive = schema.positive_label_value
     width = schema.width
-    lowered_names = [n.lower() for n in schema.names]
-    row_no = 0
-    first = True
-    for fields in csv.reader(stream):
+    for fields in csv.reader(lines):
         if not fields:
             continue  # blank line
-        if first:
-            first = False
-            if [f.strip().lstrip("\ufeff").lower() for f in fields] == lowered_names:
-                continue  # header row
+        if header:
+            header = False
+            if _is_header(fields, schema):
+                continue
         row_no += 1
         if len(fields) != width:
             raise ParseError(fid, row_no, f"expected {width} fields, got {len(fields)}")
-        raw_label = fields[label_idx].strip()
-        truth = -1 if raw_label == "" else 1 if raw_label == positive else 0
-        yield row_no, truth, project(fields)
+        yield row_no, _truth_of(fields[label_idx], positive), project(fields)
+
+
+def _is_header(fields: Sequence[str], schema: FeatureSchema) -> bool:
+    return [f.strip().lstrip("\ufeff").lower() for f in fields] == [n.lower() for n in schema.names]
+
+
+#: Characters that send a batch to the csv reader: the quote and carriage
+#: return, and the separators \x1c-\x1f, which ``np.loadtxt`` skips around
+#: a number as whitespace while ``float`` rejects them.
+_CSV_ONLY = '"\r\x1c\x1d\x1e\x1f'
+
+
+class _LineBatches:
+    """A flow CSV text stream cut into batches of :data:`BATCH_ROWS` data
+    rows, with the header, row numbering and label rules of
+    :func:`_read_rows`.
+
+    :meth:`take` returns the raw lines of the next batch, without the
+    header. When :meth:`is_plain` holds for them, each line is one data row
+    of the schema's width whose fields are the text between its commas, and
+    :meth:`plain_rows` numbers them. Any batch may instead be re-read by
+    :meth:`reread`, which reads on into the stream where a quoted field
+    spans lines or blank lines are skipped, so that every batch but the
+    last holds :data:`BATCH_ROWS` data rows whichever way it is read.
+    """
+
+    def __init__(self, stream, schema: FeatureSchema, fid: str):
+        self.schema = schema
+        self.fid = fid
+        self._lines = iter(stream)
+        self._row_no = 0  # data rows before the next batch
+        self._header = True  # the first non-blank row is still to come
+
+    def take(self) -> list[str]:
+        lines = list(islice(self._lines, BATCH_ROWS))
+        if self._header and lines and lines[0] != "\n" and not any(c in lines[0] for c in _CSV_ONLY):
+            self._header = False
+            if _is_header(lines[0].rstrip("\n").split(","), self.schema):
+                lines = lines[1:] + list(islice(self._lines, 1))
+        return lines
+
+    def is_plain(self, lines: list[str]) -> bool:
+        text = "".join(lines)  # dropped before anything is parsed
+        if any(c in text for c in _CSV_ONLY):
+            return False
+        del text
+        return "\n" not in lines and set(map(str.count, lines, repeat(","))) == {self.schema.width - 1}
+
+    def plain_rows(self, n: int) -> np.ndarray:
+        """Row numbers of the ``n`` lines of a plain batch."""
+        rows = np.arange(self._row_no + 1, self._row_no + n + 1, dtype=np.int64)
+        self._row_no += n
+        return rows
+
+    def reread(self, lines: list[str], project) -> Iterator[tuple[int, int, tuple]]:
+        """:func:`_read_rows` over the batch that starts at ``lines``."""
+        rows = _read_rows(
+            chain(lines, self._lines), self.schema, self.fid, project, row_no=self._row_no, header=self._header
+        )
+        self._header = False
+        for row in islice(rows, BATCH_ROWS):
+            self._row_no = row[0]
+            yield row
 
 
 def parse_flow_csv(
@@ -349,40 +426,105 @@ def parse_flow_csv(
         ]
 
 
-def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
+def iter_flow_batches(
+    source, schema: FeatureSchema, columns: Sequence[str], *, keep_text: Iterable[str] = ()
+) -> Iterator[FlowBatch]:
     """Read a flow CSV as batches of up to :data:`BATCH_ROWS` rows, in file
     order, each holding only ``columns``.
 
     ``source`` is what :func:`parse_flow_csv` takes, and the header, row
-    numbering and label rules are the same. Each row is cut down to
-    ``columns`` as it is read, so no full row outlives its line. A malformed
-    row raises :class:`ParseError` after the batches before it are yielded.
+    numbering and label rules are the same. Numeric columns are read as
+    float64 (see :class:`FlowBatch`), except those named in ``keep_text``.
+    A plain batch is parsed by ``np.loadtxt``; any other batch, or one with
+    a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
+    ``csv`` module, a row at a time, and each row is cut down to
+    ``columns`` as it is read. A malformed row raises :class:`ParseError`
+    after the batches before it are yielded.
     """
-    names = tuple(columns)
+    names = tuple(dict.fromkeys(columns))  # a name asked for twice is read once
     index = [schema.index_of(name) for name in names]
+    positions = dict(zip(names, index))
+    floats = {name for name in names if schema.kind_of(name) == "numeric"}.difference(keep_text)
     # itemgetter returns a bare field, not a 1-tuple, for a single index.
     project = itemgetter(*index) if len(index) > 1 else lambda fields: tuple(fields[i] for i in index)
+    # One structured loadtxt read per plain batch: the requested columns and
+    # the label, named by column index.
+    dtype = np.dtype(
+        [(str(i), np.float64 if schema.columns[i].name in floats else object) for i in sorted({*index, schema.label_index})]
+    )
     with _open_text(source) as (stream, fid):
-        rows = _read_rows(stream, schema, fid, project)
-        while True:
-            # Appending field by field leaves no per-row object alive past
-            # its line, so the read allocates nothing for cyclic GC to scan.
-            row_nos, truths = [], []
-            texts = {name: [] for name in names}
-            appends = [column.append for column in texts.values()]
-            for row_no, truth, projected in islice(rows, BATCH_ROWS):
-                row_nos.append(row_no)
-                truths.append(truth)
-                for append, text in zip(appends, projected):
-                    append(text)
-            if not row_nos:
+        batches = _LineBatches(stream, schema, fid)
+        while lines := batches.take():
+            batch = _plain_batch(lines, batches, positions, dtype) if batches.is_plain(lines) else None
+            if batch is None:
+                batch = _csv_batch(batches.reread(lines, project), names, floats, fid)
+            del lines
+            if batch is None:
                 return
-            yield FlowBatch(
-                columns=texts,
-                truth=np.array(truths, dtype=np.int8),
-                file_id=fid,
-                rows=np.array(row_nos, dtype=np.int64),
-            )
+            yield batch
+
+
+def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int], dtype: np.dtype) -> FlowBatch | None:
+    """The batch of a plain run of lines, read by ``np.loadtxt`` as the
+    fields of ``dtype``: float64 ones as arrays, object ones as field
+    texts. None when a float field holds a value ``np.loadtxt`` rejects or
+    reads as non-finite."""
+    try:
+        table = np.loadtxt(
+            lines, delimiter=",", usecols=[int(i) for i in dtype.names], dtype=dtype, comments=None, quotechar=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    columns = {}
+    for name, i in index.items():
+        if dtype[str(i)] == np.float64:
+            values = np.ascontiguousarray(table[str(i)])
+            if not np.isfinite(values).all():
+                return None
+            columns[name] = values
+        else:
+            columns[name] = table[str(i)].tolist()
+    labels = table[str(batches.schema.label_index)].tolist()
+    truth_of = {label: _truth_of(label, batches.schema.positive_label_value) for label in set(labels)}
+    return FlowBatch(
+        columns=columns,
+        truth=np.fromiter(map(truth_of.__getitem__, labels), dtype=np.int8, count=len(labels)),
+        file_id=batches.fid,
+        rows=batches.plain_rows(len(lines)),
+    )
+
+
+def _csv_batch(rows: Iterable[tuple[int, int, tuple]], names: Sequence[str], floats: set[str], fid: str) -> FlowBatch | None:
+    """The batch of ``rows`` from :meth:`_LineBatches.reread`, or None when
+    there are none. Numeric ``floats`` columns become float64 arrays where
+    :func:`_floats_or_texts` can convert them."""
+    # Appending field by field leaves no per-row object alive past its
+    # line, so the read allocates nothing for cyclic GC to scan.
+    row_nos, truths = [], []
+    texts = {name: [] for name in names}
+    appends = [column.append for column in texts.values()]
+    for row_no, truth, projected in rows:
+        row_nos.append(row_no)
+        truths.append(truth)
+        for append, text in zip(appends, projected):
+            append(text)
+    if not row_nos:
+        return None
+    return FlowBatch(
+        columns={name: _floats_or_texts(column) if name in floats else column for name, column in texts.items()},
+        truth=np.array(truths, dtype=np.int8),
+        file_id=fid,
+        rows=np.array(row_nos, dtype=np.int64),
+    )
+
+
+def _floats_or_texts(texts: list[str]) -> np.ndarray | list[str]:
+    """``texts`` as float64, or as they are if any is not a finite float."""
+    try:
+        values = np.asarray(texts, dtype=np.float64)
+    except ValueError:
+        return texts
+    return values if np.isfinite(values).all() else texts
 
 
 def parse_flow_csvs(paths: Iterable, schema: FeatureSchema) -> list[FlowRecord]:
@@ -481,23 +623,38 @@ def copy_rows(paths: Sequence, schema: FeatureSchema, picks: Sequence[tuple[obje
     data rows of ``paths`` at ``indices``, in file order.
 
     Rows are indexed from 0 across the files in order, as a concatenation of
-    their :attr:`FlowBatch.truth` arrays is. Each file is read a row at a
+    their :attr:`FlowBatch.truth` arrays is. Each file is read a batch at a
     time, and the output bytes are those :func:`write_flow_csv` writes for
-    the same rows.
+    the same rows: a row of a plain batch is copied as its input line,
+    which ``csv.writer`` would write unchanged, and any other row is
+    written by ``csv.writer``.
     """
     owner = np.full(max((int(ids.max()) + 1 for _, ids in picks if ids.size), default=0), -1, dtype=np.int8)
     for k, (_, ids) in enumerate(picks):
         owner[ids] = k
     with ExitStack() as stack:
-        writers = []
+        streams, writers = [], []
         for dest, _ in picks:
             stream = stack.enter_context(Path(dest).open("w", encoding="utf-8", newline=""))
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(schema.names)
+            streams.append(stream)
             writers.append(writer.writerow)
-        owners = iter(owner.tolist())
+        start = 0  # index of the next row
         for path in paths:
             with _open_text(Path(path)) as (stream, fid):
-                for (_, _, fields), k in zip(_read_rows(stream, schema, fid, lambda fields: fields), owners):
-                    if k >= 0:
-                        writers[k](fields)
+                batches = _LineBatches(stream, schema, fid)
+                while start < owner.size and (lines := batches.take()):
+                    if batches.is_plain(lines):
+                        batches.plain_rows(len(lines))  # numbers the rows a later reread reports
+                        if not lines[-1].endswith("\n"):
+                            lines[-1] += "\n"
+                        owners = owner[start : start + len(lines)]
+                        for k, out in enumerate(streams):
+                            out.writelines([lines[i] for i in np.flatnonzero(owners == k).tolist()])
+                        start += len(lines)
+                    else:
+                        for _, _, fields in batches.reread(lines, lambda fields: fields):
+                            if start < owner.size and owner[start] >= 0:
+                                writers[owner[start]](fields)
+                            start += 1

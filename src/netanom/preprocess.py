@@ -184,7 +184,9 @@ class PreprocessModel:
         """Preprocess N records given as columns into an (N, d) matrix.
 
         ``columns`` maps each name in :attr:`columns` to the records' field
-        texts (other names are ignored); ``origins`` holds each record's
+        texts, or for a numeric column also their float64 values, as a
+        :class:`~netanom.ingest.FlowBatch` holds them (other names are
+        ignored); ``origins`` holds each record's
         (file id, row number), which an error about a bad value names. A
         missing column, or one without a text per record, raises
         :class:`PreprocessError`.
@@ -296,7 +298,7 @@ def _encode_columns(
             out[:, j] = [table.get(text, UNSEEN_CODE) for text in texts]
         elif kind == "numeric":
             try:
-                values = np.asarray(texts, dtype=np.float64)
+                values = np.asarray(texts, dtype=np.float64)  # a float64 array as it is
             except ValueError:
                 for text, origin in zip(texts, origins):
                     try:
@@ -309,8 +311,10 @@ def _encode_columns(
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 origin = origins[bad[0]]
+                text = texts[bad[0]]
                 raise PreprocessError(
-                    f"column {name!r}: non-finite value {texts[bad[0]]!r} in {origin[0]} row {origin[1]}"
+                    f"column {name!r}: non-finite value {text if isinstance(text, str) else float(text)!r} "
+                    f"in {origin[0]} row {origin[1]}"
                 )
             out[:, j] = values
         else:

@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -327,6 +328,8 @@ class TestEvaluateAndRoc:
         assert roc_doc["points"][0]["counts"] == {
             "tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn,
         }
+        manifest = json.loads((tmp_path / "verdicts.manifest.json").read_text())
+        assert (manifest["records"], manifest["flagged"]) == (len(rows), counts.tp + counts.fp)
 
     def test_roc_grid_rows(self, workspace, tmp_path):
         assert main([
@@ -696,6 +699,23 @@ def _simulate_args(workspace, capture, config, out):
             "--test", str(capture), "--out", str(out)]
 
 
+def _float_store(records, cfg, pp):
+    """The store ``replay`` builds from ``records``, its numeric columns
+    converted to float64 as ``np.asarray`` converts their texts."""
+    from netanom.collab import replay_chunks
+
+    schema = pp.schema
+    chunk = {
+        "values": {
+            name: np.asarray(texts, dtype=np.float64) if schema.kind_of(name) == "numeric" and name != cfg.hash_column else list(texts)
+            for name, texts in zip(schema.names, zip(*(r.values for r in records)))
+        },
+        "truth": [-1 if r.truth is None else r.truth for r in records],
+        "origin": [r.origin for r in records],
+    }
+    return replay_chunks([chunk], schema.names, cfg)
+
+
 class TestStreamedSimulate:
     """simulate fills its store from FlowBatches, not from parsed records."""
 
@@ -705,7 +725,7 @@ class TestStreamedSimulate:
     @given(data=st.data())
     def test_reports_do_not_depend_on_the_batch_size(self, workspace, assignment, transport, data):
         from netanom._docjson import pretty_dumps
-        from netanom.collab import replay, run_simulation, simconfig_from_doc
+        from netanom.collab import run_simulation, simconfig_from_doc
         from netanom.decision import load_profile_file
         from netanom.evaluation import render_table, report_to_doc
         from netanom.ingest import parse_flow_csv
@@ -727,9 +747,10 @@ class TestStreamedSimulate:
             config = tmp / "sim.json"
             config.write_text(json.dumps(doc))
 
-            # Reference: the whole file as records, replayed as one chunk.
+            # Reference: the whole file as records, replayed as one chunk,
+            # with the numeric columns as float64, as batches carry them.
             cfg = simconfig_from_doc(doc)
-            outcome = run_simulation(replay(parse_flow_csv(capture, pp.schema), cfg, pp.schema), profile, pp, cfg)
+            outcome = run_simulation(_float_store(parse_flow_csv(capture, pp.schema), cfg, pp), profile, pp, cfg)
             expected = {f"node_{node}.json": pretty_dumps(report_to_doc(r)) for node, r in outcome.per_node_reports.items()}
             expected["aggregate.json"] = pretty_dumps(report_to_doc(outcome.aggregate_report))
             expected["aggregate.txt"] = render_table([outcome.aggregate_report])
@@ -837,6 +858,33 @@ class TestSimulate:
         parts = [json.loads((out / f"node_{n}.json").read_text())["counts"] for n in "ABC"]
         for key in ("tp", "tn", "fp", "fn"):
             assert agg["counts"][key] == sum(p[key] for p in parts)
+
+    @pytest.mark.parametrize("hash_column", ["dsport", "smean"], ids=["numeric", "numeric-and-modeled"])
+    def test_numeric_hash_column_hashes_field_texts(self, workspace, tmp_path, hash_column):
+        """A numeric source column is hashed by its field texts, as a replay
+        of parsed records hashes it, also when the model reads it."""
+        from netanom._docjson import pretty_dumps
+        from netanom.collab import load_simconfig, replay, run_simulation
+        from netanom.decision import load_profile_file
+        from netanom.evaluation import report_to_doc
+        from netanom.ingest import parse_flow_csv
+        from netanom.preprocess import load_preprocess
+
+        cfg = self._write_cfg(tmp_path / "sim.json", assignment="hash-of-source", hash_column=hash_column)
+        out = tmp_path / "simout"
+        test = workspace / "split" / "test.csv"
+        assert main([
+            "simulate", "--config", str(cfg), "--profile", str(workspace / "profile.json"),
+            "--test", str(test), "--out", str(out),
+        ]) == 0
+        pp = load_preprocess(workspace / "profile.preprocess.json")
+        sim = load_simconfig(cfg)
+        reference = run_simulation(
+            replay(parse_flow_csv(test, pp.schema), sim, pp.schema), load_profile_file(workspace / "profile.json"), pp, sim
+        )
+        assert len(reference.per_node_reports) == 3
+        for node, report in reference.per_node_reports.items():
+            assert (out / f"node_{node}.json").read_text() == pretty_dumps(report_to_doc(report))
 
     def test_single_node_matches_evaluate(self, workspace, tmp_path):
         cfg = self._write_cfg(tmp_path / "sim1.json", nodes=["solo"])

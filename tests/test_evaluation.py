@@ -1,5 +1,8 @@
+import dataclasses
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from netanom.decision import DetectionConfig, classify_scores
 from netanom.evaluation import (
@@ -156,6 +159,41 @@ class TestRocSweep:
             assert (report.detection_rate, report.false_positive_rate, report.accuracy) == (
                 rep.detection_rate, rep.false_positive_rate, rep.accuracy,
             )
+
+    @settings(max_examples=300)
+    @given(
+        data=st.data(),
+        quartiles=st.sampled_from([(-2.0, -2.0), (-2.0, -1.5), (-1.5, 1.5), (0.0, 3.0), (float("-inf"), 1.0)]),
+        grid=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=8),
+    )
+    def test_sorted_sweep_counts_what_classify_and_confusion_count(self, fitted, data, quartiles, grid):
+        """The sweep's counts at each w are those of classify_scores and
+        confusion at that w: with duplicated scores, scores exactly on a band
+        edge, -inf, NaN, w=0, a NaN band edge (0 * inf) and a class with no
+        records."""
+        lower, upper = quartiles
+        profile = dataclasses.replace(fitted[1], lower=lower, upper=upper, iqr=upper - lower)
+        edges = [edge for w in grid for edge in profile.band(DetectionConfig(w, enforce_range=False))]
+        pool = st.one_of(
+            st.sampled_from([e for e in edges if np.isfinite(e)] or [0.0]),
+            st.sampled_from([float("-inf"), float("inf"), float("nan"), -100.0, 0.25, 100.0]),
+            st.floats(-10, 10),
+        )
+        scores = np.array(data.draw(st.lists(pool, min_size=1, max_size=40)))
+        truths = data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+        reports = sweep(scores, truths, profile, grid)
+        for w, report in zip(grid, reports):
+            flagged = classify_scores(scores, profile, DetectionConfig(w, enforce_range=False))
+            assert report == metrics(confusion(flagged.astype(int), truths), w=w)
+
+    def test_sweep_checks_the_truths(self, fitted):
+        _, profile = fitted
+        with pytest.raises(EvaluationError, match="truths must be binary"):
+            sweep(np.zeros(3), [0, 2, 1], profile, [1.5, 2.0])
+        with pytest.raises(EvaluationError, match="shape mismatch"):
+            sweep(np.zeros(3), [0, 1], profile, [1.5])
+        with pytest.raises(EvaluationError, match="empty"):
+            sweep(np.zeros(0), [], profile, [1.5])
 
     def test_empty_grid_rejected(self, fitted, labeled_test_set):
         _, profile = fitted

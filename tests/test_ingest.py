@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tracemalloc
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netanom import ingest
 from netanom.ingest import (
@@ -206,7 +207,12 @@ class TestBatches:
         assert all(b.file_id == "<memory>" and b.truth.dtype == np.int8 for b in batches)
         for name in columns:
             expected = [r.values[TINY.index_of(name)] for r in parsed]
-            assert [t for b in batches for t in b.columns[name]] == expected
+            got = [b.columns[name] for b in batches]
+            if TINY.kind_of(name) == "numeric":  # every generated value is an integer text
+                assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in got)
+                assert np.concatenate([np.empty(0), *got]).tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
+            else:
+                assert [t for c in got for t in c] == expected
         assert [t for b in batches for t in b.truth.tolist()] == [-1 if r.truth is None else r.truth for r in parsed]
         assert [o for b in batches for o in b.origins()] == [r.origin for r in parsed]
 
@@ -214,7 +220,9 @@ class TestBatches:
         monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
         text = "tcp,1,0\ntcp,2,0\ntcp,3,1\nudp\n"
         batches = iter_flow_batches(io.BytesIO(text.encode()), TINY, ("bytes",))
-        assert next(batches).columns == {"bytes": ["1", "2"]}
+        first = next(batches).columns
+        assert list(first) == ["bytes"] and first["bytes"].dtype == np.float64
+        assert first["bytes"].tolist() == [1.0, 2.0]
         with pytest.raises(ParseError) as err:
             next(batches)
         assert (err.value.file_id, err.value.row) == ("<memory>", 4)
@@ -227,6 +235,12 @@ class TestBatches:
         first = next(batches)
         assert (first.file_id, first.rows.tolist(), first.truth.tolist()) == ("flows.csv", [1], [1])
         batches.close()  # closes the file; a leak fails the suite as a ResourceWarning
+
+    @pytest.mark.parametrize("text", ["tcp,1,0\n", '"tcp",1,0\n'], ids=["plain", "quoted"])
+    def test_a_column_asked_for_twice_is_read_once(self, text):
+        (batch,) = iter_flow_batches(io.StringIO(text), TINY, ("proto", "proto", "bytes"))
+        assert list(batch.columns) == ["proto", "bytes"]
+        assert batch.columns["proto"] == ["tcp"] and batch.columns["bytes"].tolist() == [1.0]
 
     def test_unknown_column_rejected(self):
         with pytest.raises(SchemaError, match="nope"):
@@ -263,6 +277,193 @@ class TestBatches:
                 assert batch.truth.tolist() == reference.truth.tolist()
             assert not binary.closed and not text.closed
             assert binary.readline() and text.readline()
+
+
+WIDE = FeatureSchema(
+    columns=(
+        ColumnSpec("proto", "categorical"),
+        ColumnSpec("bytes", "numeric"),
+        ColumnSpec("rate", "numeric"),
+        ColumnSpec("label", "label"),
+        ColumnSpec("note", "meta"),  # after the label, so no read needs the last column
+    ),
+    label_column="label",
+    positive_label_value="1",
+)
+
+# Field texts on which np.loadtxt, float() and the csv module are known to
+# differ, or which a careless fast reader would mangle.
+_TRICKY_FIELDS = [
+    "0", "1", "+1", "-0", "1.5", ".5", "1e3", "1_0", "nan", "inf", "-inf", "1e999", "\u0663", "\u0661\u0662",
+    "\uff11", " 2", "2 ", "\t3", "#4", "\ufeff5", "\x1c6", "7\x1f", "", " ", "tcp", "udp", "a" * 40,
+    "\u00e9" * 33, "0x1", '"q,uoted"', '"two\nlines"', 'x"y', "1\x00", "\x85", "label",
+]
+_FIELD = st.one_of(st.sampled_from(_TRICKY_FIELDS), st.text(alphabet='ab1.e+-_# "\t\ufeff\x1c\u0663', max_size=8))
+_PLAIN_FIELD = st.one_of(
+    st.sampled_from([f for f in _TRICKY_FIELDS if not set(f) & set('",\r\n')]),
+    st.text(alphabet="ab1.e+-_# \t\ufeff\x1c\u0663", max_size=8),
+)
+
+
+def _joined(fields, end="\n"):
+    return ",".join(fields) + end
+
+
+# Lines with no quote, no carriage return and five fields: what a plain
+# batch is made of, with field texts a fast reader could misread.
+_PLAIN_LINE = st.lists(_PLAIN_FIELD, min_size=5, max_size=5).map(_joined)
+# Runs of lines that must not be read as plain.
+_ODD_LINES = st.one_of(
+    st.just(["\n"]),
+    # A short and a long line hold as many commas as two good ones.
+    st.tuples(st.lists(_PLAIN_FIELD, min_size=4, max_size=4), st.lists(_PLAIN_FIELD, min_size=6, max_size=6)).map(
+        lambda pair: [_joined(pair[0]), _joined(pair[1])]
+    ),
+    st.just(["proto,bytes,rate,label,note\n"]),  # the header again, as a data row
+    st.tuples(st.lists(_FIELD, min_size=0, max_size=8), st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda line: [_joined(*line)]
+    ),
+)
+
+
+@st.composite
+def _captures(draw):
+    """A flow CSV text: plain lines with a few odd runs put in."""
+    lines = draw(st.lists(_PLAIN_LINE, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(_ODD_LINES)
+    header = draw(st.sampled_from(["", "proto,bytes,rate,label,note\n", "\ufeffPROTO, bytes,rate,label,note\n", "\n"]))
+    text = header + "".join(lines)
+    return text if draw(st.booleans()) else text.removesuffix("\n")
+
+
+def _converted(texts, numeric):
+    """Field texts converted as a FlowBatch carries them: a numeric column
+    as float64 when np.asarray reads every text as a finite float."""
+    if numeric:
+        try:
+            values = np.asarray(texts, dtype=np.float64)
+        except ValueError:
+            return texts
+        if np.isfinite(values).all():
+            return values
+    return texts
+
+
+def _same_column(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return list(a) == list(b)
+
+
+def _read_batches(text, columns, keep_text):
+    batches, error = [], None
+    try:
+        for batch in iter_flow_batches(io.StringIO(text, newline=""), WIDE, columns, keep_text=keep_text):
+            batches.append(batch)
+    except ParseError as exc:
+        error = str(exc)
+    return batches, error
+
+
+class TestPlainReader:
+    """Batches read by np.loadtxt equal what the csv reader reads."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_captures(),
+        batch_rows=st.sampled_from([1, 2, 3, 8192]),
+        columns=st.sampled_from([(), ("bytes",), ("rate", "proto"), ("proto", "bytes", "rate", "label")]),
+        keep_text=st.sampled_from([(), ("bytes",)]),
+    )
+    # The known traps, each tried on every run.
+    @example(text="tcp,1,2,0\nudp,1,2,0,n,x\n", batch_rows=8192, columns=("bytes",), keep_text=())  # ragged
+    @example(text="tcp,\x1c6,2,0,n\n", batch_rows=8192, columns=("bytes",), keep_text=())  # float() rejects
+    @example(text="tcp,1_0,\u0663,0,n\n", batch_rows=8192, columns=("bytes", "rate"), keep_text=())  # loadtxt rejects
+    @example(text="tcp,1,nan,0,n\nudp,2,1e999,1,n\n", batch_rows=1, columns=("rate",), keep_text=())  # non-finite
+    @example(text="tcp,1,2,0,n\r\nudp,2,1,1,n\n", batch_rows=8192, columns=("proto",), keep_text=())
+    @example(text="\nproto,bytes,rate,label,note\ntcp,1,2,0,n\nproto,bytes,rate,label,note\n", batch_rows=1,
+             columns=("proto",), keep_text=())  # the header is decided once
+    def test_batches_equal_the_csv_reading(self, text, batch_rows, columns, keep_text):
+        with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+            got, error = _read_batches(text, columns, keep_text)
+            with mock.patch.object(ingest._LineBatches, "is_plain", lambda self, lines: False):
+                exact, exact_error = _read_batches(text, columns, keep_text)
+
+        # The oracle: _read_rows over the whole text, cut into batches.
+        rows, oracle_error = [], None
+        try:
+            rows.extend(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
+        except ParseError as exc:
+            oracle_error = str(exc)
+        cut = len(rows) if oracle_error is None else len(rows) - len(rows) % batch_rows
+        expected = [rows[i : i + batch_rows] for i in range(0, cut, batch_rows)]
+
+        assert error == exact_error == oracle_error
+        assert len(got) == len(exact) == len(expected)
+        for batch, other, want in zip(got, exact, expected):
+            assert batch.rows.tolist() == other.rows.tolist() == [row for row, _, _ in want]
+            assert batch.truth.tolist() == other.truth.tolist() == [truth for _, truth, _ in want]
+            assert list(batch.columns) == list(columns)
+            for name in columns:
+                numeric = WIDE.kind_of(name) == "numeric" and name not in keep_text
+                reference = _converted([fields[WIDE.index_of(name)] for _, _, fields in want], numeric)
+                assert _same_column(batch.columns[name], reference), name
+                assert _same_column(other.columns[name], reference), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_captures(), batch_rows=st.sampled_from([1, 3, 8192]), data=st.data())
+    def test_copy_rows_writes_what_csv_writer_writes(self, tmp_path_factory, text, batch_rows, data):
+        try:
+            rows = [fields for _, _, fields in ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", list)]
+        except ParseError:
+            return
+        picks = data.draw(st.lists(st.integers(-1, 1), min_size=len(rows), max_size=len(rows)))
+        tmp = tmp_path_factory.mktemp("copy")
+        source = tmp / "in.csv"
+        source.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+            ingest.copy_rows(
+                [source], WIDE, [(tmp / f"out{k}.csv", np.flatnonzero(np.array(picks, dtype=int) == k)) for k in (0, 1)]
+            )
+        for k in (0, 1):
+            want = io.StringIO()
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(WIDE.names)
+            writer.writerows(fields for fields, pick in zip(rows, picks) if pick == k)
+            assert (tmp / f"out{k}.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_synth_traffic_takes_the_plain_path(self, tmp_path, monkeypatch):
+        """A synth capture never needs the csv reader: reading every column,
+        and copying rows out of it, work with the csv reader made to fail."""
+        from netanom.synth import write_synthetic_csv
+
+        path = tmp_path / "capture.csv"
+        write_synthetic_csv(path, 3_000, seed=4)
+        schema = default_schema()
+        reference = parse_flow_csv(path, schema)
+
+        def refuse(self, lines, project):
+            raise AssertionError("a batch of synth traffic went to the csv reader")
+
+        monkeypatch.setattr(ingest._LineBatches, "reread", refuse)
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 1000)
+        batches = list(iter_flow_batches(path, schema, schema.names))
+        assert [len(b.rows) for b in batches] == [1000, 1000, 1000]
+        for name in schema.names:
+            numeric = schema.kind_of(name) == "numeric"
+            got = [b.columns[name] for b in batches]
+            texts = [r.values[schema.index_of(name)] for r in reference]
+            if numeric:
+                assert np.concatenate(got).tobytes() == np.asarray(texts, dtype=np.float64).tobytes(), name
+            else:
+                assert [t for c in got for t in c] == texts, name
+        picked = np.arange(0, 3_000, 7)
+        ingest.copy_rows([path], schema, [(tmp_path / "copy.csv", picked)])
+        buf = io.StringIO()
+        write_flow_csv([reference[i] for i in picked], schema, buf)
+        assert (tmp_path / "copy.csv").read_text(encoding="utf-8") == buf.getvalue()
 
 
 def _make_records(n_normal, n_attack):

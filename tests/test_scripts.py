@@ -47,6 +47,8 @@ def test_fixed_corpus_digests(tmp_path):
     assert not any("manifest" in path for path in digests)
     for name in ("aggregate.json", "aggregate.txt", "node_A.json", "node_B.json", "node_C.json"):
         assert digests[f"sim-in-process/{name}"] == digests[f"sim-loopback-socket/{name}"]
+    # A change that moves an output on purpose updates this file and says why.
+    assert lines == (Path(__file__).parent / "data" / "fixed_corpus_digests.txt").read_text().splitlines()
     # sample --size 4000 at the default fractions: 2600 normals, 60% of them for training.
     sample = json.loads((tmp_path / "fc" / "split" / "manifest.json").read_text())
     assert (sample["train_records"], sample["test_records"]) == (1560, 2440)
