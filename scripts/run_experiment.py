@@ -1,47 +1,58 @@
 #!/usr/bin/env python3
 """End-to-end detection experiment: sample, train, sweep w, report.
 
-Draws one or more seeded samples from a flow CSV (a synthetic corpus is
+Draws one or more seeded samples from flow CSVs (a synthetic corpus is
 generated when --input is omitted), trains a normal profile per sample,
 sweeps the band width w, and prints per-sample tables plus pooled/mean
-summaries across samples. Outputs (profiles, ROC data, reports) land in
---out.
+summaries across samples. Every step is a ``netanom`` command run through
+``netanom.cli.main``: ``synth``, then per sample ``sample``, ``train`` and
+``roc --w-grid 1.5:3:0.5``; the tables and summaries are rebuilt from the
+``roc`` JSON reports. Outputs (corpus, splits, profiles, ROC data, reports)
+land in --out.
 """
 
 import argparse
+import json
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from netanom import synth
 from netanom._docjson import pretty_dumps
-from netanom.decision import train_profile
-from netanom.evaluation import render_table, report_to_doc, roc_csv, summarize_reports, sweep
-from netanom.gmm import EmConfig
-from netanom.ingest import SamplePlan, default_schema, load_schema, parse_flow_csvs, stratified_sample
-from netanom.preprocess import fit_preprocess
+from netanom.cli import main as cli
+from netanom.evaluation import ConfusionCounts, metrics, render_table, summarize_reports
 
-W_GRID = [1.5, 2.0, 2.5, 3.0]
+W_GRID = "1.5:3:0.5"
 
 
-def run_one(records, schema, args, seed, out_dir):
-    plan = SamplePlan(args.size, args.normal_frac, args.train_frac, seed)
-    train, test = stratified_sample(records, plan)
-    pp = fit_preprocess(train, schema, args.features)
-    train_matrix = pp.apply_records(train)
-    k = train_matrix.shape[1] if args.components == "auto" else int(args.components)
-    profile = train_profile(
-        train_matrix, EmConfig(n_components=k, seed=seed), preprocess_digest=pp.digest()
-    )
-    scores = profile.score_matrix(pp.apply_records(test))
-    reports = sweep(scores, [r.truth for r in test], profile, W_GRID)
+def netanom(*argv) -> None:
+    """Run one command, its own output to stderr; stop if it fails."""
+    with redirect_stdout(sys.stderr):
+        code = cli([str(arg) for arg in argv])
+    if code != 0:
+        raise SystemExit(f"netanom {' '.join(map(str, argv))} exited {code}")
 
-    (out_dir / f"roc_seed{seed}.csv").write_text(roc_csv(reports), encoding="utf-8")
-    (out_dir / f"reports_seed{seed}.json").write_text(
-        pretty_dumps({"seed": seed, "points": [report_to_doc(r) for r in reports]})
-    )
-    return reports
+
+def read_reports(path: Path) -> list:
+    """The reports of a ``roc`` JSON file, rebuilt from their counts."""
+    points = json.loads(path.read_text(encoding="utf-8"))["points"]
+    return [metrics(ConfusionCounts(**p["counts"]), w=p["w"]) for p in points]
+
+
+def run_one(inputs, schema_args, args, seed, out_dir):
+    split = out_dir / f"split_seed{seed}"
+    profile = out_dir / f"profile_seed{seed}.json"
+    netanom(
+        "sample", "--input", *inputs, *schema_args, "--size", args.size, "--normal-frac", args.normal_frac,
+        "--train-frac", args.train_frac, "--seed", seed, "--out", split,
+    )  # fmt: skip
+    netanom(
+        "train", "--train", split / "train_normal.csv", *schema_args, "--features", args.features,
+        "--components", args.components, "--seed", seed, "--out", profile,
+    )  # fmt: skip
+    netanom("roc", "--profile", profile, "--test", split / "test.csv", "--w-grid", W_GRID, "--out", out_dir / f"roc_seed{seed}")
+    return read_reports(out_dir / f"roc_seed{seed}.json")
 
 
 def main() -> int:
@@ -63,42 +74,38 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.input:
-        schema = load_schema(Path(args.schema)) if args.schema else default_schema()
-        records = parse_flow_csvs(args.input, schema)
-        print(f"loaded {len(records)} records from {len(args.input)} file(s)")
+        inputs = args.input
+        schema_args = ["--schema", args.schema] if args.schema else []
+        print(f"sampling from {len(inputs)} file(s)")
     else:
-        schema = default_schema()
-        records = synth.generate_records(args.corpus_rows, seed=args.seed, attack_fraction=0.35)
-        print(f"synthesized {len(records)} records (seed={args.seed})")
+        inputs = [out_dir / "corpus.csv"]
+        schema_args = []
+        netanom("synth", "--rows", args.corpus_rows, "--seed", args.seed, "--attack-frac", 0.35, "--out", inputs[0])
+        print(f"synthesized {args.corpus_rows} records (seed={args.seed})")
 
     per_w_reports = []
     for i in range(args.samples):
         seed = args.seed + i
-        reports = run_one(records, schema, args, seed, out_dir)
+        reports = run_one(inputs, schema_args, args, seed, out_dir)
         per_w_reports.append(reports)
         print(f"\nsample seed={seed} ({args.size} records):")
         print(render_table(reports, include_reference=True))
 
     if args.samples > 1:
         print("\nacross samples (per w):")
-        for wi, w in enumerate(W_GRID):
+        summaries = {}
+        for wi, rep in enumerate(per_w_reports[0]):
             summary = summarize_reports([reports[wi] for reports in per_w_reports])
+            summaries[f"w={rep.w:g}"] = summary
             micro = summary["micro_pooled_records"]
             macro = summary["macro_mean_over_samples"]
             print(
-                f"  w={w:g}: micro(pooled) DR={micro['detection_rate']:.4f} "
+                f"  w={rep.w:g}: micro(pooled) DR={micro['detection_rate']:.4f} "
                 f"FPR={micro['false_positive_rate']:.4f} acc={micro['accuracy']:.4f} | "
                 f"macro(mean) DR={macro['detection_rate']:.4f} "
                 f"FPR={macro['false_positive_rate']:.4f} acc={macro['accuracy']:.4f}"
             )
-        (out_dir / "summary.json").write_text(
-            pretty_dumps(
-                {
-                    f"w={w:g}": summarize_reports([r[wi] for r in per_w_reports])
-                    for wi, w in enumerate(W_GRID)
-                }
-            )
-        )
+        (out_dir / "summary.json").write_text(pretty_dumps(summaries))
     print(f"\noutputs in {out_dir}/")
     return 0
 

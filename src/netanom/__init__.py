@@ -20,20 +20,16 @@ from .decision import (
     train_profile,
 )
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics, roc_csv, sweep
-from .gmm import EmConfig, FitReport, MixtureModel, fit_em, log_likelihood
+from .gmm import EmConfig, FitReport, MixtureModel, fit_em
 from .ingest import (
     FeatureSchema,
     FlowBatch,
-    FlowRecord,
     SamplePlan,
     default_schema,
     iter_flow_batches,
     load_schema,
-    parse_flow_csv,
-    stratified_sample,
-    write_flow_csv,
 )
-from .preprocess import PreprocessModel, fit_pca, fit_preprocess, fit_zscore
+from .preprocess import PreprocessModel, fit_pca, fit_preprocess_batches, fit_zscore
 
 __all__ = [
     "__version__",
@@ -43,7 +39,6 @@ __all__ = [
     "FeatureSchema",
     "FitReport",
     "FlowBatch",
-    "FlowRecord",
     "MetricsReport",
     "MixtureModel",
     "NormalProfile",
@@ -54,19 +49,15 @@ __all__ = [
     "default_schema",
     "fit_em",
     "fit_pca",
-    "fit_preprocess",
+    "fit_preprocess_batches",
     "fit_zscore",
     "iter_flow_batches",
     "load_profile",
     "load_schema",
-    "log_likelihood",
     "metrics",
-    "parse_flow_csv",
     "quartile",
     "roc_csv",
     "save_profile",
-    "stratified_sample",
     "sweep",
     "train_profile",
-    "write_flow_csv",
 ]

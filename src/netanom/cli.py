@@ -28,8 +28,8 @@ from .decision import (
     DetectionConfig,
     classify_scores,
     ensure_bound,
-    load_profile_file,
-    save_profile_file,
+    load_profile,
+    save_profile,
     train_profile,
 )
 from .evaluation import EvaluationError, render_table, report_to_doc, roc_csv, sweep
@@ -255,7 +255,7 @@ def _cmd_train(args, parser) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     preprocess_path = _sibling(out, "preprocess")
     save_preprocess(preprocess, preprocess_path)
-    save_profile_file(profile, out)
+    out.write_bytes(save_profile(profile))
     rep = profile.fit_report
     _write_manifest(
         _sibling(out, "manifest"),
@@ -299,7 +299,7 @@ def _training_batches(path: Path, schema, columns):
 def _load_pipeline(args):
     profile_path = Path(args.profile)
     preprocess_path = Path(args.preprocess) if args.preprocess else _sibling(profile_path, "preprocess")
-    profile = load_profile_file(profile_path)
+    profile = load_profile(profile_path.read_bytes())
     preprocess = load_preprocess(preprocess_path)
     ensure_bound(profile, preprocess)
     return profile, preprocess, profile_path, preprocess_path

@@ -321,14 +321,16 @@ def replay_chunks(chunks: Iterable[dict], columns: Iterable[str], cfg: Simulatio
 def replay(
     records: Sequence[FlowRecord],
     cfg: SimulationConfig,
-    schema: FeatureSchema | None = None,
+    schema: FeatureSchema,
 ) -> SharedStore:
     """Append every record once, in input order, under its assigned node:
-    the records as one chunk over every column of ``schema``."""
+    the records as one chunk over every column of ``schema``.
+
+    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
+    deletes this adapter after item 2. ``simulate`` fills the store with
+    :func:`replay_chunks`."""
     if not records:
         raise SimulationError("cannot replay an empty record list")
-    if schema is None:
-        raise SimulationError("replay needs the record schema to name the columns")
     chunk = {
         "values": dict(zip(schema.names, zip(*(r.values for r in records)))),
         "truth": [-1 if r.truth is None else r.truth for r in records],

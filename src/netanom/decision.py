@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -233,10 +232,3 @@ def load_profile(data: bytes | str) -> NormalProfile:
         raise ProfileFormatError(f"profile is not valid JSON: {exc}") from exc
     return profile_from_doc(doc)
 
-
-def save_profile_file(profile: NormalProfile, path) -> None:
-    Path(path).write_bytes(save_profile(profile))
-
-
-def load_profile_file(path) -> NormalProfile:
-    return load_profile(Path(path).read_bytes())

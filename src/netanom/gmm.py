@@ -128,13 +128,6 @@ class FitReport:
     reseeds: int = 0
 
 
-def gaussian_logpdf_1d(x: float, mean: float, var: float) -> float:
-    """Log-density of the univariate Gaussian at x. ``var`` is delta^2."""
-    if var <= 0:
-        raise GmmError(f"variance must be positive, got {var}")
-    return -0.5 * (LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
-
-
 def _log_weights(weights: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):  # zero weights contribute -inf terms
         return np.log(weights)
@@ -217,14 +210,6 @@ def score_records(data: np.ndarray, model: MixtureModel) -> np.ndarray:
         terms = logw + _component_log_densities(block, model.means, model.variances)
         out[start : start + _SCORE_CHUNK] = _log_normalize(terms)
     return out
-
-
-def log_likelihood(data: np.ndarray, model: MixtureModel) -> float:
-    """Total log-likelihood: the sum of per-record mixture log-densities."""
-    x = _as_matrix(data, model.d)
-    if x.shape[0] < 1:
-        raise GmmError("log_likelihood needs at least one record")
-    return float(np.sum(score_records(x, model)))
 
 
 def _as_matrix(data: np.ndarray, d: int) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Flow-record ingestion: feature schemas, CSV parsing, and seeded sampling.
 
 A :class:`FeatureSchema` describes the column layout of a flow CSV. A capture
-is read either whole, as a list of :class:`FlowRecord` holding field texts,
-or as a stream of :class:`FlowBatch` that holds only the requested columns:
-numeric columns as float64 arrays, the others as field texts.
+is read as a stream of :class:`FlowBatch` that holds only the requested
+columns: numeric columns as float64 arrays, the others as field texts.
 
 Batches are read at C speed by ``np.loadtxt`` when their lines are plain:
 no quote, carriage return or blank line, and the schema's width on every
@@ -18,7 +17,6 @@ import csv
 import io
 import json
 import os
-from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -125,6 +123,10 @@ class FlowRecord:
 
     ``truth`` is 1 for attack, 0 for normal, None when the label field was
     empty. ``origin`` is (file id, 1-based data-row number).
+
+    Records are the whole-file adapter of :func:`parse_flow_csv`;
+    ``bench/tracing.py`` is their only caller outside tests, and ROADMAP
+    item 3 deletes them after item 2.
     """
 
     values: tuple[str, ...]
@@ -157,26 +159,6 @@ class FlowBatch:
     def origins(self) -> list[tuple[str, int]]:
         """Each row's (file id, row number), as in :attr:`FlowRecord.origin`."""
         return [(self.file_id, row) for row in self.rows.tolist()]
-
-
-class RecordColumns(Mapping):
-    """Read-only view of the named columns of ``records``: ``view[name]`` is
-    the list of the records' field texts for ``name``, in record order. A
-    column is built when it is read, so a caller that reads one column at a
-    time holds one column at a time."""
-
-    def __init__(self, records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]):
-        self._rows = [r.values for r in records]
-        self._index = {name: schema.index_of(name) for name in names}
-
-    def __getitem__(self, name: str) -> list[str]:
-        return list(map(itemgetter(self._index[name]), self._rows))
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 def schema_to_doc(schema: FeatureSchema) -> dict:
@@ -285,21 +267,14 @@ def default_schema() -> FeatureSchema:
 def _open_text(source):
     """Yield (text stream, default file id) for the input. A ``str`` or
     path-like is always a path, which is opened and closed here; CSV text
-    comes as bytes or an open text or binary stream, which is read as it is
-    consumed and left open."""
+    comes as an open text stream, which is read as it is consumed and left
+    open."""
     if isinstance(source, (str, os.PathLike)):
         path = Path(source)
         with path.open("r", encoding="utf-8", newline="") as stream:
             yield stream, path.name
     elif isinstance(source, io.TextIOBase):
         yield source, "<memory>"
-    elif isinstance(source, (bytes, bytearray, io.BufferedIOBase, io.RawIOBase)):
-        binary = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
-        stream = io.TextIOWrapper(binary, encoding="utf-8", newline="")
-        try:
-            yield stream, "<memory>"
-        finally:
-            stream.detach()  # closing the wrapper would close the caller's stream
     else:
         raise IngestError(f"unsupported source type: {type(source)!r}")
 
@@ -348,6 +323,9 @@ def _is_header(fields: Sequence[str], schema: FeatureSchema) -> bool:
 #: a number as whitespace while ``float`` rejects them.
 _CSV_ONLY = '"\r\x1c\x1d\x1e\x1f'
 
+#: Lines joined at a time when a batch is scanned for :data:`_CSV_ONLY`.
+_SCAN_LINES = 256
+
 
 class _LineBatches:
     """A flow CSV text stream cut into batches of :data:`BATCH_ROWS` data
@@ -379,10 +357,12 @@ class _LineBatches:
         return lines
 
     def is_plain(self, lines: list[str]) -> bool:
-        text = "".join(lines)  # dropped before anything is parsed
-        if any(c in text for c in _CSV_ONLY):
-            return False
-        del text
+        # A bounded slice at a time: a copy of the whole batch would add its
+        # size to the peak.
+        for start in range(0, len(lines), _SCAN_LINES):
+            text = "".join(lines[start : start + _SCAN_LINES])
+            if any(c in text for c in _CSV_ONLY):
+                return False
         return "\n" not in lines and set(map(str.count, lines, repeat(","))) == {self.schema.width - 1}
 
     def plain_rows(self, n: int) -> np.ndarray:
@@ -402,24 +382,22 @@ class _LineBatches:
             yield row
 
 
-def parse_flow_csv(
-    source,
-    schema: FeatureSchema,
-    *,
-    file_id: str | None = None,
-) -> list[FlowRecord]:
-    """Parse a flow CSV into records, in file order.
+def parse_flow_csv(source, schema: FeatureSchema) -> list[FlowRecord]:
+    """Parse a whole flow CSV into records, in file order.
 
-    ``source`` may be a path (a ``str`` or path-like, never CSV text), an
-    open text/binary stream, or bytes. The header row is
-    optional and auto-detected by matching the schema's column names. The
-    first malformed row raises :class:`ParseError`.
+    ``source`` is a path (a ``str`` or path-like, never CSV text) or an
+    open text stream. The header row is optional and auto-detected by
+    matching the schema's column names. The first malformed row raises
+    :class:`ParseError`.
 
     Labels parse as: empty field -> unlabeled (None); field equal to the
     schema's positive value -> 1; anything else -> 0.
+
+    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
+    deletes this adapter after item 2. Commands read
+    :func:`iter_flow_batches`.
     """
-    with _open_text(source) as (stream, default_id):
-        fid = file_id if file_id is not None else default_id
+    with _open_text(source) as (stream, fid):
         return [
             FlowRecord(values, None if truth < 0 else truth, (fid, row))
             for row, truth, values in _read_rows(stream, schema, fid, tuple)
@@ -432,9 +410,10 @@ def iter_flow_batches(
     """Read a flow CSV as batches of up to :data:`BATCH_ROWS` rows, in file
     order, each holding only ``columns``.
 
-    ``source`` is what :func:`parse_flow_csv` takes, and the header, row
-    numbering and label rules are the same. Numeric columns are read as
-    float64 (see :class:`FlowBatch`), except those named in ``keep_text``.
+    ``source`` is a path (a ``str`` or path-like, never CSV text) or an
+    open text stream, and the header, row numbering and label rules are
+    those of :func:`_read_rows`. Numeric columns are read as float64 (see
+    :class:`FlowBatch`), except those named in ``keep_text``.
     A plain batch is parsed by ``np.loadtxt``; any other batch, or one with
     a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
     ``csv`` module, a row at a time, and each row is cut down to
@@ -527,35 +506,6 @@ def _floats_or_texts(texts: list[str]) -> np.ndarray | list[str]:
     return values if np.isfinite(values).all() else texts
 
 
-def parse_flow_csvs(paths: Iterable, schema: FeatureSchema) -> list[FlowRecord]:
-    """Parse several files (paths, never CSV text) and concatenate the records in file order."""
-    out: list[FlowRecord] = []
-    for p in paths:
-        out.extend(parse_flow_csv(Path(p), schema))
-    return out
-
-
-def write_flow_csv(records: Sequence[FlowRecord], schema: FeatureSchema, dest, *, header: bool = True) -> None:
-    """Serialize records back to CSV. Inverse of :func:`parse_flow_csv`."""
-
-    def _write(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        if header:
-            writer.writerow(schema.names)
-        for rec in records:
-            if len(rec.values) != schema.width:
-                raise IngestError(
-                    f"record from {rec.origin} has {len(rec.values)} fields, schema has {schema.width}"
-                )
-            writer.writerow(rec.values)
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with Path(dest).open("w", encoding="utf-8", newline="") as stream:
-            _write(stream)
-
-
 @dataclass(frozen=True)
 class SamplePlan:
     """Seeded draw: total size, normal share, and the train share of normals."""
@@ -612,7 +562,10 @@ def stratified_sample(
     records: Sequence[FlowRecord], plan: SamplePlan
 ) -> tuple[list[FlowRecord], list[FlowRecord]]:
     """Draw (train_normal, test) records as :func:`stratified_indices` draws
-    their indices. Output lists preserve the input ordering."""
+    their indices. Output lists preserve the input ordering.
+
+    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
+    deletes this adapter after item 2."""
     truth = np.array([-1 if r.truth is None else r.truth for r in records], dtype=np.int8)
     train_ids, test_ids = stratified_indices(truth, plan)
     return [records[i] for i in train_ids], [records[i] for i in test_ids]
@@ -624,10 +577,10 @@ def copy_rows(paths: Sequence, schema: FeatureSchema, picks: Sequence[tuple[obje
 
     Rows are indexed from 0 across the files in order, as a concatenation of
     their :attr:`FlowBatch.truth` arrays is. Each file is read a batch at a
-    time, and the output bytes are those :func:`write_flow_csv` writes for
-    the same rows: a row of a plain batch is copied as its input line,
-    which ``csv.writer`` would write unchanged, and any other row is
-    written by ``csv.writer``.
+    time, and the output bytes are those a ``csv.writer`` with Unix line
+    endings writes for the schema's header and the same rows: a row of a
+    plain batch is copied as its input line, which ``csv.writer`` would
+    write unchanged, and any other row is written by ``csv.writer``.
     """
     owner = np.full(max((int(ids.max()) + 1 for _, ids in picks if ids.size), default=0), -1, dtype=np.int8)
     for k, (_, ids) in enumerate(picks):

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._docjson import digest_of, pretty_dumps
-from .ingest import FeatureSchema, FlowRecord, RecordColumns, schema_from_doc, schema_to_doc
+from .ingest import FeatureSchema, FlowRecord, schema_from_doc, schema_to_doc
 
 PREPROCESS_FORMAT_VERSION = 1
 
@@ -49,22 +49,6 @@ class EncoderMap:
     """Per-feature category codes, assigned in first-seen order from 1."""
 
     codes: Mapping[str, Mapping[str, int]]
-
-    def code_for(self, feature: str, value: str) -> int:
-        return self.codes.get(feature, {}).get(value, UNSEEN_CODE)
-
-
-def fit_encoders(train: Sequence[FlowRecord], schema: FeatureSchema) -> EncoderMap:
-    """Assign integer codes to every categorical value seen in training.
-
-    Codes within one feature are contiguous from 1 in first-seen order;
-    0 stays reserved for values unseen at fit time.
-    """
-    if not train:
-        raise PreprocessError("cannot fit encoders on an empty training set")
-    codes = _empty_codes(schema)
-    _grow_codes(codes, RecordColumns(train, schema, codes), len(train))
-    return EncoderMap(codes)
 
 
 def _empty_codes(schema: FeatureSchema) -> dict[str, dict[str, int]]:
@@ -196,8 +180,11 @@ class PreprocessModel:
         return self.zscore.normalize(reduced)
 
     def apply_records(self, records: Sequence[FlowRecord]) -> np.ndarray:
-        """Preprocess records into an (N, d) matrix."""
-        return self.apply_columns(RecordColumns(records, self.schema, self.columns), [r.origin for r in records])
+        """Preprocess records into an (N, d) matrix.
+
+        ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
+        deletes this adapter after item 2."""
+        return self.apply_columns(_record_columns(records, self.schema, self.columns), [r.origin for r in records])
 
     def digest(self) -> str:
         """Content hash binding profiles to this exact fitted pipeline."""
@@ -273,9 +260,18 @@ def fit_preprocess(
     mode: str = "table1",
 ) -> PreprocessModel:
     """Fit the full pipeline on training records, passed to
-    :func:`fit_preprocess_batches` as one batch."""
-    columns = RecordColumns(train, schema, training_columns(schema, mode))
+    :func:`fit_preprocess_batches` as one batch.
+
+    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
+    deletes this adapter after item 2."""
+    columns = _record_columns(train, schema, training_columns(schema, mode))
     return fit_preprocess_batches([(columns, [r.origin for r in train])], schema, mode)[0]
+
+
+def _record_columns(records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]) -> dict[str, list[str]]:
+    """The named columns of ``records``, each as the records' field texts."""
+    index = {name: schema.index_of(name) for name in names}
+    return {name: [r.values[i] for r in records] for name, i in index.items()}
 
 
 def _encode_columns(

@@ -10,13 +10,12 @@ traffic. Identical (n, seed, attack_fraction) always yields identical rows.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import FlowRecord, default_schema, parse_flow_csv
+from .ingest import default_schema
 
 _SERVICE_PORTS = {
     "http": 80,
@@ -242,16 +241,6 @@ def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
     stream.write(",".join(names) + "\n")
     formatted = [_format_column(name, columns[name]) for name in names]
     stream.writelines(f"{','.join(row)}\n" for row in zip(*formatted))
-
-
-def generate_records(
-    n: int, seed: int, attack_fraction: float = 0.35, *, file_id: str = "synthetic"
-) -> list[FlowRecord]:
-    """The rows :func:`write_synthetic_csv` writes, parsed back into records."""
-    buf = io.StringIO()
-    _write_csv(buf, _generate_columns(n, seed, attack_fraction))
-    buf.seek(0)
-    return parse_flow_csv(buf, default_schema(), file_id=file_id)
 
 
 def write_synthetic_csv(path, n: int, seed: int, attack_fraction: float = 0.35) -> dict:

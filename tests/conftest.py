@@ -15,9 +15,11 @@ def schema():
 
 
 @pytest.fixture(scope="session")
-def corpus():
+def corpus(tmp_path_factory, schema):
     """4,000 synthetic flow records, 35% attacks."""
-    return synth.generate_records(4000, seed=42, attack_fraction=0.35)
+    path = tmp_path_factory.mktemp("corpus") / "synthetic.csv"
+    synth.write_synthetic_csv(path, 4000, seed=42, attack_fraction=0.35)
+    return ingest.parse_flow_csv(path, schema)
 
 
 @pytest.fixture(scope="session")

@@ -27,8 +27,8 @@ from netanom.decision import (
 )
 from netanom.evaluation import ConfusionCounts, confusion, metrics, report_to_doc, sweep
 from netanom.gmm import EmConfig, fit_em, score_records
-from netanom.ingest import ColumnSpec, FeatureSchema, FlowRecord, SamplePlan, default_schema, stratified_sample
-from netanom.preprocess import STD_FLOOR, fit_encoders, fit_pca, fit_preprocess
+from netanom.ingest import ColumnSpec, FeatureSchema, SamplePlan, default_schema, parse_flow_csv, stratified_sample
+from netanom.preprocess import STD_FLOOR, fit_pca, fit_preprocess, fit_preprocess_batches
 
 W_GRID = [1.5, 2.0, 2.5, 3.0]
 RUNTIME_BUDGET_SECONDS = 300.0
@@ -46,11 +46,13 @@ def criterion(number: int, name: str, details: dict):
 
 
 @pytest.fixture(scope="module")
-def pipeline():
+def pipeline(tmp_path_factory):
     """Full pipeline over a 100,000-record sample (60-70% normal), timed."""
     started = time.perf_counter()
-    corpus = synth.generate_records(130_000, seed=20260810, attack_fraction=0.35)
+    path = tmp_path_factory.mktemp("acceptance") / "corpus.csv"
+    synth.write_synthetic_csv(path, 130_000, seed=20260810, attack_fraction=0.35)
     schema = default_schema()
+    corpus = parse_flow_csv(path, schema)
     plan = SamplePlan(total_size=100_000, normal_fraction=0.65, train_fraction_of_normal=0.6, seed=7)
     train, test = stratified_sample(corpus, plan)
     pp = fit_preprocess(train, schema, "table1")
@@ -271,8 +273,8 @@ def test_criterion_7_preprocessing_contracts(pipeline):
         schema = FeatureSchema(
             (ColumnSpec("proto", "categorical"), ColumnSpec("label", "label")), "label", "1"
         )
-        train = [FlowRecord((p, "0"), 0, ("t", i + 1)) for i, p in enumerate(("TCP", "UDP", "ICMP"))]
-        enc = fit_encoders(train, schema)
+        train = ({"proto": ["TCP", "UDP", "ICMP"]}, [("t", i + 1) for i in range(3)])
+        enc = fit_preprocess_batches([train], schema, "pca:1")[0].encoder
         assert enc.codes["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
         details.update({"pca_max_eig_err": f"{worst:.2e}", "dims": "2..20"})
 

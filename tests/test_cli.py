@@ -38,17 +38,26 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _write_csv(path, schema, rows):
+    """The schema's header and ``rows`` of field texts, as ``csv.writer``
+    writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(schema.names)
+        writer.writerows(rows)
+
+
 def _write_unlabeled(workspace, path, schema):
     """The first 10 test records with their label column blanked."""
-    from netanom.ingest import FlowRecord, parse_flow_csv, write_flow_csv
+    from netanom.ingest import parse_flow_csv
 
     records = parse_flow_csv(workspace / "split" / "test.csv", schema)[:10]
     stripped = []
     for r in records:
         vals = list(r.values)
         vals[schema.label_index] = ""
-        stripped.append(FlowRecord(tuple(vals), None, r.origin))
-    write_flow_csv(stripped, schema, path)
+        stripped.append(vals)
+    _write_csv(path, schema, stripped)
     return path
 
 
@@ -118,11 +127,11 @@ class TestTrain:
         assert doc["K"] == doc["d"] == 10
 
     def test_attack_row_rejected_no_profile(self, workspace, tmp_path, schema):
-        from netanom.ingest import parse_flow_csv, write_flow_csv
+        from netanom.ingest import parse_flow_csv
 
         records = parse_flow_csv(workspace / "split" / "test.csv", schema)
         dirty = tmp_path / "dirty.csv"
-        write_flow_csv(records[:50], schema, dirty)
+        _write_csv(dirty, schema, [r.values for r in records[:50]])
         attack_rows = [i + 1 for i, r in enumerate(records[:50]) if r.truth == 1]
         assert attack_rows, "fixture needs at least one attack row"
         out = tmp_path / "never.json"
@@ -450,7 +459,7 @@ class TestStreamedTrainAndSample:
         seed=st.integers(0, 3),
     )
     def test_sample_outputs_do_not_depend_on_the_batch_size(self, workspace, schema, batch_rows, cut, size, seed):
-        from netanom.ingest import SampleError, SamplePlan, parse_flow_csvs, stratified_sample, write_flow_csv
+        from netanom.ingest import SampleError, SamplePlan, parse_flow_csv, stratified_sample
 
         lines = (workspace / "data.csv").read_text().splitlines()[:301]
         with tempfile.TemporaryDirectory() as tmp:
@@ -463,14 +472,15 @@ class TestStreamedTrainAndSample:
             argv = ["sample", "--input", str(first), str(second), "--size", str(size), "--normal-frac", "0.6",
                     "--train-frac", "0.5", "--seed", str(seed), "--out", str(out)]
             try:
-                train, test = stratified_sample(parse_flow_csvs([first, second], schema), SamplePlan(size, 0.6, 0.5, seed))
+                records = [r for path in (first, second) for r in parse_flow_csv(path, schema)]
+                train, test = stratified_sample(records, SamplePlan(size, 0.6, 0.5, seed))
             except SampleError:
                 with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
                     assert main(argv) == 1
                 assert not out.exists()
                 return
-            write_flow_csv(train, schema, tmp / "train_normal.csv")
-            write_flow_csv(test, schema, tmp / "test.csv")
+            _write_csv(tmp / "train_normal.csv", schema, [r.values for r in train])
+            _write_csv(tmp / "test.csv", schema, [r.values for r in test])
 
             with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
                 assert main(argv) == 0
@@ -601,12 +611,12 @@ class TestStreamedCommands:
     @given(batch_rows=st.sampled_from([1, 7, 8192]), n=st.integers(1, 200), w=st.sampled_from([1.5, 2.0, 3.0]))
     def test_outputs_do_not_depend_on_the_batch_size(self, workspace, batch_rows, n, w):
         from netanom._docjson import pretty_dumps
-        from netanom.decision import DetectionConfig, classify_scores, load_profile_file
+        from netanom.decision import DetectionConfig, classify_scores, load_profile
         from netanom.evaluation import render_table, report_to_doc, roc_csv, sweep
         from netanom.ingest import parse_flow_csv
         from netanom.preprocess import load_preprocess
 
-        profile = load_profile_file(workspace / "profile.json")
+        profile = load_profile((workspace / "profile.json").read_bytes())
         pp = load_preprocess(workspace / "profile.preprocess.json")
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -726,7 +736,7 @@ class TestStreamedSimulate:
     def test_reports_do_not_depend_on_the_batch_size(self, workspace, assignment, transport, data):
         from netanom._docjson import pretty_dumps
         from netanom.collab import run_simulation, simconfig_from_doc
-        from netanom.decision import load_profile_file
+        from netanom.decision import load_profile
         from netanom.evaluation import render_table, report_to_doc
         from netanom.ingest import parse_flow_csv
         from netanom.preprocess import load_preprocess
@@ -738,7 +748,7 @@ class TestStreamedSimulate:
                "interval_size": data.draw(st.integers(1, 40), label="interval_size"), "w": 2.0}
         if assignment == "explicit":
             doc["explicit_assignment"] = data.draw(st.lists(st.sampled_from(nodes), min_size=n, max_size=n))
-        profile = load_profile_file(workspace / "profile.json")
+        profile = load_profile((workspace / "profile.json").read_bytes())
         pp = load_preprocess(workspace / "profile.preprocess.json")
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -865,7 +875,7 @@ class TestSimulate:
         of parsed records hashes it, also when the model reads it."""
         from netanom._docjson import pretty_dumps
         from netanom.collab import load_simconfig, replay, run_simulation
-        from netanom.decision import load_profile_file
+        from netanom.decision import load_profile
         from netanom.evaluation import report_to_doc
         from netanom.ingest import parse_flow_csv
         from netanom.preprocess import load_preprocess
@@ -880,7 +890,7 @@ class TestSimulate:
         pp = load_preprocess(workspace / "profile.preprocess.json")
         sim = load_simconfig(cfg)
         reference = run_simulation(
-            replay(parse_flow_csv(test, pp.schema), sim, pp.schema), load_profile_file(workspace / "profile.json"), pp, sim
+            replay(parse_flow_csv(test, pp.schema), sim, pp.schema), load_profile((workspace / "profile.json").read_bytes()), pp, sim
         )
         assert len(reference.per_node_reports) == 3
         for node, report in reference.per_node_reports.items():
@@ -924,12 +934,12 @@ class TestSimulate:
     def test_python_built_integer_w_reports_like_evaluate(self, workspace, tmp_path):
         from netanom._docjson import pretty_dumps
         from netanom.collab import SimulationConfig, replay, run_simulation
-        from netanom.decision import load_profile_file
+        from netanom.decision import load_profile
         from netanom.evaluation import report_to_doc
         from netanom.ingest import parse_flow_csv
         from netanom.preprocess import load_preprocess
 
-        profile = load_profile_file(workspace / "profile.json")
+        profile = load_profile((workspace / "profile.json").read_bytes())
         pp = load_preprocess(workspace / "profile.preprocess.json")
         cfg = SimulationConfig(nodes=("solo",), w=2)
         records = parse_flow_csv(workspace / "split" / "test.csv", pp.schema)

@@ -25,7 +25,7 @@ from netanom.collab import (
 from netanom.decision import DetectionConfig, classify_scores, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
-from netanom.ingest import FlowRecord, RecordColumns, SchemaError
+from netanom.ingest import FlowRecord, SchemaError
 from netanom.preprocess import PreprocessError, fit_preprocess
 
 
@@ -56,11 +56,16 @@ def _with_value(records, schema, index, column, text):
     return [*records[:index], FlowRecord(tuple(values), rec.truth, rec.origin), *records[index + 1 :]]
 
 
+def _columns(records, schema, names):
+    """The named columns of ``records``, each as the records' field texts."""
+    return {name: [r.values[schema.index_of(name)] for r in records] for name in names}
+
+
 def _stream(records, schema):
     """What the store holds for ``records``, in order: every schema column's
     field texts, the truths (-1 for unlabeled) and the origins."""
     return {
-        "values": {name: [r.values[i] for r in records] for i, name in enumerate(schema.names)},
+        "values": _columns(records, schema, schema.names),
         "truth": [-1 if r.truth is None else r.truth for r in records],
         "origin": [r.origin for r in records],
     }
@@ -88,7 +93,7 @@ class TestReplay:
         # an interval holds its records' modeled columns, truths and origins
         assert intervals == [
             {
-                "values": dict(RecordColumns(run, schema, pp.columns)),
+                "values": _columns(run, schema, pp.columns),
                 "truth": [r.truth for r in run],
                 "origin": [r.origin for r in run],
             }
@@ -156,7 +161,7 @@ class TestReplay:
             replay_chunks(iter(()), schema.names, _cfg())
 
     def test_replay_needs_the_schema_and_the_hash_column(self, sim_records, schema):
-        with pytest.raises(SimulationError, match="schema"):
+        with pytest.raises(TypeError, match="schema"):
             replay(sim_records[:3], _cfg())
         with pytest.raises(SchemaError, match="no column named 'nope'"):
             replay(sim_records[:3], _cfg(assignment="hash-of-source", hash_column="nope"), schema)
@@ -233,7 +238,7 @@ class TestSharedStore:
                 decoded["truth"].extend(frame["truth"])
                 decoded["origin"].extend(tuple(o) for o in frame["origin"])
             assert (len(frames) > 1) == splits
-            assert decoded["values"] == dict(RecordColumns(run, schema, pp.columns))
+            assert decoded["values"] == _columns(run, schema, pp.columns)
             assert decoded["truth"] == [r.truth for r in run]
             assert decoded["origin"] == [r.origin for r in run]
             assert decoded == interval

@@ -15,10 +15,14 @@ from netanom.gmm import (
     _log_normalize,
     _m_step,
     fit_em,
-    gaussian_logpdf_1d,
-    log_likelihood,
     score_records,
 )
+
+
+def gaussian_logpdf_1d(x, mean, var):
+    """Closed-form log-density of the univariate Gaussian at x; ``var`` is
+    delta^2."""
+    return -0.5 * (LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
 def _score_one(x, model):
@@ -48,15 +52,20 @@ def _mpmath_mixture_logpdf(x, weights, means, variances):
         return float(mpmath.log(total))
 
 
+def _logpdf_1d(x, mean, var):
+    """Log-density of a one-component, one-dimensional mixture at x."""
+    return _score_one([x], _model([1.0], [[mean]], [[var]]))
+
+
 class TestGaussianLogpdf:
     def test_at_the_mode(self):
         # standard normal peak: 1/sqrt(2*pi) = 0.39894228...
-        assert gaussian_logpdf_1d(0.0, 0.0, 1.0) == pytest.approx(-0.9189385332046727, abs=1e-15)
+        assert _logpdf_1d(0.0, 0.0, 1.0) == pytest.approx(-0.9189385332046727, abs=1e-15)
 
     def test_one_sigma_out(self):
         # density 0.24197072451914337 at x=1
-        assert gaussian_logpdf_1d(1.0, 0.0, 1.0) == pytest.approx(-1.4189385332046727, abs=1e-15)
-        assert math.exp(gaussian_logpdf_1d(1.0, 0.0, 1.0)) == pytest.approx(0.24197072451914337)
+        assert _logpdf_1d(1.0, 0.0, 1.0) == pytest.approx(-1.4189385332046727, abs=1e-15)
+        assert math.exp(_logpdf_1d(1.0, 0.0, 1.0)) == pytest.approx(0.24197072451914337)
 
     @given(
         st.floats(-50, 50),
@@ -65,15 +74,15 @@ class TestGaussianLogpdf:
     )
     def test_symmetry_around_mean(self, a, mean, var):
         # mean +/- a round differently, so allow rounding-level slack
-        left = gaussian_logpdf_1d(mean - a, mean, var)
-        right = gaussian_logpdf_1d(mean + a, mean, var)
+        left = _logpdf_1d(mean - a, mean, var)
+        right = _logpdf_1d(mean + a, mean, var)
         assert left == pytest.approx(right, rel=1e-9, abs=1e-9)
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(GmmError):
-            gaussian_logpdf_1d(0.0, 0.0, 0.0)
+            _logpdf_1d(0.0, 0.0, 0.0)
         with pytest.raises(GmmError):
-            gaussian_logpdf_1d(0.0, 0.0, -1.0)
+            _logpdf_1d(0.0, 0.0, -1.0)
 
 
 class TestMixtureLogpdf:
@@ -168,29 +177,6 @@ class TestScoreRecords:
         assert np.array_equal([_score_one(x[i], model) for i in rows], whole[rows])
 
 
-class TestLogLikelihood:
-    def test_single_record(self):
-        model = _model([1.0], [[0.0, 1.0]], [[1.0, 1.0]])
-        x = np.array([[0.3, 0.9]])
-        assert log_likelihood(x, model) == pytest.approx(_score_one(x[0], model), rel=1e-15)
-
-    def test_duplication_doubles(self):
-        rng = np.random.default_rng(11)
-        model = _model([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0], [0.5, 0.5]])
-        x = rng.normal(size=(6, 2))
-        once = log_likelihood(x, model)
-        twice = log_likelihood(np.vstack([x, x]), model)
-        assert twice == pytest.approx(2.0 * once, rel=1e-12)
-
-    def test_matches_per_record_sum(self):
-        model = _model([0.3, 0.7], [[0.0, 0.0], [2.0, -1.0]], [[1.0, 1.0], [0.4, 1.3]])
-        x = np.array(
-            [[0.0, 0.0], [1.0, 1.0], [-2.0, 0.5], [2.0, -1.0], [0.3, 0.3]]
-        )
-        brute = math.fsum(_score_one(row, model) for row in x)
-        assert log_likelihood(x, model) == pytest.approx(brute, abs=1e-12)
-
-
 def _two_cluster_data(seed=123, n_per=500, d=2, sep=5.0):
     rng = np.random.default_rng(seed)
     a = rng.normal(loc=-sep, scale=1.0, size=(n_per, d))
@@ -239,6 +225,14 @@ class TestFitEm:
         diffs = np.diff(report.trace)
         assert np.all(diffs >= -1e-9)
         assert report.final_log_likelihood == report.trace[-1]
+
+    def test_reported_log_likelihood_is_the_mean_score(self):
+        # The fit's expanded-form log-likelihood agrees with the centred-form
+        # scores of the model it returns, record by record summed.
+        data = _two_cluster_data(seed=8, n_per=300, d=3)
+        model, report = fit_em(data, EmConfig(n_components=3, seed=2))
+        brute = math.fsum(score_records(data, model)) / len(data)
+        assert report.final_log_likelihood == pytest.approx(brute, rel=1e-9)
 
     def test_deterministic_bitwise(self):
         data = _two_cluster_data(seed=33, n_per=150)

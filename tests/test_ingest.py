@@ -13,6 +13,7 @@ from netanom.ingest import (
     ColumnSpec,
     FeatureSchema,
     FlowRecord,
+    IngestError,
     ParseError,
     SampleError,
     SamplePlan,
@@ -21,12 +22,10 @@ from netanom.ingest import (
     iter_flow_batches,
     load_schema,
     parse_flow_csv,
-    parse_flow_csvs,
     save_schema,
     schema_from_doc,
     schema_to_doc,
     stratified_sample,
-    write_flow_csv,
 )
 
 TINY = FeatureSchema(
@@ -42,6 +41,17 @@ TINY = FeatureSchema(
 
 def _rec(values, truth, row=1):
     return FlowRecord(tuple(values), truth, ("test", row))
+
+
+def _csv_text(rows, schema, *, header=True) -> str:
+    """Rows of field texts as ``csv.writer`` writes them, after the
+    schema's header line unless ``header`` is false."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header:
+        writer.writerow(schema.names)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class TestSchema:
@@ -106,10 +116,10 @@ class TestSchema:
 
 class TestParse:
     def test_parse_basic(self):
-        recs = parse_flow_csv(io.StringIO("tcp,100,0\nudp,200,1\n"), TINY, file_id="f")
+        recs = parse_flow_csv(io.StringIO("tcp,100,0\nudp,200,1\n"), TINY)
         assert [r.values for r in recs] == [("tcp", "100", "0"), ("udp", "200", "1")]
         assert [r.truth for r in recs] == [0, 1]
-        assert [r.origin for r in recs] == [("f", 1), ("f", 2)]
+        assert [r.origin for r in recs] == [("<memory>", 1), ("<memory>", 2)]
 
     def test_header_autodetected(self):
         with_header = parse_flow_csv(io.StringIO("proto,bytes,label\ntcp,100,0\n"), TINY)
@@ -117,18 +127,21 @@ class TestParse:
         assert [r.values for r in with_header] == [r.values for r in without]
         assert with_header[0].origin[1] == 1
 
-    def test_empty_source(self):
+    def test_empty_source(self, tmp_path):
         assert parse_flow_csv(io.StringIO(""), TINY) == []
-        assert parse_flow_csv(io.BytesIO(b""), TINY) == []
+        (tmp_path / "empty.csv").write_text("")
+        assert parse_flow_csv(tmp_path / "empty.csv", TINY) == []
+        assert list(iter_flow_batches(tmp_path / "empty.csv", TINY, ("proto",))) == []
 
     def test_label_rule(self):
         recs = parse_flow_csv(io.StringIO("tcp,1,1\ntcp,1,0\ntcp,1,attack\ntcp,1,\n"), TINY)
         assert [r.truth for r in recs] == [1, 0, 0, None]
 
-    def test_short_row_strict_names_row(self):
-        text = "tcp,100,0\nudp,200\nicmp,300,1\n"
+    def test_short_row_strict_names_row(self, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("tcp,100,0\nudp,200\nicmp,300,1\n")
         with pytest.raises(ParseError) as err:
-            parse_flow_csv(io.StringIO(text), TINY, file_id="three.csv")
+            parse_flow_csv(path, TINY)
         assert err.value.row == 2
         assert err.value.file_id == "three.csv"
 
@@ -138,10 +151,10 @@ class TestParse:
             p = tmp_path / f"part{i}.csv"
             p.write_text(f"tcp,{i},0\nudp,{i},1\n")
             paths.append(p)
-        recs = parse_flow_csvs(paths, TINY)
-        assert len(recs) == 8
-        assert recs[0].origin == ("part0.csv", 1)
-        assert recs[-1].origin == ("part3.csv", 2)
+        out = tmp_path / "all.csv"
+        ingest.copy_rows(paths, TINY, [(out, np.arange(8))])  # rows are indexed across the files in order
+        recs = parse_flow_csv(out, TINY)
+        assert [r.values for r in recs] == [(proto, str(i), label) for i in range(4) for proto, label in (("tcp", "0"), ("udp", "1"))]
 
     def test_path_input(self, tmp_path):
         p = tmp_path / "flows.csv"
@@ -170,13 +183,9 @@ class TestParse:
         )
     )
     def test_write_parse_roundtrip(self, rows):
-        records = [_rec(row, None if row[2] == "" else (1 if row[2] == "1" else 0), i + 1)
-                   for i, row in enumerate(rows)]
-        buf = io.StringIO()
-        write_flow_csv(records, TINY, buf)
-        reparsed = parse_flow_csv(io.StringIO(buf.getvalue()), TINY)
-        assert [r.values for r in reparsed] == [r.values for r in records]
-        assert [r.truth for r in reparsed] == [r.truth for r in records]
+        reparsed = parse_flow_csv(io.StringIO(_csv_text(rows, TINY)), TINY)
+        assert [r.values for r in reparsed] == rows
+        assert [r.truth for r in reparsed] == [1 if row[2] == "1" else 0 for row in rows]
 
 
 class TestBatches:
@@ -195,10 +204,7 @@ class TestBatches:
         columns=st.sampled_from([(), ("bytes",), ("label", "proto"), ("proto", "bytes", "label")]),
     )
     def test_batches_concatenate_to_the_parse(self, rows, header, batch_rows, columns):
-        records = [_rec(row, None, i + 1) for i, row in enumerate(rows)]
-        buf = io.StringIO()
-        write_flow_csv(records, TINY, buf, header=header)
-        text = buf.getvalue().replace("\n", "\n\n", 1)  # one blank line
+        text = _csv_text(rows, TINY, header=header).replace("\n", "\n\n", 1)  # one blank line
         parsed = parse_flow_csv(io.StringIO(text), TINY)
         with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
             batches = list(iter_flow_batches(io.StringIO(text), TINY, columns))
@@ -219,7 +225,7 @@ class TestBatches:
     def test_bad_row_raises_after_earlier_batches(self, monkeypatch):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
         text = "tcp,1,0\ntcp,2,0\ntcp,3,1\nudp\n"
-        batches = iter_flow_batches(io.BytesIO(text.encode()), TINY, ("bytes",))
+        batches = iter_flow_batches(io.StringIO(text), TINY, ("bytes",))
         first = next(batches).columns
         assert list(first) == ["bytes"] and first["bytes"].dtype == np.float64
         assert first["bytes"].tolist() == [1.0, 2.0]
@@ -246,10 +252,11 @@ class TestBatches:
         with pytest.raises(SchemaError, match="nope"):
             list(iter_flow_batches(io.StringIO("tcp,1,0\n"), TINY, ("nope",)))
 
-    def test_open_streams_and_bytes_are_read_as_consumed(self, tmp_path):
-        """An open binary or text stream, or bytes, is decoded as it is read:
-        the first batch peaks near what it peaks at from the path, not at
-        the size of the capture, and the caller's stream stays open."""
+    def test_open_text_streams_are_read_as_consumed(self, tmp_path):
+        """An open text stream is decoded as it is read: the first batch
+        peaks near what it peaks at from the path, not at the size of the
+        capture, and the caller's stream stays open. Bytes and binary
+        streams are refused."""
         from netanom.synth import write_synthetic_csv
 
         path = tmp_path / "capture.csv"
@@ -268,15 +275,20 @@ class TestBatches:
             return batch, peak
 
         reference, path_peak = first_batch(path)
-        with path.open("rb") as binary, path.open("r", encoding="utf-8", newline="") as text:
-            for source in (binary, text, path.read_bytes()):
-                batch, peak = first_batch(source)
-                assert peak < 1.5 * path_peak, f"{type(source).__name__}: {peak} bytes against {path_peak} from the path"
-                assert batch.columns == reference.columns and batch.file_id == "<memory>"
-                assert batch.rows.tolist() == reference.rows.tolist()
-                assert batch.truth.tolist() == reference.truth.tolist()
-            assert not binary.closed and not text.closed
-            assert binary.readline() and text.readline()
+        with path.open("r", encoding="utf-8", newline="") as text:
+            batch, peak = first_batch(text)
+            assert peak < 1.5 * path_peak, f"{peak} bytes against {path_peak} from the path"
+            assert batch.columns == reference.columns and batch.file_id == "<memory>"
+            assert batch.rows.tolist() == reference.rows.tolist()
+            assert batch.truth.tolist() == reference.truth.tolist()
+            assert not text.closed and text.readline()
+        with path.open("rb") as binary:
+            for source in (binary, path.read_bytes(), bytearray(b"tcp,1,0\n")):
+                with pytest.raises(IngestError, match="unsupported source type"):
+                    next(iter_flow_batches(source, schema, ("proto",)))
+                with pytest.raises(IngestError, match="unsupported source type"):
+                    parse_flow_csv(source, schema)
+            assert not binary.closed and binary.tell() == 0
 
 
 WIDE = FeatureSchema(
@@ -434,6 +446,25 @@ class TestPlainReader:
             writer.writerows(fields for fields, pick in zip(rows, picks) if pick == k)
             assert (tmp / f"out{k}.csv").read_bytes() == want.getvalue().encode("utf-8")
 
+    def test_plain_check_copies_no_whole_batch(self):
+        """is_plain finds a csv-only character anywhere in a full batch, and
+        its scan allocates far less than the batch's text."""
+        schema = default_schema()
+        lines = [",".join([f"{i:07d}"] * schema.width) + "\n" for i in range(ingest.BATCH_ROWS)]
+        batches = ingest._LineBatches(io.StringIO(""), schema, "x")
+        size = sum(map(len, lines))
+        tracemalloc.start()
+        try:
+            assert batches.is_plain(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 8, f"{peak} bytes traced for a {size}-byte batch"
+        for char in ingest._CSV_ONLY:
+            for at in (0, 700, len(lines) - 1):
+                marked = [*lines[:at], char + lines[at], *lines[at + 1 :]]
+                assert not batches.is_plain(marked), (char, at)
+
     def test_synth_traffic_takes_the_plain_path(self, tmp_path, monkeypatch):
         """A synth capture never needs the csv reader: reading every column,
         and copying rows out of it, work with the csv reader made to fail."""
@@ -461,9 +492,8 @@ class TestPlainReader:
                 assert [t for c in got for t in c] == texts, name
         picked = np.arange(0, 3_000, 7)
         ingest.copy_rows([path], schema, [(tmp_path / "copy.csv", picked)])
-        buf = io.StringIO()
-        write_flow_csv([reference[i] for i in picked], schema, buf)
-        assert (tmp_path / "copy.csv").read_text(encoding="utf-8") == buf.getvalue()
+        want = _csv_text([reference[i].values for i in picked], schema)
+        assert (tmp_path / "copy.csv").read_text(encoding="utf-8") == want
 
 
 def _make_records(n_normal, n_attack):

@@ -9,9 +9,10 @@ from netanom.preprocess import (
     CURATED_FEATURES,
     STD_FLOOR,
     PreprocessError,
-    fit_encoders,
+    _encode_columns,
     fit_pca,
     fit_preprocess,
+    fit_preprocess_batches,
     fit_zscore,
     load_preprocess,
     parse_reduction_mode,
@@ -36,28 +37,37 @@ def _rec(proto, size, row=1):
     return FlowRecord((proto, str(size), "", "0"), 0, ("test", row))
 
 
+def _encoder(protos):
+    """The category codes of a one-batch fit on rows with these protocols
+    (pca:1 over proto and bytes, so one or two rows suffice)."""
+    columns = {"proto": list(protos), "bytes": [str(i) for i in range(len(protos))]}
+    origins = [("test", i + 1) for i in range(len(protos))]
+    return fit_preprocess_batches([(columns, origins)], PROTO_SCHEMA, "pca:1")[0].encoder
+
+
 class TestEncoders:
     def test_first_seen_order(self):
-        train = [_rec("TCP", 1, 1), _rec("UDP", 2, 2), _rec("TCP", 3, 3), _rec("ICMP", 4, 4)]
-        enc = fit_encoders(train, PROTO_SCHEMA)
+        enc = _encoder(["TCP", "UDP", "TCP", "ICMP"])
         assert enc.codes["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
 
     def test_singleton_category(self):
-        enc = fit_encoders([_rec("sctp", 1)], PROTO_SCHEMA)
+        enc = _encoder(["sctp", "sctp"])
         assert enc.codes["proto"] == {"sctp": 1}
 
     def test_unseen_maps_to_zero(self):
-        enc = fit_encoders([_rec("tcp", 1)], PROTO_SCHEMA)
-        assert enc.code_for("proto", "sctp") == 0
-        assert enc.code_for("proto", "tcp") == 1
+        enc = _encoder(["tcp", "tcp"])
+        encoded = _encode_columns({"proto": ["sctp", "tcp"]}, [("t", 1), ("t", 2)], PROTO_SCHEMA, enc, ("proto",))
+        assert encoded[:, 0].tolist() == [0.0, 1.0]
 
     def test_meta_columns_not_encoded(self):
-        enc = fit_encoders([_rec("tcp", 1)], PROTO_SCHEMA)
+        enc = _encoder(["tcp", "tcp"])
         assert "note" not in enc.codes
 
     def test_empty_train_rejected(self):
-        with pytest.raises(PreprocessError):
-            fit_encoders([], PROTO_SCHEMA)
+        with pytest.raises(PreprocessError, match="empty training set"):
+            fit_preprocess_batches([], PROTO_SCHEMA, "pca:1")
+        with pytest.raises(PreprocessError, match="empty training set"):
+            fit_preprocess([], PROTO_SCHEMA, "pca:1")
 
 
 class TestPca:

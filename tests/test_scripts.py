@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -22,8 +23,23 @@ def test_run_experiment_smoke(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "micro(pooled)" in result.stdout and "macro(mean)" in result.stdout
-    assert (tmp_path / "exp" / "roc_seed0.csv").exists()
     assert (tmp_path / "exp" / "summary.json").exists()
+
+    # The script reports what the CLI computes for sample seed 0.
+    from netanom.cli import main
+
+    ref = tmp_path / "ref"
+    for argv in (
+        ["synth", "--rows", "4000", "--seed", "0", "--attack-frac", "0.35", "--out", ref / "corpus.csv"],
+        ["sample", "--input", ref / "corpus.csv", "--size", "3000", "--normal-frac", "0.65", "--train-frac", "0.6",
+         "--seed", "0", "--out", ref / "split"],
+        ["train", "--train", ref / "split" / "train_normal.csv", "--features", "table1", "--components", "4",
+         "--seed", "0", "--out", ref / "profile.json"],
+        ["roc", "--profile", ref / "profile.json", "--test", ref / "split" / "test.csv", "--w-grid", "1.5:3:0.5",
+         "--out", ref / "roc"],
+    ):
+        assert main([str(arg) for arg in argv]) == 0
+    assert (tmp_path / "exp" / "roc_seed0.csv").read_bytes() == (ref / "roc.csv").read_bytes()
 
 
 def test_run_collab_demo_smoke(tmp_path):
@@ -72,12 +88,15 @@ def _load_bench(monkeypatch):
 def _traced_pipeline(monkeypatch, tmp_path, split, workload):
     """The traced bench's pipeline for ``workload`` on the ``split`` fixture,
     trained, with the test records written where its jobs read them."""
-    from netanom.ingest import default_schema, write_flow_csv
+    from netanom.ingest import default_schema
 
     run_module, tracing = _load_bench(monkeypatch)
     train, test = split
     (tmp_path / "split").mkdir()
-    write_flow_csv(test, default_schema(), tmp_path / "split" / "test.csv")
+    with open(tmp_path / "split" / "test.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(default_schema().names)
+        writer.writerows(r.values for r in test)
     run = run_module.Run(workload=workload, seed=0, dir=tmp_path, deadline=0.0)
     pipeline, tracer = tracing.Pipeline(run), tracing.Tracer("test")
     pipeline.train(tracer, train, budget=5, out=tmp_path / "profile.json")
