@@ -20,21 +20,27 @@ same classify function these intervals, each node still encodes and
 standardizes the columns itself, and scoring is record-local, so their
 reports are identical byte for byte. In-process, an interval is handed over
 as is. The loopback transport serves the partition over TCP, one
-connection per attempt, with length-prefixed JSON frames (4-byte big-endian
-length, then the UTF-8 payload); a float travels as its shortest repr,
-which reads back to the same bits:
+connection per attempt, with length-prefixed frames:
+
+    frame    = length (4-byte big-endian) + payload
+    payload  = header length (4-byte big-endian) + JSON header + buffers
 
     worker -> store   hello     {node}
-    store -> worker   interval  {values: {column: [value, ...]}, truth, origin}, ...
+    store -> worker   interval  {values: {column: values}, truth, origin}, ...
     store -> worker   end       {count}
     worker -> store   result    {counts, verdicts, n}
     store -> worker   ack
 
-An interval frame is one interval, in stream order. An interval whose
-frame would pass ``_MAX_FRAME`` is halved until each part fits its own
-frame. The worker classifies each frame as it arrives and checks
-``end.count`` against the records it received. Truth labels are checked
-once, up front, for both transports.
+Arrays travel as raw little-endian buffers after the header: float64
+columns (``<f8``), truths and verdicts (``i1``) and origin row numbers
+(``<i8``), so a float reads back with the same bits. Field texts, the
+run-length origin file ids and every other field travel in the JSON
+header. An interval frame is one interval, in stream order. An interval
+whose frame would pass ``_MAX_FRAME`` is halved until each part fits its
+own frame. The worker classifies each frame as it arrives and checks
+``end.count`` against the records it received; a frame that does not
+decode raises a retryable :class:`TransportError`. Truth labels are
+checked once, up front, for both transports.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -44,6 +50,7 @@ and is flagged partial.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import socket
 import struct
@@ -402,34 +409,117 @@ def _classify_intervals(
     """Classify one node's partition, one interval at a time as the
     intervals arrive, into the node's result payload (the loopback
     ``result`` frame)."""
-    verdicts: list[int] = []
-    truths: list[int] = []
+    verdicts: list[np.ndarray] = []
+    truths: list[np.ndarray] = []
     for interval in intervals:
         matrix = preprocess.apply_columns(interval["values"], interval["origin"])
-        flagged = classify_scores(profile.score_matrix(matrix), profile, det)
-        verdicts.extend(flagged.astype(int).tolist())
-        truths.extend(interval["truth"])
-    counts = confusion(verdicts, truths) if verdicts else None
+        verdicts.append(classify_scores(profile.score_matrix(matrix), profile, det).astype(np.int8))
+        # A copy: a received interval's truths view its whole frame.
+        truths.append(np.array(interval["truth"], dtype=np.int8))
+    flagged = np.concatenate(verdicts) if verdicts else np.empty(0, dtype=np.int8)
+    counts = confusion(flagged, np.concatenate(truths)) if flagged.size else None
     return {
         "type": "result",
         "counts": None
         if counts is None
         else {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-        "verdicts": verdicts,
-        "n": len(verdicts),
+        "verdicts": flagged,
+        "n": len(flagged),
     }
 
 
+#: The dtypes an array travels as, by their numpy name on the wire.
+_WIRE_DTYPES = {name: np.dtype(name) for name in ("<f8", "i1", "<i8")}
+_WIRE_NAMES = {(dtype.kind, dtype.itemsize): name for name, dtype in _WIRE_DTYPES.items()}
+
+
 def _encode_frame(obj: dict) -> bytes:
-    # A float64 column goes out as a list of its floats.
-    data = json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist).encode("utf-8")
-    return struct.pack(">I", len(data)) + data
+    """``obj`` as one frame (see the module docstring). An array, at the top
+    level of ``obj`` or one dict down, leaves a null in the header and
+    travels as a buffer; the header's ``buffers`` lists each buffer's
+    ``[path, dtype, count]``, in buffer order."""
+    header: dict = {}
+    table: list = []
+    arrays: list[np.ndarray] = []
+
+    def lift(path: list[str], value):
+        if not isinstance(value, np.ndarray):
+            return value
+        name = _WIRE_NAMES.get((value.dtype.kind, value.dtype.itemsize))
+        if name is None or value.ndim != 1:
+            raise TypeError(f"{'.'.join(path)}: a {value.dtype} array of shape {value.shape} has no wire form")
+        table.append([path, name, len(value)])
+        arrays.append(np.ascontiguousarray(value, dtype=_WIRE_DTYPES[name]))
+        return None
+
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            header[key] = {name: lift([key, name], item) for name, item in value.items()}
+        else:
+            header[key] = lift([key], value)
+    header["buffers"] = table
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    size = 4 + len(head) + sum(array.nbytes for array in arrays)
+    return b"".join([struct.pack(">II", size, len(head)), head, *(array.data for array in arrays)])
+
+
+def _decode_frame(payload: bytes) -> dict:
+    """The object :func:`_encode_frame` framed as ``payload`` (the bytes
+    after the length prefix). Each array is a read-only view of
+    ``payload``. A payload that is not such a frame raises
+    :class:`TransportError`, so the node retries."""
+    if len(payload) < 4:
+        raise TransportError(f"frame of {len(payload)} bytes has no header length")
+    (head_size,) = struct.unpack_from(">I", payload)
+    start = 4 + head_size
+    if start > len(payload):
+        raise TransportError(f"header of {head_size} bytes runs past the {len(payload)}-byte frame")
+    try:
+        header = json.loads(payload[4:start])
+        table = [(path, name, count) for path, name, count in header.pop("buffers")]
+    except (ValueError, TypeError, AttributeError, KeyError) as exc:
+        raise TransportError(f"malformed frame header: {type(exc).__name__}: {exc}") from None
+    buffers = []  # (dict, key) of each buffer's null in the header, dtype, count
+    for path, name, count in table:
+        dtype = _WIRE_DTYPES.get(name) if isinstance(name, str) else None
+        if dtype is None:
+            raise TransportError(f"buffer {path!r} has dtype {name!r}, not one of {list(_WIRE_DTYPES)}")
+        if type(count) is not int or count < 0:
+            raise TransportError(f"buffer {path!r} has count {count!r}")
+        try:
+            parent = header[path[0]] if len(path) == 2 else header
+            if len(path) > 2 or not isinstance(parent, dict) or parent[path[-1]] is not None:
+                raise KeyError(path[-1])
+        except (KeyError, TypeError, IndexError):
+            raise TransportError(f"buffer path {path!r} names no null in the header") from None
+        buffers.append((parent, path[-1], dtype, count))
+    declared = sum(dtype.itemsize * count for *_, dtype, count in buffers)
+    if len(payload) - start != declared:
+        raise TransportError(f"frame body holds {len(payload) - start} bytes, its header declares {declared}")
+    offset = start
+    for parent, key, dtype, count in buffers:
+        parent[key] = np.frombuffer(payload, dtype, count, offset)
+        offset += dtype.itemsize * count
+    return header
 
 
 def _interval_frames(interval: dict) -> Iterator[bytes]:
     """Encode one interval as frames of at most ``_MAX_FRAME`` payload
-    bytes, halving the interval until each part fits."""
-    data = _encode_frame({"type": "interval", **interval})
+    bytes, halving the interval until each part fits. Truths travel as an
+    ``i1`` buffer; each origin as its row, in an ``<i8`` buffer, and its
+    file id, run-length coded in the header."""
+    file_ids, rows = zip(*interval["origin"])
+    data = _encode_frame(
+        {
+            "type": "interval",
+            "values": interval["values"],
+            "truth": np.array(interval["truth"], dtype=np.int8),
+            "origin": {
+                "files": [[file_id, len(list(run))] for file_id, run in itertools.groupby(file_ids)],
+                "rows": np.array(rows, dtype=np.int64),
+            },
+        }
+    )
     n = len(interval["truth"])
     if len(data) - 4 <= _MAX_FRAME:
         yield data
@@ -444,9 +534,24 @@ def _interval_frames(interval: dict) -> Iterator[bytes]:
         yield from _interval_frames(_slice(interval, n // 2, n))
 
 
+def _interval_of(frame: dict) -> dict:
+    """The interval a decoded interval frame carries, origins as
+    ``(file id, row)`` pairs again."""
+    try:
+        values, truth, files, rows = frame["values"], frame["truth"], frame["origin"]["files"], frame["origin"]["rows"]
+        file_ids = [file_id for file_id, run in files for _ in range(run)]
+        origin = list(zip(file_ids, rows.tolist()))
+        lengths = {len(truth), len(file_ids), len(rows), *(len(column) for column in values.values())}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise TransportError(f"malformed interval frame: {type(exc).__name__}: {exc}") from None
+    if len(lengths) != 1:
+        raise TransportError(f"interval frame fields differ in length: {sorted(lengths)}")
+    return {"values": values, "truth": truth, "origin": origin}
+
+
 class _Channel:
-    """Length-prefixed JSON frames over one socket, counting the frames and
-    bytes that pass in both directions."""
+    """Length-prefixed frames over one socket, counting the frames and bytes
+    that pass in both directions."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -465,7 +570,7 @@ class _Channel:
         (length,) = struct.unpack(">I", self._recv_exact(4))
         if length > _MAX_FRAME:
             raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
-        frame = json.loads(self._recv_exact(length))
+        frame = _decode_frame(self._recv_exact(length))
         self.frames += 1
         self.wire_bytes += 4 + length
         return frame
@@ -483,12 +588,13 @@ class _Channel:
 
 
 def _received_intervals(channel: _Channel) -> Iterator[dict]:
-    """Yield each interval frame as it arrives, until the ``end`` frame,
-    whose count must match (a lost frame shows up there)."""
+    """Yield each interval frame's interval as it arrives, until the ``end``
+    frame, whose count must match (a lost frame shows up there)."""
     received = 0
     while (frame := channel.recv()).get("type") == "interval":
-        received += len(frame["truth"])
-        yield frame
+        interval = _interval_of(frame)
+        received += len(interval["truth"])
+        yield interval
     if frame.get("type") != "end":
         raise TransportError(f"unexpected frame type {frame.get('type')!r}")
     if frame["count"] != received:
@@ -519,7 +625,7 @@ def _result_from_payload(node: str, payload: dict, attempts: int, wall_s: float)
     return NodeResult(
         node=node,
         counts=counts,
-        verdicts=tuple(payload["verdicts"]),
+        verdicts=tuple(payload["verdicts"].tolist()),
         n_records=payload["n"],
         failed=False,
         attempts=attempts,

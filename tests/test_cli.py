@@ -1061,6 +1061,6 @@ class TestManifests:
                     assert doc["frames"] == doc["wire_bytes"] == 0
                 else:
                     assert 0 < doc["frames"] < doc["n_records"]
-                    # Frames carry the 10 modeled columns (about 81 B a record,
+                    # Frames carry the 10 modeled columns (about 96 B a record,
                     # replies included), not all 49 fields (about 387 B).
                     assert 0 < doc["wire_bytes"] < 120 * doc["n_records"]

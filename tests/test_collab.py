@@ -1,12 +1,15 @@
 import copy
+import csv
 import hashlib
 import importlib.util
 import json
 import re
+import struct
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from netanom.collab import (
     SharedStore,
     SimulationConfig,
     SimulationError,
+    TransportError,
     replay,
     replay_chunks,
     run_simulation,
@@ -25,7 +29,7 @@ from netanom.collab import (
 from netanom.decision import DetectionConfig, classify_scores, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
-from netanom.ingest import FlowRecord, SchemaError
+from netanom.ingest import FlowRecord, SchemaError, iter_flow_batches
 from netanom.preprocess import PreprocessError, fit_preprocess
 
 
@@ -46,6 +50,27 @@ def fitted_pca(split, schema):
     pp = fit_preprocess(train, schema, "pca:3")
     profile = train_profile(pp.apply_records(train), EmConfig(n_components=3, seed=0), preprocess_digest=pp.digest())
     return pp, profile
+
+
+@pytest.fixture(scope="module")
+def sim_capture(tmp_path_factory, sim_records, schema):
+    """The first 120 ``sim_records`` as a capture file."""
+    path = tmp_path_factory.mktemp("capture") / "sim.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(schema.names)
+        writer.writerows(r.values for r in sim_records[:120])
+    return path
+
+
+def _replay_batches(path, pp, cfg):
+    """The store ``netanom simulate`` fills from ``path``: column batches of
+    the modeled columns, each numeric one a float64 array."""
+    chunks = (
+        {"values": batch.columns, "truth": batch.truth.tolist(), "origin": batch.origins()}
+        for batch in iter_flow_batches(path, pp.schema, pp.columns)
+    )
+    return replay_chunks(chunks, pp.columns, cfg)
 
 
 def _with_value(records, schema, index, column, text):
@@ -213,7 +238,7 @@ class TestSharedStore:
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
-        # a one-record table1 frame takes about 270 bytes, a 16-record one about 1,400
+        # a one-record table1 frame of field texts takes at most about 360 bytes, a 16-record one about 1,340
         "max_frame, splits", [(collab._MAX_FRAME, False), (600, True)], ids=["one-frame", "split"]
     )
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
@@ -229,14 +254,15 @@ class TestSharedStore:
             frames = list(collab._interval_frames(interval))
             for data in frames:
                 assert int.from_bytes(data[:4], "big") == len(data) - 4 <= max_frame
-                frame = json.loads(data[4:])
+                frame = collab._decode_frame(data[4:])
                 assert frame["type"] == "interval"
                 assert set(frame) == {"type", "values", "truth", "origin"}
                 assert tuple(frame["values"]) == pp.columns
+                part = collab._interval_of(frame)
                 for name in pp.columns:
-                    decoded["values"][name].extend(frame["values"][name])
-                decoded["truth"].extend(frame["truth"])
-                decoded["origin"].extend(tuple(o) for o in frame["origin"])
+                    decoded["values"][name].extend(part["values"][name])
+                decoded["truth"].extend(part["truth"].tolist())
+                decoded["origin"].extend(part["origin"])
             assert (len(frames) > 1) == splits
             assert decoded["values"] == _columns(run, schema, pp.columns)
             assert decoded["truth"] == [r.truth for r in run]
@@ -249,8 +275,121 @@ class TestSharedStore:
         records = replay(sim_records[:40], _cfg(nodes=("A",)), schema).partition("A")
         for interval in collab._intervals(records, pp, 16):
             for data in collab._interval_frames(interval):
-                assert tuple(json.loads(data[4:])["values"]) == pp.columns
+                assert tuple(collab._decode_frame(data[4:])["values"]) == pp.columns
         assert pp.columns == (pp.selected if mode == "table1" else schema.feature_names())
+
+
+def _payload(obj):
+    """The payload of ``obj``'s frame, after its length prefix."""
+    return collab._encode_frame(obj)[4:]
+
+
+def _edit_header(payload, edit):
+    """``payload`` with its JSON header passed through ``edit``, the body kept."""
+    (size,) = struct.unpack_from(">I", payload)
+    header = json.loads(payload[4 : 4 + size])
+    edit(header)
+    head = json.dumps(header).encode()
+    return struct.pack(">I", len(head)) + head + payload[4 + size :]
+
+
+def _set_first_buffer(field, value):
+    """A header edit that sets the first buffer's ``[path, dtype, count]``
+    entry ``field`` to ``value``."""
+
+    def edit(header):
+        header["buffers"][0][field] = value
+
+    return edit
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+class TestFrameCodec:
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EXTREMES)), max_size=80
+        ),
+    )
+    def test_float_columns_come_back_bit_exact(self, values):
+        column = np.array(values, dtype=np.float64)
+        frame = {
+            "type": "interval",
+            "values": {"x": column, "proto": ["tcp"] * len(values)},
+            "truth": np.zeros(len(values), dtype=np.int8),
+        }
+        decoded = collab._decode_frame(_payload(frame))
+        assert list(decoded) == ["type", "values", "truth"] and list(decoded["values"]) == ["x", "proto"]
+        got = decoded["values"]["x"]
+        assert got.dtype == np.dtype("<f8") and not got.flags.writeable
+        assert got.view(np.uint64).tolist() == column.view(np.uint64).tolist()
+        assert decoded["values"]["proto"] == ["tcp"] * len(values)
+        assert decoded["truth"].tolist() == [0] * len(values)
+
+    def test_every_wire_dtype_roundtrips(self):
+        frame = {
+            "type": "result",
+            "counts": {"tp": 1, "tn": 0, "fp": 0, "fn": 2},
+            "verdicts": np.array([1, 0, 1], dtype=np.int8),
+            "origin": {"files": [["f", 3]], "rows": np.array([2, 2**40, 7], dtype=np.int64)},
+            "n": 3,
+        }
+        decoded = collab._decode_frame(_payload(frame))
+        assert decoded["counts"] == frame["counts"] and decoded["n"] == 3
+        assert decoded["verdicts"].dtype == np.dtype("i1") and decoded["verdicts"].tolist() == [1, 0, 1]
+        assert decoded["origin"]["rows"].dtype == np.dtype("<i8")
+        assert decoded["origin"]["rows"].tolist() == [2, 2**40, 7] and decoded["origin"]["files"] == [["f", 3]]
+
+    def test_arrays_without_a_wire_form_rejected(self):
+        for array in (np.zeros(2, dtype=np.float32), np.array(["a"], dtype=object), np.zeros((2, 2))):
+            with pytest.raises(TypeError, match="no wire form"):
+                collab._encode_frame({"type": "interval", "truth": array})
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: p[:3], "has no header length"),
+            (lambda p: struct.pack(">I", len(p)) + p[4:], "runs past the"),
+            (lambda p: p[:-1], "frame body holds 127 bytes, its header declares 128"),
+            (lambda p: p + b"\0", "frame body holds 129 bytes, its header declares 128"),
+            (lambda p: _edit_header(p, _set_first_buffer(1, "|O")), "dtype '|O', not one of"),
+            (lambda p: _edit_header(p, _set_first_buffer(1, "object")), "dtype 'object', not one of"),
+            (lambda p: _edit_header(p, _set_first_buffer(1, "<f4")), "dtype '<f4', not one of"),
+            (lambda p: _edit_header(p, _set_first_buffer(2, -1)), "count -1"),
+            (lambda p: _edit_header(p, _set_first_buffer(2, 1.5)), "count 1.5"),
+            (lambda p: _edit_header(p, _set_first_buffer(0, ["values", "nope"])), "names no null"),
+            (lambda p: _edit_header(p, lambda h: h.pop("buffers")), "malformed frame header"),
+            (lambda p: p[:4] + b"\xff" + p[5:], "malformed frame header"),
+        ],
+    )
+    def test_malformed_payload_raises_retryable_transport_error(self, corrupt, message):
+        payload = _payload({"type": "interval", "values": {"x": np.arange(16.0)}, "truth": None})
+        with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
+            collab._decode_frame(corrupt(payload))
+        assert isinstance(excinfo.value, collab._RETRYABLE)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda f: f["origin"].__setitem__("files", [["f", 2]]),
+            lambda f: f["values"].__setitem__("x", f["values"]["x"][:2]),
+            lambda f: f.pop("truth"),
+        ],
+        ids=["origin", "column", "no-truth"],
+    )
+    def test_inconsistent_interval_frame_raises_transport_error(self, edit):
+        frame = {
+            "type": "interval",
+            "values": {"x": np.arange(3.0)},
+            "truth": np.zeros(3, dtype=np.int8),
+            "origin": {"files": [["f", 3]], "rows": np.arange(3)},
+        }
+        assert collab._interval_of(collab._decode_frame(_payload(frame)))["origin"] == [("f", 0), ("f", 1), ("f", 2)]
+        edit(frame)
+        with pytest.raises(TransportError):
+            collab._interval_of(collab._decode_frame(_payload(frame)))
 
 
 class TestConfig:
@@ -573,6 +712,38 @@ class TestRunSimulation:
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert b.verdicts == clean.node_results["B"].verdicts
 
+    @pytest.mark.parametrize("always", [False, True])
+    def test_corrupt_frame_body_retried(self, sim_capture, fitted, monkeypatch, always):
+        """An interval frame that loses its last body byte (its length prefix
+        still matching) fails to decode on the worker, which retries."""
+        pp, profile = fitted
+        real = collab._interval_frames
+        corrupted = []
+        cfg = _cfg(transport="loopback-socket", retry_budget=1, interval_size=16)
+        of_b = set(_replay_batches(sim_capture, pp, cfg).partition("B")["origin"])
+
+        def corrupting(interval):
+            for data in real(interval):
+                if interval["origin"][0] in of_b and (always or not corrupted):
+                    corrupted.append(True)
+                    data = struct.pack(">I", len(data) - 5) + data[4:-1]
+                yield data
+
+        monkeypatch.setattr(collab, "_interval_frames", corrupting)
+        outcome = run_simulation(_replay_batches(sim_capture, pp, cfg), profile, pp, cfg)
+        monkeypatch.undo()
+        b = outcome.node_results["B"]
+        assert corrupted and b.attempts == 2
+        if always:
+            assert b.failed and outcome.failed_nodes == ("B",)
+            assert b.error.startswith("TransportError: ") and "frame body holds" in b.error
+            return
+        clean = run_simulation(_replay_batches(sim_capture, pp, cfg), profile, pp, cfg)
+        assert not b.failed and not outcome.partial
+        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert b.verdicts == clean.node_results["B"].verdicts
+        assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
+
     def test_all_failed_rejected(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg(fail_nodes=("A", "B", "C"), retry_budget=0)
@@ -620,9 +791,13 @@ class TestRunSimulation:
 class TestRunnerProperty:
     @settings(max_examples=10)
     @given(data=st.data())
-    def test_transports_agree_on_random_topologies(self, data, sim_records, schema, fitted):
+    def test_transports_agree_on_random_topologies(self, data, sim_records, sim_capture, schema, fitted):
         pp, profile = fitted
         records = sim_records[:120]
+        # Field texts fill the store as the replay adapter does; column
+        # batches as `netanom simulate` does, numeric columns as float64
+        # arrays, which travel as buffers.
+        batches = data.draw(st.booleans(), label="column batches")
         n_nodes = data.draw(st.integers(1, 4), label="nodes")
         nodes = tuple("ABCD"[:n_nodes])
         explicit = data.draw(
@@ -630,10 +805,12 @@ class TestRunnerProperty:
             label="explicit",
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
-        # 400 bytes holds a one-record interval frame (at most about 270) and
-        # the result frame for 120 records (about 330); a 64-record interval
-        # frame takes about 5,000, so most draws split intervals across frames.
-        max_frame = data.draw(st.integers(400, 6_000), label="max_frame")
+        # 400 bytes holds a one-record interval frame of field texts (at most
+        # about 360) and the result frame for 120 records (about 240); one of
+        # float64 buffers takes at most about 670, so those draws start at
+        # 700. A 64-record interval frame takes about 4,500 (texts) or 6,000
+        # (buffers), so most draws split intervals across frames.
+        max_frame = data.draw(st.integers(700 if batches else 400, 6_000), label="max_frame")
         outcomes = {}
         for transport in TRANSPORTS:
             cfg = _cfg(
@@ -645,7 +822,10 @@ class TestRunnerProperty:
             )
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(collab, "_MAX_FRAME", max_frame)
-                outcomes[transport] = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+                store = _replay_batches(sim_capture, pp, cfg) if batches else replay(records, cfg, schema)
+                held = [column for node in store.nodes() for column in store.partition(node)["values"].values()]
+                assert any(isinstance(column, np.ndarray) for column in held) == batches
+                outcomes[transport] = run_simulation(store, profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         for node in nodes:
             assert a.node_results[node].verdicts == b.node_results[node].verdicts

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,17 @@ def test_run_collab_demo_smoke(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "node B: FAILED" in result.stdout
     assert "aggregate over healthy nodes" in result.stdout
+
+
+def test_run_collab_demo_every_assignment(tmp_path):
+    """Every --assignment choice the demo offers runs to the end."""
+    usage = _run("run_collab_demo.py", "--help", cwd=tmp_path).stdout
+    choices = re.search(r"--assignment \{([^}]*)\}", usage).group(1).split(",")
+    assert "round-robin" in choices
+    for assignment in choices:
+        result = _run("run_collab_demo.py", "--rows", "2000", "--assignment", assignment, cwd=tmp_path)
+        assert result.returncode == 0, f"{assignment}: {result.stderr}"
+        assert "aggregate over all nodes" in result.stdout
 
 
 def test_fixed_corpus_digests(tmp_path):
