@@ -286,14 +286,14 @@ def _cmd_train(args, parser) -> int:
 
 
 def _training_batches(path: Path, schema, columns):
-    """Yield ``(columns, origins)`` for each batch of the training file,
-    once every row of the batch is checked to be labeled normal."""
+    """Yield each batch of the training file, once every row of the batch
+    is checked to be labeled normal."""
     for batch in iter_flow_batches(path, schema, columns):
         bad = np.flatnonzero(batch.truth != 0)
         if bad.size:
             kind = "unlabeled" if batch.truth[bad[0]] < 0 else "attack-labeled"
             raise IngestError(f"{kind} row in training input: {batch.file_id} row {batch.rows[bad[0]]}")
-        yield batch.columns, batch.origins()
+        yield batch
 
 
 def _load_pipeline(args):
@@ -316,7 +316,7 @@ def _scored_batches(path, profile, preprocess):
     """Yield ``(batch, scores)`` for each :class:`FlowBatch` of the capture at
     ``path``: each batch is scored as it is read."""
     for batch in iter_flow_batches(Path(path), preprocess.schema, preprocess.columns):
-        yield batch, profile.score_matrix(preprocess.apply_columns(batch.columns, batch.origins()))
+        yield batch, profile.score_matrix(preprocess.apply(batch))
 
 
 def _cmd_detect(args, parser) -> int:
@@ -467,11 +467,7 @@ def _cmd_simulate(args, parser) -> int:
     if first is None:
         print("error: test file has no records", file=sys.stderr)
         return 1
-    chunks = (
-        {"values": batch.columns, "truth": batch.truth.tolist(), "origin": batch.origins()}
-        for batch in itertools.chain([first], batches)
-    )
-    store = replay_chunks(chunks, preprocess.columns, cfg)
+    store = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
     outcome = run_simulation(store, profile, preprocess, cfg)
 
     out = Path(args.out)

@@ -1,24 +1,24 @@
 """Multi-node detection simulation over a shared capture store.
 
-A replay reads a capture in chunks of columns, assigns each record to a
-named node and appends it to an append-only log, one totally-ordered stream
-of columns per node; a record's seq is its 1-based position in its node's
-stream. Each node then independently preprocesses and classifies exactly
-its own partition, one interval (a slice of ``interval_size`` records) at a
-time, against one shared normal profile; a coordinator sums the per-node
-confusion counts. Nodes never
+A replay reads one capture file as :class:`~netanom.ingest.FlowBatch`es,
+assigns each record to a named node and appends it to an append-only log,
+one totally-ordered stream per node, itself a batch; a record's seq is its
+1-based position in its node's stream. Each node then independently
+preprocesses and classifies exactly its own partition, one interval (a
+slice of ``interval_size`` records) at a time, against one shared normal
+profile; a coordinator sums the per-node confusion counts. Nodes never
 exchange verdicts: sharing stops at the capture/logging layer, so
 partitioning can never change outcomes.
 
 One runner starts a thread per node and retries each node's attempt; the
 two transports differ only in how an attempt fetches the node's partition.
-The store cuts a partition into intervals that carry only what a node
-reads: the columns the preprocessing model reads (``PreprocessModel.columns``)
-as the store holds them, numeric ones as float64 values and the others as
-field texts, plus each record's truth and origin. Both transports hand the
-same classify function these intervals, each node still encodes and
-standardizes the columns itself, and scoring is record-local, so their
-reports are identical byte for byte. In-process, an interval is handed over
+The store cuts a partition into intervals, batches that carry only what a
+node reads: the columns the preprocessing model reads
+(``PreprocessModel.columns``) as the store holds them, numeric ones as
+float64 values and the others as field texts, plus each record's truth and
+row number. Both transports hand the same classify function these
+intervals, each node still encodes and standardizes the columns itself,
+and scoring is record-local, so their reports are identical byte for byte. In-process, an interval is handed over
 as is. The loopback transport serves the partition over TCP, one
 connection per attempt, with length-prefixed frames:
 
@@ -26,18 +26,17 @@ connection per attempt, with length-prefixed frames:
     payload  = header length (4-byte big-endian) + JSON header + buffers
 
     worker -> store   hello     {node}
-    store -> worker   interval  {values: {column: values}, truth, origin}, ...
+    store -> worker   interval  {file, values: {column: values}, truth, rows}, ...
     store -> worker   end       {count}
     worker -> store   result    {counts, verdicts, n}
     store -> worker   ack
 
 Arrays travel as raw little-endian buffers after the header: float64
-columns (``<f8``), truths and verdicts (``i1``) and origin row numbers
-(``<i8``), so a float reads back with the same bits. Field texts, the
-run-length origin file ids and every other field travel in the JSON
-header. An interval frame is one interval, in stream order. An interval
-whose frame would pass ``_MAX_FRAME`` is halved until each part fits its
-own frame. The worker classifies each frame as it arrives and checks
+columns (``<f8``), truths and verdicts (``i1``) and row numbers (``<i8``),
+so a float reads back with the same bits. Field texts, the file id and
+every other field travel in the JSON header. An interval frame is one
+interval, in stream order. An interval whose frame would pass
+``_MAX_FRAME`` is halved until each part fits its own frame. The worker classifies each frame as it arrives and checks
 ``end.count`` against the records it received; a frame that does not
 decode raises a retryable :class:`TransportError`. Truth labels are
 checked once, up front, for both transports.
@@ -50,15 +49,12 @@ and is flagged partial.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import socket
 import struct
 import threading
 import time
-from collections import defaultdict
-from dataclasses import dataclass, fields
-from operator import itemgetter
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -66,7 +62,7 @@ import numpy as np
 
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
-from .ingest import FeatureSchema, FlowRecord, SchemaError
+from .ingest import FeatureSchema, FlowBatch, FlowRecord, SchemaError, batch_of_records
 from .preprocess import PreprocessModel
 
 SIMCONFIG_FORMAT_VERSION = 1
@@ -91,73 +87,63 @@ class SimulatedNodeFailure(SimulationError):
 
 
 class SharedStore:
-    """Append-only capture log with one totally-ordered stream per node; a
-    record's seq is its 1-based position there.
+    """Append-only log of one capture file with one totally-ordered stream
+    per node; a record's seq is its 1-based position there.
 
-    A stream is held as columns, in the shape of an interval:
-    ``{"values": {column: values}, "truth": [...], "origin": [...]}``, with
-    truth 1 for attack, 0 for normal and -1 for unlabeled. A column is a
-    float64 array when every chunk gave it as one (a numeric column of a
-    :class:`~netanom.ingest.FlowBatch`), else a list of the chunks' values.
-    Records are never changed or deleted. Readers hold no state in the
-    store: ``partition(node)`` returns the whole stream every time, which is
-    also how a run is audited afterwards.
+    A stream is a :class:`~netanom.ingest.FlowBatch` of the store's
+    columns. A column is a float64 array when every appended batch gave it
+    as one, else a list of the batches' values. Records are never changed
+    or deleted. Readers hold no state in the store: ``partition(node)``
+    returns the whole stream every time, which is also how a run is audited
+    afterwards.
     """
 
     def __init__(self, columns: Iterable[str]):
         self.columns = tuple(columns)
-        # Per node, each column as the parts the chunks gave, joined into
-        # one on the first read after an append.
-        self._streams: dict[str, dict] = {}
+        self.file_id: str | None = None
+        # Per node, its parts of the batches, joined on the first read after an append.
+        self._streams: dict[str, list[FlowBatch]] = {}
 
-    def extend(self, chunk: dict, nodes: Sequence[str]) -> None:
-        """Append the records of ``chunk``, a stream-shaped dict holding every
-        store column, each under its node in ``nodes``."""
-        rows_of: defaultdict[str, list[int]] = defaultdict(list)
-        for row, node in enumerate(nodes):
-            rows_of[node].append(row)
-        for node, rows in rows_of.items():
-            stream = self._streams.get(node)
-            if stream is None:
-                stream = self._streams[node] = self._empty()
-            # itemgetter returns a bare item, not a 1-tuple, for one index.
-            take = itemgetter(*rows) if len(rows) > 1 else lambda seq: (seq[rows[0]],)
-            for name, parts in stream["values"].items():
-                column = chunk["values"][name]
-                parts.append(column[np.array(rows)] if isinstance(column, np.ndarray) else list(take(column)))
-            stream["truth"].extend(take(chunk["truth"]))
-            stream["origin"].extend(take(chunk["origin"]))
-
-    def _empty(self) -> dict:
-        return {"values": {name: [] for name in self.columns}, "truth": [], "origin": []}
+    def extend(self, batch: FlowBatch, nodes: Sequence[str]) -> None:
+        """Append the records of ``batch``, which holds every store column,
+        each under its node in ``nodes``. A batch of another file than the
+        first one's raises :class:`SimulationError`."""
+        if self.file_id not in (None, batch.file_id):
+            raise SimulationError(f"the store holds capture {self.file_id!r}; a batch of {batch.file_id!r} cannot join it")
+        self.file_id = batch.file_id
+        kept = replace(batch, columns={name: batch.columns[name] for name in self.columns})
+        assigned = np.asarray(nodes)
+        for node in dict.fromkeys(nodes):
+            self._streams.setdefault(node, []).append(kept.take(np.flatnonzero(assigned == node)))
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(self._streams)
 
-    def partition(self, node: str) -> dict:
+    def partition(self, node: str) -> FlowBatch:
         """Full view of one node's stream, in sequence order. The stream is
         the store's own: readers must not change it."""
-        stream = self._streams.get(node)
-        if stream is None:
-            return self._empty()
-        for parts in stream["values"].values():
-            if len(parts) > 1:
-                parts[:] = [_join(parts)]
-        return {
-            "values": {name: parts[0] for name, parts in stream["values"].items()},
-            "truth": stream["truth"],
-            "origin": stream["origin"],
-        }
+        parts = self._streams.get(node)
+        if parts is None:
+            return FlowBatch({name: [] for name in self.columns}, np.empty(0, np.int8), self.file_id or "", np.empty(0, np.int64))
+        if len(parts) > 1:
+            parts[:] = [_join(parts)]
+        return parts[0]
 
     def __len__(self) -> int:
-        return sum(len(s["truth"]) for s in self._streams.values())
+        return sum(len(part) for parts in self._streams.values() for part in parts)
 
 
-def _join(parts: list) -> np.ndarray | list:
-    """One column from its parts: an array if every part is one, else a list."""
-    if all(isinstance(part, np.ndarray) for part in parts):
-        return np.concatenate(parts)
-    return [value for part in parts for value in (part.tolist() if isinstance(part, np.ndarray) else part)]
+def _join(parts: list[FlowBatch]) -> FlowBatch:
+    """One batch from consecutive parts of a stream: a column is an array if
+    every part holds it as one, else a list."""
+    columns = {}
+    for name in parts[0].columns:
+        pieces = [part.columns[name] for part in parts]
+        arrays = all(isinstance(piece, np.ndarray) for piece in pieces)
+        columns[name] = np.concatenate(pieces) if arrays else [value for piece in pieces for value in piece]
+    truth = np.concatenate([part.truth for part in parts])
+    rows = np.concatenate([part.rows for part in parts])
+    return FlowBatch(columns, truth, parts[0].file_id, rows)
 
 
 @dataclass(frozen=True)
@@ -192,6 +178,8 @@ class SimulationConfig:
             raise SimulationError("interval_size must be >= 1")
         if self.retry_budget < 0:
             raise SimulationError("retry_budget must be >= 0")
+        if not 0 <= self.port <= 65535:
+            raise SimulationError(f"port must be in 0-65535, got {self.port}")
         unknown = set(self.fail_nodes) - set(self.nodes)
         if unknown:
             raise SimulationError(f"fail_nodes not in topology: {sorted(unknown)}")
@@ -236,7 +224,8 @@ def _check_json_type(key: str, value, annotation: str) -> None:
 def simconfig_from_doc(doc) -> SimulationConfig:
     """Build a config from its JSON document. Absent keys take the
     ``SimulationConfig`` defaults; a missing ``nodes``, an unknown key or a
-    value of the wrong JSON type raises ``SimulationError`` naming the key."""
+    value of the wrong JSON type, a list element included, raises
+    ``SimulationError`` naming the key."""
     if not isinstance(doc, dict):
         raise SimulationError(f"simulation config must be a JSON object, not {type(doc).__name__}")
     if doc.get("version") != SIMCONFIG_FORMAT_VERSION:
@@ -256,6 +245,9 @@ def simconfig_from_doc(doc) -> SimulationConfig:
         if key == "node_w":
             for node, w in value.items():
                 _check_json_type(f"{key}.{node}", w, "float")
+        elif isinstance(value, list):  # every list field is a tuple of names
+            for i, name in enumerate(value):
+                _check_json_type(f"{key}[{i}]", name, "str")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     if "nodes" not in kwargs:
         raise SimulationError("simulation config is missing the 'nodes' key")
@@ -271,19 +263,19 @@ def load_simconfig(path) -> SimulationConfig:
 
 
 def _node_assigner(cfg: SimulationConfig):
-    """``assign(chunk, start)``: the node of each record of ``chunk``, whose
+    """``assign(batch, start)``: the node of each record of ``batch``, whose
     first record is record ``start`` of the whole replay. Explicit
-    assignment may name fewer nodes than the chunk has records;
-    :func:`replay_chunks` checks its length once every chunk is in."""
+    assignment may name fewer nodes than the batch has records;
+    :func:`replay_chunks` checks its length once every batch is in."""
     n = len(cfg.nodes)
     if cfg.assignment == "round-robin":
-        return lambda chunk, start: [cfg.nodes[i % n] for i in range(start, start + len(chunk["truth"]))]
+        return lambda batch, start: [cfg.nodes[i % n] for i in range(start, start + len(batch))]
     if cfg.assignment == "explicit":
-        return lambda chunk, start: (cfg.explicit_assignment or ())[start : start + len(chunk["truth"])]
+        return lambda batch, start: (cfg.explicit_assignment or ())[start : start + len(batch)]
     node_of: dict[str, str] = {}  # sources repeat: hash each value once
 
-    def assign(chunk: dict, start: int) -> list[str]:
-        texts = chunk["values"].get(cfg.hash_column)
+    def assign(batch: FlowBatch, start: int) -> list[str]:
+        texts = batch.columns.get(cfg.hash_column)
         if texts is None:
             raise SchemaError(f"no column named {cfg.hash_column!r}")
         out = []
@@ -298,17 +290,17 @@ def _node_assigner(cfg: SimulationConfig):
     return assign
 
 
-def replay_chunks(chunks: Iterable[dict], columns: Iterable[str], cfg: SimulationConfig) -> SharedStore:
-    """Append every record of ``chunks`` once, in input order, under its
-    assigned node. A chunk is a stream-shaped dict (see :class:`SharedStore`)
-    holding ``columns`` and, for hash-of-source assignment, the hash column.
-    Every chunk is read before an explicit assignment is checked."""
+def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: SimulationConfig) -> SharedStore:
+    """Append every record of ``batches``, all of one capture file, once, in
+    input order, under its assigned node. Each batch holds ``columns`` and,
+    for hash-of-source assignment, the hash column as field texts. Every
+    batch is read before an explicit assignment is checked."""
     assign = _node_assigner(cfg)
     store = SharedStore(columns)
     n_records = 0
-    for chunk in chunks:
-        store.extend(chunk, assign(chunk, n_records))
-        n_records += len(chunk["truth"])
+    for batch in batches:
+        store.extend(batch, assign(batch, n_records))
+        n_records += len(batch)
     if n_records == 0:
         raise SimulationError("cannot replay an empty record list")
     if cfg.assignment == "explicit":
@@ -331,19 +323,12 @@ def replay(
     schema: FeatureSchema,
 ) -> SharedStore:
     """Append every record once, in input order, under its assigned node:
-    the records as one chunk over every column of ``schema``.
+    the records as one batch over every column of ``schema``.
 
     ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
     deletes this adapter after item 2. ``simulate`` fills the store with
     :func:`replay_chunks`."""
-    if not records:
-        raise SimulationError("cannot replay an empty record list")
-    chunk = {
-        "values": dict(zip(schema.names, zip(*(r.values for r in records)))),
-        "truth": [-1 if r.truth is None else r.truth for r in records],
-        "origin": [r.origin for r in records],
-    }
-    return replay_chunks([chunk], schema.names, cfg)
+    return replay_chunks([batch_of_records(records, schema, schema.names)], schema.names, cfg)
 
 
 @dataclass(frozen=True)
@@ -377,31 +362,17 @@ class SimulationOutcome:
     partial: bool
 
 
-def _slice(interval: dict, start: int, stop: int) -> dict:
-    """Records ``start`` to ``stop`` of an interval, as an interval."""
-    return {
-        "values": {name: texts[start:stop] for name, texts in interval["values"].items()},
-        "truth": interval["truth"][start:stop],
-        "origin": interval["origin"][start:stop],
-    }
-
-
-def _intervals(stream: dict, preprocess: PreprocessModel, size: int) -> Iterator[dict]:
-    """A node's stream cut into intervals of ``size`` records. An interval
-    holds only what a node reads: ``values``, the columns ``preprocess``
-    reads (``{column: values}``, as the store holds them), and the records'
-    ``truth`` and ``origin`` lists, all in stream order."""
-    modeled = {
-        "values": {name: stream["values"][name] for name in preprocess.columns},
-        "truth": stream["truth"],
-        "origin": stream["origin"],
-    }
-    for start in range(0, len(stream["truth"]), size):
-        yield _slice(modeled, start, start + size)
+def _intervals(stream: FlowBatch, preprocess: PreprocessModel, size: int) -> Iterator[FlowBatch]:
+    """A node's stream cut into intervals of ``size`` records, in stream
+    order. An interval holds only the columns ``preprocess`` reads, as the
+    store holds them."""
+    modeled = replace(stream, columns={name: stream.columns[name] for name in preprocess.columns})
+    for start in range(0, len(stream), size):
+        yield modeled.take(slice(start, start + size))
 
 
 def _classify_intervals(
-    intervals: Iterable[dict],
+    intervals: Iterable[FlowBatch],
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
@@ -410,19 +381,15 @@ def _classify_intervals(
     intervals arrive, into the node's result payload (the loopback
     ``result`` frame)."""
     verdicts: list[np.ndarray] = []
-    truths: list[np.ndarray] = []
+    counts = ConfusionCounts(0, 0, 0, 0)
     for interval in intervals:
-        matrix = preprocess.apply_columns(interval["values"], interval["origin"])
-        verdicts.append(classify_scores(profile.score_matrix(matrix), profile, det).astype(np.int8))
-        # A copy: a received interval's truths view its whole frame.
-        truths.append(np.array(interval["truth"], dtype=np.int8))
+        flagged = classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det).astype(np.int8)
+        verdicts.append(flagged)
+        counts = counts + confusion(flagged, interval.truth)
     flagged = np.concatenate(verdicts) if verdicts else np.empty(0, dtype=np.int8)
-    counts = confusion(flagged, np.concatenate(truths)) if flagged.size else None
     return {
         "type": "result",
-        "counts": None
-        if counts is None
-        else {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
+        "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn} if verdicts else None,
         "verdicts": flagged,
         "n": len(flagged),
     }
@@ -503,50 +470,36 @@ def _decode_frame(payload: bytes) -> dict:
     return header
 
 
-def _interval_frames(interval: dict) -> Iterator[bytes]:
+def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
     """Encode one interval as frames of at most ``_MAX_FRAME`` payload
     bytes, halving the interval until each part fits. Truths travel as an
-    ``i1`` buffer; each origin as its row, in an ``<i8`` buffer, and its
-    file id, run-length coded in the header."""
-    file_ids, rows = zip(*interval["origin"])
+    ``i1`` buffer and row numbers as an ``<i8`` one."""
     data = _encode_frame(
-        {
-            "type": "interval",
-            "values": interval["values"],
-            "truth": np.array(interval["truth"], dtype=np.int8),
-            "origin": {
-                "files": [[file_id, len(list(run))] for file_id, run in itertools.groupby(file_ids)],
-                "rows": np.array(rows, dtype=np.int64),
-            },
-        }
+        {"type": "interval", "file": interval.file_id, "values": interval.columns, "truth": interval.truth, "rows": interval.rows}
     )
-    n = len(interval["truth"])
+    n = len(interval)
     if len(data) - 4 <= _MAX_FRAME:
         yield data
     elif n == 1:
-        origin = interval["origin"][0]
         raise TransportError(
-            f"record {origin[0]} row {origin[1]} needs a frame of "
+            f"record {interval.file_id} row {interval.rows[0]} needs a frame of "
             f"{len(data) - 4} bytes, over the {_MAX_FRAME} limit"
         )
     else:
-        yield from _interval_frames(_slice(interval, 0, n // 2))
-        yield from _interval_frames(_slice(interval, n // 2, n))
+        yield from _interval_frames(interval.take(slice(0, n // 2)))
+        yield from _interval_frames(interval.take(slice(n // 2, n)))
 
 
-def _interval_of(frame: dict) -> dict:
-    """The interval a decoded interval frame carries, origins as
-    ``(file id, row)`` pairs again."""
+def _interval_of(frame: dict) -> FlowBatch:
+    """The interval a decoded interval frame carries; its truths and rows came as buffers."""
     try:
-        values, truth, files, rows = frame["values"], frame["truth"], frame["origin"]["files"], frame["origin"]["rows"]
-        file_ids = [file_id for file_id, run in files for _ in range(run)]
-        origin = list(zip(file_ids, rows.tolist()))
-        lengths = {len(truth), len(file_ids), len(rows), *(len(column) for column in values.values())}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        interval = FlowBatch(frame["values"], frame["truth"], frame["file"], frame["rows"])
+        lengths = {interval.truth.size, interval.rows.size, *map(len, interval.columns.values())}
+    except (KeyError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed interval frame: {type(exc).__name__}: {exc}") from None
     if len(lengths) != 1:
         raise TransportError(f"interval frame fields differ in length: {sorted(lengths)}")
-    return {"values": values, "truth": truth, "origin": origin}
+    return interval
 
 
 class _Channel:
@@ -593,7 +546,7 @@ def _received_intervals(channel: _Channel) -> Iterator[dict]:
     received = 0
     while (frame := channel.recv()).get("type") == "interval":
         interval = _interval_of(frame)
-        received += len(interval["truth"])
+        received += len(interval)
         yield interval
     if frame.get("type") != "end":
         raise TransportError(f"unexpected frame type {frame.get('type')!r}")
@@ -701,7 +654,7 @@ def _run_loopback(
                 for interval in _intervals(stream, preprocess, cfg.interval_size):
                     for data in _interval_frames(interval):
                         channel.send_encoded(data)
-                channel.send({"type": "end", "count": len(stream["truth"])})
+                channel.send({"type": "end", "count": len(stream)})
                 payload = channel.recv()
                 if payload.get("type") != "result":
                     raise TransportError(f"expected result frame, got {payload.get('type')!r}")
@@ -783,9 +736,9 @@ def run_simulation(
         raise SimulationError(f"the store lacks the modeled columns {missing}")
     for node in cfg.nodes:
         stream = store.partition(node)
-        if -1 in stream["truth"]:
-            file_id, row = stream["origin"][stream["truth"].index(-1)]
-            raise SimulationError(f"unlabeled row: {file_id} row {row}; metrics need ground truth")
+        unlabeled = np.flatnonzero(stream.truth < 0)
+        if unlabeled.size:
+            raise SimulationError(f"unlabeled row: {stream.file_id} row {stream.rows[unlabeled[0]]}; metrics need ground truth")
     if cfg.transport == "in-process":
 
         def attempt(node: str) -> dict:

@@ -138,9 +138,11 @@ class FlowRecord:
 BATCH_ROWS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowBatch:
-    """Consecutive data rows of one file, held as columns.
+    """Data rows of one file, in file order, held as columns: the one shape
+    records take from the reader through preprocessing, the simulation's
+    capture store, its node intervals and its loopback frames.
 
     ``columns`` maps each requested column name to the rows' values. A
     numeric column is a float64 array when every field parses as a finite
@@ -148,7 +150,8 @@ class FlowBatch:
     and for every other column kind, it is the list of field texts, so a
     bad value can still be named. ``truth`` is an int8 array: 1 for attack,
     0 for normal, -1 for an empty label field. ``rows`` holds the 1-based
-    data-row numbers.
+    data-row numbers, an int64 array. Batches do not compare equal by
+    value: compare their fields.
     """
 
     columns: dict[str, np.ndarray | list[str]]
@@ -156,9 +159,34 @@ class FlowBatch:
     file_id: str
     rows: np.ndarray
 
-    def origins(self) -> list[tuple[str, int]]:
-        """Each row's (file id, row number), as in :attr:`FlowRecord.origin`."""
-        return [(self.file_id, row) for row in self.rows.tolist()]
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, index: slice | np.ndarray) -> FlowBatch:
+        """The rows at ``index``, a slice or an integer array, as a batch.
+        Float columns are indexed as arrays; text columns stay lists."""
+        columns = {
+            name: column[index] if isinstance(column, np.ndarray) or isinstance(index, slice) else [column[i] for i in index.tolist()]
+            for name, column in self.columns.items()
+        }
+        return FlowBatch(columns, self.truth[index], self.file_id, self.rows[index])
+
+
+def batch_of_records(records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]) -> FlowBatch:
+    """``records``, all of one file, as one batch holding the named columns
+    as field texts; records of two files raise :class:`IngestError`. The
+    records adapters build their batch here: ``bench/tracing.py`` is their
+    only caller outside tests, and ROADMAP item 3 deletes them after item 2."""
+    files = sorted({r.origin[0] for r in records})
+    if len(files) > 1:
+        raise IngestError(f"a batch holds the rows of one file, not of {files}")
+    index = {name: schema.index_of(name) for name in names}
+    return FlowBatch(
+        columns={name: [r.values[i] for r in records] for name, i in index.items()},
+        truth=np.array([-1 if r.truth is None else r.truth for r in records], dtype=np.int8),
+        file_id=files[0] if files else "",
+        rows=np.array([r.origin[1] for r in records], dtype=np.int64),
+    )
 
 
 def schema_to_doc(schema: FeatureSchema) -> dict:

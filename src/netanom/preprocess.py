@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._docjson import digest_of, pretty_dumps
-from .ingest import FeatureSchema, FlowRecord, schema_from_doc, schema_to_doc
+from .ingest import FeatureSchema, FlowBatch, FlowRecord, batch_of_records, schema_from_doc, schema_to_doc
 
 PREPROCESS_FORMAT_VERSION = 1
 
@@ -55,15 +55,13 @@ def _empty_codes(schema: FeatureSchema) -> dict[str, dict[str, int]]:
     return {c.name: {} for c in schema.columns if c.kind == "categorical"}
 
 
-def _grow_codes(codes: dict[str, dict[str, int]], columns: Mapping[str, Sequence[str]], n: int) -> None:
-    """Give each categorical value of ``columns`` not yet in ``codes`` the
+def _grow_codes(codes: dict[str, dict[str, int]], batch: FlowBatch) -> None:
+    """Give each categorical value of ``batch`` not yet in ``codes`` the
     next code of its feature. First-seen order makes this batch-invariant:
     growing the tables batch by batch ends with the codes of one pass over
     all the rows."""
     for name, table in codes.items():
-        texts = columns.get(name, ())
-        if len(texts) != n:
-            raise PreprocessError(f"column {name!r} holds {len(texts)} values for {n} records")
+        texts = _column(batch, name)
         for text in dict.fromkeys(texts):
             if text not in table:
                 table[text] = len(table) + 1
@@ -162,20 +160,16 @@ class PreprocessModel:
         """The record columns the pipeline reads, in encode order."""
         return self.selected if self.selected is not None else self.schema.feature_names()
 
-    def apply_columns(
-        self, columns: Mapping[str, Sequence[str]], origins: Sequence[Sequence]
-    ) -> np.ndarray:
-        """Preprocess N records given as columns into an (N, d) matrix.
+    def apply(self, batch: FlowBatch) -> np.ndarray:
+        """Preprocess the N records of ``batch`` into an (N, d) matrix.
 
-        ``columns`` maps each name in :attr:`columns` to the records' field
-        texts, or for a numeric column also their float64 values, as a
-        :class:`~netanom.ingest.FlowBatch` holds them (other names are
-        ignored); ``origins`` holds each record's
-        (file id, row number), which an error about a bad value names. A
-        missing column, or one without a text per record, raises
+        The batch must hold every name in :attr:`columns` (it may hold
+        others), as field texts or, for a numeric column, float64 values.
+        An error about a bad value names its file id and row number. A
+        missing column, or one without a value per record, raises
         :class:`PreprocessError`.
         """
-        encoded = _encode_columns(columns, origins, self.schema, self.encoder, self.columns)
+        encoded = _encode_columns(batch, self.schema, self.encoder, self.columns)
         reduced = encoded if self.pca is None else self.pca.transform(encoded)
         return self.zscore.normalize(reduced)
 
@@ -184,7 +178,7 @@ class PreprocessModel:
 
         ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
         deletes this adapter after item 2."""
-        return self.apply_columns(_record_columns(records, self.schema, self.columns), [r.origin for r in records])
+        return self.apply(batch_of_records(records, self.schema, self.columns))
 
     def digest(self) -> str:
         """Content hash binding profiles to this exact fitted pipeline."""
@@ -222,27 +216,26 @@ def training_columns(schema: FeatureSchema, mode: str) -> tuple[str, ...]:
 
 
 def fit_preprocess_batches(
-    batches: Iterable[tuple[Mapping[str, Sequence[str]], Sequence[Sequence]]],
+    batches: Iterable[FlowBatch],
     schema: FeatureSchema,
     mode: str = "table1",
 ) -> tuple[PreprocessModel, np.ndarray]:
     """Fit the full pipeline in one pass over training records given as
-    ``(columns, origins)`` batches, as :meth:`PreprocessModel.apply_columns`
-    takes them, holding at least :func:`training_columns`.
+    batches holding at least :func:`training_columns`.
 
     Each batch grows the category code tables and is then encoded once with
     them; PCA and the z-score are fitted on the concatenated (N, D) matrix.
     Returns the model and the training records' (N, d) matrix: the bits
-    ``apply_columns`` gives for them.
+    :meth:`PreprocessModel.apply` gives for them.
     """
     kind, k = parse_reduction_mode(mode)
     features = _reduction_features(schema, kind)
     codes = _empty_codes(schema)
     encoder = EncoderMap(codes)
     parts = []
-    for columns, origins in batches:
-        _grow_codes(codes, columns, len(origins))
-        parts.append(_encode_columns(columns, origins, schema, encoder, features))
+    for batch in batches:
+        _grow_codes(codes, batch)
+        parts.append(_encode_columns(batch, schema, encoder, features))
     matrix = np.concatenate(parts) if parts else np.empty((0, len(features)))
     del parts  # PCA's peak comes next
     if not len(matrix):
@@ -264,30 +257,22 @@ def fit_preprocess(
 
     ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
     deletes this adapter after item 2."""
-    columns = _record_columns(train, schema, training_columns(schema, mode))
-    return fit_preprocess_batches([(columns, [r.origin for r in train])], schema, mode)[0]
+    return fit_preprocess_batches([batch_of_records(train, schema, training_columns(schema, mode))], schema, mode)[0]
 
 
-def _record_columns(records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]) -> dict[str, list[str]]:
-    """The named columns of ``records``, each as the records' field texts."""
-    index = {name: schema.index_of(name) for name in names}
-    return {name: [r.values[i] for r in records] for name, i in index.items()}
+def _column(batch: FlowBatch, name: str) -> np.ndarray | list[str]:
+    """The named column of ``batch``, checked to hold a value per record."""
+    values = batch.columns.get(name, ())
+    if len(values) != len(batch):
+        raise PreprocessError(f"column {name!r} holds {len(values)} values for {len(batch)} records")
+    return values
 
 
-def _encode_columns(
-    columns: Mapping[str, Sequence[str]],
-    origins: Sequence[Sequence],
-    schema: FeatureSchema,
-    encoder: EncoderMap,
-    features: Sequence[str],
-) -> np.ndarray:
+def _encode_columns(batch: FlowBatch, schema: FeatureSchema, encoder: EncoderMap, features: Sequence[str]) -> np.ndarray:
     """Build the numeric matrix for the named features (encode step)."""
-    n = len(origins)
-    out = np.empty((n, len(features)), dtype=np.float64)
+    out = np.empty((len(batch), len(features)), dtype=np.float64)
     for j, name in enumerate(features):
-        texts = columns.get(name, ())
-        if len(texts) != n:
-            raise PreprocessError(f"column {name!r} holds {len(texts)} values for {n} records")
+        texts = _column(batch, name)
         kind = schema.kind_of(name)
         if kind == "categorical":
             table = encoder.codes.get(name, {})
@@ -296,21 +281,20 @@ def _encode_columns(
             try:
                 values = np.asarray(texts, dtype=np.float64)  # a float64 array as it is
             except ValueError:
-                for text, origin in zip(texts, origins):
+                for text, row in zip(texts, batch.rows.tolist()):
                     try:
                         float(text)
                     except ValueError:
                         raise PreprocessError(
-                            f"column {name!r}: non-numeric value {text!r} in {origin[0]} row {origin[1]}"
+                            f"column {name!r}: non-numeric value {text!r} in {batch.file_id} row {row}"
                         ) from None
                 raise
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                origin = origins[bad[0]]
                 text = texts[bad[0]]
                 raise PreprocessError(
                     f"column {name!r}: non-finite value {text if isinstance(text, str) else float(text)!r} "
-                    f"in {origin[0]} row {origin[1]}"
+                    f"in {batch.file_id} row {batch.rows[bad[0]]}"
                 )
             out[:, j] = values
         else:

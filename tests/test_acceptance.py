@@ -27,7 +27,7 @@ from netanom.decision import (
 )
 from netanom.evaluation import ConfusionCounts, confusion, metrics, report_to_doc, sweep
 from netanom.gmm import EmConfig, fit_em, score_records
-from netanom.ingest import ColumnSpec, FeatureSchema, SamplePlan, default_schema, parse_flow_csv, stratified_sample
+from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, SamplePlan, default_schema, parse_flow_csv, stratified_sample
 from netanom.preprocess import STD_FLOOR, fit_pca, fit_preprocess, fit_preprocess_batches
 
 W_GRID = [1.5, 2.0, 2.5, 3.0]
@@ -273,7 +273,7 @@ def test_criterion_7_preprocessing_contracts(pipeline):
         schema = FeatureSchema(
             (ColumnSpec("proto", "categorical"), ColumnSpec("label", "label")), "label", "1"
         )
-        train = ({"proto": ["TCP", "UDP", "ICMP"]}, [("t", i + 1) for i in range(3)])
+        train = FlowBatch({"proto": ["TCP", "UDP", "ICMP"]}, np.zeros(3, dtype=np.int8), "t", np.arange(1, 4))
         enc = fit_preprocess_batches([train], schema, "pca:1")[0].encoder
         assert enc.codes["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
         details.update({"pca_max_eig_err": f"{worst:.2e}", "dims": "2..20"})

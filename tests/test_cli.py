@@ -186,7 +186,7 @@ class TestTrain:
 
         train = workspace / "split" / "train_normal.csv"
         encode, rows = preprocess._encode_columns, []
-        monkeypatch.setattr(preprocess, "_encode_columns", lambda *args: rows.append(len(args[1])) or encode(*args))
+        monkeypatch.setattr(preprocess, "_encode_columns", lambda *args: rows.append(len(args[0])) or encode(*args))
         monkeypatch.setattr(ingest, "BATCH_ROWS", 100)
         assert main([
             "train", "--train", str(train),
@@ -712,18 +712,18 @@ def _simulate_args(workspace, capture, config, out):
 def _float_store(records, cfg, pp):
     """The store ``replay`` builds from ``records``, its numeric columns
     converted to float64 as ``np.asarray`` converts their texts."""
+    from dataclasses import replace
+
     from netanom.collab import replay_chunks
+    from netanom.ingest import batch_of_records
 
     schema = pp.schema
-    chunk = {
-        "values": {
-            name: np.asarray(texts, dtype=np.float64) if schema.kind_of(name) == "numeric" and name != cfg.hash_column else list(texts)
-            for name, texts in zip(schema.names, zip(*(r.values for r in records)))
-        },
-        "truth": [-1 if r.truth is None else r.truth for r in records],
-        "origin": [r.origin for r in records],
+    batch = batch_of_records(records, schema, schema.names)
+    columns = {
+        name: np.asarray(texts, dtype=np.float64) if schema.kind_of(name) == "numeric" and name != cfg.hash_column else texts
+        for name, texts in batch.columns.items()
     }
-    return replay_chunks([chunk], schema.names, cfg)
+    return replay_chunks([replace(batch, columns=columns)], schema.names, cfg)
 
 
 class TestStreamedSimulate:
@@ -808,6 +808,25 @@ class TestStreamedSimulate:
         out = tmp_path / "out"
         assert main(_simulate_args(workspace, capture, config, out)) == 1
         assert capsys.readouterr().err == f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    @pytest.mark.parametrize("text, reason", [("fast", "non-numeric"), ("inf", "non-finite")])
+    def test_bad_value_in_a_later_batch_names_its_row(self, workspace, tmp_path, monkeypatch, capsys, schema, transport, text, reason):
+        """The second batch holds ``tcprtt`` as field texts and the others as
+        float64, so a node's stream joins both forms before it is read."""
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        capture, config = self._faulty_capture(workspace, tmp_path, {})
+        lines = capture.read_text().splitlines()
+        bad = ingest.BATCH_ROWS + 3
+        fields = lines[bad].split(",")
+        fields[schema.index_of("tcprtt")] = text
+        lines[bad] = ",".join(fields)
+        capture.write_text("\n".join(lines) + "\n")
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "w": 2.0, "transport": transport}))
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == f"error: column 'tcprtt': {reason} value {text!r} in capture.csv row {bad}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entries", [19, 21])
@@ -982,8 +1001,21 @@ class TestSimulate:
             ({"version": 1, "nodes": "AB"}, "simulation config key 'nodes' must be a list, got str"),
             ({"version": 1, "nodes": ["A"], "w": float("nan"), "allow_any_w": True}, "w must be finite, got nan"),
             ({"version": 1, "nodes": ["A"], "assignment": "hash-of-source", "hash_column": "nope"}, "no column named 'nope'"),
+            ({"version": 1, "nodes": [["a"]]}, "simulation config key 'nodes[0]' must be a string, got list"),
+            ({"version": 1, "nodes": [1, 2]}, "simulation config key 'nodes[0]' must be a string, got int"),
+            ({"version": 1, "nodes": ["A"], "fail_nodes": [0]}, "simulation config key 'fail_nodes[0]' must be a string, got int"),
+            (
+                {"version": 1, "nodes": ["A"], "assignment": "explicit", "explicit_assignment": ["A", None]},
+                "simulation config key 'explicit_assignment[1]' must be a string, got NoneType",
+            ),
+            ({"version": 1, "nodes": ["A"], "transport": "loopback-socket", "port": 70000}, "port must be in 0-65535, got 70000"),
+            ({"version": 1, "nodes": ["A"], "transport": "loopback-socket", "port": -1}, "port must be in 0-65535, got -1"),
         ],
-        ids=["not-an-object", "no-nodes", "unknown-key", "string-for-list", "non-finite-w", "unknown-hash-column"],
+        ids=[
+            "not-an-object", "no-nodes", "unknown-key", "string-for-list", "non-finite-w", "unknown-hash-column",
+            "list-in-nodes", "int-in-nodes", "int-in-fail-nodes", "null-in-explicit-assignment", "port-over-65535",
+            "negative-port",
+        ],
     )
     def test_bad_config_fails_loudly(self, workspace, tmp_path, capsys, doc, message):
         cfg = tmp_path / "bad.json"

@@ -1,4 +1,3 @@
-import copy
 import csv
 import hashlib
 import importlib.util
@@ -29,7 +28,7 @@ from netanom.collab import (
 from netanom.decision import DetectionConfig, classify_scores, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
-from netanom.ingest import FlowRecord, SchemaError, iter_flow_batches
+from netanom.ingest import FlowBatch, FlowRecord, SchemaError, batch_of_records, iter_flow_batches
 from netanom.preprocess import PreprocessError, fit_preprocess
 
 
@@ -66,11 +65,7 @@ def sim_capture(tmp_path_factory, sim_records, schema):
 def _replay_batches(path, pp, cfg):
     """The store ``netanom simulate`` fills from ``path``: column batches of
     the modeled columns, each numeric one a float64 array."""
-    chunks = (
-        {"values": batch.columns, "truth": batch.truth.tolist(), "origin": batch.origins()}
-        for batch in iter_flow_batches(path, pp.schema, pp.columns)
-    )
-    return replay_chunks(chunks, pp.columns, cfg)
+    return replay_chunks(iter_flow_batches(path, pp.schema, pp.columns), pp.columns, cfg)
 
 
 def _with_value(records, schema, index, column, text):
@@ -86,14 +81,47 @@ def _columns(records, schema, names):
     return {name: [r.values[schema.index_of(name)] for r in records] for name in names}
 
 
-def _stream(records, schema):
-    """What the store holds for ``records``, in order: every schema column's
-    field texts, the truths (-1 for unlabeled) and the origins."""
+#: The file every record of the conftest corpus comes from.
+CORPUS_FILE = "synthetic.csv"
+
+
+def _lists(batch):
+    """A batch's fields as plain lists, to compare batches field by field."""
     return {
-        "values": _columns(records, schema, schema.names),
-        "truth": [-1 if r.truth is None else r.truth for r in records],
-        "origin": [r.origin for r in records],
+        "columns": {name: c.tolist() if isinstance(c, np.ndarray) else list(c) for name, c in batch.columns.items()},
+        "truth": batch.truth.tolist(),
+        "file_id": batch.file_id,
+        "rows": batch.rows.tolist(),
     }
+
+
+def _stream(records, schema, names=None):
+    """What the store holds for ``records`` of the corpus file, in order, as
+    :func:`_lists` gives it: the field texts of ``names`` (default: every
+    schema column), the truths (-1 for unlabeled) and the row numbers."""
+    assert all(r.origin[0] == CORPUS_FILE for r in records)
+    return {
+        "columns": _columns(records, schema, schema.names if names is None else names),
+        "truth": [-1 if r.truth is None else r.truth for r in records],
+        "file_id": CORPUS_FILE,
+        "rows": [r.origin[1] for r in records],
+    }
+
+
+def _joined(parts):
+    """The :func:`_lists` form of consecutive parts of one file, as one."""
+    assert len({part["file_id"] for part in parts}) == 1
+    return {
+        "columns": {name: [v for part in parts for v in part["columns"][name]] for name in parts[0]["columns"]},
+        "truth": [t for part in parts for t in part["truth"]],
+        "file_id": parts[0]["file_id"],
+        "rows": [row for part in parts for row in part["rows"]],
+    }
+
+
+def _origins(batch):
+    """Each record's (file id, row number)."""
+    return [(batch.file_id, row) for row in batch.rows.tolist()]
 
 
 def _cfg(**kwargs):
@@ -107,37 +135,28 @@ class TestReplay:
         store = replay(sim_records[:9], _cfg(), schema)
         for i, node in enumerate(("A", "B", "C")):
             # seq n is the n-th record the node received
-            assert store.partition(node) == _stream(sim_records[i:9:3], schema)
+            assert _lists(store.partition(node)) == _stream(sim_records[i:9:3], schema)
 
     def test_interval_batching(self, sim_records, schema, fitted):
         pp, _ = fitted
         records = replay(sim_records[:9], _cfg(interval_size=2), schema).partition("A")
         intervals = list(collab._intervals(records, pp, 2))
         runs = [[sim_records[0], sim_records[3]], [sim_records[6]]]
-        assert [len(interval["truth"]) for interval in intervals] == [2, 1]
+        assert [len(interval) for interval in intervals] == [2, 1]
         # an interval holds its records' modeled columns, truths and origins
-        assert intervals == [
-            {
-                "values": _columns(run, schema, pp.columns),
-                "truth": [r.truth for r in run],
-                "origin": [r.origin for r in run],
-            }
-            for run in runs
-        ]
+        assert [_lists(interval) for interval in intervals] == [_stream(run, schema, pp.columns) for run in runs]
 
     def test_deterministic(self, sim_records, schema):
         a = replay(sim_records, _cfg(), schema)
         b = replay(sim_records, _cfg(), schema)
         for node in ("A", "B", "C"):
-            assert a.partition(node) == b.partition(node)
+            assert _lists(a.partition(node)) == _lists(b.partition(node))
 
     def test_every_record_exactly_once(self, sim_records, schema):
         store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
-        spread = [len(store.partition(n)["truth"]) for n in ("A", "B", "C")]
+        spread = [len(store.partition(n)) for n in ("A", "B", "C")]
         assert sum(spread) == len(sim_records)
-        origins = Counter(
-            origin for n in ("A", "B", "C") for origin in store.partition(n)["origin"]
-        )
+        origins = Counter(origin for n in ("A", "B", "C") for origin in _origins(store.partition(n)))
         assert all(count == 1 for count in origins.values())
         assert min(spread) > 0  # hash should spread across all three
 
@@ -150,22 +169,22 @@ class TestReplay:
             expected.append(cfg.nodes[int.from_bytes(h[:8], "big") % len(cfg.nodes)])
         # one assigner over two chunks: its value -> node memo spans both
         assign = collab._node_assigner(cfg)
-        head, tail = _stream(sim_records[:250], schema), _stream(sim_records[250:], schema)
+        head, tail = (batch_of_records(part, schema, schema.names) for part in (sim_records[:250], sim_records[250:]))
         assert assign(head, 0) + assign(tail, 250) == expected
 
     def test_hash_of_source_groups_sources(self, sim_records, schema):
         store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
         source_to_node = {}
         for node in ("A", "B", "C"):
-            for src in store.partition(node)["values"]["srcip"]:
+            for src in store.partition(node).columns["srcip"]:
                 assert source_to_node.setdefault(src, node) == node
 
     def test_explicit_assignment(self, sim_records, schema):
         names = ["A", "A", "B"]
         store = replay(sim_records[:3], _cfg(explicit_assignment=tuple(names), assignment="explicit"), schema)
-        assert store.partition("A") == _stream([sim_records[0], sim_records[1]], schema)
-        assert store.partition("B") == _stream([sim_records[2]], schema)
-        assert store.partition("C") == _stream([], schema)
+        assert _lists(store.partition("A")) == _stream([sim_records[0], sim_records[1]], schema)
+        assert _lists(store.partition("B")) == _stream([sim_records[2]], schema)
+        assert _lists(store.partition("C")) == _stream([], schema)
 
     def test_explicit_unknown_node_rejected(self, sim_records, schema):
         with pytest.raises(SimulationError, match="unknown node"):
@@ -198,76 +217,81 @@ class TestReplay:
         cfg = _cfg(assignment=assignment, explicit_assignment=tuple(names[(i * 5 + i // 7) % 3] for i in range(100)))
         whole = replay(records, cfg, schema)
         bounds = [0, 1, 8, 40, 41, 100]
-        chunks = [_stream(records[a:b], schema) for a, b in zip(bounds, bounds[1:])]
+        chunks = [batch_of_records(records[a:b], schema, schema.names) for a, b in zip(bounds, bounds[1:])]
         chunked = replay_chunks(iter(chunks), schema.names, cfg)
         assert chunked.nodes() == whole.nodes()
         for node in names:
-            assert chunked.partition(node) == whole.partition(node)
+            assert _lists(chunked.partition(node)) == _lists(whole.partition(node))
 
     def test_store_keeps_only_its_columns(self, sim_records, schema):
         cfg = _cfg(assignment="hash-of-source")
-        store = replay_chunks([_stream(sim_records[:30], schema)], ("tcprtt", "proto"), cfg)
+        store = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("tcprtt", "proto"), cfg)
         full = replay(sim_records[:30], cfg, schema)
         assert store.columns == ("tcprtt", "proto")
         for node in cfg.nodes:
-            part = full.partition(node)
-            assert store.partition(node) == {
-                "values": {name: part["values"][name] for name in ("tcprtt", "proto")},
-                "truth": part["truth"],
-                "origin": part["origin"],
+            part = _lists(full.partition(node))
+            assert _lists(store.partition(node)) == {
+                **part,
+                "columns": {name: part["columns"][name] for name in ("tcprtt", "proto")},
             }
 
 
 class TestSharedStore:
+    @staticmethod
+    def _batch(texts, truth, rows, file_id="f"):
+        return FlowBatch({"x": texts}, np.array(truth, dtype=np.int8), file_id, np.array(rows, dtype=np.int64))
+
     def test_streams_are_independent(self):
         store = SharedStore(("x",))
-        store.extend({"values": {"x": ["a", "b", "c"]}, "truth": [0, 1, -1], "origin": [("f", 1), ("f", 2), ("f", 3)]}, ["A", "B", "A"])
-        store.extend({"values": {"x": ["d"]}, "truth": [1], "origin": [("g", 1)]}, ["B"])
+        store.extend(self._batch(["a", "b", "c"], [0, 1, -1], [1, 2, 3]), ["A", "B", "A"])
+        store.extend(self._batch(["d"], [1], [4]), ["B"])
         assert len(store) == 4
         assert store.nodes() == ("A", "B")
-        assert store.partition("A") == {"values": {"x": ["a", "c"]}, "truth": [0, -1], "origin": [("f", 1), ("f", 3)]}
-        assert store.partition("B") == {"values": {"x": ["b", "d"]}, "truth": [1, 1], "origin": [("f", 2), ("g", 1)]}
-        assert store.partition("C") == {"values": {"x": []}, "truth": [], "origin": []}
+        assert _lists(store.partition("A")) == {"columns": {"x": ["a", "c"]}, "truth": [0, -1], "file_id": "f", "rows": [1, 3]}
+        assert _lists(store.partition("B")) == {"columns": {"x": ["b", "d"]}, "truth": [1, 1], "file_id": "f", "rows": [2, 4]}
+        assert _lists(store.partition("C")) == {"columns": {"x": []}, "truth": [], "file_id": "f", "rows": []}
+
+    def test_store_holds_one_capture_file(self):
+        store = SharedStore(("x",))
+        store.extend(self._batch(["a"], [0], [1], file_id="f"), ["A"])
+        with pytest.raises(SimulationError, match="holds capture 'f'; a batch of 'g' cannot join it"):
+            store.extend(self._batch(["b"], [0], [1], file_id="g"), ["B"])
+        assert len(store) == 1 and store.nodes() == ("A",)
 
     def test_partition_read_and_audit_replay(self, sim_records, schema):
         store = replay(sim_records[:30], _cfg(), schema)
-        first_pass = copy.deepcopy(store.partition("A"))
+        first_pass = _lists(store.partition("A"))
         # the whole stream, in order: round-robin gives A every third record
         assert first_pass == _stream(sim_records[:30:3], schema)
-        second_pass = store.partition("A")  # reading leaves no state behind
+        second_pass = _lists(store.partition("A"))  # reading leaves no state behind
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
-        # a one-record table1 frame of field texts takes at most about 360 bytes, a 16-record one about 1,340
+        # a one-record table1 frame of field texts takes at most about 345 bytes, a 16-record one about 1,330
         "max_frame, splits", [(collab._MAX_FRAME, False), (600, True)], ids=["one-frame", "split"]
     )
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
         pp, _ = fitted
         monkeypatch.setattr(collab, "_MAX_FRAME", max_frame)
         stream = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
-        assert stream == _stream(sim_records[:40], schema)
+        assert _lists(stream) == _stream(sim_records[:40], schema)
         runs = [sim_records[:16], sim_records[16:32], sim_records[32:40]]
         intervals = list(collab._intervals(stream, pp, 16))
-        assert [len(interval["truth"]) for interval in intervals] == [16, 16, 8]
+        assert [len(interval) for interval in intervals] == [16, 16, 8]
         for run, interval in zip(runs, intervals):
-            decoded = {"values": {name: [] for name in pp.columns}, "truth": [], "origin": []}
+            parts = []
             frames = list(collab._interval_frames(interval))
             for data in frames:
                 assert int.from_bytes(data[:4], "big") == len(data) - 4 <= max_frame
                 frame = collab._decode_frame(data[4:])
                 assert frame["type"] == "interval"
-                assert set(frame) == {"type", "values", "truth", "origin"}
+                assert set(frame) == {"type", "file", "values", "truth", "rows"}
                 assert tuple(frame["values"]) == pp.columns
-                part = collab._interval_of(frame)
-                for name in pp.columns:
-                    decoded["values"][name].extend(part["values"][name])
-                decoded["truth"].extend(part["truth"].tolist())
-                decoded["origin"].extend(part["origin"])
+                parts.append(_lists(collab._interval_of(frame)))
             assert (len(frames) > 1) == splits
-            assert decoded["values"] == _columns(run, schema, pp.columns)
-            assert decoded["truth"] == [r.truth for r in run]
-            assert decoded["origin"] == [r.origin for r in run]
-            assert decoded == interval
+            decoded = _joined(parts)
+            assert decoded == _stream(run, schema, pp.columns)
+            assert decoded == _lists(interval)
 
     @pytest.mark.parametrize("mode", ["table1", "pca:3"])
     def test_frames_carry_the_model_columns(self, sim_records, schema, fitted, fitted_pca, mode):
@@ -373,20 +397,24 @@ class TestFrameCodec:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda f: f["origin"].__setitem__("files", [["f", 2]]),
+            lambda f: f.__setitem__("rows", f["rows"][:2]),
             lambda f: f["values"].__setitem__("x", f["values"]["x"][:2]),
             lambda f: f.pop("truth"),
+            lambda f: f.pop("file"),
+            lambda f: f.__setitem__("rows", [1, 2, 3]),
         ],
-        ids=["origin", "column", "no-truth"],
+        ids=["origin", "column", "no-truth", "no-file", "rows-in-the-header"],
     )
     def test_inconsistent_interval_frame_raises_transport_error(self, edit):
         frame = {
             "type": "interval",
+            "file": "f",
             "values": {"x": np.arange(3.0)},
             "truth": np.zeros(3, dtype=np.int8),
-            "origin": {"files": [["f", 3]], "rows": np.arange(3)},
+            "rows": np.arange(1, 4),
         }
-        assert collab._interval_of(collab._decode_frame(_payload(frame)))["origin"] == [("f", 0), ("f", 1), ("f", 2)]
+        interval = collab._interval_of(collab._decode_frame(_payload(frame)))
+        assert _lists(interval) == {"columns": {"x": [0.0, 1.0, 2.0]}, "truth": [0, 0, 0], "file_id": "f", "rows": [1, 2, 3]}
         edit(frame)
         with pytest.raises(TransportError):
             collab._interval_of(collab._decode_frame(_payload(frame)))
@@ -425,8 +453,15 @@ class TestConfig:
             ({"version": 1, "nodes": ["A"], "node_w": ["A"]}, "'node_w' must be an object, got list"),
             ({"version": 1, "nodes": None}, "'nodes' must be a list, got NoneType"),
             ({"version": 1, "nodes": ["A"], "node_w": {"A": "2"}}, "'node_w.A' must be a number, got str"),
+            ({"version": 1, "nodes": [["a"]]}, "'nodes[0]' must be a string, got list"),
+            ({"version": 1, "nodes": [1, 2]}, "'nodes[0]' must be a string, got int"),
+            ({"version": 1, "nodes": ["A"], "fail_nodes": ["A", None]}, "'fail_nodes[1]' must be a string, got NoneType"),
+            ({"version": 1, "nodes": ["A"], "explicit_assignment": [True]}, "'explicit_assignment[0]' must be a string, got bool"),
         ],
-        ids=["bool-for-number", "str-for-int", "list-for-object", "null-for-list", "str-in-node-w"],
+        ids=[
+            "bool-for-number", "str-for-int", "list-for-object", "null-for-list", "str-in-node-w",
+            "list-in-nodes", "int-in-nodes", "null-in-fail-nodes", "bool-in-explicit-assignment",
+        ],
     )
     def test_wrong_json_type_names_the_key(self, doc, message):
         with pytest.raises(SimulationError, match=re.escape(message)):
@@ -445,6 +480,10 @@ class TestConfig:
             _cfg(fail_nodes=("Z",))
         with pytest.raises(SimulationError):
             _cfg(transport="carrier-pigeon")
+        for port in (-1, 65536, 70000):
+            with pytest.raises(SimulationError, match=f"port must be in 0-65535, got {port}"):
+                _cfg(port=port)
+        assert _cfg(port=65535).port == 65535
 
     def test_w_range_checked_unless_overridden(self):
         with pytest.raises(Exception):
@@ -489,7 +528,7 @@ class TestRunSimulation:
             store = replay(sim_records, store_cfg, schema)
             pairs = []
             for node in store_cfg.nodes:
-                origins = store.partition(node)["origin"]
+                origins = _origins(store.partition(node))
                 verdicts = outcome.node_results[node].verdicts
                 assert len(origins) == len(verdicts)
                 pairs.extend(zip(origins, verdicts))
@@ -552,10 +591,10 @@ class TestRunSimulation:
         for transport in TRANSPORTS:
             cfg = _cfg(transport=transport)
             store = replay(sim_records, cfg, schema)
-            before = copy.deepcopy({n: store.partition(n) for n in cfg.nodes})
+            before = {n: _lists(store.partition(n)) for n in cfg.nodes}
             run_simulation(store, profile, pp, cfg)
             for node in cfg.nodes:
-                assert store.partition(node) == before[node]  # nothing mutated or lost
+                assert _lists(store.partition(node)) == before[node]  # nothing mutated or lost
             assert len(store) == len(sim_records)
 
     def test_injected_failure_excludes_partition(self, sim_records, schema, fitted):
@@ -592,11 +631,11 @@ class TestRunSimulation:
         real = collab._classify_intervals
         crashed = []
         cfg = _cfg()
-        first_of_b = replay(sim_records, cfg, schema).partition("B")["origin"][0]
+        first_of_b = _origins(replay(sim_records, cfg, schema).partition("B"))[0]
 
         def flaky(intervals, *args):
             intervals = list(intervals)
-            if intervals[0]["origin"][0] == first_of_b and not crashed:
+            if _origins(intervals[0])[0] == first_of_b and not crashed:
                 crashed.append(True)
                 raise OSError("transient failure")
             return real(intervals, *args)
@@ -690,10 +729,10 @@ class TestRunSimulation:
         real = collab._interval_frames
         dropped = []
         cfg = _cfg(transport="loopback-socket", retry_budget=1)
-        of_b = set(replay(sim_records, cfg, schema).partition("B")["origin"])
+        of_b = set(_origins(replay(sim_records, cfg, schema).partition("B")))
 
         def truncating(interval):
-            if interval["origin"][0] in of_b and (always or not dropped):
+            if _origins(interval)[0] in of_b and (always or not dropped):
                 dropped.append(True)
                 return iter(())
             return real(interval)
@@ -720,11 +759,11 @@ class TestRunSimulation:
         real = collab._interval_frames
         corrupted = []
         cfg = _cfg(transport="loopback-socket", retry_budget=1, interval_size=16)
-        of_b = set(_replay_batches(sim_capture, pp, cfg).partition("B")["origin"])
+        of_b = set(_origins(_replay_batches(sim_capture, pp, cfg).partition("B")))
 
         def corrupting(interval):
             for data in real(interval):
-                if interval["origin"][0] in of_b and (always or not corrupted):
+                if _origins(interval)[0] in of_b and (always or not corrupted):
                     corrupted.append(True)
                     data = struct.pack(">I", len(data) - 5) + data[4:-1]
                 yield data
@@ -774,7 +813,7 @@ class TestRunSimulation:
     def test_store_without_the_modeled_columns_rejected(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg()
-        store = replay_chunks([_stream(sim_records[:30], schema)], ("srcip", "tcprtt"), cfg)
+        store = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("srcip", "tcprtt"), cfg)
         with pytest.raises(SimulationError, match="lacks the modeled columns"):
             run_simulation(store, profile, pp, cfg)
 
@@ -806,9 +845,9 @@ class TestRunnerProperty:
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
         # 400 bytes holds a one-record interval frame of field texts (at most
-        # about 360) and the result frame for 120 records (about 240); one of
-        # float64 buffers takes at most about 670, so those draws start at
-        # 700. A 64-record interval frame takes about 4,500 (texts) or 6,000
+        # about 345) and the result frame for 120 records (about 250); one of
+        # float64 buffers takes at most about 650, so those draws start at
+        # 700. A 64-record interval frame takes about 4,400 (texts) or 6,000
         # (buffers), so most draws split intervals across frames.
         max_frame = data.draw(st.integers(700 if batches else 400, 6_000), label="max_frame")
         outcomes = {}
@@ -823,7 +862,7 @@ class TestRunnerProperty:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(collab, "_MAX_FRAME", max_frame)
                 store = _replay_batches(sim_capture, pp, cfg) if batches else replay(records, cfg, schema)
-                held = [column for node in store.nodes() for column in store.partition(node)["values"].values()]
+                held = [column for node in store.nodes() for column in store.partition(node).columns.values()]
                 assert any(isinstance(column, np.ndarray) for column in held) == batches
                 outcomes[transport] = run_simulation(store, profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]

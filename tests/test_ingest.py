@@ -12,12 +12,14 @@ from netanom import ingest
 from netanom.ingest import (
     ColumnSpec,
     FeatureSchema,
+    FlowBatch,
     FlowRecord,
     IngestError,
     ParseError,
     SampleError,
     SamplePlan,
     SchemaError,
+    batch_of_records,
     default_schema,
     iter_flow_batches,
     load_schema,
@@ -220,7 +222,8 @@ class TestBatches:
             else:
                 assert [t for c in got for t in c] == expected
         assert [t for b in batches for t in b.truth.tolist()] == [-1 if r.truth is None else r.truth for r in parsed]
-        assert [o for b in batches for o in b.origins()] == [r.origin for r in parsed]
+        assert all(b.rows.dtype == np.int64 for b in batches)
+        assert [(b.file_id, row) for b in batches for row in b.rows.tolist()] == [r.origin for r in parsed]
 
     def test_bad_row_raises_after_earlier_batches(self, monkeypatch):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
@@ -289,6 +292,44 @@ class TestBatches:
                 with pytest.raises(IngestError, match="unsupported source type"):
                     parse_flow_csv(source, schema)
             assert not binary.closed and binary.tell() == 0
+
+
+class TestFlowBatch:
+    BATCH = FlowBatch(
+        {"bytes": np.array([1.0, 2.0, 3.0, 4.0]), "proto": ["tcp", "udp", "icmp", "tcp"]},
+        np.array([0, 1, -1, 0], dtype=np.int8),
+        "f.csv",
+        np.array([2, 3, 5, 8], dtype=np.int64),
+    )
+
+    @pytest.mark.parametrize("index", [slice(1, 3), slice(3, 9), slice(0, 0), np.array([3, 0, 1]), np.array([], dtype=np.int64)])
+    def test_take_picks_the_rows_of_every_field(self, index):
+        batch = self.BATCH
+        part = batch.take(index)
+        picks = np.arange(len(batch))[index].tolist()
+        assert len(part) == len(picks)
+        assert isinstance(part.columns["bytes"], np.ndarray) and part.columns["bytes"].tolist() == [1.0 + i for i in picks]
+        assert part.columns["proto"] == [batch.columns["proto"][i] for i in picks]
+        assert part.truth.dtype == np.int8 and part.truth.tolist() == [batch.truth[i] for i in picks]
+        assert part.file_id == "f.csv" and part.rows.tolist() == [batch.rows[i] for i in picks]
+
+    def test_batches_compare_by_identity(self):
+        # a value comparison of the array fields would raise
+        assert self.BATCH == self.BATCH and self.BATCH != self.BATCH.take(slice(None))
+
+    def test_batch_of_records(self):
+        records = [_rec(["tcp", "7", "1"], 1, row=4), _rec(["udp", "x", ""], None, row=9)]
+        batch = batch_of_records(records, TINY, ("bytes", "proto"))
+        assert batch.columns == {"bytes": ["7", "x"], "proto": ["tcp", "udp"]}
+        assert batch.truth.dtype == np.int8 and batch.truth.tolist() == [1, -1]
+        assert batch.file_id == "test" and batch.rows.dtype == np.int64 and batch.rows.tolist() == [4, 9]
+        empty = batch_of_records([], TINY, ("proto",))
+        assert (len(empty), empty.columns) == (0, {"proto": []})
+
+    def test_batch_of_records_holds_one_file(self):
+        records = [_rec(["tcp", "7", "1"], 1), FlowRecord(("udp", "8", "0"), 0, ("other", 1))]
+        with pytest.raises(IngestError, match=r"one file, not of \['other', 'test'\]"):
+            batch_of_records(records, TINY, ("proto",))
 
 
 WIDE = FeatureSchema(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from netanom.ingest import ColumnSpec, FeatureSchema, FlowRecord
+from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, FlowRecord
 from netanom.preprocess import (
     CURATED_FEATURES,
     STD_FLOOR,
@@ -37,12 +37,17 @@ def _rec(proto, size, row=1):
     return FlowRecord((proto, str(size), "", "0"), 0, ("test", row))
 
 
+def _batch(columns, file_id="t"):
+    """Normal rows 1, 2, ... of ``file_id``, holding ``columns``."""
+    n = len(next(iter(columns.values())))
+    return FlowBatch(columns, np.zeros(n, dtype=np.int8), file_id, np.arange(1, n + 1))
+
+
 def _encoder(protos):
     """The category codes of a one-batch fit on rows with these protocols
     (pca:1 over proto and bytes, so one or two rows suffice)."""
     columns = {"proto": list(protos), "bytes": [str(i) for i in range(len(protos))]}
-    origins = [("test", i + 1) for i in range(len(protos))]
-    return fit_preprocess_batches([(columns, origins)], PROTO_SCHEMA, "pca:1")[0].encoder
+    return fit_preprocess_batches([_batch(columns, "test")], PROTO_SCHEMA, "pca:1")[0].encoder
 
 
 class TestEncoders:
@@ -56,7 +61,7 @@ class TestEncoders:
 
     def test_unseen_maps_to_zero(self):
         enc = _encoder(["tcp", "tcp"])
-        encoded = _encode_columns({"proto": ["sctp", "tcp"]}, [("t", 1), ("t", 2)], PROTO_SCHEMA, enc, ("proto",))
+        encoded = _encode_columns(_batch({"proto": ["sctp", "tcp"]}), PROTO_SCHEMA, enc, ("proto",))
         assert encoded[:, 0].tolist() == [0.0, 1.0]
 
     def test_meta_columns_not_encoded(self):
@@ -211,17 +216,17 @@ class TestPipeline:
         unseen = model.apply_records([FlowRecord(("sctp", "10", "", "0"), 0, ("t", 2))])[0]
         assert not np.array_equal(seen, unseen)
 
-    def test_apply_columns_reads_only_the_model_columns(self):
+    def test_apply_reads_only_the_model_columns(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 20, 2), _rec("tcp", 40, 3)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
         assert model.columns == ("proto", "bytes")
         columns = {"proto": ["udp", "tcp"], "bytes": ["20", "40"]}
         expected = model.apply_records(train[1:])
-        assert np.array_equal(model.apply_columns(columns, [("t", 1), ("t", 2)]), expected)
+        assert np.array_equal(model.apply(_batch(columns)), expected)
         with pytest.raises(PreprocessError, match="column 'bytes' holds 0 values for 2 records"):
-            model.apply_columns({"proto": ["udp", "tcp"]}, [("t", 1), ("t", 2)])
+            model.apply(_batch({"proto": ["udp", "tcp"]}))
         with pytest.raises(PreprocessError, match="column 'proto' holds 1 values for 2 records"):
-            model.apply_columns({**columns, "proto": ["udp"]}, [("t", 1), ("t", 2)])
+            model.apply(FlowBatch({**columns, "proto": ["udp"]}, np.zeros(2, dtype=np.int8), "t", np.arange(1, 3)))
 
     def test_mode_parsing(self):
         assert parse_reduction_mode("table1") == ("table1", None)
