@@ -23,23 +23,26 @@ as is. The loopback transport serves the partition over TCP, one
 connection per attempt, with length-prefixed frames:
 
     frame    = length (4-byte big-endian) + payload
-    payload  = header length (4-byte big-endian) + JSON header + buffers
+    payload  = header length (4-byte big-endian) + JSON header + body
 
     worker -> store   hello     {node}
-    store -> worker   interval  {file, values: {column: values}, truth, rows}, ...
+    store -> worker   interval  {file, n, columns, texts} + floats + rows (<i8) + truths (i1), ...
     store -> worker   end       {count}
-    worker -> store   result    {counts, verdicts, n}
+    worker -> store   result    {counts, n} + verdicts (i1)
     store -> worker   ack
 
-Arrays travel as raw little-endian buffers after the header: float64
-columns (``<f8``), truths and verdicts (``i1``) and row numbers (``<i8``),
-so a float reads back with the same bits. Field texts, the file id and
-every other field travel in the JSON header. An interval frame is one
-interval, in stream order. An interval whose frame would pass
-``_MAX_FRAME`` is halved until each part fits its own frame. The worker classifies each frame as it arrives and checks
-``end.count`` against the records it received; a frame that does not
-decode raises a retryable :class:`TransportError`. Truth labels are
-checked once, up front, for both transports.
+Each header also holds its ``type``, which fixes the body: one raw
+little-endian buffer of ``n`` values per entry above, and none for the
+frames without ``n``. ``texts`` maps each column the store holds as field
+texts to its texts; every other one of ``columns`` travels as an ``<f8``
+buffer, in ``columns`` order, so a float reads back with the same bits.
+``counts`` is null for a node without records. An interval frame is one
+interval, in stream order; an interval whose frame would pass
+``_MAX_FRAME`` is halved until each part fits. The worker classifies each
+frame as it arrives and checks ``end.count`` against the records it
+received. A frame that does not fit its layout raises a retryable
+:class:`TransportError`. Truth labels are checked once, up front, for both
+transports.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -49,6 +52,7 @@ and is flagged partial.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import socket
 import struct
@@ -376,10 +380,10 @@ def _classify_intervals(
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
-) -> dict:
+) -> tuple[dict, np.ndarray]:
     """Classify one node's partition, one interval at a time as the
-    intervals arrive, into the node's result payload (the loopback
-    ``result`` frame)."""
+    intervals arrive, into the node's result: the loopback ``result``
+    frame's header and its verdicts."""
     verdicts: list[np.ndarray] = []
     counts = ConfusionCounts(0, 0, 0, 0)
     for interval in intervals:
@@ -387,53 +391,24 @@ def _classify_intervals(
         verdicts.append(flagged)
         counts = counts + confusion(flagged, interval.truth)
     flagged = np.concatenate(verdicts) if verdicts else np.empty(0, dtype=np.int8)
-    return {
-        "type": "result",
-        "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn} if verdicts else None,
-        "verdicts": flagged,
-        "n": len(flagged),
-    }
+    counts_doc = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn} if verdicts else None
+    return {"type": "result", "counts": counts_doc, "n": len(flagged)}, flagged
 
 
-#: The dtypes an array travels as, by their numpy name on the wire.
-_WIRE_DTYPES = {name: np.dtype(name) for name in ("<f8", "i1", "<i8")}
-_WIRE_NAMES = {(dtype.kind, dtype.itemsize): name for name, dtype in _WIRE_DTYPES.items()}
+_F8, _I8, _I1 = np.dtype("<f8"), np.dtype("<i8"), np.dtype("i1")  # floats, row numbers, truths and verdicts
 
 
-def _encode_frame(obj: dict) -> bytes:
-    """``obj`` as one frame (see the module docstring). An array, at the top
-    level of ``obj`` or one dict down, leaves a null in the header and
-    travels as a buffer; the header's ``buffers`` lists each buffer's
-    ``[path, dtype, count]``, in buffer order."""
-    header: dict = {}
-    table: list = []
-    arrays: list[np.ndarray] = []
-
-    def lift(path: list[str], value):
-        if not isinstance(value, np.ndarray):
-            return value
-        name = _WIRE_NAMES.get((value.dtype.kind, value.dtype.itemsize))
-        if name is None or value.ndim != 1:
-            raise TypeError(f"{'.'.join(path)}: a {value.dtype} array of shape {value.shape} has no wire form")
-        table.append([path, name, len(value)])
-        arrays.append(np.ascontiguousarray(value, dtype=_WIRE_DTYPES[name]))
-        return None
-
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            header[key] = {name: lift([key, name], item) for name, item in value.items()}
-        else:
-            header[key] = lift([key], value)
-    header["buffers"] = table
+def _encode_frame(header: dict, *arrays: np.ndarray) -> bytes:
+    """``header`` and the raw bytes of ``arrays``, contiguous arrays of
+    their wire dtypes, as one frame (see the module docstring)."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
     size = 4 + len(head) + sum(array.nbytes for array in arrays)
     return b"".join([struct.pack(">II", size, len(head)), head, *(array.data for array in arrays)])
 
 
-def _decode_frame(payload: bytes) -> dict:
-    """The object :func:`_encode_frame` framed as ``payload`` (the bytes
-    after the length prefix). Each array is a read-only view of
-    ``payload``. A payload that is not such a frame raises
+def _decode_frame(payload: bytes) -> tuple[dict, memoryview]:
+    """The header and the body of the frame ``payload`` (the bytes after
+    the length prefix). A payload whose header is not a JSON object raises
     :class:`TransportError`, so the node retries."""
     if len(payload) < 4:
         raise TransportError(f"frame of {len(payload)} bytes has no header length")
@@ -443,41 +418,45 @@ def _decode_frame(payload: bytes) -> dict:
         raise TransportError(f"header of {head_size} bytes runs past the {len(payload)}-byte frame")
     try:
         header = json.loads(payload[4:start])
-        table = [(path, name, count) for path, name, count in header.pop("buffers")]
-    except (ValueError, TypeError, AttributeError, KeyError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise TransportError(f"malformed frame header: {type(exc).__name__}: {exc}") from None
-    buffers = []  # (dict, key) of each buffer's null in the header, dtype, count
-    for path, name, count in table:
-        dtype = _WIRE_DTYPES.get(name) if isinstance(name, str) else None
-        if dtype is None:
-            raise TransportError(f"buffer {path!r} has dtype {name!r}, not one of {list(_WIRE_DTYPES)}")
-        if type(count) is not int or count < 0:
-            raise TransportError(f"buffer {path!r} has count {count!r}")
-        try:
-            parent = header[path[0]] if len(path) == 2 else header
-            if len(path) > 2 or not isinstance(parent, dict) or parent[path[-1]] is not None:
-                raise KeyError(path[-1])
-        except (KeyError, TypeError, IndexError):
-            raise TransportError(f"buffer path {path!r} names no null in the header") from None
-        buffers.append((parent, path[-1], dtype, count))
-    declared = sum(dtype.itemsize * count for *_, dtype, count in buffers)
-    if len(payload) - start != declared:
-        raise TransportError(f"frame body holds {len(payload) - start} bytes, its header declares {declared}")
-    offset = start
-    for parent, key, dtype, count in buffers:
-        parent[key] = np.frombuffer(payload, dtype, count, offset)
-        offset += dtype.itemsize * count
-    return header
+    if not isinstance(header, dict):
+        raise TransportError(f"malformed frame header: a JSON {type(header).__name__}, not an object")
+    return header, memoryview(payload)[start:]
+
+
+def _body(header: dict, body: memoryview, kind: str, *dtypes: np.dtype) -> list[np.ndarray]:
+    """The buffers of a ``kind`` frame: a read-only view of ``header["n"]``
+    values per dtype, in order. A frame of another type, a bad ``n`` or a
+    body of another length raises :class:`TransportError`. A frame without
+    buffers has no ``n`` and an empty body."""
+    if header.get("type") != kind:
+        raise TransportError(f"expected {kind} frame, got {header.get('type')!r}")
+    n = header.get("n") if dtypes else 0
+    if type(n) is not int or n < 0:
+        raise TransportError(f"{kind} frame counts n={n!r} records")
+    size = n * sum(dtype.itemsize for dtype in dtypes)
+    if len(body) != size:
+        raise TransportError(f"{kind} frame body holds {len(body)} bytes, its header declares {size}")
+    offsets = itertools.accumulate((n * dtype.itemsize for dtype in dtypes), initial=0)
+    return [np.frombuffer(body, dtype, n, offset) for dtype, offset in zip(dtypes, offsets)]
 
 
 def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
     """Encode one interval as frames of at most ``_MAX_FRAME`` payload
-    bytes, halving the interval until each part fits. Truths travel as an
-    ``i1`` buffer and row numbers as an ``<i8`` one."""
-    data = _encode_frame(
-        {"type": "interval", "file": interval.file_id, "values": interval.columns, "truth": interval.truth, "rows": interval.rows}
-    )
+    bytes, halving the interval until each part fits. A column array that
+    is not 1-D float64 raises ``TypeError``."""
+    texts, arrays = {}, []
+    for name, column in interval.columns.items():
+        if not isinstance(column, np.ndarray):
+            texts[name] = column
+        elif column.dtype == np.float64 and column.ndim == 1:
+            arrays.append(np.ascontiguousarray(column, _F8))
+        else:
+            raise TypeError(f"column {name!r}: a {column.dtype} array of shape {column.shape} has no wire form")
     n = len(interval)
+    header = {"type": "interval", "file": interval.file_id, "n": n, "columns": list(interval.columns), "texts": texts}
+    data = _encode_frame(header, *arrays, np.ascontiguousarray(interval.rows, _I8), np.ascontiguousarray(interval.truth, _I1))
     if len(data) - 4 <= _MAX_FRAME:
         yield data
     elif n == 1:
@@ -490,16 +469,37 @@ def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
         yield from _interval_frames(interval.take(slice(n // 2, n)))
 
 
-def _interval_of(frame: dict) -> FlowBatch:
-    """The interval a decoded interval frame carries; its truths and rows came as buffers."""
-    try:
-        interval = FlowBatch(frame["values"], frame["truth"], frame["file"], frame["rows"])
-        lengths = {interval.truth.size, interval.rows.size, *map(len, interval.columns.values())}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise TransportError(f"malformed interval frame: {type(exc).__name__}: {exc}") from None
-    if len(lengths) != 1:
-        raise TransportError(f"interval frame fields differ in length: {sorted(lengths)}")
-    return interval
+def _interval_of(header: dict, body: memoryview) -> FlowBatch:
+    """The interval an interval frame carries. A field that is missing or
+    does not fit the layout raises :class:`TransportError`."""
+    names, texts, file_id = header.get("columns"), header.get("texts"), header.get("file")
+    if not isinstance(file_id, str):
+        raise TransportError(f"interval frame file {file_id!r} is not a string")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        raise TransportError(f"interval frame columns {names!r} are not unique names")
+    if not isinstance(texts, dict) or not set(texts) <= set(names):
+        raise TransportError("interval frame texts do not map some of its columns")
+    *floats, rows, truth = _body(header, body, "interval", *[_F8] * (len(names) - len(texts)), _I8, _I1)
+    if not all(isinstance(column, list) and len(column) == len(rows) for column in texts.values()):
+        raise TransportError(f"interval frame texts are not lists of its {len(rows)} records")
+    floats = iter(floats)
+    return FlowBatch({name: texts[name] if name in texts else next(floats) for name in names}, truth, file_id, rows)
+
+
+def _result_of(header: dict, body: memoryview) -> tuple[dict, np.ndarray]:
+    """A result frame's header and verdicts. ``counts`` is null for no
+    records, else four counts that sum to ``n``; other counts raise
+    :class:`TransportError`."""
+    (verdicts,) = _body(header, body, "result", _I1)
+    counts = header.get("counts")
+    if not (counts is None and not len(verdicts)) and not (
+        isinstance(counts, dict)
+        and sorted(counts) == ["fn", "fp", "tn", "tp"]
+        and all(type(count) is int and count >= 0 for count in counts.values())
+        and sum(counts.values()) == len(verdicts)
+    ):
+        raise TransportError(f"result frame counts {counts!r} do not sum to its {len(verdicts)} records")
+    return header, verdicts
 
 
 class _Channel:
@@ -511,15 +511,15 @@ class _Channel:
         self.frames = 0
         self.wire_bytes = 0
 
-    def send(self, obj: dict) -> None:
-        self.send_encoded(_encode_frame(obj))
+    def send(self, header: dict, *arrays: np.ndarray) -> None:
+        self.send_encoded(_encode_frame(header, *arrays))
 
     def send_encoded(self, data: bytes) -> None:
         self.sock.sendall(data)
         self.frames += 1
         self.wire_bytes += len(data)
 
-    def recv(self) -> dict:
+    def recv(self) -> tuple[dict, memoryview]:
         (length,) = struct.unpack(">I", self._recv_exact(4))
         if length > _MAX_FRAME:
             raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
@@ -540,27 +540,27 @@ class _Channel:
         return b"".join(chunks)
 
 
-def _received_intervals(channel: _Channel) -> Iterator[dict]:
+def _received_intervals(channel: _Channel) -> Iterator[FlowBatch]:
     """Yield each interval frame's interval as it arrives, until the ``end``
     frame, whose count must match (a lost frame shows up there)."""
     received = 0
-    while (frame := channel.recv()).get("type") == "interval":
-        interval = _interval_of(frame)
+    while (frame := channel.recv())[0].get("type") == "interval":
+        interval = _interval_of(*frame)
         received += len(interval)
         yield interval
-    if frame.get("type") != "end":
-        raise TransportError(f"unexpected frame type {frame.get('type')!r}")
-    if frame["count"] != received:
-        raise TransportError(f"end frame counts {frame['count']} records, {received} received")
+    _body(*frame, "end")
+    count = frame[0].get("count")
+    if type(count) is not int or count != received:
+        raise TransportError(f"end frame counts {count!r} records, {received} received")
 
 
 #: Failures worth retrying: crashes and transport trouble, not data errors.
 _RETRYABLE = (SimulatedNodeFailure, TransportError, OSError)
 
 
-def _attempt_loop(node: str, cfg: SimulationConfig, attempt_fn) -> tuple[dict | None, int, str | None]:
+def _attempt_loop(node: str, cfg: SimulationConfig, attempt_fn) -> tuple[tuple | None, int, str | None]:
     """Run one node's work with crash-stop retries. Returns
-    (result payload or None, attempts used, last error)."""
+    (result or None, attempts used, last error)."""
     last_error = None
     for attempt in range(1, cfg.retry_budget + 2):
         try:
@@ -572,27 +572,12 @@ def _attempt_loop(node: str, cfg: SimulationConfig, attempt_fn) -> tuple[dict | 
     return None, cfg.retry_budget + 1, last_error
 
 
-def _result_from_payload(node: str, payload: dict, attempts: int, wall_s: float) -> NodeResult:
-    counts_doc = payload["counts"]
-    counts = ConfusionCounts(**counts_doc) if counts_doc is not None else None
-    return NodeResult(
-        node=node,
-        counts=counts,
-        verdicts=tuple(payload["verdicts"].tolist()),
-        n_records=payload["n"],
-        failed=False,
-        attempts=attempts,
-        error=payload.get("error"),
-        frames=payload.get("frames", 0),
-        wire_bytes=payload.get("wire_bytes", 0),
-        wall_s=wall_s,
-    )
-
-
 def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
     """Run ``attempt(node)`` on one thread per node under the crash-stop
-    retry loop. ``attempt`` returns the node's result payload. A data error
-    in any node is fatal and re-raised once every thread has finished."""
+    retry loop. ``attempt`` returns the node's result, a result frame's
+    header and verdicts (see :func:`_classify_intervals`), and a dict of
+    the wire's ``NodeResult`` fields (empty in-process). A data error in
+    any node is fatal and re-raised once every thread has finished."""
     results: dict[str, NodeResult] = {}
     fatal: list[Exception] = []
     lock = threading.Lock()
@@ -609,7 +594,9 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
         if payload is None:
             result = NodeResult(node, None, (), 0, failed=True, attempts=attempts, error=error, wall_s=wall_s)
         else:
-            result = _result_from_payload(node, payload, attempts, wall_s)
+            (header, verdicts), wire = payload
+            counts = ConfusionCounts(**header["counts"]) if header["counts"] is not None else None
+            result = NodeResult(node, counts, tuple(verdicts.tolist()), header["n"], False, attempts, wall_s=wall_s, **wire)
         with lock:
             results[node] = result
 
@@ -631,7 +618,7 @@ def _run_loopback(
 ) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
     port = server.getsockname()[1]
-    wire_results: dict[str, dict] = {}
+    wire_results: dict[str, tuple[dict, np.ndarray]] = {}
     # The store service's errors, by the worker's address until a worker
     # claims them, then by node: the store fails a wrong hello before it
     # knows the node.
@@ -646,20 +633,19 @@ def _run_loopback(
             try:
                 conn.settimeout(_SOCKET_TIMEOUT)
                 channel = _Channel(conn)
-                hello = channel.recv()
-                if hello.get("type") != "hello":
-                    raise TransportError(f"expected hello frame, got {hello.get('type')!r}")
-                node = hello["node"]
+                hello, body = channel.recv()
+                _body(hello, body, "hello")
+                node = hello.get("node")
+                if not isinstance(node, str):
+                    raise TransportError(f"hello frame names node {node!r}")
                 stream = store.partition(node)
                 for interval in _intervals(stream, preprocess, cfg.interval_size):
                     for data in _interval_frames(interval):
                         channel.send_encoded(data)
                 channel.send({"type": "end", "count": len(stream)})
-                payload = channel.recv()
-                if payload.get("type") != "result":
-                    raise TransportError(f"expected result frame, got {payload.get('type')!r}")
+                result = _result_of(*channel.recv())
                 with lock:
-                    wire_results[node] = payload
+                    wire_results[node] = result
                 channel.send({"type": "ack"})
             except Exception as exc:  # recorded before the close the worker sees
                 with lock:
@@ -680,16 +666,15 @@ def _run_loopback(
             t.start()
             handler_threads.append(t)
 
-    def attempt(node: str) -> dict:
+    def attempt(node: str) -> tuple[tuple[dict, np.ndarray], dict]:
         with socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT) as sock:
             local = sock.getsockname()
             channel = _Channel(sock)
             try:
                 channel.send({"type": "hello", "node": node})
                 intervals = _received_intervals(channel)
-                channel.send(_classify_intervals(intervals, preprocess, profile, cfg.w_for(node)))
-                if channel.recv().get("type") != "ack":
-                    raise TransportError("missing ack from the store service")
+                channel.send(*_classify_intervals(intervals, preprocess, profile, cfg.w_for(node)))
+                _body(*channel.recv(), "ack")
             except _RETRYABLE as exc:
                 with lock:
                     server_error = handler_errors.pop(local, None)
@@ -698,13 +683,8 @@ def _run_loopback(
                     node_errors[node] = server_error
                 raise TransportError(f"{type(exc).__name__}: {exc}; store service: {server_error}") from exc
         with lock:
-            payload = wire_results[node]
-        return {
-            **payload,
-            "error": node_errors.get(node),
-            "frames": channel.frames,
-            "wire_bytes": channel.wire_bytes,
-        }
+            result = wire_results[node]
+        return result, {"error": node_errors.get(node), "frames": channel.frames, "wire_bytes": channel.wire_bytes}
 
     server_thread = threading.Thread(target=serve)
     server_thread.start()
@@ -741,9 +721,9 @@ def run_simulation(
             raise SimulationError(f"unlabeled row: {stream.file_id} row {stream.rows[unlabeled[0]]}; metrics need ground truth")
     if cfg.transport == "in-process":
 
-        def attempt(node: str) -> dict:
+        def attempt(node: str) -> tuple[tuple[dict, np.ndarray], dict]:
             intervals = _intervals(store.partition(node), preprocess, cfg.interval_size)
-            return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
+            return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node)), {}
 
         results = _run_nodes(cfg, attempt)
     else:

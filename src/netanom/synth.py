@@ -234,13 +234,18 @@ def _generate_columns(n: int, seed: int, attack_fraction: float) -> dict[str, np
     return merged
 
 
+#: Rows formatted at a time: only one slice's field texts are alive at once.
+_SLICE_ROWS = 8192
+
+
 def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
-    """Write a header and the columns as CSV lines, formatting one column at
-    a time; no field needs quoting."""
+    """Write a header and the columns as CSV lines, formatting one column of
+    one slice of rows at a time; no field needs quoting."""
     names = default_schema().names
     stream.write(",".join(names) + "\n")
-    formatted = [_format_column(name, columns[name]) for name in names]
-    stream.writelines(f"{','.join(row)}\n" for row in zip(*formatted))
+    for start in range(0, len(columns[names[0]]), _SLICE_ROWS):
+        formatted = [_format_column(name, columns[name][start : start + _SLICE_ROWS]) for name in names]
+        stream.writelines(f"{','.join(row)}\n" for row in zip(*formatted))
 
 
 def write_synthetic_csv(path, n: int, seed: int, attack_fraction: float = 0.35) -> dict:

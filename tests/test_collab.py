@@ -267,7 +267,7 @@ class TestSharedStore:
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
-        # a one-record table1 frame of field texts takes at most about 345 bytes, a 16-record one about 1,330
+        # a one-record table1 frame of field texts takes at most about 400 bytes, a 16-record one about 1,385
         "max_frame, splits", [(collab._MAX_FRAME, False), (600, True)], ids=["one-frame", "split"]
     )
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
@@ -283,11 +283,13 @@ class TestSharedStore:
             frames = list(collab._interval_frames(interval))
             for data in frames:
                 assert int.from_bytes(data[:4], "big") == len(data) - 4 <= max_frame
-                frame = collab._decode_frame(data[4:])
-                assert frame["type"] == "interval"
-                assert set(frame) == {"type", "file", "values", "truth", "rows"}
-                assert tuple(frame["values"]) == pp.columns
-                parts.append(_lists(collab._interval_of(frame)))
+                header, body = collab._decode_frame(data[4:])
+                assert list(header) == ["type", "file", "n", "columns", "texts"]
+                assert header["type"] == "interval"
+                assert tuple(header["columns"]) == pp.columns
+                # the replay adapter's store holds field texts: the body is the rows and the truths
+                assert list(header["texts"]) == list(pp.columns) and len(body) == 9 * header["n"]
+                parts.append(_lists(collab._interval_of(header, body)))
             assert (len(frames) > 1) == splits
             decoded = _joined(parts)
             assert decoded == _stream(run, schema, pp.columns)
@@ -299,32 +301,35 @@ class TestSharedStore:
         records = replay(sim_records[:40], _cfg(nodes=("A",)), schema).partition("A")
         for interval in collab._intervals(records, pp, 16):
             for data in collab._interval_frames(interval):
-                assert tuple(collab._decode_frame(data[4:])["values"]) == pp.columns
+                assert tuple(collab._decode_frame(data[4:])[0]["columns"]) == pp.columns
         assert pp.columns == (pp.selected if mode == "table1" else schema.feature_names())
 
 
-def _payload(obj):
-    """The payload of ``obj``'s frame, after its length prefix."""
-    return collab._encode_frame(obj)[4:]
+def _payload(interval):
+    """The payload of ``interval``'s one frame, after its length prefix."""
+    (data,) = collab._interval_frames(interval)
+    return data[4:]
 
 
-def _edit_header(payload, edit):
-    """``payload`` with its JSON header passed through ``edit``, the body kept."""
+def _reframe(payload, edit=lambda header: None, cut=lambda body: body):
+    """``payload`` with its JSON header passed through ``edit`` and its body
+    through ``cut``."""
     (size,) = struct.unpack_from(">I", payload)
     header = json.loads(payload[4 : 4 + size])
     edit(header)
     head = json.dumps(header).encode()
-    return struct.pack(">I", len(head)) + head + payload[4 + size :]
+    return struct.pack(">I", len(head)) + head + cut(payload[4 + size :])
 
 
-def _set_first_buffer(field, value):
-    """A header edit that sets the first buffer's ``[path, dtype, count]``
-    entry ``field`` to ``value``."""
+def _set(key, value):
+    """A header edit that sets ``key`` to ``value``."""
+    return lambda header: header.__setitem__(key, value)
 
-    def edit(header):
-        header["buffers"][0][field] = value
 
-    return edit
+def _interval(columns, file_id="f"):
+    """A batch of ``columns``, truths 0, 1, 0, ... and rows 1, 2, ..."""
+    n = len(next(iter(columns.values())))
+    return FlowBatch(columns, np.arange(n, dtype=np.int8) % 2, file_id, np.arange(1, n + 1, dtype=np.int64))
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308]
@@ -339,85 +344,128 @@ class TestFrameCodec:
     )
     def test_float_columns_come_back_bit_exact(self, values):
         column = np.array(values, dtype=np.float64)
-        frame = {
-            "type": "interval",
-            "values": {"x": column, "proto": ["tcp"] * len(values)},
-            "truth": np.zeros(len(values), dtype=np.int8),
-        }
-        decoded = collab._decode_frame(_payload(frame))
-        assert list(decoded) == ["type", "values", "truth"] and list(decoded["values"]) == ["x", "proto"]
-        got = decoded["values"]["x"]
+        header, body = collab._decode_frame(_payload(_interval({"x": column, "proto": ["tcp"] * len(values)})))
+        assert header == {"type": "interval", "file": "f", "n": len(values), "columns": ["x", "proto"], "texts": {"proto": ["tcp"] * len(values)}}
+        decoded = collab._interval_of(header, body)
+        assert list(decoded.columns) == ["x", "proto"]
+        got = decoded.columns["x"]
         assert got.dtype == np.dtype("<f8") and not got.flags.writeable
         assert got.view(np.uint64).tolist() == column.view(np.uint64).tolist()
-        assert decoded["values"]["proto"] == ["tcp"] * len(values)
-        assert decoded["truth"].tolist() == [0] * len(values)
+        assert decoded.columns["proto"] == ["tcp"] * len(values)
+        assert decoded.truth.tolist() == [i % 2 for i in range(len(values))]
 
     def test_every_wire_dtype_roundtrips(self):
-        frame = {
-            "type": "result",
-            "counts": {"tp": 1, "tn": 0, "fp": 0, "fn": 2},
-            "verdicts": np.array([1, 0, 1], dtype=np.int8),
-            "origin": {"files": [["f", 3]], "rows": np.array([2, 2**40, 7], dtype=np.int64)},
-            "n": 3,
-        }
-        decoded = collab._decode_frame(_payload(frame))
-        assert decoded["counts"] == frame["counts"] and decoded["n"] == 3
-        assert decoded["verdicts"].dtype == np.dtype("i1") and decoded["verdicts"].tolist() == [1, 0, 1]
-        assert decoded["origin"]["rows"].dtype == np.dtype("<i8")
-        assert decoded["origin"]["rows"].tolist() == [2, 2**40, 7] and decoded["origin"]["files"] == [["f", 3]]
+        interval = FlowBatch({"x": np.array([0.5, -2.0, 1e300])}, np.array([1, 0, -1], dtype=np.int8), "f", np.array([2, 2**40, 7]))
+        decoded = collab._interval_of(*collab._decode_frame(_payload(interval)))
+        assert decoded.columns["x"].dtype == np.dtype("<f8") and decoded.columns["x"].tolist() == [0.5, -2.0, 1e300]
+        assert decoded.rows.dtype == np.dtype("<i8") and decoded.rows.tolist() == [2, 2**40, 7]
+        assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [1, 0, -1]
+        result = {"type": "result", "counts": {"tp": 1, "tn": 0, "fp": 1, "fn": 1}, "n": 3}
+        header, verdicts = collab._result_of(*collab._decode_frame(collab._encode_frame(result, np.array([1, 0, 1], dtype=np.int8))[4:]))
+        assert header == result
+        assert verdicts.dtype == np.dtype("i1") and verdicts.tolist() == [1, 0, 1]
 
     def test_arrays_without_a_wire_form_rejected(self):
         for array in (np.zeros(2, dtype=np.float32), np.array(["a"], dtype=object), np.zeros((2, 2))):
             with pytest.raises(TypeError, match="no wire form"):
-                collab._encode_frame({"type": "interval", "truth": array})
+                list(collab._interval_frames(_interval({"x": array})))
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (lambda p: p[:3], "has no header length"),
             (lambda p: struct.pack(">I", len(p)) + p[4:], "runs past the"),
-            (lambda p: p[:-1], "frame body holds 127 bytes, its header declares 128"),
-            (lambda p: p + b"\0", "frame body holds 129 bytes, its header declares 128"),
-            (lambda p: _edit_header(p, _set_first_buffer(1, "|O")), "dtype '|O', not one of"),
-            (lambda p: _edit_header(p, _set_first_buffer(1, "object")), "dtype 'object', not one of"),
-            (lambda p: _edit_header(p, _set_first_buffer(1, "<f4")), "dtype '<f4', not one of"),
-            (lambda p: _edit_header(p, _set_first_buffer(2, -1)), "count -1"),
-            (lambda p: _edit_header(p, _set_first_buffer(2, 1.5)), "count 1.5"),
-            (lambda p: _edit_header(p, _set_first_buffer(0, ["values", "nope"])), "names no null"),
-            (lambda p: _edit_header(p, lambda h: h.pop("buffers")), "malformed frame header"),
+            (lambda p: p[:-1], "frame body holds 271 bytes, its header declares 272"),
+            (lambda p: p + b"\0", "frame body holds 273 bytes, its header declares 272"),
+            (lambda p: _reframe(p, _set("n", 15)), "frame body holds 272 bytes, its header declares 255"),
+            (lambda p: _reframe(p, _set("n", -1)), "n=-1 records"),
+            (lambda p: _reframe(p, _set("n", 1.5)), "n=1.5 records"),
+            (lambda p: _reframe(p, lambda h: h.pop("n")), "n=None records"),
+            (lambda p: _reframe(p, _set("columns", ["x", "x"])), "columns ['x', 'x'] are not unique names"),
+            (lambda p: _reframe(p, _set("columns", "x")), "columns 'x' are not unique names"),
+            (lambda p: _reframe(p, _set("texts", {"nope": ["tcp"] * 16})), "do not map some of its columns"),
+            (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15})), "not lists of its 16 records"),
+            (lambda p: _reframe(p, lambda h: h.pop("texts")), "do not map some of its columns"),
+            (lambda p: _reframe(p, lambda h: h.pop("type")), "expected interval frame, got None"),
             (lambda p: p[:4] + b"\xff" + p[5:], "malformed frame header"),
+            (lambda p: struct.pack(">I", 200_000) + b"[" * 100_000 + b"]" * 100_000, "malformed frame header: RecursionError"),
+            (lambda p: struct.pack(">I", 2) + b"[]" + p[4 + struct.unpack_from(">I", p)[0] :], "malformed frame header: a JSON list"),
         ],
     )
     def test_malformed_payload_raises_retryable_transport_error(self, corrupt, message):
-        payload = _payload({"type": "interval", "values": {"x": np.arange(16.0)}, "truth": None})
+        payload = _payload(_interval({"x": np.arange(16.0), "proto": ["tcp"] * 16}))
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
-            collab._decode_frame(corrupt(payload))
+            collab._interval_of(*collab._decode_frame(corrupt(payload)))
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda f: f.__setitem__("rows", f["rows"][:2]),
-            lambda f: f["values"].__setitem__("x", f["values"]["x"][:2]),
-            lambda f: f.pop("truth"),
-            lambda f: f.pop("file"),
-            lambda f: f.__setitem__("rows", [1, 2, 3]),
+            # the body holds x (bytes 0-23), the rows (24-47) and the truths (48-50)
+            lambda p: _reframe(p, cut=lambda b: b[:40] + b[48:]),
+            lambda p: _reframe(p, cut=lambda b: b[:16] + b[24:]),
+            lambda p: _reframe(p, cut=lambda b: b[:48]),
+            lambda p: _reframe(p, lambda h: h.pop("file")),
+            lambda p: _reframe(p, _set("rows", [1, 2, 3]), cut=lambda b: b[:24] + b[48:]),
+            lambda p: _reframe(p, _set("file", 7)),
         ],
-        ids=["origin", "column", "no-truth", "no-file", "rows-in-the-header"],
+        ids=["origin", "column", "no-truth", "no-file", "rows-in-the-header", "file-not-a-string"],
     )
     def test_inconsistent_interval_frame_raises_transport_error(self, edit):
-        frame = {
-            "type": "interval",
-            "file": "f",
-            "values": {"x": np.arange(3.0)},
-            "truth": np.zeros(3, dtype=np.int8),
-            "rows": np.arange(1, 4),
-        }
-        interval = collab._interval_of(collab._decode_frame(_payload(frame)))
-        assert _lists(interval) == {"columns": {"x": [0.0, 1.0, 2.0]}, "truth": [0, 0, 0], "file_id": "f", "rows": [1, 2, 3]}
-        edit(frame)
+        payload = _payload(_interval({"x": np.arange(3.0)}))
+        interval = collab._interval_of(*collab._decode_frame(payload))
+        assert _lists(interval) == {"columns": {"x": [0.0, 1.0, 2.0]}, "truth": [0, 1, 0], "file_id": "f", "rows": [1, 2, 3]}
         with pytest.raises(TransportError):
-            collab._interval_of(collab._decode_frame(_payload(frame)))
+            collab._interval_of(*collab._decode_frame(edit(payload)))
+
+    @pytest.mark.parametrize(
+        "counts, n, message",
+        [
+            ({"tp": 1}, 1, "counts {'tp': 1} do not sum to its 1 records"),
+            ({"tp": 1, "tn": 1, "fp": 0, "fn": 0}, 1, "do not sum to its 1 records"),
+            ({"tp": 2, "tn": -1, "fp": 0, "fn": 0}, 1, "do not sum to its 1 records"),
+            ({"tp": 1.0, "tn": 0, "fp": 0, "fn": 0}, 1, "do not sum to its 1 records"),
+            ([1, 0, 0, 0], 1, "do not sum to its 1 records"),
+            (None, 1, "counts None do not sum to its 1 records"),
+            ({"tp": 1, "tn": 0, "fp": 0, "fn": 0}, "1", "result frame counts n='1' records"),
+            ({"tp": 1, "tn": 0, "fp": 0, "fn": 0}, 2, "result frame body holds 1 bytes, its header declares 2"),
+        ],
+    )
+    def test_bad_result_frame_raises_retryable_transport_error(self, counts, n, message):
+        payload = collab._encode_frame({"type": "result", "counts": counts, "n": n}, np.ones(1, dtype=np.int8))[4:]
+        with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
+            collab._result_of(*collab._decode_frame(payload))
+        assert isinstance(excinfo.value, collab._RETRYABLE)
+
+    @pytest.mark.parametrize("kind", ["hello", "end", "ack"])
+    def test_header_only_frame_with_a_body_raises_retryable_transport_error(self, kind):
+        header = {"type": kind, "node": "A", "count": 0}
+        assert collab._body(*collab._decode_frame(collab._encode_frame(header)[4:]), kind) == []
+        payload = collab._encode_frame(header, np.zeros(1, dtype=np.int8))[4:]
+        with pytest.raises(TransportError, match=f"{kind} frame body holds 1 bytes, its header declares 0"):
+            collab._body(*collab._decode_frame(payload), kind)
+
+    @pytest.mark.parametrize(
+        "end, message",
+        [
+            ({"type": "end"}, "end frame counts None records, 3 received"),
+            ({"type": "end", "count": 3.0}, "end frame counts 3.0 records, 3 received"),
+            ({"type": "end", "count": 2}, "end frame counts 2 records, 3 received"),
+            ({"type": "ack"}, "expected end frame, got 'ack'"),
+        ],
+    )
+    def test_bad_end_frame_raises_retryable_transport_error(self, end, message):
+        frames = [_payload(_interval({"x": np.arange(3.0)})), collab._encode_frame(end)[4:]]
+
+        class Channel:
+            def recv(self):
+                return collab._decode_frame(frames.pop(0))
+
+        intervals = collab._received_intervals(Channel())
+        assert len(next(intervals)) == 3
+        with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
+            next(intervals)
+        assert isinstance(excinfo.value, collab._RETRYABLE)
 
 
 class TestConfig:
@@ -703,11 +751,11 @@ class TestRunSimulation:
         real = collab._Channel.send
         sent_bad = []
 
-        def flaky(channel, obj):
-            if obj.get("type") == "hello" and obj["node"] == "B" and not sent_bad:
+        def flaky(channel, header, *arrays):
+            if header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
                 sent_bad.append(True)
-                obj = {**obj, "type": "capture"}
-            real(channel, obj)
+                header = {**header, "type": "capture"}
+            real(channel, header, *arrays)
 
         monkeypatch.setattr(collab._Channel, "send", flaky)
         cfg = _cfg(transport="loopback-socket")
@@ -722,6 +770,39 @@ class TestRunSimulation:
         assert outcome.node_results["A"].error is None
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
+
+    @pytest.mark.parametrize(
+        "kind, edit, store_error",
+        [
+            ("end", lambda header: header.pop("count"), None),
+            ("result", lambda header: header.__setitem__("counts", {"tp": 1}), "TransportError: result frame counts {'tp': 1} do not sum to its 200 records"),
+        ],
+    )
+    def test_bad_peer_frame_retried(self, sim_records, schema, fitted, monkeypatch, kind, edit, store_error):
+        """A peer frame that does not fit its layout is a retryable
+        TransportError on the side that reads it, never a crash."""
+        pp, profile = fitted
+        real = collab._Channel.send
+        sent_bad = []
+
+        def flaky(channel, header, *arrays):
+            if header["type"] == kind and not sent_bad:
+                sent_bad.append(True)
+                header = dict(header)
+                edit(header)
+            real(channel, header, *arrays)
+
+        monkeypatch.setattr(collab._Channel, "send", flaky)
+        cfg = _cfg(transport="loopback-socket", nodes=("A", "B"), interval_size=64)
+        outcome = run_simulation(replay(sim_records[:400], cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        clean = run_simulation(replay(sim_records[:400], cfg, schema), profile, pp, cfg)
+        assert sent_bad and not outcome.partial
+        assert sorted(r.attempts for r in outcome.node_results.values()) == [1, 2]
+        assert sorted(str(r.error) for r in outcome.node_results.values()) == sorted(["None", str(store_error)])
+        for node in cfg.nodes:
+            assert outcome.node_results[node].verdicts == clean.node_results[node].verdicts
+        assert outcome.aggregate_counts == clean.aggregate_counts
 
     @pytest.mark.parametrize("always", [False, True])
     def test_truncated_stream_retried(self, sim_records, schema, fitted, monkeypatch, always):
@@ -845,11 +926,11 @@ class TestRunnerProperty:
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
         # 400 bytes holds a one-record interval frame of field texts (at most
-        # about 345) and the result frame for 120 records (about 250); one of
-        # float64 buffers takes at most about 650, so those draws start at
-        # 700. A 64-record interval frame takes about 4,400 (texts) or 6,000
-        # (buffers), so most draws split intervals across frames.
-        max_frame = data.draw(st.integers(700 if batches else 400, 6_000), label="max_frame")
+        # 399) or of float64 buffers (at most 294), and the result frame for
+        # 120 records (191). A 64-record interval frame takes about 4,500
+        # (texts) or 5,600 (buffers), so most draws split intervals across
+        # frames.
+        max_frame = data.draw(st.integers(400, 6_000), label="max_frame")
         outcomes = {}
         for transport in TRANSPORTS:
             cfg = _cfg(
