@@ -502,6 +502,18 @@ def _result_of(header: dict, body: memoryview) -> tuple[dict, np.ndarray]:
     return header, verdicts
 
 
+def _check_result(header: dict, verdicts: np.ndarray, truth: np.ndarray) -> None:
+    """Raise :class:`TransportError` unless a result holds one 0/1 verdict
+    per record of the node's stream and counts them against the store's
+    ``truth``."""
+    if len(verdicts) != len(truth):
+        raise TransportError(f"result frame holds {len(verdicts)} verdicts for a stream of {len(truth)} records")
+    if not np.isin(verdicts, (0, 1)).all():
+        raise TransportError("result frame verdicts are not all 0 or 1")
+    if len(truth) and ConfusionCounts(**header["counts"]) != (counts := confusion(verdicts, truth)):
+        raise TransportError(f"result frame counts {header['counts']} are not its verdicts' {counts}")
+
+
 class _Channel:
     """Length-prefixed frames over one socket, counting the frames and bytes
     that pass in both directions."""
@@ -644,6 +656,7 @@ def _run_loopback(
                         channel.send_encoded(data)
                 channel.send({"type": "end", "count": len(stream)})
                 result = _result_of(*channel.recv())
+                _check_result(*result, stream.truth)
                 with lock:
                     wire_results[node] = result
                 channel.send({"type": "ack"})

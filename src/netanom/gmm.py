@@ -193,7 +193,7 @@ def _log_normalize(terms: np.ndarray) -> np.ndarray:
     return shift + np.log(total)
 
 
-_SCORE_CHUNK = 8192
+_SCORE_CHUNK = 1024
 
 
 def score_records(data: np.ndarray, model: MixtureModel) -> np.ndarray:

@@ -118,9 +118,11 @@ def _family_columns(rng: np.random.Generator, n: int, fam: _Family, ip_pool, dst
     sload = sbytes * 8.0 / dur
     dload = dbytes * 8.0 / dur
 
-    dsport = np.array(
-        [_SERVICE_PORTS.get(s, 0) or rng.integers(1, 65536) for s in service], dtype=np.int64
-    )
+    dsport = np.zeros(n, dtype=np.int64)
+    for name, port in _SERVICE_PORTS.items():
+        dsport[service == name] = port
+    unported = dsport == 0
+    dsport[unported] = rng.integers(1, 65536, int(unported.sum()))
 
     cols = {
         "srcip": rng.choice(ip_pool, n),
@@ -186,12 +188,45 @@ _INT_COLUMNS = {
 }
 
 
-def _format_column(name: str, arr: np.ndarray) -> list[str]:
+#: Fraction digits as two 3-digit cells; index 1000 is the empty cell of a
+#: value whose whole text is in its first cell.
+_POINT_DIGITS = np.array([f".{i:03d}" for i in range(1000)] + [""], dtype=object)
+_DIGITS = np.array([f"{i:03d}" for i in range(1000)] + [""], dtype=object)
+
+
+def _fixed_cells(x: np.ndarray) -> list[list]:
+    """The ``"%.6f"`` texts of float64 values, split into three cells a value
+    that ``"%s%s%s"`` joins: the integer part, ``.ddd`` and ``ddd``.
+
+    ``"%.6f"`` prints the exact product ``t = x * 10**6`` rounded to an
+    integer. Rounding is monotone, so ``t`` and ``y = fl(x * 1e6)`` lie on
+    the same side of every representable half-integer, and below 2**52
+    every half-integer is representable: when ``y < 2**52`` is not itself a
+    half-integer, ``rint(y)`` is that integer. Every other value, every
+    negative one and -0.0 (hence ``signbit``) is formatted whole with
+    ``"%.6f"`` into the first cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e6
+        r = np.rint(y)
+        exact = ~np.signbit(x) & (y < 2.0**52) & (np.abs(y - r) != 0.5)
+    whole, frac = np.divmod(np.where(exact, r, 0.0).astype(np.int64), 10**6)
+    high, low = np.divmod(frac, 1000)
+    head = whole.tolist()
+    inexact = np.flatnonzero(~exact)
+    for i, v in zip(inexact.tolist(), x[inexact].tolist()):
+        head[i] = "%.6f" % v
+    high[inexact] = low[inexact] = 1000
+    return [head, _POINT_DIGITS.take(high).tolist(), _DIGITS.take(low).tolist()]
+
+
+def _column_cells(name: str, arr: np.ndarray) -> tuple[str, list[list]]:
+    """One column's piece of the row format and its cells, one list each."""
     if name in _INT_COLUMNS:
-        return list(map(str, arr.astype(np.int64).tolist()))
+        return "%d", [arr.astype(np.int64).tolist()]
     if arr.dtype == object or arr.dtype.kind in "US":
-        return list(map(str, arr.tolist()))
-    return list(map("{:.6f}".format, arr.tolist()))
+        return "%s", [arr.tolist()]
+    return "%s%s%s", _fixed_cells(arr)
 
 
 def _generate_columns(n: int, seed: int, attack_fraction: float) -> dict[str, np.ndarray]:
@@ -201,7 +236,6 @@ def _generate_columns(n: int, seed: int, attack_fraction: float) -> dict[str, np
     if not 0.0 <= attack_fraction <= 1.0:
         raise ValueError("attack_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    schema = default_schema()
 
     n_attack = round(n * attack_fraction)
     n_normal = n - n_attack
@@ -223,10 +257,12 @@ def _generate_columns(n: int, seed: int, attack_fraction: float) -> dict[str, np
         if count:
             blocks.append(_family_columns(rng, count, fam, src_pool, dst_pool))
 
-    names = schema.names
-    merged = {name: np.concatenate([b[name] for b in blocks]) for name in names}
+    # Each column is permuted as it is merged and its family blocks dropped,
+    # so the blocks, the merged and the permuted copies are never all alive.
     order = rng.permutation(n)
-    merged = {name: arr[order] for name, arr in merged.items()}
+    merged = {
+        name: np.concatenate([b.pop(name) for b in blocks])[order] for name in default_schema().names
+    }
 
     stime = 1424219000 + np.cumsum(rng.exponential(0.08, n)).astype(np.int64)
     merged["stime"] = stime
@@ -239,13 +275,17 @@ _SLICE_ROWS = 8192
 
 
 def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
-    """Write a header and the columns as CSV lines, formatting one column of
-    one slice of rows at a time; no field needs quoting."""
+    """Write a header and the columns as CSV lines, one slice of rows at a
+    time, each line with one ``%`` call; no field needs quoting."""
     names = default_schema().names
     stream.write(",".join(names) + "\n")
     for start in range(0, len(columns[names[0]]), _SLICE_ROWS):
-        formatted = [_format_column(name, columns[name][start : start + _SLICE_ROWS]) for name in names]
-        stream.writelines(f"{','.join(row)}\n" for row in zip(*formatted))
+        pieces, cells = [], []
+        for name in names:
+            piece, column = _column_cells(name, columns[name][start : start + _SLICE_ROWS])
+            pieces.append(piece)
+            cells += column
+        stream.writelines(map((",".join(pieces) + "\n").__mod__, zip(*cells)))
 
 
 def write_synthetic_csv(path, n: int, seed: int, attack_fraction: float = 0.35) -> dict:

@@ -437,6 +437,21 @@ class TestFrameCodec:
             collab._result_of(*collab._decode_frame(payload))
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
+    @pytest.mark.parametrize(
+        "verdicts, counts, message",
+        [
+            ([1, 0], {"tp": 1, "tn": 1, "fp": 0, "fn": 0}, "holds 2 verdicts for a stream of 3 records"),
+            ([1, 0, 2], {"tp": 1, "tn": 1, "fp": 0, "fn": 1}, "verdicts are not all 0 or 1"),
+            ([1, 0, 0], {"tp": 2, "tn": 1, "fp": 0, "fn": 0}, "are not its verdicts' ConfusionCounts(tp=1, tn=1, fp=0, fn=1)"),
+        ],
+    )
+    def test_result_checked_against_the_store_truths(self, verdicts, counts, message):
+        truth = np.array([1, 0, 1], dtype=np.int8)
+        collab._check_result({"counts": {"tp": 1, "tn": 1, "fp": 0, "fn": 1}}, np.array([1, 0, 0], dtype=np.int8), truth)
+        with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
+            collab._check_result({"counts": counts}, np.array(verdicts, dtype=np.int8), truth)
+        assert isinstance(excinfo.value, collab._RETRYABLE)
+
     @pytest.mark.parametrize("kind", ["hello", "end", "ack"])
     def test_header_only_frame_with_a_body_raises_retryable_transport_error(self, kind):
         header = {"type": kind, "node": "A", "count": 0}
@@ -774,8 +789,9 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "kind, edit, store_error",
         [
-            ("end", lambda header: header.pop("count"), None),
-            ("result", lambda header: header.__setitem__("counts", {"tp": 1}), "TransportError: result frame counts {'tp': 1} do not sum to its 200 records"),
+            ("end", lambda header, arrays: header.pop("count"), None),
+            ("result", lambda header, arrays: header.__setitem__("counts", {"tp": 1}), "TransportError: result frame counts {'tp': 1} do not sum to its 200 records"),
+            ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], 7)), "TransportError: result frame verdicts are not all 0 or 1"),
         ],
     )
     def test_bad_peer_frame_retried(self, sim_records, schema, fitted, monkeypatch, kind, edit, store_error):
@@ -788,8 +804,8 @@ class TestRunSimulation:
         def flaky(channel, header, *arrays):
             if header["type"] == kind and not sent_bad:
                 sent_bad.append(True)
-                header = dict(header)
-                edit(header)
+                header, arrays = dict(header), list(arrays)
+                edit(header, arrays)
             real(channel, header, *arrays)
 
         monkeypatch.setattr(collab._Channel, "send", flaky)

@@ -11,6 +11,7 @@ from netanom.gmm import (
     EmConfig,
     GmmError,
     MixtureModel,
+    _SCORE_CHUNK,
     _expanded_log_terms,
     _log_normalize,
     _m_step,
@@ -170,7 +171,7 @@ class TestScoreRecords:
         )
         x = rng.normal(scale=2.0, size=(20_000, d))  # spans more than two score chunks
         whole = score_records(x, model)
-        for size in (1, 7, 8191, 8193):
+        for size in (1, 7, _SCORE_CHUNK - 1, _SCORE_CHUNK + 1):
             parts = [score_records(x[i : i + size], model) for i in range(0, 20_000, size)[:50]]
             assert np.array_equal(np.concatenate(parts), whole[: sum(p.size for p in parts)])
         rows = rng.choice(20_000, size=30, replace=False)

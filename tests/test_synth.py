@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netanom import synth
+from netanom.cli import main
 from netanom.ingest import default_schema, parse_flow_csv
 from netanom.synth import write_synthetic_csv
 
@@ -50,6 +54,57 @@ def test_written_bytes_equal_the_row_path(tmp_path_factory, n, seed, attack_frac
     path = tmp_path_factory.mktemp("synth") / "flows.csv"
     write_synthetic_csv(path, n, seed, attack_fraction)
     assert path.read_bytes() == _reference_csv(n, seed, attack_fraction)
+
+
+def _cell_texts(name, values) -> list[str]:
+    """The field texts the writer makes of one column's values."""
+    piece, cells = synth._column_cells(name, np.asarray(values))
+    return [piece % row for row in zip(*cells)]
+
+
+# k / 2**7 for odd k: the exact x * 10**6 ends in .5, a tie "%.6f" rounds to even.
+_TIES = [k / 2**7 for k in range(-301, 301, 2)] + [(2**39 + 2 * j + 1) / 2**7 for j in range(5)]
+_NEAR_2_52 = [math.nextafter(2.0**e / 1e6, to) for e in (52, 53, 54) for to in (0.0, math.inf)] + [
+    (2.0**52 + d) / 1e6 for d in range(-4, 5)
+]
+_FIXED_EDGES = _TIES + _NEAR_2_52 + [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 5e-7, 4.9999999999999996e-07, 5.000000000000001e-07,
+    1.0000005, -5e-7, -1.5, -1e-9, 1e16, 1e300, -1e300, math.inf, -math.inf, math.nan,
+]
+
+
+def test_fixed_point_texts_at_the_edges():
+    assert _cell_texts("dur", _FIXED_EDGES) == [f"{v:.6f}" for v in _FIXED_EDGES]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(),
+            st.floats(0.0, 2.0**55 / 1e6),
+            st.integers(-(2**40), 2**40).map(lambda k: k / 2**7),
+            st.integers(0, 2**52).map(lambda k: (k + 0.5) / 1e6),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_fixed_point_texts_equal_the_format(values):
+    assert _cell_texts("dur", values) == [f"{v:.6f}" for v in values]
+
+
+def test_integer_texts_equal_str():
+    values = [-1, 0, 999, 1000, 65_535, 65_536, 2**31, 2**62, 2**63 - 1, -(2**63)]
+    assert _cell_texts("sport", np.array(values, dtype=np.int64)) == [str(v) for v in values]
+
+
+def test_bench_corpus_bytes_are_pinned(tmp_path):
+    """The corpus the benchmark builds, ``synth --rows 160000 --seed 1``."""
+    out = tmp_path / "corpus.csv"
+    assert main(["synth", "--rows", "160000", "--seed", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e03d705d2d0cd1a37bc76cc60e16698c42ddaa1ec451b5948a4d677dcafe8208"
 
 
 def test_rows_match_schema_width(tmp_path):
