@@ -77,6 +77,23 @@ def main(argv=None) -> int:
         return 1
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert``, then a usage error naming the flag
+    unless ``ok`` holds, raised while parsing, before any input is read."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netanom",
@@ -91,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True, help="total records to draw")
     p.add_argument("--normal-frac", type=float, default=0.65)
     p.add_argument("--train-frac", type=float, default=0.6, help="share of normals used for training")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_sample)
 
@@ -100,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", default=None)
     p.add_argument("--features", default="table1", help="table1 or pca:<k>")
     p.add_argument("--components", default="auto", help="mixture size K, or 'auto' (= feature count)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_checked(float, lambda v: v > 0 and math.isfinite(v), "finite and > 0"), default=1e-6)
+    p.add_argument("--max-iter", type=_checked(int, lambda v: v >= 1, ">= 1"), default=200)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, metavar="PROFILE_JSON")
     p.set_defaults(func=_cmd_train)
 
@@ -142,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic flow CSV")
     p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--attack-frac", type=float, default=0.35)
     p.add_argument("--schema-out", default=None, help="also write the bundled schema JSON here")
     p.add_argument("--out", required=True, metavar="CSV")
@@ -254,8 +271,9 @@ def _cmd_train(args, parser) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     preprocess_path = _sibling(out, "preprocess")
+    profile_bytes = save_profile(profile)  # before any write: a failure leaves no output
     save_preprocess(preprocess, preprocess_path)
-    out.write_bytes(save_profile(profile))
+    out.write_bytes(profile_bytes)
     rep = profile.fit_report
     _write_manifest(
         _sibling(out, "manifest"),

@@ -19,11 +19,11 @@ def _reference_rows(n, seed, attack_fraction) -> list[list[str]]:
     columns = synth._generate_columns(n, seed, attack_fraction)
 
     def _format(name, arr):
-        if name in synth._INT_COLUMNS:
-            return [str(int(v)) for v in arr]
-        if arr.dtype == object or arr.dtype.kind in "US":
-            return [str(v) for v in arr]
-        return [f"{float(v):.6f}" for v in arr]
+        if name in synth._POOLS:
+            return [synth._POOLS[name][code] for code in arr]
+        if arr.dtype.kind == "f":
+            return [f"{float(v):.6f}" for v in arr]
+        return [str(int(v)) for v in arr]
 
     return [list(row) for row in zip(*(_format(name, columns[name]) for name in default_schema().names))]
 
@@ -57,9 +57,11 @@ def test_written_bytes_equal_the_row_path(tmp_path_factory, n, seed, attack_frac
 
 
 def _cell_texts(name, values) -> list[str]:
-    """The field texts the writer makes of one column's values."""
-    piece, cells = synth._column_cells(name, np.asarray(values))
-    return [piece % row for row in zip(*cells)]
+    """The field texts the writer makes of one column's values, less the
+    NUL padding; each leaves its last byte free for the separator."""
+    rows = np.stack(synth._column_words(name, np.asarray(values)), axis=1).view(np.uint8)
+    assert not rows[:, -1].any()
+    return [bytes(row[row != 0]).decode("ascii") for row in rows]
 
 
 # k / 2**7 for odd k: the exact x * 10**6 ends in .5, a tie "%.6f" rounds to even.
@@ -97,6 +99,44 @@ def test_fixed_point_texts_equal_the_format(values):
 def test_integer_texts_equal_str():
     values = [-1, 0, 999, 1000, 65_535, 65_536, 2**31, 2**62, 2**63 - 1, -(2**63)]
     assert _cell_texts("sport", np.array(values, dtype=np.int64)) == [str(v) for v in values]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**7), 10**7), st.sampled_from([0, 10**3, 10**6, 10**9])),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_any_int64_texts_equal_str(values):
+    assert _cell_texts("sport", np.array(values, dtype=np.int64)) == [str(v) for v in values]
+
+
+def test_pool_texts_need_no_quoting_and_hold_no_padding():
+    """NUL pads the writer's words, and no field may need quoting."""
+    for name, pool in synth._POOLS.items():
+        assert len(pool) == len(set(pool)) <= 256, name  # distinct uint8 codes
+        for text in pool:
+            assert text.isascii() and not set(text) & set('\0,"\r\n'), (name, text)
+            assert text or name == "attack_cat", name
+
+
+@pytest.mark.parametrize(
+    "n, seed, attack_fraction, digest",
+    [
+        (1, 0, 0.35, "2f8cb9cddd27e5552274d2ea2d797ab51e5d13896d43ac51dc2348eb4d54a680"),
+        (8191, 7, 1.0, "9d063d3c2fc9d85574ed70e853d3b3e69c16e5884637994b67caa094babf60f0"),
+        (8193, 2**32 - 1, 0.0, "c9e15567a150e6e9dc39a6a27cc64a720acb7b9f681ee3001da881258fe321a7"),
+        (20000, 11, 0.35, "01526e63831c606f0f1873697edc143815332ec9b1957f9547f2bfc7b0e1def0"),
+    ],
+)
+def test_corpus_bytes_are_pinned(tmp_path, n, seed, attack_fraction, digest):
+    """Generation and writing together, across slice edges and with one
+    traffic class only; the digests predate the byte writer."""
+    path = tmp_path / "flows.csv"
+    write_synthetic_csv(path, n, seed, attack_fraction)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_bench_corpus_bytes_are_pinned(tmp_path):
