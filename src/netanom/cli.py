@@ -79,11 +79,17 @@ def main(argv=None) -> int:
 
 def _checked(convert, ok, requirement: str):
     """An argparse type: ``convert``, then a usage error naming the flag
-    unless ``ok`` holds, raised while parsing, before any input is read."""
+    unless ``ok`` holds, raised while parsing, before any input is read.
+    An ``ok`` that raises ``ValueError`` or :class:`PreprocessError` does
+    not hold."""
 
     def parse(text: str):
         value = convert(text)
-        if not ok(value):
+        try:
+            good = ok(value)
+        except (ValueError, PreprocessError):
+            good = False
+        if not good:
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
 
@@ -92,6 +98,8 @@ def _checked(convert, ok, requirement: str):
 
 
 _SEED = _checked(int, lambda v: v >= 0, ">= 0")
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_FRACTION = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a seeded train/test split from flow CSVs")
     p.add_argument("--input", nargs="+", required=True, metavar="CSV")
     p.add_argument("--schema", default=None, help="schema JSON (default: bundled layout)")
-    p.add_argument("--size", type=int, required=True, help="total records to draw")
-    p.add_argument("--normal-frac", type=float, default=0.65)
-    p.add_argument("--train-frac", type=float, default=0.6, help="share of normals used for training")
+    p.add_argument("--size", type=_COUNT, required=True, help="total records to draw")
+    p.add_argument("--normal-frac", type=_FRACTION, default=0.65)
+    p.add_argument("--train-frac", type=_FRACTION, default=0.6, help="share of normals used for training")
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_sample)
@@ -115,10 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit preprocessing and a normal profile")
     p.add_argument("--train", required=True, metavar="CSV")
     p.add_argument("--schema", default=None)
-    p.add_argument("--features", default="table1", help="table1 or pca:<k>")
-    p.add_argument("--components", default="auto", help="mixture size K, or 'auto' (= feature count)")
+    p.add_argument(
+        "--features", type=_checked(str, parse_reduction_mode, "table1 or pca:<k>, k >= 1"),
+        default="table1", help="table1 or pca:<k>",
+    )
+    p.add_argument(
+        "--components", type=_checked(str, lambda v: v == "auto" or int(v) >= 1, "'auto' or an integer >= 1"),
+        default="auto", help="mixture size K, or 'auto' (= feature count)",
+    )
     p.add_argument("--tol", type=_checked(float, lambda v: v > 0 and math.isfinite(v), "finite and > 0"), default=1e-6)
-    p.add_argument("--max-iter", type=_checked(int, lambda v: v >= 1, ">= 1"), default=200)
+    p.add_argument("--max-iter", type=_COUNT, default=200)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, metavar="PROFILE_JSON")
     p.set_defaults(func=_cmd_train)
@@ -158,9 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic flow CSV")
-    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--rows", type=_COUNT, required=True)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--attack-frac", type=float, default=0.35)
+    p.add_argument("--attack-frac", type=_FRACTION, default=0.35)
     p.add_argument("--schema-out", default=None, help="also write the bundled schema JSON here")
     p.add_argument("--out", required=True, metavar="CSV")
     p.set_defaults(func=_cmd_synth)
@@ -202,11 +216,6 @@ def _sibling(path: Path, tag: str) -> Path:
 
 
 def _cmd_sample(args, parser) -> int:
-    if args.size <= 0:
-        parser.error("--size must be positive")
-    for name in ("normal_frac", "train_frac"):
-        if not 0.0 <= getattr(args, name) <= 1.0:
-            parser.error(f"--{name.replace('_', '-')} must be in [0, 1]")
     started = time.perf_counter()
     schema = _load_schema_arg(args.schema)
     # Pass 1 reads the truths alone; pass 2 copies the chosen rows.
@@ -246,24 +255,9 @@ def _cmd_sample(args, parser) -> int:
 
 def _cmd_train(args, parser) -> int:
     started = time.perf_counter()
-    try:
-        parse_reduction_mode(args.features)
-    except PreprocessError as exc:
-        parser.error(str(exc))
-    if args.components != "auto":
-        try:
-            k = int(args.components)
-        except ValueError:
-            parser.error("--components must be an integer or 'auto'")
-        if k < 1:
-            parser.error("--components must be >= 1")
     schema = _load_schema_arg(args.schema)
     batches = _training_batches(Path(args.train), schema, training_columns(schema, args.features))
-    first = next(batches, None)
-    if first is None:
-        print("error: training file has no records", file=sys.stderr)
-        return 1
-    preprocess, matrix = fit_preprocess_batches(itertools.chain([first], batches), schema, args.features)
+    preprocess, matrix = fit_preprocess_batches(batches, schema, args.features)
     k = matrix.shape[1] if args.components == "auto" else int(args.components)
     cfg = EmConfig(n_components=k, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
     profile = train_profile(matrix, cfg, preprocess_digest=preprocess.digest())
@@ -305,13 +299,16 @@ def _cmd_train(args, parser) -> int:
 
 def _training_batches(path: Path, schema, columns):
     """Yield each batch of the training file, once every row of the batch
-    is checked to be labeled normal."""
+    is checked to be labeled normal. A file without rows raises."""
+    batch = None
     for batch in iter_flow_batches(path, schema, columns):
         bad = np.flatnonzero(batch.truth != 0)
         if bad.size:
             kind = "unlabeled" if batch.truth[bad[0]] < 0 else "attack-labeled"
             raise IngestError(f"{kind} row in training input: {batch.file_id} row {batch.rows[bad[0]]}")
         yield batch
+    if batch is None:
+        raise IngestError("training file has no records")
 
 
 def _load_pipeline(args):
@@ -376,9 +373,9 @@ def _cmd_detect(args, parser) -> int:
     return 0
 
 
-def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray] | None:
-    """Scores and truths of every row of a labeled capture, or None when it
-    has no rows. Only the scores and truths outlive their batch."""
+def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and truths of every row of a labeled capture, which must have
+    rows. Only the scores and truths outlive their batch."""
     scores, truths = [], []
     for batch, batch_scores in _scored_batches(path, profile, preprocess):
         unlabeled = np.flatnonzero(batch.truth < 0)
@@ -388,35 +385,54 @@ def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray] 
             )
         scores.append(batch_scores)
         truths.append(batch.truth)
-    return (np.concatenate(scores), np.concatenate(truths)) if scores else None
+    if not scores:
+        raise EvaluationError("test file has no records")
+    return np.concatenate(scores), np.concatenate(truths)
 
 
 def _cmd_evaluate(args, parser) -> int:
-    started = time.perf_counter()
     det = _detection_config(args, parser)
-    profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    labeled = _labeled_scores(args.test, profile, preprocess)
-    if labeled is None:
-        print("error: test file has no records", file=sys.stderr)
-        return 1
-    (report,) = sweep(*labeled, profile, [det.w])
+    return _sweep_command(
+        args, "evaluate", [det.w], {"w": args.w},
+        lambda reports: {".json": pretty_dumps(report_to_doc(reports[0])), ".txt": render_table(reports)},
+    )
 
+
+def _cmd_roc(args, parser) -> int:
+    grid = _parse_w_grid(args.w_grid, parser)
+    return _sweep_command(
+        args, "roc", grid, {"w_grid": args.w_grid},
+        lambda reports: {
+            ".csv": roc_csv(reports),
+            ".json": pretty_dumps({"version": 1, "points": [report_to_doc(r) for r in reports]}),
+            ".txt": render_table(reports, include_reference=True),
+        },
+    )
+
+
+def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) -> int:
+    """Score the labeled ``--test`` capture once and sweep w over ``grid``.
+    Then write ``<prefix><suffix>`` for each item of ``texts(reports)``,
+    the manifest ``<prefix>.manifest.json`` (the ``--out`` prefix as given,
+    dots and all), and print the table."""
+    started = time.perf_counter()
+    profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
+    reports = sweep(*_labeled_scores(args.test, profile, preprocess), profile, grid)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    json_path = prefix.with_suffix(".json")
-    text_path = prefix.with_suffix(".txt")
-    json_path.write_text(pretty_dumps(report_to_doc(report)), encoding="utf-8")
-    text_path.write_text(render_table([report]), encoding="utf-8")
+    outputs = {prefix.with_name(prefix.name + suffix): text for suffix, text in texts(reports).items()}
+    for path, text in outputs.items():
+        path.write_text(text, encoding="utf-8")
     _write_manifest(
-        _sibling(prefix, "manifest"),
-        "evaluate",
-        {"profile": args.profile, "preprocess": str(preprocess_path), "test": args.test, "w": args.w, "out": str(prefix)},
+        prefix.with_name(prefix.name + ".manifest.json"),
+        command,
+        {"profile": args.profile, "preprocess": str(preprocess_path), "test": args.test, **setting, "out": str(prefix)},
         None,
         [profile_path, preprocess_path, args.test],
-        [json_path, text_path],
+        list(outputs),
         started,
     )
-    print(render_table([report]), end="")
+    print(render_table(reports), end="")
     return 0
 
 
@@ -432,45 +448,10 @@ def _parse_w_grid(spec: str, parser) -> list[float]:
         parser.error("--w-grid values must be finite")
     if step <= 0 or a < 0 or b < a:
         parser.error("--w-grid needs 0 <= A <= B and STEP > 0")
-    if (b - a) / step + 1 > MAX_GRID_POINTS:
+    steps = (b - a + 1e-9) / step  # the grid holds int(steps) + 1 points
+    if steps >= MAX_GRID_POINTS:
         parser.error(f"--w-grid may hold at most {MAX_GRID_POINTS} points")
-    grid = []
-    i = 0
-    while (w := a + i * step) <= b + 1e-9:
-        grid.append(round(w, 12))
-        i += 1
-    return grid
-
-
-def _cmd_roc(args, parser) -> int:
-    started = time.perf_counter()
-    grid = _parse_w_grid(args.w_grid, parser)
-    profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    labeled = _labeled_scores(args.test, profile, preprocess)
-    if labeled is None:
-        print("error: test file has no records", file=sys.stderr)
-        return 1
-    reports = sweep(*labeled, profile, grid)
-
-    prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
-    text_path = prefix.with_suffix(".txt")
-    csv_path.write_text(roc_csv(reports), encoding="utf-8")
-    json_path.write_text(pretty_dumps({"version": 1, "points": [report_to_doc(r) for r in reports]}), encoding="utf-8")
-    text_path.write_text(render_table(reports, include_reference=True), encoding="utf-8")
-    _write_manifest(
-        _sibling(prefix, "manifest"),
-        "roc",
-        {"profile": args.profile, "preprocess": str(preprocess_path), "test": args.test, "w_grid": args.w_grid, "out": str(prefix)},
-        None,
-        [profile_path, preprocess_path, args.test],
-        [csv_path, json_path, text_path],
-        started,
-    )
-    print(render_table(reports), end="")
-    return 0
+    return [round(w, 12) for i in range(int(steps) + 1) if (w := a + i * step) <= b + 1e-9]
 
 
 def _cmd_simulate(args, parser) -> int:
@@ -483,8 +464,7 @@ def _cmd_simulate(args, parser) -> int:
     batches = iter_flow_batches(Path(args.test), preprocess.schema, read, keep_text=hashed)
     first = next(batches, None)
     if first is None:
-        print("error: test file has no records", file=sys.stderr)
-        return 1
+        raise IngestError("test file has no records")
     store = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
     outcome = run_simulation(store, profile, preprocess, cfg)
 
@@ -532,10 +512,6 @@ def _cmd_synth(args, parser) -> int:
     from .ingest import save_schema
     from .synth import write_synthetic_csv
 
-    if args.rows <= 0:
-        parser.error("--rows must be positive")
-    if not 0.0 <= args.attack_frac <= 1.0:
-        parser.error("--attack-frac must be in [0, 1]")
     started = time.perf_counter()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -58,7 +58,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -380,19 +380,17 @@ def _classify_intervals(
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
-) -> tuple[dict, np.ndarray]:
+) -> tuple[ConfusionCounts | None, np.ndarray]:
     """Classify one node's partition, one interval at a time as the
-    intervals arrive, into the node's result: the loopback ``result``
-    frame's header and its verdicts."""
+    intervals arrive, into the node's result: its counts (None without
+    records) and its verdicts."""
     verdicts: list[np.ndarray] = []
     counts = ConfusionCounts(0, 0, 0, 0)
     for interval in intervals:
         flagged = classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det).astype(np.int8)
         verdicts.append(flagged)
         counts = counts + confusion(flagged, interval.truth)
-    flagged = np.concatenate(verdicts) if verdicts else np.empty(0, dtype=np.int8)
-    counts_doc = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn} if verdicts else None
-    return {"type": "result", "counts": counts_doc, "n": len(flagged)}, flagged
+    return (counts, np.concatenate(verdicts)) if verdicts else (None, np.empty(0, dtype=np.int8))
 
 
 _F8, _I8, _I1 = np.dtype("<f8"), np.dtype("<i8"), np.dtype("i1")  # floats, row numbers, truths and verdicts
@@ -486,8 +484,8 @@ def _interval_of(header: dict, body: memoryview) -> FlowBatch:
     return FlowBatch({name: texts[name] if name in texts else next(floats) for name in names}, truth, file_id, rows)
 
 
-def _result_of(header: dict, body: memoryview) -> tuple[dict, np.ndarray]:
-    """A result frame's header and verdicts. ``counts`` is null for no
+def _result_of(header: dict, body: memoryview) -> tuple[ConfusionCounts | None, np.ndarray]:
+    """A result frame's counts and verdicts. ``counts`` is null for no
     records, else four counts that sum to ``n``; other counts raise
     :class:`TransportError`."""
     (verdicts,) = _body(header, body, "result", _I1)
@@ -499,10 +497,10 @@ def _result_of(header: dict, body: memoryview) -> tuple[dict, np.ndarray]:
         and sum(counts.values()) == len(verdicts)
     ):
         raise TransportError(f"result frame counts {counts!r} do not sum to its {len(verdicts)} records")
-    return header, verdicts
+    return (None if counts is None else ConfusionCounts(**counts)), verdicts
 
 
-def _check_result(header: dict, verdicts: np.ndarray, truth: np.ndarray) -> None:
+def _check_result(counts: ConfusionCounts | None, verdicts: np.ndarray, truth: np.ndarray) -> None:
     """Raise :class:`TransportError` unless a result holds one 0/1 verdict
     per record of the node's stream and counts them against the store's
     ``truth``."""
@@ -510,8 +508,8 @@ def _check_result(header: dict, verdicts: np.ndarray, truth: np.ndarray) -> None
         raise TransportError(f"result frame holds {len(verdicts)} verdicts for a stream of {len(truth)} records")
     if not np.isin(verdicts, (0, 1)).all():
         raise TransportError("result frame verdicts are not all 0 or 1")
-    if len(truth) and ConfusionCounts(**header["counts"]) != (counts := confusion(verdicts, truth)):
-        raise TransportError(f"result frame counts {header['counts']} are not its verdicts' {counts}")
+    if len(truth) and counts != (actual := confusion(verdicts, truth)):
+        raise TransportError(f"result frame counts {asdict(counts)} are not its verdicts' {actual}")
 
 
 class _Channel:
@@ -570,45 +568,36 @@ def _received_intervals(channel: _Channel) -> Iterator[FlowBatch]:
 _RETRYABLE = (SimulatedNodeFailure, TransportError, OSError)
 
 
-def _attempt_loop(node: str, cfg: SimulationConfig, attempt_fn) -> tuple[tuple | None, int, str | None]:
-    """Run one node's work with crash-stop retries. Returns
-    (result or None, attempts used, last error)."""
-    last_error = None
-    for attempt in range(1, cfg.retry_budget + 2):
-        try:
-            if node in cfg.fail_nodes:
-                raise SimulatedNodeFailure(f"node {node!r}: injected crash")
-            return attempt_fn(), attempt, None
-        except _RETRYABLE as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-    return None, cfg.retry_budget + 1, last_error
-
-
 def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
-    """Run ``attempt(node)`` on one thread per node under the crash-stop
-    retry loop. ``attempt`` returns the node's result, a result frame's
-    header and verdicts (see :func:`_classify_intervals`), and a dict of
-    the wire's ``NodeResult`` fields (empty in-process). A data error in
-    any node is fatal and re-raised once every thread has finished."""
+    """Run ``attempt(node)`` on one thread per node, retrying a retryable
+    failure up to ``cfg.retry_budget`` times (crash-stop). ``attempt``
+    returns the node's counts and verdicts (see :func:`_classify_intervals`)
+    and a dict of the wire's ``NodeResult`` fields (empty in-process). A
+    data error in any node is fatal and re-raised once every thread has
+    finished."""
     results: dict[str, NodeResult] = {}
     fatal: list[Exception] = []
     lock = threading.Lock()
 
     def work(node: str) -> None:
         started = time.perf_counter()
-        try:
-            payload, attempts, error = _attempt_loop(node, cfg, lambda: attempt(node))
-        except Exception as exc:  # data errors are fatal, not node failures
-            with lock:
-                fatal.append(exc)
-            return
-        wall_s = time.perf_counter() - started
-        if payload is None:
-            result = NodeResult(node, None, (), 0, failed=True, attempts=attempts, error=error, wall_s=wall_s)
+        for attempts in range(1, cfg.retry_budget + 2):
+            try:
+                if node in cfg.fail_nodes:
+                    raise SimulatedNodeFailure(f"node {node!r}: injected crash")
+                (counts, verdicts), wire = attempt(node)
+            except _RETRYABLE as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                continue
+            except Exception as exc:  # data errors are fatal, not node failures
+                with lock:
+                    fatal.append(exc)
+                return
+            wall_s = time.perf_counter() - started
+            result = NodeResult(node, counts, tuple(verdicts.tolist()), len(verdicts), False, attempts, wall_s=wall_s, **wire)
+            break
         else:
-            (header, verdicts), wire = payload
-            counts = ConfusionCounts(**header["counts"]) if header["counts"] is not None else None
-            result = NodeResult(node, counts, tuple(verdicts.tolist()), header["n"], False, attempts, wall_s=wall_s, **wire)
+            result = NodeResult(node, None, (), 0, True, attempts, error, wall_s=time.perf_counter() - started)
         with lock:
             results[node] = result
 
@@ -630,7 +619,7 @@ def _run_loopback(
 ) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
     port = server.getsockname()[1]
-    wire_results: dict[str, tuple[dict, np.ndarray]] = {}
+    wire_results: dict[str, tuple[ConfusionCounts | None, np.ndarray]] = {}
     # The store service's errors, by the worker's address until a worker
     # claims them, then by node: the store fails a wrong hello before it
     # knows the node.
@@ -679,14 +668,15 @@ def _run_loopback(
             t.start()
             handler_threads.append(t)
 
-    def attempt(node: str) -> tuple[tuple[dict, np.ndarray], dict]:
+    def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
         with socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT) as sock:
             local = sock.getsockname()
             channel = _Channel(sock)
             try:
                 channel.send({"type": "hello", "node": node})
                 intervals = _received_intervals(channel)
-                channel.send(*_classify_intervals(intervals, preprocess, profile, cfg.w_for(node)))
+                counts, verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
+                channel.send({"type": "result", "counts": None if counts is None else asdict(counts), "n": len(verdicts)}, verdicts)
                 _body(*channel.recv(), "ack")
             except _RETRYABLE as exc:
                 with lock:
@@ -721,12 +711,17 @@ def run_simulation(
     """Run every node over its partition and aggregate the counts.
 
     The aggregate is the exact field-wise sum of the healthy nodes' counts;
-    failed nodes are excluded and flagged, never silently dropped.
+    failed nodes are excluded and flagged, never silently dropped. A store
+    that holds records of a node outside ``cfg.nodes`` raises
+    :class:`SimulationError`.
     """
     ensure_bound(profile, preprocess)
     missing = [name for name in preprocess.columns if name not in store.columns]
     if missing:
         raise SimulationError(f"the store lacks the modeled columns {missing}")
+    strays = [node for node in store.nodes() if node not in cfg.nodes]
+    if strays:
+        raise SimulationError(f"the store holds records of nodes not in the topology: {strays}")
     for node in cfg.nodes:
         stream = store.partition(node)
         unlabeled = np.flatnonzero(stream.truth < 0)
@@ -734,7 +729,7 @@ def run_simulation(
             raise SimulationError(f"unlabeled row: {stream.file_id} row {stream.rows[unlabeled[0]]}; metrics need ground truth")
     if cfg.transport == "in-process":
 
-        def attempt(node: str) -> tuple[tuple[dict, np.ndarray], dict]:
+        def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
             intervals = _intervals(store.partition(node), preprocess, cfg.interval_size)
             return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node)), {}
 

@@ -146,16 +146,6 @@ class PreprocessModel:
             raise PreprocessError("exactly one reduction mode must be configured")
 
     @property
-    def output_dim(self) -> int:
-        if self.selected is not None:
-            return len(self.selected)
-        return self.pca.projection.shape[0]
-
-    @property
-    def reduction_mode(self) -> str:
-        return "select" if self.selected is not None else "pca"
-
-    @property
     def columns(self) -> tuple[str, ...]:
         """The record columns the pipeline reads, in encode order."""
         return self.selected if self.selected is not None else self.schema.feature_names()

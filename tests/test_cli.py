@@ -225,7 +225,10 @@ class TestTrain:
         "command, flag, value",
         [("train", "--tol", v) for v in ("nan", "inf", "-inf", "0", "-1e-6")]
         + [("train", "--max-iter", "0"), ("train", "--max-iter", "-3")]
-        + [(command, "--seed", "-1") for command in ("train", "sample", "synth")],
+        + [(command, "--seed", "-1") for command in ("train", "sample", "synth")]
+        + [("sample", "--size", "0"), ("sample", "--normal-frac", "1.5"), ("sample", "--train-frac", "nan")]
+        + [("synth", "--rows", "0"), ("synth", "--attack-frac", "-0.1")]
+        + [("train", "--components", "0"), ("train", "--features", "pca:0")],
     )
     def test_bad_setting_is_a_usage_error_before_any_read(
         self, workspace, tmp_path, monkeypatch, capsys, command, flag, value
@@ -409,21 +412,42 @@ class TestEvaluateAndRoc:
         assert err.value.code == 2
         assert "--w-grid values must be finite" in capsys.readouterr().err
 
-    def test_too_long_grid_usage_error(self, workspace, tmp_path, capsys):
+    # The grid takes every point up to B + 1e-9, so a tiny STEP makes many
+    # points even when A equals B.
+    @pytest.mark.parametrize("grid", ["0:1e9:1e-3", "0:0:1e-300", "1.5:1.5:1e-14"])
+    def test_too_long_grid_usage_error(self, workspace, tmp_path, capsys, grid):
         with pytest.raises(SystemExit) as err:
             main([
                 "roc", "--profile", str(workspace / "profile.json"),
                 "--test", str(workspace / "split" / "test.csv"),
-                "--w-grid", "0:1e9:1e-3", "--out", str(tmp_path / "r"),
+                "--w-grid", grid, "--out", str(tmp_path / "r"),
             ])
         assert err.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert errors == [f"netanom: error: --w-grid may hold at most {MAX_GRID_POINTS} points"]
         assert not list(tmp_path.iterdir())
 
+    def test_dotted_prefixes_keep_separate_files(self, workspace, tmp_path):
+        """Each suffix is appended to the --out prefix as given, so w2.0 and
+        w2.5 do not both name w2.*, and roc.v1 names roc.v1.*."""
+        common = ["--profile", str(workspace / "profile.json"), "--test", str(workspace / "split" / "test.csv")]
+        for w in ("2.0", "2.5"):
+            assert main(["evaluate", *common, "--w", w, "--out", str(tmp_path / f"w{w}")]) == 0
+        assert main(["roc", *common, "--w-grid", "1.5:3:0.5", "--out", str(tmp_path / "roc.v1")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"w{w}{suffix}" for w in ("2.0", "2.5") for suffix in (".json", ".txt", ".manifest.json")]
+            + [f"roc.v1{suffix}" for suffix in (".csv", ".json", ".txt", ".manifest.json")]
+        )
+        for w in ("2.0", "2.5"):
+            assert json.loads((tmp_path / f"w{w}.json").read_text())["w"] == float(w)
+            manifest = json.loads((tmp_path / f"w{w}.manifest.json").read_text())
+            assert manifest["parameters"]["w"] == float(w)
+            assert list(manifest["output_digests"]) == [str(tmp_path / f"w{w}.json"), str(tmp_path / f"w{w}.txt")]
+
     def test_grid_length_bound(self):
         parser = _build_parser()
         assert len(_parse_w_grid(f"0:{MAX_GRID_POINTS - 1}:1", parser)) == MAX_GRID_POINTS
+        assert len(_parse_w_grid("0:0:1e-12", parser)) == 1001  # 0, 1e-12, ..., 1e-9
         with pytest.raises(SystemExit):
             _parse_w_grid(f"0:{MAX_GRID_POINTS}:1", parser)
 
@@ -1090,6 +1114,29 @@ class TestSimulate:
         c = json.loads((out / "node_C.json").read_text())["counts"]
         for key in ("tp", "tn", "fp", "fn"):
             assert agg["counts"][key] == a[key] + c[key]
+
+
+class TestEmptyCapture:
+    @pytest.mark.parametrize("header", [False, True], ids=["no-bytes", "header-only"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "roc", "simulate"])
+    def test_empty_capture_is_one_error_line(self, workspace, tmp_path, capsys, command, header):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(_train_lines(workspace, 0)[0] + "\n" if header else "")
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"]}))
+        out = tmp_path / "out"
+        pipeline = ["--profile", str(workspace / "profile.json"), "--test", str(empty)]
+        argv = {
+            "train": ["--train", str(empty), "--schema", str(workspace / "schema.json"), "--out", str(out / "p.json")],
+            "evaluate": [*pipeline, "--w", "2", "--out", str(out / "r")],
+            "roc": [*pipeline, "--w-grid", "1.5:3:0.5", "--out", str(out / "r")],
+            "simulate": ["--config", str(config), *pipeline, "--out", str(out)],
+        }[command]
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {'training' if command == 'train' else 'test'} file has no records"]
+        assert not out.exists()
 
 
 class TestManifests:

@@ -361,8 +361,8 @@ class TestFrameCodec:
         assert decoded.rows.dtype == np.dtype("<i8") and decoded.rows.tolist() == [2, 2**40, 7]
         assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [1, 0, -1]
         result = {"type": "result", "counts": {"tp": 1, "tn": 0, "fp": 1, "fn": 1}, "n": 3}
-        header, verdicts = collab._result_of(*collab._decode_frame(collab._encode_frame(result, np.array([1, 0, 1], dtype=np.int8))[4:]))
-        assert header == result
+        counts, verdicts = collab._result_of(*collab._decode_frame(collab._encode_frame(result, np.array([1, 0, 1], dtype=np.int8))[4:]))
+        assert counts == ConfusionCounts(tp=1, tn=0, fp=1, fn=1)
         assert verdicts.dtype == np.dtype("i1") and verdicts.tolist() == [1, 0, 1]
 
     def test_arrays_without_a_wire_form_rejected(self):
@@ -447,9 +447,9 @@ class TestFrameCodec:
     )
     def test_result_checked_against_the_store_truths(self, verdicts, counts, message):
         truth = np.array([1, 0, 1], dtype=np.int8)
-        collab._check_result({"counts": {"tp": 1, "tn": 1, "fp": 0, "fn": 1}}, np.array([1, 0, 0], dtype=np.int8), truth)
+        collab._check_result(ConfusionCounts(tp=1, tn=1, fp=0, fn=1), np.array([1, 0, 0], dtype=np.int8), truth)
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
-            collab._check_result({"counts": counts}, np.array(verdicts, dtype=np.int8), truth)
+            collab._check_result(ConfusionCounts(**counts), np.array(verdicts, dtype=np.int8), truth)
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
     @pytest.mark.parametrize("kind", ["hello", "end", "ack"])
@@ -913,6 +913,15 @@ class TestRunSimulation:
         store = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("srcip", "tcprtt"), cfg)
         with pytest.raises(SimulationError, match="lacks the modeled columns"):
             run_simulation(store, profile, pp, cfg)
+
+    def test_store_nodes_outside_the_topology_rejected(self, sim_records, schema, fitted):
+        """A store filled under nodes A, B, C cannot run under A, B alone:
+        C's records would silently drop out of the aggregate."""
+        pp, profile = fitted
+        store = replay(sim_records, _cfg(), schema)
+        assert store.nodes() == ("A", "B", "C")
+        with pytest.raises(SimulationError, match=re.escape("records of nodes not in the topology: ['C']")):
+            run_simulation(store, profile, pp, _cfg(nodes=("A", "B")))
 
     def test_per_node_w_overrides(self, sim_records, schema, fitted):
         pp, profile = fitted
