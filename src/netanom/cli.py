@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="classify records against a profile")
     p.add_argument("--profile", required=True)
-    p.add_argument("--preprocess", default=None, help="default: <profile>.preprocess.json")
+    p.add_argument("--preprocess", default=None, help="default: <profile less .json>.preprocess.json")
     p.add_argument("--input", required=True, metavar="CSV")
     p.add_argument("--w", type=float, default=1.5)
     p.add_argument("--allow-any-w", action="store_true")
@@ -212,7 +212,11 @@ def _write_manifest(
 
 
 def _sibling(path: Path, tag: str) -> Path:
-    return path.with_name(path.stem + f".{tag}.json")
+    """``path`` less a ``.json`` or ``.csv`` extension, then ``.<tag>.json``:
+    ``profile.json`` gives ``profile.<tag>.json``, ``prof.a`` gives
+    ``prof.a.<tag>.json``."""
+    base = path.name[: -len(path.suffix)] if path.suffix in (".json", ".csv") else path.name
+    return path.with_name(f"{base}.{tag}.json")
 
 
 def _cmd_sample(args, parser) -> int:

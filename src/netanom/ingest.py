@@ -148,7 +148,8 @@ class FlowBatch:
     numeric column is a float64 array when every field parses as a finite
     float, with the bits ``np.asarray(texts, np.float64)`` gives; otherwise,
     and for every other column kind, it is the list of field texts, so a
-    bad value can still be named. ``truth`` is an int8 array: 1 for attack,
+    bad value can still be named. A text column holds one object for each
+    distinct text in the batch. ``truth`` is an int8 array: 1 for attack,
     0 for normal, -1 for an empty label field. ``rows`` holds the 1-based
     data-row numbers, an int64 array. Batches do not compare equal by
     value: compare their fields.
@@ -474,11 +475,13 @@ def iter_flow_batches(
 def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int], dtype: np.dtype) -> FlowBatch | None:
     """The batch of a plain run of lines, read by ``np.loadtxt`` as the
     fields of ``dtype``: float64 ones as arrays, object ones as field
-    texts. None when a float field holds a value ``np.loadtxt`` rejects or
-    reads as non-finite."""
+    texts from the batch's :class:`_TextPool`. None when a float field
+    holds a value ``np.loadtxt`` rejects or reads as non-finite."""
+    pool = _TextPool()
     try:
         table = np.loadtxt(
-            lines, delimiter=",", usecols=[int(i) for i in dtype.names], dtype=dtype, comments=None, quotechar=None, ndmin=1
+            lines, delimiter=",", usecols=[int(i) for i in dtype.names], dtype=dtype, comments=None, quotechar=None, ndmin=1,
+            converters={i: pool.__getitem__ for i in index.values() if dtype[str(i)] == object},
         )
     except ValueError:
         return None
@@ -517,21 +520,39 @@ def _csv_batch(rows: Iterable[tuple[int, int, tuple]], names: Sequence[str], flo
             append(text)
     if not row_nos:
         return None
+    pool = _TextPool()
     return FlowBatch(
-        columns={name: _floats_or_texts(column) if name in floats else column for name, column in texts.items()},
+        columns={name: _floats_or_texts(column, pool) if name in floats else pool.texts(column) for name, column in texts.items()},
         truth=np.array(truths, dtype=np.int8),
         file_id=fid,
         rows=np.array(row_nos, dtype=np.int64),
     )
 
 
-def _floats_or_texts(texts: list[str]) -> np.ndarray | list[str]:
-    """``texts`` as float64, or as they are if any is not a finite float."""
+def _floats_or_texts(texts: list[str], pool: _TextPool) -> np.ndarray | list[str]:
+    """``texts`` as float64, or as ``pool.texts(texts)`` if any is not a
+    finite float."""
     try:
         values = np.asarray(texts, dtype=np.float64)
     except ValueError:
-        return texts
-    return values if np.isfinite(values).all() else texts
+        return pool.texts(texts)
+    return values if np.isfinite(values).all() else pool.texts(texts)
+
+
+class _TextPool(dict):
+    """The text objects of one batch: ``pool[text]`` is the first object
+    equal to ``text`` that the pool was given. Every text column of a batch
+    goes through the batch's pool, so the batch holds one object for each
+    distinct text. ``np.loadtxt`` calls ``pool[text]`` as it reads each
+    field, so a repeated text is freed as soon as it is made."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
+
+    def texts(self, texts: list[str]) -> list[str]:
+        """``texts`` as the pool's objects."""
+        return list(map(self.__getitem__, texts))
 
 
 @dataclass(frozen=True)

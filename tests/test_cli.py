@@ -66,6 +66,31 @@ def _read_verdicts(path):
         return list(csv.DictReader(fh))
 
 
+#: Runs the command in argv[1:] as a child and prints its exit code and
+#: ru_maxrss. The child is started from this small process, not from the
+#: test process: Linux counts the RSS of the forking image in a child's
+#: ru_maxrss.
+_MAXRSS_PROBE = (
+    "import os, subprocess, sys\n"
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(p.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _peak_kib(argv) -> int:
+    """The peak RSS, in KiB, of ``python -m netanom.cli *argv`` run through
+    :data:`_MAXRSS_PROBE`; the command must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
+    probe = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, maxrss_kib = map(int, probe.stdout.split())
+    assert code == 0, probe.stderr
+    return maxrss_kib
+
+
 class TestSample:
     def test_outputs_and_counts(self, workspace, schema):
         from netanom.ingest import parse_flow_csv
@@ -587,17 +612,10 @@ class TestStreamedTrainAndSample:
         write_synthetic_csv(once, 20_000, seed=11)
         header, body = once.read_text().split("\n", 1)
         four.write_text(header + "\n" + body * 4)
-        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
         peaks = []
         for corpus in (once, four):
             argv = ["sample", "--input", str(corpus), "--size", "5000", "--seed", "1", "--out", str(tmp_path / corpus.stem)]
-            probe = subprocess.run(
-                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            code, maxrss_kib = map(int, probe.stdout.split())
-            assert code == 0, probe.stderr
-            peaks.append(maxrss_kib / 1024)
+            peaks.append(_peak_kib(argv) / 1024)
         assert peaks[1] - peaks[0] < 8, f"sample: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB at 4x the rows"
 
     def test_train_peak_memory_per_record(self, tmp_path):
@@ -607,17 +625,10 @@ class TestStreamedTrainAndSample:
         write_synthetic_csv(once, 20_000, seed=11, attack_fraction=0.0)
         header, body = once.read_text().split("\n", 1)
         four.write_text(header + "\n" + body * 4)
-        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
         peaks_kib = []
         for train in (once, four):
             argv = ["train", "--train", str(train), "--max-iter", "5", "--out", str(tmp_path / train.stem / "p.json")]
-            probe = subprocess.run(
-                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            code, maxrss_kib = map(int, probe.stdout.split())
-            assert code == 0, probe.stderr
-            peaks_kib.append(maxrss_kib)
+            peaks_kib.append(_peak_kib(argv))
         per_record = (peaks_kib[1] - peaks_kib[0]) / 60_000
         # The (N, d) training matrix and EM's (2d, N) and (K, N) arrays grow
         # with N; the field texts are held one batch at a time. Measured 0.45
@@ -627,17 +638,10 @@ class TestStreamedTrainAndSample:
         )
 
     def test_synth_peak_memory_per_row(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
         peaks_kib = []
         for rows in (20_000, 80_000):
             argv = ["synth", "--rows", str(rows), "--seed", "11", "--out", str(tmp_path / f"{rows}.csv")]
-            probe = subprocess.run(
-                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            code, maxrss_kib = map(int, probe.stdout.split())
-            assert code == 0, probe.stderr
-            peaks_kib.append(maxrss_kib)
+            peaks_kib.append(_peak_kib(argv))
         per_row = (peaks_kib[1] - peaks_kib[0]) / 60_000
         # The 49 generated columns grow with the rows (43 of 8 bytes, the 6
         # text columns as 1-byte codes); each is shuffled as it is merged
@@ -660,18 +664,6 @@ def _stream_args(workspace, command, capture, out, w="2"):
     if command == "evaluate":
         return ["evaluate", *common, "--test", str(capture), "--w", w, "--out", str(out / "eval")]
     return ["roc", *common, "--test", str(capture), "--w-grid", "1.5:3:0.5", "--out", str(out / "roc")]
-
-
-#: Runs the command in argv[1:] as a child and prints its exit code and
-#: ru_maxrss. The child is started from this small process, not from the
-#: test process: Linux counts the RSS of the forking image in a child's
-#: ru_maxrss.
-_MAXRSS_PROBE = (
-    "import os, subprocess, sys\n"
-    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-    "_, status, usage = os.wait4(p.pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-)
 
 
 class TestStreamedCommands:
@@ -759,18 +751,11 @@ class TestStreamedCommands:
         write_synthetic_csv(once, 20_000, seed=11)
         header, body = once.read_text().split("\n", 1)
         four.write_text(header + "\n" + body * 4)
-        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
         for command in ("detect", "roc"):
             peaks = []
             for capture in (once, four):
                 argv = _stream_args(workspace, command, capture, tmp_path / capture.stem)
-                probe = subprocess.run(
-                    [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
-                    env=env, capture_output=True, text=True, timeout=120,
-                )
-                code, maxrss_kib = map(int, probe.stdout.split())
-                assert code == 0, probe.stderr
-                peaks.append(maxrss_kib / 1024)
+                peaks.append(_peak_kib(argv) / 1024)
             assert peaks[1] - peaks[0] < 8, f"{command}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB at 4x the rows"
 
 
@@ -920,21 +905,16 @@ class TestStreamedSimulate:
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "hash-of-source",
                                       "interval_size": 500, "w": 2.0, "transport": "loopback-socket"}))
-        env = {**os.environ, "PYTHONPATH": str(Path(netanom.__file__).resolve().parents[1])}
         peaks_kib = []
         for capture in (once, four):
             argv = _simulate_args(workspace, capture, config, tmp_path / capture.stem)
-            probe = subprocess.run(
-                [sys.executable, "-c", _MAXRSS_PROBE, sys.executable, "-m", "netanom.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            code, maxrss_kib = map(int, probe.stdout.split())
-            assert code == 0, probe.stderr
-            peaks_kib.append(maxrss_kib)
+            peaks_kib.append(_peak_kib(argv))
         per_record = (peaks_kib[1] - peaks_kib[0]) / 60_000
-        # The store holds each record's modeled float64 columns, truth and
-        # row number. Measured 0.27 KiB per record.
-        assert per_record < 0.4, f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.2f} KiB per added record"
+        # The store holds each record's modeled columns (float64 ones, and
+        # text ones as references to one string per distinct text of a
+        # batch), truth and row number. Measured 0.195 KiB per record; 0.284
+        # with one string per text field.
+        assert per_record < 0.28, f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.2f} KiB per added record"
 
 
 class TestSimulate:
@@ -1190,3 +1170,53 @@ class TestManifests:
                     # Frames carry the 10 modeled columns (about 90 B a record,
                     # replies included), not all 49 fields (about 387 B).
                     assert 0 < doc["wire_bytes"] < 120 * doc["n_records"]
+
+
+class TestOutNames:
+    """train, detect and synth name what they write next to --out by one
+    rule: --out less a .json or .csv extension, every other dot kept."""
+
+    def test_dotted_train_and_detect_prefixes_keep_separate_files(self, workspace, tmp_path):
+        train = ["train", "--train", str(workspace / "split" / "train_normal.csv"), "--schema", str(workspace / "schema.json"),
+                 "--components", "2", "--max-iter", "5"]
+        assert main([*train, "--out", str(tmp_path / "prof.a")]) == 0
+        assert main([*train, "--features", "pca:3", "--out", str(tmp_path / "prof.b")]) == 0
+        assert main(["synth", "--rows", "50", "--out", str(tmp_path / "flows.v1")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"prof.{x}{suffix}" for x in "ab" for suffix in ("", ".preprocess.json", ".manifest.json")]
+            + ["flows.v1", "flows.v1.manifest.json"]
+        )
+        for x in "ab":
+            manifest = json.loads((tmp_path / f"prof.{x}.manifest.json").read_text())
+            assert list(manifest["output_digests"]) == [str(tmp_path / f"prof.{x}"), str(tmp_path / f"prof.{x}.preprocess.json")]
+
+        out = tmp_path / "out"
+        test = str(workspace / "split" / "test.csv")
+        for x, w in (("a", "2.0"), ("b", "2.5")):
+            # --preprocess defaults to the profile's own sibling.
+            assert main(["detect", "--profile", str(tmp_path / f"prof.{x}"), "--input", test, "--w", w, "--out", str(out / f"v{w}")]) == 0
+        assert main(["detect", "--profile", str(tmp_path / "prof.a"), "--input", test, "--w", "2", "--out", str(out / "v.csv")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["v2.0", "v2.0.manifest.json", "v2.5", "v2.5.manifest.json", "v.csv", "v.manifest.json"]
+        )
+        for x, w in (("a", "2.0"), ("b", "2.5")):
+            parameters = json.loads((out / f"v{w}.manifest.json").read_text())["parameters"]
+            assert (parameters["w"], parameters["preprocess"]) == (float(w), str(tmp_path / f"prof.{x}.preprocess.json"))
+
+    @given(
+        stems=st.lists(
+            st.text(alphabet="ab.", min_size=1, max_size=8).filter(lambda s: s not in (".", "..")), min_size=2, max_size=2, unique=True
+        ),
+        extension=st.sampled_from(["", ".json", ".csv"]),
+        tag=st.sampled_from(["preprocess", "manifest"]),
+    )
+    def test_distinct_outs_never_name_the_same_sibling(self, stems, extension, tag):
+        """Two --out values with the same extension, or none, name
+        different siblings, and no sibling is its own --out. (``prof`` and
+        ``prof.json`` are one prefix, by design.)"""
+        from netanom.cli import _sibling
+
+        outs = [Path("d") / (stem + extension) for stem in stems]
+        siblings = [_sibling(out, tag) for out in outs]
+        assert siblings[0] != siblings[1]
+        assert all(sibling != out and sibling.parent == out.parent for sibling, out in zip(siblings, outs))

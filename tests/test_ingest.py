@@ -536,6 +536,36 @@ class TestPlainReader:
         want = _csv_text([reference[i].values for i in picked], schema)
         assert (tmp_path / "copy.csv").read_text(encoding="utf-8") == want
 
+    def test_text_columns_hold_one_object_per_distinct_text(self, monkeypatch):
+        """In a plain batch and in one the csv reader reads, every text
+        column (a ``keep_text`` one, and a numeric one left as text,
+        included) holds one object for each distinct text. Every text is
+        longer than one character: CPython shares one-character strings
+        anyway."""
+        plain = ["tcp,10,1.5,0,aa\n", "udp,20,2.5,1,bb\n", "tcp,10,3.5,0,aa\n", "tcp,20,4.5,0,aa\n"]
+        quoted = ['"tcp",10,fast,0,aa\n', "udp,10,slow,1,bb\n", "udp,20,fast,0,bb\n", "tcp,10,slow,0,aa\n"]
+        plain_checks = []
+        is_plain = ingest._LineBatches.is_plain
+
+        def recorded(self, lines):
+            plain_checks.append(is_plain(self, lines))
+            return plain_checks[-1]
+
+        monkeypatch.setattr(ingest._LineBatches, "is_plain", recorded)
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 4)
+        text = "".join(plain + quoted)
+        columns = ("proto", "bytes", "rate", "note")
+        batches, error = _read_batches(text, columns, keep_text=("bytes",))
+        assert error is None and plain_checks == [True, False]
+        reference = list(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
+        assert [len(b) for b in batches] == [4, 4]
+        assert isinstance(batches[0].columns["rate"], np.ndarray)
+        for batch, want, names in zip(batches, (reference[:4], reference[4:]), (columns[:2] + columns[3:], columns)):
+            for name in names:
+                column = batch.columns[name]
+                assert column == [fields[WIDE.index_of(name)] for _, _, fields in want], name
+                assert len({id(t) for t in column}) == len(set(column)), name
+
 
 def _make_records(n_normal, n_attack):
     recs = []
