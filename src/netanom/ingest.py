@@ -479,9 +479,11 @@ def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int],
     holds a value ``np.loadtxt`` rejects or reads as non-finite."""
     pool = _TextPool()
     try:
+        # encoding=None hands the converters ``str``: numpy 1.x's default,
+        # 'bytes', would hand them latin-1 ``bytes`` instead.
         table = np.loadtxt(
             lines, delimiter=",", usecols=[int(i) for i in dtype.names], dtype=dtype, comments=None, quotechar=None, ndmin=1,
-            converters={i: pool.__getitem__ for i in index.values() if dtype[str(i)] == object},
+            converters={i: pool.__getitem__ for i in index.values() if dtype[str(i)] == object}, encoding=None,
         )
     except ValueError:
         return None

@@ -564,6 +564,7 @@ class TestPlainReader:
             for name in names:
                 column = batch.columns[name]
                 assert column == [fields[WIDE.index_of(name)] for _, _, fields in want], name
+                assert {type(t) for t in column} == {str}, name
                 assert len({id(t) for t in column}) == len(set(column)), name
 
 
