@@ -18,9 +18,11 @@ node reads: the columns the preprocessing model reads
 float64 values and the others as field texts, plus each record's truth and
 row number. Both transports hand the same classify function these
 intervals, each node still encodes and standardizes the columns itself,
-and scoring is record-local, so their reports are identical byte for byte. In-process, an interval is handed over
-as is. The loopback transport serves the partition over TCP, one
-connection per attempt, with length-prefixed frames:
+and scoring is record-local, so their reports are identical byte for byte.
+In-process, an interval is handed over as is. Over loopback, each attempt
+opens one TCP connection to the run's listener, accepts it itself and
+serves the partition on one store-service thread, which it joins before it
+returns. The frames are length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
@@ -346,7 +348,7 @@ class NodeResult:
 
     node: str
     counts: ConfusionCounts | None
-    verdicts: tuple[int, ...]
+    verdicts: np.ndarray  # read-only int8, one 0/1 verdict per record in stream order
     n_records: int
     failed: bool
     attempts: int
@@ -593,11 +595,11 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
                 with lock:
                     fatal.append(exc)
                 return
-            wall_s = time.perf_counter() - started
-            result = NodeResult(node, counts, tuple(verdicts.tolist()), len(verdicts), False, attempts, wall_s=wall_s, **wire)
+            result = NodeResult(node, counts, verdicts, len(verdicts), False, attempts, wall_s=time.perf_counter() - started, **wire)
             break
         else:
-            result = NodeResult(node, None, (), 0, True, attempts, error, wall_s=time.perf_counter() - started)
+            result = NodeResult(node, None, np.empty(0, np.int8), 0, True, attempts, error, wall_s=time.perf_counter() - started)
+        result.verdicts.setflags(write=False)
         with lock:
             results[node] = result
 
@@ -611,34 +613,22 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
     return results
 
 
-def _run_loopback(
-    store: SharedStore,
-    preprocess: PreprocessModel,
-    profile: NormalProfile,
-    cfg: SimulationConfig,
-) -> dict[str, NodeResult]:
+def _run_loopback(store: SharedStore, preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
-    port = server.getsockname()[1]
-    wire_results: dict[str, tuple[ConfusionCounts | None, np.ndarray]] = {}
-    # The store service's errors, by the worker's address until a worker
-    # claims them, then by node: the store fails a wrong hello before it
-    # knows the node.
-    handler_errors: dict[tuple, str] = {}
-    node_errors: dict[str, str] = {}
-    lock = threading.Lock()
-    done = threading.Event()
-    handler_threads: list[threading.Thread] = []
+    address = server.getsockname()
+    accept_lock = threading.Lock()
+    service_errors: dict[str, str] = {}  # per node, the store service's error in its last retried attempt
 
-    def handle(conn: socket.socket, peer: tuple) -> None:
+    def serve(conn: socket.socket, node: str, outcome: dict) -> None:
+        # Leaves the checked result, or the error that ended the service, in ``outcome``.
         with conn:
             try:
                 conn.settimeout(_SOCKET_TIMEOUT)
                 channel = _Channel(conn)
                 hello, body = channel.recv()
                 _body(hello, body, "hello")
-                node = hello.get("node")
-                if not isinstance(node, str):
-                    raise TransportError(f"hello frame names node {node!r}")
+                if hello.get("node") != node:
+                    raise TransportError(f"hello frame names node {hello.get('node')!r}")
                 stream = store.partition(node)
                 for interval in _intervals(stream, preprocess, cfg.interval_size):
                     for data in _interval_frames(interval):
@@ -646,60 +636,43 @@ def _run_loopback(
                 channel.send({"type": "end", "count": len(stream)})
                 result = _result_of(*channel.recv())
                 _check_result(*result, stream.truth)
-                with lock:
-                    wire_results[node] = result
+                outcome["result"] = result
                 channel.send({"type": "ack"})
             except Exception as exc:  # recorded before the close the worker sees
-                with lock:
-                    handler_errors[peer] = f"{type(exc).__name__}: {exc}"
-
-    def serve() -> None:
-        # Blocks in accept until the wake-up connection made once every node
-        # is done; a connection accepted after ``done`` is that one.
-        while True:
-            try:
-                conn, peer = server.accept()
-            except OSError:
-                break
-            if done.is_set():
-                conn.close()
-                break
-            t = threading.Thread(target=handle, args=(conn, peer))
-            t.start()
-            handler_threads.append(t)
+                outcome["error"] = f"{type(exc).__name__}: {exc}"
 
     def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
-        with socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT) as sock:
-            local = sock.getsockname()
-            channel = _Channel(sock)
+        with accept_lock:  # one connection waits on the listener at a time: the one accepted is this one
+            sock = socket.create_connection(address, timeout=_SOCKET_TIMEOUT)
             try:
-                channel.send({"type": "hello", "node": node})
-                intervals = _received_intervals(channel)
-                counts, verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
-                channel.send({"type": "result", "counts": None if counts is None else asdict(counts), "n": len(verdicts)}, verdicts)
-                _body(*channel.recv(), "ack")
-            except _RETRYABLE as exc:
-                with lock:
-                    server_error = handler_errors.pop(local, None)
-                    if server_error is None:
+                conn = server.accept()[0]
+            except OSError:
+                sock.close()
+                raise
+        outcome: dict = {}
+        service = threading.Thread(target=serve, args=(conn, node, outcome))
+        service.start()
+        try:
+            with sock:
+                channel = _Channel(sock)
+                try:
+                    channel.send({"type": "hello", "node": node})
+                    intervals = _received_intervals(channel)
+                    counts, verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
+                    channel.send({"type": "result", "counts": None if counts is None else asdict(counts), "n": len(verdicts)}, verdicts)
+                    _body(*channel.recv(), "ack")
+                except _RETRYABLE as exc:
+                    # Read before this socket closes: an error its close causes is not the store's.
+                    if (error := outcome.get("error")) is None:
                         raise
-                    node_errors[node] = server_error
-                raise TransportError(f"{type(exc).__name__}: {exc}; store service: {server_error}") from exc
-        with lock:
-            result = wire_results[node]
-        return result, {"error": node_errors.get(node), "frames": channel.frames, "wire_bytes": channel.wire_bytes}
+                    service_errors[node] = error
+                    raise TransportError(f"{type(exc).__name__}: {exc}; store service: {error}") from exc
+        finally:
+            service.join()
+        return outcome["result"], {"error": service_errors.get(node), "frames": channel.frames, "wire_bytes": channel.wire_bytes}
 
-    server_thread = threading.Thread(target=serve)
-    server_thread.start()
-    try:
+    with server:
         return _run_nodes(cfg, attempt)
-    finally:
-        done.set()
-        socket.create_connection(("127.0.0.1", port), timeout=_SOCKET_TIMEOUT).close()
-        server_thread.join()
-        for t in handler_threads:
-            t.join()
-        server.close()
 
 
 def run_simulation(

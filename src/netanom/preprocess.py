@@ -44,13 +44,6 @@ class PreprocessError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class EncoderMap:
-    """Per-feature category codes, assigned in first-seen order from 1."""
-
-    codes: Mapping[str, Mapping[str, int]]
-
-
 def _empty_codes(schema: FeatureSchema) -> dict[str, dict[str, int]]:
     return {c.name: {} for c in schema.columns if c.kind == "categorical"}
 
@@ -136,7 +129,7 @@ class PreprocessModel:
     """
 
     schema: FeatureSchema
-    encoder: EncoderMap
+    encoder: Mapping[str, Mapping[str, int]]  # {feature: {text: code}}, codes in first-seen order from 1
     selected: tuple[str, ...] | None
     pca: PcaModel | None
     zscore: ZScoreParams
@@ -220,11 +213,10 @@ def fit_preprocess_batches(
     """
     kind, k = parse_reduction_mode(mode)
     features = _reduction_features(schema, kind)
-    codes = _empty_codes(schema)
-    encoder = EncoderMap(codes)
+    encoder = _empty_codes(schema)
     parts = []
     for batch in batches:
-        _grow_codes(codes, batch)
+        _grow_codes(encoder, batch)
         parts.append(_encode_columns(batch, schema, encoder, features))
     matrix = np.concatenate(parts) if parts else np.empty((0, len(features)))
     del parts  # PCA's peak comes next
@@ -258,14 +250,14 @@ def _column(batch: FlowBatch, name: str) -> np.ndarray | list[str]:
     return values
 
 
-def _encode_columns(batch: FlowBatch, schema: FeatureSchema, encoder: EncoderMap, features: Sequence[str]) -> np.ndarray:
+def _encode_columns(batch: FlowBatch, schema: FeatureSchema, encoder: Mapping[str, Mapping[str, int]], features: Sequence[str]) -> np.ndarray:
     """Build the numeric matrix for the named features (encode step)."""
     out = np.empty((len(batch), len(features)), dtype=np.float64)
     for j, name in enumerate(features):
         texts = _column(batch, name)
         kind = schema.kind_of(name)
         if kind == "categorical":
-            table = encoder.codes.get(name, {})
+            table = encoder.get(name, {})
             out[:, j] = [table.get(text, UNSEEN_CODE) for text in texts]
         elif kind == "numeric":
             try:
@@ -305,7 +297,7 @@ def preprocess_to_doc(model: PreprocessModel) -> dict:
     return {
         "version": PREPROCESS_FORMAT_VERSION,
         "schema": schema_to_doc(model.schema),
-        "encoders": {k: dict(v) for k, v in model.encoder.codes.items()},
+        "encoders": {k: dict(v) for k, v in model.encoder.items()},
         "reduction": reduction,
         "zscore": {"mean": model.zscore.mean.tolist(), "std": model.zscore.std.tolist()},
     }
@@ -318,7 +310,7 @@ def preprocess_from_doc(doc: dict) -> PreprocessModel:
         raise PreprocessError(f"unsupported preprocessing document version: {doc.get('version')!r}")
     try:
         schema = schema_from_doc(doc["schema"])
-        encoder = EncoderMap({k: dict(v) for k, v in doc["encoders"].items()})
+        encoder = {k: dict(v) for k, v in doc["encoders"].items()}
         red = doc["reduction"]
         if red["mode"] == "select":
             selected, pca = tuple(red["features"]), None

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -7,6 +8,14 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+def assert_same_verdicts(a, b):
+    """Two ``NodeResult.verdicts`` agree: each a read-only int8 array, the
+    two of one length and equal value by value."""
+    for verdicts in (a, b):
+        assert isinstance(verdicts, np.ndarray) and verdicts.dtype == np.int8 and not verdicts.flags.writeable
+    assert len(a) == len(b) and np.array_equal(a, b)
 
 
 @pytest.fixture(scope="session")

@@ -275,7 +275,7 @@ def test_criterion_7_preprocessing_contracts(pipeline):
         )
         train = FlowBatch({"proto": ["TCP", "UDP", "ICMP"]}, np.zeros(3, dtype=np.int8), "t", np.arange(1, 4))
         enc = fit_preprocess_batches([train], schema, "pca:1")[0].encoder
-        assert enc.codes["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
+        assert enc["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
         details.update({"pca_max_eig_err": f"{worst:.2e}", "dims": "2..20"})
 
 

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
 from netanom.ingest import FlowBatch, FlowRecord, SchemaError, batch_of_records, iter_flow_batches
 from netanom.preprocess import PreprocessError, fit_preprocess
+
+from conftest import assert_same_verdicts
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -608,7 +611,7 @@ class TestRunSimulation:
         assert a.aggregate_counts == b.aggregate_counts
         assert a.per_node_reports == b.per_node_reports
         for node in inproc_cfg.nodes:
-            assert a.node_results[node].verdicts == b.node_results[node].verdicts
+            assert_same_verdicts(a.node_results[node].verdicts, b.node_results[node].verdicts)
 
     def test_loopback_agrees_with_in_process_pca(self, sim_records, schema, fitted_pca):
         pp, profile = fitted_pca
@@ -619,7 +622,7 @@ class TestRunSimulation:
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         assert a.per_node_reports == b.per_node_reports
         for node in ("A", "B", "C"):
-            assert a.node_results[node].verdicts == b.node_results[node].verdicts
+            assert_same_verdicts(a.node_results[node].verdicts, b.node_results[node].verdicts)
         flagged = classify_scores(profile.score_matrix(pp.apply_records(sim_records)), profile, DetectionConfig(2.0))
         assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in sim_records])
 
@@ -647,7 +650,7 @@ class TestRunSimulation:
             outcome = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
             assert outcome.per_node_reports == clean.per_node_reports
             for node in cfg.nodes:
-                assert outcome.node_results[node].verdicts == clean.node_results[node].verdicts
+                assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
 
     def test_post_run_store_audit(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -676,7 +679,7 @@ class TestRunSimulation:
         intact = run_simulation(replay(sim_records, _cfg(), schema), profile, pp, _cfg())
         for node in ("A", "C"):
             assert outcome.node_results[node].counts == intact.node_results[node].counts
-            assert outcome.node_results[node].verdicts == intact.node_results[node].verdicts
+            assert_same_verdicts(outcome.node_results[node].verdicts, intact.node_results[node].verdicts)
 
     def test_failure_over_loopback(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -716,9 +719,9 @@ class TestRunSimulation:
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
 
-    def test_store_service_blocks_in_accept(self, sim_records, schema, fitted, monkeypatch):
-        """The accept loop has no poll timeout: it returns once per worker
-        connection and once for the wake-up after the last node is done."""
+    def test_one_accept_per_attempt(self, sim_records, schema, fitted, monkeypatch):
+        """Each attempt accepts its own connection, with no poll timeout on
+        the listener, and nothing else accepts: no wake-up connection."""
         pp, profile = fitted
         real = collab.socket.socket.accept
         returns = []
@@ -734,7 +737,57 @@ class TestRunSimulation:
         monkeypatch.undo()
         assert not outcome.partial
         connections = sum(r.attempts for r in outcome.node_results.values())
-        assert returns == [None] * (connections + 1)
+        assert returns == [None] * connections
+
+    def test_concurrent_attempts_accept_their_own_connections(self, sim_records, schema, fitted):
+        """With more node threads than cores and a short switch interval,
+        each attempt still accepts the connection it made: a crossed one
+        would fail the store's hello check and show up as a retry."""
+        pp, profile = fitted
+        outcomes = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for transport in TRANSPORTS:
+                cfg = _cfg(nodes=tuple("ABCDEFGH"), transport=transport, interval_size=16)
+                outcomes[transport] = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        finally:
+            sys.setswitchinterval(switch)
+        loopback = outcomes["loopback-socket"]
+        assert [r.attempts for r in loopback.node_results.values()] == [1] * 8
+        assert not any(r.error for r in loopback.node_results.values())
+        for node in cfg.nodes:
+            assert_same_verdicts(loopback.node_results[node].verdicts, outcomes["in-process"].node_results[node].verdicts)
+
+    @pytest.mark.parametrize("case", ["clean", "retried service error", "fatal PreprocessError"])
+    def test_loopback_leaves_no_thread_behind(self, sim_records, schema, fitted, monkeypatch, case):
+        """Every attempt joins its store-service thread before it returns,
+        whether it succeeds, is retried or hits a fatal data error."""
+        pp, profile = fitted
+        records, real, sent_bad = sim_records, collab._Channel.send, []
+        retried = case == "retried service error"
+        if retried:
+
+            def flaky(channel, header, *arrays):
+                if header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
+                    sent_bad.append(True)
+                    header = {**header, "type": "capture"}
+                real(channel, header, *arrays)
+
+            monkeypatch.setattr(collab._Channel, "send", flaky)
+        elif case == "fatal PreprocessError":
+            records = _with_value(sim_records, schema, 37, "tcprtt", "fast")
+        cfg = _cfg(transport="loopback-socket")
+        store = replay(records, cfg, schema)
+        before = threading.enumerate()
+        if case == "fatal PreprocessError":
+            with pytest.raises(PreprocessError):
+                run_simulation(store, profile, pp, cfg)
+        else:
+            outcome = run_simulation(store, profile, pp, cfg)
+            assert not outcome.partial
+            assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 1 + retried, 1]
+        assert threading.enumerate() == before
 
     def test_retry_recovers_over_loopback(self, sim_records, schema, fitted, monkeypatch):
         pp, profile = fitted
@@ -790,6 +843,7 @@ class TestRunSimulation:
         "kind, edit, store_error",
         [
             ("end", lambda header, arrays: header.pop("count"), None),
+            ("hello", lambda header, arrays: header.__setitem__("node", "Z"), "TransportError: hello frame names node 'Z'"),
             ("result", lambda header, arrays: header.__setitem__("counts", {"tp": 1}), "TransportError: result frame counts {'tp': 1} do not sum to its 200 records"),
             ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], 7)), "TransportError: result frame verdicts are not all 0 or 1"),
         ],
@@ -817,7 +871,7 @@ class TestRunSimulation:
         assert sorted(r.attempts for r in outcome.node_results.values()) == [1, 2]
         assert sorted(str(r.error) for r in outcome.node_results.values()) == sorted(["None", str(store_error)])
         for node in cfg.nodes:
-            assert outcome.node_results[node].verdicts == clean.node_results[node].verdicts
+            assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_counts == clean.aggregate_counts
 
     @pytest.mark.parametrize("always", [False, True])
@@ -846,7 +900,7 @@ class TestRunSimulation:
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert not b.failed and not outcome.partial
         assert outcome.aggregate_counts == clean.aggregate_counts
-        assert b.verdicts == clean.node_results["B"].verdicts
+        assert_same_verdicts(b.verdicts, clean.node_results["B"].verdicts)
 
     @pytest.mark.parametrize("always", [False, True])
     def test_corrupt_frame_body_retried(self, sim_capture, fitted, monkeypatch, always):
@@ -877,7 +931,7 @@ class TestRunSimulation:
         clean = run_simulation(_replay_batches(sim_capture, pp, cfg), profile, pp, cfg)
         assert not b.failed and not outcome.partial
         assert outcome.aggregate_counts == clean.aggregate_counts
-        assert b.verdicts == clean.node_results["B"].verdicts
+        assert_same_verdicts(b.verdicts, clean.node_results["B"].verdicts)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
 
     def test_all_failed_rejected(self, sim_records, schema, fitted):
@@ -973,7 +1027,7 @@ class TestRunnerProperty:
                 outcomes[transport] = run_simulation(store, profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         for node in nodes:
-            assert a.node_results[node].verdicts == b.node_results[node].verdicts
+            assert_same_verdicts(a.node_results[node].verdicts, b.node_results[node].verdicts)
             assert a.node_results[node].counts == b.node_results[node].counts
         assert a.per_node_reports == b.per_node_reports
         assert a.aggregate_report == b.aggregate_report

@@ -53,11 +53,11 @@ def _encoder(protos):
 class TestEncoders:
     def test_first_seen_order(self):
         enc = _encoder(["TCP", "UDP", "TCP", "ICMP"])
-        assert enc.codes["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
+        assert enc["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
 
     def test_singleton_category(self):
         enc = _encoder(["sctp", "sctp"])
-        assert enc.codes["proto"] == {"sctp": 1}
+        assert enc["proto"] == {"sctp": 1}
 
     def test_unseen_maps_to_zero(self):
         enc = _encoder(["tcp", "tcp"])
@@ -66,7 +66,7 @@ class TestEncoders:
 
     def test_meta_columns_not_encoded(self):
         enc = _encoder(["tcp", "tcp"])
-        assert "note" not in enc.codes
+        assert "note" not in enc
 
     def test_empty_train_rejected(self):
         with pytest.raises(PreprocessError, match="empty training set"):

@@ -1,9 +1,12 @@
 import csv
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import assert_same_verdicts
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -83,10 +86,20 @@ def test_fixed_corpus_digests(tmp_path):
     assert json.loads((tmp_path / "fc" / "profile.manifest.json").read_text())["records"] == 1560
 
 
+def test_fixed_corpus_loopback_wire(tmp_path):
+    """Each loopback node of the fixed corpus's simulate run sends and
+    receives these frames and bytes, length prefixes included."""
+    spec = importlib.util.spec_from_file_location("fixed_corpus", SCRIPTS / "fixed_corpus.py")
+    fixed_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixed_corpus)
+    fixed_corpus.run_pipeline(tmp_path / "fc")
+    nodes = json.loads((tmp_path / "fc" / "sim-loopback-socket" / "manifest.json").read_text())["parameters"]["nodes"]
+    wire = {node: (fields["attempts"], fields["frames"], fields["wire_bytes"]) for node, fields in nodes.items()}
+    assert wire == {"A": (1, 15, 62527), "B": (1, 17, 74148), "C": (1, 19, 81495)}
+
+
 def _load_bench(monkeypatch):
     """bench/run.py and bench/tracing.py, loaded unchanged, as modules."""
-    import importlib.util
-
     bench = Path(__file__).resolve().parent.parent / "bench"
     modules = {}
     for name in ("run", "tracing"):  # tracing.py imports run.py as ``run``
@@ -148,7 +161,7 @@ def test_traced_bench_simulates_parsed_records(tmp_path, monkeypatch, split):
     assert not loopback.failed_nodes and not in_process.failed_nodes
     assert loopback.per_node_reports == in_process.per_node_reports
     for node in cfg.nodes:
-        assert loopback.node_results[node].verdicts == in_process.node_results[node].verdicts
+        assert_same_verdicts(loopback.node_results[node].verdicts, in_process.node_results[node].verdicts)
         assert loopback.node_results[node].frames > 0
     reference = pipeline.reference_w2(out["profile"], split[1])
     assert tracing.counts_of(loopback.aggregate_counts) == reference
