@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Collaborative deployment demo: three detection nodes, one shared store.
+"""Collaborative deployment demo: three detection nodes over one capture.
 
-Trains a profile centrally, replays a labeled test stream into the shared
-capture store under a chosen assignment rule, runs an independent decision
+Trains a profile centrally, splits a labeled test capture into one stream
+per node under a chosen assignment rule, runs an independent decision
 engine per node (in-process or over loopback TCP), and prints per-node and
 aggregate results. Optionally crashes a node to show graceful degradation.
 

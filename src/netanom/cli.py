@@ -469,8 +469,9 @@ def _cmd_simulate(args, parser) -> int:
     first = next(batches, None)
     if first is None:
         raise IngestError("test file has no records")
-    store = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
-    outcome = run_simulation(store, profile, preprocess, cfg)
+    streams = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
+    outcome = run_simulation(streams, profile, preprocess, cfg)
+    records = sum(map(len, streams.values()))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -496,7 +497,7 @@ def _cmd_simulate(args, parser) -> int:
             for node in cfg.nodes
         },
         "partial": outcome.partial,
-        "records": len(store),
+        "records": records,
     }
     _write_manifest(
         out / "manifest.json",
@@ -508,7 +509,7 @@ def _cmd_simulate(args, parser) -> int:
         started,
     )
     status = f"partial (failed: {', '.join(outcome.failed_nodes)})" if outcome.partial else "complete"
-    print(f"simulated {len(cfg.nodes)} node(s) over {len(store)} records [{status}]; wrote {out}")
+    print(f"simulated {len(cfg.nodes)} node(s) over {records} records [{status}]; wrote {out}")
     return 0
 
 

@@ -1,28 +1,28 @@
-"""Multi-node detection simulation over a shared capture store.
+"""Multi-node detection simulation over one capture file.
 
 A replay reads one capture file as :class:`~netanom.ingest.FlowBatch`es,
-assigns each record to a named node and appends it to an append-only log,
-one totally-ordered stream per node, itself a batch; a record's seq is its
-1-based position in its node's stream. Each node then independently
-preprocesses and classifies exactly its own partition, one interval (a
-slice of ``interval_size`` records) at a time, against one shared normal
-profile; a coordinator sums the per-node confusion counts. Nodes never
-exchange verdicts: sharing stops at the capture/logging layer, so
-partitioning can never change outcomes.
+assigns each record to a named node and builds, once, one stream per node
+of the topology: a batch of that node's records in file order (empty for a
+node without records); a record's seq is its 1-based position in its
+node's stream. Each node then independently preprocesses and classifies
+exactly its own stream, one interval (a slice of ``interval_size``
+records) at a time, against one shared normal profile; a coordinator sums
+the per-node confusion counts. Nodes never exchange verdicts: sharing
+stops at the capture layer, so partitioning can never change outcomes.
 
 One runner starts a thread per node and retries each node's attempt; the
-two transports differ only in how an attempt fetches the node's partition.
-The store cuts a partition into intervals, batches that carry only what a
-node reads: the columns the preprocessing model reads
-(``PreprocessModel.columns``) as the store holds them, numeric ones as
+two transports differ only in how an attempt fetches the node's stream.
+A stream is cut into intervals, batches that carry only what a node reads:
+the columns the preprocessing model reads
+(``PreprocessModel.columns``) as the stream holds them, numeric ones as
 float64 values and the others as field texts, plus each record's truth and
 row number. Both transports hand the same classify function these
 intervals, each node still encodes and standardizes the columns itself,
 and scoring is record-local, so their reports are identical byte for byte.
 In-process, an interval is handed over as is. Over loopback, each attempt
 opens one TCP connection to the run's listener, accepts it itself and
-serves the partition on one store-service thread, which it joins before it
-returns. The frames are length-prefixed:
+serves the node's stream on one store-service thread, which it joins
+before it returns. The frames are length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
@@ -35,7 +35,7 @@ returns. The frames are length-prefixed:
 
 Each header also holds its ``type``, which fixes the body: one raw
 little-endian buffer of ``n`` values per entry above, and none for the
-frames without ``n``. ``texts`` maps each column the store holds as field
+frames without ``n``. ``texts`` maps each column the stream holds as field
 texts to its texts; every other one of ``columns`` travels as an ``<f8``
 buffer, in ``columns`` order, so a float reads back with the same bits.
 ``counts`` is null for a node without records. An interval frame is one
@@ -44,7 +44,7 @@ interval, in stream order; an interval whose frame would pass
 frame as it arrives and checks ``end.count`` against the records it
 received. A frame that does not fit its layout raises a retryable
 :class:`TransportError`. Truth labels are checked once, up front, for both
-transports.
+transports: an unlabeled record fails the run, naming the file's first one.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -92,56 +92,11 @@ class SimulatedNodeFailure(SimulationError):
     """Raised inside a worker whose node is configured to crash."""
 
 
-class SharedStore:
-    """Append-only log of one capture file with one totally-ordered stream
-    per node; a record's seq is its 1-based position there.
-
-    A stream is a :class:`~netanom.ingest.FlowBatch` of the store's
-    columns. A column is a float64 array when every appended batch gave it
-    as one, else a list of the batches' values. Records are never changed
-    or deleted. Readers hold no state in the store: ``partition(node)``
-    returns the whole stream every time, which is also how a run is audited
-    afterwards.
-    """
-
-    def __init__(self, columns: Iterable[str]):
-        self.columns = tuple(columns)
-        self.file_id: str | None = None
-        # Per node, its parts of the batches, joined on the first read after an append.
-        self._streams: dict[str, list[FlowBatch]] = {}
-
-    def extend(self, batch: FlowBatch, nodes: Sequence[str]) -> None:
-        """Append the records of ``batch``, which holds every store column,
-        each under its node in ``nodes``. A batch of another file than the
-        first one's raises :class:`SimulationError`."""
-        if self.file_id not in (None, batch.file_id):
-            raise SimulationError(f"the store holds capture {self.file_id!r}; a batch of {batch.file_id!r} cannot join it")
-        self.file_id = batch.file_id
-        kept = replace(batch, columns={name: batch.columns[name] for name in self.columns})
-        assigned = np.asarray(nodes)
-        for node in dict.fromkeys(nodes):
-            self._streams.setdefault(node, []).append(kept.take(np.flatnonzero(assigned == node)))
-
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(self._streams)
-
-    def partition(self, node: str) -> FlowBatch:
-        """Full view of one node's stream, in sequence order. The stream is
-        the store's own: readers must not change it."""
-        parts = self._streams.get(node)
-        if parts is None:
-            return FlowBatch({name: [] for name in self.columns}, np.empty(0, np.int8), self.file_id or "", np.empty(0, np.int64))
-        if len(parts) > 1:
-            parts[:] = [_join(parts)]
-        return parts[0]
-
-    def __len__(self) -> int:
-        return sum(len(part) for parts in self._streams.values() for part in parts)
-
-
 def _join(parts: list[FlowBatch]) -> FlowBatch:
     """One batch from consecutive parts of a stream: a column is an array if
-    every part holds it as one, else a list."""
+    every part holds it as one, else a list. One part is its own stream."""
+    if len(parts) == 1:
+        return parts[0]
     columns = {}
     for name in parts[0].columns:
         pieces = [part.columns[name] for part in parts]
@@ -269,43 +224,52 @@ def load_simconfig(path) -> SimulationConfig:
 
 
 def _node_assigner(cfg: SimulationConfig):
-    """``assign(batch, start)``: the node of each record of ``batch``, whose
-    first record is record ``start`` of the whole replay. Explicit
-    assignment may name fewer nodes than the batch has records;
-    :func:`replay_chunks` checks its length once every batch is in."""
+    """``assign(batch, start)``: the index in ``cfg.nodes`` of the node of
+    each record of ``batch``, whose first record is record ``start`` of the
+    whole replay, as an intp array. An explicit name outside the topology
+    gets -1, and explicit assignment may name fewer nodes than the batch has
+    records; :func:`replay_chunks` checks both once every batch is in."""
     n = len(cfg.nodes)
     if cfg.assignment == "round-robin":
-        return lambda batch, start: [cfg.nodes[i % n] for i in range(start, start + len(batch))]
+        return lambda batch, start: np.arange(start, start + len(batch), dtype=np.intp) % n
     if cfg.assignment == "explicit":
-        return lambda batch, start: (cfg.explicit_assignment or ())[start : start + len(batch)]
-    node_of: dict[str, str] = {}  # sources repeat: hash each value once
+        index = {node: i for i, node in enumerate(cfg.nodes)}
+        names = cfg.explicit_assignment or ()
+        return lambda batch, start: np.array([index.get(name, -1) for name in names[start : start + len(batch)]], np.intp)
+    node_of: dict[str, int] = {}  # sources repeat: hash each value once
 
-    def assign(batch: FlowBatch, start: int) -> list[str]:
+    def assign(batch: FlowBatch, start: int) -> np.ndarray:
         texts = batch.columns.get(cfg.hash_column)
         if texts is None:
             raise SchemaError(f"no column named {cfg.hash_column!r}")
-        out = []
-        for value in texts:
-            node = node_of.get(value)
-            if node is None:
-                h = hashlib.sha256(value.encode("utf-8")).digest()
-                node = node_of[value] = cfg.nodes[int.from_bytes(h[:8], "big") % n]
-            out.append(node)
-        return out
+        for value in set(texts) - node_of.keys():
+            h = hashlib.sha256(value.encode("utf-8")).digest()
+            node_of[value] = int.from_bytes(h[:8], "big") % n
+        return np.fromiter(map(node_of.__getitem__, texts), np.intp, len(texts))
 
     return assign
 
 
-def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: SimulationConfig) -> SharedStore:
-    """Append every record of ``batches``, all of one capture file, once, in
-    input order, under its assigned node. Each batch holds ``columns`` and,
-    for hash-of-source assignment, the hash column as field texts. Every
-    batch is read before an explicit assignment is checked."""
+def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: SimulationConfig) -> dict[str, FlowBatch]:
+    """One stream per node of ``cfg.nodes``, in that order: the records of
+    ``batches``, all of one capture file, each once, in input order, under
+    its assigned node, over ``columns``; a node without records gets an
+    empty stream. Each batch holds ``columns`` and, for hash-of-source
+    assignment, the hash column as field texts. Every batch is read before
+    an explicit assignment is checked."""
     assign = _node_assigner(cfg)
-    store = SharedStore(columns)
+    columns = tuple(columns)
+    parts: dict[str, list[FlowBatch]] = {node: [] for node in cfg.nodes}
+    file_id = None
     n_records = 0
     for batch in batches:
-        store.extend(batch, assign(batch, n_records))
+        index = assign(batch, n_records)
+        if file_id not in (None, batch.file_id):
+            raise SimulationError(f"the store holds capture {file_id!r}; a batch of {batch.file_id!r} cannot join it")
+        file_id = batch.file_id
+        kept = replace(batch, columns={name: batch.columns[name] for name in columns})
+        for i, node in enumerate(cfg.nodes):
+            parts[node].append(kept.take(np.flatnonzero(index == i)))
         n_records += len(batch)
     if n_records == 0:
         raise SimulationError("cannot replay an empty record list")
@@ -320,19 +284,20 @@ def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: Sim
         unknown = [name for name in cfg.explicit_assignment if name not in cfg.nodes]
         if unknown:
             raise SimulationError(f"explicit assignment names unknown node {unknown[0]!r}")
-    return store
+    # Popped as joined: one node's parts and its stream are alive at a time, not two captures.
+    return {node: _join(parts.pop(node)) for node in cfg.nodes}
 
 
 def replay(
     records: Sequence[FlowRecord],
     cfg: SimulationConfig,
     schema: FeatureSchema,
-) -> SharedStore:
-    """Append every record once, in input order, under its assigned node:
-    the records as one batch over every column of ``schema``.
+) -> dict[str, FlowBatch]:
+    """:func:`replay_chunks` over ``records`` as one batch of every column
+    of ``schema``.
 
     ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
-    deletes this adapter after item 2. ``simulate`` fills the store with
+    deletes this adapter after item 2. ``simulate`` builds its streams with
     :func:`replay_chunks`."""
     return replay_chunks([batch_of_records(records, schema, schema.names)], schema.names, cfg)
 
@@ -371,7 +336,7 @@ class SimulationOutcome:
 def _intervals(stream: FlowBatch, preprocess: PreprocessModel, size: int) -> Iterator[FlowBatch]:
     """A node's stream cut into intervals of ``size`` records, in stream
     order. An interval holds only the columns ``preprocess`` reads, as the
-    store holds them."""
+    stream holds them."""
     modeled = replace(stream, columns={name: stream.columns[name] for name in preprocess.columns})
     for start in range(0, len(stream), size):
         yield modeled.take(slice(start, start + size))
@@ -383,7 +348,7 @@ def _classify_intervals(
     profile: NormalProfile,
     det: DetectionConfig,
 ) -> tuple[ConfusionCounts | None, np.ndarray]:
-    """Classify one node's partition, one interval at a time as the
+    """Classify one node's stream, one interval at a time as the
     intervals arrive, into the node's result: its counts (None without
     records) and its verdicts."""
     verdicts: list[np.ndarray] = []
@@ -613,7 +578,7 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
     return results
 
 
-def _run_loopback(store: SharedStore, preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> dict[str, NodeResult]:
+def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
     address = server.getsockname()
     accept_lock = threading.Lock()
@@ -629,7 +594,7 @@ def _run_loopback(store: SharedStore, preprocess: PreprocessModel, profile: Norm
                 _body(hello, body, "hello")
                 if hello.get("node") != node:
                     raise TransportError(f"hello frame names node {hello.get('node')!r}")
-                stream = store.partition(node)
+                stream = streams[node]
                 for interval in _intervals(stream, preprocess, cfg.interval_size):
                     for data in _interval_frames(interval):
                         channel.send_encoded(data)
@@ -676,39 +641,43 @@ def _run_loopback(store: SharedStore, preprocess: PreprocessModel, profile: Norm
 
 
 def run_simulation(
-    store: SharedStore,
+    streams: Mapping[str, FlowBatch],
     profile: NormalProfile,
     preprocess: PreprocessModel,
     cfg: SimulationConfig,
 ) -> SimulationOutcome:
-    """Run every node over its partition and aggregate the counts.
+    """Run every node over its stream in ``streams``, as
+    :func:`replay_chunks` builds them, and aggregate the counts.
 
     The aggregate is the exact field-wise sum of the healthy nodes' counts;
-    failed nodes are excluded and flagged, never silently dropped. A store
-    that holds records of a node outside ``cfg.nodes`` raises
-    :class:`SimulationError`.
+    failed nodes are excluded and flagged, never silently dropped. Streams
+    that hold records of a node outside ``cfg.nodes``, or lack a node of
+    it, raise :class:`SimulationError`, as does an unlabeled record: the
+    file's first one is named.
     """
     ensure_bound(profile, preprocess)
-    missing = [name for name in preprocess.columns if name not in store.columns]
+    missing = [name for name in preprocess.columns if not all(name in stream.columns for stream in streams.values())]
     if missing:
         raise SimulationError(f"the store lacks the modeled columns {missing}")
-    strays = [node for node in store.nodes() if node not in cfg.nodes]
+    strays = [node for node, stream in streams.items() if len(stream) and node not in cfg.nodes]
     if strays:
         raise SimulationError(f"the store holds records of nodes not in the topology: {strays}")
-    for node in cfg.nodes:
-        stream = store.partition(node)
-        unlabeled = np.flatnonzero(stream.truth < 0)
-        if unlabeled.size:
-            raise SimulationError(f"unlabeled row: {stream.file_id} row {stream.rows[unlabeled[0]]}; metrics need ground truth")
+    absent = [node for node in cfg.nodes if node not in streams]
+    if absent:
+        raise SimulationError(f"the streams lack nodes of the topology: {absent}")
+    unlabeled = [(stream.rows[stream.truth < 0].min(), stream.file_id) for stream in streams.values() if (stream.truth < 0).any()]
+    if unlabeled:
+        row, file_id = min(unlabeled)
+        raise SimulationError(f"unlabeled row: {file_id} row {row}; metrics need ground truth")
     if cfg.transport == "in-process":
 
         def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
-            intervals = _intervals(store.partition(node), preprocess, cfg.interval_size)
+            intervals = _intervals(streams[node], preprocess, cfg.interval_size)
             return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node)), {}
 
         results = _run_nodes(cfg, attempt)
     else:
-        results = _run_loopback(store, preprocess, profile, cfg)
+        results = _run_loopback(streams, preprocess, profile, cfg)
 
     failed = tuple(n for n in cfg.nodes if results[n].failed)
     per_node_reports = {}

@@ -142,7 +142,7 @@ BATCH_ROWS = 8192
 class FlowBatch:
     """Data rows of one file, in file order, held as columns: the one shape
     records take from the reader through preprocessing, the simulation's
-    capture store, its node intervals and its loopback frames.
+    node streams, their intervals and its loopback frames.
 
     ``columns`` maps each requested column name to the rows' values. A
     numeric column is a float64 array when every field parses as a finite

@@ -765,7 +765,7 @@ def _simulate_args(workspace, capture, config, out):
 
 
 def _float_store(records, cfg, pp):
-    """The store ``replay`` builds from ``records``, its numeric columns
+    """The streams ``replay`` builds from ``records``, its numeric columns
     converted to float64 as ``np.asarray`` converts their texts."""
     from dataclasses import replace
 
@@ -782,7 +782,7 @@ def _float_store(records, cfg, pp):
 
 
 class TestStreamedSimulate:
-    """simulate fills its store from FlowBatches, not from parsed records."""
+    """simulate builds its node streams from FlowBatches, not from parsed records."""
 
     @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
     @pytest.mark.parametrize("assignment", ["round-robin", "hash-of-source", "explicit"])
@@ -864,6 +864,17 @@ class TestStreamedSimulate:
         assert main(_simulate_args(workspace, capture, config, out)) == 1
         assert capsys.readouterr().err == f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n"
         assert not out.exists()
+
+    def test_first_unlabeled_row_in_file_order(self, workspace, tmp_path, capsys):
+        """Round-robin over A, B puts data row 2 on B and row 3 on A:
+        simulate names row 2, the file's first unlabeled row, as evaluate does."""
+        capture, config = self._faulty_capture(workspace, tmp_path, {2: "unlabeled", 3: "unlabeled"})
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "round-robin", "w": 2.0}))
+        expected = "error: unlabeled row: capture.csv row 2; metrics need ground truth\n"
+        assert main(_simulate_args(workspace, capture, config, tmp_path / "sim")) == 1
+        assert capsys.readouterr().err == expected
+        assert main(_stream_args(workspace, "evaluate", capture, tmp_path / "eval")) == 1
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
     @pytest.mark.parametrize("text, reason", [("fast", "non-numeric"), ("inf", "non-finite")])

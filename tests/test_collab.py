@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from netanom import collab
 from netanom.collab import (
     TRANSPORTS,
-    SharedStore,
     SimulationConfig,
     SimulationError,
     TransportError,
@@ -66,8 +65,8 @@ def sim_capture(tmp_path_factory, sim_records, schema):
 
 
 def _replay_batches(path, pp, cfg):
-    """The store ``netanom simulate`` fills from ``path``: column batches of
-    the modeled columns, each numeric one a float64 array."""
+    """The streams ``netanom simulate`` builds from ``path``: column batches
+    of the modeled columns, each numeric one a float64 array."""
     return replay_chunks(iter_flow_batches(path, pp.schema, pp.columns), pp.columns, cfg)
 
 
@@ -99,7 +98,7 @@ def _lists(batch):
 
 
 def _stream(records, schema, names=None):
-    """What the store holds for ``records`` of the corpus file, in order, as
+    """What a stream holds for ``records`` of the corpus file, in order, as
     :func:`_lists` gives it: the field texts of ``names`` (default: every
     schema column), the truths (-1 for unlabeled) and the row numbers."""
     assert all(r.origin[0] == CORPUS_FILE for r in records)
@@ -135,14 +134,14 @@ def _cfg(**kwargs):
 
 class TestReplay:
     def test_round_robin_seqs(self, sim_records, schema):
-        store = replay(sim_records[:9], _cfg(), schema)
+        streams = replay(sim_records[:9], _cfg(), schema)
         for i, node in enumerate(("A", "B", "C")):
             # seq n is the n-th record the node received
-            assert _lists(store.partition(node)) == _stream(sim_records[i:9:3], schema)
+            assert _lists(streams[node]) == _stream(sim_records[i:9:3], schema)
 
     def test_interval_batching(self, sim_records, schema, fitted):
         pp, _ = fitted
-        records = replay(sim_records[:9], _cfg(interval_size=2), schema).partition("A")
+        records = replay(sim_records[:9], _cfg(interval_size=2), schema)["A"]
         intervals = list(collab._intervals(records, pp, 2))
         runs = [[sim_records[0], sim_records[3]], [sim_records[6]]]
         assert [len(interval) for interval in intervals] == [2, 1]
@@ -153,13 +152,13 @@ class TestReplay:
         a = replay(sim_records, _cfg(), schema)
         b = replay(sim_records, _cfg(), schema)
         for node in ("A", "B", "C"):
-            assert _lists(a.partition(node)) == _lists(b.partition(node))
+            assert _lists(a[node]) == _lists(b[node])
 
     def test_every_record_exactly_once(self, sim_records, schema):
-        store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
-        spread = [len(store.partition(n)) for n in ("A", "B", "C")]
+        streams = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
+        spread = [len(streams[n]) for n in ("A", "B", "C")]
         assert sum(spread) == len(sim_records)
-        origins = Counter(origin for n in ("A", "B", "C") for origin in _origins(store.partition(n)))
+        origins = Counter(origin for n in ("A", "B", "C") for origin in _origins(streams[n]))
         assert all(count == 1 for count in origins.values())
         assert min(spread) > 0  # hash should spread across all three
 
@@ -173,21 +172,23 @@ class TestReplay:
         # one assigner over two chunks: its value -> node memo spans both
         assign = collab._node_assigner(cfg)
         head, tail = (batch_of_records(part, schema, schema.names) for part in (sim_records[:250], sim_records[250:]))
-        assert assign(head, 0) + assign(tail, 250) == expected
+        indices = np.concatenate([assign(head, 0), assign(tail, 250)])
+        assert indices.dtype == np.intp
+        assert [cfg.nodes[i] for i in indices] == expected
 
     def test_hash_of_source_groups_sources(self, sim_records, schema):
-        store = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
+        streams = replay(sim_records, _cfg(assignment="hash-of-source"), schema)
         source_to_node = {}
         for node in ("A", "B", "C"):
-            for src in store.partition(node).columns["srcip"]:
+            for src in streams[node].columns["srcip"]:
                 assert source_to_node.setdefault(src, node) == node
 
     def test_explicit_assignment(self, sim_records, schema):
         names = ["A", "A", "B"]
-        store = replay(sim_records[:3], _cfg(explicit_assignment=tuple(names), assignment="explicit"), schema)
-        assert _lists(store.partition("A")) == _stream([sim_records[0], sim_records[1]], schema)
-        assert _lists(store.partition("B")) == _stream([sim_records[2]], schema)
-        assert _lists(store.partition("C")) == _stream([], schema)
+        streams = replay(sim_records[:3], _cfg(explicit_assignment=tuple(names), assignment="explicit"), schema)
+        assert _lists(streams["A"]) == _stream([sim_records[0], sim_records[1]], schema)
+        assert _lists(streams["B"]) == _stream([sim_records[2]], schema)
+        assert _lists(streams["C"]) == _stream([], schema)
 
     def test_explicit_unknown_node_rejected(self, sim_records, schema):
         with pytest.raises(SimulationError, match="unknown node"):
@@ -222,51 +223,57 @@ class TestReplay:
         bounds = [0, 1, 8, 40, 41, 100]
         chunks = [batch_of_records(records[a:b], schema, schema.names) for a, b in zip(bounds, bounds[1:])]
         chunked = replay_chunks(iter(chunks), schema.names, cfg)
-        assert chunked.nodes() == whole.nodes()
+        assert tuple(chunked) == tuple(whole) == names
         for node in names:
-            assert _lists(chunked.partition(node)) == _lists(whole.partition(node))
+            assert _lists(chunked[node]) == _lists(whole[node])
 
     def test_store_keeps_only_its_columns(self, sim_records, schema):
         cfg = _cfg(assignment="hash-of-source")
-        store = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("tcprtt", "proto"), cfg)
+        streams = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("tcprtt", "proto"), cfg)
         full = replay(sim_records[:30], cfg, schema)
-        assert store.columns == ("tcprtt", "proto")
+        assert all(tuple(stream.columns) == ("tcprtt", "proto") for stream in streams.values())
         for node in cfg.nodes:
-            part = _lists(full.partition(node))
-            assert _lists(store.partition(node)) == {
+            part = _lists(full[node])
+            assert _lists(streams[node]) == {
                 **part,
                 "columns": {name: part["columns"][name] for name in ("tcprtt", "proto")},
             }
 
 
-class TestSharedStore:
+class TestNodeStreams:
     @staticmethod
     def _batch(texts, truth, rows, file_id="f"):
         return FlowBatch({"x": texts}, np.array(truth, dtype=np.int8), file_id, np.array(rows, dtype=np.int64))
 
     def test_streams_are_independent(self):
-        store = SharedStore(("x",))
-        store.extend(self._batch(["a", "b", "c"], [0, 1, -1], [1, 2, 3]), ["A", "B", "A"])
-        store.extend(self._batch(["d"], [1], [4]), ["B"])
-        assert len(store) == 4
-        assert store.nodes() == ("A", "B")
-        assert _lists(store.partition("A")) == {"columns": {"x": ["a", "c"]}, "truth": [0, -1], "file_id": "f", "rows": [1, 3]}
-        assert _lists(store.partition("B")) == {"columns": {"x": ["b", "d"]}, "truth": [1, 1], "file_id": "f", "rows": [2, 4]}
-        assert _lists(store.partition("C")) == {"columns": {"x": []}, "truth": [], "file_id": "f", "rows": []}
+        cfg = _cfg(assignment="explicit", explicit_assignment=("A", "B", "A", "B"))
+        batches = [self._batch(["a", "b", "c"], [0, 1, -1], [1, 2, 3]), self._batch(["d"], [1], [4])]
+        streams = replay_chunks(batches, ("x",), cfg)
+        assert sum(map(len, streams.values())) == 4
+        assert tuple(streams) == ("A", "B", "C")
+        assert _lists(streams["A"]) == {"columns": {"x": ["a", "c"]}, "truth": [0, -1], "file_id": "f", "rows": [1, 3]}
+        assert _lists(streams["B"]) == {"columns": {"x": ["b", "d"]}, "truth": [1, 1], "file_id": "f", "rows": [2, 4]}
+        assert _lists(streams["C"]) == {"columns": {"x": []}, "truth": [], "file_id": "f", "rows": []}
 
     def test_store_holds_one_capture_file(self):
-        store = SharedStore(("x",))
-        store.extend(self._batch(["a"], [0], [1], file_id="f"), ["A"])
+        read = []
+
+        def batches():
+            for file_id in ("f", "g", "f"):
+                read.append(file_id)
+                yield self._batch(["a"], [0], [len(read)], file_id=file_id)
+
+        cfg = _cfg(assignment="explicit", explicit_assignment=("A", "B", "A"))
         with pytest.raises(SimulationError, match="holds capture 'f'; a batch of 'g' cannot join it"):
-            store.extend(self._batch(["b"], [0], [1], file_id="g"), ["B"])
-        assert len(store) == 1 and store.nodes() == ("A",)
+            replay_chunks(batches(), ("x",), cfg)
+        assert read == ["f", "g"]  # the replay stops at the other file's batch
 
     def test_partition_read_and_audit_replay(self, sim_records, schema):
-        store = replay(sim_records[:30], _cfg(), schema)
-        first_pass = _lists(store.partition("A"))
+        streams = replay(sim_records[:30], _cfg(), schema)
+        first_pass = _lists(streams["A"])
         # the whole stream, in order: round-robin gives A every third record
         assert first_pass == _stream(sim_records[:30:3], schema)
-        second_pass = _lists(store.partition("A"))  # reading leaves no state behind
+        second_pass = _lists(streams["A"])  # reading leaves no state behind
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
@@ -276,7 +283,7 @@ class TestSharedStore:
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
         pp, _ = fitted
         monkeypatch.setattr(collab, "_MAX_FRAME", max_frame)
-        stream = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema).partition("A")
+        stream = replay(sim_records[:40], _cfg(nodes=("A",), interval_size=16), schema)["A"]
         assert _lists(stream) == _stream(sim_records[:40], schema)
         runs = [sim_records[:16], sim_records[16:32], sim_records[32:40]]
         intervals = list(collab._intervals(stream, pp, 16))
@@ -290,7 +297,7 @@ class TestSharedStore:
                 assert list(header) == ["type", "file", "n", "columns", "texts"]
                 assert header["type"] == "interval"
                 assert tuple(header["columns"]) == pp.columns
-                # the replay adapter's store holds field texts: the body is the rows and the truths
+                # the replay adapter's streams hold field texts: the body is the rows and the truths
                 assert list(header["texts"]) == list(pp.columns) and len(body) == 9 * header["n"]
                 parts.append(_lists(collab._interval_of(header, body)))
             assert (len(frames) > 1) == splits
@@ -301,7 +308,7 @@ class TestSharedStore:
     @pytest.mark.parametrize("mode", ["table1", "pca:3"])
     def test_frames_carry_the_model_columns(self, sim_records, schema, fitted, fitted_pca, mode):
         pp, _ = fitted if mode == "table1" else fitted_pca
-        records = replay(sim_records[:40], _cfg(nodes=("A",)), schema).partition("A")
+        records = replay(sim_records[:40], _cfg(nodes=("A",)), schema)["A"]
         for interval in collab._intervals(records, pp, 16):
             for data in collab._interval_frames(interval):
                 assert tuple(collab._decode_frame(data[4:])[0]["columns"]) == pp.columns
@@ -561,8 +568,8 @@ class TestRunSimulation:
     def test_single_node_equals_plain_evaluation(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg(nodes=("solo",))
-        store = replay(sim_records, cfg, schema)
-        outcome = run_simulation(store, profile, pp, cfg)
+        streams = replay(sim_records, cfg, schema)
+        outcome = run_simulation(streams, profile, pp, cfg)
 
         scores = profile.score_matrix(pp.apply_records(sim_records))
         flagged = classify_scores(scores, profile, DetectionConfig(2.0))
@@ -574,8 +581,8 @@ class TestRunSimulation:
     def test_aggregate_is_sum_of_nodes(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg()
-        store = replay(sim_records, cfg, schema)
-        outcome = run_simulation(store, profile, pp, cfg)
+        streams = replay(sim_records, cfg, schema)
+        outcome = run_simulation(streams, profile, pp, cfg)
         total = ConfusionCounts(0, 0, 0, 0)
         for node in cfg.nodes:
             total = total + outcome.node_results[node].counts
@@ -591,10 +598,10 @@ class TestRunSimulation:
         assert three.aggregate_counts == one.aggregate_counts
         # the multiset of (record origin, verdict) pairs is topology-independent
         def verdict_multiset(outcome, store_cfg):
-            store = replay(sim_records, store_cfg, schema)
+            streams = replay(sim_records, store_cfg, schema)
             pairs = []
             for node in store_cfg.nodes:
-                origins = _origins(store.partition(node))
+                origins = _origins(streams[node])
                 verdicts = outcome.node_results[node].verdicts
                 assert len(origins) == len(verdicts)
                 pairs.extend(zip(origins, verdicts))
@@ -656,18 +663,18 @@ class TestRunSimulation:
         pp, profile = fitted
         for transport in TRANSPORTS:
             cfg = _cfg(transport=transport)
-            store = replay(sim_records, cfg, schema)
-            before = {n: _lists(store.partition(n)) for n in cfg.nodes}
-            run_simulation(store, profile, pp, cfg)
+            streams = replay(sim_records, cfg, schema)
+            before = {n: _lists(streams[n]) for n in cfg.nodes}
+            run_simulation(streams, profile, pp, cfg)
             for node in cfg.nodes:
-                assert _lists(store.partition(node)) == before[node]  # nothing mutated or lost
-            assert len(store) == len(sim_records)
+                assert _lists(streams[node]) == before[node]  # nothing mutated or lost
+            assert sum(map(len, streams.values())) == len(sim_records)
 
     def test_injected_failure_excludes_partition(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg(fail_nodes=("B",), retry_budget=1)
-        store = replay(sim_records, cfg, schema)
-        outcome = run_simulation(store, profile, pp, cfg)
+        streams = replay(sim_records, cfg, schema)
+        outcome = run_simulation(streams, profile, pp, cfg)
         assert outcome.failed_nodes == ("B",)
         assert outcome.partial
         assert outcome.node_results["B"].failed
@@ -684,8 +691,8 @@ class TestRunSimulation:
     def test_failure_over_loopback(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg(transport="loopback-socket", fail_nodes=("C",), retry_budget=0)
-        store = replay(sim_records, cfg, schema)
-        outcome = run_simulation(store, profile, pp, cfg)
+        streams = replay(sim_records, cfg, schema)
+        outcome = run_simulation(streams, profile, pp, cfg)
         assert outcome.failed_nodes == ("C",)
         healthy = run_simulation(
             replay(sim_records, _cfg(fail_nodes=("C",)), schema), profile, pp, _cfg(fail_nodes=("C",))
@@ -697,7 +704,7 @@ class TestRunSimulation:
         real = collab._classify_intervals
         crashed = []
         cfg = _cfg()
-        first_of_b = _origins(replay(sim_records, cfg, schema).partition("B"))[0]
+        first_of_b = _origins(replay(sim_records, cfg, schema)["B"])[0]
 
         def flaky(intervals, *args):
             intervals = list(intervals)
@@ -778,13 +785,13 @@ class TestRunSimulation:
         elif case == "fatal PreprocessError":
             records = _with_value(sim_records, schema, 37, "tcprtt", "fast")
         cfg = _cfg(transport="loopback-socket")
-        store = replay(records, cfg, schema)
+        streams = replay(records, cfg, schema)
         before = threading.enumerate()
         if case == "fatal PreprocessError":
             with pytest.raises(PreprocessError):
-                run_simulation(store, profile, pp, cfg)
+                run_simulation(streams, profile, pp, cfg)
         else:
-            outcome = run_simulation(store, profile, pp, cfg)
+            outcome = run_simulation(streams, profile, pp, cfg)
             assert not outcome.partial
             assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 1 + retried, 1]
         assert threading.enumerate() == before
@@ -880,7 +887,7 @@ class TestRunSimulation:
         real = collab._interval_frames
         dropped = []
         cfg = _cfg(transport="loopback-socket", retry_budget=1)
-        of_b = set(_origins(replay(sim_records, cfg, schema).partition("B")))
+        of_b = set(_origins(replay(sim_records, cfg, schema)["B"]))
 
         def truncating(interval):
             if _origins(interval)[0] in of_b and (always or not dropped):
@@ -910,7 +917,7 @@ class TestRunSimulation:
         real = collab._interval_frames
         corrupted = []
         cfg = _cfg(transport="loopback-socket", retry_budget=1, interval_size=16)
-        of_b = set(_origins(_replay_batches(sim_capture, pp, cfg).partition("B")))
+        of_b = set(_origins(_replay_batches(sim_capture, pp, cfg)["B"]))
 
         def corrupting(interval):
             for data in real(interval):
@@ -937,9 +944,9 @@ class TestRunSimulation:
     def test_all_failed_rejected(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg(fail_nodes=("A", "B", "C"), retry_budget=0)
-        store = replay(sim_records, cfg, schema)
+        streams = replay(sim_records, cfg, schema)
         with pytest.raises(SimulationError, match="no healthy node"):
-            run_simulation(store, profile, pp, cfg)
+            run_simulation(streams, profile, pp, cfg)
 
     def test_digest_mismatch_rejected(self, sim_records, schema, fitted, split):
         from netanom.preprocess import fit_preprocess
@@ -948,9 +955,9 @@ class TestRunSimulation:
         train, _ = split
         other_pp = fit_preprocess(train, schema, "pca:3")
         cfg = _cfg()
-        store = replay(sim_records, cfg, schema)
+        streams = replay(sim_records, cfg, schema)
         with pytest.raises(Exception, match="digest|bound"):
-            run_simulation(store, profile, other_pp, cfg)
+            run_simulation(streams, profile, other_pp, cfg)
 
     def test_unlabeled_records_rejected(self, schema, fitted):
         pp, profile = fitted
@@ -961,27 +968,46 @@ class TestRunSimulation:
         with pytest.raises(SimulationError, match="truth"):
             run_simulation(store, profile, pp, cfg)
 
+    def test_first_unlabeled_row_in_file_order(self, sim_records, schema, fitted):
+        """Round-robin puts data row 2 on node B and row 3 on node A: the
+        error names row 2, the file's first unlabeled row, on both transports."""
+        pp, profile = fitted
+        records = [FlowRecord(r.values, None if i in (1, 2) else r.truth, ("u.csv", i + 1)) for i, r in enumerate(sim_records[:10])]
+        for transport in TRANSPORTS:
+            cfg = _cfg(nodes=("A", "B"), transport=transport)
+            with pytest.raises(SimulationError, match=re.escape("unlabeled row: u.csv row 2;")):
+                run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+
     def test_store_without_the_modeled_columns_rejected(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg()
-        store = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("srcip", "tcprtt"), cfg)
+        streams = replay_chunks([batch_of_records(sim_records[:30], schema, schema.names)], ("srcip", "tcprtt"), cfg)
         with pytest.raises(SimulationError, match="lacks the modeled columns"):
-            run_simulation(store, profile, pp, cfg)
+            run_simulation(streams, profile, pp, cfg)
 
     def test_store_nodes_outside_the_topology_rejected(self, sim_records, schema, fitted):
-        """A store filled under nodes A, B, C cannot run under A, B alone:
+        """Streams built under nodes A, B, C cannot run under A, B alone:
         C's records would silently drop out of the aggregate."""
         pp, profile = fitted
-        store = replay(sim_records, _cfg(), schema)
-        assert store.nodes() == ("A", "B", "C")
+        streams = replay(sim_records, _cfg(), schema)
+        assert tuple(streams) == ("A", "B", "C")
         with pytest.raises(SimulationError, match=re.escape("records of nodes not in the topology: ['C']")):
-            run_simulation(store, profile, pp, _cfg(nodes=("A", "B")))
+            run_simulation(streams, profile, pp, _cfg(nodes=("A", "B")))
+
+    def test_streams_missing_a_topology_node_rejected(self, sim_records, schema, fitted):
+        """Streams built under nodes A, B cannot run under A, B, C: C has no
+        stream, the same wrong topology as a stray node."""
+        pp, profile = fitted
+        streams = replay(sim_records, _cfg(nodes=("A", "B")), schema)
+        for transport in TRANSPORTS:
+            with pytest.raises(SimulationError, match=re.escape("the streams lack nodes of the topology: ['C']")):
+                run_simulation(streams, profile, pp, _cfg(transport=transport))
 
     def test_per_node_w_overrides(self, sim_records, schema, fitted):
         pp, profile = fitted
         cfg = _cfg(node_w={"A": 3.0})
-        store = replay(sim_records, cfg, schema)
-        outcome = run_simulation(store, profile, pp, cfg)
+        streams = replay(sim_records, cfg, schema)
+        outcome = run_simulation(streams, profile, pp, cfg)
         assert outcome.per_node_reports["A"].w == 3.0
         assert outcome.per_node_reports["B"].w == 2.0
         assert outcome.aggregate_report.w is None  # mixed w across nodes
@@ -993,7 +1019,7 @@ class TestRunnerProperty:
     def test_transports_agree_on_random_topologies(self, data, sim_records, sim_capture, schema, fitted):
         pp, profile = fitted
         records = sim_records[:120]
-        # Field texts fill the store as the replay adapter does; column
+        # Field texts fill the streams as the replay adapter does; column
         # batches as `netanom simulate` does, numeric columns as float64
         # arrays, which travel as buffers.
         batches = data.draw(st.booleans(), label="column batches")
@@ -1021,10 +1047,10 @@ class TestRunnerProperty:
             )
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(collab, "_MAX_FRAME", max_frame)
-                store = _replay_batches(sim_capture, pp, cfg) if batches else replay(records, cfg, schema)
-                held = [column for node in store.nodes() for column in store.partition(node).columns.values()]
+                streams = _replay_batches(sim_capture, pp, cfg) if batches else replay(records, cfg, schema)
+                held = [column for node in tuple(streams) for column in streams[node].columns.values()]
                 assert any(isinstance(column, np.ndarray) for column in held) == batches
-                outcomes[transport] = run_simulation(store, profile, pp, cfg)
+                outcomes[transport] = run_simulation(streams, profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         for node in nodes:
             assert_same_verdicts(a.node_results[node].verdicts, b.node_results[node].verdicts)
