@@ -5,6 +5,13 @@ flows from the --seed flag, and every run writes exactly one manifest next
 to its outputs recording resolved parameters and input/output digests.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+
+``detect``, ``evaluate`` and ``roc`` read their capture through a reader
+process (``ingest._read_ahead``), which parses the next batch while the
+command encodes, scores, classifies and writes this one: parsing a batch
+costs more than the rest of its work. ``train``, ``sample`` and
+``simulate`` read in-process; they do too little with each batch between
+reads for the overlap to pay for the pipe.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,6 +45,7 @@ from .gmm import EmConfig, GmmError
 from .ingest import (
     IngestError,
     SamplePlan,
+    _read_ahead,
     copy_rows,
     default_schema,
     iter_flow_batches,
@@ -331,11 +340,14 @@ def _detection_config(args, parser) -> DetectionConfig:
         parser.error(str(exc))
 
 
+@contextmanager
 def _scored_batches(path, profile, preprocess):
-    """Yield ``(batch, scores)`` for each :class:`FlowBatch` of the capture at
-    ``path``: each batch is scored as it is read."""
-    for batch in iter_flow_batches(Path(path), preprocess.schema, preprocess.columns):
-        yield batch, profile.score_matrix(preprocess.apply(batch))
+    """Yield an iterator of ``(batch, scores)`` for each :class:`FlowBatch`
+    of the capture at ``path``. A reader process parses the next batch
+    while this one is encoded, scored and used (``ingest._read_ahead``);
+    leaving the block ends it."""
+    with _read_ahead(path, preprocess.schema, preprocess.columns) as batches:
+        yield ((batch, profile.score_matrix(preprocess.apply(batch))) for batch in batches)
 
 
 def _cmd_detect(args, parser) -> int:
@@ -351,14 +363,15 @@ def _cmd_detect(args, parser) -> int:
     try:
         with partial.open("w", encoding="utf-8") as fh:
             fh.write("origin_file,origin_row,score,label\n")
-            for batch, scores in _scored_batches(args.input, profile, preprocess):
-                flagged = classify_scores(scores, profile, det)
-                fh.writelines(
-                    f"{batch.file_id},{row},{score!r},{'attack' if is_attack else 'normal'}\n"
-                    for row, score, is_attack in zip(batch.rows.tolist(), scores.tolist(), flagged.tolist())
-                )
-                n_records += len(batch.rows)
-                n_flagged += int(np.count_nonzero(flagged))
+            with _scored_batches(args.input, profile, preprocess) as scored:
+                for batch, scores in scored:
+                    flagged = classify_scores(scores, profile, det)
+                    fh.writelines(
+                        f"{batch.file_id},{row},{score!r},{'attack' if is_attack else 'normal'}\n"
+                        for row, score, is_attack in zip(batch.rows.tolist(), scores.tolist(), flagged.tolist())
+                    )
+                    n_records += len(batch.rows)
+                    n_flagged += int(np.count_nonzero(flagged))
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
@@ -381,14 +394,15 @@ def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray]:
     """Scores and truths of every row of a labeled capture, which must have
     rows. Only the scores and truths outlive their batch."""
     scores, truths = [], []
-    for batch, batch_scores in _scored_batches(path, profile, preprocess):
-        unlabeled = np.flatnonzero(batch.truth < 0)
-        if unlabeled.size:
-            raise EvaluationError(
-                f"unlabeled row: {batch.file_id} row {batch.rows[unlabeled[0]]}; metrics need ground truth"
-            )
-        scores.append(batch_scores)
-        truths.append(batch.truth)
+    with _scored_batches(path, profile, preprocess) as scored:
+        for batch, batch_scores in scored:
+            unlabeled = np.flatnonzero(batch.truth < 0)
+            if unlabeled.size:
+                raise EvaluationError(
+                    f"unlabeled row: {batch.file_id} row {batch.rows[unlabeled[0]]}; metrics need ground truth"
+                )
+            scores.append(batch_scores)
+            truths.append(batch.truth)
     if not scores:
         raise EvaluationError("test file has no records")
     return np.concatenate(scores), np.concatenate(truths)
@@ -421,7 +435,8 @@ def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) 
     dots and all), and print the table."""
     started = time.perf_counter()
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    reports = sweep(*_labeled_scores(args.test, profile, preprocess), profile, grid)
+    scores, truths = _labeled_scores(args.test, profile, preprocess)
+    reports = sweep(scores, truths, profile, grid)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     outputs = {prefix.with_name(prefix.name + suffix): text for suffix, text in texts(reports).items()}
@@ -435,6 +450,7 @@ def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) 
         [profile_path, preprocess_path, args.test],
         list(outputs),
         started,
+        records=len(scores),
     )
     print(render_table(reports), end="")
     return 0

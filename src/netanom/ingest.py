@@ -9,20 +9,32 @@ no quote, carriage return or blank line, and the schema's width on every
 line. Any other batch, or one ``np.loadtxt`` rejects, is re-read by the
 ``csv`` module, which also decides every error message and row number, so
 the two readers never disagree on what a batch holds.
+
+Reading a batch costs more than scoring it, so the commands that score a
+capture batch by batch (``detect``, ``evaluate`` and ``roc``) read it
+through :func:`_read_ahead`: a forked reader process parses the next batch
+while the command works on this one. ``train``, ``sample`` and
+``simulate`` call :func:`iter_flow_batches` in-process, since they do too
+little with each batch for the overlap to pay for the pipe.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import inspect
 import io
 import json
 import os
+import pickle
+import signal
+import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -49,6 +61,11 @@ class ParseError(IngestError):
         self.file_id = file_id
         self.row = row
         self.reason = reason
+
+    def __reduce__(self):
+        # The three fields rebuild the error, so it survives the pipe of
+        # the reader process (see :func:`_read_ahead`).
+        return type(self), (self.file_id, self.row, self.reason)
 
 
 class SampleError(IngestError):
@@ -301,11 +318,41 @@ def _open_text(source):
     if isinstance(source, (str, os.PathLike)):
         path = Path(source)
         with path.open("r", encoding="utf-8", newline="") as stream:
-            yield stream, path.name
+            try:
+                yield stream, path.name
+            except UnicodeDecodeError:
+                # The stream decodes a chunk at a time, so its error names
+                # a position in the chunk, not in the file.
+                error = _not_utf8(path)
+                if error is None:
+                    raise
+                raise error from None
     elif isinstance(source, io.TextIOBase):
         yield source, "<memory>"
     else:
         raise IngestError(f"unsupported source type: {type(source)!r}")
+
+
+def _not_utf8(path: Path) -> IngestError | None:
+    """An error naming the physical line of the first byte of ``path`` that
+    is not UTF-8, or None when every byte decodes. The file is re-read as
+    bytes, a block at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with path.open("rb") as raw:
+        try:
+            while block := raw.read(1 << 20):
+                decoder.decode(block)
+                line += block.count(b"\n")
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as exc:
+            # exc.object is the decoder's pending bytes, which hold no
+            # newline, followed by the block.
+            line += exc.object.count(b"\n", 0, exc.start)
+            return IngestError(
+                f"{path.name} line {line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            )
+    return None
 
 
 def _truth_of(label: str, positive: str) -> int:
@@ -447,8 +494,17 @@ def iter_flow_batches(
     a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
     ``csv`` module, a row at a time, and each row is cut down to
     ``columns`` as it is read. A malformed row raises :class:`ParseError`
-    after the batches before it are yielded.
+    after the batches before it are yielded, and a byte that is not UTF-8
+    raises :class:`IngestError` naming its file and line.
     """
+    with _open_text(source) as (stream, fid):
+        yield from _stream_batches(stream, fid, schema, columns, keep_text)
+
+
+def _stream_batches(
+    stream, fid: str, schema: FeatureSchema, columns: Sequence[str], keep_text: Iterable[str] = ()
+) -> Iterator[FlowBatch]:
+    """:func:`iter_flow_batches` over an open text stream named ``fid``."""
     names = tuple(dict.fromkeys(columns))  # a name asked for twice is read once
     index = [schema.index_of(name) for name in names]
     positions = dict(zip(names, index))
@@ -460,16 +516,102 @@ def iter_flow_batches(
     dtype = np.dtype(
         [(str(i), np.float64 if schema.columns[i].name in floats else object) for i in sorted({*index, schema.label_index})]
     )
-    with _open_text(source) as (stream, fid):
-        batches = _LineBatches(stream, schema, fid)
-        while lines := batches.take():
-            batch = _plain_batch(lines, batches, positions, dtype) if batches.is_plain(lines) else None
-            if batch is None:
-                batch = _csv_batch(batches.reread(lines, project), names, floats, fid)
-            del lines
-            if batch is None:
-                return
-            yield batch
+    batches = _LineBatches(stream, schema, fid)
+    while lines := batches.take():
+        batch = _plain_batch(lines, batches, positions, dtype) if batches.is_plain(lines) else None
+        if batch is None:
+            batch = _csv_batch(batches.reread(lines, project), names, floats, fid)
+        del lines
+        if batch is None:
+            return
+        yield batch
+
+
+#: The length prefix of each frame the reader process writes.
+_FRAME_SIZE = struct.Struct("<Q")
+
+
+@contextmanager
+def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[Iterator[FlowBatch]]:
+    """Yield an iterator over the batches :func:`iter_flow_batches` reads
+    from the capture at ``path``, parsed one batch ahead by a reader
+    process.
+
+    The path is opened here, so a missing file raises before any fork. The
+    forked child reads the inherited stream and writes each batch to a pipe
+    as a length-prefixed pickle, so batch i+1 is parsed while the caller
+    works on batch i; the pipe's back-pressure keeps about one batch in
+    flight. The child runs no BLAS routine, so the BLAS threads the fork
+    does not copy are never missed. An error the child raises is raised
+    here, with its type and message, after the batches before it. Leaving
+    the block reaps the child, after killing it if the batches were not
+    read to their end. Where ``os.fork`` is missing, the batches are read
+    in this process.
+    """
+    with _open_text(Path(path)) as (stream, fid):
+        if not hasattr(os, "fork"):
+            yield _stream_batches(stream, fid, schema, columns)
+            return
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as pipe:
+            with open(write_fd, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    pipe.close()  # so a child whose parent has died gets EPIPE, not a full pipe
+                    _serve_batches(_stream_batches(stream, fid, schema, columns), sink)
+            received = _received_batches(pipe)
+            try:
+                yield received
+            finally:
+                pipe.close()  # a child still writing gets EPIPE
+                if inspect.getgeneratorstate(received) != inspect.GEN_CLOSED:
+                    os.kill(pid, signal.SIGKILL)  # the caller left before the end; the child may still be reading
+                os.waitpid(pid, 0)
+
+
+def _serve_batches(batches: Iterator[FlowBatch], sink) -> NoReturn:
+    """The reader process: write a frame for each of ``batches`` to
+    ``sink``, then one of None, or of the exception the read raised.
+
+    It leaves only through ``os._exit``, so it runs no exit handler and
+    flushes no buffer it inherited: ``detect``'s open ``<out>.tmp`` already
+    holds the header when the fork happens."""
+    status = 1
+    try:
+        try:
+            for batch in batches:
+                _send(sink, batch)
+            end = None
+        except Exception as exc:
+            end = exc
+        _send(sink, end)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _send(sink, item) -> None:
+    frame = pickle.dumps(item, protocol=5)
+    sink.write(_FRAME_SIZE.pack(len(frame)))
+    sink.write(frame)
+    sink.flush()
+
+
+def _received_batches(pipe) -> Iterator[FlowBatch]:
+    """The batches :func:`_serve_batches` writes to ``pipe``, then the
+    error it sent, if any."""
+    while len(head := pipe.read(_FRAME_SIZE.size)) == _FRAME_SIZE.size:
+        (size,) = _FRAME_SIZE.unpack(head)
+        frame = pipe.read(size)
+        if len(frame) < size:
+            break
+        item = pickle.loads(frame)
+        if item is None:
+            return
+        if isinstance(item, BaseException):
+            raise item
+        yield item
+    raise IngestError("the reader process ended before the capture did")
 
 
 def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int], dtype: np.dtype) -> FlowBatch | None:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -8,6 +10,43 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped: no
+    command may leave a process behind, whether it succeeds or fails."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail("the test left a child process running" if pid == 0 else f"the test left child process {pid} unreaped")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """``{pid: exit code}`` of each process ``os.fork`` starts during the
+    test: None until ``os.waitpid`` reaps it, then the code
+    ``os.waitstatus_to_exitcode`` gives (minus the signal that ended it)."""
+    children = {}
+    fork, waitpid = os.fork, os.waitpid
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            children[pid] = None
+        return pid
+
+    def recorded_waitpid(pid, options):
+        reaped, status = waitpid(pid, options)
+        if reaped in children:
+            children[reaped] = os.waitstatus_to_exitcode(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    return children
 
 
 def assert_same_verdicts(a, b):

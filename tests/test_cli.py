@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -591,6 +592,20 @@ class TestStreamedTrainAndSample:
         }[fault] + "\n"
         assert not out.exists()  # no profile, no preprocess, no manifest
 
+    def test_a_byte_that_is_not_utf8_names_its_line(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        # Past the text stream's first 8 KiB decode, so earlier batches are read first.
+        bad = 100
+        lines = [line.encode() for line in _train_lines(workspace, 120)]
+        assert sum(map(len, lines[:bad])) > 8192
+        lines[bad] = b"\xff" + lines[bad]
+        train = tmp_path / "train.csv"
+        train.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "out"
+        assert main(_train_args(train, out / "p.json")) == 1
+        assert capsys.readouterr().err == f"error: train.csv line {bad + 1}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+        assert not out.exists()
+
     def test_train_errors_come_in_file_order(self, workspace, schema, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
         lines = _train_lines(workspace, 20)
@@ -743,6 +758,43 @@ class TestStreamedCommands:
         assert main(_stream_args(workspace, command, capture, out)) == 1
         assert capsys.readouterr().err == f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n"
         assert not out.exists()
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, workspace, tmp_path, monkeypatch, capsys, forked):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        # Past the text stream's first 8 KiB decode, so earlier batches are scored first.
+        bad = 100
+        lines = [line.encode() for line in _capture_lines(workspace, 120)]
+        assert sum(map(len, lines[:bad])) > 8192
+        lines[bad] = b"\xff" + lines[bad]
+        capture = tmp_path / "capture.csv"
+        capture.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "out"
+        assert main(_stream_args(workspace, "detect", capture, out)) == 1
+        assert capsys.readouterr().err == f"error: capture.csv line {bad + 1}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+        assert not any(out.glob("*"))  # no verdicts, no partial file, no manifest
+        assert list(forked.values()) == [0]  # the reader process sent the error and exited
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate", "roc"])
+    def test_one_reader_process_reaped_at_the_end(self, workspace, tmp_path, forked, command):
+        assert main(_stream_args(workspace, command, workspace / "split" / "test.csv", tmp_path)) == 0
+        assert list(forked.values()) == [0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "roc"])
+    def test_unlabeled_row_ends_a_reader_still_reading(self, workspace, tmp_path, monkeypatch, capsys, forked, command):
+        """The scoring process rejects an unlabeled row in batch 2 of about
+        1,000; the reader process, still reading or blocked on the full
+        pipe, is killed and reaped."""
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        header, *body = _capture_lines(workspace, 1280)
+        body[bad - 1] = body[bad - 1][: body[bad - 1].rindex(",") + 1]  # empty label field
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join([header, *body * 4]) + "\n")
+        out = tmp_path / "out"
+        assert main(_stream_args(workspace, command, capture, out)) == 1
+        assert capsys.readouterr().err == f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n"
+        assert not out.exists()
+        assert list(forked.values()) == [-signal.SIGKILL]
 
     def test_peak_memory_is_flat_in_the_capture_size(self, workspace, tmp_path):
         from netanom.synth import write_synthetic_csv
@@ -1143,6 +1195,14 @@ class TestManifests:
         assert manifest["em"] == {
             key: report[key] for key in ("iterations", "converged", "reseeds", "final_log_likelihood")
         }
+
+    @pytest.mark.parametrize("command", ["evaluate", "roc"])
+    def test_sweep_commands_count_their_records(self, workspace, tmp_path, command):
+        assert main(_stream_args(workspace, command, workspace / "split" / "test.csv", tmp_path)) == 0
+        prefix = "eval" if command == "evaluate" else "roc"
+        manifest = json.loads((tmp_path / f"{prefix}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["records"] == 2000 - 720  # sample: 2000 records, 720 normals used for training
 
     def test_simulate_records_each_node(self, workspace, tmp_path):
         keys = {"attempts", "error", "n_records", "frames", "wire_bytes", "wall_s"}

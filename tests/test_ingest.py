@@ -1,6 +1,10 @@
+import contextlib
 import csv
 import io
 import json
+import os
+import pickle
+import signal
 import tracemalloc
 from unittest import mock
 
@@ -147,6 +151,36 @@ class TestParse:
         assert err.value.row == 2
         assert err.value.file_id == "three.csv"
 
+    def test_parse_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(ParseError("three.csv", 2, "expected 3 fields, got 2"), protocol=5))
+        assert type(error) is ParseError
+        assert str(error) == "three.csv, row 2: expected 3 fields, got 2"
+        assert (error.file_id, error.row, error.reason) == ("three.csv", 2, "expected 3 fields, got 2")
+
+    # The re-read that finds the line decodes 1 MiB blocks; the second case
+    # puts a two-byte character across the first block's end.
+    @pytest.mark.parametrize(
+        "before, bad, after",
+        [
+            (b"", b"\xff", b"roto,bytes,label\ntcp,1,0\n"),
+            (b"proto,bytes,label\n" + b"tcp,1,0\n" * 131_068 + b"tcp,111111,0\n\xc3\xa9,1,0\n", b"\xfe", b"cp,2,0\n"),
+            (b"\xc3\xa9,1,0\r\n" * 3 + b"tcp,1,0\n", b"\xc3", b""),
+        ],
+        ids=["header", "after-a-block-edge", "truncated-at-the-end"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, before, bad, after):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(before + bad + after)
+        if bad == b"\xfe":
+            assert before.index(b"\xc3") == (1 << 20) - 1
+        reason = "unexpected end of data" if bad == b"\xc3" else "invalid start byte"
+        line = before.count(b"\n") + 1
+        message = f"flows.csv line {line}: not UTF-8 text (byte 0x{bad[0]:02x}: {reason})"
+        for read in (lambda: list(iter_flow_batches(path, TINY, ("proto",))), lambda: parse_flow_csv(path, TINY)):
+            with pytest.raises(IngestError) as err:
+                read()
+            assert type(err.value) is IngestError and str(err.value) == message
+
     def test_multiple_files_concatenate(self, tmp_path):
         paths = []
         for i in range(4):
@@ -292,6 +326,97 @@ class TestBatches:
                 with pytest.raises(IngestError, match="unsupported source type"):
                     parse_flow_csv(source, schema)
             assert not binary.closed and binary.tell() == 0
+
+
+def _same_batches(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert list(a.columns) == list(b.columns) and a.file_id == b.file_id
+        assert all(_same_column(a.columns[name], b.columns[name]) for name in a.columns)
+        assert a.truth.dtype == np.int8 and a.truth.tolist() == b.truth.tolist()
+        assert a.rows.dtype == np.int64 and a.rows.tolist() == b.rows.tolist()
+
+
+class TestReadAhead:
+    """``_read_ahead`` yields the batches ``iter_flow_batches`` reads, from
+    one forked reader process, and reaps it however the block is left."""
+
+    def test_clean_end(self, tmp_path, monkeypatch, forked):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 3)
+        path = tmp_path / "flows.csv"
+        rows = [("tcp" if i % 3 else "udp", str(i), "" if i == 4 else str(i % 2)) for i in range(10)]
+        rows[7] = ('"quoted", tcp', "7", "1")  # one batch goes to the csv reader
+        path.write_text(_csv_text(rows, TINY))
+        with ingest._read_ahead(path, TINY, ("proto", "bytes")) as batches:
+            got = list(batches)
+            (pid,) = forked
+            assert forked[pid] is None  # not reaped while the block runs
+        _same_batches(got, list(iter_flow_batches(path, TINY, ("proto", "bytes"))))
+        for batch in got:  # the pickle keeps one object per distinct text
+            assert len({id(t) for t in batch.columns["proto"]}) == len(set(batch.columns["proto"]))
+        assert forked == {pid: 0}
+
+    def test_parse_error_in_a_later_batch(self, tmp_path, monkeypatch, forked):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
+        path = tmp_path / "flows.csv"
+        path.write_text("tcp,1,0\ntcp,2,0\ntcp,3,1\ntcp,4,0\nudp\ntcp,6,0\n")
+        got = []
+        with pytest.raises(ParseError) as err:
+            with ingest._read_ahead(path, TINY, ("bytes",)) as batches:
+                got.extend(batch.columns["bytes"].tolist() for batch in batches)
+        assert got == [[1.0, 2.0], [3.0, 4.0]]
+        assert type(err.value) is ParseError and str(err.value) == "flows.csv, row 5: expected 3 fields, got 1"
+        assert (err.value.file_id, err.value.row, err.value.reason) == ("flows.csv", 5, "expected 3 fields, got 1")
+        assert list(forked.values()) == [0]  # the child sent the error and exited
+
+    @pytest.mark.parametrize("leave", ["break", "raise"])
+    def test_caller_that_stops_after_one_batch(self, tmp_path, monkeypatch, forked, leave):
+        """A caller that leaves after the first batch, or raises there, ends
+        the child, which is still reading: the capture's frames are far more
+        than the pipe holds."""
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 100)
+        path = tmp_path / "flows.csv"
+        path.write_text("tcp,1,0\n" * 50_000)
+        with pytest.raises(KeyError) if leave == "raise" else contextlib.nullcontext():
+            with ingest._read_ahead(path, TINY, ("proto", "bytes")) as batches:
+                first = next(batches)
+                if leave == "raise":
+                    raise KeyError("the caller's own error")
+        assert first.rows.tolist() == list(range(1, 101))
+        assert list(forked.values()) == [-signal.SIGKILL]
+
+    def test_a_reader_that_dies_is_an_error(self, tmp_path, monkeypatch, forked):
+        """A child that ends without the end frame, as when it is killed,
+        raises after the batches it did send."""
+
+        def dies_after_one(batches, sink):
+            ingest._send(sink, next(batches))
+            os._exit(3)
+
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 1)
+        monkeypatch.setattr(ingest, "_serve_batches", dies_after_one)
+        path = tmp_path / "flows.csv"
+        path.write_text("tcp,1,0\nudp,2,1\n")
+        got = []
+        with pytest.raises(IngestError, match="^the reader process ended before the capture did$"):
+            with ingest._read_ahead(path, TINY, ("bytes",)) as batches:
+                got.extend(batch.rows.tolist() for batch in batches)
+        assert got == [[1]] and list(forked.values()) == [3]
+
+    def test_a_missing_file_raises_before_any_fork(self, tmp_path, forked):
+        with pytest.raises(FileNotFoundError):
+            with ingest._read_ahead(tmp_path / "ghost.csv", TINY, ("bytes",)):
+                pass
+        assert forked == {}
+
+    def test_without_fork_reads_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
+        path = tmp_path / "flows.csv"
+        path.write_text("tcp,1,0\nudp,2,1\ntcp,3,\n")
+        monkeypatch.delattr(os, "fork")
+        with ingest._read_ahead(path, TINY, ("proto", "bytes")) as batches:
+            got = list(batches)
+        _same_batches(got, list(iter_flow_batches(path, TINY, ("proto", "bytes"))))
 
 
 class TestFlowBatch:
