@@ -10,8 +10,9 @@ records) at a time, against one shared normal profile; a coordinator sums
 the per-node confusion counts. Nodes never exchange verdicts: sharing
 stops at the capture layer, so partitioning can never change outcomes.
 
-One runner starts a thread per node and retries each node's attempt; the
-two transports differ only in how an attempt fetches the node's stream.
+One runner runs the nodes in turn, in ``cfg.nodes`` order, on the calling
+thread, and retries each node's attempt; the two transports differ only in
+how an attempt fetches the node's stream.
 A stream is cut into intervals, batches that carry only what a node reads:
 the columns the preprocessing model reads
 (``PreprocessModel.columns``) as the stream holds them, numeric ones as
@@ -38,8 +39,8 @@ little-endian buffer of ``n`` values per entry above, and none for the
 frames without ``n``. ``texts`` maps each column the stream holds as field
 texts to its texts; every other one of ``columns`` travels as an ``<f8``
 buffer, in ``columns`` order, so a float reads back with the same bits.
-``counts`` is null for a node without records. An interval frame is one
-interval, in stream order; an interval whose frame would pass
+``counts`` is null exactly for a node without records. An interval frame
+is one interval, in stream order; an interval whose frame would pass
 ``_MAX_FRAME`` is halved until each part fits. The worker classifies each
 frame as it arrives and checks ``end.count`` against the records it
 received. A frame that does not fit its layout raises a retryable
@@ -94,14 +95,17 @@ class SimulatedNodeFailure(SimulationError):
 
 def _join(parts: list[FlowBatch]) -> FlowBatch:
     """One batch from consecutive parts of a stream: a column is an array if
-    every part holds it as one, else a list. One part is its own stream."""
+    every part holds it as one, else field texts, a float64 part as texts
+    that parse back to its values. One part is its own stream."""
     if len(parts) == 1:
         return parts[0]
     columns = {}
     for name in parts[0].columns:
         pieces = [part.columns[name] for part in parts]
-        arrays = all(isinstance(piece, np.ndarray) for piece in pieces)
-        columns[name] = np.concatenate(pieces) if arrays else [value for piece in pieces for value in piece]
+        if all(isinstance(piece, np.ndarray) for piece in pieces):
+            columns[name] = np.concatenate(pieces)
+        else:
+            columns[name] = [text for piece in pieces for text in (map(repr, piece.tolist()) if isinstance(piece, np.ndarray) else piece)]
     truth = np.concatenate([part.truth for part in parts])
     rows = np.concatenate([part.rows for part in parts])
     return FlowBatch(columns, truth, parts[0].file_id, rows)
@@ -144,6 +148,12 @@ class SimulationConfig:
         unknown = set(self.fail_nodes) - set(self.nodes)
         if unknown:
             raise SimulationError(f"fail_nodes not in topology: {sorted(unknown)}")
+        if self.assignment == "explicit":
+            if self.explicit_assignment is None:
+                raise SimulationError("explicit assignment requires explicit_assignment in the config")
+            unknown = [name for name in self.explicit_assignment if name not in self.nodes]
+            if unknown:
+                raise SimulationError(f"explicit assignment names unknown node {unknown[0]!r}")
         for node, w in ((None, self.w), *(self.node_w or {}).items()):
             if node is not None and node not in self.nodes:
                 raise SimulationError(f"node_w names unknown node {node!r}")
@@ -226,16 +236,16 @@ def load_simconfig(path) -> SimulationConfig:
 def _node_assigner(cfg: SimulationConfig):
     """``assign(batch, start)``: the index in ``cfg.nodes`` of the node of
     each record of ``batch``, whose first record is record ``start`` of the
-    whole replay, as an intp array. An explicit name outside the topology
-    gets -1, and explicit assignment may name fewer nodes than the batch has
-    records; :func:`replay_chunks` checks both once every batch is in."""
+    whole replay, as an intp array. Explicit assignment may name fewer
+    nodes than the batch has records; :func:`replay_chunks` checks the
+    count once every batch is in."""
     n = len(cfg.nodes)
     if cfg.assignment == "round-robin":
         return lambda batch, start: np.arange(start, start + len(batch), dtype=np.intp) % n
     if cfg.assignment == "explicit":
         index = {node: i for i, node in enumerate(cfg.nodes)}
-        names = cfg.explicit_assignment or ()
-        return lambda batch, start: np.array([index.get(name, -1) for name in names[start : start + len(batch)]], np.intp)
+        names = cfg.explicit_assignment
+        return lambda batch, start: np.array([index[name] for name in names[start : start + len(batch)]], np.intp)
     node_of: dict[str, int] = {}  # sources repeat: hash each value once
 
     def assign(batch: FlowBatch, start: int) -> np.ndarray:
@@ -256,7 +266,7 @@ def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: Sim
     its assigned node, over ``columns``; a node without records gets an
     empty stream. Each batch holds ``columns`` and, for hash-of-source
     assignment, the hash column as field texts. Every batch is read before
-    an explicit assignment is checked."""
+    an explicit assignment's length is checked."""
     assign = _node_assigner(cfg)
     columns = tuple(columns)
     parts: dict[str, list[FlowBatch]] = {node: [] for node in cfg.nodes}
@@ -273,17 +283,8 @@ def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: Sim
         n_records += len(batch)
     if n_records == 0:
         raise SimulationError("cannot replay an empty record list")
-    if cfg.assignment == "explicit":
-        if cfg.explicit_assignment is None:
-            raise SimulationError("explicit assignment requires explicit_assignment in the config")
-        if len(cfg.explicit_assignment) != n_records:
-            raise SimulationError(
-                f"explicit assignment has {len(cfg.explicit_assignment)} entries "
-                f"for {n_records} records"
-            )
-        unknown = [name for name in cfg.explicit_assignment if name not in cfg.nodes]
-        if unknown:
-            raise SimulationError(f"explicit assignment names unknown node {unknown[0]!r}")
+    if cfg.assignment == "explicit" and len(cfg.explicit_assignment) != n_records:
+        raise SimulationError(f"explicit assignment has {len(cfg.explicit_assignment)} entries for {n_records} records")
     # Popped as joined: one node's parts and its stream are alive at a time, not two captures.
     return {node: _join(parts.pop(node)) for node in cfg.nodes}
 
@@ -447,17 +448,21 @@ def _interval_of(header: dict, body: memoryview) -> FlowBatch:
     *floats, rows, truth = _body(header, body, "interval", *[_F8] * (len(names) - len(texts)), _I8, _I1)
     if not all(isinstance(column, list) and len(column) == len(rows) for column in texts.values()):
         raise TransportError(f"interval frame texts are not lists of its {len(rows)} records")
+    if not all(set(map(type, column)) <= {str} for column in texts.values()):
+        raise TransportError("interval frame texts are not all strings")
     floats = iter(floats)
     return FlowBatch({name: texts[name] if name in texts else next(floats) for name in names}, truth, file_id, rows)
 
 
 def _result_of(header: dict, body: memoryview) -> tuple[ConfusionCounts | None, np.ndarray]:
-    """A result frame's counts and verdicts. ``counts`` is null for no
-    records, else four counts that sum to ``n``; other counts raise
+    """A result frame's counts and verdicts. ``counts`` is null exactly
+    when ``n`` is 0, else four counts that sum to ``n``; other counts raise
     :class:`TransportError`."""
     (verdicts,) = _body(header, body, "result", _I1)
     counts = header.get("counts")
-    if not (counts is None and not len(verdicts)) and not (
+    if not len(verdicts) and counts is not None:
+        raise TransportError(f"result frame counts {counts!r} are not null for no records")
+    if len(verdicts) and not (
         isinstance(counts, dict)
         and sorted(counts) == ["fn", "fp", "tn", "tp"]
         and all(type(count) is int and count >= 0 for count in counts.values())
@@ -536,17 +541,14 @@ _RETRYABLE = (SimulatedNodeFailure, TransportError, OSError)
 
 
 def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
-    """Run ``attempt(node)`` on one thread per node, retrying a retryable
-    failure up to ``cfg.retry_budget`` times (crash-stop). ``attempt``
-    returns the node's counts and verdicts (see :func:`_classify_intervals`)
-    and a dict of the wire's ``NodeResult`` fields (empty in-process). A
-    data error in any node is fatal and re-raised once every thread has
-    finished."""
+    """Run ``attempt(node)`` for each node of ``cfg.nodes`` in turn, on the
+    calling thread, retrying a retryable failure up to ``cfg.retry_budget``
+    times (crash-stop). ``attempt`` returns the node's counts and verdicts
+    (see :func:`_classify_intervals`) and a dict of the wire's
+    ``NodeResult`` fields (empty in-process). Any other exception, a data
+    error, propagates at once; the results follow ``cfg.nodes`` order."""
     results: dict[str, NodeResult] = {}
-    fatal: list[Exception] = []
-    lock = threading.Lock()
-
-    def work(node: str) -> None:
+    for node in cfg.nodes:
         started = time.perf_counter()
         for attempts in range(1, cfg.retry_budget + 2):
             try:
@@ -556,32 +558,18 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
             except _RETRYABLE as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 continue
-            except Exception as exc:  # data errors are fatal, not node failures
-                with lock:
-                    fatal.append(exc)
-                return
             result = NodeResult(node, counts, verdicts, len(verdicts), False, attempts, wall_s=time.perf_counter() - started, **wire)
             break
         else:
             result = NodeResult(node, None, np.empty(0, np.int8), 0, True, attempts, error, wall_s=time.perf_counter() - started)
         result.verdicts.setflags(write=False)
-        with lock:
-            results[node] = result
-
-    threads = [threading.Thread(target=work, args=(node,)) for node in cfg.nodes]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if fatal:
-        raise fatal[0]
+        results[node] = result
     return results
 
 
 def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
     address = server.getsockname()
-    accept_lock = threading.Lock()
     service_errors: dict[str, str] = {}  # per node, the store service's error in its last retried attempt
 
     def serve(conn: socket.socket, node: str, outcome: dict) -> None:
@@ -607,13 +595,13 @@ def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel,
                 outcome["error"] = f"{type(exc).__name__}: {exc}"
 
     def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
-        with accept_lock:  # one connection waits on the listener at a time: the one accepted is this one
-            sock = socket.create_connection(address, timeout=_SOCKET_TIMEOUT)
-            try:
-                conn = server.accept()[0]
-            except OSError:
-                sock.close()
-                raise
+        # Attempts run one at a time, so the connection accepted is this one.
+        sock = socket.create_connection(address, timeout=_SOCKET_TIMEOUT)
+        try:
+            conn = server.accept()[0]
+        except OSError:
+            sock.close()
+            raise
         outcome: dict = {}
         service = threading.Thread(target=serve, args=(conn, node, outcome))
         service.start()

@@ -958,6 +958,15 @@ class TestStreamedSimulate:
         assert capsys.readouterr().err == f"error: explicit assignment has {entries} entries for 20 records\n"
         assert not out.exists()
 
+    def test_explicit_assignment_checked_before_the_capture_is_read(self, workspace, tmp_path, capsys):
+        capture, config = self._faulty_capture(workspace, tmp_path, {1: "short"})
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "explicit",
+                                      "explicit_assignment": ["A", "Z"] * 10, "w": 2.0}))
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == "error: explicit assignment names unknown node 'Z'\n"
+        assert not out.exists()
+
     def test_peak_memory_per_record(self, workspace, tmp_path):
         from netanom.synth import write_synthetic_csv
 

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,16 @@ class TestNodeStreams:
         assert _lists(streams["B"]) == {"columns": {"x": ["b", "d"]}, "truth": [1, 1], "file_id": "f", "rows": [2, 4]}
         assert _lists(streams["C"]) == {"columns": {"x": []}, "truth": [], "file_id": "f", "rows": []}
 
+    def test_float_and_text_parts_join_as_texts(self):
+        """A numeric column read as float64 in one batch and as field texts
+        in another (it held a bad value there) joins into field texts; the
+        float64 part's texts parse back to the same bits."""
+        floats = np.array([0.1, 2.5e-300, 1 / 3])
+        batches = [FlowBatch({"x": floats}, np.zeros(3, np.int8), "f", np.arange(1, 4)), self._batch(["7", "fast"], [0, 1], [4, 5])]
+        stream = replay_chunks(batches, ("x",), _cfg(nodes=("A",)))["A"]
+        assert stream.columns["x"] == ["0.1", "2.5e-300", repr(1 / 3), "7", "fast"]
+        assert np.asarray(stream.columns["x"][:3], np.float64).view(np.uint64).tolist() == floats.view(np.uint64).tolist()
+
     def test_store_holds_one_capture_file(self):
         read = []
 
@@ -396,6 +407,9 @@ class TestFrameCodec:
             (lambda p: _reframe(p, _set("texts", {"nope": ["tcp"] * 16})), "do not map some of its columns"),
             (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15})), "not lists of its 16 records"),
             (lambda p: _reframe(p, lambda h: h.pop("texts")), "do not map some of its columns"),
+            (lambda p: _reframe(p, _set("texts", {"proto": [[1]] + ["tcp"] * 15})), "texts are not all strings"),
+            (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15 + [None]})), "texts are not all strings"),
+            (lambda p: _reframe(p, _set("texts", {"proto": [6] * 16})), "texts are not all strings"),
             (lambda p: _reframe(p, lambda h: h.pop("type")), "expected interval frame, got None"),
             (lambda p: p[:4] + b"\xff" + p[5:], "malformed frame header"),
             (lambda p: struct.pack(">I", 200_000) + b"[" * 100_000 + b"]" * 100_000, "malformed frame header: RecursionError"),
@@ -558,6 +572,13 @@ class TestConfig:
                 _cfg(port=port)
         assert _cfg(port=65535).port == 65535
 
+    def test_explicit_assignment_checked_when_built(self):
+        with pytest.raises(SimulationError, match="^explicit assignment requires explicit_assignment in the config$"):
+            _cfg(assignment="explicit")
+        with pytest.raises(SimulationError, match="^explicit assignment names unknown node 'Z'$"):
+            _cfg(assignment="explicit", explicit_assignment=("A", "Z", "Y"))
+        assert _cfg(assignment="explicit", explicit_assignment=()).explicit_assignment == ()
+
     def test_w_range_checked_unless_overridden(self):
         with pytest.raises(Exception):
             _cfg(w=9.0)
@@ -646,6 +667,47 @@ class TestRunSimulation:
             messages[transport] = str(excinfo.value)
         assert messages["in-process"] == messages["loopback-socket"]
         assert messages["in-process"] == f"column 'tcprtt': {reason} value {text!r} in {file_id} row {row}"
+
+    def test_first_node_in_topology_order_reports_its_bad_value(self, sim_records, schema, fitted):
+        """Round-robin over A, B puts record 400 on A and 401 on B, both in
+        their node's fifth interval. Nodes run in ``cfg.nodes`` order, so
+        A's value is the one named, run after run, even with the GIL handed
+        over as often as it can be."""
+        pp, profile = fitted
+        records = _with_value(_with_value(sim_records, schema, 400, "tcprtt", "fast"), schema, 401, "tcprtt", "slow")
+        file_id, row = records[400].origin
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for transport in TRANSPORTS:
+                cfg = _cfg(nodes=("A", "B"), transport=transport)
+                streams = replay(records, cfg, schema)
+                for _ in range(20):
+                    with pytest.raises(PreprocessError) as excinfo:
+                        run_simulation(streams, profile, pp, cfg)
+                    assert str(excinfo.value) == f"column 'tcprtt': non-numeric value 'fast' in {file_id} row {row}"
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_streams_joined_from_floats_and_texts_agree(self, sim_records, schema, fitted):
+        """Numeric columns read as float64 in the first batch and as field
+        texts in the second give each node a stream of field texts, which
+        both transports classify as the all-text streams."""
+        pp, profile = fitted
+        records = sim_records[:120]
+        first = batch_of_records(records[:50], schema, schema.names)
+        floats = {name: np.asarray(texts, np.float64) if schema.kind_of(name) == "numeric" else texts for name, texts in first.columns.items()}
+        batches = [replace(first, columns=floats), batch_of_records(records[50:], schema, schema.names)]
+        clean = run_simulation(replay(records, _cfg(), schema), profile, pp, _cfg())
+        for transport in TRANSPORTS:
+            cfg = _cfg(transport=transport)
+            streams = replay_chunks(batches, schema.names, cfg)
+            assert all(isinstance(text, str) for stream in streams.values() for text in stream.columns["tcprtt"])
+            outcome = run_simulation(streams, profile, pp, cfg)
+            assert [r.attempts for r in outcome.node_results.values()] == [1, 1, 1]
+            assert outcome.per_node_reports == clean.per_node_reports
+            for node in cfg.nodes:
+                assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
 
     def test_bad_unmodeled_value_changes_no_verdict(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -746,10 +808,43 @@ class TestRunSimulation:
         connections = sum(r.attempts for r in outcome.node_results.values())
         assert returns == [None] * connections
 
-    def test_concurrent_attempts_accept_their_own_connections(self, sim_records, schema, fitted):
-        """With more node threads than cores and a short switch interval,
-        each attempt still accepts the connection it made: a crossed one
-        would fail the store's hello check and show up as a retry."""
+    @pytest.mark.parametrize("retried", [False, True])
+    def test_threads_started(self, sim_records, schema, fitted, monkeypatch, retried):
+        """In-process, the nodes run on the calling thread and start no
+        thread; over loopback each attempt starts exactly one, its
+        store-service thread."""
+        pp, profile = fitted
+        real_start, real_send, started, sent_bad = threading.Thread.start, collab._Channel.send, [], []
+
+        def counting(thread):
+            started.append(thread)
+            real_start(thread)
+
+        def flaky(channel, header, *arrays):
+            if retried and header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
+                sent_bad.append(True)
+                header = {**header, "type": "capture"}
+            real_send(channel, header, *arrays)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        monkeypatch.setattr(collab._Channel, "send", flaky)
+        for transport in TRANSPORTS:
+            started.clear()
+            cfg = _cfg(transport=transport)
+            outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+            assert not outcome.partial and tuple(outcome.node_results) == cfg.nodes
+            if transport == "in-process":
+                assert started == []
+            else:
+                assert [r.attempts for r in outcome.node_results.values()] == [1, 1 + retried, 1]
+                assert len(started) == 3 + retried
+        assert bool(sent_bad) == retried
+
+    def test_eight_nodes_each_accept_their_own_connection(self, sim_records, schema, fitted):
+        """Eight nodes run in turn, and at a short switch interval each
+        attempt's worker and store-service thread interleave often; each
+        attempt still accepts the connection it made: a crossed one would
+        fail the store's hello check and show up as a retry."""
         pp, profile = fitted
         outcomes = {}
         switch = sys.getswitchinterval()
@@ -877,6 +972,60 @@ class TestRunSimulation:
         assert sent_bad and not outcome.partial
         assert sorted(r.attempts for r in outcome.node_results.values()) == [1, 2]
         assert sorted(str(r.error) for r in outcome.node_results.values()) == sorted(["None", str(store_error)])
+        for node in cfg.nodes:
+            assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
+        assert outcome.aggregate_counts == clean.aggregate_counts
+
+    def test_empty_node_result_with_counts_retried(self, sim_records, schema, fitted, monkeypatch):
+        """Node C has no records; a result frame that gives it zero counts
+        in place of null is retried, not reported as an empty node."""
+        pp, profile = fitted
+        real = collab._Channel.send
+        sent_bad = []
+
+        def zeroing(channel, header, *arrays):
+            if header["type"] == "result" and header["counts"] is None and not sent_bad:
+                sent_bad.append(True)
+                header = {**header, "counts": {"tp": 0, "tn": 0, "fp": 0, "fn": 0}}
+            real(channel, header, *arrays)
+
+        monkeypatch.setattr(collab._Channel, "send", zeroing)
+        cfg = _cfg(transport="loopback-socket", assignment="explicit", explicit_assignment=("A", "B", "A", "B"))
+        outcome = run_simulation(replay(sim_records[:4], cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        clean = run_simulation(replay(sim_records[:4], cfg, schema), profile, pp, cfg)
+        assert sent_bad and not outcome.partial
+        c = outcome.node_results["C"]
+        assert (c.attempts, c.counts, c.n_records) == (2, None, 0)
+        assert c.error == "TransportError: result frame counts {'tp': 0, 'tn': 0, 'fp': 0, 'fn': 0} are not null for no records"
+        assert [outcome.node_results[n].attempts for n in ("A", "B")] == [1, 1]
+        assert outcome.per_node_reports == clean.per_node_reports and "C" not in outcome.per_node_reports
+        assert outcome.aggregate_report == clean.aggregate_report
+
+    @pytest.mark.parametrize("text", [[1], None, 6], ids=["list", "null", "number"])
+    def test_non_string_field_text_retried(self, sim_records, schema, fitted, monkeypatch, text):
+        """An interval frame whose field texts are not all strings is a
+        retryable TransportError on the worker, not a data error."""
+        pp, profile = fitted
+        real = collab._interval_frames
+        sent_bad = []
+        cfg = _cfg(transport="loopback-socket")
+        of_b = set(_origins(replay(sim_records, cfg, schema)["B"]))
+
+        def editing(interval):
+            for data in real(interval):
+                if _origins(interval)[0] in of_b and not sent_bad:
+                    sent_bad.append(True)
+                    payload = _reframe(data[4:], lambda header: header["texts"]["proto"].__setitem__(0, text))
+                    data = struct.pack(">I", len(payload)) + payload
+                yield data
+
+        monkeypatch.setattr(collab, "_interval_frames", editing)
+        outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        monkeypatch.undo()
+        clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
+        assert sent_bad and not outcome.partial
+        assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 2, 1]
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_counts == clean.aggregate_counts
