@@ -21,6 +21,15 @@ def pretty_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def parse_json(text: str, error: type[Exception], what: str):
+    """The JSON document ``text``; text that is not JSON raises ``error``
+    naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
 def digest_of(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
 

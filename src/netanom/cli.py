@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._docjson import digest_of_file, pretty_dumps
-from .collab import SimulationError, load_simconfig, replay_chunks, run_simulation, simconfig_to_doc
+from .collab import SimulationError, _hashed_as_floats, load_simconfig, replay_chunks, run_simulation, simconfig_to_doc
 from .decision import (
     DecisionError,
     DetectionConfig,
@@ -478,29 +478,24 @@ def _cmd_simulate(args, parser) -> int:
     started = time.perf_counter()
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    # Sources are hashed by their field texts.
+    # Sources are hashed by their field texts; a numeric hash column the
+    # model reads is converted once the records are assigned.
     hashed = (cfg.hash_column,) if cfg.assignment == "hash-of-source" else ()
-    read = preprocess.columns + tuple(name for name in hashed if name not in preprocess.columns)
-    batches = iter_flow_batches(Path(args.test), preprocess.schema, read, keep_text=hashed)
+    batches = iter_flow_batches(Path(args.test), preprocess.schema, preprocess.columns + hashed, keep_text=hashed)
     first = next(batches, None)
     if first is None:
         raise IngestError("test file has no records")
-    streams = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
+    streams = _hashed_as_floats(replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg), preprocess.schema, cfg)
     outcome = run_simulation(streams, profile, preprocess, cfg)
     records = sum(map(len, streams.values()))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for node, report in outcome.per_node_reports.items():
-        path = out / f"node_{node}.json"
-        path.write_text(pretty_dumps(report_to_doc(report)), encoding="utf-8")
-        written.append(path)
-    agg_json = out / "aggregate.json"
-    agg_text = out / "aggregate.txt"
-    agg_json.write_text(pretty_dumps(report_to_doc(outcome.aggregate_report)), encoding="utf-8")
-    agg_text.write_text(render_table([outcome.aggregate_report]), encoding="utf-8")
-    written += [agg_json, agg_text]
+    texts = {f"node_{node}.json": pretty_dumps(report_to_doc(report)) for node, report in outcome.per_node_reports.items()}
+    texts["aggregate.json"] = pretty_dumps(report_to_doc(outcome.aggregate_report))
+    texts["aggregate.txt"] = render_table([outcome.aggregate_report])
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
 
     manifest_extras = {
         "simulation": simconfig_to_doc(cfg),
@@ -521,7 +516,7 @@ def _cmd_simulate(args, parser) -> int:
         {"config": args.config, "profile": args.profile, "preprocess": str(preprocess_path), "test": args.test, "out": str(out), **manifest_extras},
         None,
         [args.config, profile_path, preprocess_path, args.test],
-        written,
+        [out / name for name in texts],
         started,
     )
     status = f"partial (failed: {', '.join(outcome.failed_nodes)})" if outcome.partial else "complete"

@@ -14,11 +14,10 @@ One runner runs the nodes in turn, in ``cfg.nodes`` order, on the calling
 thread, and retries each node's attempt; the two transports differ only in
 how an attempt fetches the node's stream.
 A stream is cut into intervals, batches that carry only what a node reads:
-the columns the preprocessing model reads
-(``PreprocessModel.columns``) as the stream holds them, numeric ones as
-float64 values and the others as field texts, plus each record's truth and
-row number. Both transports hand the same classify function these
-intervals, each node still encodes and standardizes the columns itself,
+the columns the preprocessing model reads (``PreprocessModel.columns``),
+numeric ones as float64 values and the others as field texts, plus each
+record's truth and row number. Both transports hand the same classify
+function these intervals, each node still encodes and standardizes them,
 and scoring is record-local, so their reports are identical byte for byte.
 In-process, an interval is handed over as is. Over loopback, each attempt
 opens one TCP connection to the run's listener, accepts it itself and
@@ -36,16 +35,18 @@ before it returns. The frames are length-prefixed:
 
 Each header also holds its ``type``, which fixes the body: one raw
 little-endian buffer of ``n`` values per entry above, and none for the
-frames without ``n``. ``texts`` maps each column the stream holds as field
-texts to its texts; every other one of ``columns`` travels as an ``<f8``
+frames without ``n``. ``texts`` maps each column that is not numeric to
+its field texts; every numeric one of ``columns`` travels as an ``<f8``
 buffer, in ``columns`` order, so a float reads back with the same bits.
 ``counts`` is null exactly for a node without records. An interval frame
 is one interval, in stream order; an interval whose frame would pass
 ``_MAX_FRAME`` is halved until each part fits. The worker classifies each
 frame as it arrives and checks ``end.count`` against the records it
-received. A frame that does not fit its layout raises a retryable
-:class:`TransportError`. Truth labels are checked once, up front, for both
-transports: an unlabeled record fails the run, naming the file's first one.
+received. A frame that does not fit its layout, a numeric column sent as
+texts included, raises a retryable :class:`TransportError`. Truth labels
+are checked once, up front, for both transports: an unlabeled record fails
+the run, naming the file's first one. A bad numeric value never reaches a
+node: the read that builds the streams fails on it.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -67,9 +68,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._docjson import parse_json
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
-from .ingest import FeatureSchema, FlowBatch, FlowRecord, SchemaError, batch_of_records
+from .ingest import FeatureSchema, FlowBatch, FlowRecord, ParseError, SchemaError, _as_floats, batch_of_records
 from .preprocess import PreprocessModel
 
 SIMCONFIG_FORMAT_VERSION = 1
@@ -94,18 +96,14 @@ class SimulatedNodeFailure(SimulationError):
 
 
 def _join(parts: list[FlowBatch]) -> FlowBatch:
-    """One batch from consecutive parts of a stream: a column is an array if
-    every part holds it as one, else field texts, a float64 part as texts
-    that parse back to its values. One part is its own stream."""
+    """One batch from consecutive parts of a stream, each column an array or
+    a list in every part. One part is its own stream."""
     if len(parts) == 1:
         return parts[0]
     columns = {}
     for name in parts[0].columns:
         pieces = [part.columns[name] for part in parts]
-        if all(isinstance(piece, np.ndarray) for piece in pieces):
-            columns[name] = np.concatenate(pieces)
-        else:
-            columns[name] = [text for piece in pieces for text in (map(repr, piece.tolist()) if isinstance(piece, np.ndarray) else piece)]
+        columns[name] = np.concatenate(pieces) if isinstance(pieces[0], np.ndarray) else [text for piece in pieces for text in piece]
     truth = np.concatenate([part.truth for part in parts])
     rows = np.concatenate([part.rows for part in parts])
     return FlowBatch(columns, truth, parts[0].file_id, rows)
@@ -226,11 +224,7 @@ def simconfig_from_doc(doc) -> SimulationConfig:
 
 
 def load_simconfig(path) -> SimulationConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"simulation config is not valid JSON: {exc}") from exc
-    return simconfig_from_doc(doc)
+    return simconfig_from_doc(parse_json(Path(path).read_text(encoding="utf-8"), SimulationError, "simulation config"))
 
 
 def _node_assigner(cfg: SimulationConfig):
@@ -295,12 +289,32 @@ def replay(
     schema: FeatureSchema,
 ) -> dict[str, FlowBatch]:
     """:func:`replay_chunks` over ``records`` as one batch of every column
-    of ``schema``.
+    of ``schema``, sources hashed by their field texts as ``simulate`` hashes
+    them. ``bench/tracing.py`` is the only caller outside tests; ROADMAP
+    item 3 deletes this adapter after item 2."""
+    batch = batch_of_records(records, schema, schema.names)
+    if cfg.assignment == "hash-of-source":
+        i = schema.index_of(cfg.hash_column)
+        batch = replace(batch, columns={**batch.columns, cfg.hash_column: [r.values[i] for r in records]})
+    return _hashed_as_floats(replay_chunks([batch], schema.names, cfg), schema, cfg)
 
-    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
-    deletes this adapter after item 2. ``simulate`` builds its streams with
-    :func:`replay_chunks`."""
-    return replay_chunks([batch_of_records(records, schema, schema.names)], schema.names, cfg)
+
+def _hashed_as_floats(streams: dict[str, FlowBatch], schema: FeatureSchema, cfg: SimulationConfig) -> dict[str, FlowBatch]:
+    """``streams`` with a numeric hash column, read as field texts to hash
+    them, converted by the reader's :func:`~netanom.ingest._as_floats` once
+    every record is assigned; the first bad value in file order raises."""
+    name = cfg.hash_column
+    if cfg.assignment != "hash-of-source" or schema.kind_of(name) != "numeric" or name not in streams[cfg.nodes[0]].columns:
+        return streams
+    converted, errors = {}, []
+    for node, stream in streams.items():
+        try:
+            converted[node] = replace(stream, columns={**stream.columns, **_as_floats({name: stream.columns[name]}, stream.file_id, stream.rows.tolist())})
+        except ParseError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.row)
+    return converted
 
 
 @dataclass(frozen=True)
@@ -435,16 +449,18 @@ def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
         yield from _interval_frames(interval.take(slice(n // 2, n)))
 
 
-def _interval_of(header: dict, body: memoryview) -> FlowBatch:
-    """The interval an interval frame carries. A field that is missing or
-    does not fit the layout raises :class:`TransportError`."""
+def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowBatch:
+    """The interval an interval frame carries: its columns that are numeric
+    in ``schema`` as float64 and the others as texts. A field that is
+    missing or does not fit the layout raises :class:`TransportError`."""
     names, texts, file_id = header.get("columns"), header.get("texts"), header.get("file")
     if not isinstance(file_id, str):
         raise TransportError(f"interval frame file {file_id!r} is not a string")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
         raise TransportError(f"interval frame columns {names!r} are not unique names")
-    if not isinstance(texts, dict) or not set(texts) <= set(names):
-        raise TransportError("interval frame texts do not map some of its columns")
+    numeric = {column.name for column in schema.columns if column.kind == "numeric"}
+    if not isinstance(texts, dict) or set(texts) != set(names) - numeric:
+        raise TransportError(f"interval frame texts do not map exactly its text columns {sorted(set(names) - numeric)}")
     *floats, rows, truth = _body(header, body, "interval", *[_F8] * (len(names) - len(texts)), _I8, _I1)
     if not all(isinstance(column, list) and len(column) == len(rows) for column in texts.values()):
         raise TransportError(f"interval frame texts are not lists of its {len(rows)} records")
@@ -522,12 +538,13 @@ class _Channel:
         return b"".join(chunks)
 
 
-def _received_intervals(channel: _Channel) -> Iterator[FlowBatch]:
-    """Yield each interval frame's interval as it arrives, until the ``end``
-    frame, whose count must match (a lost frame shows up there)."""
+def _received_intervals(channel: _Channel, schema: FeatureSchema) -> Iterator[FlowBatch]:
+    """Yield each interval frame's interval (see :func:`_interval_of`) as it
+    arrives, until the ``end`` frame, whose count must match (a lost frame
+    shows up there)."""
     received = 0
     while (frame := channel.recv())[0].get("type") == "interval":
-        interval = _interval_of(*frame)
+        interval = _interval_of(*frame, schema)
         received += len(interval)
         yield interval
     _body(*frame, "end")
@@ -610,7 +627,7 @@ def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel,
                 channel = _Channel(sock)
                 try:
                     channel.send({"type": "hello", "node": node})
-                    intervals = _received_intervals(channel)
+                    intervals = _received_intervals(channel, preprocess.schema)
                     counts, verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
                     channel.send({"type": "result", "counts": None if counts is None else asdict(counts), "n": len(verdicts)}, verdicts)
                     _body(*channel.recv(), "ack")
@@ -668,28 +685,16 @@ def run_simulation(
         results = _run_loopback(streams, preprocess, profile, cfg)
 
     failed = tuple(n for n in cfg.nodes if results[n].failed)
-    per_node_reports = {}
-    aggregate = ConfusionCounts(0, 0, 0, 0)
-    any_counts = False
-    for node in cfg.nodes:
-        res = results[node]
-        if res.failed or res.counts is None:
-            continue
-        det = cfg.w_for(node)
-        per_node_reports[node] = metrics(res.counts, w=det.w)
-        aggregate = aggregate + res.counts
-        any_counts = True
-    if not any_counts:
+    counted = [n for n in cfg.nodes if not results[n].failed and results[n].counts is not None]
+    if not counted:
         raise SimulationError(f"no healthy node produced results; failures: {list(failed)}")
-
+    aggregate = sum((results[n].counts for n in counted), ConfusionCounts(0, 0, 0, 0))
     node_ws = {cfg.w_for(n).w for n in cfg.nodes if not results[n].failed}
-    aggregate_w = node_ws.pop() if len(node_ws) == 1 else None
-    aggregate_report = metrics(aggregate, w=aggregate_w)
     return SimulationOutcome(
         node_results=results,
-        per_node_reports=per_node_reports,
+        per_node_reports={n: metrics(results[n].counts, w=cfg.w_for(n).w) for n in counted},
         aggregate_counts=aggregate,
-        aggregate_report=aggregate_report,
+        aggregate_report=metrics(aggregate, w=node_ws.pop() if len(node_ws) == 1 else None),
         failed_nodes=failed,
         partial=bool(failed),
     )

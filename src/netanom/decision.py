@@ -14,14 +14,13 @@ the rule exists to flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._docjson import digest_of, pretty_dumps
+from ._docjson import digest_of, parse_json, pretty_dumps
 from .gmm import (
     EmConfig,
     FitReport,
@@ -226,9 +225,5 @@ def save_profile(profile: NormalProfile) -> bytes:
 
 def load_profile(data: bytes | str) -> NormalProfile:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProfileFormatError(f"profile is not valid JSON: {exc}") from exc
-    return profile_from_doc(doc)
+    return profile_from_doc(parse_json(text, ProfileFormatError, "profile"))
 

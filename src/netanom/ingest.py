@@ -24,12 +24,12 @@ import codecs
 import csv
 import inspect
 import io
-import json
+import math
 import os
 import pickle
 import signal
 import struct
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -37,6 +37,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
+
+from ._docjson import parse_json, pretty_dumps
 
 SCHEMA_FORMAT_VERSION = 1
 
@@ -162,14 +164,13 @@ class FlowBatch:
     node streams, their intervals and its loopback frames.
 
     ``columns`` maps each requested column name to the rows' values. A
-    numeric column is a float64 array when every field parses as a finite
-    float, with the bits ``np.asarray(texts, np.float64)`` gives; otherwise,
-    and for every other column kind, it is the list of field texts, so a
-    bad value can still be named. A text column holds one object for each
-    distinct text in the batch. ``truth`` is an int8 array: 1 for attack,
-    0 for normal, -1 for an empty label field. ``rows`` holds the 1-based
-    data-row numbers, an int64 array. Batches do not compare equal by
-    value: compare their fields.
+    numeric column is a float64 array of finite values (see
+    :func:`_as_floats`); any other, or one read under ``keep_text``, is the
+    list of field texts, with one object for each distinct text in the
+    batch. ``truth`` is an int8 array: 1 for attack, 0 for normal, -1 for
+    an empty label field. ``rows`` holds the 1-based data-row numbers, an
+    int64 array. Batches do not compare equal by value: compare their
+    fields.
     """
 
     columns: dict[str, np.ndarray | list[str]]
@@ -191,20 +192,19 @@ class FlowBatch:
 
 
 def batch_of_records(records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]) -> FlowBatch:
-    """``records``, all of one file, as one batch holding the named columns
-    as field texts; records of two files raise :class:`IngestError`. The
-    records adapters build their batch here: ``bench/tracing.py`` is their
-    only caller outside tests, and ROADMAP item 3 deletes them after item 2."""
+    """``records``, all of one file, as one batch of the named columns, read
+    as :func:`iter_flow_batches` reads them; records of two files raise
+    :class:`IngestError`. The records adapters build their batch here:
+    ``bench/tracing.py`` is their only caller outside tests, and ROADMAP
+    item 3 deletes them after item 2."""
     files = sorted({r.origin[0] for r in records})
     if len(files) > 1:
         raise IngestError(f"a batch holds the rows of one file, not of {files}")
-    index = {name: schema.index_of(name) for name in names}
-    return FlowBatch(
-        columns={name: [r.values[i] for r in records] for name, i in index.items()},
-        truth=np.array([-1 if r.truth is None else r.truth for r in records], dtype=np.int8),
-        file_id=files[0] if files else "",
-        rows=np.array([r.origin[1] for r in records], dtype=np.int64),
-    )
+    names = tuple(dict.fromkeys(names))
+    index = [schema.index_of(name) for name in names]
+    rows = ((r.origin[1], -1 if r.truth is None else r.truth, tuple(r.values[i] for i in index)) for r in records)
+    floats = [name for name in schema.names if name in names and schema.kind_of(name) == "numeric"]
+    return _csv_batch(rows, names, floats, files[0] if files else "")
 
 
 def schema_to_doc(schema: FeatureSchema) -> dict:
@@ -231,16 +231,10 @@ def schema_from_doc(doc: dict) -> FeatureSchema:
 def load_schema(path) -> FeatureSchema:
     """Load a schema from a JSON file; for JSON text, use ``json.loads``
     and ``schema_from_doc``."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema is not valid JSON: {exc}") from exc
-    return schema_from_doc(doc)
+    return schema_from_doc(parse_json(Path(path).read_text(encoding="utf-8"), SchemaError, "schema"))
 
 
 def save_schema(schema: FeatureSchema, path) -> None:
-    from ._docjson import pretty_dumps
-
     Path(path).write_text(pretty_dumps(schema_to_doc(schema)), encoding="utf-8")
 
 
@@ -493,8 +487,9 @@ def iter_flow_batches(
     A plain batch is parsed by ``np.loadtxt``; any other batch, or one with
     a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
     ``csv`` module, a row at a time, and each row is cut down to
-    ``columns`` as it is read. A malformed row raises :class:`ParseError`
-    after the batches before it are yielded, and a byte that is not UTF-8
+    ``columns`` as it is read. The first malformed row, or field of a
+    float64 column that is not a finite float, raises :class:`ParseError`
+    after the batches before it are yielded; a byte that is not UTF-8
     raises :class:`IngestError` naming its file and line.
     """
     with _open_text(source) as (stream, fid):
@@ -508,7 +503,8 @@ def _stream_batches(
     names = tuple(dict.fromkeys(columns))  # a name asked for twice is read once
     index = [schema.index_of(name) for name in names]
     positions = dict(zip(names, index))
-    floats = {name for name in names if schema.kind_of(name) == "numeric"}.difference(keep_text)
+    wanted = set(names).difference(keep_text)
+    floats = [name for name in schema.names if name in wanted and schema.kind_of(name) == "numeric"]
     # itemgetter returns a bare field, not a 1-tuple, for a single index.
     project = itemgetter(*index) if len(index) > 1 else lambda fields: tuple(fields[i] for i in index)
     # One structured loadtxt read per plain batch: the requested columns and
@@ -522,7 +518,7 @@ def _stream_batches(
         if batch is None:
             batch = _csv_batch(batches.reread(lines, project), names, floats, fid)
         del lines
-        if batch is None:
+        if not len(batch):
             return
         yield batch
 
@@ -648,39 +644,58 @@ def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int],
     )
 
 
-def _csv_batch(rows: Iterable[tuple[int, int, tuple]], names: Sequence[str], floats: set[str], fid: str) -> FlowBatch | None:
-    """The batch of ``rows`` from :meth:`_LineBatches.reread`, or None when
-    there are none. Numeric ``floats`` columns become float64 arrays where
-    :func:`_floats_or_texts` can convert them."""
+def _csv_batch(rows: Iterable[tuple[int, int, tuple]], names: Sequence[str], floats: Sequence[str], fid: str) -> FlowBatch:
+    """The batch of ``rows`` from :meth:`_LineBatches.reread`, empty when
+    there are none: the ``floats`` columns, named in file order, as float64
+    (see :func:`_as_floats`) and the others as pooled field texts. A
+    malformed row that ``rows`` raises is raised once the rows before it are
+    checked, so the first bad field or row in file order is named."""
     # Appending field by field leaves no per-row object alive past its
     # line, so the read allocates nothing for cyclic GC to scan.
     row_nos, truths = [], []
     texts = {name: [] for name in names}
     appends = [column.append for column in texts.values()]
-    for row_no, truth, projected in rows:
-        row_nos.append(row_no)
-        truths.append(truth)
-        for append, text in zip(appends, projected):
-            append(text)
-    if not row_nos:
-        return None
+    malformed = None
+    try:
+        for row_no, truth, projected in rows:
+            row_nos.append(row_no)
+            truths.append(truth)
+            for append, text in zip(appends, projected):
+                append(text)
+    except ParseError as exc:
+        malformed = exc
+    values = _as_floats({name: texts[name] for name in floats}, fid, row_nos)
+    if malformed is not None:
+        raise malformed
     pool = _TextPool()
     return FlowBatch(
-        columns={name: _floats_or_texts(column, pool) if name in floats else pool.texts(column) for name, column in texts.items()},
+        columns={name: values[name] if name in floats else list(map(pool.__getitem__, column)) for name, column in texts.items()},
         truth=np.array(truths, dtype=np.int8),
         file_id=fid,
         rows=np.array(row_nos, dtype=np.int64),
     )
 
 
-def _floats_or_texts(texts: list[str], pool: _TextPool) -> np.ndarray | list[str]:
-    """``texts`` as float64, or as ``pool.texts(texts)`` if any is not a
-    finite float."""
-    try:
-        values = np.asarray(texts, dtype=np.float64)
-    except ValueError:
-        return pool.texts(texts)
-    return values if np.isfinite(values).all() else pool.texts(texts)
+def _as_floats(columns: dict[str, list[str]], fid: str, rows: Sequence[int]) -> dict[str, np.ndarray]:
+    """Each column of field texts, of data rows ``rows`` of ``fid``, as
+    float64 with the bits ``np.asarray(texts, np.float64)`` gives. The first
+    text that is not a finite float, by row and then in the order of
+    ``columns``, raises :class:`ParseError`."""
+    values = {}
+    for name, texts in columns.items():
+        with suppress(ValueError):  # np.asarray parses a text as float does
+            values[name] = np.asarray(texts, dtype=np.float64)
+    bad = [name for name in columns if name not in values or not np.isfinite(values[name]).all()]
+    for i, row in enumerate(rows if bad else ()):
+        for name in bad:
+            text = columns[name][i]
+            try:
+                reason = None if math.isfinite(float(text)) else "non-finite"
+            except ValueError:
+                reason = "non-numeric"
+            if reason:
+                raise ParseError(fid, row, f"column {name!r}: {reason} value {text!r}")
+    return values
 
 
 class _TextPool(dict):
@@ -693,10 +708,6 @@ class _TextPool(dict):
     def __missing__(self, text: str) -> str:
         self[text] = text
         return text
-
-    def texts(self, texts: list[str]) -> list[str]:
-        """``texts`` as the pool's objects."""
-        return list(map(self.__getitem__, texts))
 
 
 @dataclass(frozen=True)

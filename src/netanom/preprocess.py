@@ -7,14 +7,13 @@ standardization to zero mean and unit standard deviation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._docjson import digest_of, pretty_dumps
+from ._docjson import digest_of, parse_json, pretty_dumps
 from .ingest import FeatureSchema, FlowBatch, FlowRecord, batch_of_records, schema_from_doc, schema_to_doc
 
 PREPROCESS_FORMAT_VERSION = 1
@@ -147,10 +146,10 @@ class PreprocessModel:
         """Preprocess the N records of ``batch`` into an (N, d) matrix.
 
         The batch must hold every name in :attr:`columns` (it may hold
-        others), as field texts or, for a numeric column, float64 values.
-        An error about a bad value names its file id and row number. A
-        missing column, or one without a value per record, raises
-        :class:`PreprocessError`.
+        others): a numeric column as a 1-D float64 array of finite values,
+        as the reader makes it, and any other as field texts. A missing
+        column, one without a value per record, or a numeric one of another
+        form or holding a non-finite value raises :class:`PreprocessError`.
         """
         encoded = _encode_columns(batch, self.schema, self.encoder, self.columns)
         reduced = encoded if self.pca is None else self.pca.transform(encoded)
@@ -254,30 +253,18 @@ def _encode_columns(batch: FlowBatch, schema: FeatureSchema, encoder: Mapping[st
     """Build the numeric matrix for the named features (encode step)."""
     out = np.empty((len(batch), len(features)), dtype=np.float64)
     for j, name in enumerate(features):
-        texts = _column(batch, name)
+        values = _column(batch, name)
         kind = schema.kind_of(name)
         if kind == "categorical":
             table = encoder.get(name, {})
-            out[:, j] = [table.get(text, UNSEEN_CODE) for text in texts]
+            out[:, j] = [table.get(text, UNSEEN_CODE) for text in values]
         elif kind == "numeric":
-            try:
-                values = np.asarray(texts, dtype=np.float64)  # a float64 array as it is
-            except ValueError:
-                for text, row in zip(texts, batch.rows.tolist()):
-                    try:
-                        float(text)
-                    except ValueError:
-                        raise PreprocessError(
-                            f"column {name!r}: non-numeric value {text!r} in {batch.file_id} row {row}"
-                        ) from None
-                raise
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                text = texts[bad[0]]
-                raise PreprocessError(
-                    f"column {name!r}: non-finite value {text if isinstance(text, str) else float(text)!r} "
-                    f"in {batch.file_id} row {batch.rows[bad[0]]}"
-                )
+            # API input: the reader makes each numeric column a finite float64 array.
+            if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1):
+                form = f"a {values.dtype} array of shape {values.shape}" if isinstance(values, np.ndarray) else type(values).__name__
+                raise PreprocessError(f"column {name!r}: numeric values must be a 1-D float64 array, not {form}")
+            if (bad := np.flatnonzero(~np.isfinite(values))).size:
+                raise PreprocessError(f"column {name!r}: non-finite value {float(values[bad[0]])!r} in {batch.file_id} row {batch.rows[bad[0]]}")
             out[:, j] = values
         else:
             raise PreprocessError(f"column {name!r} has kind {kind!r} and cannot be modeled")
@@ -339,8 +326,4 @@ def save_preprocess(model: PreprocessModel, path) -> None:
 def load_preprocess(path) -> PreprocessModel:
     """Load a preprocessing model from a JSON file; for JSON text, use
     ``json.loads`` and ``preprocess_from_doc``."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PreprocessError(f"preprocessing document is not valid JSON: {exc}") from exc
-    return preprocess_from_doc(doc)
+    return preprocess_from_doc(parse_json(Path(path).read_text(encoding="utf-8"), PreprocessError, "preprocessing document"))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import signal
@@ -588,7 +589,7 @@ class TestStreamedTrainAndSample:
             "unlabeled": f"unlabeled row in training input: train.csv row {bad}",
             "attack-labeled": f"attack-labeled row in training input: train.csv row {bad}",
             "short-row": f"train.csv, row {bad}: expected 49 fields, got 48",
-            "non-numeric": f"column 'tcprtt': non-numeric value 'fast' in train.csv row {bad}",
+            "non-numeric": f"train.csv, row {bad}: column 'tcprtt': non-numeric value 'fast'",
         }[fault] + "\n"
         assert not out.exists()  # no profile, no preprocess, no manifest
 
@@ -618,7 +619,7 @@ class TestStreamedTrainAndSample:
         train = tmp_path / "train.csv"
         train.write_text("\n".join(lines) + "\n")
         assert main(_train_args(train, tmp_path / "out" / "p.json")) == 1
-        assert capsys.readouterr().err == "error: column 'tcprtt': non-numeric value 'fast' in train.csv row 2\n"
+        assert capsys.readouterr().err == "error: train.csv, row 2: column 'tcprtt': non-numeric value 'fast'\n"
 
     def test_sample_peak_memory_is_flat_in_the_input_size(self, tmp_path):
         from netanom.synth import write_synthetic_csv
@@ -741,9 +742,9 @@ class TestStreamedCommands:
         capture.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         assert main(_stream_args(workspace, "detect", capture, out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert (f"capture.csv, row {bad}:" if fault == "short-row" else f"'fast' in capture.csv row {bad}") in err
+        assert capsys.readouterr().err == f"error: capture.csv, row {bad}: " + (
+            "expected 49 fields, got 48\n" if fault == "short-row" else "column 'tcprtt': non-numeric value 'fast'\n"
+        )
         assert not any(out.glob("*"))  # no verdicts, no partial file, no manifest
 
     @pytest.mark.parametrize("command", ["evaluate", "roc"])
@@ -816,23 +817,6 @@ def _simulate_args(workspace, capture, config, out):
             "--test", str(capture), "--out", str(out)]
 
 
-def _float_store(records, cfg, pp):
-    """The streams ``replay`` builds from ``records``, its numeric columns
-    converted to float64 as ``np.asarray`` converts their texts."""
-    from dataclasses import replace
-
-    from netanom.collab import replay_chunks
-    from netanom.ingest import batch_of_records
-
-    schema = pp.schema
-    batch = batch_of_records(records, schema, schema.names)
-    columns = {
-        name: np.asarray(texts, dtype=np.float64) if schema.kind_of(name) == "numeric" and name != cfg.hash_column else texts
-        for name, texts in batch.columns.items()
-    }
-    return replay_chunks([replace(batch, columns=columns)], schema.names, cfg)
-
-
 class TestStreamedSimulate:
     """simulate builds its node streams from FlowBatches, not from parsed records."""
 
@@ -842,7 +826,7 @@ class TestStreamedSimulate:
     @given(data=st.data())
     def test_reports_do_not_depend_on_the_batch_size(self, workspace, assignment, transport, data):
         from netanom._docjson import pretty_dumps
-        from netanom.collab import run_simulation, simconfig_from_doc
+        from netanom.collab import replay, run_simulation, simconfig_from_doc
         from netanom.decision import load_profile
         from netanom.evaluation import render_table, report_to_doc
         from netanom.ingest import parse_flow_csv
@@ -864,10 +848,9 @@ class TestStreamedSimulate:
             config = tmp / "sim.json"
             config.write_text(json.dumps(doc))
 
-            # Reference: the whole file as records, replayed as one chunk,
-            # with the numeric columns as float64, as batches carry them.
+            # Reference: the whole file as records, replayed as one chunk.
             cfg = simconfig_from_doc(doc)
-            outcome = run_simulation(_float_store(parse_flow_csv(capture, pp.schema), cfg, pp), profile, pp, cfg)
+            outcome = run_simulation(replay(parse_flow_csv(capture, pp.schema), cfg, pp.schema), profile, pp, cfg)
             expected = {f"node_{node}.json": pretty_dumps(report_to_doc(r)) for node, r in outcome.per_node_reports.items()}
             expected["aggregate.json"] = pretty_dumps(report_to_doc(outcome.aggregate_report))
             expected["aggregate.txt"] = render_table([outcome.aggregate_report])
@@ -931,8 +914,8 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
     @pytest.mark.parametrize("text, reason", [("fast", "non-numeric"), ("inf", "non-finite")])
     def test_bad_value_in_a_later_batch_names_its_row(self, workspace, tmp_path, monkeypatch, capsys, schema, transport, text, reason):
-        """The second batch holds ``tcprtt`` as field texts and the others as
-        float64, so a node's stream joins both forms before it is read."""
+        """The read fails at the second batch, before any node runs, with
+        the line ``detect`` prints."""
         monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
         capture, config = self._faulty_capture(workspace, tmp_path, {})
         lines = capture.read_text().splitlines()
@@ -944,7 +927,7 @@ class TestStreamedSimulate:
         config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "w": 2.0, "transport": transport}))
         out = tmp_path / "out"
         assert main(_simulate_args(workspace, capture, config, out)) == 1
-        assert capsys.readouterr().err == f"error: column 'tcprtt': {reason} value {text!r} in capture.csv row {bad}\n"
+        assert capsys.readouterr().err == f"error: capture.csv, row {bad}: column 'tcprtt': {reason} value {text!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entries", [19, 21])
@@ -987,6 +970,78 @@ class TestStreamedSimulate:
         # batch), truth and row number. Measured 0.195 KiB per record; 0.284
         # with one string per text field.
         assert per_record < 0.28, f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.2f} KiB per added record"
+
+
+#: A modeled numeric column's bad field texts, each with its reason.
+_BAD_VALUES = [("abc", "non-numeric"), ("", "non-numeric"), ("1.2.3", "non-numeric"), ("0x1", "non-numeric"),
+               ("inf", "non-finite"), ("-inf", "non-finite"), ("nan", "non-finite"), ("1e999", "non-finite")]
+
+
+def _with_bad_value(lines, row, name, text, schema):
+    """``lines`` (a header, then data lines) with field ``name`` of data row
+    ``row`` set to ``text``."""
+    fields = lines[row].split(",")
+    fields[schema.index_of(name)] = text
+    return [*lines[:row], ",".join(fields), *lines[row + 1 :]]
+
+
+def _written(out):
+    """The files under ``out``, which need not exist."""
+    return sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file()) if out.exists() else []
+
+
+class TestBadNumericValue:
+    """A bad value in a modeled numeric column fails the read, so every
+    command prints the same one error line naming its row and writes
+    nothing, whichever node the row would go to."""
+
+    def _sim_config(self, path, transport, fail_nodes=()):
+        path.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "round-robin", "w": 2.0,
+                                    "transport": transport, "fail_nodes": list(fail_nodes)}))
+        return path
+
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    def test_a_failed_node_does_not_hide_the_bad_value(self, workspace, schema, tmp_path, capsys, transport):
+        """Round-robin over A, B puts data row 2 on B. With B in
+        ``fail_nodes``, simulate used to skip B's records, exit 0 and report
+        a partial run without naming the value."""
+        capture = tmp_path / "bad.csv"
+        capture.write_text("\n".join(_with_bad_value(_capture_lines(workspace, 20), 2, "tcprtt", "abc", schema)) + "\n")
+        config = self._sim_config(tmp_path / "sim.json", transport, fail_nodes=["B"])
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == "error: bad.csv, row 2: column 'tcprtt': non-numeric value 'abc'\n"
+        assert _written(out) == []
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_every_command_names_the_bad_row(self, workspace, schema, data):
+        from netanom.preprocess import CURATED_FEATURES
+
+        n = data.draw(st.integers(1, 30), label="n")
+        row = data.draw(st.integers(1, n), label="row")
+        name = data.draw(st.sampled_from([f for f in CURATED_FEATURES if schema.kind_of(f) == "numeric"]), label="column")
+        text, reason = data.draw(st.sampled_from(_BAD_VALUES), label="value")
+        batch_rows = data.draw(st.sampled_from([3, 8192]), label="batch_rows")
+        expected = f"error: capture.csv, row {row}: column {name!r}: {reason} value {text!r}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            # Training normals, so that train reads the capture as far as detect does.
+            capture = tmp / "capture.csv"
+            capture.write_text("\n".join(_with_bad_value(_train_lines(workspace, n), row, name, text, schema)) + "\n")
+            runs = {command: _stream_args(workspace, command, capture, tmp / command) for command in ("detect", "evaluate", "roc")}
+            runs["train"] = _train_args(capture, tmp / "train" / "p.json")
+            for transport in ("in-process", "loopback-socket"):
+                for fail_nodes in ((), ("AB"[(row - 1) % 2],)):
+                    key = f"simulate-{transport}-{len(fail_nodes)}"
+                    config = self._sim_config(tmp / f"{key}.json", transport, fail_nodes)
+                    runs[key] = _simulate_args(workspace, capture, config, tmp / key)
+            with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+                for key, argv in runs.items():
+                    with mock.patch("sys.stderr", new_callable=io.StringIO) as err:
+                        assert main(argv) == 1, key
+                    assert err.getvalue() == expected, key
+                    assert _written(tmp / key) == [], key
 
 
 class TestSimulate:

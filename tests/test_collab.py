@@ -29,7 +29,7 @@ from netanom.collab import (
 from netanom.decision import DetectionConfig, classify_scores, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
-from netanom.ingest import FlowBatch, FlowRecord, SchemaError, batch_of_records, iter_flow_batches
+from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, FlowRecord, ParseError, SchemaError, batch_of_records, iter_flow_batches
 from netanom.preprocess import PreprocessError, fit_preprocess
 
 from conftest import assert_same_verdicts
@@ -80,8 +80,14 @@ def _with_value(records, schema, index, column, text):
 
 
 def _columns(records, schema, names):
-    """The named columns of ``records``, each as the records' field texts."""
-    return {name: [r.values[schema.index_of(name)] for r in records] for name in names}
+    """The named columns of ``records`` as the reader makes them, in the
+    form :func:`_lists` gives: a numeric one as floats, any other as the
+    records' field texts."""
+    columns = {name: [r.values[schema.index_of(name)] for r in records] for name in names}
+    return {
+        name: np.asarray(texts, dtype=np.float64).tolist() if schema.kind_of(name) == "numeric" else texts
+        for name, texts in columns.items()
+    }
 
 
 #: The file every record of the conftest corpus comes from.
@@ -100,8 +106,9 @@ def _lists(batch):
 
 def _stream(records, schema, names=None):
     """What a stream holds for ``records`` of the corpus file, in order, as
-    :func:`_lists` gives it: the field texts of ``names`` (default: every
-    schema column), the truths (-1 for unlabeled) and the row numbers."""
+    :func:`_lists` gives it: the columns ``names`` (default: every schema
+    column) as :func:`_columns` gives them, the truths (-1 for unlabeled)
+    and the row numbers."""
     assert all(r.origin[0] == CORPUS_FILE for r in records)
     return {
         "columns": _columns(records, schema, schema.names if names is None else names),
@@ -256,16 +263,6 @@ class TestNodeStreams:
         assert _lists(streams["B"]) == {"columns": {"x": ["b", "d"]}, "truth": [1, 1], "file_id": "f", "rows": [2, 4]}
         assert _lists(streams["C"]) == {"columns": {"x": []}, "truth": [], "file_id": "f", "rows": []}
 
-    def test_float_and_text_parts_join_as_texts(self):
-        """A numeric column read as float64 in one batch and as field texts
-        in another (it held a bad value there) joins into field texts; the
-        float64 part's texts parse back to the same bits."""
-        floats = np.array([0.1, 2.5e-300, 1 / 3])
-        batches = [FlowBatch({"x": floats}, np.zeros(3, np.int8), "f", np.arange(1, 4)), self._batch(["7", "fast"], [0, 1], [4, 5])]
-        stream = replay_chunks(batches, ("x",), _cfg(nodes=("A",)))["A"]
-        assert stream.columns["x"] == ["0.1", "2.5e-300", repr(1 / 3), "7", "fast"]
-        assert np.asarray(stream.columns["x"][:3], np.float64).view(np.uint64).tolist() == floats.view(np.uint64).tolist()
-
     def test_store_holds_one_capture_file(self):
         read = []
 
@@ -288,7 +285,7 @@ class TestNodeStreams:
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
-        # a one-record table1 frame of field texts takes at most about 400 bytes, a 16-record one about 1,385
+        # a one-record table1 frame takes about 300 bytes, a 16-record one about 1,560
         "max_frame, splits", [(collab._MAX_FRAME, False), (600, True)], ids=["one-frame", "split"]
     )
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
@@ -308,9 +305,11 @@ class TestNodeStreams:
                 assert list(header) == ["type", "file", "n", "columns", "texts"]
                 assert header["type"] == "interval"
                 assert tuple(header["columns"]) == pp.columns
-                # the replay adapter's streams hold field texts: the body is the rows and the truths
-                assert list(header["texts"]) == list(pp.columns) and len(body) == 9 * header["n"]
-                parts.append(_lists(collab._interval_of(header, body)))
+                # texts only for the text columns; the body is the float64 columns, the rows and the truths
+                floats = [name for name in pp.columns if schema.kind_of(name) == "numeric"]
+                assert list(header["texts"]) == [name for name in pp.columns if name not in floats]
+                assert len(body) == (8 * len(floats) + 9) * header["n"]
+                parts.append(_lists(collab._interval_of(header, body, schema)))
             assert (len(frames) > 1) == splits
             decoded = _joined(parts)
             assert decoded == _stream(run, schema, pp.columns)
@@ -353,6 +352,12 @@ def _interval(columns, file_id="f"):
     return FlowBatch(columns, np.arange(n, dtype=np.int8) % 2, file_id, np.arange(1, n + 1, dtype=np.int64))
 
 
+#: The kinds of the columns the codec tests send.
+_CODEC_SCHEMA = FeatureSchema(
+    (ColumnSpec("x", "numeric"), ColumnSpec("proto", "categorical"), ColumnSpec("label", "label")), "label", "1"
+)
+
+
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308]
 
 
@@ -367,7 +372,7 @@ class TestFrameCodec:
         column = np.array(values, dtype=np.float64)
         header, body = collab._decode_frame(_payload(_interval({"x": column, "proto": ["tcp"] * len(values)})))
         assert header == {"type": "interval", "file": "f", "n": len(values), "columns": ["x", "proto"], "texts": {"proto": ["tcp"] * len(values)}}
-        decoded = collab._interval_of(header, body)
+        decoded = collab._interval_of(header, body, _CODEC_SCHEMA)
         assert list(decoded.columns) == ["x", "proto"]
         got = decoded.columns["x"]
         assert got.dtype == np.dtype("<f8") and not got.flags.writeable
@@ -377,7 +382,7 @@ class TestFrameCodec:
 
     def test_every_wire_dtype_roundtrips(self):
         interval = FlowBatch({"x": np.array([0.5, -2.0, 1e300])}, np.array([1, 0, -1], dtype=np.int8), "f", np.array([2, 2**40, 7]))
-        decoded = collab._interval_of(*collab._decode_frame(_payload(interval)))
+        decoded = collab._interval_of(*collab._decode_frame(_payload(interval)), _CODEC_SCHEMA)
         assert decoded.columns["x"].dtype == np.dtype("<f8") and decoded.columns["x"].tolist() == [0.5, -2.0, 1e300]
         assert decoded.rows.dtype == np.dtype("<i8") and decoded.rows.tolist() == [2, 2**40, 7]
         assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [1, 0, -1]
@@ -404,9 +409,12 @@ class TestFrameCodec:
             (lambda p: _reframe(p, lambda h: h.pop("n")), "n=None records"),
             (lambda p: _reframe(p, _set("columns", ["x", "x"])), "columns ['x', 'x'] are not unique names"),
             (lambda p: _reframe(p, _set("columns", "x")), "columns 'x' are not unique names"),
-            (lambda p: _reframe(p, _set("texts", {"nope": ["tcp"] * 16})), "do not map some of its columns"),
+            (lambda p: _reframe(p, _set("texts", {"nope": ["tcp"] * 16})), "do not map exactly its text columns ['proto']"),
             (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15})), "not lists of its 16 records"),
-            (lambda p: _reframe(p, lambda h: h.pop("texts")), "do not map some of its columns"),
+            (lambda p: _reframe(p, lambda h: h.pop("texts")), "do not map exactly its text columns ['proto']"),
+            # a numeric column as texts (x's 16 values are the body's first 128 bytes), a text one as floats
+            (lambda p: _reframe(p, lambda h: h["texts"].update(x=["1.0"] * 16), cut=lambda b: b[128:]), "do not map exactly its text columns ['proto']"),
+            (lambda p: _reframe(p, _set("texts", {}), cut=lambda b: b[:128] + bytes(128) + b[128:]), "do not map exactly its text columns ['proto']"),
             (lambda p: _reframe(p, _set("texts", {"proto": [[1]] + ["tcp"] * 15})), "texts are not all strings"),
             (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15 + [None]})), "texts are not all strings"),
             (lambda p: _reframe(p, _set("texts", {"proto": [6] * 16})), "texts are not all strings"),
@@ -419,7 +427,7 @@ class TestFrameCodec:
     def test_malformed_payload_raises_retryable_transport_error(self, corrupt, message):
         payload = _payload(_interval({"x": np.arange(16.0), "proto": ["tcp"] * 16}))
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
-            collab._interval_of(*collab._decode_frame(corrupt(payload)))
+            collab._interval_of(*collab._decode_frame(corrupt(payload)), _CODEC_SCHEMA)
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
     @pytest.mark.parametrize(
@@ -437,10 +445,10 @@ class TestFrameCodec:
     )
     def test_inconsistent_interval_frame_raises_transport_error(self, edit):
         payload = _payload(_interval({"x": np.arange(3.0)}))
-        interval = collab._interval_of(*collab._decode_frame(payload))
+        interval = collab._interval_of(*collab._decode_frame(payload), _CODEC_SCHEMA)
         assert _lists(interval) == {"columns": {"x": [0.0, 1.0, 2.0]}, "truth": [0, 1, 0], "file_id": "f", "rows": [1, 2, 3]}
         with pytest.raises(TransportError):
-            collab._interval_of(*collab._decode_frame(edit(payload)))
+            collab._interval_of(*collab._decode_frame(edit(payload)), _CODEC_SCHEMA)
 
     @pytest.mark.parametrize(
         "counts, n, message",
@@ -500,7 +508,7 @@ class TestFrameCodec:
             def recv(self):
                 return collab._decode_frame(frames.pop(0))
 
-        intervals = collab._received_intervals(Channel())
+        intervals = collab._received_intervals(Channel(), _CODEC_SCHEMA)
         assert len(next(intervals)) == 3
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
             next(intervals)
@@ -655,68 +663,51 @@ class TestRunSimulation:
         assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in sim_records])
 
     @pytest.mark.parametrize("text, reason", [("fast", "non-numeric"), ("inf", "non-finite")])
-    def test_bad_modeled_value_fails_alike_on_both_transports(self, sim_records, schema, fitted, text, reason):
-        pp, profile = fitted
+    def test_bad_modeled_value_fails_alike_on_both_transports(self, sim_records, sim_capture, schema, fitted, text, reason, tmp_path):
+        """A bad modeled value fails the read that builds the streams, with
+        :class:`ParseError`, before any node runs: through the records
+        adapter and through the reader, on both transports."""
+        pp, _ = fitted
         records = _with_value(sim_records, schema, 37, "tcprtt", text)
         file_id, row = records[37].origin
-        messages = {}
+        lines = sim_capture.read_text().splitlines()
+        fields = lines[row].split(",")  # lines[0] is the header
+        fields[schema.index_of("tcprtt")] = text
+        lines[row] = ",".join(fields)
+        capture = tmp_path / "bad.csv"
+        capture.write_text("\n".join(lines) + "\n")
         for transport in TRANSPORTS:
             cfg = _cfg(transport=transport)
-            with pytest.raises(PreprocessError) as excinfo:
-                run_simulation(replay(records, cfg, schema), profile, pp, cfg)
-            messages[transport] = str(excinfo.value)
-        assert messages["in-process"] == messages["loopback-socket"]
-        assert messages["in-process"] == f"column 'tcprtt': {reason} value {text!r} in {file_id} row {row}"
+            with pytest.raises(ParseError) as excinfo:
+                replay(records, cfg, schema)
+            assert str(excinfo.value) == f"{file_id}, row {row}: column 'tcprtt': {reason} value {text!r}"
+            with pytest.raises(ParseError) as excinfo:
+                _replay_batches(capture, pp, cfg)
+            assert str(excinfo.value) == f"bad.csv, row {row}: column 'tcprtt': {reason} value {text!r}"
 
-    def test_first_node_in_topology_order_reports_its_bad_value(self, sim_records, schema, fitted):
-        """Round-robin over A, B puts record 400 on A and 401 on B, both in
-        their node's fifth interval. Nodes run in ``cfg.nodes`` order, so
-        A's value is the one named, run after run, even with the GIL handed
-        over as often as it can be."""
-        pp, profile = fitted
+    def test_first_bad_value_in_file_order_is_named(self, sim_records, schema):
+        """Round-robin puts record 400 and record 401, both with a bad value,
+        on different nodes. The read names record 400's value, the first in
+        file order, whichever node comes first in the topology, on both
+        transports: it fails before any node runs."""
         records = _with_value(_with_value(sim_records, schema, 400, "tcprtt", "fast"), schema, 401, "tcprtt", "slow")
         file_id, row = records[400].origin
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
+        for nodes in (("A", "B"), ("B", "A")):
             for transport in TRANSPORTS:
-                cfg = _cfg(nodes=("A", "B"), transport=transport)
-                streams = replay(records, cfg, schema)
-                for _ in range(20):
-                    with pytest.raises(PreprocessError) as excinfo:
-                        run_simulation(streams, profile, pp, cfg)
-                    assert str(excinfo.value) == f"column 'tcprtt': non-numeric value 'fast' in {file_id} row {row}"
-        finally:
-            sys.setswitchinterval(switch)
-
-    def test_streams_joined_from_floats_and_texts_agree(self, sim_records, schema, fitted):
-        """Numeric columns read as float64 in the first batch and as field
-        texts in the second give each node a stream of field texts, which
-        both transports classify as the all-text streams."""
-        pp, profile = fitted
-        records = sim_records[:120]
-        first = batch_of_records(records[:50], schema, schema.names)
-        floats = {name: np.asarray(texts, np.float64) if schema.kind_of(name) == "numeric" else texts for name, texts in first.columns.items()}
-        batches = [replace(first, columns=floats), batch_of_records(records[50:], schema, schema.names)]
-        clean = run_simulation(replay(records, _cfg(), schema), profile, pp, _cfg())
-        for transport in TRANSPORTS:
-            cfg = _cfg(transport=transport)
-            streams = replay_chunks(batches, schema.names, cfg)
-            assert all(isinstance(text, str) for stream in streams.values() for text in stream.columns["tcprtt"])
-            outcome = run_simulation(streams, profile, pp, cfg)
-            assert [r.attempts for r in outcome.node_results.values()] == [1, 1, 1]
-            assert outcome.per_node_reports == clean.per_node_reports
-            for node in cfg.nodes:
-                assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
+                with pytest.raises(ParseError) as excinfo:
+                    replay(records, _cfg(nodes=nodes, transport=transport), schema)
+                assert str(excinfo.value) == f"{file_id}, row {row}: column 'tcprtt': non-numeric value 'fast'"
 
     def test_bad_unmodeled_value_changes_no_verdict(self, sim_records, schema, fitted):
+        """Reading only the modeled columns never parses the bad ``sbytes``."""
         pp, profile = fitted
         assert "sbytes" not in pp.columns
         records = _with_value(sim_records, schema, 37, "sbytes", "fast")
         clean = run_simulation(replay(sim_records, _cfg(), schema), profile, pp, _cfg())
         for transport in TRANSPORTS:
             cfg = _cfg(transport=transport)
-            outcome = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+            streams = replay_chunks([batch_of_records(records, schema, pp.columns)], pp.columns, cfg)
+            outcome = run_simulation(streams, profile, pp, cfg)
             assert outcome.per_node_reports == clean.per_node_reports
             for node in cfg.nodes:
                 assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
@@ -877,10 +868,13 @@ class TestRunSimulation:
                 real(channel, header, *arrays)
 
             monkeypatch.setattr(collab._Channel, "send", flaky)
-        elif case == "fatal PreprocessError":
-            records = _with_value(sim_records, schema, 37, "tcprtt", "fast")
         cfg = _cfg(transport="loopback-socket")
         streams = replay(records, cfg, schema)
+        if case == "fatal PreprocessError":
+            # No read makes a non-finite value, but apply still rejects one on the worker.
+            tcprtt = streams["B"].columns["tcprtt"].copy()
+            tcprtt[5] = np.inf
+            streams["B"] = replace(streams["B"], columns={**streams["B"].columns, "tcprtt": tcprtt})
         before = threading.enumerate()
         if case == "fatal PreprocessError":
             with pytest.raises(PreprocessError):
@@ -1168,9 +1162,9 @@ class TestRunnerProperty:
     def test_transports_agree_on_random_topologies(self, data, sim_records, sim_capture, schema, fitted):
         pp, profile = fitted
         records = sim_records[:120]
-        # Field texts fill the streams as the replay adapter does; column
-        # batches as `netanom simulate` does, numeric columns as float64
-        # arrays, which travel as buffers.
+        # Streams of every column, as the replay adapter builds them, or of
+        # the modeled columns, as `netanom simulate` does; numeric columns
+        # are float64 arrays either way, which travel as buffers.
         batches = data.draw(st.booleans(), label="column batches")
         n_nodes = data.draw(st.integers(1, 4), label="nodes")
         nodes = tuple("ABCD"[:n_nodes])
@@ -1179,11 +1173,9 @@ class TestRunnerProperty:
             label="explicit",
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
-        # 400 bytes holds a one-record interval frame of field texts (at most
-        # 399) or of float64 buffers (at most 294), and the result frame for
-        # 120 records (191). A 64-record interval frame takes about 4,500
-        # (texts) or 5,600 (buffers), so most draws split intervals across
-        # frames.
+        # 400 bytes holds a one-record interval frame (at most 294) and the
+        # result frame for 120 records (191). A 64-record interval frame
+        # takes about 5,600, so most draws split intervals across frames.
         max_frame = data.draw(st.integers(400, 6_000), label="max_frame")
         outcomes = {}
         for transport in TRANSPORTS:
@@ -1197,8 +1189,8 @@ class TestRunnerProperty:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(collab, "_MAX_FRAME", max_frame)
                 streams = _replay_batches(sim_capture, pp, cfg) if batches else replay(records, cfg, schema)
-                held = [column for node in tuple(streams) for column in streams[node].columns.values()]
-                assert any(isinstance(column, np.ndarray) for column in held) == batches
+                held = [(name, column) for node in tuple(streams) for name, column in streams[node].columns.items()]
+                assert all(isinstance(column, np.ndarray) == (schema.kind_of(name) == "numeric") for name, column in held)
                 outcomes[transport] = run_simulation(streams, profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         for node in nodes:

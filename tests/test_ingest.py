@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import signal
@@ -443,13 +444,22 @@ class TestFlowBatch:
         assert self.BATCH == self.BATCH and self.BATCH != self.BATCH.take(slice(None))
 
     def test_batch_of_records(self):
-        records = [_rec(["tcp", "7", "1"], 1, row=4), _rec(["udp", "x", ""], None, row=9)]
+        records = [_rec(["tcp", "7", "1"], 1, row=4), _rec(["udp", "1e-3", ""], None, row=9)]
         batch = batch_of_records(records, TINY, ("bytes", "proto"))
-        assert batch.columns == {"bytes": ["7", "x"], "proto": ["tcp", "udp"]}
+        assert list(batch.columns) == ["bytes", "proto"] and batch.columns["proto"] == ["tcp", "udp"]
+        assert batch.columns["bytes"].dtype == np.float64 and batch.columns["bytes"].tolist() == [7.0, 1e-3]
         assert batch.truth.dtype == np.int8 and batch.truth.tolist() == [1, -1]
         assert batch.file_id == "test" and batch.rows.dtype == np.int64 and batch.rows.tolist() == [4, 9]
-        empty = batch_of_records([], TINY, ("proto",))
-        assert (len(empty), empty.columns) == (0, {"proto": []})
+        empty = batch_of_records([], TINY, ("proto", "bytes"))
+        assert len(empty) == 0 and empty.columns["proto"] == [] and empty.columns["bytes"].dtype == np.float64
+
+    @pytest.mark.parametrize("text, reason", [("x", "non-numeric"), ("-inf", "non-finite")])
+    def test_batch_of_records_converts_as_the_reader_does(self, text, reason):
+        records = [_rec(["tcp", "7", "1"], 1, row=4), _rec(["udp", text, "0"], 0, row=9)]
+        with pytest.raises(ParseError) as excinfo:
+            batch_of_records(records, TINY, ("proto", "bytes"))
+        assert str(excinfo.value) == f"test, row 9: column 'bytes': {reason} value {text!r}"
+        assert batch_of_records(records, TINY, ("proto",)).columns == {"proto": ["tcp", "udp"]}  # an unread column is never parsed
 
     def test_batch_of_records_holds_one_file(self):
         records = [_rec(["tcp", "7", "1"], 1), FlowRecord(("udp", "8", "0"), 0, ("other", 1))]
@@ -516,17 +526,14 @@ def _captures(draw):
     return text if draw(st.booleans()) else text.removesuffix("\n")
 
 
-def _converted(texts, numeric):
-    """Field texts converted as a FlowBatch carries them: a numeric column
-    as float64 when np.asarray reads every text as a finite float."""
-    if numeric:
-        try:
-            values = np.asarray(texts, dtype=np.float64)
-        except ValueError:
-            return texts
-        if np.isfinite(values).all():
-            return values
-    return texts
+def _bad_value(text):
+    """Why ``text`` cannot be a float64 field: "non-numeric", "non-finite",
+    or None when ``float`` reads it as a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        return "non-numeric"
+    return None if math.isfinite(value) else "non-finite"
 
 
 def _same_column(a, b):
@@ -561,6 +568,8 @@ class TestPlainReader:
     @example(text="tcp,1_0,\u0663,0,n\n", batch_rows=8192, columns=("bytes", "rate"), keep_text=())  # loadtxt rejects
     @example(text="tcp,1,nan,0,n\nudp,2,1e999,1,n\n", batch_rows=1, columns=("rate",), keep_text=())  # non-finite
     @example(text="tcp,1,2,0,n\r\nudp,2,1,1,n\n", batch_rows=8192, columns=("proto",), keep_text=())
+    @example(text="tcp,x,2,0,n\nudp,1\n", batch_rows=8192, columns=("bytes",), keep_text=())  # bad field before a short row
+    @example(text="tcp,1,2,0,n\nudp,y,z,0,n\n", batch_rows=8192, columns=("rate", "bytes"), keep_text=())  # file's column order
     @example(text="\nproto,bytes,rate,label,note\ntcp,1,2,0,n\nproto,bytes,rate,label,note\n", batch_rows=1,
              columns=("proto",), keep_text=())  # the header is decided once
     def test_batches_equal_the_csv_reading(self, text, batch_rows, columns, keep_text):
@@ -569,12 +578,23 @@ class TestPlainReader:
             with mock.patch.object(ingest._LineBatches, "is_plain", lambda self, lines: False):
                 exact, exact_error = _read_batches(text, columns, keep_text)
 
-        # The oracle: _read_rows over the whole text, cut into batches.
+        # The oracle: _read_rows over the whole text, cut into batches. The
+        # read fails at the first row of the wrong width, or at the first
+        # field of a float64 column that is not a finite float, by row and
+        # then by column position, whichever comes first.
         rows, oracle_error = [], None
         try:
             rows.extend(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
         except ParseError as exc:
             oracle_error = str(exc)
+        floats = [name for name in WIDE.names if name in columns and WIDE.kind_of(name) == "numeric" and name not in keep_text]
+        for k, (row, _, fields) in enumerate(rows):
+            bad = [(name, reason) for name in floats if (reason := _bad_value(fields[WIDE.index_of(name)]))]
+            if bad:
+                name, reason = bad[0]
+                oracle_error = f"<memory>, row {row}: column {name!r}: {reason} value {fields[WIDE.index_of(name)]!r}"
+                del rows[k:]
+                break
         cut = len(rows) if oracle_error is None else len(rows) - len(rows) % batch_rows
         expected = [rows[i : i + batch_rows] for i in range(0, cut, batch_rows)]
 
@@ -585,8 +605,8 @@ class TestPlainReader:
             assert batch.truth.tolist() == other.truth.tolist() == [truth for _, truth, _ in want]
             assert list(batch.columns) == list(columns)
             for name in columns:
-                numeric = WIDE.kind_of(name) == "numeric" and name not in keep_text
-                reference = _converted([fields[WIDE.index_of(name)] for _, _, fields in want], numeric)
+                texts = [fields[WIDE.index_of(name)] for _, _, fields in want]
+                reference = np.asarray(texts, dtype=np.float64) if name in floats else texts
                 assert _same_column(batch.columns[name], reference), name
                 assert _same_column(other.columns[name], reference), name
 
@@ -663,12 +683,11 @@ class TestPlainReader:
 
     def test_text_columns_hold_one_object_per_distinct_text(self, monkeypatch):
         """In a plain batch and in one the csv reader reads, every text
-        column (a ``keep_text`` one, and a numeric one left as text,
-        included) holds one object for each distinct text. Every text is
-        longer than one character: CPython shares one-character strings
-        anyway."""
+        column (a ``keep_text`` one included) holds one object for each
+        distinct text. Every text is longer than one character: CPython
+        shares one-character strings anyway."""
         plain = ["tcp,10,1.5,0,aa\n", "udp,20,2.5,1,bb\n", "tcp,10,3.5,0,aa\n", "tcp,20,4.5,0,aa\n"]
-        quoted = ['"tcp",10,fast,0,aa\n', "udp,10,slow,1,bb\n", "udp,20,fast,0,bb\n", "tcp,10,slow,0,aa\n"]
+        quoted = ['"tcp",10,5.5,0,aa\n', "udp,10,6.5,1,bb\n", "udp,20,5.5,0,bb\n", "tcp,10,6.5,0,aa\n"]
         plain_checks = []
         is_plain = ingest._LineBatches.is_plain
 
@@ -684,9 +703,9 @@ class TestPlainReader:
         assert error is None and plain_checks == [True, False]
         reference = list(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
         assert [len(b) for b in batches] == [4, 4]
-        assert isinstance(batches[0].columns["rate"], np.ndarray)
-        for batch, want, names in zip(batches, (reference[:4], reference[4:]), (columns[:2] + columns[3:], columns)):
-            for name in names:
+        assert all(isinstance(batch.columns["rate"], np.ndarray) for batch in batches)
+        for batch, want in zip(batches, (reference[:4], reference[4:])):
+            for name in ("proto", "bytes", "note"):
                 column = batch.columns[name]
                 assert column == [fields[WIDE.index_of(name)] for _, _, fields in want], name
                 assert {type(t) for t in column} == {str}, name

@@ -46,7 +46,7 @@ def _batch(columns, file_id="t"):
 def _encoder(protos):
     """The category codes of a one-batch fit on rows with these protocols
     (pca:1 over proto and bytes, so one or two rows suffice)."""
-    columns = {"proto": list(protos), "bytes": [str(i) for i in range(len(protos))]}
+    columns = {"proto": list(protos), "bytes": np.arange(len(protos), dtype=np.float64)}
     return fit_preprocess_batches([_batch(columns, "test")], PROTO_SCHEMA, "pca:1")[0].encoder
 
 
@@ -193,20 +193,30 @@ class TestPipeline:
         b = model.apply_records(train[:1])
         assert np.array_equal(a, b)
 
-    def test_non_numeric_value_names_column(self):
-        train = [_rec("tcp", 10, 1), _rec("udp", 20, 2)]
-        model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
-        bad = FlowRecord(("tcp", "garbage", "", "0"), 0, ("test", 9))
-        with pytest.raises(PreprocessError, match="'bytes'.* in test row 9$"):
-            model.apply_records([bad])
+    @pytest.mark.parametrize(
+        "column, form",
+        [
+            (["10", "garbage"], "list"),
+            (np.array([10, 20], dtype=np.float32), "a float32 array of shape (2,)"),
+            (np.array([["10"], ["20"]], dtype=object), "a object array of shape (2, 1)"),
+            (np.zeros((2, 1)), "a float64 array of shape (2, 1)"),
+        ],
+    )
+    def test_numeric_column_of_another_form_names_column(self, column, form):
+        """apply takes a numeric column only as the reader makes it: a 1-D
+        float64 array. Field texts are never parsed there."""
+        model = fit_preprocess([_rec("tcp", 10, 1), _rec("udp", 20, 2)], PROTO_SCHEMA, "pca:1")
+        with pytest.raises(PreprocessError) as excinfo:
+            model.apply(_batch({"proto": ["tcp", "udp"], "bytes": column}))
+        assert str(excinfo.value) == f"column 'bytes': numeric values must be a 1-D float64 array, not {form}"
 
     def test_non_finite_value_rejected(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 20, 2)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
-        for junk in ("nan", "inf", "-inf"):
-            bad = FlowRecord(("tcp", junk, "", "0"), 0, ("test", 9))
-            with pytest.raises(PreprocessError, match="non-finite.* in test row 9$"):
-                model.apply_records([bad])
+        for junk in (math.nan, math.inf, -math.inf):
+            batch = FlowBatch({"proto": ["tcp", "udp"], "bytes": np.array([10.0, junk])}, np.zeros(2, np.int8), "test", np.array([8, 9]))
+            with pytest.raises(PreprocessError, match=f"non-finite value {junk!r} in test row 9$"):
+                model.apply(batch)
 
     def test_unseen_category_uses_reserved_code(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 30, 2)]
@@ -219,7 +229,7 @@ class TestPipeline:
         train = [_rec("tcp", 10, 1), _rec("udp", 20, 2), _rec("tcp", 40, 3)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
         assert model.columns == ("proto", "bytes")
-        columns = {"proto": ["udp", "tcp"], "bytes": ["20", "40"]}
+        columns = {"proto": ["udp", "tcp"], "bytes": np.array([20.0, 40.0])}
         expected = model.apply_records(train[1:])
         assert np.array_equal(model.apply(_batch(columns)), expected)
         with pytest.raises(PreprocessError, match="column 'bytes' holds 0 values for 2 records"):
