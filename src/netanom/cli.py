@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._docjson import digest_of_file, pretty_dumps
-from .collab import SimulationError, _hashed_as_floats, load_simconfig, replay_chunks, run_simulation, simconfig_to_doc
+from .collab import SimulationError, load_simconfig, replay_chunks, run_simulation, simconfig_to_doc
 from .decision import (
     DecisionError,
     DetectionConfig,
@@ -478,14 +478,12 @@ def _cmd_simulate(args, parser) -> int:
     started = time.perf_counter()
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    # Sources are hashed by their field texts; a numeric hash column the
-    # model reads is converted once the records are assigned.
     hashed = (cfg.hash_column,) if cfg.assignment == "hash-of-source" else ()
-    batches = iter_flow_batches(Path(args.test), preprocess.schema, preprocess.columns + hashed, keep_text=hashed)
+    batches = iter_flow_batches(Path(args.test), preprocess.schema, preprocess.columns + hashed)
     first = next(batches, None)
     if first is None:
         raise IngestError("test file has no records")
-    streams = _hashed_as_floats(replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg), preprocess.schema, cfg)
+    streams = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
     outcome = run_simulation(streams, profile, preprocess, cfg)
     records = sum(map(len, streams.values()))
 
@@ -503,7 +501,7 @@ def _cmd_simulate(args, parser) -> int:
         "nodes": {
             node: {
                 key: getattr(outcome.node_results[node], key)
-                for key in ("attempts", "error", "n_records", "frames", "wire_bytes", "wall_s")
+                for key in ("attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s")
             }
             for node in cfg.nodes
         },

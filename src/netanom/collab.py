@@ -71,7 +71,7 @@ import numpy as np
 from ._docjson import parse_json
 from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
 from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
-from .ingest import FeatureSchema, FlowBatch, FlowRecord, ParseError, SchemaError, _as_floats, batch_of_records
+from .ingest import FeatureSchema, FlowBatch, FlowRecord, SchemaError, batch_of_records
 from .preprocess import PreprocessModel
 
 SIMCONFIG_FORMAT_VERSION = 1
@@ -232,7 +232,13 @@ def _node_assigner(cfg: SimulationConfig):
     each record of ``batch``, whose first record is record ``start`` of the
     whole replay, as an intp array. Explicit assignment may name fewer
     nodes than the batch has records; :func:`replay_chunks` checks the
-    count once every batch is in."""
+    count once every batch is in.
+
+    Hash-of-source assignment hashes each record's source in the hash
+    column, as the reader gives it: a text by its UTF-8 bytes, a float64
+    value by its ``repr`` (``-0.0`` as ``0.0``), so ``80``, ``80.0`` and
+    ``8e1`` are one source. A source's node is the first 8 bytes of the
+    sha256 digest, big-endian, modulo the node count."""
     n = len(cfg.nodes)
     if cfg.assignment == "round-robin":
         return lambda batch, start: np.arange(start, start + len(batch), dtype=np.intp) % n
@@ -240,16 +246,17 @@ def _node_assigner(cfg: SimulationConfig):
         index = {node: i for i, node in enumerate(cfg.nodes)}
         names = cfg.explicit_assignment
         return lambda batch, start: np.array([index[name] for name in names[start : start + len(batch)]], np.intp)
-    node_of: dict[str, int] = {}  # sources repeat: hash each value once
+    node_of: dict[str | float, int] = {}  # sources repeat: hash each value once
 
     def assign(batch: FlowBatch, start: int) -> np.ndarray:
-        texts = batch.columns.get(cfg.hash_column)
-        if texts is None:
+        column = batch.columns.get(cfg.hash_column)
+        if column is None:
             raise SchemaError(f"no column named {cfg.hash_column!r}")
-        for value in set(texts) - node_of.keys():
-            h = hashlib.sha256(value.encode("utf-8")).digest()
+        sources = (column + 0.0).tolist() if isinstance(column, np.ndarray) else column
+        for value in set(sources) - node_of.keys():
+            h = hashlib.sha256((value if isinstance(value, str) else repr(value)).encode("utf-8")).digest()
             node_of[value] = int.from_bytes(h[:8], "big") % n
-        return np.fromiter(map(node_of.__getitem__, texts), np.intp, len(texts))
+        return np.fromiter(map(node_of.__getitem__, sources), np.intp, len(sources))
 
     return assign
 
@@ -259,8 +266,8 @@ def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: Sim
     ``batches``, all of one capture file, each once, in input order, under
     its assigned node, over ``columns``; a node without records gets an
     empty stream. Each batch holds ``columns`` and, for hash-of-source
-    assignment, the hash column as field texts. Every batch is read before
-    an explicit assignment's length is checked."""
+    assignment, the hash column, as the reader gives them. Every batch is
+    read before an explicit assignment's length is checked."""
     assign = _node_assigner(cfg)
     columns = tuple(columns)
     parts: dict[str, list[FlowBatch]] = {node: [] for node in cfg.nodes}
@@ -289,41 +296,19 @@ def replay(
     schema: FeatureSchema,
 ) -> dict[str, FlowBatch]:
     """:func:`replay_chunks` over ``records`` as one batch of every column
-    of ``schema``, sources hashed by their field texts as ``simulate`` hashes
-    them. ``bench/tracing.py`` is the only caller outside tests; ROADMAP
-    item 3 deletes this adapter after item 2."""
-    batch = batch_of_records(records, schema, schema.names)
-    if cfg.assignment == "hash-of-source":
-        i = schema.index_of(cfg.hash_column)
-        batch = replace(batch, columns={**batch.columns, cfg.hash_column: [r.values[i] for r in records]})
-    return _hashed_as_floats(replay_chunks([batch], schema.names, cfg), schema, cfg)
-
-
-def _hashed_as_floats(streams: dict[str, FlowBatch], schema: FeatureSchema, cfg: SimulationConfig) -> dict[str, FlowBatch]:
-    """``streams`` with a numeric hash column, read as field texts to hash
-    them, converted by the reader's :func:`~netanom.ingest._as_floats` once
-    every record is assigned; the first bad value in file order raises."""
-    name = cfg.hash_column
-    if cfg.assignment != "hash-of-source" or schema.kind_of(name) != "numeric" or name not in streams[cfg.nodes[0]].columns:
-        return streams
-    converted, errors = {}, []
-    for node, stream in streams.items():
-        try:
-            converted[node] = replace(stream, columns={**stream.columns, **_as_floats({name: stream.columns[name]}, stream.file_id, stream.rows.tolist())})
-        except ParseError as exc:
-            errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda exc: exc.row)
-    return converted
+    of ``schema``, read and hashed as ``simulate`` reads and hashes them.
+    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
+    deletes this adapter after item 2."""
+    return replay_chunks([batch_of_records(records, schema, schema.names)], schema.names, cfg)
 
 
 @dataclass(frozen=True)
 class NodeResult:
-    """One node's outcome. ``error`` says why a failed node failed; for a
-    node that recovered on the loopback transport it holds the store
-    service's error from a retried attempt, if there was one. ``frames``
-    and ``wire_bytes`` count both directions of the successful loopback
-    connection, length prefixes included; they are 0 in-process.
+    """One node's outcome. ``errors`` holds the reason of each failed
+    attempt, in order; over loopback a reason ends with the store service's
+    error, if it had one. A failed node's last reason says why it failed.
+    ``frames`` and ``wire_bytes`` count both directions of the successful
+    loopback connection, length prefixes included; they are 0 in-process.
     ``wall_s`` is the node's wall time over all its attempts, in seconds."""
 
     node: str
@@ -332,7 +317,7 @@ class NodeResult:
     n_records: int
     failed: bool
     attempts: int
-    error: str | None = None
+    errors: tuple[str, ...] = ()
     frames: int = 0
     wire_bytes: int = 0
     wall_s: float = 0.0
@@ -567,18 +552,19 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
     results: dict[str, NodeResult] = {}
     for node in cfg.nodes:
         started = time.perf_counter()
+        errors: list[str] = []
         for attempts in range(1, cfg.retry_budget + 2):
             try:
                 if node in cfg.fail_nodes:
                     raise SimulatedNodeFailure(f"node {node!r}: injected crash")
                 (counts, verdicts), wire = attempt(node)
             except _RETRYABLE as exc:
-                error = f"{type(exc).__name__}: {exc}"
+                errors.append(f"{type(exc).__name__}: {exc}")
                 continue
-            result = NodeResult(node, counts, verdicts, len(verdicts), False, attempts, wall_s=time.perf_counter() - started, **wire)
+            result = NodeResult(node, counts, verdicts, len(verdicts), False, attempts, tuple(errors), wall_s=time.perf_counter() - started, **wire)
             break
         else:
-            result = NodeResult(node, None, np.empty(0, np.int8), 0, True, attempts, error, wall_s=time.perf_counter() - started)
+            result = NodeResult(node, None, np.empty(0, np.int8), 0, True, attempts, tuple(errors), wall_s=time.perf_counter() - started)
         result.verdicts.setflags(write=False)
         results[node] = result
     return results
@@ -587,7 +573,6 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
 def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> dict[str, NodeResult]:
     server = socket.create_server(("127.0.0.1", cfg.port))
     address = server.getsockname()
-    service_errors: dict[str, str] = {}  # per node, the store service's error in its last retried attempt
 
     def serve(conn: socket.socket, node: str, outcome: dict) -> None:
         # Leaves the checked result, or the error that ended the service, in ``outcome``.
@@ -635,11 +620,10 @@ def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel,
                     # Read before this socket closes: an error its close causes is not the store's.
                     if (error := outcome.get("error")) is None:
                         raise
-                    service_errors[node] = error
                     raise TransportError(f"{type(exc).__name__}: {exc}; store service: {error}") from exc
         finally:
             service.join()
-        return outcome["result"], {"error": service_errors.get(node), "frames": channel.frames, "wire_bytes": channel.wire_bytes}
+        return outcome["result"], {"frames": channel.frames, "wire_bytes": channel.wire_bytes}
 
     with server:
         return _run_nodes(cfg, attempt)

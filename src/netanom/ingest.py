@@ -165,12 +165,11 @@ class FlowBatch:
 
     ``columns`` maps each requested column name to the rows' values. A
     numeric column is a float64 array of finite values (see
-    :func:`_as_floats`); any other, or one read under ``keep_text``, is the
-    list of field texts, with one object for each distinct text in the
-    batch. ``truth`` is an int8 array: 1 for attack, 0 for normal, -1 for
-    an empty label field. ``rows`` holds the 1-based data-row numbers, an
-    int64 array. Batches do not compare equal by value: compare their
-    fields.
+    :func:`_as_floats`); any other is the list of field texts, with one
+    object for each distinct text in the batch. ``truth`` is an int8
+    array: 1 for attack, 0 for normal, -1 for an empty label field.
+    ``rows`` holds the 1-based data-row numbers, an int64 array. Batches
+    do not compare equal by value: compare their fields.
     """
 
     columns: dict[str, np.ndarray | list[str]]
@@ -474,16 +473,14 @@ def parse_flow_csv(source, schema: FeatureSchema) -> list[FlowRecord]:
         ]
 
 
-def iter_flow_batches(
-    source, schema: FeatureSchema, columns: Sequence[str], *, keep_text: Iterable[str] = ()
-) -> Iterator[FlowBatch]:
+def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
     """Read a flow CSV as batches of up to :data:`BATCH_ROWS` rows, in file
     order, each holding only ``columns``.
 
     ``source`` is a path (a ``str`` or path-like, never CSV text) or an
     open text stream, and the header, row numbering and label rules are
     those of :func:`_read_rows`. Numeric columns are read as float64 (see
-    :class:`FlowBatch`), except those named in ``keep_text``.
+    :class:`FlowBatch`).
     A plain batch is parsed by ``np.loadtxt``; any other batch, or one with
     a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
     ``csv`` module, a row at a time, and each row is cut down to
@@ -493,18 +490,15 @@ def iter_flow_batches(
     raises :class:`IngestError` naming its file and line.
     """
     with _open_text(source) as (stream, fid):
-        yield from _stream_batches(stream, fid, schema, columns, keep_text)
+        yield from _stream_batches(stream, fid, schema, columns)
 
 
-def _stream_batches(
-    stream, fid: str, schema: FeatureSchema, columns: Sequence[str], keep_text: Iterable[str] = ()
-) -> Iterator[FlowBatch]:
+def _stream_batches(stream, fid: str, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
     """:func:`iter_flow_batches` over an open text stream named ``fid``."""
     names = tuple(dict.fromkeys(columns))  # a name asked for twice is read once
     index = [schema.index_of(name) for name in names]
     positions = dict(zip(names, index))
-    wanted = set(names).difference(keep_text)
-    floats = [name for name in schema.names if name in wanted and schema.kind_of(name) == "numeric"]
+    floats = [name for name in schema.names if name in positions and schema.kind_of(name) == "numeric"]
     # itemgetter returns a bare field, not a 1-tuple, for a single index.
     project = itemgetter(*index) if len(index) > 1 else lambda fields: tuple(fields[i] for i in index)
     # One structured loadtxt read per plain batch: the requested columns and

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -891,6 +893,24 @@ class TestStreamedSimulate:
         assert capsys.readouterr().err == f"error: capture.csv, row {bad}: expected 49 fields, got 48\n"
         assert not out.exists()  # no report, no manifest
 
+    def test_bad_hash_value_named_before_a_later_short_row(self, workspace, schema, tmp_path, capsys):
+        """A bad value in a numeric hash column the model reads is named in
+        file order, before a later short row, as detect names it."""
+        lines = _with_bad_value(_capture_lines(workspace, 20), 2, "smean", "abc", schema)
+        lines[8] = lines[8][: lines[8].rindex(",")]
+        capture = tmp_path / "corner.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        runs = {"detect": _stream_args(workspace, "detect", capture, tmp_path / "detect")}
+        for transport in ("in-process", "loopback-socket"):
+            config = tmp_path / f"{transport}.json"
+            config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "assignment": "hash-of-source",
+                                          "hash_column": "smean", "w": 2.0, "transport": transport}))
+            runs[transport] = _simulate_args(workspace, capture, config, tmp_path / transport)
+        for key, argv in runs.items():
+            assert main(argv) == 1, key
+            assert capsys.readouterr().err == "error: corner.csv, row 2: column 'smean': non-numeric value 'abc'\n", key
+            assert _written(tmp_path / key) == [], key
+
     def test_unlabeled_row_in_a_later_batch_names_it(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
         bad = ingest.BATCH_ROWS + 3
@@ -1067,9 +1087,9 @@ class TestSimulate:
             assert agg["counts"][key] == sum(p[key] for p in parts)
 
     @pytest.mark.parametrize("hash_column", ["dsport", "smean"], ids=["numeric", "numeric-and-modeled"])
-    def test_numeric_hash_column_hashes_field_texts(self, workspace, tmp_path, hash_column):
-        """A numeric source column is hashed by its field texts, as a replay
-        of parsed records hashes it, also when the model reads it."""
+    def test_numeric_hash_column_hashes_values(self, workspace, tmp_path, hash_column):
+        """A numeric source column is hashed by its values, as a replay of
+        parsed records hashes it, also when the model reads it."""
         from netanom._docjson import pretty_dumps
         from netanom.collab import load_simconfig, replay, run_simulation
         from netanom.decision import load_profile
@@ -1092,6 +1112,39 @@ class TestSimulate:
         assert len(reference.per_node_reports) == 3
         for node, report in reference.per_node_reports.items():
             assert (out / f"node_{node}.json").read_text() == pretty_dumps(report_to_doc(report))
+
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    @pytest.mark.parametrize("hash_column", ["dsport", "smean"], ids=["numeric", "numeric-and-modeled"])
+    def test_texts_of_one_value_are_one_source(self, workspace, schema, tmp_path, hash_column, transport):
+        """Texts that parse to one value go to one node: rows 1-18 hold 80,
+        80.0 and 8e1, rows 19-30 hold 0, -0 and -0.0. Hashed by their texts,
+        they would spread over all three nodes."""
+        lines = _capture_lines(workspace, 30)
+        for row in range(1, 31):
+            texts = ("80", "80.0", "8e1") if row <= 18 else ("0", "-0", "-0.0")
+            lines = _with_bad_value(lines, row, hash_column, texts[row % 3], schema)
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        cfg = self._write_cfg(tmp_path / "sim.json", assignment="hash-of-source", hash_column=hash_column, transport=transport)
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, cfg, out)) == 0
+        nodes = json.loads((out / "manifest.json").read_text())["parameters"]["nodes"]
+        assert sorted(doc["n_records"] for doc in nodes.values()) in ([0, 12, 18], [0, 0, 30])
+
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    def test_text_sources_split_by_their_sha256(self, workspace, tmp_path, transport):
+        """The default hash column, srcip, splits the records as the first 8
+        bytes of the sha256 of each text, big-endian, modulo the node count."""
+        cfg = self._write_cfg(tmp_path / "sim.json", assignment="hash-of-source", transport=transport)
+        test = workspace / "split" / "test.csv"
+        with open(test, newline="") as fh:
+            sources = [row["srcip"] for row in csv.DictReader(fh)]
+        expected = Counter("ABC"[int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big") % 3] for text in sources)
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, test, cfg, out)) == 0
+        nodes = json.loads((out / "manifest.json").read_text())["parameters"]["nodes"]
+        assert {node: doc["n_records"] for node, doc in nodes.items()} == expected
+        assert min(expected.values()) > 0
 
     def test_single_node_matches_evaluate(self, workspace, tmp_path):
         cfg = self._write_cfg(tmp_path / "sim1.json", nodes=["solo"])
@@ -1269,7 +1322,7 @@ class TestManifests:
         assert manifest["records"] == 2000 - 720  # sample: 2000 records, 720 normals used for training
 
     def test_simulate_records_each_node(self, workspace, tmp_path):
-        keys = {"attempts", "error", "n_records", "frames", "wire_bytes", "wall_s"}
+        keys = {"attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s"}
         for transport in ("in-process", "loopback-socket"):
             cfg = tmp_path / f"{transport}.json"
             cfg.write_text(json.dumps({
@@ -1291,13 +1344,13 @@ class TestManifests:
                 wall_s = doc.pop("wall_s")
                 assert isinstance(wall_s, float) and wall_s >= 0.0
             assert nodes["C"] == {
-                "attempts": 2, "error": "SimulatedNodeFailure: node 'C': injected crash",
+                "attempts": 2, "errors": ["SimulatedNodeFailure: node 'C': injected crash"] * 2,
                 "n_records": 0, "frames": 0, "wire_bytes": 0,
             }
             for i, node in enumerate("AB"):
                 doc = nodes[node]
                 assert doc["n_records"] == len(range(i, params["records"], 3))  # round-robin share
-                assert doc["attempts"] == 1 and doc["error"] is None
+                assert doc["attempts"] == 1 and doc["errors"] == []
                 if transport == "in-process":
                     assert doc["frames"] == doc["wire_bytes"] == 0
                 else:

@@ -774,7 +774,7 @@ class TestRunSimulation:
         assert not outcome.partial and outcome.failed_nodes == ()
         assert outcome.node_results["B"].attempts == 2
         assert not outcome.node_results["B"].failed
-        assert outcome.node_results["B"].error is None
+        assert outcome.node_results["B"].errors == ("OSError: transient failure",)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
@@ -848,7 +848,7 @@ class TestRunSimulation:
             sys.setswitchinterval(switch)
         loopback = outcomes["loopback-socket"]
         assert [r.attempts for r in loopback.node_results.values()] == [1] * 8
-        assert not any(r.error for r in loopback.node_results.values())
+        assert not any(r.errors for r in loopback.node_results.values())
         for node in cfg.nodes:
             assert_same_verdicts(loopback.node_results[node].verdicts, outcomes["in-process"].node_results[node].verdicts)
 
@@ -906,7 +906,8 @@ class TestRunSimulation:
         # the first connection, whichever node opened it, is the one that failed
         attempts = sorted(r.attempts for r in outcome.node_results.values())
         assert attempts == [1, 1, 2]
-        assert not any(r.failed or r.error for r in outcome.node_results.values())
+        assert not any(r.failed for r in outcome.node_results.values())
+        assert sorted(r.errors for r in outcome.node_results.values()) == [(), (), ("OSError: connection refused",)]
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
 
@@ -929,9 +930,12 @@ class TestRunSimulation:
         assert sent_bad
         b = outcome.node_results["B"]
         assert not b.failed and b.attempts == 2
-        assert b.error == "TransportError: expected hello frame, got 'capture'"
+        # The worker's own reason, with the store service's joined on.
+        (error,) = b.errors
+        assert error.startswith("TransportError: ")
+        assert error.endswith("; store service: TransportError: expected hello frame, got 'capture'")
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
-        assert outcome.node_results["A"].error is None
+        assert outcome.node_results["A"].errors == ()
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
 
@@ -965,7 +969,12 @@ class TestRunSimulation:
         clean = run_simulation(replay(sim_records[:400], cfg, schema), profile, pp, cfg)
         assert sent_bad and not outcome.partial
         assert sorted(r.attempts for r in outcome.node_results.values()) == [1, 2]
-        assert sorted(str(r.error) for r in outcome.node_results.values()) == sorted(["None", str(store_error)])
+        intact, (retried,) = sorted(r.errors for r in outcome.node_results.values())
+        assert intact == ()
+        if store_error is None:  # the worker reads the bad frame while the store waits for its result
+            assert retried == "TransportError: end frame counts None records, 200 received"
+        else:
+            assert retried.startswith("TransportError: ") and retried.endswith(f"; store service: {store_error}")
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_counts == clean.aggregate_counts
@@ -991,7 +1000,9 @@ class TestRunSimulation:
         assert sent_bad and not outcome.partial
         c = outcome.node_results["C"]
         assert (c.attempts, c.counts, c.n_records) == (2, None, 0)
-        assert c.error == "TransportError: result frame counts {'tp': 0, 'tn': 0, 'fp': 0, 'fn': 0} are not null for no records"
+        (error,) = c.errors
+        assert error.startswith("TransportError: ")
+        assert error.endswith("; store service: TransportError: result frame counts {'tp': 0, 'tn': 0, 'fp': 0, 'fn': 0} are not null for no records")
         assert [outcome.node_results[n].attempts for n in ("A", "B")] == [1, 1]
         assert outcome.per_node_reports == clean.per_node_reports and "C" not in outcome.per_node_reports
         assert outcome.aggregate_report == clean.aggregate_report
@@ -1020,6 +1031,7 @@ class TestRunSimulation:
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert sent_bad and not outcome.partial
         assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 2, 1]
+        assert outcome.node_results["B"].errors == ("TransportError: interval frame texts are not all strings",)
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_counts == clean.aggregate_counts
@@ -1045,7 +1057,8 @@ class TestRunSimulation:
         assert b.attempts == 2
         if always:
             assert b.failed and outcome.failed_nodes == ("B",)
-            assert b.error.startswith("TransportError: end frame counts 200 records, ")
+            assert len(b.errors) == 2
+            assert all(error.startswith("TransportError: end frame counts 200 records, ") for error in b.errors)
             return
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert not b.failed and not outcome.partial
@@ -1076,7 +1089,8 @@ class TestRunSimulation:
         assert corrupted and b.attempts == 2
         if always:
             assert b.failed and outcome.failed_nodes == ("B",)
-            assert b.error.startswith("TransportError: ") and "frame body holds" in b.error
+            assert len(b.errors) == 2
+            assert all(error.startswith("TransportError: ") and "frame body holds" in error for error in b.errors)
             return
         clean = run_simulation(_replay_batches(sim_capture, pp, cfg), profile, pp, cfg)
         assert not b.failed and not outcome.partial

@@ -542,10 +542,10 @@ def _same_column(a, b):
     return list(a) == list(b)
 
 
-def _read_batches(text, columns, keep_text):
+def _read_batches(text, columns):
     batches, error = [], None
     try:
-        for batch in iter_flow_batches(io.StringIO(text, newline=""), WIDE, columns, keep_text=keep_text):
+        for batch in iter_flow_batches(io.StringIO(text, newline=""), WIDE, columns):
             batches.append(batch)
     except ParseError as exc:
         error = str(exc)
@@ -560,23 +560,22 @@ class TestPlainReader:
         text=_captures(),
         batch_rows=st.sampled_from([1, 2, 3, 8192]),
         columns=st.sampled_from([(), ("bytes",), ("rate", "proto"), ("proto", "bytes", "rate", "label")]),
-        keep_text=st.sampled_from([(), ("bytes",)]),
     )
     # The known traps, each tried on every run.
-    @example(text="tcp,1,2,0\nudp,1,2,0,n,x\n", batch_rows=8192, columns=("bytes",), keep_text=())  # ragged
-    @example(text="tcp,\x1c6,2,0,n\n", batch_rows=8192, columns=("bytes",), keep_text=())  # float() rejects
-    @example(text="tcp,1_0,\u0663,0,n\n", batch_rows=8192, columns=("bytes", "rate"), keep_text=())  # loadtxt rejects
-    @example(text="tcp,1,nan,0,n\nudp,2,1e999,1,n\n", batch_rows=1, columns=("rate",), keep_text=())  # non-finite
-    @example(text="tcp,1,2,0,n\r\nudp,2,1,1,n\n", batch_rows=8192, columns=("proto",), keep_text=())
-    @example(text="tcp,x,2,0,n\nudp,1\n", batch_rows=8192, columns=("bytes",), keep_text=())  # bad field before a short row
-    @example(text="tcp,1,2,0,n\nudp,y,z,0,n\n", batch_rows=8192, columns=("rate", "bytes"), keep_text=())  # file's column order
+    @example(text="tcp,1,2,0\nudp,1,2,0,n,x\n", batch_rows=8192, columns=("bytes",))  # ragged
+    @example(text="tcp,\x1c6,2,0,n\n", batch_rows=8192, columns=("bytes",))  # float() rejects
+    @example(text="tcp,1_0,\u0663,0,n\n", batch_rows=8192, columns=("bytes", "rate"))  # loadtxt rejects
+    @example(text="tcp,1,nan,0,n\nudp,2,1e999,1,n\n", batch_rows=1, columns=("rate",))  # non-finite
+    @example(text="tcp,1,2,0,n\r\nudp,2,1,1,n\n", batch_rows=8192, columns=("proto",))
+    @example(text="tcp,x,2,0,n\nudp,1\n", batch_rows=8192, columns=("bytes",))  # bad field before a short row
+    @example(text="tcp,1,2,0,n\nudp,y,z,0,n\n", batch_rows=8192, columns=("rate", "bytes"))  # file's column order
     @example(text="\nproto,bytes,rate,label,note\ntcp,1,2,0,n\nproto,bytes,rate,label,note\n", batch_rows=1,
-             columns=("proto",), keep_text=())  # the header is decided once
-    def test_batches_equal_the_csv_reading(self, text, batch_rows, columns, keep_text):
+             columns=("proto",))  # the header is decided once
+    def test_batches_equal_the_csv_reading(self, text, batch_rows, columns):
         with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
-            got, error = _read_batches(text, columns, keep_text)
+            got, error = _read_batches(text, columns)
             with mock.patch.object(ingest._LineBatches, "is_plain", lambda self, lines: False):
-                exact, exact_error = _read_batches(text, columns, keep_text)
+                exact, exact_error = _read_batches(text, columns)
 
         # The oracle: _read_rows over the whole text, cut into batches. The
         # read fails at the first row of the wrong width, or at the first
@@ -587,7 +586,7 @@ class TestPlainReader:
             rows.extend(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
         except ParseError as exc:
             oracle_error = str(exc)
-        floats = [name for name in WIDE.names if name in columns and WIDE.kind_of(name) == "numeric" and name not in keep_text]
+        floats = [name for name in WIDE.names if name in columns and WIDE.kind_of(name) == "numeric"]
         for k, (row, _, fields) in enumerate(rows):
             bad = [(name, reason) for name in floats if (reason := _bad_value(fields[WIDE.index_of(name)]))]
             if bad:
@@ -683,8 +682,7 @@ class TestPlainReader:
 
     def test_text_columns_hold_one_object_per_distinct_text(self, monkeypatch):
         """In a plain batch and in one the csv reader reads, every text
-        column (a ``keep_text`` one included) holds one object for each
-        distinct text. Every text is longer than one character: CPython
+        column holds one object for each distinct text. Every text is longer than one character: CPython
         shares one-character strings anyway."""
         plain = ["tcp,10,1.5,0,aa\n", "udp,20,2.5,1,bb\n", "tcp,10,3.5,0,aa\n", "tcp,20,4.5,0,aa\n"]
         quoted = ['"tcp",10,5.5,0,aa\n', "udp,10,6.5,1,bb\n", "udp,20,5.5,0,bb\n", "tcp,10,6.5,0,aa\n"]
@@ -699,13 +697,13 @@ class TestPlainReader:
         monkeypatch.setattr(ingest, "BATCH_ROWS", 4)
         text = "".join(plain + quoted)
         columns = ("proto", "bytes", "rate", "note")
-        batches, error = _read_batches(text, columns, keep_text=("bytes",))
+        batches, error = _read_batches(text, columns)
         assert error is None and plain_checks == [True, False]
         reference = list(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
         assert [len(b) for b in batches] == [4, 4]
-        assert all(isinstance(batch.columns["rate"], np.ndarray) for batch in batches)
+        assert all(isinstance(batch.columns[name], np.ndarray) for batch in batches for name in ("bytes", "rate"))
         for batch, want in zip(batches, (reference[:4], reference[4:])):
-            for name in ("proto", "bytes", "note"):
+            for name in ("proto", "note"):
                 column = batch.columns[name]
                 assert column == [fields[WIDE.index_of(name)] for _, _, fields in want], name
                 assert {type(t) for t in column} == {str}, name
