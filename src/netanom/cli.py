@@ -44,6 +44,7 @@ from .evaluation import EvaluationError, render_table, report_to_doc, roc_csv, s
 from .gmm import EmConfig, GmmError
 from .ingest import (
     IngestError,
+    SampleError,
     SamplePlan,
     _read_ahead,
     copy_rows,
@@ -231,11 +232,9 @@ def _sibling(path: Path, tag: str) -> Path:
 def _cmd_sample(args, parser) -> int:
     started = time.perf_counter()
     schema = _load_schema_arg(args.schema)
-    # Pass 1 reads the truths alone; pass 2 copies the chosen rows.
-    truth = np.concatenate(
-        [np.empty(0, dtype=np.int8)]
-        + [batch.truth for path in args.input for batch in iter_flow_batches(Path(path), schema, ())]
-    )
+    # Pass 1 reads the truths alone, up to the first unlabeled row; pass 2 copies the chosen rows.
+    batches = (batch for path in args.input for batch in iter_flow_batches(Path(path), schema, ()))
+    truth = np.concatenate([np.empty(0, dtype=np.int8)] + [_labeled(batch, SampleError, "sampling needs labeled data") for batch in batches])
     plan = SamplePlan(args.size, args.normal_frac, args.train_frac, args.seed)
     train_ids, test_ids = stratified_indices(truth, plan)
 
@@ -390,19 +389,22 @@ def _cmd_detect(args, parser) -> int:
     return 0
 
 
+def _labeled(batch, error: type[Exception], need: str) -> np.ndarray:
+    """``batch``'s truths; its first unlabeled row raises ``error``, naming the row and the ``need``."""
+    unlabeled = np.flatnonzero(batch.truth < 0)
+    if unlabeled.size:
+        raise error(f"unlabeled row: {batch.file_id} row {batch.rows[unlabeled[0]]}; {need}")
+    return batch.truth
+
+
 def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray]:
     """Scores and truths of every row of a labeled capture, which must have
     rows. Only the scores and truths outlive their batch."""
     scores, truths = [], []
     with _scored_batches(path, profile, preprocess) as scored:
         for batch, batch_scores in scored:
-            unlabeled = np.flatnonzero(batch.truth < 0)
-            if unlabeled.size:
-                raise EvaluationError(
-                    f"unlabeled row: {batch.file_id} row {batch.rows[unlabeled[0]]}; metrics need ground truth"
-                )
+            truths.append(_labeled(batch, EvaluationError, "metrics need ground truth"))
             scores.append(batch_scores)
-            truths.append(batch.truth)
     if not scores:
         raise EvaluationError("test file has no records")
     return np.concatenate(scores), np.concatenate(truths)

@@ -3,34 +3,35 @@
 A replay reads one capture file as :class:`~netanom.ingest.FlowBatch`es,
 assigns each record to a named node and builds, once, one stream per node
 of the topology: a batch of that node's records in file order (empty for a
-node without records); a record's seq is its 1-based position in its
-node's stream. Each node then independently preprocesses and classifies
-exactly its own stream, one interval (a slice of ``interval_size``
-records) at a time, against one shared normal profile; a coordinator sums
-the per-node confusion counts. Nodes never exchange verdicts: sharing
-stops at the capture layer, so partitioning can never change outcomes.
+node without records). Each node then independently preprocesses and
+classifies exactly its own stream, one interval (a slice of
+``interval_size`` records) at a time, against one shared normal profile,
+and returns only its verdicts. The runner counts them against the
+stream's truths, once for both transports, and sums the per-node counts.
+Nodes never exchange verdicts: sharing stops at the capture layer, so
+partitioning can never change outcomes.
 
 One runner runs the nodes in turn, in ``cfg.nodes`` order, on the calling
 thread, and retries each node's attempt; the two transports differ only in
-how an attempt fetches the node's stream.
-A stream is cut into intervals, batches that carry only what a node reads:
-the columns the preprocessing model reads (``PreprocessModel.columns``),
-numeric ones as float64 values and the others as field texts, plus each
-record's truth and row number. Both transports hand the same classify
-function these intervals, each node still encodes and standardizes them,
-and scoring is record-local, so their reports are identical byte for byte.
-In-process, an interval is handed over as is. Over loopback, each attempt
-opens one TCP connection to the run's listener, accepts it itself and
-serves the node's stream on one store-service thread, which it joins
-before it returns. The frames are length-prefixed:
+how an attempt fetches the node's stream, cut into intervals that carry
+only what a node reads: the columns the preprocessing model reads
+(``PreprocessModel.columns``), numeric ones as float64 values and the
+others as field texts, and each record's row number. Each node encodes and
+standardizes them, and scoring is record-local, so the transports' reports
+are identical byte for byte. In-process, an interval is handed over as
+is. Over loopback, each attempt opens one TCP connection to the run's
+listener, accepts it itself and serves the node's stream on one
+store-service thread, which it joins before it returns. The truths stay
+with the store: the worker's intervals have truth -1 (unknown). The
+frames are length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
 
     worker -> store   hello     {node}
-    store -> worker   interval  {file, n, columns, texts} + floats + rows (<i8) + truths (i1), ...
+    store -> worker   interval  {file, n, columns, texts} + floats + rows (<i8), ...
     store -> worker   end       {count}
-    worker -> store   result    {counts, n} + verdicts (i1)
+    worker -> store   result    {n} + verdicts (i1)
     store -> worker   ack
 
 Each header also holds its ``type``, which fixes the body: one raw
@@ -38,15 +39,15 @@ little-endian buffer of ``n`` values per entry above, and none for the
 frames without ``n``. ``texts`` maps each column that is not numeric to
 its field texts; every numeric one of ``columns`` travels as an ``<f8``
 buffer, in ``columns`` order, so a float reads back with the same bits.
-``counts`` is null exactly for a node without records. An interval frame
-is one interval, in stream order; an interval whose frame would pass
-``_MAX_FRAME`` is halved until each part fits. The worker classifies each
-frame as it arrives and checks ``end.count`` against the records it
-received. A frame that does not fit its layout, a numeric column sent as
-texts included, raises a retryable :class:`TransportError`. Truth labels
-are checked once, up front, for both transports: an unlabeled record fails
-the run, naming the file's first one. A bad numeric value never reaches a
-node: the read that builds the streams fails on it.
+An interval frame is one interval, in stream order; an interval whose
+frame would pass ``_MAX_FRAME`` is halved until each part fits. The worker
+classifies each frame as it arrives and checks ``end.count``; the store
+checks that the result holds one 0/1 verdict per record. A frame that does
+not fit its layout, a numeric column sent as texts included, raises a
+retryable :class:`TransportError`. Truth labels are checked once, up
+front: an unlabeled record fails the run, naming the file's first one. A
+bad numeric value never reaches a node: the read that builds the streams
+fails on it.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -62,7 +63,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -312,15 +313,18 @@ class NodeResult:
     ``wall_s`` is the node's wall time over all its attempts, in seconds."""
 
     node: str
-    counts: ConfusionCounts | None
+    counts: ConfusionCounts | None  # None for a node without records or a failed one
     verdicts: np.ndarray  # read-only int8, one 0/1 verdict per record in stream order
-    n_records: int
     failed: bool
     attempts: int
     errors: tuple[str, ...] = ()
     frames: int = 0
     wire_bytes: int = 0
     wall_s: float = 0.0
+
+    @property
+    def n_records(self) -> int:
+        return len(self.verdicts)
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,10 @@ class SimulationOutcome:
     aggregate_counts: ConfusionCounts
     aggregate_report: MetricsReport
     failed_nodes: tuple[str, ...]
-    partial: bool
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.failed_nodes)
 
 
 def _intervals(stream: FlowBatch, preprocess: PreprocessModel, size: int) -> Iterator[FlowBatch]:
@@ -347,20 +354,14 @@ def _classify_intervals(
     preprocess: PreprocessModel,
     profile: NormalProfile,
     det: DetectionConfig,
-) -> tuple[ConfusionCounts | None, np.ndarray]:
+) -> np.ndarray:
     """Classify one node's stream, one interval at a time as the
-    intervals arrive, into the node's result: its counts (None without
-    records) and its verdicts."""
-    verdicts: list[np.ndarray] = []
-    counts = ConfusionCounts(0, 0, 0, 0)
-    for interval in intervals:
-        flagged = classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det).astype(np.int8)
-        verdicts.append(flagged)
-        counts = counts + confusion(flagged, interval.truth)
-    return (counts, np.concatenate(verdicts)) if verdicts else (None, np.empty(0, dtype=np.int8))
+    intervals arrive, into its int8 0/1 verdicts, in stream order."""
+    flagged = [classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det) for interval in intervals]
+    return np.concatenate([np.empty(0, np.int8), *flagged])  # bool masks join as int8
 
 
-_F8, _I8, _I1 = np.dtype("<f8"), np.dtype("<i8"), np.dtype("i1")  # floats, row numbers, truths and verdicts
+_F8, _I8, _I1 = np.dtype("<f8"), np.dtype("<i8"), np.dtype("i1")  # floats, row numbers, verdicts
 
 
 def _encode_frame(header: dict, *arrays: np.ndarray) -> bytes:
@@ -421,7 +422,7 @@ def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
             raise TypeError(f"column {name!r}: a {column.dtype} array of shape {column.shape} has no wire form")
     n = len(interval)
     header = {"type": "interval", "file": interval.file_id, "n": n, "columns": list(interval.columns), "texts": texts}
-    data = _encode_frame(header, *arrays, np.ascontiguousarray(interval.rows, _I8), np.ascontiguousarray(interval.truth, _I1))
+    data = _encode_frame(header, *arrays, np.ascontiguousarray(interval.rows, _I8))
     if len(data) - 4 <= _MAX_FRAME:
         yield data
     elif n == 1:
@@ -436,8 +437,9 @@ def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
 
 def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowBatch:
     """The interval an interval frame carries: its columns that are numeric
-    in ``schema`` as float64 and the others as texts. A field that is
-    missing or does not fit the layout raises :class:`TransportError`."""
+    in ``schema`` as float64 and the others as texts, each record's truth
+    -1 (unknown). A field that is missing or does not fit the layout
+    raises :class:`TransportError`."""
     names, texts, file_id = header.get("columns"), header.get("texts"), header.get("file")
     if not isinstance(file_id, str):
         raise TransportError(f"interval frame file {file_id!r} is not a string")
@@ -446,43 +448,21 @@ def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowB
     numeric = {column.name for column in schema.columns if column.kind == "numeric"}
     if not isinstance(texts, dict) or set(texts) != set(names) - numeric:
         raise TransportError(f"interval frame texts do not map exactly its text columns {sorted(set(names) - numeric)}")
-    *floats, rows, truth = _body(header, body, "interval", *[_F8] * (len(names) - len(texts)), _I8, _I1)
+    *floats, rows = _body(header, body, "interval", *[_F8] * (len(names) - len(texts)), _I8)
     if not all(isinstance(column, list) and len(column) == len(rows) for column in texts.values()):
         raise TransportError(f"interval frame texts are not lists of its {len(rows)} records")
     if not all(set(map(type, column)) <= {str} for column in texts.values()):
         raise TransportError("interval frame texts are not all strings")
     floats = iter(floats)
-    return FlowBatch({name: texts[name] if name in texts else next(floats) for name in names}, truth, file_id, rows)
+    return FlowBatch({name: texts[name] if name in texts else next(floats) for name in names}, np.full(len(rows), -1, np.int8), file_id, rows)
 
 
-def _result_of(header: dict, body: memoryview) -> tuple[ConfusionCounts | None, np.ndarray]:
-    """A result frame's counts and verdicts. ``counts`` is null exactly
-    when ``n`` is 0, else four counts that sum to ``n``; other counts raise
-    :class:`TransportError`."""
-    (verdicts,) = _body(header, body, "result", _I1)
-    counts = header.get("counts")
-    if not len(verdicts) and counts is not None:
-        raise TransportError(f"result frame counts {counts!r} are not null for no records")
-    if len(verdicts) and not (
-        isinstance(counts, dict)
-        and sorted(counts) == ["fn", "fp", "tn", "tp"]
-        and all(type(count) is int and count >= 0 for count in counts.values())
-        and sum(counts.values()) == len(verdicts)
-    ):
-        raise TransportError(f"result frame counts {counts!r} do not sum to its {len(verdicts)} records")
-    return (None if counts is None else ConfusionCounts(**counts)), verdicts
-
-
-def _check_result(counts: ConfusionCounts | None, verdicts: np.ndarray, truth: np.ndarray) -> None:
-    """Raise :class:`TransportError` unless a result holds one 0/1 verdict
-    per record of the node's stream and counts them against the store's
-    ``truth``."""
-    if len(verdicts) != len(truth):
-        raise TransportError(f"result frame holds {len(verdicts)} verdicts for a stream of {len(truth)} records")
+def _check_result(verdicts: np.ndarray, n: int) -> None:
+    """Raise :class:`TransportError` unless ``verdicts`` holds one 0/1 value per record of an ``n``-record stream."""
+    if len(verdicts) != n:
+        raise TransportError(f"result frame holds {len(verdicts)} verdicts for a stream of {n} records")
     if not np.isin(verdicts, (0, 1)).all():
         raise TransportError("result frame verdicts are not all 0 or 1")
-    if len(truth) and counts != (actual := confusion(verdicts, truth)):
-        raise TransportError(f"result frame counts {asdict(counts)} are not its verdicts' {actual}")
 
 
 class _Channel:
@@ -542,10 +522,11 @@ def _received_intervals(channel: _Channel, schema: FeatureSchema) -> Iterator[Fl
 _RETRYABLE = (SimulatedNodeFailure, TransportError, OSError)
 
 
-def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
+def _run_nodes(cfg: SimulationConfig, streams: Mapping[str, FlowBatch], attempt) -> dict[str, NodeResult]:
     """Run ``attempt(node)`` for each node of ``cfg.nodes`` in turn, on the
     calling thread, retrying a retryable failure up to ``cfg.retry_budget``
-    times (crash-stop). ``attempt`` returns the node's counts and verdicts
+    times (crash-stop), and count the verdicts against the truths of the
+    node's stream in ``streams``. ``attempt`` returns the node's verdicts
     (see :func:`_classify_intervals`) and a dict of the wire's
     ``NodeResult`` fields (empty in-process). Any other exception, a data
     error, propagates at once; the results follow ``cfg.nodes`` order."""
@@ -553,20 +534,19 @@ def _run_nodes(cfg: SimulationConfig, attempt) -> dict[str, NodeResult]:
     for node in cfg.nodes:
         started = time.perf_counter()
         errors: list[str] = []
+        verdicts, wire = np.empty(0, np.int8), {}
         for attempts in range(1, cfg.retry_budget + 2):
             try:
                 if node in cfg.fail_nodes:
                     raise SimulatedNodeFailure(f"node {node!r}: injected crash")
-                (counts, verdicts), wire = attempt(node)
+                verdicts, wire = attempt(node)
+                break
             except _RETRYABLE as exc:
                 errors.append(f"{type(exc).__name__}: {exc}")
-                continue
-            result = NodeResult(node, counts, verdicts, len(verdicts), False, attempts, tuple(errors), wall_s=time.perf_counter() - started, **wire)
-            break
-        else:
-            result = NodeResult(node, None, np.empty(0, np.int8), 0, True, attempts, tuple(errors), wall_s=time.perf_counter() - started)
-        result.verdicts.setflags(write=False)
-        results[node] = result
+        failed = len(errors) == attempts  # every attempt failed
+        verdicts.setflags(write=False)
+        counts = confusion(verdicts, streams[node].truth) if len(verdicts) else None
+        results[node] = NodeResult(node, counts, verdicts, failed, attempts, tuple(errors), wall_s=time.perf_counter() - started, **wire)
     return results
 
 
@@ -589,14 +569,14 @@ def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel,
                     for data in _interval_frames(interval):
                         channel.send_encoded(data)
                 channel.send({"type": "end", "count": len(stream)})
-                result = _result_of(*channel.recv())
-                _check_result(*result, stream.truth)
-                outcome["result"] = result
+                (verdicts,) = _body(*channel.recv(), "result", _I1)
+                _check_result(verdicts, len(stream))
+                outcome["verdicts"] = verdicts
                 channel.send({"type": "ack"})
             except Exception as exc:  # recorded before the close the worker sees
                 outcome["error"] = f"{type(exc).__name__}: {exc}"
 
-    def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
+    def attempt(node: str) -> tuple[np.ndarray, dict]:
         # Attempts run one at a time, so the connection accepted is this one.
         sock = socket.create_connection(address, timeout=_SOCKET_TIMEOUT)
         try:
@@ -613,8 +593,8 @@ def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel,
                 try:
                     channel.send({"type": "hello", "node": node})
                     intervals = _received_intervals(channel, preprocess.schema)
-                    counts, verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
-                    channel.send({"type": "result", "counts": None if counts is None else asdict(counts), "n": len(verdicts)}, verdicts)
+                    verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
+                    channel.send({"type": "result", "n": len(verdicts)}, verdicts)
                     _body(*channel.recv(), "ack")
                 except _RETRYABLE as exc:
                     # Read before this socket closes: an error its close causes is not the store's.
@@ -623,10 +603,10 @@ def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel,
                     raise TransportError(f"{type(exc).__name__}: {exc}; store service: {error}") from exc
         finally:
             service.join()
-        return outcome["result"], {"frames": channel.frames, "wire_bytes": channel.wire_bytes}
+        return outcome["verdicts"], {"frames": channel.frames, "wire_bytes": channel.wire_bytes}
 
     with server:
-        return _run_nodes(cfg, attempt)
+        return _run_nodes(cfg, streams, attempt)
 
 
 def run_simulation(
@@ -660,11 +640,11 @@ def run_simulation(
         raise SimulationError(f"unlabeled row: {file_id} row {row}; metrics need ground truth")
     if cfg.transport == "in-process":
 
-        def attempt(node: str) -> tuple[tuple[ConfusionCounts | None, np.ndarray], dict]:
+        def attempt(node: str) -> tuple[np.ndarray, dict]:
             intervals = _intervals(streams[node], preprocess, cfg.interval_size)
             return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node)), {}
 
-        results = _run_nodes(cfg, attempt)
+        results = _run_nodes(cfg, streams, attempt)
     else:
         results = _run_loopback(streams, preprocess, profile, cfg)
 
@@ -680,5 +660,4 @@ def run_simulation(
         aggregate_counts=aggregate,
         aggregate_report=metrics(aggregate, w=node_ws.pop() if len(node_ws) == 1 else None),
         failed_nodes=failed,
-        partial=bool(failed),
     )

@@ -12,7 +12,7 @@ an empty class usually means the sampling is broken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -147,12 +147,7 @@ def report_to_doc(report: MetricsReport) -> dict:
         "accuracy": report.accuracy,
         "detection_rate": report.detection_rate,
         "false_positive_rate": report.false_positive_rate,
-        "counts": {
-            "tp": report.counts.tp,
-            "tn": report.counts.tn,
-            "fp": report.counts.fp,
-            "fn": report.counts.fn,
-        },
+        "counts": asdict(report.counts),  # tp, tn, fp, fn: the field order
     }
 
 
@@ -192,10 +187,7 @@ def summarize_reports(reports: Sequence[MetricsReport]) -> dict:
     across per-sample reports, labeled as such."""
     if not reports:
         raise EvaluationError("nothing to summarize")
-    pooled = reports[0].counts
-    for rep in reports[1:]:
-        pooled = pooled + rep.counts
-    micro = metrics(pooled)
+    micro = metrics(sum((rep.counts for rep in reports[1:]), reports[0].counts))
 
     def _mean(values: list[float]) -> float | None:
         return sum(values) / len(values) if values else None

@@ -135,6 +135,22 @@ class TestSample:
             "--size", "10", "--out", str(tmp_path / "out"),
         ]) == 1
 
+    @pytest.mark.parametrize("inputs", [1, 2])
+    def test_unlabeled_row_is_named(self, workspace, tmp_path, monkeypatch, capsys, inputs):
+        """An empty label at data row 500, in a later batch, names its file
+        and row, also when that file is the second input."""
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 64)
+        lines = (workspace / "data.csv").read_text().splitlines()
+        lines[500] = lines[500][: lines[500].rindex(",") + 1]  # empty label field
+        capture = tmp_path / "cap.csv"
+        capture.write_text("\n".join(lines) + "\n")
+        paths = [workspace / "data.csv", capture][-inputs:]
+        out = tmp_path / "out"
+        argv = ["sample", "--input", *map(str, paths), "--schema", str(workspace / "schema.json"), "--size", "100", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unlabeled row: cap.csv row 500; sampling needs labeled data\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, workspace):

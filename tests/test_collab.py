@@ -305,15 +305,16 @@ class TestNodeStreams:
                 assert list(header) == ["type", "file", "n", "columns", "texts"]
                 assert header["type"] == "interval"
                 assert tuple(header["columns"]) == pp.columns
-                # texts only for the text columns; the body is the float64 columns, the rows and the truths
+                # texts only for the text columns; the body is the float64 columns and the rows, no truths
                 floats = [name for name in pp.columns if schema.kind_of(name) == "numeric"]
                 assert list(header["texts"]) == [name for name in pp.columns if name not in floats]
-                assert len(body) == (8 * len(floats) + 9) * header["n"]
+                assert len(body) == (8 * len(floats) + 8) * header["n"]
                 parts.append(_lists(collab._interval_of(header, body, schema)))
             assert (len(frames) > 1) == splits
             decoded = _joined(parts)
-            assert decoded == _stream(run, schema, pp.columns)
-            assert decoded == _lists(interval)
+            # the worker is not told the labels: every truth comes back -1 (unknown)
+            assert decoded == {**_stream(run, schema, pp.columns), "truth": [-1] * len(run)}
+            assert decoded == {**_lists(interval), "truth": [-1] * len(interval)}
 
     @pytest.mark.parametrize("mode", ["table1", "pca:3"])
     def test_frames_carry_the_model_columns(self, sim_records, schema, fitted, fitted_pca, mode):
@@ -378,17 +379,16 @@ class TestFrameCodec:
         assert got.dtype == np.dtype("<f8") and not got.flags.writeable
         assert got.view(np.uint64).tolist() == column.view(np.uint64).tolist()
         assert decoded.columns["proto"] == ["tcp"] * len(values)
-        assert decoded.truth.tolist() == [i % 2 for i in range(len(values))]
+        assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [-1] * len(values)
 
     def test_every_wire_dtype_roundtrips(self):
         interval = FlowBatch({"x": np.array([0.5, -2.0, 1e300])}, np.array([1, 0, -1], dtype=np.int8), "f", np.array([2, 2**40, 7]))
         decoded = collab._interval_of(*collab._decode_frame(_payload(interval)), _CODEC_SCHEMA)
         assert decoded.columns["x"].dtype == np.dtype("<f8") and decoded.columns["x"].tolist() == [0.5, -2.0, 1e300]
         assert decoded.rows.dtype == np.dtype("<i8") and decoded.rows.tolist() == [2, 2**40, 7]
-        assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [1, 0, -1]
-        result = {"type": "result", "counts": {"tp": 1, "tn": 0, "fp": 1, "fn": 1}, "n": 3}
-        counts, verdicts = collab._result_of(*collab._decode_frame(collab._encode_frame(result, np.array([1, 0, 1], dtype=np.int8))[4:]))
-        assert counts == ConfusionCounts(tp=1, tn=0, fp=1, fn=1)
+        assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [-1, -1, -1]  # truths stay with the store
+        payload = collab._encode_frame({"type": "result", "n": 3}, np.array([1, 0, 1], dtype=np.int8))[4:]
+        (verdicts,) = collab._body(*collab._decode_frame(payload), "result", collab._I1)
         assert verdicts.dtype == np.dtype("i1") and verdicts.tolist() == [1, 0, 1]
 
     def test_arrays_without_a_wire_form_rejected(self):
@@ -401,9 +401,10 @@ class TestFrameCodec:
         [
             (lambda p: p[:3], "has no header length"),
             (lambda p: struct.pack(">I", len(p)) + p[4:], "runs past the"),
-            (lambda p: p[:-1], "frame body holds 271 bytes, its header declares 272"),
-            (lambda p: p + b"\0", "frame body holds 273 bytes, its header declares 272"),
-            (lambda p: _reframe(p, _set("n", 15)), "frame body holds 272 bytes, its header declares 255"),
+            # the body is x's 16 floats (128 bytes) and the 16 rows (128 bytes)
+            (lambda p: p[:-1], "frame body holds 255 bytes, its header declares 256"),
+            (lambda p: p + b"\0", "frame body holds 257 bytes, its header declares 256"),
+            (lambda p: _reframe(p, _set("n", 15)), "frame body holds 256 bytes, its header declares 240"),
             (lambda p: _reframe(p, _set("n", -1)), "n=-1 records"),
             (lambda p: _reframe(p, _set("n", 1.5)), "n=1.5 records"),
             (lambda p: _reframe(p, lambda h: h.pop("n")), "n=None records"),
@@ -433,55 +434,53 @@ class TestFrameCodec:
     @pytest.mark.parametrize(
         "edit",
         [
-            # the body holds x (bytes 0-23), the rows (24-47) and the truths (48-50)
-            lambda p: _reframe(p, cut=lambda b: b[:40] + b[48:]),
+            # the body holds x (bytes 0-23) and the rows (24-47)
+            lambda p: _reframe(p, cut=lambda b: b[:40]),
             lambda p: _reframe(p, cut=lambda b: b[:16] + b[24:]),
-            lambda p: _reframe(p, cut=lambda b: b[:48]),
+            lambda p: _reframe(p, cut=lambda b: b[:24]),
             lambda p: _reframe(p, lambda h: h.pop("file")),
-            lambda p: _reframe(p, _set("rows", [1, 2, 3]), cut=lambda b: b[:24] + b[48:]),
+            lambda p: _reframe(p, _set("rows", [1, 2, 3]), cut=lambda b: b[:24]),
             lambda p: _reframe(p, _set("file", 7)),
         ],
-        ids=["origin", "column", "no-truth", "no-file", "rows-in-the-header", "file-not-a-string"],
+        ids=["origin", "column", "no-rows", "no-file", "rows-in-the-header", "file-not-a-string"],
     )
     def test_inconsistent_interval_frame_raises_transport_error(self, edit):
         payload = _payload(_interval({"x": np.arange(3.0)}))
         interval = collab._interval_of(*collab._decode_frame(payload), _CODEC_SCHEMA)
-        assert _lists(interval) == {"columns": {"x": [0.0, 1.0, 2.0]}, "truth": [0, 1, 0], "file_id": "f", "rows": [1, 2, 3]}
+        assert _lists(interval) == {"columns": {"x": [0.0, 1.0, 2.0]}, "truth": [-1, -1, -1], "file_id": "f", "rows": [1, 2, 3]}
         with pytest.raises(TransportError):
             collab._interval_of(*collab._decode_frame(edit(payload)), _CODEC_SCHEMA)
 
     @pytest.mark.parametrize(
-        "counts, n, message",
+        "n, message",
         [
-            ({"tp": 1}, 1, "counts {'tp': 1} do not sum to its 1 records"),
-            ({"tp": 1, "tn": 1, "fp": 0, "fn": 0}, 1, "do not sum to its 1 records"),
-            ({"tp": 2, "tn": -1, "fp": 0, "fn": 0}, 1, "do not sum to its 1 records"),
-            ({"tp": 1.0, "tn": 0, "fp": 0, "fn": 0}, 1, "do not sum to its 1 records"),
-            ([1, 0, 0, 0], 1, "do not sum to its 1 records"),
-            (None, 1, "counts None do not sum to its 1 records"),
-            ({"tp": 1, "tn": 0, "fp": 0, "fn": 0}, "1", "result frame counts n='1' records"),
-            ({"tp": 1, "tn": 0, "fp": 0, "fn": 0}, 2, "result frame body holds 1 bytes, its header declares 2"),
+            ("1", "result frame counts n='1' records"),
+            (-1, "result frame counts n=-1 records"),
+            (None, "result frame counts n=None records"),
+            (2, "result frame body holds 1 bytes, its header declares 2"),
+            (0, "result frame body holds 1 bytes, its header declares 0"),
         ],
     )
-    def test_bad_result_frame_raises_retryable_transport_error(self, counts, n, message):
-        payload = collab._encode_frame({"type": "result", "counts": counts, "n": n}, np.ones(1, dtype=np.int8))[4:]
+    def test_bad_result_frame_raises_retryable_transport_error(self, n, message):
+        header = {"type": "result"} if n is None else {"type": "result", "n": n}
+        payload = collab._encode_frame(header, np.ones(1, dtype=np.int8))[4:]
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
-            collab._result_of(*collab._decode_frame(payload))
+            collab._body(*collab._decode_frame(payload), "result", collab._I1)
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
     @pytest.mark.parametrize(
-        "verdicts, counts, message",
+        "verdicts, n, message",
         [
-            ([1, 0], {"tp": 1, "tn": 1, "fp": 0, "fn": 0}, "holds 2 verdicts for a stream of 3 records"),
-            ([1, 0, 2], {"tp": 1, "tn": 1, "fp": 0, "fn": 1}, "verdicts are not all 0 or 1"),
-            ([1, 0, 0], {"tp": 2, "tn": 1, "fp": 0, "fn": 0}, "are not its verdicts' ConfusionCounts(tp=1, tn=1, fp=0, fn=1)"),
+            ([1, 0], 3, "holds 2 verdicts for a stream of 3 records"),
+            ([1, 0, 2], 3, "verdicts are not all 0 or 1"),
+            ([0], 0, "holds 1 verdicts for a stream of 0 records"),
         ],
     )
-    def test_result_checked_against_the_store_truths(self, verdicts, counts, message):
-        truth = np.array([1, 0, 1], dtype=np.int8)
-        collab._check_result(ConfusionCounts(tp=1, tn=1, fp=0, fn=1), np.array([1, 0, 0], dtype=np.int8), truth)
+    def test_result_checked_against_the_stream_length(self, verdicts, n, message):
+        collab._check_result(np.array([1, 0, 0], dtype=np.int8), 3)
+        collab._check_result(np.empty(0, dtype=np.int8), 0)
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
-            collab._check_result(ConfusionCounts(**counts), np.array(verdicts, dtype=np.int8), truth)
+            collab._check_result(np.array(verdicts, dtype=np.int8), n)
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
     @pytest.mark.parametrize("kind", ["hello", "end", "ack"])
@@ -944,7 +943,6 @@ class TestRunSimulation:
         [
             ("end", lambda header, arrays: header.pop("count"), None),
             ("hello", lambda header, arrays: header.__setitem__("node", "Z"), "TransportError: hello frame names node 'Z'"),
-            ("result", lambda header, arrays: header.__setitem__("counts", {"tp": 1}), "TransportError: result frame counts {'tp': 1} do not sum to its 200 records"),
             ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], 7)), "TransportError: result frame verdicts are not all 0 or 1"),
         ],
     )
@@ -979,33 +977,16 @@ class TestRunSimulation:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_counts == clean.aggregate_counts
 
-    def test_empty_node_result_with_counts_retried(self, sim_records, schema, fitted, monkeypatch):
-        """Node C has no records; a result frame that gives it zero counts
-        in place of null is retried, not reported as an empty node."""
+    def test_empty_node_reports_no_counts(self, sim_records, schema, fitted):
+        """Node C has no records: on both transports it succeeds at once
+        with no verdicts and no counts, and has no report."""
         pp, profile = fitted
-        real = collab._Channel.send
-        sent_bad = []
-
-        def zeroing(channel, header, *arrays):
-            if header["type"] == "result" and header["counts"] is None and not sent_bad:
-                sent_bad.append(True)
-                header = {**header, "counts": {"tp": 0, "tn": 0, "fp": 0, "fn": 0}}
-            real(channel, header, *arrays)
-
-        monkeypatch.setattr(collab._Channel, "send", zeroing)
-        cfg = _cfg(transport="loopback-socket", assignment="explicit", explicit_assignment=("A", "B", "A", "B"))
-        outcome = run_simulation(replay(sim_records[:4], cfg, schema), profile, pp, cfg)
-        monkeypatch.undo()
-        clean = run_simulation(replay(sim_records[:4], cfg, schema), profile, pp, cfg)
-        assert sent_bad and not outcome.partial
-        c = outcome.node_results["C"]
-        assert (c.attempts, c.counts, c.n_records) == (2, None, 0)
-        (error,) = c.errors
-        assert error.startswith("TransportError: ")
-        assert error.endswith("; store service: TransportError: result frame counts {'tp': 0, 'tn': 0, 'fp': 0, 'fn': 0} are not null for no records")
-        assert [outcome.node_results[n].attempts for n in ("A", "B")] == [1, 1]
-        assert outcome.per_node_reports == clean.per_node_reports and "C" not in outcome.per_node_reports
-        assert outcome.aggregate_report == clean.aggregate_report
+        for transport in TRANSPORTS:
+            cfg = _cfg(transport=transport, assignment="explicit", explicit_assignment=("A", "B", "A", "B"))
+            outcome = run_simulation(replay(sim_records[:4], cfg, schema), profile, pp, cfg)
+            c = outcome.node_results["C"]
+            assert (c.attempts, c.failed, c.errors, c.counts, c.n_records) == (1, False, (), None, 0)
+            assert "C" not in outcome.per_node_reports and not outcome.partial
 
     @pytest.mark.parametrize("text", [[1], None, 6], ids=["list", "null", "number"])
     def test_non_string_field_text_retried(self, sim_records, schema, fitted, monkeypatch, text):
@@ -1187,8 +1168,8 @@ class TestRunnerProperty:
             label="explicit",
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
-        # 400 bytes holds a one-record interval frame (at most 294) and the
-        # result frame for 120 records (191). A 64-record interval frame
+        # 400 bytes holds a one-record interval frame (at most 299) and the
+        # result frame for 120 records (149). A 64-record interval frame
         # takes about 5,600, so most draws split intervals across frames.
         max_frame = data.draw(st.integers(400, 6_000), label="max_frame")
         outcomes = {}
@@ -1216,3 +1197,117 @@ class TestRunnerProperty:
 
         flagged = classify_scores(profile.score_matrix(pp.apply_records(records)), profile, DetectionConfig(2.0))
         assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in records])
+
+
+#: The error each injected fault leaves in the faulted attempt's ``errors``
+#: entry, by fault kind.
+_FAULT_REASONS = {
+    "drop": re.compile(r"frame body holds|runs past the"),
+    "type": re.compile(r"got 'bogus'"),
+    "close": re.compile(r"connection closed"),
+}
+
+
+def _faulted(data, fault):
+    """The frame ``data`` with ``fault`` applied: its last payload byte
+    dropped (the length prefix kept consistent) or its type changed."""
+    if fault == "drop":
+        return struct.pack(">I", len(data) - 5) + data[4:-1]
+    payload = _reframe(data[4:], _set("type", "bogus"))
+    return struct.pack(">I", len(payload)) + payload
+
+
+class TestFaultInjection:
+    """ROADMAP item 8: a fault injected at any frame position of one node is
+    retried, names its cause, and leaves the run as a clean one leaves it;
+    a fault on every attempt fails the node alone."""
+
+    NODES = ("A", "B", "C")  # round-robin over 120 records: 40 each, 3 intervals of at most 16
+
+    @staticmethod
+    def _run(sim_capture, pp, profile, transport, retry_budget):
+        """The node streams of ``sim_capture`` and a function that runs them."""
+        cfg = _cfg(nodes=TestFaultInjection.NODES, interval_size=16, transport=transport, retry_budget=retry_budget)
+        streams = _replay_batches(sim_capture, pp, cfg)
+        return streams, lambda: run_simulation(streams, profile, pp, cfg)
+
+    def _check(self, outcome, clean, node, always, retry_budget, reason):
+        """``outcome`` against the ``clean`` run, after a fault on ``node``
+        once or on every attempt; each entry of its errors matches ``reason``."""
+        faulted = outcome.node_results[node]
+        others = [n for n in self.NODES if n != node]
+        assert [outcome.node_results[n].attempts for n in others] == [1, 1]
+        assert not any(outcome.node_results[n].errors for n in others)
+        assert all(reason.search(error) for error in faulted.errors), faulted.errors
+        for n in others if always else self.NODES:
+            assert_same_verdicts(outcome.node_results[n].verdicts, clean.node_results[n].verdicts)
+            assert outcome.node_results[n].counts == clean.node_results[n].counts
+        if always:
+            assert faulted.failed and faulted.attempts == len(faulted.errors) == retry_budget + 1
+            assert outcome.partial and outcome.failed_nodes == (node,)
+            assert outcome.per_node_reports == {n: clean.per_node_reports[n] for n in others}
+            return
+        assert not faulted.failed and faulted.attempts == 2 and len(faulted.errors) == 1
+        assert not outcome.partial
+        assert outcome.per_node_reports == clean.per_node_reports
+        assert outcome.aggregate_report == clean.aggregate_report
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        node=st.sampled_from(NODES),
+        frame=st.sampled_from([("interval", 0), ("interval", 1), ("interval", 2), ("end", 0), ("result", 0)]),
+        fault=st.sampled_from(sorted(_FAULT_REASONS)),
+        always=st.booleans(),
+        retry_budget=st.integers(1, 2),
+    )
+    def test_loopback_fault_at_any_frame(self, sim_capture, fitted, node, frame, fault, always, retry_budget):
+        pp, profile = fitted
+        _, run = self._run(sim_capture, pp, profile, "loopback-socket", retry_budget)
+        clean = run()
+        real = collab._Channel.send_encoded
+        kind, index = frame
+        state = {"node": None, "intervals": 0, "fired": 0}
+
+        def injecting(channel, data):
+            header = collab._decode_frame(data[4:])[0]
+            if header["type"] == "hello":  # a new attempt: the frames that follow are this node's
+                state.update(node=header["node"], intervals=0)
+            seen = state["intervals"]
+            state["intervals"] += header["type"] == "interval"
+            hit = state["node"] == node and header["type"] == kind and (kind != "interval" or seen == index)
+            if hit and (always or not state["fired"]):
+                state["fired"] += 1
+                if fault == "close":
+                    channel.sock.close()
+                    raise ConnectionAbortedError("connection closed in place of the frame")
+                data = _faulted(data, fault)
+            real(channel, data)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(collab._Channel, "send_encoded", injecting)
+            outcome = run()
+        assert state["fired"] == (retry_budget + 1 if always else 1)
+        self._check(outcome, clean, node, always, retry_budget, _FAULT_REASONS[fault])
+
+    @settings(max_examples=25, deadline=None)
+    @given(node=st.sampled_from(NODES), at=st.integers(0, 2), always=st.booleans(), retry_budget=st.integers(1, 2))
+    def test_in_process_fault_at_any_interval(self, sim_capture, fitted, node, at, always, retry_budget):
+        pp, profile = fitted
+        streams, run = self._run(sim_capture, pp, profile, "in-process", retry_budget)
+        clean = run()
+        real = collab._intervals
+        fired = []
+
+        def injecting(stream, preprocess, size):
+            for k, interval in enumerate(real(stream, preprocess, size)):
+                if stream is streams[node] and k == at and (always or not fired):
+                    fired.append(k)
+                    raise OSError(f"injected fault at interval {k}")
+                yield interval
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(collab, "_intervals", injecting)
+            outcome = run()
+        assert len(fired) == (retry_budget + 1 if always else 1)
+        reason = re.compile(re.escape(f"OSError: injected fault at interval {at}"))
+        self._check(outcome, clean, node, always, retry_budget, reason)
