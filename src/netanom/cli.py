@@ -6,18 +6,18 @@ to its outputs recording resolved parameters and input/output digests.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 
-``detect``, ``evaluate`` and ``roc`` read their capture through a reader
-process (``ingest._read_ahead``), which parses the next batch while the
-command encodes, scores, classifies and writes this one: parsing a batch
-costs more than the rest of its work. ``train``, ``sample`` and
-``simulate`` read in-process; they do too little with each batch between
-reads for the overlap to pay for the pipe.
+``detect``, ``evaluate``, ``roc`` and ``simulate`` read their capture
+through a reader process (``ingest._read_ahead``), which parses the next
+batch while the command encodes, scores, classifies and writes this one:
+parsing a batch costs more than the rest of its work. ``simulate`` reads
+the capture once per pass, and its nodes classify their intervals as they
+fill. ``train`` and ``sample`` read in-process; they do too little with
+each batch between reads for the overlap to pay for the pipe.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._docjson import digest_of_file, pretty_dumps
-from .collab import SimulationError, load_simconfig, replay_chunks, run_simulation, simconfig_to_doc
+from .collab import SimulationError, load_simconfig, run_simulation, simconfig_to_doc
 from .decision import (
     DecisionError,
     DetectionConfig,
@@ -481,13 +481,18 @@ def _cmd_simulate(args, parser) -> int:
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
     hashed = (cfg.hash_column,) if cfg.assignment == "hash-of-source" else ()
-    batches = iter_flow_batches(Path(args.test), preprocess.schema, preprocess.columns + hashed)
-    first = next(batches, None)
-    if first is None:
-        raise IngestError("test file has no records")
-    streams = replay_chunks(itertools.chain([first], batches), preprocess.columns, cfg)
-    outcome = run_simulation(streams, profile, preprocess, cfg)
-    records = sum(map(len, streams.values()))
+
+    def source():
+        # One pass over the capture, read one batch ahead by a reader process.
+        with _read_ahead(args.test, preprocess.schema, preprocess.columns + hashed) as batches:
+            first = next(batches, None)
+            if first is None:
+                raise IngestError("test file has no records")
+            yield first
+            yield from batches
+
+    outcome = run_simulation(source, profile, preprocess, cfg)
+    records = outcome.n_records
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

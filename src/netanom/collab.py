@@ -1,29 +1,38 @@
 """Multi-node detection simulation over one capture file.
 
-A replay reads one capture file as :class:`~netanom.ingest.FlowBatch`es,
-assigns each record to a named node and builds, once, one stream per node
-of the topology: a batch of that node's records in file order (empty for a
-node without records). Each node then independently preprocesses and
-classifies exactly its own stream, one interval (a slice of
-``interval_size`` records) at a time, against one shared normal profile,
-and returns only its verdicts. The runner counts them against the
-stream's truths, once for both transports, and sums the per-node counts.
+A run reads one capture file from a batch source, as
+:class:`~netanom.ingest.FlowBatch`es, in passes. A pass assigns each record
+to a named node of the topology and cuts each node's records, in file
+order, into intervals of ``interval_size`` records as they fill; a node's
+last, shorter interval is flushed when the capture ends. Each node
+independently preprocesses and classifies exactly its own intervals, as
+they arrive, against one shared normal profile, and returns only its
+verdicts. The store keeps each node's truths and counts its verdicts
+against them, once for both transports, and sums the per-node counts.
 Nodes never exchange verdicts: sharing stops at the capture layer, so
-partitioning can never change outcomes.
+partitioning can never change outcomes. Besides the truths, a pass holds
+fewer than ``interval_size`` pending records per node, not the capture.
 
-One runner runs the nodes in turn, in ``cfg.nodes`` order, on the calling
-thread, and retries each node's attempt; the two transports differ only in
-how an attempt fetches the node's stream, cut into intervals that carry
-only what a node reads: the columns the preprocessing model reads
+Retries are rounds: a pass streams every node still owed a result, and a
+node whose attempt fails retryably joins the next pass, up to
+``retry_budget + 1`` passes. Nodes report in ``cfg.nodes`` order. The two
+transports differ only in how a node gets its intervals, which carry only
+what a node reads: the columns the preprocessing model reads
 (``PreprocessModel.columns``), numeric ones as float64 values and the
 others as field texts, and each record's row number. Each node encodes and
 standardizes them, and scoring is record-local, so the transports' reports
-are identical byte for byte. In-process, an interval is handed over as
-is. Over loopback, each attempt opens one TCP connection to the run's
-listener, accepts it itself and serves the node's stream on one
-store-service thread, which it joins before it returns. The truths stay
-with the store: the worker's intervals have truth -1 (unknown). The
-frames are length-prefixed:
+are identical byte for byte. In-process, the calling thread classifies
+each interval as it is cut. Over loopback, a pass opens one TCP connection
+to the run's listener per node it streams, accepting them itself in
+``cfg.nodes`` order, and starts one store-service thread, which it joins
+before it returns. That thread checks each hello, reads the source and
+sends each node's interval frames as they fill, then sends the ``end``
+frames and collects the results in ``cfg.nodes`` order. The calling
+thread is the worker: it classifies a frame from whichever connection has
+one ready and, once every ``end`` frame is in, sends the results in the
+order the store collects them. A connection that faults is closed; the
+other nodes carry on. The truths stay with the store: the worker's
+intervals have truth -1 (unknown). The frames are length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
@@ -39,15 +48,15 @@ little-endian buffer of ``n`` values per entry above, and none for the
 frames without ``n``. ``texts`` maps each column that is not numeric to
 its field texts; every numeric one of ``columns`` travels as an ``<f8``
 buffer, in ``columns`` order, so a float reads back with the same bits.
-An interval frame is one interval, in stream order; an interval whose
+An interval frame is one interval, in the node's order; an interval whose
 frame would pass ``_MAX_FRAME`` is halved until each part fits. The worker
 classifies each frame as it arrives and checks ``end.count``; the store
 checks that the result holds one 0/1 verdict per record. A frame that does
 not fit its layout, a numeric column sent as texts included, raises a
-retryable :class:`TransportError`. Truth labels are checked once, up
-front: an unlabeled record fails the run, naming the file's first one. A
-bad numeric value never reaches a node: the read that builds the streams
-fails on it.
+retryable :class:`TransportError`. Truth labels are checked once the
+capture is read: an unlabeled record fails the run, naming the file's
+first one. A bad numeric value never reaches a node: the read fails on it.
+A data error ends the run on either transport, with no result.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -59,13 +68,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import selectors
 import socket
 import struct
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -93,12 +104,12 @@ class TransportError(SimulationError):
 
 
 class SimulatedNodeFailure(SimulationError):
-    """Raised inside a worker whose node is configured to crash."""
+    """The failure of each attempt of a node configured to crash (``fail_nodes``)."""
 
 
 def _join(parts: list[FlowBatch]) -> FlowBatch:
-    """One batch from consecutive parts of a stream, each column an array or
-    a list in every part. One part is its own stream."""
+    """One batch from consecutive parts of a node's records, each column an
+    array or a list in every part. One part is its own batch."""
     if len(parts) == 1:
         return parts[0]
     columns = {}
@@ -231,9 +242,9 @@ def load_simconfig(path) -> SimulationConfig:
 def _node_assigner(cfg: SimulationConfig):
     """``assign(batch, start)``: the index in ``cfg.nodes`` of the node of
     each record of ``batch``, whose first record is record ``start`` of the
-    whole replay, as an intp array. Explicit assignment may name fewer
-    nodes than the batch has records; :func:`replay_chunks` checks the
-    count once every batch is in.
+    pass, as an intp array. An explicit assignment that does not cover the
+    batch raises :class:`SimulationError`, counting the records up to the
+    batch's end.
 
     Hash-of-source assignment hashes each record's source in the hash
     column, as the reader gives it: a text by its UTF-8 bytes, a float64
@@ -246,7 +257,13 @@ def _node_assigner(cfg: SimulationConfig):
     if cfg.assignment == "explicit":
         index = {node: i for i, node in enumerate(cfg.nodes)}
         names = cfg.explicit_assignment
-        return lambda batch, start: np.array([index[name] for name in names[start : start + len(batch)]], np.intp)
+
+        def assign_listed(batch: FlowBatch, start: int) -> np.ndarray:
+            if len(names) < start + len(batch):
+                raise SimulationError(f"explicit assignment has {len(names)} entries for {start + len(batch)} records")
+            return np.array([index[name] for name in names[start : start + len(batch)]], np.intp)
+
+        return assign_listed
     node_of: dict[str | float, int] = {}  # sources repeat: hash each value once
 
     def assign(batch: FlowBatch, start: int) -> np.ndarray:
@@ -262,45 +279,95 @@ def _node_assigner(cfg: SimulationConfig):
     return assign
 
 
-def replay_chunks(batches: Iterable[FlowBatch], columns: Iterable[str], cfg: SimulationConfig) -> dict[str, FlowBatch]:
-    """One stream per node of ``cfg.nodes``, in that order: the records of
-    ``batches``, all of one capture file, each once, in input order, under
-    its assigned node, over ``columns``; a node without records gets an
-    empty stream. Each batch holds ``columns`` and, for hash-of-source
-    assignment, the hash column, as the reader gives them. Every batch is
-    read before an explicit assignment's length is checked."""
-    assign = _node_assigner(cfg)
-    columns = tuple(columns)
-    parts: dict[str, list[FlowBatch]] = {node: [] for node in cfg.nodes}
-    file_id = None
-    n_records = 0
-    for batch in batches:
-        index = assign(batch, n_records)
-        if file_id not in (None, batch.file_id):
-            raise SimulationError(f"the store holds capture {file_id!r}; a batch of {batch.file_id!r} cannot join it")
-        file_id = batch.file_id
-        kept = replace(batch, columns={name: batch.columns[name] for name in columns})
-        for i, node in enumerate(cfg.nodes):
-            parts[node].append(kept.take(np.flatnonzero(index == i)))
-        n_records += len(batch)
-    if n_records == 0:
-        raise SimulationError("cannot replay an empty record list")
-    if cfg.assignment == "explicit" and len(cfg.explicit_assignment) != n_records:
-        raise SimulationError(f"explicit assignment has {len(cfg.explicit_assignment)} entries for {n_records} records")
-    # Popped as joined: one node's parts and its stream are alive at a time, not two captures.
-    return {node: _join(parts.pop(node)) for node in cfg.nodes}
+class _Store:
+    """The store's side of one pass over a capture, for ``nodes``, nodes of
+    ``cfg.nodes`` in that order: it assigns each batch's records, keeps each
+    node's truths and a pending part of fewer than ``cfg.interval_size`` of
+    its records over ``columns``, and cuts the node's intervals from it."""
+
+    def __init__(self, cfg: SimulationConfig, columns: Sequence[str], nodes: Iterable[str]):
+        self.cfg, self.columns = cfg, tuple(columns)
+        self.pending: dict[str, list[FlowBatch]] = {node: [] for node in nodes}
+        self._truths: dict[str, list[np.ndarray]] = {node: [] for node in self.pending}
+        self.truth: dict[str, np.ndarray] = {}  # each node's, once the capture is read
+        self.n_records = 0
+
+    def drop(self, node: str) -> None:
+        """Stop cutting ``node``'s intervals: its attempt failed. A pass
+        whose every node is dropped reads no further."""
+        self.pending.pop(node, None)
+        self._truths.pop(node, None)
+
+    def intervals(self, batches: Iterable[FlowBatch]) -> Iterator[tuple[str, FlowBatch]]:
+        """``(node, interval)`` for each interval of a node not dropped, as
+        it fills, then each node's remainder, in ``cfg.nodes`` order. An
+        interval holds ``columns`` as ``batches`` hold them.
+
+        Besides what reading ``batches`` raises, a data error raises
+        :class:`SimulationError`: a batch of another file or without one of
+        ``columns``, an explicit assignment of the wrong length (a short one
+        at the first batch it does not cover), an empty capture and, once
+        every batch is in, an unlabeled record, naming the file's first."""
+        assign = _node_assigner(self.cfg)
+        size = self.cfg.interval_size
+        file_id, unlabeled = None, None
+        for batch in batches:
+            if file_id not in (None, batch.file_id):
+                raise SimulationError(f"the store holds capture {file_id!r}; a batch of {batch.file_id!r} cannot join it")
+            file_id = batch.file_id
+            missing = [name for name in self.columns if name not in batch.columns]
+            if missing:
+                raise SimulationError(f"the store lacks the modeled columns {missing}")
+            index = assign(batch, self.n_records)
+            self.n_records += len(batch)
+            if unlabeled is None and (batch.truth < 0).any():
+                unlabeled = batch.rows[batch.truth < 0].min()
+            kept = replace(batch, columns={name: batch.columns[name] for name in self.columns})
+            for i, node in enumerate(self.cfg.nodes):
+                if (parts := self.pending.get(node)) is None:
+                    continue
+                part = kept.take(np.flatnonzero(index == i))
+                self._truths[node].append(part.truth)
+                parts.append(part)
+                if sum(map(len, parts)) >= size:
+                    joined = _join(parts)
+                    full = len(joined) - len(joined) % size
+                    parts[:] = [joined.take(slice(full, None))]
+                    for start in range(0, full, size):
+                        yield node, joined.take(slice(start, start + size))
+            if not self.pending:
+                return
+        if self.n_records == 0:
+            raise SimulationError("the capture has no records")
+        names = self.cfg.explicit_assignment
+        if self.cfg.assignment == "explicit" and len(names) != self.n_records:
+            raise SimulationError(f"explicit assignment has {len(names)} entries for {self.n_records} records")
+        if unlabeled is not None:
+            raise SimulationError(f"unlabeled row: {file_id} row {unlabeled}; metrics need ground truth")
+        self.truth = {node: np.concatenate([np.empty(0, np.int8), *parts]) for node, parts in self._truths.items()}
+        for node, parts in list(self.pending.items()):
+            if node in self.pending and sum(map(len, parts)):  # not dropped since
+                yield node, _join(parts)
 
 
 def replay(
     records: Sequence[FlowRecord],
     cfg: SimulationConfig,
     schema: FeatureSchema,
-) -> dict[str, FlowBatch]:
-    """:func:`replay_chunks` over ``records`` as one batch of every column
-    of ``schema``, read and hashed as ``simulate`` reads and hashes them.
-    ``bench/tracing.py`` is the only caller outside tests; ROADMAP item 3
-    deletes this adapter after item 2."""
-    return replay_chunks([batch_of_records(records, schema, schema.names)], schema.names, cfg)
+) -> Callable[[], Iterator[FlowBatch]]:
+    """A batch source (see :func:`run_simulation`) over ``records`` as one
+    batch of every column of ``schema``, read and hashed as ``simulate``
+    reads and hashes them; a hash column that ``cfg`` names and ``schema``
+    lacks raises :class:`SchemaError`. ``bench/tracing.py`` is the only
+    caller outside tests; ROADMAP item 3 deletes this adapter after item 2."""
+    if cfg.assignment == "hash-of-source":
+        schema.index_of(cfg.hash_column)
+    batch = batch_of_records(records, schema, schema.names)
+
+    def source() -> Iterator[FlowBatch]:
+        yield batch
+
+    return source
 
 
 @dataclass(frozen=True)
@@ -310,11 +377,12 @@ class NodeResult:
     error, if it had one. A failed node's last reason says why it failed.
     ``frames`` and ``wire_bytes`` count both directions of the successful
     loopback connection, length prefixes included; they are 0 in-process.
-    ``wall_s`` is the node's wall time over all its attempts, in seconds."""
+    ``wall_s`` is the wall time of the passes the node streamed in, in
+    seconds."""
 
     node: str
     counts: ConfusionCounts | None  # None for a node without records or a failed one
-    verdicts: np.ndarray  # read-only int8, one 0/1 verdict per record in stream order
+    verdicts: np.ndarray  # read-only int8, one 0/1 verdict per record in file order
     failed: bool
     attempts: int
     errors: tuple[str, ...] = ()
@@ -334,30 +402,20 @@ class SimulationOutcome:
     aggregate_counts: ConfusionCounts
     aggregate_report: MetricsReport
     failed_nodes: tuple[str, ...]
+    n_records: int  # the capture's, failed nodes' records included
 
     @property
     def partial(self) -> bool:
         return bool(self.failed_nodes)
 
 
-def _intervals(stream: FlowBatch, preprocess: PreprocessModel, size: int) -> Iterator[FlowBatch]:
-    """A node's stream cut into intervals of ``size`` records, in stream
-    order. An interval holds only the columns ``preprocess`` reads, as the
-    stream holds them."""
-    modeled = replace(stream, columns={name: stream.columns[name] for name in preprocess.columns})
-    for start in range(0, len(stream), size):
-        yield modeled.take(slice(start, start + size))
+def _classify(interval: FlowBatch, preprocess: PreprocessModel, profile: NormalProfile, det: DetectionConfig) -> np.ndarray:
+    """One interval's verdicts, as a bool mask."""
+    return classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det)
 
 
-def _classify_intervals(
-    intervals: Iterable[FlowBatch],
-    preprocess: PreprocessModel,
-    profile: NormalProfile,
-    det: DetectionConfig,
-) -> np.ndarray:
-    """Classify one node's stream, one interval at a time as the
-    intervals arrive, into its int8 0/1 verdicts, in stream order."""
-    flagged = [classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det) for interval in intervals]
+def _verdicts(flagged: list[np.ndarray]) -> np.ndarray:
+    """A node's int8 0/1 verdicts from its intervals' masks, in order."""
     return np.concatenate([np.empty(0, np.int8), *flagged])  # bool masks join as int8
 
 
@@ -518,135 +576,260 @@ def _received_intervals(channel: _Channel, schema: FeatureSchema) -> Iterator[Fl
         raise TransportError(f"end frame counts {count!r} records, {received} received")
 
 
-#: Failures worth retrying: crashes and transport trouble, not data errors.
-_RETRYABLE = (SimulatedNodeFailure, TransportError, OSError)
+#: Failures worth retrying: transport trouble, not data errors.
+_RETRYABLE = (TransportError, OSError)
 
 
-def _run_nodes(cfg: SimulationConfig, streams: Mapping[str, FlowBatch], attempt) -> dict[str, NodeResult]:
-    """Run ``attempt(node)`` for each node of ``cfg.nodes`` in turn, on the
-    calling thread, retrying a retryable failure up to ``cfg.retry_budget``
-    times (crash-stop), and count the verdicts against the truths of the
-    node's stream in ``streams``. ``attempt`` returns the node's verdicts
-    (see :func:`_classify_intervals`) and a dict of the wire's
-    ``NodeResult`` fields (empty in-process). Any other exception, a data
-    error, propagates at once; the results follow ``cfg.nodes`` order."""
-    results: dict[str, NodeResult] = {}
-    for node in cfg.nodes:
+def _reason(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+#: What a pass leaves for each node it streamed: the reason its attempt
+#: failed, or its verdicts, its truths and a dict of the wire's
+#: ``NodeResult`` fields (empty in-process).
+_Outcome = str | tuple[np.ndarray, np.ndarray, dict]
+
+
+def _run_nodes(cfg: SimulationConfig, run_pass: Callable[[list[str]], tuple[dict[str, _Outcome], int]]) -> tuple[dict[str, NodeResult], int]:
+    """Run up to ``cfg.retry_budget + 1`` passes, each over the nodes of
+    ``cfg.nodes`` still owed a result, and count each node's verdicts
+    against its truths. A node of ``cfg.fail_nodes`` crashes before a pass
+    reads, and a pass with no node left to stream is not run.
+    ``run_pass(nodes)`` returns each node's outcome and the records read;
+    any exception it raises, a data error, propagates at once. The results
+    follow ``cfg.nodes`` order; the count is the capture's."""
+    attempts = dict.fromkeys(cfg.nodes, 0)
+    errors: dict[str, list[str]] = {node: [] for node in cfg.nodes}
+    wall_s = dict.fromkeys(cfg.nodes, 0.0)
+    done: dict[str, NodeResult] = {}
+    n_records = 0
+    for _ in range(cfg.retry_budget + 1):
+        owed = [node for node in cfg.nodes if node not in done]
+        for node in owed:
+            attempts[node] += 1
+            if node in cfg.fail_nodes:
+                errors[node].append(_reason(SimulatedNodeFailure(f"node {node!r}: injected crash")))
+        streaming = [node for node in owed if node not in cfg.fail_nodes]
+        if not streaming:
+            continue
         started = time.perf_counter()
-        errors: list[str] = []
-        verdicts, wire = np.empty(0, np.int8), {}
-        for attempts in range(1, cfg.retry_budget + 2):
+        outcomes, read = run_pass(streaming)
+        n_records = max(n_records, read)  # a pass whose every node failed may stop early
+        elapsed = time.perf_counter() - started
+        for node in streaming:
+            wall_s[node] += elapsed
+            if isinstance(outcome := outcomes[node], str):
+                errors[node].append(outcome)
+                continue
+            verdicts, truth, wire = outcome
+            verdicts.setflags(write=False)
+            counts = confusion(verdicts, truth) if len(verdicts) else None
+            done[node] = NodeResult(node, counts, verdicts, False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], **wire)
+    nothing = np.empty(0, np.int8)
+    nothing.setflags(write=False)
+    results = {
+        node: done.get(node) or NodeResult(node, None, nothing, True, attempts[node], tuple(errors[node]), wall_s=wall_s[node])
+        for node in cfg.nodes
+    }
+    return results, n_records
+
+
+def _in_process_pass(source: Callable[[], Iterator[FlowBatch]], nodes: list[str], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
+    """One pass in-process: the calling thread classifies each interval as
+    the store cuts it (see :func:`_run_nodes` for what it returns)."""
+    store = _Store(cfg, preprocess.columns, nodes)
+    flagged: dict[str, list[np.ndarray]] = {node: [] for node in nodes}
+    failed: dict[str, _Outcome] = {}
+    with closing(source()) as batches:
+        for node, interval in store.intervals(batches):
+            if node in failed:
+                continue
             try:
-                if node in cfg.fail_nodes:
-                    raise SimulatedNodeFailure(f"node {node!r}: injected crash")
-                verdicts, wire = attempt(node)
-                break
+                flagged[node].append(_classify(interval, preprocess, profile, cfg.w_for(node)))
             except _RETRYABLE as exc:
-                errors.append(f"{type(exc).__name__}: {exc}")
-        failed = len(errors) == attempts  # every attempt failed
-        verdicts.setflags(write=False)
-        counts = confusion(verdicts, streams[node].truth) if len(verdicts) else None
-        results[node] = NodeResult(node, counts, verdicts, failed, attempts, tuple(errors), wall_s=time.perf_counter() - started, **wire)
-    return results
+                failed[node] = _reason(exc)
+                store.drop(node)
+    done = {node: (_verdicts(flagged[node]), store.truth[node], {}) for node in nodes if node not in failed}
+    return {**failed, **done}, store.n_records
 
 
-def _run_loopback(streams: Mapping[str, FlowBatch], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> dict[str, NodeResult]:
-    server = socket.create_server(("127.0.0.1", cfg.port))
-    address = server.getsockname()
+class _StoreService:
+    """The store's side of a loopback pass, over the connections in
+    ``channels``, run on its own thread (see the module docstring). A
+    connection that faults is closed after its reason is left in
+    ``errors``; each node's checked verdicts are left in ``verdicts``. A
+    data error ends the pass, closing every connection, and is left in
+    ``fatal`` for the calling thread to raise."""
 
-    def serve(conn: socket.socket, node: str, outcome: dict) -> None:
-        # Leaves the checked result, or the error that ended the service, in ``outcome``.
-        with conn:
-            try:
-                conn.settimeout(_SOCKET_TIMEOUT)
-                channel = _Channel(conn)
-                hello, body = channel.recv()
-                _body(hello, body, "hello")
-                if hello.get("node") != node:
-                    raise TransportError(f"hello frame names node {hello.get('node')!r}")
-                stream = streams[node]
-                for interval in _intervals(stream, preprocess, cfg.interval_size):
-                    for data in _interval_frames(interval):
-                        channel.send_encoded(data)
-                channel.send({"type": "end", "count": len(stream)})
-                (verdicts,) = _body(*channel.recv(), "result", _I1)
-                _check_result(verdicts, len(stream))
-                outcome["verdicts"] = verdicts
-                channel.send({"type": "ack"})
-            except Exception as exc:  # recorded before the close the worker sees
-                outcome["error"] = f"{type(exc).__name__}: {exc}"
+    def __init__(self, store: _Store, batches: Iterable[FlowBatch]):
+        self.store, self.batches = store, batches
+        self.channels: dict[str, _Channel] = {}
+        self.errors: dict[str, str] = {}
+        self.verdicts: dict[str, np.ndarray] = {}
+        self.fatal: Exception | None = None
 
-    def attempt(node: str) -> tuple[np.ndarray, dict]:
-        # Attempts run one at a time, so the connection accepted is this one.
-        sock = socket.create_connection(address, timeout=_SOCKET_TIMEOUT)
+    def serve(self) -> None:
         try:
-            conn = server.accept()[0]
-        except OSError:
-            sock.close()
-            raise
-        outcome: dict = {}
-        service = threading.Thread(target=serve, args=(conn, node, outcome))
-        service.start()
-        try:
-            with sock:
-                channel = _Channel(sock)
-                try:
-                    channel.send({"type": "hello", "node": node})
-                    intervals = _received_intervals(channel, preprocess.schema)
-                    verdicts = _classify_intervals(intervals, preprocess, profile, cfg.w_for(node))
-                    channel.send({"type": "result", "n": len(verdicts)}, verdicts)
-                    _body(*channel.recv(), "ack")
-                except _RETRYABLE as exc:
-                    # Read before this socket closes: an error its close causes is not the store's.
-                    if (error := outcome.get("error")) is None:
-                        raise
-                    raise TransportError(f"{type(exc).__name__}: {exc}; store service: {error}") from exc
+            self._each(self._hello)
+            for node, interval in self.store.intervals(self.batches):
+                if (channel := self.channels.get(node)) is not None:
+                    try:
+                        for data in _interval_frames(interval):
+                            channel.send_encoded(data)
+                    except Exception as exc:
+                        self._fault(node, exc)
+            self._each(lambda node, channel: channel.send({"type": "end", "count": len(self.store.truth[node])}))
+            self._each(self._collect)
+        except Exception as exc:
+            self.fatal = exc
         finally:
-            service.join()
-        return outcome["verdicts"], {"frames": channel.frames, "wire_bytes": channel.wire_bytes}
+            for channel in self.channels.values():
+                channel.sock.close()
 
-    with server:
-        return _run_nodes(cfg, streams, attempt)
+    def _each(self, step) -> None:
+        """``step(node, channel)`` for each open connection, in ``cfg.nodes`` order."""
+        for node, channel in list(self.channels.items()):
+            try:
+                step(node, channel)
+            except Exception as exc:
+                self._fault(node, exc)
+
+    def _fault(self, node: str, exc: Exception) -> None:
+        self.errors[node] = _reason(exc)  # recorded before the close the worker sees
+        self.store.drop(node)
+        self.channels.pop(node).sock.close()
+
+    @staticmethod
+    def _hello(node: str, channel: _Channel) -> None:
+        hello, body = channel.recv()
+        _body(hello, body, "hello")
+        if hello.get("node") != node:
+            raise TransportError(f"hello frame names node {hello.get('node')!r}")
+
+    def _collect(self, node: str, channel: _Channel) -> None:
+        (verdicts,) = _body(*channel.recv(), "result", _I1)
+        _check_result(verdicts, len(self.store.truth[node]))
+        self.verdicts[node] = verdicts
+        channel.send({"type": "ack"})
+
+
+def _work(workers: dict[str, _Channel], service: _StoreService, failed: dict[str, _Outcome], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> None:
+    """The worker's side of a loopback pass, on the calling thread: classify
+    each interval frame from whichever connection has one ready; once every
+    ``end`` frame is in, send each node's result and read its ack, in the
+    ``cfg.nodes`` order the store collects them in. A connection that
+    faults is closed, with its reason left in ``failed``; the others carry
+    on. Any other exception, a data error, propagates at once."""
+    flagged: dict[str, list[np.ndarray]] = {node: [] for node in workers}
+    received = {node: _received_intervals(channel, preprocess.schema) for node, channel in workers.items()}
+
+    def fault(node: str, exc: BaseException) -> None:
+        # Read before this socket closes: an error its close causes is not the store's.
+        error = service.errors.get(node)
+        failed[node] = _reason(exc) if error is None else f"{_reason(exc)}; store service: {error}"
+        workers.pop(node).sock.close()
+
+    with selectors.DefaultSelector() as selector:
+        for node, channel in workers.items():
+            selector.register(channel.sock, selectors.EVENT_READ, node)
+        while keys := list(selector.get_map().values()):
+            ready = [key for key, _ in selector.select(_SOCKET_TIMEOUT)]
+            for key in ready or keys:
+                node = key.data
+                try:
+                    if not ready:
+                        raise TransportError(f"no frame within {_SOCKET_TIMEOUT} s")
+                    interval = next(received[node], None)  # None after the end frame
+                    if interval is not None:
+                        flagged[node].append(_classify(interval, preprocess, profile, cfg.w_for(node)))
+                        continue
+                    selector.unregister(key.fileobj)
+                except _RETRYABLE as exc:
+                    selector.unregister(key.fileobj)
+                    fault(node, exc)
+    for node, channel in list(workers.items()):
+        try:
+            verdicts = _verdicts(flagged[node])
+            channel.send({"type": "result", "n": len(verdicts)}, verdicts)
+            _body(*channel.recv(), "ack")
+        except _RETRYABLE as exc:
+            fault(node, exc)
+
+
+def _loopback_pass(server: socket.socket, source: Callable[[], Iterator[FlowBatch]], nodes: list[str], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
+    """One pass over loopback (see the module docstring and, for what it
+    returns, :func:`_run_nodes`). Every connection is closed and the
+    store-service thread joined before it returns or raises."""
+    store = _Store(cfg, preprocess.columns, nodes)
+    failed: dict[str, _Outcome] = {}
+    workers: dict[str, _Channel] = {}
+    with closing(source()) as batches:
+        # A reader process the source forks starts here, before any
+        # connection is open, so it holds none of their sockets.
+        head = list(itertools.islice(batches, 1))
+        service = _StoreService(store, itertools.chain(head, batches))
+        try:
+            for node in nodes:
+                try:
+                    # Made and accepted one at a time, so the connection accepted is this one.
+                    workers[node] = _Channel(socket.create_connection(server.getsockname(), timeout=_SOCKET_TIMEOUT))
+                    conn = server.accept()[0]
+                    service.channels[node] = _Channel(conn)
+                    conn.settimeout(_SOCKET_TIMEOUT)
+                    workers[node].send({"type": "hello", "node": node})
+                except OSError as exc:
+                    failed[node] = _reason(exc)
+                    store.drop(node)
+                    for channels in (workers, service.channels):
+                        if node in channels:
+                            channels.pop(node).sock.close()
+            thread = threading.Thread(target=service.serve)
+            thread.start()
+            try:
+                _work(workers, service, failed, preprocess, profile, cfg)
+            finally:
+                for channel in workers.values():
+                    channel.sock.close()
+                thread.join()
+        finally:
+            for channel in service.channels.values():
+                channel.sock.close()
+    if service.fatal is not None:
+        raise service.fatal
+    done = {
+        node: (service.verdicts[node], store.truth[node], {"frames": channel.frames, "wire_bytes": channel.wire_bytes})
+        for node, channel in workers.items()
+    }
+    return {**failed, **done}, store.n_records
 
 
 def run_simulation(
-    streams: Mapping[str, FlowBatch],
+    source: Callable[[], Iterator[FlowBatch]],
     profile: NormalProfile,
     preprocess: PreprocessModel,
     cfg: SimulationConfig,
 ) -> SimulationOutcome:
-    """Run every node over its stream in ``streams``, as
-    :func:`replay_chunks` builds them, and aggregate the counts.
+    """Run every node of ``cfg.nodes`` over its records of one capture file
+    and aggregate the counts.
+
+    ``source`` starts a new pass over the capture each time it is called:
+    it returns a generator of the capture's batches, in file order, which
+    the pass closes when it ends. The batches hold the columns the model
+    reads and, for hash-of-source assignment, the hash column, as the
+    reader gives them (see :func:`replay`). A run calls it once, and once
+    more for each round of retries.
 
     The aggregate is the exact field-wise sum of the healthy nodes' counts;
-    failed nodes are excluded and flagged, never silently dropped. Streams
-    that hold records of a node outside ``cfg.nodes``, or lack a node of
-    it, raise :class:`SimulationError`, as does an unlabeled record: the
-    file's first one is named.
+    failed nodes are excluded and flagged, never silently dropped. A data
+    error (see :meth:`_Store.intervals`) raises at once, on either
+    transport, after every connection is closed and every thread joined.
     """
     ensure_bound(profile, preprocess)
-    missing = [name for name in preprocess.columns if not all(name in stream.columns for stream in streams.values())]
-    if missing:
-        raise SimulationError(f"the store lacks the modeled columns {missing}")
-    strays = [node for node, stream in streams.items() if len(stream) and node not in cfg.nodes]
-    if strays:
-        raise SimulationError(f"the store holds records of nodes not in the topology: {strays}")
-    absent = [node for node in cfg.nodes if node not in streams]
-    if absent:
-        raise SimulationError(f"the streams lack nodes of the topology: {absent}")
-    unlabeled = [(stream.rows[stream.truth < 0].min(), stream.file_id) for stream in streams.values() if (stream.truth < 0).any()]
-    if unlabeled:
-        row, file_id = min(unlabeled)
-        raise SimulationError(f"unlabeled row: {file_id} row {row}; metrics need ground truth")
     if cfg.transport == "in-process":
-
-        def attempt(node: str) -> tuple[np.ndarray, dict]:
-            intervals = _intervals(streams[node], preprocess, cfg.interval_size)
-            return _classify_intervals(intervals, preprocess, profile, cfg.w_for(node)), {}
-
-        results = _run_nodes(cfg, streams, attempt)
+        results, n_records = _run_nodes(cfg, lambda nodes: _in_process_pass(source, nodes, preprocess, profile, cfg))
     else:
-        results = _run_loopback(streams, preprocess, profile, cfg)
+        with socket.create_server(("127.0.0.1", cfg.port)) as server:
+            results, n_records = _run_nodes(cfg, lambda nodes: _loopback_pass(server, source, nodes, preprocess, profile, cfg))
 
     failed = tuple(n for n in cfg.nodes if results[n].failed)
     counted = [n for n in cfg.nodes if not results[n].failed and results[n].counts is not None]
@@ -660,4 +843,5 @@ def run_simulation(
         aggregate_counts=aggregate,
         aggregate_report=metrics(aggregate, w=node_ws.pop() if len(node_ws) == 1 else None),
         failed_nodes=failed,
+        n_records=n_records,
     )

@@ -11,11 +11,11 @@ line. Any other batch, or one ``np.loadtxt`` rejects, is re-read by the
 the two readers never disagree on what a batch holds.
 
 Reading a batch costs more than scoring it, so the commands that score a
-capture batch by batch (``detect``, ``evaluate`` and ``roc``) read it
-through :func:`_read_ahead`: a forked reader process parses the next batch
-while the command works on this one. ``train``, ``sample`` and
-``simulate`` call :func:`iter_flow_batches` in-process, since they do too
-little with each batch for the overlap to pay for the pipe.
+capture batch by batch (``detect``, ``evaluate``, ``roc`` and, once per
+pass, ``simulate``) read it through :func:`_read_ahead`: a forked reader
+process parses the next batch while the command works on this one.
+``train`` and ``sample`` call :func:`iter_flow_batches` in-process, since
+they do too little with each batch for the overlap to pay for the pipe.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ BATCH_ROWS = 8192
 class FlowBatch:
     """Data rows of one file, in file order, held as columns: the one shape
     records take from the reader through preprocessing, the simulation's
-    node streams, their intervals and its loopback frames.
+    node intervals and its loopback frames.
 
     ``columns`` maps each requested column name to the rows' values. A
     numeric column is a float64 array of finite values (see

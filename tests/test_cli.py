@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -836,7 +837,8 @@ def _simulate_args(workspace, capture, config, out):
 
 
 class TestStreamedSimulate:
-    """simulate builds its node streams from FlowBatches, not from parsed records."""
+    """simulate cuts its nodes' intervals from FlowBatches as they are read,
+    not from parsed records."""
 
     @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
     @pytest.mark.parametrize("assignment", ["round-robin", "hash-of-source", "explicit"])
@@ -986,6 +988,59 @@ class TestStreamedSimulate:
         assert capsys.readouterr().err == "error: explicit assignment names unknown node 'Z'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    @pytest.mark.parametrize("fault", ["short-row", "unlabeled", "short-assignment"])
+    def test_failure_after_the_nodes_started_leaves_nothing_behind(
+        self, workspace, tmp_path, monkeypatch, capsys, forked, transport, fault
+    ):
+        """A short row or an unlabeled row at data row 203, or an explicit
+        assignment of 200 entries, in a capture of 1,024 five-row batches
+        fails the run after its nodes have classified earlier intervals:
+        one error line, no output, the reader process reaped (ended early
+        when it was still reading) and no thread left running."""
+        from netanom import collab
+
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = 203
+        header, *body = _capture_lines(workspace, 1280)
+        body = body * 4
+        if fault != "short-assignment":
+            cut = body[bad - 1].rindex(",")
+            body[bad - 1] = body[bad - 1][:cut] if fault == "short-row" else body[bad - 1][: cut + 1]
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join([header, *body]) + "\n")
+        doc = {"version": 1, "nodes": ["A", "B"], "interval_size": 5, "w": 2.0, "transport": transport}
+        if fault == "short-assignment":
+            doc.update(assignment="explicit", explicit_assignment=["A", "B"] * 100)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(doc))
+        classified, real = [], collab._classify
+
+        def counting(interval, *args):
+            classified.append(len(interval))
+            return real(interval, *args)
+
+        monkeypatch.setattr(collab, "_classify", counting)
+        threads = threading.enumerate()
+        out = tmp_path / "out"
+        assert main(_simulate_args(workspace, capture, config, out)) == 1
+        assert capsys.readouterr().err == {
+            "short-row": f"error: capture.csv, row {bad}: expected 49 fields, got 48\n",
+            "unlabeled": f"error: unlabeled row: capture.csv row {bad}; metrics need ground truth\n",
+            "short-assignment": "error: explicit assignment has 200 entries for 205 records\n",
+        }[fault]
+        assert classified and not out.exists()
+        assert threading.enumerate() == threads
+        # A reader still writing ends on the closed pipe (exit 1) or the kill that follows.
+        assert list(forked.values()) in ([1], [-signal.SIGKILL]) if fault == "short-assignment" else [[0]]
+
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    def test_one_reader_process_reaped_at_the_end(self, workspace, tmp_path, forked, transport):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "w": 2.0, "transport": transport}))
+        assert main(_simulate_args(workspace, workspace / "split" / "test.csv", config, tmp_path / "out")) == 0
+        assert list(forked.values()) == [0]
+
     def test_peak_memory_per_record(self, workspace, tmp_path):
         from netanom.synth import write_synthetic_csv
 
@@ -1001,11 +1056,12 @@ class TestStreamedSimulate:
             argv = _simulate_args(workspace, capture, config, tmp_path / capture.stem)
             peaks_kib.append(_peak_kib(argv))
         per_record = (peaks_kib[1] - peaks_kib[0]) / 60_000
-        # The store holds each record's modeled columns (float64 ones, and
-        # text ones as references to one string per distinct text of a
-        # batch), truth and row number. Measured 0.195 KiB per record; 0.284
-        # with one string per text field.
-        assert per_record < 0.28, f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.2f} KiB per added record"
+        # A pass holds each node's int8 truths and verdicts, 2 bytes a
+        # record, and fewer than interval_size pending records a node; the
+        # rest of the growth is the heap's. Measured 0.020-0.059 KiB per
+        # record over 11 runs (0.195 when the store held every record's
+        # modeled columns, truth and row number).
+        assert per_record < 0.1, f"peak RSS {peaks_kib[0]} -> {peaks_kib[1]} KiB: {per_record:.3f} KiB per added record"
 
 
 #: A modeled numeric column's bad field texts, each with its reason.

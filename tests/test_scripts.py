@@ -143,8 +143,8 @@ def test_traced_bench_instruments_every_layer(tmp_path, monkeypatch, split):
 
 def test_traced_bench_simulates_parsed_records(tmp_path, monkeypatch, split):
     """The traced simulate job (bench/tracing.py, loaded unchanged) still
-    builds its node streams from parsed records with ``replay``, records its
-    collab spans, and both transports agree on those streams with the
+    builds its batch source from parsed records with ``replay``, records its
+    collab spans, and both transports agree over that source with the
     single-process counts."""
     import dataclasses
 
@@ -153,7 +153,7 @@ def test_traced_bench_simulates_parsed_records(tmp_path, monkeypatch, split):
     tracing, pipeline, tracer = _traced_pipeline(monkeypatch, tmp_path, split, "simulate")
     out = tracing.job_simulate(pipeline, tracer)
     assert pipeline.missing == []
-    assert out["parsed"] == sum(map(len, out["store"].values())) == len(split[1])
+    assert out["parsed"] == sum(map(len, out["store"]())) == len(split[1])
     names = {span["name"] for span in tracer.spans}
     assert {"ingest.parse", "collab.replay", "collab.loopback"} <= names
 
