@@ -15,33 +15,32 @@ fewer than ``interval_size`` pending records per node, not the capture.
 
 Retries are rounds: a pass streams every node still owed a result, and a
 node whose attempt fails retryably joins the next pass, up to
-``retry_budget + 1`` passes. Nodes report in ``cfg.nodes`` order. The two
-transports differ only in how a node gets its intervals, which carry only
-what a node reads: the columns the preprocessing model reads
+``retry_budget + 1`` passes. Nodes report in ``cfg.nodes`` order. A pass
+runs on the calling thread, on either transport: it reads the source's
+first batch, opens a link to each node it streams in ``cfg.nodes`` order,
+hands each interval to its node's link as the store cuts it, then takes
+each node's verdicts. A link that faults is closed, with the one reason of
+the end that saw the fault; the other nodes carry on. The intervals carry
+only what a node reads: the columns the preprocessing model reads
 (``PreprocessModel.columns``), numeric ones as float64 values and the
 others as field texts, and each record's row number. Each node encodes and
 standardizes them, and scoring is record-local, so the transports' reports
-are identical byte for byte. In-process, the calling thread classifies
-each interval as it is cut. Over loopback, a pass opens one TCP connection
-to the run's listener per node it streams, accepting them itself in
-``cfg.nodes`` order, and starts one store-service thread, which it joins
-before it returns. That thread checks each hello, reads the source and
-sends each node's interval frames as they fill, then sends the ``end``
-frames and collects the results in ``cfg.nodes`` order. The calling
-thread is the worker: it classifies a frame from whichever connection has
-one ready and, once every ``end`` frame is in, sends the results in the
-order the store collects them. A connection that faults is closed; the
-other nodes carry on. The truths stay with the store: the worker's
+are identical byte for byte. In-process, the link is the node itself.
+Over loopback, it is the node behind its own TCP connection to the run's
+listener, and the calling thread drives both ends: the node's end acts on
+each frame as the store's end sends it. A frame goes out in pieces of at
+most ``_PIECE`` bytes, each read into the node's end as it is sent, so no
+send waits for a reader. The truths stay with the store: the node's
 intervals have truth -1 (unknown). The frames are length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
 
-    worker -> store   hello     {node}
-    store -> worker   interval  {file, n, columns, texts} + floats + rows (<i8), ...
-    store -> worker   end       {count}
-    worker -> store   result    {n} + verdicts (i1)
-    store -> worker   ack
+    node -> store    hello     {node}
+    store -> node    interval  {file, n, columns, texts} + floats + rows (<i8), ...
+    store -> node    end       {count}
+    node -> store    result    {n} + verdicts (i1)
+    store -> node    ack
 
 Each header also holds its ``type``, which fixes the body: one raw
 little-endian buffer of ``n`` values per entry above, and none for the
@@ -49,14 +48,15 @@ frames without ``n``. ``texts`` maps each column that is not numeric to
 its field texts; every numeric one of ``columns`` travels as an ``<f8``
 buffer, in ``columns`` order, so a float reads back with the same bits.
 An interval frame is one interval, in the node's order; an interval whose
-frame would pass ``_MAX_FRAME`` is halved until each part fits. The worker
+frame would pass ``_MAX_FRAME`` is halved until each part fits. The node
 classifies each frame as it arrives and checks ``end.count``; the store
-checks that the result holds one 0/1 verdict per record. A frame that does
-not fit its layout, a numeric column sent as texts included, raises a
-retryable :class:`TransportError`. Truth labels are checked once the
-capture is read: an unlabeled record fails the run, naming the file's
-first one. A bad numeric value never reaches a node: the read fails on it.
-A data error ends the run on either transport, with no result.
+checks the hello and that the result holds one 0/1 verdict per record. A
+frame that does not fit its layout, a numeric column sent as texts
+included, raises a retryable :class:`TransportError`. Truth labels are
+checked once the capture is read: an unlabeled record fails the run,
+naming the file's first one. A bad numeric value never reaches a node: the
+read fails on it. A data error ends the run on either transport, with no
+result.
 
 Failure model: crash-stop per node. A node that keeps failing past the
 retry budget is excluded; the aggregate then covers the healthy nodes only
@@ -68,12 +68,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import selectors
 import socket
 import struct
-import threading
 import time
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -92,6 +90,7 @@ ASSIGNMENT_RULES = ("round-robin", "hash-of-source", "explicit")
 TRANSPORTS = ("in-process", "loopback-socket")
 
 _MAX_FRAME = 64 * 1024 * 1024
+_PIECE = 64 * 1024  # a loopback connection holds at most one piece of a frame (see _Channel)
 _SOCKET_TIMEOUT = 30.0
 
 
@@ -373,8 +372,8 @@ def replay(
 @dataclass(frozen=True)
 class NodeResult:
     """One node's outcome. ``errors`` holds the reason of each failed
-    attempt, in order; over loopback a reason ends with the store service's
-    error, if it had one. A failed node's last reason says why it failed.
+    attempt, in order: the error of the end that saw the fault, the
+    store's or the node's. A failed node's last reason says why it failed.
     ``frames`` and ``wire_bytes`` count both directions of the successful
     loopback connection, length prefixes included; they are 0 in-process.
     ``wall_s`` is the wall time of the passes the node streamed in, in
@@ -523,12 +522,30 @@ def _check_result(verdicts: np.ndarray, n: int) -> None:
         raise TransportError("result frame verdicts are not all 0 or 1")
 
 
+def _check_end(header: dict, body: memoryview, received: int) -> None:
+    """Raise :class:`TransportError` unless ``header`` and ``body`` are an
+    ``end`` frame that counts the ``received`` records: a lost frame shows
+    up here."""
+    _body(header, body, "end")
+    count = header.get("count")
+    if type(count) is not int or count != received:
+        raise TransportError(f"end frame counts {count!r} records, {received} received")
+
+
 class _Channel:
-    """Length-prefixed frames over one socket, counting the frames and bytes
-    that pass in both directions."""
+    """One end of a loopback connection: length-prefixed frames, counting
+    the frames and bytes that pass in both directions. A frame goes out in
+    pieces of at most ``_PIECE`` bytes, each read into the ``peer`` end's
+    inbox as it is sent, so a send never waits for a reader, though an
+    unread connection holds far less than ``_MAX_FRAME``; :meth:`recv`
+    reads the inbox first."""
 
     def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(_SOCKET_TIMEOUT)
         self.sock = sock
+        self.peer: _Channel | None = None
+        self.inbox = bytearray()
         self.frames = 0
         self.wire_bytes = 0
 
@@ -536,44 +553,38 @@ class _Channel:
         self.send_encoded(_encode_frame(header, *arrays))
 
     def send_encoded(self, data: bytes) -> None:
-        self.sock.sendall(data)
+        view = memoryview(data)
+        for start in range(0, len(view), _PIECE):
+            piece = view[start : start + _PIECE]
+            self.sock.sendall(piece)
+            self.peer._fill(len(piece))
         self.frames += 1
         self.wire_bytes += len(data)
 
     def recv(self) -> tuple[dict, memoryview]:
-        (length,) = struct.unpack(">I", self._recv_exact(4))
+        (length,) = struct.unpack(">I", self._take(4))
         if length > _MAX_FRAME:
             raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
-        frame = _decode_frame(self._recv_exact(length))
+        frame = _decode_frame(self._take(length))
         self.frames += 1
         self.wire_bytes += 4 + length
         return frame
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self.sock.recv(remaining)
+    def _take(self, n: int) -> bytes:
+        """The next ``n`` bytes: the inbox's, then the socket's."""
+        self._fill(n - len(self.inbox))
+        data = bytes(self.inbox[:n])
+        del self.inbox[:n]
+        return data
+
+    def _fill(self, n: int) -> None:
+        """Read ``n`` more bytes from the socket into the inbox."""
+        end = len(self.inbox) + n
+        while len(self.inbox) < end:
+            chunk = self.sock.recv(end - len(self.inbox))
             if not chunk:
                 raise TransportError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-
-def _received_intervals(channel: _Channel, schema: FeatureSchema) -> Iterator[FlowBatch]:
-    """Yield each interval frame's interval (see :func:`_interval_of`) as it
-    arrives, until the ``end`` frame, whose count must match (a lost frame
-    shows up there)."""
-    received = 0
-    while (frame := channel.recv())[0].get("type") == "interval":
-        interval = _interval_of(*frame, schema)
-        received += len(interval)
-        yield interval
-    _body(*frame, "end")
-    count = frame[0].get("count")
-    if type(count) is not int or count != received:
-        raise TransportError(f"end frame counts {count!r} records, {received} received")
+            self.inbox += chunk
 
 
 #: Failures worth retrying: transport trouble, not data errors.
@@ -582,6 +593,84 @@ _RETRYABLE = (TransportError, OSError)
 
 def _reason(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+class _Node:
+    """One node of a pass: it classifies each interval it takes and gives
+    its verdicts at the end. In-process, it is its own link (see
+    :func:`_pass`); over loopback, a :class:`_Loopback` hands it the
+    interval of each frame its end reads."""
+
+    def __init__(self, name: str, preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
+        self.name, self.preprocess, self.profile, self.det = name, preprocess, profile, cfg.w_for(name)
+        self.flagged: list[np.ndarray] = []
+
+    def take(self, interval: FlowBatch) -> None:
+        self.flagged.append(_classify(interval, self.preprocess, self.profile, self.det))
+
+    def result(self) -> np.ndarray:
+        return _verdicts(self.flagged)
+
+    def wire(self) -> dict:
+        """The wire's ``NodeResult`` fields: none in-process."""
+        return {}
+
+    def close(self) -> None:
+        pass
+
+
+class _Loopback:
+    """``node`` behind its own connection to ``server``, whose both ends the
+    calling thread drives: the node's end acts on each frame as the store's
+    end sends it (see the module docstring). Opening it connects, accepts
+    and checks the hello; if any of that fails, both ends are closed."""
+
+    def __init__(self, node: _Node, server: socket.socket):
+        self.node, self.sent = node, 0
+        with ExitStack() as opened:
+            # Made and accepted one at a time, so the connection accepted is this one.
+            node_end = opened.enter_context(socket.create_connection(server.getsockname(), timeout=_SOCKET_TIMEOUT))
+            store_end = opened.enter_context(server.accept()[0])
+            self.node_end, self.store_end = _Channel(node_end), _Channel(store_end)
+            self.node_end.peer, self.store_end.peer = self.store_end, self.node_end
+            self.node_end.send({"type": "hello", "node": node.name})
+            hello, body = self.store_end.recv()
+            _body(hello, body, "hello")
+            if hello.get("node") != node.name:
+                raise TransportError(f"hello frame names node {hello.get('node')!r}")
+            self.opened = opened.pop_all()
+
+    def take(self, interval: FlowBatch) -> None:
+        self.sent += len(interval)
+        for data in _interval_frames(interval):
+            self.store_end.send_encoded(data)
+            self._serve()
+
+    def result(self) -> np.ndarray:
+        self.store_end.send({"type": "end", "count": self.sent})
+        self._serve()
+        (verdicts,) = _body(*self.store_end.recv(), "result", _I1)
+        _check_result(verdicts, self.sent)
+        self.store_end.send({"type": "ack"})
+        _body(*self.node_end.recv(), "ack")
+        return verdicts
+
+    def wire(self) -> dict:
+        return {"frames": self.node_end.frames, "wire_bytes": self.node_end.wire_bytes}
+
+    def close(self) -> None:
+        self.opened.close()
+
+    def _serve(self) -> None:
+        """The node's end: classify the interval frame just sent, or answer
+        the ``end`` frame with the result."""
+        header, body = self.node_end.recv()
+        if header.get("type") == "interval":
+            self.node.take(_interval_of(header, body, self.node.preprocess.schema))
+            return
+        verdicts = self.node.result()
+        _check_end(header, body, len(verdicts))
+        self.node_end.send({"type": "result", "n": len(verdicts)}, verdicts)
 
 
 #: What a pass leaves for each node it streamed: the reason its attempt
@@ -634,172 +723,41 @@ def _run_nodes(cfg: SimulationConfig, run_pass: Callable[[list[str]], tuple[dict
     return results, n_records
 
 
-def _in_process_pass(source: Callable[[], Iterator[FlowBatch]], nodes: list[str], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
-    """One pass in-process: the calling thread classifies each interval as
-    the store cuts it (see :func:`_run_nodes` for what it returns)."""
-    store = _Store(cfg, preprocess.columns, nodes)
-    flagged: dict[str, list[np.ndarray]] = {node: [] for node in nodes}
+def _pass(source: Callable[[], Iterator[FlowBatch]], nodes: list[str], link: Callable[[str], _Node | _Loopback], columns: Sequence[str], cfg: SimulationConfig):
+    """One pass on the calling thread, on either transport (see the module
+    docstring and, for what it returns, :func:`_run_nodes`): ``link(node)``
+    opens ``node``'s link. A link that raises a retryable error is closed
+    and its node dropped; the others carry on. Every link is closed before
+    the pass returns or raises."""
+    store = _Store(cfg, columns, nodes)
+    links: dict[str, _Node | _Loopback] = {}
     failed: dict[str, _Outcome] = {}
-    with closing(source()) as batches:
-        for node, interval in store.intervals(batches):
-            if node in failed:
-                continue
-            try:
-                flagged[node].append(_classify(interval, preprocess, profile, cfg.w_for(node)))
-            except _RETRYABLE as exc:
-                failed[node] = _reason(exc)
-                store.drop(node)
-    done = {node: (_verdicts(flagged[node]), store.truth[node], {}) for node in nodes if node not in failed}
-    return {**failed, **done}, store.n_records
 
-
-class _StoreService:
-    """The store's side of a loopback pass, over the connections in
-    ``channels``, run on its own thread (see the module docstring). A
-    connection that faults is closed after its reason is left in
-    ``errors``; each node's checked verdicts are left in ``verdicts``. A
-    data error ends the pass, closing every connection, and is left in
-    ``fatal`` for the calling thread to raise."""
-
-    def __init__(self, store: _Store, batches: Iterable[FlowBatch]):
-        self.store, self.batches = store, batches
-        self.channels: dict[str, _Channel] = {}
-        self.errors: dict[str, str] = {}
-        self.verdicts: dict[str, np.ndarray] = {}
-        self.fatal: Exception | None = None
-
-    def serve(self) -> None:
+    def attempt(node: str, step: Callable[[], object]):
         try:
-            self._each(self._hello)
-            for node, interval in self.store.intervals(self.batches):
-                if (channel := self.channels.get(node)) is not None:
-                    try:
-                        for data in _interval_frames(interval):
-                            channel.send_encoded(data)
-                    except Exception as exc:
-                        self._fault(node, exc)
-            self._each(lambda node, channel: channel.send({"type": "end", "count": len(self.store.truth[node])}))
-            self._each(self._collect)
-        except Exception as exc:
-            self.fatal = exc
-        finally:
-            for channel in self.channels.values():
-                channel.sock.close()
-
-    def _each(self, step) -> None:
-        """``step(node, channel)`` for each open connection, in ``cfg.nodes`` order."""
-        for node, channel in list(self.channels.items()):
-            try:
-                step(node, channel)
-            except Exception as exc:
-                self._fault(node, exc)
-
-    def _fault(self, node: str, exc: Exception) -> None:
-        self.errors[node] = _reason(exc)  # recorded before the close the worker sees
-        self.store.drop(node)
-        self.channels.pop(node).sock.close()
-
-    @staticmethod
-    def _hello(node: str, channel: _Channel) -> None:
-        hello, body = channel.recv()
-        _body(hello, body, "hello")
-        if hello.get("node") != node:
-            raise TransportError(f"hello frame names node {hello.get('node')!r}")
-
-    def _collect(self, node: str, channel: _Channel) -> None:
-        (verdicts,) = _body(*channel.recv(), "result", _I1)
-        _check_result(verdicts, len(self.store.truth[node]))
-        self.verdicts[node] = verdicts
-        channel.send({"type": "ack"})
-
-
-def _work(workers: dict[str, _Channel], service: _StoreService, failed: dict[str, _Outcome], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig) -> None:
-    """The worker's side of a loopback pass, on the calling thread: classify
-    each interval frame from whichever connection has one ready; once every
-    ``end`` frame is in, send each node's result and read its ack, in the
-    ``cfg.nodes`` order the store collects them in. A connection that
-    faults is closed, with its reason left in ``failed``; the others carry
-    on. Any other exception, a data error, propagates at once."""
-    flagged: dict[str, list[np.ndarray]] = {node: [] for node in workers}
-    received = {node: _received_intervals(channel, preprocess.schema) for node, channel in workers.items()}
-
-    def fault(node: str, exc: BaseException) -> None:
-        # Read before this socket closes: an error its close causes is not the store's.
-        error = service.errors.get(node)
-        failed[node] = _reason(exc) if error is None else f"{_reason(exc)}; store service: {error}"
-        workers.pop(node).sock.close()
-
-    with selectors.DefaultSelector() as selector:
-        for node, channel in workers.items():
-            selector.register(channel.sock, selectors.EVENT_READ, node)
-        while keys := list(selector.get_map().values()):
-            ready = [key for key, _ in selector.select(_SOCKET_TIMEOUT)]
-            for key in ready or keys:
-                node = key.data
-                try:
-                    if not ready:
-                        raise TransportError(f"no frame within {_SOCKET_TIMEOUT} s")
-                    interval = next(received[node], None)  # None after the end frame
-                    if interval is not None:
-                        flagged[node].append(_classify(interval, preprocess, profile, cfg.w_for(node)))
-                        continue
-                    selector.unregister(key.fileobj)
-                except _RETRYABLE as exc:
-                    selector.unregister(key.fileobj)
-                    fault(node, exc)
-    for node, channel in list(workers.items()):
-        try:
-            verdicts = _verdicts(flagged[node])
-            channel.send({"type": "result", "n": len(verdicts)}, verdicts)
-            _body(*channel.recv(), "ack")
+            return step()
         except _RETRYABLE as exc:
-            fault(node, exc)
+            failed[node] = _reason(exc)
+            store.drop(node)
+            if node in links:
+                links.pop(node).close()
 
-
-def _loopback_pass(server: socket.socket, source: Callable[[], Iterator[FlowBatch]], nodes: list[str], preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
-    """One pass over loopback (see the module docstring and, for what it
-    returns, :func:`_run_nodes`). Every connection is closed and the
-    store-service thread joined before it returns or raises."""
-    store = _Store(cfg, preprocess.columns, nodes)
-    failed: dict[str, _Outcome] = {}
-    workers: dict[str, _Channel] = {}
     with closing(source()) as batches:
         # A reader process the source forks starts here, before any
         # connection is open, so it holds none of their sockets.
         head = list(itertools.islice(batches, 1))
-        service = _StoreService(store, itertools.chain(head, batches))
         try:
             for node in nodes:
-                try:
-                    # Made and accepted one at a time, so the connection accepted is this one.
-                    workers[node] = _Channel(socket.create_connection(server.getsockname(), timeout=_SOCKET_TIMEOUT))
-                    conn = server.accept()[0]
-                    service.channels[node] = _Channel(conn)
-                    conn.settimeout(_SOCKET_TIMEOUT)
-                    workers[node].send({"type": "hello", "node": node})
-                except OSError as exc:
-                    failed[node] = _reason(exc)
-                    store.drop(node)
-                    for channels in (workers, service.channels):
-                        if node in channels:
-                            channels.pop(node).sock.close()
-            thread = threading.Thread(target=service.serve)
-            thread.start()
-            try:
-                _work(workers, service, failed, preprocess, profile, cfg)
-            finally:
-                for channel in workers.values():
-                    channel.sock.close()
-                thread.join()
+                if (opened := attempt(node, lambda: link(node))) is not None:
+                    links[node] = opened
+            for node, interval in store.intervals(itertools.chain(head, batches)):
+                if node in links:
+                    attempt(node, lambda: links[node].take(interval))
+            verdicts = {node: attempt(node, links[node].result) for node in list(links)}
         finally:
-            for channel in service.channels.values():
-                channel.sock.close()
-    if service.fatal is not None:
-        raise service.fatal
-    done = {
-        node: (service.verdicts[node], store.truth[node], {"frames": channel.frames, "wire_bytes": channel.wire_bytes})
-        for node, channel in workers.items()
-    }
+            for opened in links.values():
+                opened.close()
+    done = {node: (verdicts[node], store.truth[node], opened.wire()) for node, opened in links.items()}
     return {**failed, **done}, store.n_records
 
 
@@ -822,14 +780,18 @@ def run_simulation(
     The aggregate is the exact field-wise sum of the healthy nodes' counts;
     failed nodes are excluded and flagged, never silently dropped. A data
     error (see :meth:`_Store.intervals`) raises at once, on either
-    transport, after every connection is closed and every thread joined.
+    transport, after every connection is closed.
     """
     ensure_bound(profile, preprocess)
+
+    def run(link: Callable[[str], _Node | _Loopback]) -> tuple[dict[str, NodeResult], int]:
+        return _run_nodes(cfg, lambda nodes: _pass(source, nodes, link, preprocess.columns, cfg))
+
     if cfg.transport == "in-process":
-        results, n_records = _run_nodes(cfg, lambda nodes: _in_process_pass(source, nodes, preprocess, profile, cfg))
+        results, n_records = run(lambda node: _Node(node, preprocess, profile, cfg))
     else:
         with socket.create_server(("127.0.0.1", cfg.port)) as server:
-            results, n_records = _run_nodes(cfg, lambda nodes: _loopback_pass(server, source, nodes, preprocess, profile, cfg))
+            results, n_records = run(lambda node: _Loopback(_Node(node, preprocess, profile, cfg), server))
 
     failed = tuple(n for n in cfg.nodes if results[n].failed)
     counted = [n for n in cfg.nodes if not results[n].failed and results[n].counts is not None]

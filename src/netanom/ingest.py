@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import inspect
 import io
 import math
 import os
@@ -534,9 +533,10 @@ def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator
     flight. The child runs no BLAS routine, so the BLAS threads the fork
     does not copy are never missed. An error the child raises is raised
     here, with its type and message, after the batches before it. Leaving
-    the block reaps the child, after killing it if the batches were not
-    read to their end. Where ``os.fork`` is missing, the batches are read
-    in this process.
+    the block reaps the child, after killing it if its last frame (the end
+    or the error) was not read, so a child still writing ends by the kill,
+    not by EPIPE. Where ``os.fork`` is missing, the batches are read in
+    this process.
     """
     with _open_text(Path(path)) as (stream, fid):
         if not hasattr(os, "fork"):
@@ -549,13 +549,13 @@ def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator
                 if pid == 0:
                     pipe.close()  # so a child whose parent has died gets EPIPE, not a full pipe
                     _serve_batches(_stream_batches(stream, fid, schema, columns), sink)
-            received = _received_batches(pipe)
+            ended: list[bool] = []
             try:
-                yield received
+                yield _received_batches(pipe, ended)
             finally:
-                pipe.close()  # a child still writing gets EPIPE
-                if inspect.getgeneratorstate(received) != inspect.GEN_CLOSED:
+                if not ended:
                     os.kill(pid, signal.SIGKILL)  # the caller left before the end; the child may still be reading
+                pipe.close()
                 os.waitpid(pid, 0)
 
 
@@ -587,18 +587,20 @@ def _send(sink, item) -> None:
     sink.flush()
 
 
-def _received_batches(pipe) -> Iterator[FlowBatch]:
+def _received_batches(pipe, ended: list[bool]) -> Iterator[FlowBatch]:
     """The batches :func:`_serve_batches` writes to ``pipe``, then the
-    error it sent, if any."""
+    error it sent, if any; ``ended`` gains an entry once the end frame, None
+    or the error, is read."""
     while len(head := pipe.read(_FRAME_SIZE.size)) == _FRAME_SIZE.size:
         (size,) = _FRAME_SIZE.unpack(head)
         frame = pipe.read(size)
         if len(frame) < size:
             break
         item = pickle.loads(frame)
-        if item is None:
-            return
-        if isinstance(item, BaseException):
+        if item is None or isinstance(item, BaseException):
+            ended.append(True)
+            if item is None:
+                return
             raise item
         yield item
     raise IngestError("the reader process ended before the capture did")

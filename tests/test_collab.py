@@ -393,7 +393,7 @@ class TestNodeStreams:
                 parts.append(_lists(collab._interval_of(header, body, schema)))
             assert (len(frames) > 1) == splits
             decoded = _joined(parts)
-            # the worker is not told the labels: every truth comes back -1 (unknown)
+            # the node is not told the labels: every truth comes back -1 (unknown)
             assert decoded == {**_stream(run, schema, pp.columns), "truth": [-1] * len(run)}
             assert decoded == {**_lists(interval), "truth": [-1] * len(interval)}
 
@@ -582,16 +582,11 @@ class TestFrameCodec:
         ],
     )
     def test_bad_end_frame_raises_retryable_transport_error(self, end, message):
-        frames = [_payload(_interval({"x": np.arange(3.0)})), collab._encode_frame(end)[4:]]
-
-        class Channel:
-            def recv(self):
-                return collab._decode_frame(frames.pop(0))
-
-        intervals = collab._received_intervals(Channel(), _CODEC_SCHEMA)
-        assert len(next(intervals)) == 3
+        """The node's end checks the end frame after an interval of 3 records."""
+        interval = collab._interval_of(*collab._decode_frame(_payload(_interval({"x": np.arange(3.0)}))), _CODEC_SCHEMA)
+        collab._check_end(*collab._decode_frame(collab._encode_frame({"type": "end", "count": 3})[4:]), len(interval))
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
-            next(intervals)
+            collab._check_end(*collab._decode_frame(collab._encode_frame(end)[4:]), len(interval))
         assert isinstance(excinfo.value, collab._RETRYABLE)
 
 
@@ -888,9 +883,8 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("retried", [False, True])
     def test_threads_started(self, sim_records, schema, fitted, monkeypatch, retried):
-        """In-process, the nodes run on the calling thread and start no
-        thread; over loopback each pass starts exactly one, its
-        store-service thread, whatever the number of nodes it streams."""
+        """On both transports a pass runs on the calling thread and starts
+        no thread, over loopback whether or not a node is retried."""
         pp, profile = fitted
         real_start, real_send, started, sent_bad = threading.Thread.start, collab._Channel.send, [], []
 
@@ -911,42 +905,33 @@ class TestRunSimulation:
             cfg = _cfg(transport=transport)
             outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
             assert not outcome.partial and tuple(outcome.node_results) == cfg.nodes
-            if transport == "in-process":
-                assert started == []
-            else:
+            assert started == []
+            if transport == "loopback-socket":
                 assert [r.attempts for r in outcome.node_results.values()] == [1, 1 + retried, 1]
-                assert len(started) == 1 + retried
         assert bool(sent_bad) == retried
 
     def test_eight_nodes_each_accept_their_own_connection(self, sim_records, schema, fitted):
-        """Eight nodes run in turn, and at a short switch interval each
-        attempt's worker and store-service thread interleave often; each
-        attempt still accepts the connection it made: a crossed one would
-        fail the store's hello check and show up as a retry."""
+        """Eight nodes each open a connection in turn, and each attempt
+        accepts the connection it made: a crossed one would fail the
+        store's hello check and show up as a retry."""
         pp, profile = fitted
         outcomes = {}
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for transport in TRANSPORTS:
-                cfg = _cfg(nodes=tuple("ABCDEFGH"), transport=transport, interval_size=16)
-                outcomes[transport] = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
-        finally:
-            sys.setswitchinterval(switch)
+        for transport in TRANSPORTS:
+            cfg = _cfg(nodes=tuple("ABCDEFGH"), transport=transport, interval_size=16)
+            outcomes[transport] = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         loopback = outcomes["loopback-socket"]
         assert [r.attempts for r in loopback.node_results.values()] == [1] * 8
         assert not any(r.errors for r in loopback.node_results.values())
         for node in cfg.nodes:
             assert_same_verdicts(loopback.node_results[node].verdicts, outcomes["in-process"].node_results[node].verdicts)
 
-    @pytest.mark.parametrize("case", ["clean", "retried service error", "fatal PreprocessError"])
+    @pytest.mark.parametrize("case", ["clean", "retried store error", "fatal PreprocessError"])
     def test_loopback_leaves_no_thread_behind(self, sim_records, schema, fitted, monkeypatch, case):
-        """Every pass joins its store-service thread before it returns,
-        whether its nodes succeed, one is retried or a node hits a fatal
-        data error."""
+        """A pass leaves no thread running, whether its nodes succeed, one
+        is retried or a node hits a fatal data error."""
         pp, profile = fitted
         records, real, sent_bad = sim_records, collab._Channel.send, []
-        retried = case == "retried service error"
+        retried = case == "retried store error"
         if retried:
 
             def flaky(channel, header, *arrays):
@@ -959,7 +944,7 @@ class TestRunSimulation:
         cfg = _cfg(transport="loopback-socket")
         (batch,) = replay(records, cfg, schema)()
         if case == "fatal PreprocessError":
-            # No read makes a non-finite value, but apply still rejects one on the worker.
+            # No read makes a non-finite value, but apply still rejects one on the node.
             tcprtt = batch.columns["tcprtt"].copy()
             tcprtt[16] = np.inf  # round-robin: B's sixth record
             batch = replace(batch, columns={**batch.columns, "tcprtt": tcprtt})
@@ -999,7 +984,8 @@ class TestRunSimulation:
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
 
-    def test_store_service_error_recorded_and_retried(self, sim_records, schema, fitted, monkeypatch):
+    def test_store_error_recorded_and_retried(self, sim_records, schema, fitted, monkeypatch):
+        """A bad hello fails B's attempt on the store's end, with that one reason."""
         pp, profile = fitted
         real = collab._Channel.send
         sent_bad = []
@@ -1018,26 +1004,24 @@ class TestRunSimulation:
         assert sent_bad
         b = outcome.node_results["B"]
         assert not b.failed and b.attempts == 2
-        # The worker's own reason, with the store service's joined on.
-        (error,) = b.errors
-        assert error.startswith("TransportError: ")
-        assert error.endswith("; store service: TransportError: expected hello frame, got 'capture'")
+        assert b.errors == ("TransportError: expected hello frame, got 'capture'",)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
         assert outcome.node_results["A"].errors == ()
         assert outcome.aggregate_counts == clean.aggregate_counts
         assert outcome.per_node_reports == clean.per_node_reports
 
     @pytest.mark.parametrize(
-        "kind, edit, store_error",
+        "kind, edit, reason",
         [
-            ("end", lambda header, arrays: header.pop("count"), None),
+            ("end", lambda header, arrays: header.pop("count"), "TransportError: end frame counts None records, 200 received"),
             ("hello", lambda header, arrays: header.__setitem__("node", "Z"), "TransportError: hello frame names node 'Z'"),
             ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], 7)), "TransportError: result frame verdicts are not all 0 or 1"),
         ],
     )
-    def test_bad_peer_frame_retried(self, sim_records, schema, fitted, monkeypatch, kind, edit, store_error):
+    def test_bad_peer_frame_retried(self, sim_records, schema, fitted, monkeypatch, kind, edit, reason):
         """A peer frame that does not fit its layout is a retryable
-        TransportError on the side that reads it, never a crash."""
+        TransportError on the end that reads it, never a crash: the node's
+        end for the end frame, the store's for the hello and the result."""
         pp, profile = fitted
         real = collab._Channel.send
         sent_bad = []
@@ -1058,13 +1042,33 @@ class TestRunSimulation:
         assert sorted(r.attempts for r in outcome.node_results.values()) == [1, 2]
         intact, (retried,) = sorted(r.errors for r in outcome.node_results.values())
         assert intact == ()
-        if store_error is None:  # the worker reads the bad frame while the store waits for its result
-            assert retried == "TransportError: end frame counts None records, 200 received"
-        else:
-            assert retried.startswith("TransportError: ") and retried.endswith(f"; store service: {store_error}")
+        assert retried == reason
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_counts == clean.aggregate_counts
+
+    def test_frame_far_larger_than_an_unread_connection_holds(self, sim_records, schema, fitted):
+        """One interval of 2,000 records whose service texts are 8 KiB each,
+        about 16.5 MB on the wire in 5 frames, far more than a loopback
+        connection holds unread: the store's end sends the interval frame in
+        pieces that the node's end reads as they come, so the one attempt
+        completes and agrees with the in-process run."""
+        pp, profile = fitted
+        service = schema.index_of("service")
+        records = []
+        for i in range(2000):
+            record = sim_records[i % len(sim_records)]
+            values = list(record.values)
+            values[service] = f"{i:04d}".ljust(8192, "s")
+            records.append(FlowRecord(tuple(values), record.truth, ("big.csv", i + 1)))
+        outcomes = {}
+        for transport in TRANSPORTS:
+            cfg = _cfg(nodes=("solo",), interval_size=2000, transport=transport, retry_budget=0)
+            outcomes[transport] = run_simulation(replay(records, cfg, schema), profile, pp, cfg)
+        solo = outcomes["loopback-socket"].node_results["solo"]
+        assert (solo.attempts, solo.errors, solo.frames) == (1, (), 5)
+        assert solo.wire_bytes > 16_000_000
+        assert_same_verdicts(solo.verdicts, outcomes["in-process"].node_results["solo"].verdicts)
 
     def test_empty_node_reports_no_counts(self, sim_records, schema, fitted):
         """Node C has no records: on both transports it succeeds at once
@@ -1080,7 +1084,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("text", [[1], None, 6], ids=["list", "null", "number"])
     def test_non_string_field_text_retried(self, sim_records, schema, fitted, monkeypatch, text):
         """An interval frame whose field texts are not all strings is a
-        retryable TransportError on the worker, not a data error."""
+        retryable TransportError on the node's end, not a data error."""
         pp, profile = fitted
         real = collab._interval_frames
         sent_bad = []
@@ -1138,7 +1142,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("always", [False, True])
     def test_corrupt_frame_body_retried(self, sim_capture, fitted, monkeypatch, always):
         """An interval frame that loses its last body byte (its length prefix
-        still matching) fails to decode on the worker, which retries."""
+        still matching) fails to decode on the node's end, which retries."""
         pp, profile = fitted
         real = collab._interval_frames
         corrupted = []
@@ -1315,7 +1319,7 @@ class TestPasses:
         source, calls = _counted(_capture_source(sim_capture, pp, cfg))
         real, fired = collab._classify, []
 
-        def flaky(interval, *args):  # the worker classifies on both transports
+        def flaky(interval, *args):  # the node classifies on both transports
             if _origins(interval)[0] in of_b and not fired:
                 fired.append(True)
                 raise OSError("injected fault")
@@ -1348,10 +1352,9 @@ class TestPasses:
             run_simulation(source, profile, pp, cfg)
         assert calls == []
 
-    def test_pass_whose_every_node_failed_reads_no_further(self, sim_records, schema, fitted, monkeypatch):
-        """In-process, the store drops a node as its attempt fails. (Over
-        loopback it learns of a worker's fault at its next send to it, so
-        how far it reads depends on timing.)"""
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_pass_whose_every_node_failed_reads_no_further(self, sim_records, schema, fitted, monkeypatch, transport):
+        """On both transports the store drops a node as its attempt fails."""
         pp, profile = fitted
         read = []
 
@@ -1364,7 +1367,7 @@ class TestPasses:
             raise OSError("injected fault")
 
         monkeypatch.setattr(collab, "_classify", failing)
-        cfg = _cfg(nodes=("solo",), interval_size=5, retry_budget=0)
+        cfg = _cfg(nodes=("solo",), interval_size=5, retry_budget=0, transport=transport)
         with pytest.raises(SimulationError, match="no healthy node"):
             run_simulation(source, profile, pp, cfg)
         assert read == [0]  # the first interval failed the only node: the second batch is never read
@@ -1417,7 +1420,7 @@ class TestFaultInjection:
         clean = run()
         real_send, real_recv = collab._Channel.send_encoded, collab._Channel.recv
         kind, index = frame
-        # Each connection's node, by either end's channel: the worker's sends
+        # Each connection's node, by either end's channel: the node's sends
         # the hello, the store's receives it.
         owner, intervals, fired = {}, Counter(), []
 
@@ -1463,7 +1466,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
     @pytest.mark.parametrize("node", NODES)
     def test_connection_closed_in_place_of_the_result_frame(self, sim_capture, fitted, node, always):
-        """The worker's side closing in place of its result frame raises an
+        """The node's end closing in place of its result frame raises an
         ``OSError`` (``ConnectionAbortedError``) on the calling thread,
         which is retried like any other transport fault. The property above
         draws this case too rarely to be sure to catch its loss (CHANGES
