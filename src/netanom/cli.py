@@ -18,11 +18,12 @@ each batch between reads for the overlap to pay for the pipe.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -345,7 +346,7 @@ def _scored_batches(path, profile, preprocess):
     of the capture at ``path``. A reader process parses the next batch
     while this one is encoded, scored and used (``ingest._read_ahead``);
     leaving the block ends it."""
-    with _read_ahead(path, preprocess.schema, preprocess.columns) as batches:
+    with closing(_read_ahead(path, preprocess.schema, preprocess.columns)) as batches:
         yield ((batch, profile.score_matrix(preprocess.apply(batch))) for batch in batches)
 
 
@@ -481,16 +482,7 @@ def _cmd_simulate(args, parser) -> int:
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
     hashed = (cfg.hash_column,) if cfg.assignment == "hash-of-source" else ()
-
-    def source():
-        # One pass over the capture, read one batch ahead by a reader process.
-        with _read_ahead(args.test, preprocess.schema, preprocess.columns + hashed) as batches:
-            first = next(batches, None)
-            if first is None:
-                raise IngestError("test file has no records")
-            yield first
-            yield from batches
-
+    source = functools.partial(_read_ahead, args.test, preprocess.schema, preprocess.columns + hashed)
     outcome = run_simulation(source, profile, preprocess, cfg)
     records = outcome.n_records
 

@@ -263,14 +263,14 @@ def _node_assigner(cfg: SimulationConfig):
             return np.array([index[name] for name in names[start : start + len(batch)]], np.intp)
 
         return assign_listed
-    node_of: dict[str | float, int] = {}  # sources repeat: hash each value once
 
     def assign(batch: FlowBatch, start: int) -> np.ndarray:
         column = batch.columns.get(cfg.hash_column)
         if column is None:
             raise SchemaError(f"no column named {cfg.hash_column!r}")
         sources = (column + 0.0).tolist() if isinstance(column, np.ndarray) else column
-        for value in set(sources) - node_of.keys():
+        node_of = {}  # sources repeat within a batch: hash each of its values once
+        for value in set(sources):
             h = hashlib.sha256((value if isinstance(value, str) else repr(value)).encode("utf-8")).digest()
             node_of[value] = int.from_bytes(h[:8], "big") % n
         return np.fromiter(map(node_of.__getitem__, sources), np.intp, len(sources))
@@ -337,7 +337,7 @@ class _Store:
             if not self.pending:
                 return
         if self.n_records == 0:
-            raise SimulationError("the capture has no records")
+            raise SimulationError("test file has no records")
         names = self.cfg.explicit_assignment
         if self.cfg.assignment == "explicit" and len(names) != self.n_records:
             raise SimulationError(f"explicit assignment has {len(names)} entries for {self.n_records} records")
@@ -398,7 +398,6 @@ class NodeResult:
 class SimulationOutcome:
     node_results: Mapping[str, NodeResult]
     per_node_reports: Mapping[str, MetricsReport]
-    aggregate_counts: ConfusionCounts
     aggregate_report: MetricsReport
     failed_nodes: tuple[str, ...]
     n_records: int  # the capture's, failed nodes' records included
@@ -407,15 +406,15 @@ class SimulationOutcome:
     def partial(self) -> bool:
         return bool(self.failed_nodes)
 
+    @property
+    def aggregate_counts(self) -> ConfusionCounts:
+        """``aggregate_report.counts``, kept for ``bench/tracing.py``."""
+        return self.aggregate_report.counts
+
 
 def _classify(interval: FlowBatch, preprocess: PreprocessModel, profile: NormalProfile, det: DetectionConfig) -> np.ndarray:
     """One interval's verdicts, as a bool mask."""
     return classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det)
-
-
-def _verdicts(flagged: list[np.ndarray]) -> np.ndarray:
-    """A node's int8 0/1 verdicts from its intervals' masks, in order."""
-    return np.concatenate([np.empty(0, np.int8), *flagged])  # bool masks join as int8
 
 
 _F8, _I8, _I1 = np.dtype("<f8"), np.dtype("<i8"), np.dtype("i1")  # floats, row numbers, verdicts
@@ -598,7 +597,7 @@ def _reason(exc: BaseException) -> str:
 class _Node:
     """One node of a pass: it classifies each interval it takes and gives
     its verdicts at the end. In-process, it is its own link (see
-    :func:`_pass`); over loopback, a :class:`_Loopback` hands it the
+    :func:`_run_nodes`); over loopback, a :class:`_Loopback` hands it the
     interval of each frame its end reads."""
 
     def __init__(self, name: str, preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
@@ -609,7 +608,8 @@ class _Node:
         self.flagged.append(_classify(interval, self.preprocess, self.profile, self.det))
 
     def result(self) -> np.ndarray:
-        return _verdicts(self.flagged)
+        """Its int8 0/1 verdicts, in order: bool masks join as int8."""
+        return np.concatenate([np.empty(0, np.int8), *self.flagged])
 
     def wire(self) -> dict:
         """The wire's ``NodeResult`` fields: none in-process."""
@@ -673,20 +673,20 @@ class _Loopback:
         self.node_end.send({"type": "result", "n": len(verdicts)}, verdicts)
 
 
-#: What a pass leaves for each node it streamed: the reason its attempt
-#: failed, or its verdicts, its truths and a dict of the wire's
-#: ``NodeResult`` fields (empty in-process).
-_Outcome = str | tuple[np.ndarray, np.ndarray, dict]
-
-
-def _run_nodes(cfg: SimulationConfig, run_pass: Callable[[list[str]], tuple[dict[str, _Outcome], int]]) -> tuple[dict[str, NodeResult], int]:
+def _run_nodes(
+    source: Callable[[], Iterator[FlowBatch]], link: Callable[[str], _Node | _Loopback], columns: Sequence[str], cfg: SimulationConfig
+) -> tuple[dict[str, NodeResult], int]:
     """Run up to ``cfg.retry_budget + 1`` passes, each over the nodes of
     ``cfg.nodes`` still owed a result, and count each node's verdicts
     against its truths. A node of ``cfg.fail_nodes`` crashes before a pass
     reads, and a pass with no node left to stream is not run.
-    ``run_pass(nodes)`` returns each node's outcome and the records read;
-    any exception it raises, a data error, propagates at once. The results
-    follow ``cfg.nodes`` order; the count is the capture's."""
+
+    A pass runs on the calling thread, on either transport (see the module
+    docstring): ``link(node)`` opens ``node``'s link. A link that raises a
+    retryable error is closed, its reason recorded and its node dropped;
+    the others carry on. Any other exception, a data error, propagates at
+    once, after every link is closed. The results follow ``cfg.nodes``
+    order; the count is the capture's."""
     attempts = dict.fromkeys(cfg.nodes, 0)
     errors: dict[str, list[str]] = {node: [] for node in cfg.nodes}
     wall_s = dict.fromkeys(cfg.nodes, 0.0)
@@ -702,18 +702,41 @@ def _run_nodes(cfg: SimulationConfig, run_pass: Callable[[list[str]], tuple[dict
         if not streaming:
             continue
         started = time.perf_counter()
-        outcomes, read = run_pass(streaming)
-        n_records = max(n_records, read)  # a pass whose every node failed may stop early
+        store = _Store(cfg, columns, streaming)
+        links: dict[str, _Node | _Loopback] = {}
+
+        def attempt(node: str, step: Callable[[], object]):
+            try:
+                return step()
+            except _RETRYABLE as exc:
+                errors[node].append(_reason(exc))
+                store.drop(node)
+                if node in links:
+                    links.pop(node).close()
+
+        with closing(source()) as batches:
+            # A reader process the source forks starts here, before any
+            # connection is open, so it holds none of their sockets.
+            head = list(itertools.islice(batches, 1))
+            try:
+                for node in streaming:
+                    if (opened := attempt(node, lambda: link(node))) is not None:
+                        links[node] = opened
+                for node, interval in store.intervals(itertools.chain(head, batches)):
+                    if node in links:
+                        attempt(node, lambda: links[node].take(interval))
+                verdicts = {node: attempt(node, links[node].result) for node in list(links)}
+            finally:
+                for opened in links.values():
+                    opened.close()
+        n_records = max(n_records, store.n_records)  # a pass whose every node failed may stop early
         elapsed = time.perf_counter() - started
         for node in streaming:
             wall_s[node] += elapsed
-            if isinstance(outcome := outcomes[node], str):
-                errors[node].append(outcome)
-                continue
-            verdicts, truth, wire = outcome
-            verdicts.setflags(write=False)
-            counts = confusion(verdicts, truth) if len(verdicts) else None
-            done[node] = NodeResult(node, counts, verdicts, False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], **wire)
+        for node, opened in links.items():
+            verdicts[node].setflags(write=False)
+            counts = confusion(verdicts[node], store.truth[node]) if len(verdicts[node]) else None
+            done[node] = NodeResult(node, counts, verdicts[node], False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], **opened.wire())
     nothing = np.empty(0, np.int8)
     nothing.setflags(write=False)
     results = {
@@ -721,44 +744,6 @@ def _run_nodes(cfg: SimulationConfig, run_pass: Callable[[list[str]], tuple[dict
         for node in cfg.nodes
     }
     return results, n_records
-
-
-def _pass(source: Callable[[], Iterator[FlowBatch]], nodes: list[str], link: Callable[[str], _Node | _Loopback], columns: Sequence[str], cfg: SimulationConfig):
-    """One pass on the calling thread, on either transport (see the module
-    docstring and, for what it returns, :func:`_run_nodes`): ``link(node)``
-    opens ``node``'s link. A link that raises a retryable error is closed
-    and its node dropped; the others carry on. Every link is closed before
-    the pass returns or raises."""
-    store = _Store(cfg, columns, nodes)
-    links: dict[str, _Node | _Loopback] = {}
-    failed: dict[str, _Outcome] = {}
-
-    def attempt(node: str, step: Callable[[], object]):
-        try:
-            return step()
-        except _RETRYABLE as exc:
-            failed[node] = _reason(exc)
-            store.drop(node)
-            if node in links:
-                links.pop(node).close()
-
-    with closing(source()) as batches:
-        # A reader process the source forks starts here, before any
-        # connection is open, so it holds none of their sockets.
-        head = list(itertools.islice(batches, 1))
-        try:
-            for node in nodes:
-                if (opened := attempt(node, lambda: link(node))) is not None:
-                    links[node] = opened
-            for node, interval in store.intervals(itertools.chain(head, batches)):
-                if node in links:
-                    attempt(node, lambda: links[node].take(interval))
-            verdicts = {node: attempt(node, links[node].result) for node in list(links)}
-        finally:
-            for opened in links.values():
-                opened.close()
-    done = {node: (verdicts[node], store.truth[node], opened.wire()) for node, opened in links.items()}
-    return {**failed, **done}, store.n_records
 
 
 def run_simulation(
@@ -783,15 +768,11 @@ def run_simulation(
     transport, after every connection is closed.
     """
     ensure_bound(profile, preprocess)
-
-    def run(link: Callable[[str], _Node | _Loopback]) -> tuple[dict[str, NodeResult], int]:
-        return _run_nodes(cfg, lambda nodes: _pass(source, nodes, link, preprocess.columns, cfg))
-
     if cfg.transport == "in-process":
-        results, n_records = run(lambda node: _Node(node, preprocess, profile, cfg))
+        results, n_records = _run_nodes(source, lambda node: _Node(node, preprocess, profile, cfg), preprocess.columns, cfg)
     else:
         with socket.create_server(("127.0.0.1", cfg.port)) as server:
-            results, n_records = run(lambda node: _Loopback(_Node(node, preprocess, profile, cfg), server))
+            results, n_records = _run_nodes(source, lambda node: _Loopback(_Node(node, preprocess, profile, cfg), server), preprocess.columns, cfg)
 
     failed = tuple(n for n in cfg.nodes if results[n].failed)
     counted = [n for n in cfg.nodes if not results[n].failed and results[n].counts is not None]
@@ -802,7 +783,6 @@ def run_simulation(
     return SimulationOutcome(
         node_results=results,
         per_node_reports={n: metrics(results[n].counts, w=cfg.w_for(n).w) for n in counted},
-        aggregate_counts=aggregate,
         aggregate_report=metrics(aggregate, w=node_ws.pop() if len(node_ws) == 1 else None),
         failed_nodes=failed,
         n_records=n_records,

@@ -27,7 +27,6 @@ import math
 import os
 import pickle
 import signal
-import struct
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -516,31 +515,25 @@ def _stream_batches(stream, fid: str, schema: FeatureSchema, columns: Sequence[s
         yield batch
 
 
-#: The length prefix of each frame the reader process writes.
-_FRAME_SIZE = struct.Struct("<Q")
+def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
+    """The batches :func:`iter_flow_batches` reads from the capture at
+    ``path``, parsed one batch ahead by a reader process.
 
-
-@contextmanager
-def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[Iterator[FlowBatch]]:
-    """Yield an iterator over the batches :func:`iter_flow_batches` reads
-    from the capture at ``path``, parsed one batch ahead by a reader
+    The first ``next`` opens the path, so a missing file raises before any
+    fork. The forked child reads the inherited stream and writes each batch
+    to a pipe as a pickle, so batch i+1 is parsed while the caller works on
+    batch i; the pipe's back-pressure keeps about one batch in flight. The
+    child runs no BLAS routine, so the BLAS threads the fork does not copy
+    are never missed. An error the child raises is raised here, with its
+    type and message, after the batches before it. Closing the generator
+    reaps the child, after killing it if its last pickle (the end, None, or
+    the error) was not read, so a child still writing ends by the kill, not
+    by EPIPE. Where ``os.fork`` is missing, the batches are read in this
     process.
-
-    The path is opened here, so a missing file raises before any fork. The
-    forked child reads the inherited stream and writes each batch to a pipe
-    as a length-prefixed pickle, so batch i+1 is parsed while the caller
-    works on batch i; the pipe's back-pressure keeps about one batch in
-    flight. The child runs no BLAS routine, so the BLAS threads the fork
-    does not copy are never missed. An error the child raises is raised
-    here, with its type and message, after the batches before it. Leaving
-    the block reaps the child, after killing it if its last frame (the end
-    or the error) was not read, so a child still writing ends by the kill,
-    not by EPIPE. Where ``os.fork`` is missing, the batches are read in
-    this process.
     """
     with _open_text(Path(path)) as (stream, fid):
         if not hasattr(os, "fork"):
-            yield _stream_batches(stream, fid, schema, columns)
+            yield from _stream_batches(stream, fid, schema, columns)
             return
         read_fd, write_fd = os.pipe()
         with open(read_fd, "rb") as pipe:
@@ -549,18 +542,28 @@ def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator
                 if pid == 0:
                     pipe.close()  # so a child whose parent has died gets EPIPE, not a full pipe
                     _serve_batches(_stream_batches(stream, fid, schema, columns), sink)
-            ended: list[bool] = []
+            ended = False
             try:
-                yield _received_batches(pipe, ended)
+                while True:
+                    try:
+                        item = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the pipe closed before or within a pickle
+                        raise IngestError("the reader process ended before the capture did") from None
+                    if not isinstance(item, FlowBatch):
+                        break
+                    yield item
+                ended = True
             finally:
                 if not ended:
                     os.kill(pid, signal.SIGKILL)  # the caller left before the end; the child may still be reading
                 pipe.close()
                 os.waitpid(pid, 0)
+            if item is not None:
+                raise item
 
 
 def _serve_batches(batches: Iterator[FlowBatch], sink) -> NoReturn:
-    """The reader process: write a frame for each of ``batches`` to
+    """The reader process: write a pickle of each of ``batches`` to
     ``sink``, then one of None, or of the exception the read raised.
 
     It leaves only through ``os._exit``, so it runs no exit handler and
@@ -581,29 +584,8 @@ def _serve_batches(batches: Iterator[FlowBatch], sink) -> NoReturn:
 
 
 def _send(sink, item) -> None:
-    frame = pickle.dumps(item, protocol=5)
-    sink.write(_FRAME_SIZE.pack(len(frame)))
-    sink.write(frame)
+    pickle.dump(item, sink, protocol=5)
     sink.flush()
-
-
-def _received_batches(pipe, ended: list[bool]) -> Iterator[FlowBatch]:
-    """The batches :func:`_serve_batches` writes to ``pipe``, then the
-    error it sent, if any; ``ended`` gains an entry once the end frame, None
-    or the error, is read."""
-    while len(head := pipe.read(_FRAME_SIZE.size)) == _FRAME_SIZE.size:
-        (size,) = _FRAME_SIZE.unpack(head)
-        frame = pipe.read(size)
-        if len(frame) < size:
-            break
-        item = pickle.loads(frame)
-        if item is None or isinstance(item, BaseException):
-            ended.append(True)
-            if item is None:
-                return
-            raise item
-        yield item
-    raise IngestError("the reader process ended before the capture did")
 
 
 def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int], dtype: np.dtype) -> FlowBatch | None:

@@ -296,12 +296,12 @@ def test_criterion_8_collaborative_partition_invariance(pipeline):
 
         three = outcome(("A", "B", "C"), "in-process")
         one = outcome(("solo",), "in-process")
-        assert three.aggregate_counts == one.aggregate_counts
+        assert three.aggregate_report.counts == one.aggregate_report.counts
 
         summed = ConfusionCounts(0, 0, 0, 0)
         for node in ("A", "B", "C"):
             summed = summed + three.node_results[node].counts
-        assert three.aggregate_counts == summed
+        assert three.aggregate_report.counts == summed
 
         sock = outcome(("A", "B", "C"), "loopback-socket")
         for node in ("A", "B", "C"):
@@ -311,7 +311,7 @@ def test_criterion_8_collaborative_partition_invariance(pipeline):
         agg_a = pretty_dumps(report_to_doc(three.aggregate_report)).encode()
         agg_b = pretty_dumps(report_to_doc(sock.aggregate_report)).encode()
         assert agg_a == agg_b
-        c = three.aggregate_counts
+        c = three.aggregate_report.counts
         details.update({"records": len(records), "aggregate": f"tp={c.tp},tn={c.tn},fp={c.fp},fn={c.fn}"})
 
 

@@ -278,7 +278,7 @@ class TestReplay:
     def test_empty_records_rejected(self, schema):
         cfg = _cfg()
         for source in (replay([], cfg, schema), _source()):
-            with pytest.raises(SimulationError, match="^the capture has no records$"):
+            with pytest.raises(SimulationError, match="^test file has no records$"):
                 _received(source, cfg, schema.names)
 
     def test_replay_needs_the_schema_and_the_hash_column(self, sim_records, schema):
@@ -678,7 +678,7 @@ class TestRunSimulation:
         scores = profile.score_matrix(pp.apply_records(sim_records))
         flagged = classify_scores(scores, profile, DetectionConfig(2.0))
         plain = confusion(flagged.astype(int), [r.truth for r in sim_records])
-        assert outcome.aggregate_counts == plain
+        assert outcome.aggregate_report.counts == plain
         assert outcome.per_node_reports["solo"].counts == plain
         assert not outcome.partial
 
@@ -690,7 +690,7 @@ class TestRunSimulation:
         total = ConfusionCounts(0, 0, 0, 0)
         for node in cfg.nodes:
             total = total + outcome.node_results[node].counts
-        assert outcome.aggregate_counts == total
+        assert outcome.aggregate_report.counts == total
 
     def test_partition_invariance(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -699,7 +699,7 @@ class TestRunSimulation:
         )
         three_cfg = _cfg(assignment="hash-of-source")
         three = run_simulation(replay(sim_records, three_cfg, schema), profile, pp, three_cfg)
-        assert three.aggregate_counts == one.aggregate_counts
+        assert three.aggregate_report.counts == one.aggregate_report.counts
         # the multiset of (record origin, verdict) pairs is topology-independent
         def verdict_multiset(outcome, store_cfg):
             streams = _streams(replay(sim_records, store_cfg, schema), store_cfg, ())
@@ -719,7 +719,7 @@ class TestRunSimulation:
         sock_cfg = _cfg(transport="loopback-socket")
         a = run_simulation(replay(sim_records, inproc_cfg, schema), profile, pp, inproc_cfg)
         b = run_simulation(replay(sim_records, sock_cfg, schema), profile, pp, sock_cfg)
-        assert a.aggregate_counts == b.aggregate_counts
+        assert a.aggregate_report.counts == b.aggregate_report.counts
         assert a.per_node_reports == b.per_node_reports
         for node in inproc_cfg.nodes:
             assert_same_verdicts(a.node_results[node].verdicts, b.node_results[node].verdicts)
@@ -735,7 +735,7 @@ class TestRunSimulation:
         for node in ("A", "B", "C"):
             assert_same_verdicts(a.node_results[node].verdicts, b.node_results[node].verdicts)
         flagged = classify_scores(profile.score_matrix(pp.apply_records(sim_records)), profile, DetectionConfig(2.0))
-        assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in sim_records])
+        assert a.aggregate_report.counts == confusion(flagged.astype(int), [r.truth for r in sim_records])
 
     @pytest.mark.parametrize("text, reason", [("fast", "non-numeric"), ("inf", "non-finite")])
     def test_bad_modeled_value_fails_alike_on_both_transports(self, sim_records, sim_capture, schema, fitted, text, reason, tmp_path):
@@ -807,7 +807,7 @@ class TestRunSimulation:
         assert outcome.node_results["B"].attempts == 2  # initial + 1 retry
         assert "B" not in outcome.per_node_reports
         expected = outcome.node_results["A"].counts + outcome.node_results["C"].counts
-        assert outcome.aggregate_counts == expected
+        assert outcome.aggregate_report.counts == expected
         # the crash leaves the healthy nodes' results untouched
         intact = run_simulation(replay(sim_records, _cfg(), schema), profile, pp, _cfg())
         for node in ("A", "C"):
@@ -823,7 +823,7 @@ class TestRunSimulation:
         healthy = run_simulation(
             replay(sim_records, _cfg(fail_nodes=("C",)), schema), profile, pp, _cfg(fail_nodes=("C",))
         )
-        assert outcome.aggregate_counts == healthy.aggregate_counts
+        assert outcome.aggregate_report.counts == healthy.aggregate_report.counts
 
     def test_retry_recovers_in_process(self, sim_records, schema, fitted, monkeypatch):
         pp, profile = fitted
@@ -848,7 +848,7 @@ class TestRunSimulation:
         assert not outcome.node_results["B"].failed
         assert outcome.node_results["B"].errors == ("OSError: transient failure",)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert outcome.per_node_reports == clean.per_node_reports
 
     @pytest.mark.parametrize("retried", [False, True])
@@ -981,7 +981,7 @@ class TestRunSimulation:
         assert attempts == [1, 1, 2]
         assert not any(r.failed for r in outcome.node_results.values())
         assert sorted(r.errors for r in outcome.node_results.values()) == [(), (), ("OSError: connection refused",)]
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert outcome.per_node_reports == clean.per_node_reports
 
     def test_store_error_recorded_and_retried(self, sim_records, schema, fitted, monkeypatch):
@@ -1007,7 +1007,7 @@ class TestRunSimulation:
         assert b.errors == ("TransportError: expected hello frame, got 'capture'",)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
         assert outcome.node_results["A"].errors == ()
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert outcome.per_node_reports == clean.per_node_reports
 
     @pytest.mark.parametrize(
@@ -1045,7 +1045,7 @@ class TestRunSimulation:
         assert retried == reason
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
 
     def test_frame_far_larger_than_an_unread_connection_holds(self, sim_records, schema, fitted):
         """One interval of 2,000 records whose service texts are 8 KiB each,
@@ -1108,7 +1108,7 @@ class TestRunSimulation:
         assert outcome.node_results["B"].errors == ("TransportError: interval frame texts are not all strings",)
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
 
     @pytest.mark.parametrize("always", [False, True])
     def test_truncated_stream_retried(self, sim_records, schema, fitted, monkeypatch, always):
@@ -1136,7 +1136,7 @@ class TestRunSimulation:
             return
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert not b.failed and not outcome.partial
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert_same_verdicts(b.verdicts, clean.node_results["B"].verdicts)
 
     @pytest.mark.parametrize("always", [False, True])
@@ -1168,7 +1168,7 @@ class TestRunSimulation:
             return
         clean = run_simulation(_capture_source(sim_capture, pp, cfg), profile, pp, cfg)
         assert not b.failed and not outcome.partial
-        assert outcome.aggregate_counts == clean.aggregate_counts
+        assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert_same_verdicts(b.verdicts, clean.node_results["B"].verdicts)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
 
@@ -1272,7 +1272,7 @@ class TestRunnerProperty:
         assert not b.failed_nodes
 
         flagged = classify_scores(profile.score_matrix(pp.apply_records(records)), profile, DetectionConfig(2.0))
-        assert a.aggregate_counts == confusion(flagged.astype(int), [r.truth for r in records])
+        assert a.aggregate_report.counts == confusion(flagged.astype(int), [r.truth for r in records])
 
 
 #: The error each injected fault leaves in the faulted attempt's ``errors``

@@ -340,7 +340,8 @@ def _same_batches(got, want):
 
 class TestReadAhead:
     """``_read_ahead`` yields the batches ``iter_flow_batches`` reads, from
-    one forked reader process, and reaps it however the block is left."""
+    one forked reader process, and reaps it however the generator is
+    closed."""
 
     def test_clean_end(self, tmp_path, monkeypatch, forked):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 3)
@@ -348,10 +349,12 @@ class TestReadAhead:
         rows = [("tcp" if i % 3 else "udp", str(i), "" if i == 4 else str(i % 2)) for i in range(10)]
         rows[7] = ('"quoted", tcp', "7", "1")  # one batch goes to the csv reader
         path.write_text(_csv_text(rows, TINY))
-        with ingest._read_ahead(path, TINY, ("proto", "bytes")) as batches:
-            got = list(batches)
+        with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
+            got = [next(batches)]
             (pid,) = forked
-            assert forked[pid] is None  # not reaped while the block runs
+            assert forked[pid] is None  # not reaped while batches remain
+            got.extend(batches)
+            assert forked == {pid: 0}  # reaped once the batches run out
         _same_batches(got, list(iter_flow_batches(path, TINY, ("proto", "bytes"))))
         for batch in got:  # the pickle keeps one object per distinct text
             assert len({id(t) for t in batch.columns["proto"]}) == len(set(batch.columns["proto"]))
@@ -363,7 +366,7 @@ class TestReadAhead:
         path.write_text("tcp,1,0\ntcp,2,0\ntcp,3,1\ntcp,4,0\nudp\ntcp,6,0\n")
         got = []
         with pytest.raises(ParseError) as err:
-            with ingest._read_ahead(path, TINY, ("bytes",)) as batches:
+            with contextlib.closing(ingest._read_ahead(path, TINY, ("bytes",))) as batches:
                 got.extend(batch.columns["bytes"].tolist() for batch in batches)
         assert got == [[1.0, 2.0], [3.0, 4.0]]
         assert type(err.value) is ParseError and str(err.value) == "flows.csv, row 5: expected 3 fields, got 1"
@@ -373,13 +376,13 @@ class TestReadAhead:
     @pytest.mark.parametrize("leave", ["break", "raise"])
     def test_caller_that_stops_after_one_batch(self, tmp_path, monkeypatch, forked, leave):
         """A caller that leaves after the first batch, or raises there, ends
-        the child, which is still reading: the capture's frames are far more
-        than the pipe holds."""
+        the child, which is still reading: the capture's pickles are far
+        more than the pipe holds."""
         monkeypatch.setattr(ingest, "BATCH_ROWS", 100)
         path = tmp_path / "flows.csv"
         path.write_text("tcp,1,0\n" * 50_000)
         with pytest.raises(KeyError) if leave == "raise" else contextlib.nullcontext():
-            with ingest._read_ahead(path, TINY, ("proto", "bytes")) as batches:
+            with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
                 first = next(batches)
                 if leave == "raise":
                     raise KeyError("the caller's own error")
@@ -387,7 +390,7 @@ class TestReadAhead:
         assert list(forked.values()) == [-signal.SIGKILL]
 
     def test_a_reader_that_dies_is_an_error(self, tmp_path, monkeypatch, forked):
-        """A child that ends without the end frame, as when it is killed,
+        """A child that ends without the end pickle, as when it is killed,
         raises after the batches it did send."""
 
         def dies_after_one(batches, sink):
@@ -400,14 +403,38 @@ class TestReadAhead:
         path.write_text("tcp,1,0\nudp,2,1\n")
         got = []
         with pytest.raises(IngestError, match="^the reader process ended before the capture did$"):
-            with ingest._read_ahead(path, TINY, ("bytes",)) as batches:
+            with contextlib.closing(ingest._read_ahead(path, TINY, ("bytes",))) as batches:
                 got.extend(batch.rows.tolist() for batch in batches)
         assert got == [[1]] and list(forked.values()) == [3]
 
+    def test_a_reader_that_dies_within_a_pickle_is_an_error(self, tmp_path, monkeypatch, forked):
+        """A child that ends halfway through a batch's pickle raises the
+        same error, and is not killed: it has already exited."""
+
+        def dies_within_one(batches, sink):
+            data = pickle.dumps(next(batches), protocol=5)
+            sink.write(data[: len(data) // 2])
+            sink.flush()
+            os._exit(3)
+
+        monkeypatch.setattr(ingest, "_serve_batches", dies_within_one)
+        path = tmp_path / "flows.csv"
+        path.write_text("tcp,1,0\nudp,2,1\n")
+        with pytest.raises(IngestError, match="^the reader process ended before the capture did$"):
+            with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
+                next(batches)
+        assert list(forked.values()) == [3]
+
     def test_a_missing_file_raises_before_any_fork(self, tmp_path, forked):
+        batches = ingest._read_ahead(tmp_path / "ghost.csv", TINY, ("bytes",))
         with pytest.raises(FileNotFoundError):
-            with ingest._read_ahead(tmp_path / "ghost.csv", TINY, ("bytes",)):
-                pass
+            next(batches)
+        assert forked == {}
+
+    def test_closed_before_the_first_batch_forks_nothing(self, tmp_path, forked):
+        path = tmp_path / "flows.csv"
+        path.write_text("tcp,1,0\n")
+        ingest._read_ahead(path, TINY, ("bytes",)).close()
         assert forked == {}
 
     def test_without_fork_reads_in_process(self, tmp_path, monkeypatch):
@@ -415,7 +442,7 @@ class TestReadAhead:
         path = tmp_path / "flows.csv"
         path.write_text("tcp,1,0\nudp,2,1\ntcp,3,\n")
         monkeypatch.delattr(os, "fork")
-        with ingest._read_ahead(path, TINY, ("proto", "bytes")) as batches:
+        with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
             got = list(batches)
         _same_batches(got, list(iter_flow_batches(path, TINY, ("proto", "bytes"))))
 
