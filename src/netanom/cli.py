@@ -6,13 +6,10 @@ to its outputs recording resolved parameters and input/output digests.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 
-``detect``, ``evaluate``, ``roc`` and ``simulate`` read their capture
-through a reader process (``ingest._read_ahead``), which parses the next
-batch while the command encodes, scores, classifies and writes this one:
-parsing a batch costs more than the rest of its work. ``simulate`` reads
-the capture once per pass, and its nodes classify their intervals as they
-fill. ``train`` and ``sample`` read in-process; they do too little with
-each batch between reads for the overlap to pay for the pipe.
+Every command that reads a capture reads it through
+``ingest.iter_flow_batches``, whose reader process parses the next batch
+while the command works on this one. ``simulate`` reads the capture once
+per pass, and its nodes classify their intervals as they fill.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from .ingest import (
     IngestError,
     SampleError,
     SamplePlan,
-    _read_ahead,
     copy_rows,
     default_schema,
     iter_flow_batches,
@@ -234,8 +230,11 @@ def _cmd_sample(args, parser) -> int:
     started = time.perf_counter()
     schema = _load_schema_arg(args.schema)
     # Pass 1 reads the truths alone, up to the first unlabeled row; pass 2 copies the chosen rows.
-    batches = (batch for path in args.input for batch in iter_flow_batches(Path(path), schema, ()))
-    truth = np.concatenate([np.empty(0, dtype=np.int8)] + [_labeled(batch, SampleError, "sampling needs labeled data") for batch in batches])
+    truths = [np.empty(0, dtype=np.int8)]
+    for path in args.input:
+        with closing(iter_flow_batches(path, schema, ())) as batches:
+            truths.extend(_labeled(batch, SampleError, "sampling needs labeled data") for batch in batches)
+    truth = np.concatenate(truths)
     plan = SamplePlan(args.size, args.normal_frac, args.train_frac, args.seed)
     train_ids, test_ids = stratified_indices(truth, plan)
 
@@ -314,12 +313,13 @@ def _training_batches(path: Path, schema, columns):
     """Yield each batch of the training file, once every row of the batch
     is checked to be labeled normal. A file without rows raises."""
     batch = None
-    for batch in iter_flow_batches(path, schema, columns):
-        bad = np.flatnonzero(batch.truth != 0)
-        if bad.size:
-            kind = "unlabeled" if batch.truth[bad[0]] < 0 else "attack-labeled"
-            raise IngestError(f"{kind} row in training input: {batch.file_id} row {batch.rows[bad[0]]}")
-        yield batch
+    with closing(iter_flow_batches(path, schema, columns)) as batches:
+        for batch in batches:
+            bad = np.flatnonzero(batch.truth != 0)
+            if bad.size:
+                kind = "unlabeled" if batch.truth[bad[0]] < 0 else "attack-labeled"
+                raise IngestError(f"{kind} row in training input: {batch.file_id} row {batch.rows[bad[0]]}")
+            yield batch
     if batch is None:
         raise IngestError("training file has no records")
 
@@ -344,9 +344,9 @@ def _detection_config(args, parser) -> DetectionConfig:
 def _scored_batches(path, profile, preprocess):
     """Yield an iterator of ``(batch, scores)`` for each :class:`FlowBatch`
     of the capture at ``path``. A reader process parses the next batch
-    while this one is encoded, scored and used (``ingest._read_ahead``);
+    while this one is encoded, scored and used (``ingest.iter_flow_batches``);
     leaving the block ends it."""
-    with closing(_read_ahead(path, preprocess.schema, preprocess.columns)) as batches:
+    with closing(iter_flow_batches(path, preprocess.schema, preprocess.columns)) as batches:
         yield ((batch, profile.score_matrix(preprocess.apply(batch))) for batch in batches)
 
 
@@ -482,7 +482,7 @@ def _cmd_simulate(args, parser) -> int:
     cfg = load_simconfig(args.config)
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
     hashed = (cfg.hash_column,) if cfg.assignment == "hash-of-source" else ()
-    source = functools.partial(_read_ahead, args.test, preprocess.schema, preprocess.columns + hashed)
+    source = functools.partial(iter_flow_batches, args.test, preprocess.schema, preprocess.columns + hashed)
     outcome = run_simulation(source, profile, preprocess, cfg)
     records = outcome.n_records
 

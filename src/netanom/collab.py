@@ -494,8 +494,8 @@ def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
 def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowBatch:
     """The interval an interval frame carries: its columns that are numeric
     in ``schema`` as float64 and the others as texts, each record's truth
-    -1 (unknown). A field that is missing or does not fit the layout
-    raises :class:`TransportError`."""
+    -1 (unknown). A field that is missing or does not fit the layout, or a
+    non-finite float, raises :class:`TransportError`."""
     names, texts, file_id = header.get("columns"), header.get("texts"), header.get("file")
     if not isinstance(file_id, str):
         raise TransportError(f"interval frame file {file_id!r} is not a string")
@@ -509,8 +509,10 @@ def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowB
         raise TransportError(f"interval frame texts are not lists of its {len(rows)} records")
     if not all(set(map(type, column)) <= {str} for column in texts.values()):
         raise TransportError("interval frame texts are not all strings")
-    floats = iter(floats)
-    return FlowBatch({name: texts[name] if name in texts else next(floats) for name in names}, np.full(len(rows), -1, np.int8), file_id, rows)
+    floats = dict(zip([name for name in names if name not in texts], floats))
+    if bad := [name for name, values in floats.items() if not np.isfinite(values).all()]:
+        raise TransportError(f"interval frame column {bad[0]!r} holds a non-finite value")
+    return FlowBatch({name: texts[name] if name in texts else floats[name] for name in names}, np.full(len(rows), -1, np.int8), file_id, rows)
 
 
 def _check_result(verdicts: np.ndarray, n: int) -> None:

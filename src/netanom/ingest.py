@@ -10,19 +10,16 @@ line. Any other batch, or one ``np.loadtxt`` rejects, is re-read by the
 ``csv`` module, which also decides every error message and row number, so
 the two readers never disagree on what a batch holds.
 
-Reading a batch costs more than scoring it, so the commands that score a
-capture batch by batch (``detect``, ``evaluate``, ``roc`` and, once per
-pass, ``simulate``) read it through :func:`_read_ahead`: a forked reader
-process parses the next batch while the command works on this one.
-``train`` and ``sample`` call :func:`iter_flow_batches` in-process, since
-they do too little with each batch for the overlap to pay for the pipe.
+Every command reads a capture through :func:`iter_flow_batches`, whose
+forked reader process parses the next batch while the command works on
+this one. A source is always a path: a child forked to read a caller's
+open stream would advance only its own copy of it.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import io
 import math
 import os
 import pickle
@@ -64,7 +61,7 @@ class ParseError(IngestError):
 
     def __reduce__(self):
         # The three fields rebuild the error, so it survives the pipe of
-        # the reader process (see :func:`_read_ahead`).
+        # the reader process (see :func:`iter_flow_batches`).
         return type(self), (self.file_id, self.row, self.reason)
 
 
@@ -302,26 +299,21 @@ def default_schema() -> FeatureSchema:
 
 @contextmanager
 def _open_text(source):
-    """Yield (text stream, default file id) for the input. A ``str`` or
-    path-like is always a path, which is opened and closed here; CSV text
-    comes as an open text stream, which is read as it is consumed and left
-    open."""
-    if isinstance(source, (str, os.PathLike)):
-        path = Path(source)
-        with path.open("r", encoding="utf-8", newline="") as stream:
-            try:
-                yield stream, path.name
-            except UnicodeDecodeError:
-                # The stream decodes a chunk at a time, so its error names
-                # a position in the chunk, not in the file.
-                error = _not_utf8(path)
-                if error is None:
-                    raise
-                raise error from None
-    elif isinstance(source, io.TextIOBase):
-        yield source, "<memory>"
-    else:
+    """Yield (text stream, file id) for the flow CSV at ``source``, a
+    ``str`` or path-like; the file id is the file's name."""
+    if not isinstance(source, (str, os.PathLike)):
         raise IngestError(f"unsupported source type: {type(source)!r}")
+    path = Path(source)
+    with path.open("r", encoding="utf-8", newline="") as stream:
+        try:
+            yield stream, path.name
+        except UnicodeDecodeError:
+            # The stream decodes a chunk at a time, so its error names a
+            # position in the chunk, not in the file.
+            error = _not_utf8(path)
+            if error is None:
+                raise
+            raise error from None
 
 
 def _not_utf8(path: Path) -> IngestError | None:
@@ -452,10 +444,9 @@ class _LineBatches:
 def parse_flow_csv(source, schema: FeatureSchema) -> list[FlowRecord]:
     """Parse a whole flow CSV into records, in file order.
 
-    ``source`` is a path (a ``str`` or path-like, never CSV text) or an
-    open text stream. The header row is optional and auto-detected by
-    matching the schema's column names. The first malformed row raises
-    :class:`ParseError`.
+    ``source`` is a path (a ``str`` or path-like, never CSV text). The
+    header row is optional and auto-detected by matching the schema's
+    column names. The first malformed row raises :class:`ParseError`.
 
     Labels parse as: empty field -> unlabeled (None); field equal to the
     schema's positive value -> 1; anything else -> 0.
@@ -471,28 +462,9 @@ def parse_flow_csv(source, schema: FeatureSchema) -> list[FlowRecord]:
         ]
 
 
-def iter_flow_batches(source, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
-    """Read a flow CSV as batches of up to :data:`BATCH_ROWS` rows, in file
-    order, each holding only ``columns``.
-
-    ``source`` is a path (a ``str`` or path-like, never CSV text) or an
-    open text stream, and the header, row numbering and label rules are
-    those of :func:`_read_rows`. Numeric columns are read as float64 (see
-    :class:`FlowBatch`).
-    A plain batch is parsed by ``np.loadtxt``; any other batch, or one with
-    a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
-    ``csv`` module, a row at a time, and each row is cut down to
-    ``columns`` as it is read. The first malformed row, or field of a
-    float64 column that is not a finite float, raises :class:`ParseError`
-    after the batches before it are yielded; a byte that is not UTF-8
-    raises :class:`IngestError` naming its file and line.
-    """
-    with _open_text(source) as (stream, fid):
-        yield from _stream_batches(stream, fid, schema, columns)
-
-
 def _stream_batches(stream, fid: str, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
-    """:func:`iter_flow_batches` over an open text stream named ``fid``."""
+    """The batches :func:`iter_flow_batches` reads, parsed in this process
+    from an open text stream named ``fid``."""
     names = tuple(dict.fromkeys(columns))  # a name asked for twice is read once
     index = [schema.index_of(name) for name in names]
     positions = dict(zip(names, index))
@@ -515,23 +487,34 @@ def _stream_batches(stream, fid: str, schema: FeatureSchema, columns: Sequence[s
         yield batch
 
 
-def _read_ahead(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
-    """The batches :func:`iter_flow_batches` reads from the capture at
-    ``path``, parsed one batch ahead by a reader process.
+def iter_flow_batches(path, schema: FeatureSchema, columns: Sequence[str]) -> Iterator[FlowBatch]:
+    """Read the flow CSV at ``path`` (a ``str`` or path-like, never CSV
+    text) as batches of up to :data:`BATCH_ROWS` rows, in file order, each
+    holding only ``columns``, with the header, row numbering and label rules
+    of :func:`_read_rows`. Numeric columns are read as float64 (see
+    :class:`FlowBatch`).
 
-    The first ``next`` opens the path, so a missing file raises before any
-    fork. The forked child reads the inherited stream and writes each batch
-    to a pipe as a pickle, so batch i+1 is parsed while the caller works on
-    batch i; the pipe's back-pressure keeps about one batch in flight. The
-    child runs no BLAS routine, so the BLAS threads the fork does not copy
-    are never missed. An error the child raises is raised here, with its
-    type and message, after the batches before it. Closing the generator
-    reaps the child, after killing it if its last pickle (the end, None, or
-    the error) was not read, so a child still writing ends by the kill, not
-    by EPIPE. Where ``os.fork`` is missing, the batches are read in this
-    process.
+    A plain batch is parsed by ``np.loadtxt``; any other batch, or one with
+    a value ``np.loadtxt`` rejects or reads as non-finite, is read by the
+    ``csv`` module, a row at a time, and each row is cut down to
+    ``columns`` as it is read. The first malformed row, or field of a
+    float64 column that is not a finite float, raises :class:`ParseError`
+    after the batches before it are yielded; a byte that is not UTF-8
+    raises :class:`IngestError` naming its file and line.
+
+    The batches are parsed one ahead by a reader process. The first
+    ``next`` opens the path, so a missing file raises before any fork. The
+    forked child reads the inherited stream and writes each batch to a pipe
+    as a pickle, so batch i+1 is parsed while the caller works on batch i;
+    the pipe's back-pressure keeps about one batch in flight. The child runs
+    no BLAS routine, so the BLAS threads the fork does not copy are never
+    missed. An error the child raises is raised here, with its type and
+    message. Closing the generator reaps the child, after killing it if its
+    last pickle (the end, None, or the error) was not read, so a child still
+    writing ends by the kill, not by EPIPE. Where ``os.fork`` is missing,
+    the batches are read in this process.
     """
-    with _open_text(Path(path)) as (stream, fid):
+    with _open_text(path) as (stream, fid):
         if not hasattr(os, "fork"):
             yield from _stream_batches(stream, fid, schema, columns)
             return
@@ -777,7 +760,7 @@ def copy_rows(paths: Sequence, schema: FeatureSchema, picks: Sequence[tuple[obje
             writers.append(writer.writerow)
         start = 0  # index of the next row
         for path in paths:
-            with _open_text(Path(path)) as (stream, fid):
+            with _open_text(path) as (stream, fid):
                 batches = _LineBatches(stream, schema, fid)
                 while start < owner.size and (lines := batches.take()):
                     if batches.is_plain(lines):

@@ -640,6 +640,39 @@ class TestStreamedTrainAndSample:
         assert main(_train_args(train, tmp_path / "out" / "p.json")) == 1
         assert capsys.readouterr().err == "error: train.csv, row 2: column 'tcprtt': non-numeric value 'fast'\n"
 
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_bad_row_ends_a_reader_still_reading(self, workspace, schema, tmp_path, monkeypatch, forked, command):
+        """train rejects an attack-labeled row, and sample an unlabeled one,
+        in batch 2 of about 1,000; the reader process, still reading or
+        blocked on the full pipe, is killed and reaped before the error
+        line is written."""
+        readers = []  # the reader processes' states at each write to stderr
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                readers.append(list(forked.values()))
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        monkeypatch.setattr(ingest, "BATCH_ROWS", 5)
+        bad = ingest.BATCH_ROWS + 3
+        header, *body = (workspace / "split" / "train_normal.csv" if command == "train" else workspace / "data.csv").read_text().splitlines()
+        fields = body[bad - 1].split(",")
+        fields[schema.label_index] = schema.positive_label_value if command == "train" else ""
+        body[bad - 1] = ",".join(fields)
+        capture = tmp_path / "capture.csv"
+        capture.write_text("\n".join([header, *body * -(-5000 // len(body))]) + "\n")
+        out = tmp_path / "out"
+        if command == "train":
+            argv, error = _train_args(capture, out / "p.json"), f"attack-labeled row in training input: capture.csv row {bad}"
+        else:
+            argv = ["sample", "--input", str(capture), "--size", "100", "--out", str(out)]
+            error = f"unlabeled row: capture.csv row {bad}; sampling needs labeled data"
+        assert main(argv) == 1
+        assert sys.stderr.getvalue() == f"error: {error}\n"
+        assert not out.exists()
+        assert readers[0] == list(forked.values()) == [-signal.SIGKILL]
+
     def test_sample_peak_memory_is_flat_in_the_input_size(self, tmp_path):
         from netanom.synth import write_synthetic_csv
 
@@ -691,6 +724,21 @@ def _capture_lines(workspace, n):
     return (workspace / "split" / "test.csv").read_text().splitlines()[: n + 1]
 
 
+def _reading_args(workspace, command, out):
+    """argv for ``command`` on the workspace's files, writing into ``out``:
+    ``sample`` reads two input files, the others one."""
+    split = workspace / "split"
+    if command == "sample":
+        return ["sample", "--input", str(workspace / "data.csv"), str(split / "test.csv"), "--size", "100", "--out", str(out)]
+    if command == "train":
+        return _train_args(split / "train_normal.csv", out / "p.json")
+    if command == "simulate":
+        config = out.parent / f"{out.name}.sim.json"
+        config.write_text(json.dumps({"version": 1, "nodes": ["A", "B"], "w": 2.0, "transport": "loopback-socket"}))
+        return _simulate_args(workspace, split / "test.csv", config, out)
+    return _stream_args(workspace, command, split / "test.csv", out)
+
+
 def _stream_args(workspace, command, capture, out, w="2"):
     """argv for one streamed command (detect, evaluate or roc) on ``capture``."""
     common = ["--profile", str(workspace / "profile.json")]
@@ -702,7 +750,8 @@ def _stream_args(workspace, command, capture, out, w="2"):
 
 
 class TestStreamedCommands:
-    """detect, evaluate and roc score the capture one FlowBatch at a time."""
+    """detect, evaluate and roc score the capture one FlowBatch at a time.
+    Every command reads each capture file through one reader process."""
 
     @settings(max_examples=10)
     @given(batch_rows=st.sampled_from([1, 7, 8192]), n=st.integers(1, 200), w=st.sampled_from([1.5, 2.0, 3.0]))
@@ -794,10 +843,27 @@ class TestStreamedCommands:
         assert not any(out.glob("*"))  # no verdicts, no partial file, no manifest
         assert list(forked.values()) == [0]  # the reader process sent the error and exited
 
-    @pytest.mark.parametrize("command", ["detect", "evaluate", "roc"])
+    @pytest.mark.parametrize("command", ["sample", "train", "detect", "evaluate", "roc"])
     def test_one_reader_process_reaped_at_the_end(self, workspace, tmp_path, forked, command):
-        assert main(_stream_args(workspace, command, workspace / "split" / "test.csv", tmp_path)) == 0
-        assert list(forked.values()) == [0]
+        """One reader per input file, each reaped with status 0 by the
+        time the command returns: two for sample's two files."""
+        assert main(_reading_args(workspace, command, tmp_path / "out")) == 0
+        assert list(forked.values()) == ([0, 0] if command == "sample" else [0])
+
+    @pytest.mark.parametrize("command", ["sample", "train", "detect", "evaluate", "roc", "simulate"])
+    def test_without_fork_reads_in_process(self, workspace, tmp_path, monkeypatch, forked, command):
+        """Where ``os.fork`` is missing, a command reads in its own process
+        and writes the bytes it writes through the reader process."""
+        outputs = {}
+        for way in ("forked", "in-process"):
+            if way == "in-process":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / way
+            assert main(_reading_args(workspace, command, out)) == 0
+            # Manifests hold the paths and the times of the run.
+            outputs[way] = {p.name: p.read_bytes() for p in out.glob("*") if "manifest" not in p.name}
+        assert outputs["forked"] == outputs["in-process"] and outputs["forked"]
+        assert list(forked.values()) == ([0, 0] if command == "sample" else [0])
 
     @pytest.mark.parametrize("command", ["evaluate", "roc"])
     def test_unlabeled_row_ends_a_reader_still_reading(self, workspace, tmp_path, monkeypatch, capsys, forked, command):

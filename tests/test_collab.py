@@ -8,12 +8,11 @@ import sys
 import threading
 from collections import Counter
 from contextlib import closing
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netanom import collab
 from netanom.collab import (
@@ -500,6 +499,9 @@ class TestFrameCodec:
             (lambda p: _reframe(p, _set("texts", {"proto": [[1]] + ["tcp"] * 15})), "texts are not all strings"),
             (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15 + [None]})), "texts are not all strings"),
             (lambda p: _reframe(p, _set("texts", {"proto": [6] * 16})), "texts are not all strings"),
+            # a NaN over x's first float, an infinity over its last
+            (lambda p: _reframe(p, cut=lambda b: np.array([np.nan]).tobytes() + b[8:]), "interval frame column 'x' holds a non-finite value"),
+            (lambda p: _reframe(p, cut=lambda b: b[:120] + np.array([-np.inf]).tobytes() + b[128:]), "column 'x' holds a non-finite value"),
             (lambda p: _reframe(p, lambda h: h.pop("type")), "expected interval frame, got None"),
             (lambda p: p[:4] + b"\xff" + p[5:], "malformed frame header"),
             (lambda p: struct.pack(">I", 200_000) + b"[" * 100_000 + b"]" * 100_000, "malformed frame header: RecursionError"),
@@ -941,13 +943,19 @@ class TestRunSimulation:
                 real(channel, header, *arrays)
 
             monkeypatch.setattr(collab._Channel, "send", flaky)
+        if case == "fatal PreprocessError":
+            # A frame never brings a node a bad value (a non-finite float is
+            # a retried transport fault), so the node's data error is injected.
+            real_classify = collab._classify
+
+            def fatal(interval, *args):
+                if _origins(interval)[0] == records[1].origin:  # round-robin: B's first record
+                    raise PreprocessError("injected data error")
+                return real_classify(interval, *args)
+
+            monkeypatch.setattr(collab, "_classify", fatal)
         cfg = _cfg(transport="loopback-socket")
         (batch,) = replay(records, cfg, schema)()
-        if case == "fatal PreprocessError":
-            # No read makes a non-finite value, but apply still rejects one on the node.
-            tcprtt = batch.columns["tcprtt"].copy()
-            tcprtt[16] = np.inf  # round-robin: B's sixth record
-            batch = replace(batch, columns={**batch.columns, "tcprtt": tcprtt})
         before = threading.enumerate()
         if case == "fatal PreprocessError":
             with pytest.raises(PreprocessError):
@@ -1281,15 +1289,20 @@ _FAULT_REASONS = {
     "drop": re.compile(r"frame body holds|runs past the"),
     "type": re.compile(r"got 'bogus'"),
     "close": re.compile(r"connection closed"),
+    "nan": re.compile(r"interval frame column '\w+' holds a non-finite value"),
 }
 
 
 def _faulted(data, fault):
     """The frame ``data`` with ``fault`` applied: its last payload byte
-    dropped (the length prefix kept consistent) or its type changed."""
+    dropped (the length prefix kept consistent), its type changed, or, for
+    an interval frame only, a NaN written over its first float."""
     if fault == "drop":
         return struct.pack(">I", len(data) - 5) + data[4:-1]
-    payload = _reframe(data[4:], _set("type", "bogus"))
+    if fault == "nan":
+        payload = _reframe(data[4:], cut=lambda body: np.array([np.nan], "<f8").tobytes() + body[8:])
+    else:
+        payload = _reframe(data[4:], _set("type", "bogus"))
     return struct.pack(">I", len(payload)) + payload
 
 
@@ -1461,7 +1474,16 @@ class TestFaultInjection:
         retry_budget=st.integers(1, 2),
     )
     def test_loopback_fault_at_any_frame(self, sim_capture, fitted, node, frame, fault, always, retry_budget):
+        assume(fault != "nan" or frame[0] == "interval")  # only an interval frame carries floats
         self._loopback_fault(sim_capture, fitted, node, frame, fault, always, retry_budget)
+
+    @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
+    @pytest.mark.parametrize("node", NODES)
+    def test_nan_in_an_interval_frame_is_retried(self, sim_capture, fitted, node, always):
+        """A NaN over the first float of the node's first interval frame is
+        a transport fault, retried like any other, not a bad value of the
+        capture: the reader yields only finite floats."""
+        self._loopback_fault(sim_capture, fitted, node, ("interval", 0), "nan", always, retry_budget=1)
 
     @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
     @pytest.mark.parametrize("node", NODES)

@@ -50,6 +50,13 @@ def _rec(values, truth, row=1):
     return FlowRecord(tuple(values), truth, ("test", row))
 
 
+def _written(directory, text, name="flows.csv"):
+    """The file ``name`` in ``directory``, holding ``text`` as it is."""
+    path = directory / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
 def _csv_text(rows, schema, *, header=True) -> str:
     """Rows of field texts as ``csv.writer`` writes them, after the
     schema's header line unless ``header`` is false."""
@@ -122,26 +129,25 @@ class TestSchema:
 
 
 class TestParse:
-    def test_parse_basic(self):
-        recs = parse_flow_csv(io.StringIO("tcp,100,0\nudp,200,1\n"), TINY)
+    def test_parse_basic(self, tmp_path):
+        recs = parse_flow_csv(_written(tmp_path, "tcp,100,0\nudp,200,1\n"), TINY)
         assert [r.values for r in recs] == [("tcp", "100", "0"), ("udp", "200", "1")]
         assert [r.truth for r in recs] == [0, 1]
-        assert [r.origin for r in recs] == [("<memory>", 1), ("<memory>", 2)]
+        assert [r.origin for r in recs] == [("flows.csv", 1), ("flows.csv", 2)]
 
-    def test_header_autodetected(self):
-        with_header = parse_flow_csv(io.StringIO("proto,bytes,label\ntcp,100,0\n"), TINY)
-        without = parse_flow_csv(io.StringIO("tcp,100,0\n"), TINY)
+    def test_header_autodetected(self, tmp_path):
+        with_header = parse_flow_csv(_written(tmp_path, "proto,bytes,label\ntcp,100,0\n", "with.csv"), TINY)
+        without = parse_flow_csv(_written(tmp_path, "tcp,100,0\n", "without.csv"), TINY)
         assert [r.values for r in with_header] == [r.values for r in without]
         assert with_header[0].origin[1] == 1
 
     def test_empty_source(self, tmp_path):
-        assert parse_flow_csv(io.StringIO(""), TINY) == []
         (tmp_path / "empty.csv").write_text("")
         assert parse_flow_csv(tmp_path / "empty.csv", TINY) == []
         assert list(iter_flow_batches(tmp_path / "empty.csv", TINY, ("proto",))) == []
 
-    def test_label_rule(self):
-        recs = parse_flow_csv(io.StringIO("tcp,1,1\ntcp,1,0\ntcp,1,attack\ntcp,1,\n"), TINY)
+    def test_label_rule(self, tmp_path):
+        recs = parse_flow_csv(_written(tmp_path, "tcp,1,1\ntcp,1,0\ntcp,1,attack\ntcp,1,\n"), TINY)
         assert [r.truth for r in recs] == [1, 0, 0, None]
 
     def test_short_row_strict_names_row(self, tmp_path):
@@ -219,8 +225,8 @@ class TestParse:
             max_size=30,
         )
     )
-    def test_write_parse_roundtrip(self, rows):
-        reparsed = parse_flow_csv(io.StringIO(_csv_text(rows, TINY)), TINY)
+    def test_write_parse_roundtrip(self, tmp_path_factory, rows):
+        reparsed = parse_flow_csv(_written(tmp_path_factory.mktemp("parse"), _csv_text(rows, TINY)), TINY)
         assert [r.values for r in reparsed] == rows
         assert [r.truth for r in reparsed] == [1 if row[2] == "1" else 0 for row in rows]
 
@@ -240,14 +246,15 @@ class TestBatches:
         batch_rows=st.sampled_from([1, 2, 7, 8192]),
         columns=st.sampled_from([(), ("bytes",), ("label", "proto"), ("proto", "bytes", "label")]),
     )
-    def test_batches_concatenate_to_the_parse(self, rows, header, batch_rows, columns):
+    def test_batches_concatenate_to_the_parse(self, tmp_path_factory, rows, header, batch_rows, columns):
         text = _csv_text(rows, TINY, header=header).replace("\n", "\n\n", 1)  # one blank line
-        parsed = parse_flow_csv(io.StringIO(text), TINY)
+        path = _written(tmp_path_factory.mktemp("batches"), text)
+        parsed = parse_flow_csv(path, TINY)
         with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
-            batches = list(iter_flow_batches(io.StringIO(text), TINY, columns))
+            batches = list(iter_flow_batches(path, TINY, columns))
         assert all(0 < len(b.rows) <= batch_rows for b in batches)
         assert all(list(b.columns) == list(columns) for b in batches)
-        assert all(b.file_id == "<memory>" and b.truth.dtype == np.int8 for b in batches)
+        assert all(b.file_id == "flows.csv" and b.truth.dtype == np.int8 for b in batches)
         for name in columns:
             expected = [r.values[TINY.index_of(name)] for r in parsed]
             got = [b.columns[name] for b in batches]
@@ -260,16 +267,16 @@ class TestBatches:
         assert all(b.rows.dtype == np.int64 for b in batches)
         assert [(b.file_id, row) for b in batches for row in b.rows.tolist()] == [r.origin for r in parsed]
 
-    def test_bad_row_raises_after_earlier_batches(self, monkeypatch):
+    def test_bad_row_raises_after_earlier_batches(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
         text = "tcp,1,0\ntcp,2,0\ntcp,3,1\nudp\n"
-        batches = iter_flow_batches(io.StringIO(text), TINY, ("bytes",))
+        batches = iter_flow_batches(_written(tmp_path, text), TINY, ("bytes",))
         first = next(batches).columns
         assert list(first) == ["bytes"] and first["bytes"].dtype == np.float64
         assert first["bytes"].tolist() == [1.0, 2.0]
         with pytest.raises(ParseError) as err:
             next(batches)
-        assert (err.value.file_id, err.value.row) == ("<memory>", 4)
+        assert (err.value.file_id, err.value.row) == ("flows.csv", 4)
 
     def test_path_file_id_and_closed_when_abandoned(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 1)
@@ -281,51 +288,27 @@ class TestBatches:
         batches.close()  # closes the file; a leak fails the suite as a ResourceWarning
 
     @pytest.mark.parametrize("text", ["tcp,1,0\n", '"tcp",1,0\n'], ids=["plain", "quoted"])
-    def test_a_column_asked_for_twice_is_read_once(self, text):
-        (batch,) = iter_flow_batches(io.StringIO(text), TINY, ("proto", "proto", "bytes"))
+    def test_a_column_asked_for_twice_is_read_once(self, tmp_path, text):
+        (batch,) = iter_flow_batches(_written(tmp_path, text), TINY, ("proto", "proto", "bytes"))
         assert list(batch.columns) == ["proto", "bytes"]
         assert batch.columns["proto"] == ["tcp"] and batch.columns["bytes"].tolist() == [1.0]
 
-    def test_unknown_column_rejected(self):
+    def test_unknown_column_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="nope"):
-            list(iter_flow_batches(io.StringIO("tcp,1,0\n"), TINY, ("nope",)))
+            list(iter_flow_batches(_written(tmp_path, "tcp,1,0\n"), TINY, ("nope",)))
 
-    def test_open_text_streams_are_read_as_consumed(self, tmp_path):
-        """An open text stream is decoded as it is read: the first batch
-        peaks near what it peaks at from the path, not at the size of the
-        capture, and the caller's stream stays open. Bytes and binary
-        streams are refused."""
-        from netanom.synth import write_synthetic_csv
-
-        path = tmp_path / "capture.csv"
-        write_synthetic_csv(path, 20_000, seed=3)  # about 5.3 MB
-        schema = default_schema()
-
-        def first_batch(source):
-            tracemalloc.start()
-            try:
-                batches = iter_flow_batches(source, schema, ("proto",))
-                batch = next(batches)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            batches.close()
-            return batch, peak
-
-        reference, path_peak = first_batch(path)
-        with path.open("r", encoding="utf-8", newline="") as text:
-            batch, peak = first_batch(text)
-            assert peak < 1.5 * path_peak, f"{peak} bytes against {path_peak} from the path"
-            assert batch.columns == reference.columns and batch.file_id == "<memory>"
-            assert batch.rows.tolist() == reference.rows.tolist()
-            assert batch.truth.tolist() == reference.truth.tolist()
-            assert not text.closed and text.readline()
-        with path.open("rb") as binary:
-            for source in (binary, path.read_bytes(), bytearray(b"tcp,1,0\n")):
+    def test_a_source_is_a_path(self, tmp_path):
+        """Text and binary streams, bytes and bytearrays are refused, and a
+        refused stream is left open and unread: a reader process would
+        advance only its own copy of it."""
+        path = _written(tmp_path, "tcp,1,0\n")
+        with path.open("r", encoding="utf-8", newline="") as text, path.open("rb") as binary:
+            for source in (text, binary, path.read_bytes(), bytearray(b"tcp,1,0\n")):
                 with pytest.raises(IngestError, match="unsupported source type"):
-                    next(iter_flow_batches(source, schema, ("proto",)))
+                    next(iter_flow_batches(source, TINY, ("proto",)))
                 with pytest.raises(IngestError, match="unsupported source type"):
-                    parse_flow_csv(source, schema)
+                    parse_flow_csv(source, TINY)
+            assert not text.closed and text.tell() == 0
             assert not binary.closed and binary.tell() == 0
 
 
@@ -338,10 +321,16 @@ def _same_batches(got, want):
         assert a.rows.dtype == np.int64 and a.rows.tolist() == b.rows.tolist()
 
 
+def _in_process(path, columns):
+    """The batches of the TINY capture at ``path``, parsed in this process."""
+    with path.open("r", encoding="utf-8", newline="") as stream:
+        return list(ingest._stream_batches(stream, path.name, TINY, columns))
+
+
 class TestReadAhead:
-    """``_read_ahead`` yields the batches ``iter_flow_batches`` reads, from
-    one forked reader process, and reaps it however the generator is
-    closed."""
+    """``iter_flow_batches`` yields the batches a parse in this process
+    gives, from one forked reader process, and reaps it however the
+    generator is closed."""
 
     def test_clean_end(self, tmp_path, monkeypatch, forked):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 3)
@@ -349,13 +338,13 @@ class TestReadAhead:
         rows = [("tcp" if i % 3 else "udp", str(i), "" if i == 4 else str(i % 2)) for i in range(10)]
         rows[7] = ('"quoted", tcp', "7", "1")  # one batch goes to the csv reader
         path.write_text(_csv_text(rows, TINY))
-        with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
+        with contextlib.closing(iter_flow_batches(path, TINY, ("proto", "bytes"))) as batches:
             got = [next(batches)]
             (pid,) = forked
             assert forked[pid] is None  # not reaped while batches remain
             got.extend(batches)
             assert forked == {pid: 0}  # reaped once the batches run out
-        _same_batches(got, list(iter_flow_batches(path, TINY, ("proto", "bytes"))))
+        _same_batches(got, _in_process(path, ("proto", "bytes")))
         for batch in got:  # the pickle keeps one object per distinct text
             assert len({id(t) for t in batch.columns["proto"]}) == len(set(batch.columns["proto"]))
         assert forked == {pid: 0}
@@ -366,7 +355,7 @@ class TestReadAhead:
         path.write_text("tcp,1,0\ntcp,2,0\ntcp,3,1\ntcp,4,0\nudp\ntcp,6,0\n")
         got = []
         with pytest.raises(ParseError) as err:
-            with contextlib.closing(ingest._read_ahead(path, TINY, ("bytes",))) as batches:
+            with contextlib.closing(iter_flow_batches(path, TINY, ("bytes",))) as batches:
                 got.extend(batch.columns["bytes"].tolist() for batch in batches)
         assert got == [[1.0, 2.0], [3.0, 4.0]]
         assert type(err.value) is ParseError and str(err.value) == "flows.csv, row 5: expected 3 fields, got 1"
@@ -382,7 +371,7 @@ class TestReadAhead:
         path = tmp_path / "flows.csv"
         path.write_text("tcp,1,0\n" * 50_000)
         with pytest.raises(KeyError) if leave == "raise" else contextlib.nullcontext():
-            with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
+            with contextlib.closing(iter_flow_batches(path, TINY, ("proto", "bytes"))) as batches:
                 first = next(batches)
                 if leave == "raise":
                     raise KeyError("the caller's own error")
@@ -403,7 +392,7 @@ class TestReadAhead:
         path.write_text("tcp,1,0\nudp,2,1\n")
         got = []
         with pytest.raises(IngestError, match="^the reader process ended before the capture did$"):
-            with contextlib.closing(ingest._read_ahead(path, TINY, ("bytes",))) as batches:
+            with contextlib.closing(iter_flow_batches(path, TINY, ("bytes",))) as batches:
                 got.extend(batch.rows.tolist() for batch in batches)
         assert got == [[1]] and list(forked.values()) == [3]
 
@@ -421,12 +410,12 @@ class TestReadAhead:
         path = tmp_path / "flows.csv"
         path.write_text("tcp,1,0\nudp,2,1\n")
         with pytest.raises(IngestError, match="^the reader process ended before the capture did$"):
-            with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
+            with contextlib.closing(iter_flow_batches(path, TINY, ("proto", "bytes"))) as batches:
                 next(batches)
         assert list(forked.values()) == [3]
 
     def test_a_missing_file_raises_before_any_fork(self, tmp_path, forked):
-        batches = ingest._read_ahead(tmp_path / "ghost.csv", TINY, ("bytes",))
+        batches = iter_flow_batches(tmp_path / "ghost.csv", TINY, ("bytes",))
         with pytest.raises(FileNotFoundError):
             next(batches)
         assert forked == {}
@@ -434,17 +423,20 @@ class TestReadAhead:
     def test_closed_before_the_first_batch_forks_nothing(self, tmp_path, forked):
         path = tmp_path / "flows.csv"
         path.write_text("tcp,1,0\n")
-        ingest._read_ahead(path, TINY, ("bytes",)).close()
+        iter_flow_batches(path, TINY, ("bytes",)).close()
         assert forked == {}
 
-    def test_without_fork_reads_in_process(self, tmp_path, monkeypatch):
+    def test_without_fork_reads_in_process(self, tmp_path, monkeypatch, forked):
         monkeypatch.setattr(ingest, "BATCH_ROWS", 2)
         path = tmp_path / "flows.csv"
         path.write_text("tcp,1,0\nudp,2,1\ntcp,3,\n")
+        read_ahead = list(iter_flow_batches(path, TINY, ("proto", "bytes")))
         monkeypatch.delattr(os, "fork")
-        with contextlib.closing(ingest._read_ahead(path, TINY, ("proto", "bytes"))) as batches:
+        with contextlib.closing(iter_flow_batches(path, TINY, ("proto", "bytes"))) as batches:
             got = list(batches)
-        _same_batches(got, list(iter_flow_batches(path, TINY, ("proto", "bytes"))))
+        _same_batches(got, read_ahead)
+        _same_batches(got, _in_process(path, ("proto", "bytes")))
+        assert list(forked.values()) == [0]  # the first read's process alone
 
 
 class TestFlowBatch:
@@ -569,10 +561,10 @@ def _same_column(a, b):
     return list(a) == list(b)
 
 
-def _read_batches(text, columns):
+def _read_batches(path, columns):
     batches, error = [], None
     try:
-        for batch in iter_flow_batches(io.StringIO(text, newline=""), WIDE, columns):
+        for batch in iter_flow_batches(path, WIDE, columns):
             batches.append(batch)
     except ParseError as exc:
         error = str(exc)
@@ -598,11 +590,12 @@ class TestPlainReader:
     @example(text="tcp,1,2,0,n\nudp,y,z,0,n\n", batch_rows=8192, columns=("rate", "bytes"))  # file's column order
     @example(text="\nproto,bytes,rate,label,note\ntcp,1,2,0,n\nproto,bytes,rate,label,note\n", batch_rows=1,
              columns=("proto",))  # the header is decided once
-    def test_batches_equal_the_csv_reading(self, text, batch_rows, columns):
+    def test_batches_equal_the_csv_reading(self, tmp_path_factory, text, batch_rows, columns):
+        path = _written(tmp_path_factory.mktemp("plain"), text)
         with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
-            got, error = _read_batches(text, columns)
+            got, error = _read_batches(path, columns)
             with mock.patch.object(ingest._LineBatches, "is_plain", lambda self, lines: False):
-                exact, exact_error = _read_batches(text, columns)
+                exact, exact_error = _read_batches(path, columns)
 
         # The oracle: _read_rows over the whole text, cut into batches. The
         # read fails at the first row of the wrong width, or at the first
@@ -610,7 +603,7 @@ class TestPlainReader:
         # then by column position, whichever comes first.
         rows, oracle_error = [], None
         try:
-            rows.extend(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
+            rows.extend(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "flows.csv", tuple))
         except ParseError as exc:
             oracle_error = str(exc)
         floats = [name for name in WIDE.names if name in columns and WIDE.kind_of(name) == "numeric"]
@@ -618,7 +611,7 @@ class TestPlainReader:
             bad = [(name, reason) for name in floats if (reason := _bad_value(fields[WIDE.index_of(name)]))]
             if bad:
                 name, reason = bad[0]
-                oracle_error = f"<memory>, row {row}: column {name!r}: {reason} value {fields[WIDE.index_of(name)]!r}"
+                oracle_error = f"flows.csv, row {row}: column {name!r}: {reason} value {fields[WIDE.index_of(name)]!r}"
                 del rows[k:]
                 break
         cut = len(rows) if oracle_error is None else len(rows) - len(rows) % batch_rows
@@ -707,10 +700,11 @@ class TestPlainReader:
         want = _csv_text([reference[i].values for i in picked], schema)
         assert (tmp_path / "copy.csv").read_text(encoding="utf-8") == want
 
-    def test_text_columns_hold_one_object_per_distinct_text(self, monkeypatch):
+    def test_text_columns_hold_one_object_per_distinct_text(self, tmp_path, monkeypatch):
         """In a plain batch and in one the csv reader reads, every text
         column holds one object for each distinct text. Every text is longer than one character: CPython
-        shares one-character strings anyway."""
+        shares one-character strings anyway. The batches are read in this
+        process, where the spy on ``is_plain`` can record its calls."""
         plain = ["tcp,10,1.5,0,aa\n", "udp,20,2.5,1,bb\n", "tcp,10,3.5,0,aa\n", "tcp,20,4.5,0,aa\n"]
         quoted = ['"tcp",10,5.5,0,aa\n', "udp,10,6.5,1,bb\n", "udp,20,5.5,0,bb\n", "tcp,10,6.5,0,aa\n"]
         plain_checks = []
@@ -722,9 +716,10 @@ class TestPlainReader:
 
         monkeypatch.setattr(ingest._LineBatches, "is_plain", recorded)
         monkeypatch.setattr(ingest, "BATCH_ROWS", 4)
+        monkeypatch.delattr(os, "fork")
         text = "".join(plain + quoted)
         columns = ("proto", "bytes", "rate", "note")
-        batches, error = _read_batches(text, columns)
+        batches, error = _read_batches(_written(tmp_path, text), columns)
         assert error is None and plain_checks == [True, False]
         reference = list(ingest._read_rows(io.StringIO(text, newline=""), WIDE, "<memory>", tuple))
         assert [len(b) for b in batches] == [4, 4]
