@@ -21,12 +21,13 @@ def pretty_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def parse_json(text: str, error: type[Exception], what: str):
-    """The JSON document ``text``; text that is not JSON raises ``error``
-    naming ``what``."""
+def parse_json(data: bytes | str, error: type[Exception], what: str):
+    """The JSON document ``data``, UTF-8 if bytes. Bytes that are not UTF-8,
+    text that is not JSON and a document nested too deeply to parse raise
+    ``error`` naming ``what``."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 

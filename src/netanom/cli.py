@@ -398,19 +398,6 @@ def _labeled(batch, error: type[Exception], need: str) -> np.ndarray:
     return batch.truth
 
 
-def _labeled_scores(path, profile, preprocess) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and truths of every row of a labeled capture, which must have
-    rows. Only the scores and truths outlive their batch."""
-    scores, truths = [], []
-    with _scored_batches(path, profile, preprocess) as scored:
-        for batch, batch_scores in scored:
-            truths.append(_labeled(batch, EvaluationError, "metrics need ground truth"))
-            scores.append(batch_scores)
-    if not scores:
-        raise EvaluationError("test file has no records")
-    return np.concatenate(scores), np.concatenate(truths)
-
-
 def _cmd_evaluate(args, parser) -> int:
     det = _detection_config(args, parser)
     return _sweep_command(
@@ -432,14 +419,16 @@ def _cmd_roc(args, parser) -> int:
 
 
 def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) -> int:
-    """Score the labeled ``--test`` capture once and sweep w over ``grid``.
-    Then write ``<prefix><suffix>`` for each item of ``texts(reports)``,
-    the manifest ``<prefix>.manifest.json`` (the ``--out`` prefix as given,
-    dots and all), and print the table."""
+    """Score the labeled ``--test`` capture one batch at a time and count
+    each batch at every w of ``grid`` as it is scored: only the counts
+    outlive a batch. Then write ``<prefix><suffix>`` for each item of
+    ``texts(reports)``, the manifest ``<prefix>.manifest.json`` (the
+    ``--out`` prefix as given, dots and all), and print the table."""
     started = time.perf_counter()
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
-    scores, truths = _labeled_scores(args.test, profile, preprocess)
-    reports = sweep(scores, truths, profile, grid)
+    with _scored_batches(args.test, profile, preprocess) as scored:
+        labeled = ((scores, _labeled(batch, EvaluationError, "metrics need ground truth")) for batch, scores in scored)
+        reports = sweep(labeled, profile, grid)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     outputs = {prefix.with_name(prefix.name + suffix): text for suffix, text in texts(reports).items()}
@@ -453,7 +442,7 @@ def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) 
         [profile_path, preprocess_path, args.test],
         list(outputs),
         started,
-        records=len(scores),
+        records=reports[0].counts.total,
     )
     print(render_table(reports), end="")
     return 0

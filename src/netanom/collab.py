@@ -235,7 +235,7 @@ def simconfig_from_doc(doc) -> SimulationConfig:
 
 
 def load_simconfig(path) -> SimulationConfig:
-    return simconfig_from_doc(parse_json(Path(path).read_text(encoding="utf-8"), SimulationError, "simulation config"))
+    return simconfig_from_doc(parse_json(Path(path).read_bytes(), SimulationError, "simulation config"))
 
 
 def _node_assigner(cfg: SimulationConfig):

@@ -224,6 +224,5 @@ def save_profile(profile: NormalProfile) -> bytes:
 
 
 def load_profile(data: bytes | str) -> NormalProfile:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return profile_from_doc(parse_json(text, ProfileFormatError, "profile"))
+    return profile_from_doc(parse_json(data, ProfileFormatError, "profile"))
 

@@ -1,8 +1,8 @@
 """Confusion counting, detection metrics, and the w sweep.
 
-A test set is scored once; ``sweep`` re-thresholds those scores at each w of
-a grid and returns one ``MetricsReport`` per w. The ROC CSV, the JSON
-reports and the text table are all rendered from those same reports.
+A test set is scored one batch at a time; ``sweep`` counts each batch at
+every w of a grid as it arrives and keeps only the counts. Its reports, one
+per w, give the ROC CSV, the JSON reports and the text table.
 
 Accuracy = (TP+TN)/(TP+TN+FP+FN); detection rate = TP/(TP+FN); false
 positive rate = FP/(FP+TN). Undefined-denominator cases are reported as an
@@ -13,7 +13,7 @@ an empty class usually means the sampling is broken.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,14 +102,13 @@ def metrics(counts: ConfusionCounts, w: float | None = None) -> MetricsReport:
 
 
 def sweep(
-    scores: np.ndarray,
-    truths: Sequence[int],
+    batches: Iterable[tuple[np.ndarray, Sequence[int]]],
     profile: NormalProfile,
     w_grid: Sequence[float],
 ) -> list[MetricsReport]:
-    """One report per w over precomputed scores. The verdict depends on w
-    only through the band edges, so the scores are never recomputed: each
-    class's scores are sorted once, and the records flagged at a w are
+    """One report per w over ``(scores, truths)`` batches, each counted as
+    it arrives. A verdict depends on w only through the band edges: each
+    batch's scores of each class are sorted, and those flagged at a w are
     counted by binary search at its edges (Fawcett 2006, "An introduction
     to ROC analysis", Algorithm 1). The counts are those of
     :func:`~netanom.decision.classify_scores` and :func:`confusion` at each
@@ -119,10 +118,15 @@ def sweep(
     if any(w < 0 for w in w_grid):
         raise EvaluationError("w values must be non-negative")
     bands = np.array([profile.band(DetectionConfig(w, enforce_range=False)) for w in w_grid])
-    s = np.asarray(scores, dtype=np.float64)
-    none_flagged = confusion(np.zeros(s.shape, dtype=int), truths)  # checks the truths once
-    is_attack = np.asarray(truths).astype(bool)
-    fps, tps = (_flagged(np.sort(s[is_attack == attack]), bands).tolist() for attack in (False, True))
+    none_flagged, flagged = ConfusionCounts(0, 0, 0, 0), np.zeros((2, len(w_grid)), dtype=np.int64)  # fp, tp rows
+    for scores, truths in batches:
+        s = np.asarray(scores, dtype=np.float64)
+        none_flagged += confusion(np.zeros(s.shape, dtype=int), truths)  # checks the batch's truths
+        is_attack = np.asarray(truths).astype(bool)
+        flagged += [_flagged(np.sort(s[is_attack == attack]), bands) for attack in (False, True)]
+    if none_flagged.total == 0:  # confusion rejects an empty batch, so no batch came
+        raise EvaluationError("test file has no records")
+    fps, tps = flagged.tolist()
     return [
         metrics(ConfusionCounts(tp=tp, tn=none_flagged.tn - fp, fp=fp, fn=none_flagged.fn - tp), w=w)
         for w, fp, tp in zip(w_grid, fps, tps)

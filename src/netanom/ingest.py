@@ -225,7 +225,7 @@ def schema_from_doc(doc: dict) -> FeatureSchema:
 def load_schema(path) -> FeatureSchema:
     """Load a schema from a JSON file; for JSON text, use ``json.loads``
     and ``schema_from_doc``."""
-    return schema_from_doc(parse_json(Path(path).read_text(encoding="utf-8"), SchemaError, "schema"))
+    return schema_from_doc(parse_json(Path(path).read_bytes(), SchemaError, "schema"))
 
 
 def save_schema(schema: FeatureSchema, path) -> None:

@@ -326,4 +326,4 @@ def save_preprocess(model: PreprocessModel, path) -> None:
 def load_preprocess(path) -> PreprocessModel:
     """Load a preprocessing model from a JSON file; for JSON text, use
     ``json.loads`` and ``preprocess_from_doc``."""
-    return preprocess_from_doc(parse_json(Path(path).read_text(encoding="utf-8"), PreprocessError, "preprocessing document"))
+    return preprocess_from_doc(parse_json(Path(path).read_bytes(), PreprocessError, "preprocessing document"))

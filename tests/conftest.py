@@ -49,6 +49,11 @@ def forked(monkeypatch):
     return children
 
 
+def written(out):
+    """The files under ``out``, which need not exist."""
+    return sorted(str(path.relative_to(out)) for path in out.rglob("*") if path.is_file()) if out.exists() else []
+
+
 def assert_same_verdicts(a, b):
     """Two ``NodeResult.verdicts`` agree: each a read-only int8 array, the
     two of one length and equal value by value."""

@@ -63,7 +63,7 @@ def pipeline(tmp_path_factory):
     test_matrix = pp.apply_records(test)
     truths = np.array([r.truth for r in test])
     scores = profile.score_matrix(test_matrix)
-    points = sweep(scores, truths, profile, W_GRID)
+    points = sweep([(scores, truths)], profile, W_GRID)
     duration = time.perf_counter() - started
     return {
         "schema": schema,

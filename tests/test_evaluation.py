@@ -124,14 +124,14 @@ class TestRocSweep:
     def test_paper_grid_gives_four_points(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        reports = sweep(profile.score_matrix(matrix), truths, profile, [1.5, 2.0, 2.5, 3.0])
+        reports = sweep([(profile.score_matrix(matrix), truths)], profile, [1.5, 2.0, 2.5, 3.0])
         assert [r.w for r in reports] == [1.5, 2.0, 2.5, 3.0]
 
     def test_singleton_grid_matches_direct_metrics(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
         scores = profile.score_matrix(matrix)
-        (report,) = sweep(scores, truths, profile, [2.0])
+        (report,) = sweep([(scores, truths)], profile, [2.0])
         flagged = classify_scores(scores, profile, DetectionConfig(2.0))
         rep = metrics(confusion(flagged.astype(int), truths), w=2.0)
         assert report.detection_rate == rep.detection_rate
@@ -142,7 +142,7 @@ class TestRocSweep:
         _, profile = fitted
         matrix, truths = labeled_test_set
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
-        reports = sweep(profile.score_matrix(matrix), truths, profile, grid)
+        reports = sweep([(profile.score_matrix(matrix), truths)], profile, grid)
         fprs = [r.false_positive_rate for r in reports]
         assert all(a >= b for a, b in zip(fprs, fprs[1:]))
         drs = [r.detection_rate for r in reports]
@@ -151,7 +151,7 @@ class TestRocSweep:
     def test_rethresholding_equals_reclassification(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        reports = sweep(profile.score_matrix(matrix), truths, profile, [1.5, 3.0])
+        reports = sweep([(profile.score_matrix(matrix), truths)], profile, [1.5, 3.0])
         for report in reports:
             cfg = DetectionConfig(report.w)
             flagged = classify_scores(profile.score_matrix(matrix), profile, cfg)
@@ -170,7 +170,8 @@ class TestRocSweep:
         """The sweep's counts at each w are those of classify_scores and
         confusion at that w: with duplicated scores, scores exactly on a band
         edge, -inf, NaN, w=0, a NaN band edge (0 * inf) and a class with no
-        records."""
+        records, whichever way the scores are split into non-empty batches,
+        from one batch to one a record."""
         lower, upper = quartiles
         profile = dataclasses.replace(fitted[1], lower=lower, upper=upper, iqr=upper - lower)
         edges = [edge for w in grid for edge in profile.band(DetectionConfig(w, enforce_range=False))]
@@ -181,7 +182,9 @@ class TestRocSweep:
         )
         scores = np.array(data.draw(st.lists(pool, min_size=1, max_size=40)))
         truths = data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
-        reports = sweep(scores, truths, profile, grid)
+        cut_after = data.draw(st.lists(st.booleans(), min_size=len(scores) - 1, max_size=len(scores) - 1))
+        bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), len(scores)]
+        reports = sweep([(scores[a:b], truths[a:b]) for a, b in zip(bounds, bounds[1:])], profile, grid)
         for w, report in zip(grid, reports):
             flagged = classify_scores(scores, profile, DetectionConfig(w, enforce_range=False))
             assert report == metrics(confusion(flagged.astype(int), truths), w=w)
@@ -189,28 +192,28 @@ class TestRocSweep:
     def test_sweep_checks_the_truths(self, fitted):
         _, profile = fitted
         with pytest.raises(EvaluationError, match="truths must be binary"):
-            sweep(np.zeros(3), [0, 2, 1], profile, [1.5, 2.0])
+            sweep([(np.zeros(3), [0, 2, 1])], profile, [1.5, 2.0])
         with pytest.raises(EvaluationError, match="shape mismatch"):
-            sweep(np.zeros(3), [0, 1], profile, [1.5])
+            sweep([(np.zeros(3), [0, 1])], profile, [1.5])
         with pytest.raises(EvaluationError, match="empty"):
-            sweep(np.zeros(0), [], profile, [1.5])
+            sweep([(np.zeros(0), [])], profile, [1.5])
 
     def test_empty_grid_rejected(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
         with pytest.raises(EvaluationError):
-            sweep(profile.score_matrix(matrix), truths, profile, [])
+            sweep([(profile.score_matrix(matrix), truths)], profile, [])
 
     def test_negative_w_rejected(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
         with pytest.raises(EvaluationError, match="non-negative"):
-            sweep(profile.score_matrix(matrix), truths, profile, [1.5, -0.5])
+            sweep([(profile.score_matrix(matrix), truths)], profile, [1.5, -0.5])
 
     def test_csv_emission(self, fitted, labeled_test_set):
         _, profile = fitted
         matrix, truths = labeled_test_set
-        reports = sweep(profile.score_matrix(matrix), truths, profile, [1.5, 2.0])
+        reports = sweep([(profile.score_matrix(matrix), truths)], profile, [1.5, 2.0])
         text = roc_csv(reports)
         lines = text.strip().split("\n")
         assert lines[0] == "w,dr,fpr,accuracy"
