@@ -23,37 +23,39 @@ each node's verdicts. A link that faults is closed, with the one reason of
 the end that saw the fault; the other nodes carry on. The intervals carry
 only what a node reads: the columns the preprocessing model reads
 (``PreprocessModel.columns``), numeric ones as float64 values and the
-others as field texts, and each record's row number. Each node encodes and
-standardizes them, and scoring is record-local, so the transports' reports
-are identical byte for byte. In-process, the link is the node itself.
-Over loopback, it is the node behind its own TCP connection to the run's
-listener, and the calling thread drives both ends: the node's end acts on
-each frame as the store's end sends it. A frame goes out in pieces of at
-most ``_PIECE`` bytes, each read into the node's end as it is sent, so no
-send waits for a reader. The truths stay with the store: the node's
-intervals have truth -1 (unknown). The frames are length-prefixed:
+others as int32 codes into their texts, and each record's row number. Each
+node encodes and standardizes them, and scoring is record-local, so the
+transports' reports are identical byte for byte. In-process, the link is
+the node itself. Over loopback, it is the node behind its own TCP
+connection to the run's listener, and the calling thread drives both ends:
+the node's end acts on each frame as the store's end sends it. A frame
+goes out in pieces of at most ``_PIECE`` bytes, each read into the node's
+end as it is sent, so no send waits for a reader. The truths stay with the
+store: the node's intervals have truth -1 (unknown). The frames are
+length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
 
     node -> store    hello     {node}
-    store -> node    interval  {file, n, columns, texts} + floats + rows (<i8), ...
+    store -> node    interval  {file, n, columns, texts} + columns (<f8 | <i4) + rows (<i8), ...
     store -> node    end       {count}
     node -> store    result    {n} + verdicts (i1)
     store -> node    ack
 
-Each header also holds its ``type``, which fixes the body: one raw
-little-endian buffer of ``n`` values per entry above, and none for the
-frames without ``n``. ``texts`` maps each column that is not numeric to
-its field texts; every numeric one of ``columns`` travels as an ``<f8``
-buffer, in ``columns`` order, so a float reads back with the same bits.
-An interval frame is one interval, in the node's order; an interval whose
-frame would pass ``_MAX_FRAME`` is halved until each part fits. The node
-classifies each frame as it arrives and checks ``end.count``; the store
-checks the hello and that the result holds one 0/1 verdict per record. A
-frame that does not fit its layout, a numeric column sent as texts
-included, raises a retryable :class:`TransportError`. Truth labels are
-checked once the capture is read: an unlabeled record fails the run,
+Each header also holds its ``type``, which fixes the body: one raw little-
+endian buffer of ``n`` values per entry above, and none for the frames
+without ``n``. Each of ``columns`` travels in order: a numeric one as an
+``<f8`` buffer, so a float reads back with the same bits, and any other as
+an ``<i4`` buffer of codes into its list in ``texts``, the sorted texts
+the frame's records use (see :func:`_join`). An interval frame is one
+interval, in the node's order; an interval whose frame would pass
+``_MAX_FRAME`` is halved until each part fits. The node classifies each
+frame as it arrives and checks ``end.count``; the store checks the hello
+and that the result holds one 0/1 verdict per record. A frame that does
+not fit its layout, a numeric column sent as texts or a code outside its
+texts included, raises a retryable :class:`TransportError`. Truth labels
+are checked once the capture is read: an unlabeled record fails the run,
 naming the file's first one. A bad numeric value never reaches a node: the
 read fails on it. A data error ends the run on either transport, with no
 result.
@@ -107,17 +109,24 @@ class SimulatedNodeFailure(SimulationError):
 
 
 def _join(parts: list[FlowBatch]) -> FlowBatch:
-    """One batch from consecutive parts of a node's records, each column an
-    array or a list in every part. One part is its own batch."""
-    if len(parts) == 1:
-        return parts[0]
-    columns = {}
+    """One batch from consecutive parts of a node's records. A text column
+    holds exactly the texts its rows use, sorted: its texts and codes
+    depend on the rows alone, not on how the reader cut them into batches."""
+    columns, texts = {}, {}
     for name in parts[0].columns:
-        pieces = [part.columns[name] for part in parts]
-        columns[name] = np.concatenate(pieces) if isinstance(pieces[0], np.ndarray) else [text for piece in pieces for text in piece]
-    truth = np.concatenate([part.truth for part in parts])
-    rows = np.concatenate([part.rows for part in parts])
-    return FlowBatch(columns, truth, parts[0].file_id, rows)
+        if name not in parts[0].texts:
+            columns[name] = np.concatenate([part.columns[name] for part in parts])
+            continue
+        used = [np.flatnonzero(np.bincount(part.columns[name], minlength=len(part.texts[name]))).tolist() for part in parts]
+        texts[name] = tuple(sorted({part.texts[name][code] for part, codes in zip(parts, used) for code in codes}))
+        code_of = {text: code for code, text in enumerate(texts[name])}
+        pieces = []
+        for part, codes in zip(parts, used):
+            remap = np.zeros(len(part.texts[name]), np.int32)  # a part's code -> the joined code, for each code in use
+            remap[codes] = [code_of[part.texts[name][code]] for code in codes]
+            pieces.append(remap[part.columns[name]])
+        columns[name] = np.concatenate(pieces)
+    return FlowBatch(columns, np.concatenate([part.truth for part in parts]), parts[0].file_id, np.concatenate([part.rows for part in parts]), texts)
 
 
 @dataclass(frozen=True)
@@ -249,7 +258,8 @@ def _node_assigner(cfg: SimulationConfig):
     column, as the reader gives it: a text by its UTF-8 bytes, a float64
     value by its ``repr`` (``-0.0`` as ``0.0``), so ``80``, ``80.0`` and
     ``8e1`` are one source. A source's node is the first 8 bytes of the
-    sha256 digest, big-endian, modulo the node count."""
+    sha256 digest, big-endian, modulo the node count. Each distinct source
+    of a batch is hashed once."""
     n = len(cfg.nodes)
     if cfg.assignment == "round-robin":
         return lambda batch, start: np.arange(start, start + len(batch), dtype=np.intp) % n
@@ -268,12 +278,13 @@ def _node_assigner(cfg: SimulationConfig):
         column = batch.columns.get(cfg.hash_column)
         if column is None:
             raise SchemaError(f"no column named {cfg.hash_column!r}")
-        sources = (column + 0.0).tolist() if isinstance(column, np.ndarray) else column
-        node_of = {}  # sources repeat within a batch: hash each of its values once
-        for value in set(sources):
-            h = hashlib.sha256((value if isinstance(value, str) else repr(value)).encode("utf-8")).digest()
-            node_of[value] = int.from_bytes(h[:8], "big") % n
-        return np.fromiter(map(node_of.__getitem__, sources), np.intp, len(sources))
+        if cfg.hash_column in batch.texts:
+            sources, codes = batch.texts[cfg.hash_column], column
+        else:
+            values, codes = np.unique(column + 0.0, return_inverse=True)
+            sources = map(repr, values.tolist())
+        digests = (hashlib.sha256(source.encode("utf-8")).digest() for source in sources)
+        return np.array([int.from_bytes(h[:8], "big") % n for h in digests], np.intp)[codes]
 
     return assign
 
@@ -417,7 +428,7 @@ def _classify(interval: FlowBatch, preprocess: PreprocessModel, profile: NormalP
     return classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det)
 
 
-_F8, _I8, _I1 = np.dtype("<f8"), np.dtype("<i8"), np.dtype("i1")  # floats, row numbers, verdicts
+_F8, _I4, _I8, _I1 = np.dtype("<f8"), np.dtype("<i4"), np.dtype("<i8"), np.dtype("i1")  # floats, codes, row numbers, verdicts
 
 
 def _encode_frame(header: dict, *arrays: np.ndarray) -> bytes:
@@ -466,19 +477,16 @@ def _body(header: dict, body: memoryview, kind: str, *dtypes: np.dtype) -> list[
 
 def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
     """Encode one interval as frames of at most ``_MAX_FRAME`` payload
-    bytes, halving the interval until each part fits. A column array that
-    is not 1-D float64 raises ``TypeError``."""
-    texts, arrays = {}, []
+    bytes, halving the interval until each part fits. Its text columns go
+    as :func:`_join` gives them, so a frame's bytes depend on its records
+    alone. A column that is not a 1-D array of its wire dtype, ``<i4`` codes
+    for a text column and ``<f8`` for any other, raises ``TypeError``."""
     for name, column in interval.columns.items():
-        if not isinstance(column, np.ndarray):
-            texts[name] = column
-        elif column.dtype == np.float64 and column.ndim == 1:
-            arrays.append(np.ascontiguousarray(column, _F8))
-        else:
+        if column.dtype != (_I4 if name in interval.texts else _F8) or column.ndim != 1:
             raise TypeError(f"column {name!r}: a {column.dtype} array of shape {column.shape} has no wire form")
-    n = len(interval)
-    header = {"type": "interval", "file": interval.file_id, "n": n, "columns": list(interval.columns), "texts": texts}
-    data = _encode_frame(header, *arrays, np.ascontiguousarray(interval.rows, _I8))
+    interval, n = _join([interval]), len(interval)
+    header = {"type": "interval", "file": interval.file_id, "n": n, "columns": list(interval.columns), "texts": interval.texts}
+    data = _encode_frame(header, *interval.columns.values(), np.ascontiguousarray(interval.rows, _I8))
     if len(data) - 4 <= _MAX_FRAME:
         yield data
     elif n == 1:
@@ -493,9 +501,10 @@ def _interval_frames(interval: FlowBatch) -> Iterator[bytes]:
 
 def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowBatch:
     """The interval an interval frame carries: its columns that are numeric
-    in ``schema`` as float64 and the others as texts, each record's truth
-    -1 (unknown). A field that is missing or does not fit the layout, or a
-    non-finite float, raises :class:`TransportError`."""
+    in ``schema`` as float64 and the others as int32 codes into the texts
+    the header lists, each record's truth -1 (unknown). A field that is
+    missing or does not fit the layout, a non-finite float or a code
+    outside its texts raises :class:`TransportError`."""
     names, texts, file_id = header.get("columns"), header.get("texts"), header.get("file")
     if not isinstance(file_id, str):
         raise TransportError(f"interval frame file {file_id!r} is not a string")
@@ -504,15 +513,16 @@ def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowB
     numeric = {column.name for column in schema.columns if column.kind == "numeric"}
     if not isinstance(texts, dict) or set(texts) != set(names) - numeric:
         raise TransportError(f"interval frame texts do not map exactly its text columns {sorted(set(names) - numeric)}")
-    *floats, rows = _body(header, body, "interval", *[_F8] * (len(names) - len(texts)), _I8)
-    if not all(isinstance(column, list) and len(column) == len(rows) for column in texts.values()):
-        raise TransportError(f"interval frame texts are not lists of its {len(rows)} records")
-    if not all(set(map(type, column)) <= {str} for column in texts.values()):
-        raise TransportError("interval frame texts are not all strings")
-    floats = dict(zip([name for name in names if name not in texts], floats))
-    if bad := [name for name, values in floats.items() if not np.isfinite(values).all()]:
-        raise TransportError(f"interval frame column {bad[0]!r} holds a non-finite value")
-    return FlowBatch({name: texts[name] if name in texts else floats[name] for name in names}, np.full(len(rows), -1, np.int8), file_id, rows)
+    if not all(isinstance(column, list) and set(map(type, column)) <= {str} for column in texts.values()):
+        raise TransportError("interval frame texts are not lists of strings")
+    *values, rows = _body(header, body, "interval", *[_I4 if name in texts else _F8 for name in names], _I8)
+    columns = dict(zip(names, values))
+    for name, column in columns.items():
+        if name not in texts and not np.isfinite(column).all():
+            raise TransportError(f"interval frame column {name!r} holds a non-finite value")
+        if name in texts and len(column) and not 0 <= column.min() <= column.max() < len(texts[name]):
+            raise TransportError(f"interval frame column {name!r} holds a code outside its {len(texts[name])} texts")
+    return FlowBatch(columns, np.full(len(rows), -1, np.int8), file_id, rows, {name: tuple(column) for name, column in texts.items()})
 
 
 def _check_result(verdicts: np.ndarray, n: int) -> None:

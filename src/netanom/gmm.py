@@ -133,14 +133,6 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-def _component_log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(K, N) per-component joint log-density of each row of x, centred form."""
-    diff = x[None, :, :] - means[:, None, :]
-    quad = np.sum(diff * diff / variances[:, None, :], axis=2)
-    logdet = np.sum(np.log(variances), axis=1)  # (K,)
-    return -0.5 * (x.shape[1] * LOG_2PI + logdet[:, None] + quad)
-
-
 def _expanded_log_terms(feats, logw, means, variances) -> np.ndarray:
     """(K, N) array of log(weight_k) + component log-density, expanded form.
     ``feats`` stacks (x*x).T over x.T, so one product gives the x terms."""
@@ -171,26 +163,48 @@ def _m_step(resp, mass, feats, floor: float) -> tuple[np.ndarray, np.ndarray]:
 _EXP_FLOOR = -700.0
 
 
-def _log_normalize(terms: np.ndarray) -> np.ndarray:
+def _log_normalize(terms: np.ndarray, posterior: bool = True) -> np.ndarray:
     """Per-record log-sum-exp over the components (axis 0) of (K, N) log
     terms, max-shifted so it never overflows; records with no finite term
-    give -inf. Overwrites ``terms`` with the posterior exp(terms - result)
-    of every record whose result is finite."""
+    give -inf. Overwrites ``terms``: with ``posterior``, with the posterior
+    exp(terms - result) of every record whose result is finite."""
     shift = np.max(terms, axis=0)
     finite = np.isfinite(shift)
     if not finite.all():
         out = np.full(shift.shape, -np.inf)
         if finite.any():
             part = terms[:, finite]
-            out[finite] = _log_normalize(part)
+            out[finite] = _log_normalize(part, posterior)
             terms[:, finite] = part
         return out
     terms -= shift
     np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
     total = np.sum(terms, axis=0)
-    terms /= total
+    if posterior:
+        terms /= total
     return shift + np.log(total)
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over axis 0 of ``terms`` (d, ...), which it overwrites, with
+    the bits of ``np.sum`` along a contiguous axis of d values. numpy's
+    pairwise order adds fewer than 8 values in turn; up to 128 in 8 running
+    sums r, as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in turn;
+    and more as the sum of two halves split at a multiple of 8."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    out, rest = terms[0], max(n - n % 8, 1)
+    if n >= 8:
+        for j in range(8, rest, 8):
+            terms[:8] += terms[j : j + 8]
+        pairs = terms[0:8:2] + terms[1:8:2]
+        out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for term in terms[rest:]:
+        out += term
+    return out
 
 
 _SCORE_CHUNK = 1024
@@ -200,15 +214,21 @@ def score_records(data: np.ndarray, model: MixtureModel) -> np.ndarray:
     """Mixture log-density of every row of ``data``; shape (N,).
 
     Each row's value depends only on that row, so scores are identical no
-    matter how the data is batched or partitioned.
+    matter how the data is batched or partitioned. The centred terms
+    (x_j - m_kj)^2 / v_kj of a chunk of m rows are built on x.T, as (d, K,
+    m), and summed over j with the bits of ``np.sum`` over the last axis of
+    the (K, m, d) broadcasting form.
     """
-    x = _as_matrix(data, model.d)
+    xt = np.ascontiguousarray(_as_matrix(data, model.d).T)  # (d, N)
     logw = _log_weights(model.weights)[:, None]
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _SCORE_CHUNK):
-        block = x[start : start + _SCORE_CHUNK]
-        terms = logw + _component_log_densities(block, model.means, model.variances)
-        out[start : start + _SCORE_CHUNK] = _log_normalize(terms)
+    base = model.d * LOG_2PI + np.sum(np.log(model.variances), axis=1)[:, None]  # (K, 1)
+    means, variances = model.means.T[:, :, None], model.variances.T[:, :, None]  # (d, K, 1)
+    out = np.empty(xt.shape[1])
+    for start in range(0, len(out), _SCORE_CHUNK):
+        terms = xt[:, None, start : start + _SCORE_CHUNK] - means
+        terms *= terms
+        terms /= variances
+        out[start : start + _SCORE_CHUNK] = _log_normalize(logw + -0.5 * (base + _pairwise_sum(terms)), posterior=False)
     return out
 
 

@@ -2,7 +2,8 @@
 
 A :class:`FeatureSchema` describes the column layout of a flow CSV. A capture
 is read as a stream of :class:`FlowBatch` that holds only the requested
-columns: numeric columns as float64 arrays, the others as field texts.
+columns, each an array: numeric columns as float64 values, the others as
+int32 codes into the batch's distinct texts of the column.
 
 Batches are read at C speed by ``np.loadtxt`` when their lines are plain:
 no quote, carriage return or blank line, and the schema's width on every
@@ -25,7 +26,7 @@ import os
 import pickle
 import signal
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -158,31 +159,30 @@ class FlowBatch:
     records take from the reader through preprocessing, the simulation's
     node intervals and its loopback frames.
 
-    ``columns`` maps each requested column name to the rows' values. A
-    numeric column is a float64 array of finite values (see
-    :func:`_as_floats`); any other is the list of field texts, with one
-    object for each distinct text in the batch. ``truth`` is an int8
-    array: 1 for attack, 0 for normal, -1 for an empty label field.
-    ``rows`` holds the 1-based data-row numbers, an int64 array. Batches
-    do not compare equal by value: compare their fields.
+    ``columns`` maps each requested column name to an array of the rows'
+    values: a float64 array of finite values for a numeric column (see
+    :func:`_as_floats`), else int32 codes into ``texts[name]``, the tuple of
+    the column's distinct texts, which the reader numbers in the order the
+    rows first use them (a batch :meth:`take` cuts keeps them all).
+    ``truth`` is an int8 array: 1 for attack, 0 for normal, -1 for an empty
+    label field. ``rows`` holds the 1-based data-row numbers, an int64
+    array. Batches do not compare equal by value: compare their fields.
     """
 
-    columns: dict[str, np.ndarray | list[str]]
+    columns: dict[str, np.ndarray]
     truth: np.ndarray
     file_id: str
     rows: np.ndarray
+    texts: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def take(self, index: slice | np.ndarray) -> FlowBatch:
-        """The rows at ``index``, a slice or an integer array, as a batch.
-        Float columns are indexed as arrays; text columns stay lists."""
-        columns = {
-            name: column[index] if isinstance(column, np.ndarray) or isinstance(index, slice) else [column[i] for i in index.tolist()]
-            for name, column in self.columns.items()
-        }
-        return FlowBatch(columns, self.truth[index], self.file_id, self.rows[index])
+        """The rows at ``index``, a slice, an integer array or a boolean
+        mask, as a batch with the same texts."""
+        columns = {name: column[index] for name, column in self.columns.items()}
+        return FlowBatch(columns, self.truth[index], self.file_id, self.rows[index], self.texts)
 
 
 def batch_of_records(records: Sequence[FlowRecord], schema: FeatureSchema, names: Iterable[str]) -> FlowBatch:
@@ -472,9 +472,9 @@ def _stream_batches(stream, fid: str, schema: FeatureSchema, columns: Sequence[s
     # itemgetter returns a bare field, not a 1-tuple, for a single index.
     project = itemgetter(*index) if len(index) > 1 else lambda fields: tuple(fields[i] for i in index)
     # One structured loadtxt read per plain batch: the requested columns and
-    # the label, named by column index.
+    # the label, named by column index, the text ones as codes.
     dtype = np.dtype(
-        [(str(i), np.float64 if schema.columns[i].name in floats else object) for i in sorted({*index, schema.label_index})]
+        [(str(i), np.float64 if schema.columns[i].name in floats else np.int32) for i in sorted({*index, schema.label_index})]
     )
     batches = _LineBatches(stream, schema, fid)
     while lines := batches.take():
@@ -573,42 +573,37 @@ def _send(sink, item) -> None:
 
 def _plain_batch(lines: list[str], batches: _LineBatches, index: dict[str, int], dtype: np.dtype) -> FlowBatch | None:
     """The batch of a plain run of lines, read by ``np.loadtxt`` as the
-    fields of ``dtype``: float64 ones as arrays, object ones as field
-    texts from the batch's :class:`_TextPool`. None when a float field
+    fields of ``dtype``: float64 ones as arrays, int32 ones as codes that
+    the field's :class:`_TextPool` hands out. None when a float field
     holds a value ``np.loadtxt`` rejects or reads as non-finite."""
-    pool = _TextPool()
+    pools = {i: _TextPool() for i in dtype.names if dtype[i] == np.int32}
     try:
         # encoding=None hands the converters ``str``: numpy 1.x's default,
         # 'bytes', would hand them latin-1 ``bytes`` instead.
         table = np.loadtxt(
             lines, delimiter=",", usecols=[int(i) for i in dtype.names], dtype=dtype, comments=None, quotechar=None, ndmin=1,
-            converters={i: pool.__getitem__ for i in index.values() if dtype[str(i)] == object}, encoding=None,
+            converters={int(i): pool.__getitem__ for i, pool in pools.items()}, encoding=None,
         )
     except ValueError:
         return None
-    columns = {}
-    for name, i in index.items():
-        if dtype[str(i)] == np.float64:
-            values = np.ascontiguousarray(table[str(i)])
-            if not np.isfinite(values).all():
-                return None
-            columns[name] = values
-        else:
-            columns[name] = table[str(i)].tolist()
-    labels = table[str(batches.schema.label_index)].tolist()
-    truth_of = {label: _truth_of(label, batches.schema.positive_label_value) for label in set(labels)}
+    columns = {name: np.ascontiguousarray(table[str(i)]) for name, i in index.items()}
+    if not all(np.isfinite(columns[name]).all() for name, i in index.items() if str(i) not in pools):
+        return None
+    label = str(batches.schema.label_index)
+    truth_of = np.array([_truth_of(text, batches.schema.positive_label_value) for text in pools[label]], np.int8)
     return FlowBatch(
         columns=columns,
-        truth=np.fromiter(map(truth_of.__getitem__, labels), dtype=np.int8, count=len(labels)),
+        truth=truth_of[table[label]],
         file_id=batches.fid,
         rows=batches.plain_rows(len(lines)),
+        texts={name: tuple(pools[str(i)]) for name, i in index.items() if str(i) in pools},
     )
 
 
 def _csv_batch(rows: Iterable[tuple[int, int, tuple]], names: Sequence[str], floats: Sequence[str], fid: str) -> FlowBatch:
     """The batch of ``rows`` from :meth:`_LineBatches.reread`, empty when
     there are none: the ``floats`` columns, named in file order, as float64
-    (see :func:`_as_floats`) and the others as pooled field texts. A
+    (see :func:`_as_floats`) and the others as codes from a :class:`_TextPool`. A
     malformed row that ``rows`` raises is raised once the rows before it are
     checked, so the first bad field or row in file order is named."""
     # Appending field by field leaves no per-row object alive past its
@@ -628,12 +623,16 @@ def _csv_batch(rows: Iterable[tuple[int, int, tuple]], names: Sequence[str], flo
     values = _as_floats({name: texts[name] for name in floats}, fid, row_nos)
     if malformed is not None:
         raise malformed
-    pool = _TextPool()
+    pools = {name: _TextPool() for name in texts if name not in floats}
     return FlowBatch(
-        columns={name: values[name] if name in floats else list(map(pool.__getitem__, column)) for name, column in texts.items()},
+        columns={
+            name: values[name] if name in floats else np.fromiter(map(pools[name].__getitem__, column), np.int32, len(column))
+            for name, column in texts.items()
+        },
         truth=np.array(truths, dtype=np.int8),
         file_id=fid,
         rows=np.array(row_nos, dtype=np.int64),
+        texts={name: tuple(pool) for name, pool in pools.items()},
     )
 
 
@@ -660,15 +659,15 @@ def _as_floats(columns: dict[str, list[str]], fid: str, rows: Sequence[int]) -> 
 
 
 class _TextPool(dict):
-    """The text objects of one batch: ``pool[text]`` is the first object
-    equal to ``text`` that the pool was given. Every text column of a batch
-    goes through the batch's pool, so the batch holds one object for each
-    distinct text. ``np.loadtxt`` calls ``pool[text]`` as it reads each
-    field, so a repeated text is freed as soon as it is made."""
+    """The distinct texts of one column of one batch: ``pool[text]`` is the
+    code of ``text``, the number of distinct texts the pool was given
+    before it, and ``tuple(pool)`` lists the texts in code order.
+    ``np.loadtxt`` calls ``pool[text]`` as it reads each field, so a
+    repeated text is freed as soon as it is made."""
 
-    def __missing__(self, text: str) -> str:
-        self[text] = text
-        return text
+    def __missing__(self, text: str) -> int:
+        code = self[text] = len(self)
+        return code
 
 
 @dataclass(frozen=True)

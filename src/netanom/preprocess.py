@@ -49,14 +49,13 @@ def _empty_codes(schema: FeatureSchema) -> dict[str, dict[str, int]]:
 
 def _grow_codes(codes: dict[str, dict[str, int]], batch: FlowBatch) -> None:
     """Give each categorical value of ``batch`` not yet in ``codes`` the
-    next code of its feature. First-seen order makes this batch-invariant:
-    growing the tables batch by batch ends with the codes of one pass over
-    all the rows."""
+    next code of its feature, in the order the rows first use them. This
+    makes it batch-invariant: growing the tables batch by batch ends with
+    the codes of one pass over all the rows."""
     for name, table in codes.items():
-        texts = _column(batch, name)
-        for text in dict.fromkeys(texts):
-            if text not in table:
-                table[text] = len(table) + 1
+        column, texts = _codes(batch, name)
+        for code in column[np.sort(np.unique(column, return_index=True)[1])].tolist():
+            table.setdefault(texts[code], len(table) + 1)
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,11 @@ class PreprocessModel:
         """Preprocess the N records of ``batch`` into an (N, d) matrix.
 
         The batch must hold every name in :attr:`columns` (it may hold
-        others): a numeric column as a 1-D float64 array of finite values,
-        as the reader makes it, and any other as field texts. A missing
-        column, one without a value per record, or a numeric one of another
-        form or holding a non-finite value raises :class:`PreprocessError`.
+        others) as the reader makes it: a numeric column as a 1-D float64
+        array of finite values, and any other as int32 codes into its
+        ``batch.texts``. A missing column, one without a value per record,
+        or one of another form, holding a non-finite value or a code
+        outside its texts raises :class:`PreprocessError`.
         """
         encoded = _encode_columns(batch, self.schema, self.encoder, self.columns)
         reduced = encoded if self.pca is None else self.pca.transform(encoded)
@@ -241,7 +241,7 @@ def fit_preprocess(
     return fit_preprocess_batches([batch_of_records(train, schema, training_columns(schema, mode))], schema, mode)[0]
 
 
-def _column(batch: FlowBatch, name: str) -> np.ndarray | list[str]:
+def _column(batch: FlowBatch, name: str) -> np.ndarray:
     """The named column of ``batch``, checked to hold a value per record."""
     values = batch.columns.get(name, ())
     if len(values) != len(batch):
@@ -249,25 +249,38 @@ def _column(batch: FlowBatch, name: str) -> np.ndarray | list[str]:
     return values
 
 
+def _codes(batch: FlowBatch, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The named categorical column of ``batch``, checked to be int32 codes
+    into its texts, and the texts."""
+    codes, texts = _column(batch, name), batch.texts.get(name, ())
+    coded = isinstance(codes, np.ndarray) and codes.dtype == np.int32 and codes.ndim == 1
+    if not coded or len(codes) and not 0 <= codes.min() <= codes.max() < len(texts):
+        raise PreprocessError(f"column {name!r}: categorical values must be int32 codes into the batch's {len(texts)} texts")
+    return codes, texts
+
+
 def _encode_columns(batch: FlowBatch, schema: FeatureSchema, encoder: Mapping[str, Mapping[str, int]], features: Sequence[str]) -> np.ndarray:
     """Build the numeric matrix for the named features (encode step)."""
     out = np.empty((len(batch), len(features)), dtype=np.float64)
+    kinds = {column.name: column.kind for column in schema.columns}
     for j, name in enumerate(features):
-        values = _column(batch, name)
-        kind = schema.kind_of(name)
+        kind = kinds.get(name)
         if kind == "categorical":
+            codes, texts = _codes(batch, name)
             table = encoder.get(name, {})
-            out[:, j] = [table.get(text, UNSEEN_CODE) for text in values]
+            out[:, j] = np.array([table.get(text, UNSEEN_CODE) for text in texts], np.float64)[codes]
         elif kind == "numeric":
+            values = _column(batch, name)
             # API input: the reader makes each numeric column a finite float64 array.
             if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1):
                 form = f"a {values.dtype} array of shape {values.shape}" if isinstance(values, np.ndarray) else type(values).__name__
                 raise PreprocessError(f"column {name!r}: numeric values must be a 1-D float64 array, not {form}")
-            if (bad := np.flatnonzero(~np.isfinite(values))).size:
-                raise PreprocessError(f"column {name!r}: non-finite value {float(values[bad[0]])!r} in {batch.file_id} row {batch.rows[bad[0]]}")
             out[:, j] = values
         else:
             raise PreprocessError(f"column {name!r} has kind {kind!r} and cannot be modeled")
+    if (bad := np.argwhere(~np.isfinite(out.T))).size:  # the first, by column: only a numeric one can hold any
+        j, i = bad[0]
+        raise PreprocessError(f"column {features[j]!r}: non-finite value {float(out[i, j])!r} in {batch.file_id} row {batch.rows[i]}")
     return out
 
 

@@ -62,6 +62,31 @@ def assert_same_verdicts(a, b):
     assert len(a) == len(b) and np.array_equal(a, b)
 
 
+def coded_batch(columns, truth, file_id, rows):
+    """A batch of ``columns`` in which each list of texts is given as the
+    reader gives a text column: int32 codes into its distinct texts, in
+    first-seen order. Arrays are kept as they are."""
+    texts = {name: tuple(dict.fromkeys(column)) for name, column in columns.items() if isinstance(column, list)}
+    codes = {name: np.array([distinct.index(text) for text in columns[name]], dtype=np.int32) for name, distinct in texts.items()}
+    return ingest.FlowBatch(
+        {name: codes.get(name, column) for name, column in columns.items()},
+        np.asarray(truth, dtype=np.int8),
+        file_id,
+        np.asarray(rows, dtype=np.int64),
+        texts,
+    )
+
+
+def values_of(batch, name):
+    """The values of ``batch``'s column ``name``: the list of the rows'
+    texts for a text column, else the array."""
+    column = batch.columns[name]
+    if name not in batch.texts:
+        return column
+    texts = batch.texts[name]
+    return [texts[code] for code in column.tolist()]
+
+
 @pytest.fixture(scope="session")
 def schema():
     return ingest.default_schema()

@@ -273,7 +273,9 @@ def test_criterion_7_preprocessing_contracts(pipeline):
         schema = FeatureSchema(
             (ColumnSpec("proto", "categorical"), ColumnSpec("label", "label")), "label", "1"
         )
-        train = FlowBatch({"proto": ["TCP", "UDP", "ICMP"]}, np.zeros(3, dtype=np.int8), "t", np.arange(1, 4))
+        # rows TCP, UDP, ICMP, whose texts are listed in another order
+        codes = np.array([1, 2, 0], dtype=np.int32)
+        train = FlowBatch({"proto": codes}, np.zeros(3, dtype=np.int8), "t", np.arange(1, 4), {"proto": ("ICMP", "TCP", "UDP")})
         enc = fit_preprocess_batches([train], schema, "pca:1")[0].encoder
         assert enc["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
         details.update({"pca_max_eig_err": f"{worst:.2e}", "dims": "2..20"})

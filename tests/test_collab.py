@@ -31,7 +31,7 @@ from netanom.gmm import EmConfig
 from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, FlowRecord, ParseError, SchemaError, batch_of_records, iter_flow_batches
 from netanom.preprocess import PreprocessError, fit_preprocess
 
-from conftest import assert_same_verdicts
+from conftest import assert_same_verdicts, coded_batch, values_of
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,9 +138,10 @@ CORPUS_FILE = "synthetic.csv"
 
 
 def _lists(batch):
-    """A batch's fields as plain lists, to compare batches field by field."""
+    """A batch's fields as plain lists, a text column as its rows' texts, to
+    compare batches field by field."""
     return {
-        "columns": {name: c.tolist() if isinstance(c, np.ndarray) else list(c) for name, c in batch.columns.items()},
+        "columns": {name: values_of(batch, name) if name in batch.texts else c.tolist() for name, c in batch.columns.items()},
         "truth": batch.truth.tolist(),
         "file_id": batch.file_id,
         "rows": batch.rows.tolist(),
@@ -319,7 +320,7 @@ class TestReplay:
 class TestNodeStreams:
     @staticmethod
     def _batch(texts, truth, rows, file_id="f"):
-        return FlowBatch({"x": texts}, np.array(truth, dtype=np.int8), file_id, np.array(rows, dtype=np.int64))
+        return coded_batch({"x": texts}, truth, file_id, rows)
 
     def test_streams_are_independent(self):
         cfg = _cfg(assignment="explicit", explicit_assignment=("A", "B", "A", "B"))
@@ -365,7 +366,7 @@ class TestNodeStreams:
         assert second_pass == first_pass
 
     @pytest.mark.parametrize(
-        # a one-record table1 frame takes about 300 bytes, a 16-record one about 1,560
+        # a one-record table1 frame takes about 300 bytes, a 16-record one about 1,540
         "max_frame, splits", [(collab._MAX_FRAME, False), (600, True)], ids=["one-frame", "split"]
     )
     def test_interval_frame_roundtrip(self, sim_records, schema, fitted, monkeypatch, max_frame, splits):
@@ -385,11 +386,15 @@ class TestNodeStreams:
                 assert list(header) == ["type", "file", "n", "columns", "texts"]
                 assert header["type"] == "interval"
                 assert tuple(header["columns"]) == pp.columns
-                # texts only for the text columns; the body is the float64 columns and the rows, no truths
+                # texts only for the text columns: those the frame's records
+                # use, sorted; the body is the float64 columns, the int32
+                # codes and the rows, no truths
                 floats = [name for name in pp.columns if schema.kind_of(name) == "numeric"]
                 assert list(header["texts"]) == [name for name in pp.columns if name not in floats]
-                assert len(body) == (8 * len(floats) + 8) * header["n"]
-                parts.append(_lists(collab._interval_of(header, body, schema)))
+                decoded = collab._interval_of(header, body, schema)
+                assert all(texts == sorted(set(values_of(decoded, name))) for name, texts in header["texts"].items())
+                assert len(body) == (8 * len(floats) + 4 * len(header["texts"]) + 8) * header["n"]
+                parts.append(_lists(decoded))
             assert (len(frames) > 1) == splits
             decoded = _joined(parts)
             # the node is not told the labels: every truth comes back -1 (unknown)
@@ -422,15 +427,21 @@ def _reframe(payload, edit=lambda header: None, cut=lambda body: body):
     return struct.pack(">I", len(head)) + head + cut(payload[4 + size :])
 
 
+def _code(code):
+    """One code as the wire holds it."""
+    return np.array([code], "<i4").tobytes()
+
+
 def _set(key, value):
     """A header edit that sets ``key`` to ``value``."""
     return lambda header: header.__setitem__(key, value)
 
 
 def _interval(columns, file_id="f"):
-    """A batch of ``columns``, truths 0, 1, 0, ... and rows 1, 2, ..."""
+    """A batch of ``columns``, each list of texts as codes, with truths 0,
+    1, 0, ... and rows 1, 2, ..."""
     n = len(next(iter(columns.values())))
-    return FlowBatch(columns, np.arange(n, dtype=np.int8) % 2, file_id, np.arange(1, n + 1, dtype=np.int64))
+    return coded_batch(columns, np.arange(n, dtype=np.int8) % 2, file_id, np.arange(1, n + 1, dtype=np.int64))
 
 
 #: The kinds of the columns the codec tests send.
@@ -452,19 +463,25 @@ class TestFrameCodec:
     def test_float_columns_come_back_bit_exact(self, values):
         column = np.array(values, dtype=np.float64)
         header, body = collab._decode_frame(_payload(_interval({"x": column, "proto": ["tcp"] * len(values)})))
-        assert header == {"type": "interval", "file": "f", "n": len(values), "columns": ["x", "proto"], "texts": {"proto": ["tcp"] * len(values)}}
+        assert header == {"type": "interval", "file": "f", "n": len(values), "columns": ["x", "proto"], "texts": {"proto": ["tcp"][: len(values)]}}
         decoded = collab._interval_of(header, body, _CODEC_SCHEMA)
         assert list(decoded.columns) == ["x", "proto"]
         got = decoded.columns["x"]
         assert got.dtype == np.dtype("<f8") and not got.flags.writeable
         assert got.view(np.uint64).tolist() == column.view(np.uint64).tolist()
-        assert decoded.columns["proto"] == ["tcp"] * len(values)
+        assert values_of(decoded, "proto") == ["tcp"] * len(values) and decoded.columns["proto"].dtype == np.dtype("<i4")
         assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [-1] * len(values)
 
     def test_every_wire_dtype_roundtrips(self):
-        interval = FlowBatch({"x": np.array([0.5, -2.0, 1e300])}, np.array([1, 0, -1], dtype=np.int8), "f", np.array([2, 2**40, 7]))
+        interval = FlowBatch(
+            {"x": np.array([0.5, -2.0, 1e300]), "proto": np.array([1, 0, 1], dtype=np.int32)}, np.array([1, 0, -1], dtype=np.int8), "f",
+            np.array([2, 2**40, 7]), {"proto": ("udp", "tcp")},
+        )
         decoded = collab._interval_of(*collab._decode_frame(_payload(interval)), _CODEC_SCHEMA)
         assert decoded.columns["x"].dtype == np.dtype("<f8") and decoded.columns["x"].tolist() == [0.5, -2.0, 1e300]
+        # the frame lists the texts its records use, sorted, and codes into them
+        assert decoded.columns["proto"].dtype == np.dtype("<i4") and decoded.columns["proto"].tolist() == [0, 1, 0]
+        assert decoded.texts == {"proto": ("tcp", "udp")}
         assert decoded.rows.dtype == np.dtype("<i8") and decoded.rows.tolist() == [2, 2**40, 7]
         assert decoded.truth.dtype == np.dtype("i1") and decoded.truth.tolist() == [-1, -1, -1]  # truths stay with the store
         payload = collab._encode_frame({"type": "result", "n": 3}, np.array([1, 0, 1], dtype=np.int8))[4:]
@@ -472,33 +489,41 @@ class TestFrameCodec:
         assert verdicts.dtype == np.dtype("i1") and verdicts.tolist() == [1, 0, 1]
 
     def test_arrays_without_a_wire_form_rejected(self):
-        for array in (np.zeros(2, dtype=np.float32), np.array(["a"], dtype=object), np.zeros((2, 2))):
+        for array in (np.zeros(2, dtype=np.float32), np.array(["a"], dtype=object), np.zeros((2, 2)), np.zeros(2, dtype=np.int32)):
             with pytest.raises(TypeError, match="no wire form"):
                 list(collab._interval_frames(_interval({"x": array})))
+        for codes in (np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros((2, 1), dtype=np.int32)):  # a text column's codes
+            interval = FlowBatch({"proto": codes}, np.zeros(2, np.int8), "f", np.arange(1, 3), {"proto": ("tcp",)})
+            with pytest.raises(TypeError, match="no wire form"):
+                list(collab._interval_frames(interval))
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (lambda p: p[:3], "has no header length"),
             (lambda p: struct.pack(">I", len(p)) + p[4:], "runs past the"),
-            # the body is x's 16 floats (128 bytes) and the 16 rows (128 bytes)
-            (lambda p: p[:-1], "frame body holds 255 bytes, its header declares 256"),
-            (lambda p: p + b"\0", "frame body holds 257 bytes, its header declares 256"),
-            (lambda p: _reframe(p, _set("n", 15)), "frame body holds 256 bytes, its header declares 240"),
+            # the body is x's 16 floats (128 bytes), proto's 16 codes (64 bytes) and the 16 rows (128 bytes)
+            (lambda p: p[:-1], "frame body holds 319 bytes, its header declares 320"),
+            (lambda p: p + b"\0", "frame body holds 321 bytes, its header declares 320"),
+            (lambda p: _reframe(p, _set("n", 15)), "frame body holds 320 bytes, its header declares 300"),
             (lambda p: _reframe(p, _set("n", -1)), "n=-1 records"),
             (lambda p: _reframe(p, _set("n", 1.5)), "n=1.5 records"),
             (lambda p: _reframe(p, lambda h: h.pop("n")), "n=None records"),
             (lambda p: _reframe(p, _set("columns", ["x", "x"])), "columns ['x', 'x'] are not unique names"),
             (lambda p: _reframe(p, _set("columns", "x")), "columns 'x' are not unique names"),
             (lambda p: _reframe(p, _set("texts", {"nope": ["tcp"] * 16})), "do not map exactly its text columns ['proto']"),
-            (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15})), "not lists of its 16 records"),
+            # a code outside proto's texts: past the last, or negative
+            (lambda p: _reframe(p, _set("texts", {"proto": []})), "interval frame column 'proto' holds a code outside its 0 texts"),
+            (lambda p: _reframe(p, cut=lambda b: b[:128] + _code(1) + b[132:]), "interval frame column 'proto' holds a code outside its 1 texts"),
+            (lambda p: _reframe(p, cut=lambda b: b[:188] + _code(-1) + b[192:]), "interval frame column 'proto' holds a code outside its 1 texts"),
             (lambda p: _reframe(p, lambda h: h.pop("texts")), "do not map exactly its text columns ['proto']"),
             # a numeric column as texts (x's 16 values are the body's first 128 bytes), a text one as floats
             (lambda p: _reframe(p, lambda h: h["texts"].update(x=["1.0"] * 16), cut=lambda b: b[128:]), "do not map exactly its text columns ['proto']"),
-            (lambda p: _reframe(p, _set("texts", {}), cut=lambda b: b[:128] + bytes(128) + b[128:]), "do not map exactly its text columns ['proto']"),
-            (lambda p: _reframe(p, _set("texts", {"proto": [[1]] + ["tcp"] * 15})), "texts are not all strings"),
-            (lambda p: _reframe(p, _set("texts", {"proto": ["tcp"] * 15 + [None]})), "texts are not all strings"),
-            (lambda p: _reframe(p, _set("texts", {"proto": [6] * 16})), "texts are not all strings"),
+            (lambda p: _reframe(p, _set("texts", {}), cut=lambda b: b[:128] + bytes(128) + b[192:]), "do not map exactly its text columns ['proto']"),
+            (lambda p: _reframe(p, _set("texts", {"proto": [[1]]})), "texts are not lists of strings"),
+            (lambda p: _reframe(p, _set("texts", {"proto": ["tcp", None]})), "texts are not lists of strings"),
+            (lambda p: _reframe(p, _set("texts", {"proto": [6]})), "texts are not lists of strings"),
+            (lambda p: _reframe(p, _set("texts", {"proto": "tcp"})), "texts are not lists of strings"),
             # a NaN over x's first float, an infinity over its last
             (lambda p: _reframe(p, cut=lambda b: np.array([np.nan]).tobytes() + b[8:]), "interval frame column 'x' holds a non-finite value"),
             (lambda p: _reframe(p, cut=lambda b: b[:120] + np.array([-np.inf]).tobytes() + b[128:]), "column 'x' holds a non-finite value"),
@@ -1091,7 +1116,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("text", [[1], None, 6], ids=["list", "null", "number"])
     def test_non_string_field_text_retried(self, sim_records, schema, fitted, monkeypatch, text):
-        """An interval frame whose field texts are not all strings is a
+        """An interval frame whose distinct texts are not all strings is a
         retryable TransportError on the node's end, not a data error."""
         pp, profile = fitted
         real = collab._interval_frames
@@ -1113,7 +1138,7 @@ class TestRunSimulation:
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert sent_bad and not outcome.partial
         assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 2, 1]
-        assert outcome.node_results["B"].errors == ("TransportError: interval frame texts are not all strings",)
+        assert outcome.node_results["B"].errors == ("TransportError: interval frame texts are not lists of strings",)
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_report.counts == clean.aggregate_report.counts
@@ -1243,7 +1268,8 @@ class TestRunnerProperty:
         records = sim_records[:120]
         # Batches of every column, as the replay adapter gives them, or of
         # the modeled columns, as `netanom simulate` reads them; numeric
-        # columns are float64 arrays either way, which travel as buffers.
+        # columns are float64 arrays and text ones int32 codes either way,
+        # which travel as buffers.
         batches = data.draw(st.booleans(), label="column batches")
         n_nodes = data.draw(st.integers(1, 4), label="nodes")
         nodes = tuple("ABCD"[:n_nodes])
@@ -1252,9 +1278,9 @@ class TestRunnerProperty:
             label="explicit",
         )
         interval = data.draw(st.integers(1, 64), label="interval_size")
-        # 400 bytes holds a one-record interval frame (at most 299) and the
+        # 400 bytes holds a one-record interval frame (at most 307) and the
         # result frame for 120 records (149). A 64-record interval frame
-        # takes about 5,600, so most draws split intervals across frames.
+        # takes about 5,400, so most draws split intervals across frames.
         max_frame = data.draw(st.integers(400, 6_000), label="max_frame")
         outcomes = {}
         for transport in TRANSPORTS:
@@ -1268,8 +1294,9 @@ class TestRunnerProperty:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(collab, "_MAX_FRAME", max_frame)
                 source = _capture_source(sim_capture, pp, cfg) if batches else replay(records, cfg, schema)
-                held = [(name, column) for batch in source() for name, column in batch.columns.items()]
-                assert all(isinstance(column, np.ndarray) == (schema.kind_of(name) == "numeric") for name, column in held)
+                held = [(name, column, batch.texts) for batch in source() for name, column in batch.columns.items()]
+                assert all(column.dtype == (np.float64 if schema.kind_of(name) == "numeric" else np.int32) for name, column, _ in held)
+                assert all((name in texts) == (schema.kind_of(name) != "numeric") for name, _, texts in held)
                 outcomes[transport] = run_simulation(source, profile, pp, cfg)
         a, b = outcomes["in-process"], outcomes["loopback-socket"]
         for node in nodes:
@@ -1290,17 +1317,24 @@ _FAULT_REASONS = {
     "type": re.compile(r"got 'bogus'"),
     "close": re.compile(r"connection closed"),
     "nan": re.compile(r"interval frame column '\w+' holds a non-finite value"),
+    "code": re.compile(r"interval frame column '\w+' holds a code outside its \d+ texts"),
 }
 
 
 def _faulted(data, fault):
     """The frame ``data`` with ``fault`` applied: its last payload byte
     dropped (the length prefix kept consistent), its type changed, or, for
-    an interval frame only, a NaN written over its first float."""
+    an interval frame only, a NaN written over its first float or -1 over
+    the first code of its first text column."""
     if fault == "drop":
         return struct.pack(">I", len(data) - 5) + data[4:-1]
     if fault == "nan":
         payload = _reframe(data[4:], cut=lambda body: np.array([np.nan], "<f8").tobytes() + body[8:])
+    elif fault == "code":
+        header = collab._decode_frame(data[4:])[0]
+        before = header["columns"][: header["columns"].index(next(iter(header["texts"])))]
+        at = sum((4 if name in header["texts"] else 8) * header["n"] for name in before)
+        payload = _reframe(data[4:], cut=lambda body: body[:at] + _code(-1) + body[at + 4 :])
     else:
         payload = _reframe(data[4:], _set("type", "bogus"))
     return struct.pack(">I", len(payload)) + payload
@@ -1474,7 +1508,7 @@ class TestFaultInjection:
         retry_budget=st.integers(1, 2),
     )
     def test_loopback_fault_at_any_frame(self, sim_capture, fitted, node, frame, fault, always, retry_budget):
-        assume(fault != "nan" or frame[0] == "interval")  # only an interval frame carries floats
+        assume(fault not in ("nan", "code") or frame[0] == "interval")  # only an interval frame carries floats and codes
         self._loopback_fault(sim_capture, fitted, node, frame, fault, always, retry_budget)
 
     @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
@@ -1484,6 +1518,14 @@ class TestFaultInjection:
         a transport fault, retried like any other, not a bad value of the
         capture: the reader yields only finite floats."""
         self._loopback_fault(sim_capture, fitted, node, ("interval", 0), "nan", always, retry_budget=1)
+
+    @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
+    @pytest.mark.parametrize("node", NODES)
+    def test_bad_code_in_an_interval_frame_is_retried(self, sim_capture, fitted, node, always):
+        """A code outside its column's texts in the node's first interval
+        frame is a transport fault, retried like any other: the reader's
+        codes always index their texts."""
+        self._loopback_fault(sim_capture, fitted, node, ("interval", 0), "code", always, retry_budget=1)
 
     @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
     @pytest.mark.parametrize("node", NODES)

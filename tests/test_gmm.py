@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netanom import gmm
 from netanom.gmm import (
     LOG_2PI,
     VARIANCE_FLOOR,
@@ -176,6 +177,51 @@ class TestScoreRecords:
             assert np.array_equal(np.concatenate(parts), whole[: sum(p.size for p in parts)])
         rows = rng.choice(20_000, size=30, replace=False)
         assert np.array_equal([_score_one(x[i], model) for i in rows], whole[rows])
+
+
+def _broadcast_scores(x, model):
+    """The broadcasting form of the score: (K, N, d) centred terms summed by
+    ``np.sum`` along their last axis, then the mixture's log-sum-exp."""
+    diff = x[None, :, :] - model.means[:, None, :]
+    quad = np.sum(diff * diff / model.variances[:, None, :], axis=2)
+    logdet = np.sum(np.log(model.variances), axis=1)
+    terms = np.log(model.weights)[:, None] + -0.5 * (x.shape[1] * LOG_2PI + logdet[:, None] + quad)
+    return _log_normalize(terms)
+
+
+class TestScoreKernel:
+    """score_records sums the centred terms per dimension in numpy's pairwise
+    order, so its scores have the bits of the broadcasting form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 20),
+        k=st.integers(1, 12),
+        n=st.integers(1, 300),
+        chunk=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_the_broadcasting_form(self, d, k, n, chunk, seed, data):
+        rng = np.random.default_rng(seed)
+        x = np.clip(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 4, size=(n, d)), -1e4, 1e4)
+        means = np.clip(rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-2, 4, size=(k, d)), -1e4, 1e4)
+        variances = 10.0 ** rng.uniform(-6, 2, size=(k, d))
+        variances[rng.random((k, d)) < 0.3] = VARIANCE_FLOOR
+        model = _model(rng.dirichlet(np.ones(k)), means, variances)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts"))
+        want = _broadcast_scores(x, model)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gmm, "_SCORE_CHUNK", chunk)
+            parts = [score_records(x[a:b], model) for a, b in zip([0, *cuts], [*cuts, n])]
+        assert np.concatenate(parts).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_pairwise_sum_matches_np_sum(self, d):
+        terms = np.random.default_rng(d).random((3, 50, d)) * 10.0 ** np.random.default_rng(d + 1).uniform(-8, 8, (3, 50, d))
+        want = np.sum(terms, axis=2)
+        got = gmm._pairwise_sum(np.ascontiguousarray(terms.transpose(2, 0, 1)))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def _two_cluster_data(seed=123, n_per=500, d=2, sep=5.0):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from netanom import ingest
+from netanom.collab import _join
 from netanom.ingest import (
     ColumnSpec,
     FeatureSchema,
@@ -34,6 +35,8 @@ from netanom.ingest import (
     schema_to_doc,
     stratified_sample,
 )
+
+from conftest import coded_batch, values_of
 
 TINY = FeatureSchema(
     columns=(
@@ -257,7 +260,7 @@ class TestBatches:
         assert all(b.file_id == "flows.csv" and b.truth.dtype == np.int8 for b in batches)
         for name in columns:
             expected = [r.values[TINY.index_of(name)] for r in parsed]
-            got = [b.columns[name] for b in batches]
+            got = [values_of(b, name) for b in batches]
             if TINY.kind_of(name) == "numeric":  # every generated value is an integer text
                 assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in got)
                 assert np.concatenate([np.empty(0), *got]).tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
@@ -291,7 +294,7 @@ class TestBatches:
     def test_a_column_asked_for_twice_is_read_once(self, tmp_path, text):
         (batch,) = iter_flow_batches(_written(tmp_path, text), TINY, ("proto", "proto", "bytes"))
         assert list(batch.columns) == ["proto", "bytes"]
-        assert batch.columns["proto"] == ["tcp"] and batch.columns["bytes"].tolist() == [1.0]
+        assert values_of(batch, "proto") == ["tcp"] and batch.columns["bytes"].tolist() == [1.0]
 
     def test_unknown_column_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="nope"):
@@ -316,7 +319,7 @@ def _same_batches(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert list(a.columns) == list(b.columns) and a.file_id == b.file_id
-        assert all(_same_column(a.columns[name], b.columns[name]) for name in a.columns)
+        assert all(_same_column(values_of(a, name), values_of(b, name)) for name in a.columns) and a.texts == b.texts
         assert a.truth.dtype == np.int8 and a.truth.tolist() == b.truth.tolist()
         assert a.rows.dtype == np.int64 and a.rows.tolist() == b.rows.tolist()
 
@@ -345,8 +348,8 @@ class TestReadAhead:
             got.extend(batches)
             assert forked == {pid: 0}  # reaped once the batches run out
         _same_batches(got, _in_process(path, ("proto", "bytes")))
-        for batch in got:  # the pickle keeps one object per distinct text
-            assert len({id(t) for t in batch.columns["proto"]}) == len(set(batch.columns["proto"]))
+        for batch in got:  # the pickle keeps each distinct text once, in first-seen order
+            assert batch.texts["proto"] == tuple(dict.fromkeys(values_of(batch, "proto")))
         assert forked == {pid: 0}
 
     def test_parse_error_in_a_later_batch(self, tmp_path, monkeypatch, forked):
@@ -440,21 +443,22 @@ class TestReadAhead:
 
 
 class TestFlowBatch:
-    BATCH = FlowBatch(
-        {"bytes": np.array([1.0, 2.0, 3.0, 4.0]), "proto": ["tcp", "udp", "icmp", "tcp"]},
-        np.array([0, 1, -1, 0], dtype=np.int8),
-        "f.csv",
-        np.array([2, 3, 5, 8], dtype=np.int64),
+    BATCH = coded_batch(
+        {"bytes": np.array([1.0, 2.0, 3.0, 4.0]), "proto": ["tcp", "udp", "icmp", "tcp"]}, [0, 1, -1, 0], "f.csv", [2, 3, 5, 8]
     )
 
-    @pytest.mark.parametrize("index", [slice(1, 3), slice(3, 9), slice(0, 0), np.array([3, 0, 1]), np.array([], dtype=np.int64)])
+    @pytest.mark.parametrize(
+        "index",
+        [slice(1, 3), slice(3, 9), slice(0, 0), np.array([3, 0, 1]), np.array([], dtype=np.int64), np.array([False, True, True, False])],
+    )
     def test_take_picks_the_rows_of_every_field(self, index):
         batch = self.BATCH
         part = batch.take(index)
         picks = np.arange(len(batch))[index].tolist()
         assert len(part) == len(picks)
         assert isinstance(part.columns["bytes"], np.ndarray) and part.columns["bytes"].tolist() == [1.0 + i for i in picks]
-        assert part.columns["proto"] == [batch.columns["proto"][i] for i in picks]
+        assert part.columns["proto"].dtype == np.int32 and len(part.columns["proto"]) == len(picks)
+        assert values_of(part, "proto") == [["tcp", "udp", "icmp", "tcp"][i] for i in picks]
         assert part.truth.dtype == np.int8 and part.truth.tolist() == [batch.truth[i] for i in picks]
         assert part.file_id == "f.csv" and part.rows.tolist() == [batch.rows[i] for i in picks]
 
@@ -465,12 +469,14 @@ class TestFlowBatch:
     def test_batch_of_records(self):
         records = [_rec(["tcp", "7", "1"], 1, row=4), _rec(["udp", "1e-3", ""], None, row=9)]
         batch = batch_of_records(records, TINY, ("bytes", "proto"))
-        assert list(batch.columns) == ["bytes", "proto"] and batch.columns["proto"] == ["tcp", "udp"]
+        assert list(batch.columns) == ["bytes", "proto"] and values_of(batch, "proto") == ["tcp", "udp"]
+        assert batch.columns["proto"].dtype == np.int32 and batch.texts == {"proto": ("tcp", "udp")}
         assert batch.columns["bytes"].dtype == np.float64 and batch.columns["bytes"].tolist() == [7.0, 1e-3]
         assert batch.truth.dtype == np.int8 and batch.truth.tolist() == [1, -1]
         assert batch.file_id == "test" and batch.rows.dtype == np.int64 and batch.rows.tolist() == [4, 9]
         empty = batch_of_records([], TINY, ("proto", "bytes"))
-        assert len(empty) == 0 and empty.columns["proto"] == [] and empty.columns["bytes"].dtype == np.float64
+        assert len(empty) == 0 and values_of(empty, "proto") == [] and empty.texts == {"proto": ()}
+        assert empty.columns["proto"].dtype == np.int32 and empty.columns["bytes"].dtype == np.float64
 
     @pytest.mark.parametrize("text, reason", [("x", "non-numeric"), ("-inf", "non-finite")])
     def test_batch_of_records_converts_as_the_reader_does(self, text, reason):
@@ -478,7 +484,8 @@ class TestFlowBatch:
         with pytest.raises(ParseError) as excinfo:
             batch_of_records(records, TINY, ("proto", "bytes"))
         assert str(excinfo.value) == f"test, row 9: column 'bytes': {reason} value {text!r}"
-        assert batch_of_records(records, TINY, ("proto",)).columns == {"proto": ["tcp", "udp"]}  # an unread column is never parsed
+        batch = batch_of_records(records, TINY, ("proto",))  # an unread column is never parsed
+        assert list(batch.columns) == ["proto"] and values_of(batch, "proto") == ["tcp", "udp"]
 
     def test_batch_of_records_holds_one_file(self):
         records = [_rec(["tcp", "7", "1"], 1), FlowRecord(("udp", "8", "0"), 0, ("other", 1))]
@@ -626,8 +633,8 @@ class TestPlainReader:
             for name in columns:
                 texts = [fields[WIDE.index_of(name)] for _, _, fields in want]
                 reference = np.asarray(texts, dtype=np.float64) if name in floats else texts
-                assert _same_column(batch.columns[name], reference), name
-                assert _same_column(other.columns[name], reference), name
+                assert _same_column(values_of(batch, name), reference), name
+                assert _same_column(values_of(other, name), reference), name
 
     @settings(max_examples=150, deadline=None)
     @given(text=_captures(), batch_rows=st.sampled_from([1, 3, 8192]), data=st.data())
@@ -689,7 +696,7 @@ class TestPlainReader:
         assert [len(b.rows) for b in batches] == [1000, 1000, 1000]
         for name in schema.names:
             numeric = schema.kind_of(name) == "numeric"
-            got = [b.columns[name] for b in batches]
+            got = [values_of(b, name) for b in batches]
             texts = [r.values[schema.index_of(name)] for r in reference]
             if numeric:
                 assert np.concatenate(got).tobytes() == np.asarray(texts, dtype=np.float64).tobytes(), name
@@ -702,9 +709,9 @@ class TestPlainReader:
 
     def test_text_columns_hold_one_object_per_distinct_text(self, tmp_path, monkeypatch):
         """In a plain batch and in one the csv reader reads, every text
-        column holds one object for each distinct text. Every text is longer than one character: CPython
-        shares one-character strings anyway. The batches are read in this
-        process, where the spy on ``is_plain`` can record its calls."""
+        column is int32 codes into a tuple that holds each distinct text
+        once, in first-seen order. The batches are read in this process,
+        where the spy on ``is_plain`` can record its calls."""
         plain = ["tcp,10,1.5,0,aa\n", "udp,20,2.5,1,bb\n", "tcp,10,3.5,0,aa\n", "tcp,20,4.5,0,aa\n"]
         quoted = ['"tcp",10,5.5,0,aa\n', "udp,10,6.5,1,bb\n", "udp,20,5.5,0,bb\n", "tcp,10,6.5,0,aa\n"]
         plain_checks = []
@@ -726,10 +733,66 @@ class TestPlainReader:
         assert all(isinstance(batch.columns[name], np.ndarray) for batch in batches for name in ("bytes", "rate"))
         for batch, want in zip(batches, (reference[:4], reference[4:])):
             for name in ("proto", "note"):
-                column = batch.columns[name]
+                column = values_of(batch, name)
                 assert column == [fields[WIDE.index_of(name)] for _, _, fields in want], name
-                assert {type(t) for t in column} == {str}, name
-                assert len({id(t) for t in column}) == len(set(column)), name
+                assert batch.columns[name].dtype == np.int32, name
+                assert {type(t) for t in batch.texts[name]} == {str}, name
+                assert batch.texts[name] == tuple(dict.fromkeys(column)), name
+
+
+class TestTextCodes:
+    """A reader batch holds each text column as codes into its distinct
+    texts: ``texts[codes]`` gives every row's field as the ``csv`` module
+    reads it, on plain batches and on batches the csv reader reads, and the
+    texts are numbered in the order the rows first use them. Cutting
+    batches with ``take`` and joining the parts keeps every row's text, and
+    a joined batch lists exactly the texts its rows use, sorted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(alphabet='ab ,"\n\u00e9', max_size=3),
+                st.integers(0, 99).map(str),
+                st.integers(0, 9).map(str),
+                st.sampled_from(["0", "1", "", "x"]),
+                st.text(alphabet="xy", max_size=2),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        quote_all=st.booleans(),
+        batch_rows=st.sampled_from([1, 4, 8192]),
+        data=st.data(),
+    )
+    def test_codes_index_the_csv_fields(self, tmp_path_factory, rows, quote_all, batch_rows, data):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL).writerows(rows)
+        path = _written(tmp_path_factory.mktemp("codes"), out.getvalue())
+        oracle = list(csv.reader(io.StringIO(out.getvalue(), newline="")))  # no header, no blank line
+        columns = ("proto", "bytes", "label", "note")
+        with mock.patch.object(ingest, "BATCH_ROWS", batch_rows):
+            batches = list(iter_flow_batches(path, WIDE, columns))
+        assert [len(batch) for batch in batches] == [len(oracle[i : i + batch_rows]) for i in range(0, len(oracle), batch_rows)]
+        starts = np.cumsum([0, *map(len, batches)]).tolist()
+        for batch, start in zip(batches, starts):
+            for name in ("proto", "label", "note"):
+                fields = [row[WIDE.index_of(name)] for row in oracle[start : start + len(batch)]]
+                assert batch.columns[name].dtype == np.int32, name
+                assert values_of(batch, name) == fields, name
+                assert batch.texts[name] == tuple(dict.fromkeys(fields)), name
+        # Keep a drawn subset of each batch's rows, by mask or by index, and join the parts.
+        parts, kept = [], []
+        for batch, start in zip(batches, starts):
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(batch), max_size=len(batch))), dtype=bool)
+            parts.append(batch.take(mask if data.draw(st.booleans()) else np.flatnonzero(mask)))
+            kept.extend(oracle[start + i] for i in np.flatnonzero(mask).tolist())
+        joined = _join(parts)
+        assert len(joined) == len(kept)
+        for name in ("proto", "label", "note"):
+            fields = [row[WIDE.index_of(name)] for row in kept]
+            assert values_of(joined, name) == fields, name
+            assert joined.texts[name] == tuple(sorted(set(fields))), name  # the texts the rows use, whatever the cut
 
 
 def _make_records(n_normal, n_attack):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from netanom.preprocess import (
     save_preprocess,
 )
 
+from conftest import coded_batch
+
 PROTO_SCHEMA = FeatureSchema(
     columns=(
         ColumnSpec("proto", "categorical"),
@@ -38,9 +41,10 @@ def _rec(proto, size, row=1):
 
 
 def _batch(columns, file_id="t"):
-    """Normal rows 1, 2, ... of ``file_id``, holding ``columns``."""
+    """Normal rows 1, 2, ... of ``file_id``, holding ``columns``, each list
+    of texts as codes (see ``conftest.coded_batch``)."""
     n = len(next(iter(columns.values())))
-    return FlowBatch(columns, np.zeros(n, dtype=np.int8), file_id, np.arange(1, n + 1))
+    return coded_batch(columns, np.zeros(n, dtype=np.int8), file_id, np.arange(1, n + 1))
 
 
 def _encoder(protos):
@@ -53,6 +57,17 @@ def _encoder(protos):
 class TestEncoders:
     def test_first_seen_order(self):
         enc = _encoder(["TCP", "UDP", "TCP", "ICMP"])
+        assert enc["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
+
+    def test_first_seen_order_of_the_rows_not_of_the_texts(self):
+        """Codes follow the order the rows first use each text, whatever
+        order the batch lists its texts in: a joined or cut batch need not
+        list them so."""
+        batch = FlowBatch(
+            {"proto": np.array([2, 0, 2, 1], dtype=np.int32), "bytes": np.arange(4.0)}, np.zeros(4, np.int8), "t", np.arange(1, 5),
+            {"proto": ("UDP", "ICMP", "TCP", "unused")},
+        )
+        enc = fit_preprocess_batches([batch], PROTO_SCHEMA, "pca:1")[0].encoder
         assert enc["proto"] == {"TCP": 1, "UDP": 2, "ICMP": 3}
 
     def test_singleton_category(self):
@@ -207,14 +222,35 @@ class TestPipeline:
         float64 array. Field texts are never parsed there."""
         model = fit_preprocess([_rec("tcp", 10, 1), _rec("udp", 20, 2)], PROTO_SCHEMA, "pca:1")
         with pytest.raises(PreprocessError) as excinfo:
-            model.apply(_batch({"proto": ["tcp", "udp"], "bytes": column}))
+            batch = _batch({"proto": ["tcp", "udp"], "bytes": np.zeros(2)})
+            model.apply(replace(batch, columns={**batch.columns, "bytes": column}))
         assert str(excinfo.value) == f"column 'bytes': numeric values must be a 1-D float64 array, not {form}"
+
+    @pytest.mark.parametrize(
+        "codes, texts",
+        [
+            (np.array([0, 2], dtype=np.int32), ("tcp", "udp")),
+            (np.array([-1, 0], dtype=np.int32), ("tcp", "udp")),
+            (np.array([0, 1], dtype=np.int64), ("tcp", "udp")),
+            (np.array([0, 0], dtype=np.int32), None),
+        ],
+        ids=["past-the-texts", "negative", "int64", "no-texts"],
+    )
+    def test_categorical_column_of_another_form_names_column(self, codes, texts):
+        """apply takes a categorical column only as the reader makes it:
+        int32 codes into the batch's texts of the column."""
+        model = fit_preprocess([_rec("tcp", 10, 1), _rec("udp", 20, 2)], PROTO_SCHEMA, "pca:1")
+        batch = FlowBatch({"proto": codes, "bytes": np.array([1.0, 2.0])}, np.zeros(2, np.int8), "t", np.arange(1, 3), {} if texts is None else {"proto": texts})
+        n = 0 if texts is None else len(texts)
+        with pytest.raises(PreprocessError) as excinfo:
+            model.apply(batch)
+        assert str(excinfo.value) == f"column 'proto': categorical values must be int32 codes into the batch's {n} texts"
 
     def test_non_finite_value_rejected(self):
         train = [_rec("tcp", 10, 1), _rec("udp", 20, 2)]
         model = fit_preprocess(train, PROTO_SCHEMA, "pca:1")
         for junk in (math.nan, math.inf, -math.inf):
-            batch = FlowBatch({"proto": ["tcp", "udp"], "bytes": np.array([10.0, junk])}, np.zeros(2, np.int8), "test", np.array([8, 9]))
+            batch = coded_batch({"proto": ["tcp", "udp"], "bytes": np.array([10.0, junk])}, np.zeros(2, np.int8), "test", np.array([8, 9]))
             with pytest.raises(PreprocessError, match=f"non-finite value {junk!r} in test row 9$"):
                 model.apply(batch)
 
@@ -235,7 +271,7 @@ class TestPipeline:
         with pytest.raises(PreprocessError, match="column 'bytes' holds 0 values for 2 records"):
             model.apply(_batch({"proto": ["udp", "tcp"]}))
         with pytest.raises(PreprocessError, match="column 'proto' holds 1 values for 2 records"):
-            model.apply(FlowBatch({**columns, "proto": ["udp"]}, np.zeros(2, dtype=np.int8), "t", np.arange(1, 3)))
+            model.apply(coded_batch({**columns, "proto": ["udp"]}, np.zeros(2, dtype=np.int8), "t", np.arange(1, 3)))
 
     def test_mode_parsing(self):
         assert parse_reduction_mode("table1") == ("table1", None)
