@@ -193,29 +193,24 @@ def _load_schema_arg(path: str | None):
     return load_schema(Path(path)) if path else default_schema()
 
 
-def _write_manifest(
-    manifest_path: Path,
-    command: str,
-    parameters: dict,
-    seed: int | None,
-    inputs: list,
-    outputs: list,
-    started: float,
-    **blocks,
-) -> None:
+def _write_manifest(path: Path, args, inputs: list, outputs: list, started: float, resolved: dict, **blocks) -> None:
+    """Write the manifest to ``path``. Its ``parameters`` are every flag that
+    argparse parsed into ``args`` but ``seed``, which has its own key, then
+    the ``resolved`` values the command derived from them."""
+    parameters = {key: value for key, value in vars(args).items() if key not in ("command", "func", "seed")}
     doc = {
         "version": 1,
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
+        "command": args.command,
+        "parameters": {**parameters, **resolved},
+        "seed": getattr(args, "seed", None),
         "artifact_version": __version__,
         "input_digests": {str(p): digest_of_file(p) for p in inputs},
         "output_digests": {str(p): digest_of_file(p) for p in outputs},
         **blocks,
         "duration_seconds": time.perf_counter() - started,
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(pretty_dumps(doc), encoding="utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(pretty_dumps(doc), encoding="utf-8")
 
 
 def _sibling(path: Path, tag: str) -> Path:
@@ -243,23 +238,10 @@ def _cmd_sample(args, parser) -> int:
     train_path = out / "train_normal.csv"
     test_path = out / "test.csv"
     copy_rows(args.input, schema, [(train_path, train_ids), (test_path, test_ids)])
+    inputs = list(args.input) + ([args.schema] if args.schema else [])
     _write_manifest(
-        out / "manifest.json",
-        "sample",
-        {
-            "input": [str(p) for p in args.input],
-            "schema": args.schema or "<bundled-default>",
-            "size": args.size,
-            "normal_frac": args.normal_frac,
-            "train_frac": args.train_frac,
-            "out": str(out),
-        },
-        args.seed,
-        list(args.input) + ([args.schema] if args.schema else []),
-        [train_path, test_path],
-        started,
-        train_records=len(train_ids),
-        test_records=len(test_ids),
+        out / "manifest.json", args, inputs, [train_path, test_path], started, {},
+        train_records=len(train_ids), test_records=len(test_ids),
     )
     print(f"sampled {len(train_ids)} training normals and {len(test_ids)} test records into {out}")
     return 0
@@ -281,24 +263,10 @@ def _cmd_train(args, parser) -> int:
     save_preprocess(preprocess, preprocess_path)
     out.write_bytes(profile_bytes)
     rep = profile.fit_report
+    inputs = [args.train] + ([args.schema] if args.schema else [])
     _write_manifest(
-        _sibling(out, "manifest"),
-        "train",
-        {
-            "train": args.train,
-            "schema": args.schema or "<bundled-default>",
-            "features": args.features,
-            "components": k,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "out": str(out),
-        },
-        args.seed,
-        [args.train] + ([args.schema] if args.schema else []),
-        [out, preprocess_path],
-        started,
-        records=len(matrix),
-        em={key: value for key, value in asdict(rep).items() if key != "trace"},
+        _sibling(out, "manifest"), args, inputs, [out, preprocess_path], started, {"components": k},
+        records=len(matrix), em={key: value for key, value in asdict(rep).items() if key != "trace"},
     )
     if not rep.converged:
         print(f"warning: EM did not converge in {rep.iterations} iterations (tol={args.tol})", file=sys.stderr)
@@ -376,15 +344,8 @@ def _cmd_detect(args, parser) -> int:
     finally:
         partial.unlink(missing_ok=True)
     _write_manifest(
-        _sibling(out, "manifest"),
-        "detect",
-        {"profile": args.profile, "preprocess": str(preprocess_path), "input": args.input, "w": args.w, "out": str(out)},
-        None,
-        [profile_path, preprocess_path, args.input],
-        [out],
-        started,
-        records=n_records,
-        flagged=n_flagged,
+        _sibling(out, "manifest"), args, [profile_path, preprocess_path, args.input], [out], started,
+        {"preprocess": str(preprocess_path)}, records=n_records, flagged=n_flagged,
     )
     print(f"classified {n_records} records at w={args.w:g}; wrote {out}")
     return 0
@@ -401,15 +362,14 @@ def _labeled(batch, error: type[Exception], need: str) -> np.ndarray:
 def _cmd_evaluate(args, parser) -> int:
     det = _detection_config(args, parser)
     return _sweep_command(
-        args, "evaluate", [det.w], {"w": args.w},
-        lambda reports: {".json": pretty_dumps(report_to_doc(reports[0])), ".txt": render_table(reports)},
+        args, [det.w], lambda reports: {".json": pretty_dumps(report_to_doc(reports[0])), ".txt": render_table(reports)}
     )
 
 
 def _cmd_roc(args, parser) -> int:
     grid = _parse_w_grid(args.w_grid, parser)
     return _sweep_command(
-        args, "roc", grid, {"w_grid": args.w_grid},
+        args, grid,
         lambda reports: {
             ".csv": roc_csv(reports),
             ".json": pretty_dumps({"version": 1, "points": [report_to_doc(r) for r in reports]}),
@@ -418,7 +378,7 @@ def _cmd_roc(args, parser) -> int:
     )
 
 
-def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) -> int:
+def _sweep_command(args, grid: list[float], texts) -> int:
     """Score the labeled ``--test`` capture one batch at a time and count
     each batch at every w of ``grid`` as it is scored: only the counts
     outlive a batch. Then write ``<prefix><suffix>`` for each item of
@@ -435,14 +395,8 @@ def _sweep_command(args, command: str, grid: list[float], setting: dict, texts) 
     for path, text in outputs.items():
         path.write_text(text, encoding="utf-8")
     _write_manifest(
-        prefix.with_name(prefix.name + ".manifest.json"),
-        command,
-        {"profile": args.profile, "preprocess": str(preprocess_path), "test": args.test, **setting, "out": str(prefix)},
-        None,
-        [profile_path, preprocess_path, args.test],
-        list(outputs),
-        started,
-        records=reports[0].counts.total,
+        prefix.with_name(prefix.name + ".manifest.json"), args, [profile_path, preprocess_path, args.test], list(outputs), started,
+        {"preprocess": str(preprocess_path)}, records=reports[0].counts.total,
     )
     print(render_table(reports), end="")
     return 0
@@ -483,27 +437,21 @@ def _cmd_simulate(args, parser) -> int:
     for name, text in texts.items():
         (out / name).write_text(text, encoding="utf-8")
 
-    manifest_extras = {
-        "simulation": simconfig_to_doc(cfg),
-        "failed_nodes": list(outcome.failed_nodes),
-        "nodes": {
-            node: {
-                key: getattr(outcome.node_results[node], key)
-                for key in ("attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s")
-            }
-            for node in cfg.nodes
-        },
-        "partial": outcome.partial,
-        "records": records,
+    nodes = {
+        node: {key: getattr(outcome.node_results[node], key) for key in ("attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s")}
+        for node in cfg.nodes
     }
+    # The outcome sits under ``parameters``, not beside it, because bench/run.py reads it there.
     _write_manifest(
-        out / "manifest.json",
-        "simulate",
-        {"config": args.config, "profile": args.profile, "preprocess": str(preprocess_path), "test": args.test, "out": str(out), **manifest_extras},
-        None,
-        [args.config, profile_path, preprocess_path, args.test],
-        [out / name for name in texts],
-        started,
+        out / "manifest.json", args, [args.config, profile_path, preprocess_path, args.test], [out / name for name in texts], started,
+        {
+            "preprocess": str(preprocess_path),
+            "simulation": simconfig_to_doc(cfg),
+            "nodes": nodes,
+            "failed_nodes": list(outcome.failed_nodes),
+            "partial": outcome.partial,
+            "records": records,
+        },
     )
     status = f"partial (failed: {', '.join(outcome.failed_nodes)})" if outcome.partial else "complete"
     print(f"simulated {len(cfg.nodes)} node(s) over {records} records [{status}]; wrote {out}")
@@ -522,15 +470,7 @@ def _cmd_synth(args, parser) -> int:
     if args.schema_out:
         save_schema(default_schema(), args.schema_out)
         outputs.append(Path(args.schema_out))
-    _write_manifest(
-        _sibling(out, "manifest"),
-        "synth",
-        {"rows": args.rows, "attack_frac": args.attack_frac, "out": str(out)},
-        args.seed,
-        [],
-        outputs,
-        started,
-    )
+    _write_manifest(_sibling(out, "manifest"), args, [], outputs, started, {})
     print(f"wrote {summary['rows']} rows ({summary['normal']} normal / {summary['attack']} attack) to {out}")
     return 0
 

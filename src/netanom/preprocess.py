@@ -110,12 +110,12 @@ class ZScoreParams:
         return (np.asarray(matrix, dtype=np.float64) - self.mean) / self.std
 
 
-def fit_zscore(matrix: np.ndarray, *, floor: float = STD_FLOOR) -> ZScoreParams:
+def fit_zscore(matrix: np.ndarray) -> ZScoreParams:
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise PreprocessError(f"expected a non-empty 2-d matrix, got shape {x.shape}")
     mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), floor)  # population (divide-by-N) convention
+    std = np.maximum(x.std(axis=0), STD_FLOOR)  # population (divide-by-N) convention
     return ZScoreParams(mean=mean, std=std)
 
 

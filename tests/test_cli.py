@@ -1540,6 +1540,37 @@ class TestManifests:
                     # replies included), not all 49 fields (about 387 B).
                     assert 0 < doc["wire_bytes"] < 120 * doc["n_records"]
 
+    def test_parameters_hold_every_parsed_flag(self, workspace, tmp_path):
+        """Each manifest's ``parameters`` hold every flag its subparser
+        parses, so none can be left out of the record; ``seed`` has its own
+        top-level key."""
+        (subparsers,) = (a for a in _build_parser()._actions if a.dest == "command")
+        for command, subparser in subparsers.choices.items():
+            out = tmp_path / command
+            argv = ["synth", "--rows", "50", "--out", str(out / "s.csv")] if command == "synth" else _reading_args(workspace, command, out)
+            assert main(argv) == 0
+            (manifest,) = out.glob("*manifest.json")
+            doc = json.loads(manifest.read_text())
+            dests = {action.dest for action in subparser._actions} - {"help", "seed"}
+            assert dests <= set(doc["parameters"]), command
+            assert "seed" not in doc["parameters"] and doc["seed"] == getattr(subparser.parse_args(argv[1:]), "seed", None)
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_rerun_from_the_manifest_writes_the_same_bytes(self, workspace, tmp_path, command):
+        """argv rebuilt from a manifest's ``parameters`` reruns the command:
+        a w outside [1.5, 3] needs its ``--allow-any-w`` to be recorded."""
+        assert main(_stream_args(workspace, command, workspace / "split" / "test.csv", tmp_path / "a", w="4") + ["--allow-any-w"]) == 0
+        (manifest,) = (tmp_path / "a").glob("*manifest.json")
+        parameters = json.loads(manifest.read_text())["parameters"]
+        parameters["out"] = parameters["out"].replace(str(tmp_path / "a"), str(tmp_path / "b"))
+        argv = [command]
+        for key, value in parameters.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if value is True else [] if value is False or value is None else [flag, str(value)]
+        assert main(argv) == 0
+        outputs = [{p.name: p.read_bytes() for p in (tmp_path / x).iterdir() if "manifest" not in p.name} for x in "ab"]
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 class TestOutNames:
     """train, detect and synth name what they write next to --out by one

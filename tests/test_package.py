@@ -1,13 +1,13 @@
+import re
+from pathlib import Path
+
 import netanom
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in netanom.__all__ if not hasattr(netanom, name)]
-    assert missing == []
-    assert len(set(netanom.__all__)) == len(netanom.__all__)
-
-
-def test_records_adapters_are_not_exported():
-    """The whole-file records path is not part of the package's API."""
-    records_only = {"FlowRecord", "parse_flow_csv", "stratified_sample", "write_flow_csv", "fit_preprocess", "log_likelihood"}
-    assert records_only.isdisjoint(netanom.__all__)
+def test_pyproject_version_is_the_package_version():
+    """``--version`` and every manifest's ``artifact_version`` print
+    ``netanom.__version__``; the installed distribution is named by
+    ``pyproject.toml``'s ``version``. Read with a regex: Python 3.10 has no
+    ``tomllib``."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version\s*=\s*"([^"]+)"', pyproject, flags=re.MULTILINE) == [netanom.__version__]
