@@ -15,24 +15,25 @@ fewer than ``interval_size`` pending records per node, not the capture.
 
 Retries are rounds: a pass streams every node still owed a result, and a
 node whose attempt fails retryably joins the next pass, up to
-``retry_budget + 1`` passes. Nodes report in ``cfg.nodes`` order. A pass
-runs on the calling thread, on either transport: it reads the source's
-first batch, opens a link to each node it streams in ``cfg.nodes`` order,
-hands each interval to its node's link as the store cuts it, then takes
-each node's verdicts. A link that faults is closed, with the one reason of
-the end that saw the fault; the other nodes carry on. The intervals carry
-only what a node reads: the columns the preprocessing model reads
-(``PreprocessModel.columns``), numeric ones as float64 values and the
-others as int32 codes into their texts, and each record's row number. Each
-node encodes and standardizes them, and scoring is record-local, so the
-transports' reports are identical byte for byte. In-process, the link is
-the node itself. Over loopback, it is the node behind its own TCP
-connection to the run's listener, and the calling thread drives both ends:
-the node's end acts on each frame as the store's end sends it. A frame
-goes out in pieces of at most ``_PIECE`` bytes, each read into the node's
-end as it is sent, so no send waits for a reader. The truths stay with the
-store: the node's intervals have truth -1 (unknown). The frames are
-length-prefixed:
+``retry_budget + 1`` passes, until none is owed. Nodes report in
+``cfg.nodes`` order. A pass runs on the calling thread, on either
+transport: it reads the source's first batch, opens a link to each node it
+streams in ``cfg.nodes`` order, hands each interval to its node's link as
+the store cuts it, then takes each node's verdicts. A link that faults is
+closed, with the one reason of the end that saw the fault; the other nodes
+carry on. The intervals carry only what a node reads: the columns the
+preprocessing model reads (``PreprocessModel.columns``), numeric ones as
+float64 values and the others as int32 codes into their texts, and each
+record's row number. Each node encodes and standardizes them, and scoring
+is record-local, so the transports' reports are identical byte for byte.
+In-process, the link is the node itself. Over loopback, it is the node
+behind its own TCP connection to the run's listener, and the calling thread
+drives both ends. Each frame crosses in one call: it goes out in pieces of
+at most ``_PIECE`` bytes, each read at the other end as it is sent, so no
+send waits for a reader, and that end then acts on it. A length prefix that
+does not count exactly the bytes that crossed raises a retryable
+:class:`TransportError` at once. The truths stay with the store: the node's
+intervals have truth -1 (unknown). The frames are length-prefixed:
 
     frame    = length (4-byte big-endian) + payload
     payload  = header length (4-byte big-endian) + JSON header + body
@@ -92,7 +93,7 @@ ASSIGNMENT_RULES = ("round-robin", "hash-of-source", "explicit")
 TRANSPORTS = ("in-process", "loopback-socket")
 
 _MAX_FRAME = 64 * 1024 * 1024
-_PIECE = 64 * 1024  # a loopback connection holds at most one piece of a frame (see _Channel)
+_PIECE = 64 * 1024  # a loopback connection holds at most one unread piece of a frame (see _Loopback._cross)
 _SOCKET_TIMEOUT = 30.0
 
 
@@ -439,7 +440,7 @@ def _encode_frame(header: dict, *arrays: np.ndarray) -> bytes:
     return b"".join([struct.pack(">II", size, len(head)), head, *(array.data for array in arrays)])
 
 
-def _decode_frame(payload: bytes) -> tuple[dict, memoryview]:
+def _decode_frame(payload: bytes | memoryview) -> tuple[dict, memoryview]:
     """The header and the body of the frame ``payload`` (the bytes after
     the length prefix). A payload whose header is not a JSON object raises
     :class:`TransportError`, so the node retries."""
@@ -450,7 +451,7 @@ def _decode_frame(payload: bytes) -> tuple[dict, memoryview]:
     if start > len(payload):
         raise TransportError(f"header of {head_size} bytes runs past the {len(payload)}-byte frame")
     try:
-        header = json.loads(payload[4:start])
+        header = json.loads(bytes(payload[4:start]))
     except (ValueError, RecursionError) as exc:
         raise TransportError(f"malformed frame header: {type(exc).__name__}: {exc}") from None
     if not isinstance(header, dict):
@@ -543,61 +544,6 @@ def _check_end(header: dict, body: memoryview, received: int) -> None:
         raise TransportError(f"end frame counts {count!r} records, {received} received")
 
 
-class _Channel:
-    """One end of a loopback connection: length-prefixed frames, counting
-    the frames and bytes that pass in both directions. A frame goes out in
-    pieces of at most ``_PIECE`` bytes, each read into the ``peer`` end's
-    inbox as it is sent, so a send never waits for a reader, though an
-    unread connection holds far less than ``_MAX_FRAME``; :meth:`recv`
-    reads the inbox first."""
-
-    def __init__(self, sock: socket.socket):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(_SOCKET_TIMEOUT)
-        self.sock = sock
-        self.peer: _Channel | None = None
-        self.inbox = bytearray()
-        self.frames = 0
-        self.wire_bytes = 0
-
-    def send(self, header: dict, *arrays: np.ndarray) -> None:
-        self.send_encoded(_encode_frame(header, *arrays))
-
-    def send_encoded(self, data: bytes) -> None:
-        view = memoryview(data)
-        for start in range(0, len(view), _PIECE):
-            piece = view[start : start + _PIECE]
-            self.sock.sendall(piece)
-            self.peer._fill(len(piece))
-        self.frames += 1
-        self.wire_bytes += len(data)
-
-    def recv(self) -> tuple[dict, memoryview]:
-        (length,) = struct.unpack(">I", self._take(4))
-        if length > _MAX_FRAME:
-            raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
-        frame = _decode_frame(self._take(length))
-        self.frames += 1
-        self.wire_bytes += 4 + length
-        return frame
-
-    def _take(self, n: int) -> bytes:
-        """The next ``n`` bytes: the inbox's, then the socket's."""
-        self._fill(n - len(self.inbox))
-        data = bytes(self.inbox[:n])
-        del self.inbox[:n]
-        return data
-
-    def _fill(self, n: int) -> None:
-        """Read ``n`` more bytes from the socket into the inbox."""
-        end = len(self.inbox) + n
-        while len(self.inbox) < end:
-            chunk = self.sock.recv(end - len(self.inbox))
-            if not chunk:
-                raise TransportError("connection closed mid-frame")
-            self.inbox += chunk
-
-
 #: Failures worth retrying: transport trouble, not data errors.
 _RETRYABLE = (TransportError, OSError)
 
@@ -609,8 +555,10 @@ def _reason(exc: BaseException) -> str:
 class _Node:
     """One node of a pass: it classifies each interval it takes and gives
     its verdicts at the end. In-process, it is its own link (see
-    :func:`_run_nodes`); over loopback, a :class:`_Loopback` hands it the
-    interval of each frame its end reads."""
+    :func:`_run_nodes`), and no frame crosses a wire; over loopback, a
+    :class:`_Loopback` hands it the interval of each frame that reaches it."""
+
+    frames = wire_bytes = 0
 
     def __init__(self, name: str, preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
         self.name, self.preprocess, self.profile, self.det = name, preprocess, profile, cfg.w_for(name)
@@ -623,30 +571,27 @@ class _Node:
         """Its int8 0/1 verdicts, in order: bool masks join as int8."""
         return np.concatenate([np.empty(0, np.int8), *self.flagged])
 
-    def wire(self) -> dict:
-        """The wire's ``NodeResult`` fields: none in-process."""
-        return {}
-
     def close(self) -> None:
         pass
 
 
 class _Loopback:
     """``node`` behind its own connection to ``server``, whose both ends the
-    calling thread drives: the node's end acts on each frame as the store's
-    end sends it (see the module docstring). Opening it connects, accepts
-    and checks the hello; if any of that fails, both ends are closed."""
+    calling thread drives, one frame at a time (see the module docstring),
+    counting the frames and bytes that cross in both directions. Opening it
+    connects, accepts and checks the hello; if any of that fails, both ends
+    are closed."""
 
     def __init__(self, node: _Node, server: socket.socket):
-        self.node, self.sent = node, 0
+        self.node, self.sent, self.frames, self.wire_bytes = node, 0, 0, 0
         with ExitStack() as opened:
             # Made and accepted one at a time, so the connection accepted is this one.
-            node_end = opened.enter_context(socket.create_connection(server.getsockname(), timeout=_SOCKET_TIMEOUT))
-            store_end = opened.enter_context(server.accept()[0])
-            self.node_end, self.store_end = _Channel(node_end), _Channel(store_end)
-            self.node_end.peer, self.store_end.peer = self.store_end, self.node_end
-            self.node_end.send({"type": "hello", "node": node.name})
-            hello, body = self.store_end.recv()
+            self.node_end = opened.enter_context(socket.create_connection(server.getsockname(), timeout=_SOCKET_TIMEOUT))
+            self.store_end = opened.enter_context(server.accept()[0])
+            for sock in (self.node_end, self.store_end):
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.settimeout(_SOCKET_TIMEOUT)
+            hello, body = self._cross(self.node_end, self.store_end, _encode_frame({"type": "hello", "node": node.name}))
             _body(hello, body, "hello")
             if hello.get("node") != node.name:
                 raise TransportError(f"hello frame names node {hello.get('node')!r}")
@@ -655,43 +600,52 @@ class _Loopback:
     def take(self, interval: FlowBatch) -> None:
         self.sent += len(interval)
         for data in _interval_frames(interval):
-            self.store_end.send_encoded(data)
-            self._serve()
+            self.node.take(_interval_of(*self._cross(self.store_end, self.node_end, data), self.node.preprocess.schema))
 
     def result(self) -> np.ndarray:
-        self.store_end.send({"type": "end", "count": self.sent})
-        self._serve()
-        (verdicts,) = _body(*self.store_end.recv(), "result", _I1)
+        header, body = self._cross(self.store_end, self.node_end, _encode_frame({"type": "end", "count": self.sent}))
+        verdicts = self.node.result()
+        _check_end(header, body, len(verdicts))
+        frame = _encode_frame({"type": "result", "n": len(verdicts)}, verdicts)
+        (verdicts,) = _body(*self._cross(self.node_end, self.store_end, frame), "result", _I1)
         _check_result(verdicts, self.sent)
-        self.store_end.send({"type": "ack"})
-        _body(*self.node_end.recv(), "ack")
+        _body(*self._cross(self.store_end, self.node_end, _encode_frame({"type": "ack"})), "ack")
         return verdicts
-
-    def wire(self) -> dict:
-        return {"frames": self.node_end.frames, "wire_bytes": self.node_end.wire_bytes}
 
     def close(self) -> None:
         self.opened.close()
 
-    def _serve(self) -> None:
-        """The node's end: classify the interval frame just sent, or answer
-        the ``end`` frame with the result."""
-        header, body = self.node_end.recv()
-        if header.get("type") == "interval":
-            self.node.take(_interval_of(header, body, self.node.preprocess.schema))
-            return
-        verdicts = self.node.result()
-        _check_end(header, body, len(verdicts))
-        self.node_end.send({"type": "result", "n": len(verdicts)}, verdicts)
+    def _cross(self, sender: socket.socket, receiver: socket.socket, data: bytes) -> tuple[dict, memoryview]:
+        """The header and body of the frame ``data``, sent from ``sender`` in
+        pieces of at most ``_PIECE`` bytes and read at ``receiver`` as each
+        is sent. A length prefix that does not count exactly the bytes that
+        crossed, or counts more than ``_MAX_FRAME``, raises
+        :class:`TransportError`."""
+        sent, crossed = memoryview(data), memoryview(bytearray(len(data)))
+        for start in range(0, len(data), _PIECE):
+            end = min(start + _PIECE, len(data))
+            sender.sendall(sent[start:end])
+            while start < end:
+                if not (got := receiver.recv_into(crossed[start:end])):
+                    raise TransportError("connection closed mid-frame")
+                start += got
+        length = int.from_bytes(crossed[:4], "big")
+        if length != len(data) - 4:
+            raise TransportError(f"frame length prefix counts {length} bytes, {len(data) - 4} follow it")
+        if length > _MAX_FRAME:
+            raise TransportError(f"frame of {length} bytes exceeds the {_MAX_FRAME} limit")
+        self.frames += 1
+        self.wire_bytes += len(data)
+        return _decode_frame(crossed.toreadonly()[4:])
 
 
 def _run_nodes(
     source: Callable[[], Iterator[FlowBatch]], link: Callable[[str], _Node | _Loopback], columns: Sequence[str], cfg: SimulationConfig
 ) -> tuple[dict[str, NodeResult], int]:
     """Run up to ``cfg.retry_budget + 1`` passes, each over the nodes of
-    ``cfg.nodes`` still owed a result, and count each node's verdicts
-    against its truths. A node of ``cfg.fail_nodes`` crashes before a pass
-    reads, and a pass with no node left to stream is not run.
+    ``cfg.nodes`` still owed a result, until none is, and count each node's
+    verdicts against its truths. A node of ``cfg.fail_nodes`` crashes before
+    a pass reads, and a pass with no node left to stream is not run.
 
     A pass runs on the calling thread, on either transport (see the module
     docstring): ``link(node)`` opens ``node``'s link. A link that raises a
@@ -706,6 +660,8 @@ def _run_nodes(
     n_records = 0
     for _ in range(cfg.retry_budget + 1):
         owed = [node for node in cfg.nodes if node not in done]
+        if not owed:
+            break
         for node in owed:
             attempts[node] += 1
             if node in cfg.fail_nodes:
@@ -748,7 +704,7 @@ def _run_nodes(
         for node, opened in links.items():
             verdicts[node].setflags(write=False)
             counts = confusion(verdicts[node], store.truth[node]) if len(verdicts[node]) else None
-            done[node] = NodeResult(node, counts, verdicts[node], False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], **opened.wire())
+            done[node] = NodeResult(node, counts, verdicts[node], False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], frames=opened.frames, wire_bytes=opened.wire_bytes)
     nothing = np.empty(0, np.int8)
     nothing.setflags(write=False)
     results = {

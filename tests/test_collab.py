@@ -6,6 +6,7 @@ import re
 import struct
 import sys
 import threading
+import time
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -884,7 +885,7 @@ class TestRunSimulation:
         poll timeout on the listener, and nothing else accepts: no wake-up
         connection. A node's retry is one more pass and one more accept."""
         pp, profile = fitted
-        real, real_send = collab.socket.socket.accept, collab._Channel.send
+        real, real_encode = collab.socket.socket.accept, collab._encode_frame
         returns, sent_bad = [], []
 
         def counting(sock):
@@ -892,14 +893,14 @@ class TestRunSimulation:
             returns.append(sock.gettimeout())
             return accepted
 
-        def flaky(channel, header, *arrays):
+        def flaky(header, *arrays):
             if retried and header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
                 sent_bad.append(True)
                 header = {**header, "type": "capture"}
-            real_send(channel, header, *arrays)
+            return real_encode(header, *arrays)
 
         monkeypatch.setattr(collab.socket.socket, "accept", counting)
-        monkeypatch.setattr(collab._Channel, "send", flaky)
+        monkeypatch.setattr(collab, "_encode_frame", flaky)
         cfg = _cfg(transport="loopback-socket")
         outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         monkeypatch.undo()
@@ -913,20 +914,20 @@ class TestRunSimulation:
         """On both transports a pass runs on the calling thread and starts
         no thread, over loopback whether or not a node is retried."""
         pp, profile = fitted
-        real_start, real_send, started, sent_bad = threading.Thread.start, collab._Channel.send, [], []
+        real_start, real_encode, started, sent_bad = threading.Thread.start, collab._encode_frame, [], []
 
         def counting(thread):
             started.append(thread)
             real_start(thread)
 
-        def flaky(channel, header, *arrays):
+        def flaky(header, *arrays):
             if retried and header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
                 sent_bad.append(True)
                 header = {**header, "type": "capture"}
-            real_send(channel, header, *arrays)
+            return real_encode(header, *arrays)
 
         monkeypatch.setattr(threading.Thread, "start", counting)
-        monkeypatch.setattr(collab._Channel, "send", flaky)
+        monkeypatch.setattr(collab, "_encode_frame", flaky)
         for transport in TRANSPORTS:
             started.clear()
             cfg = _cfg(transport=transport)
@@ -957,17 +958,17 @@ class TestRunSimulation:
         """A pass leaves no thread running, whether its nodes succeed, one
         is retried or a node hits a fatal data error."""
         pp, profile = fitted
-        records, real, sent_bad = sim_records, collab._Channel.send, []
+        records, real, sent_bad = sim_records, collab._encode_frame, []
         retried = case == "retried store error"
         if retried:
 
-            def flaky(channel, header, *arrays):
+            def flaky(header, *arrays):
                 if header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
                     sent_bad.append(True)
                     header = {**header, "type": "capture"}
-                real(channel, header, *arrays)
+                return real(header, *arrays)
 
-            monkeypatch.setattr(collab._Channel, "send", flaky)
+            monkeypatch.setattr(collab, "_encode_frame", flaky)
         if case == "fatal PreprocessError":
             # A frame never brings a node a bad value (a non-finite float is
             # a retried transport fault), so the node's data error is injected.
@@ -1020,16 +1021,16 @@ class TestRunSimulation:
     def test_store_error_recorded_and_retried(self, sim_records, schema, fitted, monkeypatch):
         """A bad hello fails B's attempt on the store's end, with that one reason."""
         pp, profile = fitted
-        real = collab._Channel.send
+        real = collab._encode_frame
         sent_bad = []
 
-        def flaky(channel, header, *arrays):
+        def flaky(header, *arrays):
             if header.get("type") == "hello" and header["node"] == "B" and not sent_bad:
                 sent_bad.append(True)
                 header = {**header, "type": "capture"}
-            real(channel, header, *arrays)
+            return real(header, *arrays)
 
-        monkeypatch.setattr(collab._Channel, "send", flaky)
+        monkeypatch.setattr(collab, "_encode_frame", flaky)
         cfg = _cfg(transport="loopback-socket")
         outcome = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         monkeypatch.undo()
@@ -1056,17 +1057,17 @@ class TestRunSimulation:
         TransportError on the end that reads it, never a crash: the node's
         end for the end frame, the store's for the hello and the result."""
         pp, profile = fitted
-        real = collab._Channel.send
+        real = collab._encode_frame
         sent_bad = []
 
-        def flaky(channel, header, *arrays):
+        def flaky(header, *arrays):
             if header["type"] == kind and not sent_bad:
                 sent_bad.append(True)
                 header, arrays = dict(header), list(arrays)
                 edit(header, arrays)
-            real(channel, header, *arrays)
+            return real(header, *arrays)
 
-        monkeypatch.setattr(collab._Channel, "send", flaky)
+        monkeypatch.setattr(collab, "_encode_frame", flaky)
         cfg = _cfg(transport="loopback-socket", nodes=("A", "B"), interval_size=64)
         outcome = run_simulation(replay(sim_records[:400], cfg, schema), profile, pp, cfg)
         monkeypatch.undo()
@@ -1318,16 +1319,20 @@ _FAULT_REASONS = {
     "close": re.compile(r"connection closed"),
     "nan": re.compile(r"interval frame column '\w+' holds a non-finite value"),
     "code": re.compile(r"interval frame column '\w+' holds a code outside its \d+ texts"),
+    **dict.fromkeys(("prefix+1", "prefix-1"), re.compile(r"^TransportError: frame length prefix counts \d+ bytes, \d+ follow it$")),
 }
 
 
 def _faulted(data, fault):
     """The frame ``data`` with ``fault`` applied: its last payload byte
-    dropped (the length prefix kept consistent), its type changed, or, for
-    an interval frame only, a NaN written over its first float or -1 over
-    the first code of its first text column."""
+    dropped (the length prefix kept consistent), its length prefix one more
+    or one fewer than the bytes that follow, its type changed, or, for an
+    interval frame only, a NaN written over its first float or -1 over the
+    first code of its first text column."""
     if fault == "drop":
         return struct.pack(">I", len(data) - 5) + data[4:-1]
+    if fault.startswith("prefix"):
+        return struct.pack(">I", len(data) - 4 + int(fault[len("prefix") :])) + data[4:]
     if fault == "nan":
         payload = _reframe(data[4:], cut=lambda body: np.array([np.nan], "<f8").tobytes() + body[8:])
     elif fault == "code":
@@ -1381,6 +1386,19 @@ class TestPasses:
         assert outcome.per_node_reports == clean.per_node_reports and not outcome.partial
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_clean_run_stops_once_no_node_is_owed(self, sim_capture, fitted, transport):
+        """A run ends with the pass that leaves no node owed a result, however
+        many more rounds its retry budget allows."""
+        pp, profile = fitted
+        cfg = _cfg(transport=transport, interval_size=16, retry_budget=10**8)
+        source, calls = _counted(_capture_source(sim_capture, pp, cfg))
+        started = time.perf_counter()
+        outcome = run_simulation(source, profile, pp, cfg)
+        assert time.perf_counter() - started < 1.0
+        assert len(calls) == 1 and not outcome.partial
+        assert [r.attempts for r in outcome.node_results.values()] == [1, 1, 1]
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_crashing_nodes_read_nothing(self, sim_capture, fitted, transport):
@@ -1465,37 +1483,29 @@ class TestFaultInjection:
         pp, profile = fitted
         passes, run = self._run(sim_capture, pp, profile, "loopback-socket", retry_budget)
         clean = run()
-        real_send, real_recv = collab._Channel.send_encoded, collab._Channel.recv
+        real = collab._Loopback._cross
         kind, index = frame
-        # Each connection's node, by either end's channel: the node's sends
-        # the hello, the store's receives it.
-        owner, intervals, fired = {}, Counter(), []
+        intervals, fired = Counter(), []  # each connection's interval frames so far
 
-        def receiving(channel):
-            header, body = real_recv(channel)
-            if header.get("type") == "hello":
-                owner[channel] = header.get("node")
-            return header, body
-
-        def injecting(channel, data):
+        def injecting(loop, sender, receiver, data):
             header = collab._decode_frame(data[4:])[0]
-            if header["type"] == "hello":
-                owner[channel] = header["node"]
-            seen = intervals[channel]
-            intervals[channel] += header["type"] == "interval"
-            hit = owner.get(channel) == node and header["type"] == kind and (kind != "interval" or seen == index)
+            seen = intervals[loop]
+            intervals[loop] += header["type"] == "interval"
+            hit = loop.node.name == node and header["type"] == kind and (kind != "interval" or seen == index)
             if hit and (always or not fired):
                 fired.append(kind)
                 if fault == "close":
-                    channel.sock.close()
+                    sender.close()
                     raise ConnectionAbortedError("connection closed in place of the frame")
                 data = _faulted(data, fault)
-            real_send(channel, data)
+            return real(loop, sender, receiver, data)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(collab._Channel, "send_encoded", injecting)
-            mp.setattr(collab._Channel, "recv", receiving)
+            mp.setattr(collab._Loopback, "_cross", injecting)
+            started = time.perf_counter()
             outcome = run()
+        # A fault is named as the frame crosses: no end waits on its socket.
+        assert time.perf_counter() - started < collab._SOCKET_TIMEOUT / 3
         assert len(fired) == (retry_budget + 1 if always else 1)
         self._check(outcome, clean, node, always, retry_budget, _FAULT_REASONS[fault], len(passes) - 1)
 
@@ -1526,6 +1536,15 @@ class TestFaultInjection:
         frame is a transport fault, retried like any other: the reader's
         codes always index their texts."""
         self._loopback_fault(sim_capture, fitted, node, ("interval", 0), "code", always, retry_budget=1)
+
+    @pytest.mark.parametrize("fault", ["prefix+1", "prefix-1"])
+    @pytest.mark.parametrize("frame", [("interval", 1), ("end", 0), ("result", 0)], ids=lambda frame: frame[0])
+    def test_miscounted_length_prefix_is_retried(self, sim_capture, fitted, frame, fault):
+        """A length prefix one more or one fewer than the bytes that follow
+        it, on any kind of frame, is a retried TransportError that names the
+        prefix as the frame crosses: the end it reaches never waits on its
+        socket for a byte that is not coming."""
+        self._loopback_fault(sim_capture, fitted, "B", frame, fault, always=False, retry_budget=1)
 
     @pytest.mark.parametrize("always", [False, True], ids=["once", "always"])
     @pytest.mark.parametrize("node", NODES)
