@@ -180,7 +180,9 @@ def _log_normalize(terms: np.ndarray, posterior: bool = True) -> np.ndarray:
     terms -= shift
     np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
-    total = np.sum(terms, axis=0)
+    total = terms[0].copy()
+    for row in terms[1:]:  # in turn for every N: np.sum adds one record's (K, 1) terms pairwise
+        total += row
     if posterior:
         terms /= total
     return shift + np.log(total)

@@ -43,10 +43,6 @@ class PreprocessError(Exception):
     pass
 
 
-def _empty_codes(schema: FeatureSchema) -> dict[str, dict[str, int]]:
-    return {c.name: {} for c in schema.columns if c.kind == "categorical"}
-
-
 def _grow_codes(codes: dict[str, dict[str, int]], batch: FlowBatch) -> None:
     """Give each categorical value of ``batch`` not yet in ``codes`` the
     next code of its feature, in the order the rows first use them. This
@@ -124,6 +120,8 @@ class PreprocessModel:
     """Fitted encode -> reduce -> normalize pipeline.
 
     Exactly one of ``selected`` (feature-name list mode) and ``pca`` is set.
+    ``encoder`` has a table for each categorical column of :attr:`columns`;
+    a fit makes no other, a loaded document may hold more, never read.
     """
 
     schema: FeatureSchema
@@ -135,6 +133,9 @@ class PreprocessModel:
     def __post_init__(self):
         if (self.selected is None) == (self.pca is None):
             raise PreprocessError("exactly one reduction mode must be configured")
+        kinds = {column.name: column.kind for column in self.schema.columns}
+        if missing := [name for name in self.columns if kinds.get(name) == "categorical" and name not in self.encoder]:
+            raise PreprocessError(f"the encoders hold no table for categorical column {missing[0]!r}")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -182,19 +183,14 @@ def parse_reduction_mode(mode: str) -> tuple[str, int | None]:
     raise PreprocessError(f"unknown reduction mode {mode!r} (expected 'table1' or 'pca:<k>')")
 
 
-def _reduction_features(schema: FeatureSchema, kind: str) -> tuple[str, ...]:
+def training_columns(schema: FeatureSchema, mode: str) -> tuple[str, ...]:
+    """The record columns a fit in ``mode`` reads, encodes and keeps as the
+    fitted model's :attr:`PreprocessModel.columns`: table1's curated
+    features, or every feature column for ``pca:<k>``."""
+    kind, _ = parse_reduction_mode(mode)
     features = CURATED_FEATURES if kind == "table1" else schema.feature_names()
     schema.validate_selection(features)
     return features
-
-
-def training_columns(schema: FeatureSchema, mode: str) -> tuple[str, ...]:
-    """The record columns a fit in ``mode`` reads, in schema order: every
-    categorical column, since the encoder covers them all, and the
-    reduction's features."""
-    kind, _ = parse_reduction_mode(mode)
-    needed = set(_reduction_features(schema, kind)).union(_empty_codes(schema))
-    return tuple(name for name in schema.names if name in needed)
 
 
 def fit_preprocess_batches(
@@ -205,14 +201,14 @@ def fit_preprocess_batches(
     """Fit the full pipeline in one pass over training records given as
     batches holding at least :func:`training_columns`.
 
-    Each batch grows the category code tables and is then encoded once with
-    them; PCA and the z-score are fitted on the concatenated (N, D) matrix.
-    Returns the model and the training records' (N, d) matrix: the bits
-    :meth:`PreprocessModel.apply` gives for them.
+    Each batch grows the code tables of its categorical columns and is then
+    encoded once with them; PCA and the z-score are fitted on the (N, D)
+    matrix of all batches. Returns the model and the records' (N, d)
+    matrix: the bits :meth:`PreprocessModel.apply` gives for them.
     """
     kind, k = parse_reduction_mode(mode)
-    features = _reduction_features(schema, kind)
-    encoder = _empty_codes(schema)
+    features = training_columns(schema, mode)
+    encoder = {name: {} for name in features if schema.kind_of(name) == "categorical"}
     parts = []
     for batch in batches:
         _grow_codes(encoder, batch)
@@ -224,7 +220,7 @@ def fit_preprocess_batches(
     pca = fit_pca(matrix, k) if kind == "pca" else None
     reduced = matrix if pca is None else pca.transform(matrix)
     zscore = fit_zscore(reduced)
-    selected = tuple(CURATED_FEATURES) if pca is None else None
+    selected = features if pca is None else None
     return PreprocessModel(schema, encoder, selected, pca, zscore), zscore.normalize(reduced)
 
 
@@ -267,7 +263,7 @@ def _encode_columns(batch: FlowBatch, schema: FeatureSchema, encoder: Mapping[st
         kind = kinds.get(name)
         if kind == "categorical":
             codes, texts = _codes(batch, name)
-            table = encoder.get(name, {})
+            table = encoder[name]
             out[:, j] = np.array([table.get(text, UNSEEN_CODE) for text in texts], np.float64)[codes]
         elif kind == "numeric":
             values = _column(batch, name)

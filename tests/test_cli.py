@@ -261,6 +261,42 @@ class TestTrain:
         profile = train_profile(pp.apply_records(records), EmConfig(3, seed=4), preprocess_digest=pp.digest())
         assert out.read_bytes() == save_profile(profile)
 
+    @pytest.mark.parametrize("features", ["table1", "pca:3"])
+    def test_reads_only_the_columns_it_models(self, workspace, tmp_path, monkeypatch, schema, features):
+        """train reads the fitted model's columns, and its encoder has a
+        table for each categorical one among them and no other."""
+        from netanom import cli
+        from netanom.preprocess import load_preprocess
+
+        read, iterate = [], cli.iter_flow_batches
+        monkeypatch.setattr(cli, "iter_flow_batches", lambda path, schema, columns: read.append(tuple(columns)) or iterate(path, schema, columns))
+        assert main(_train_args(workspace / "split" / "train_normal.csv", tmp_path / "p.json", features)) == 0
+        model = load_preprocess(tmp_path / "p.preprocess.json")
+        assert read == [model.columns]
+        assert len(model.columns) == (10 if features == "table1" else len(schema.feature_names()))
+        assert set(model.encoder) == {name for name in model.columns if schema.kind_of(name) == "categorical"}
+        if features == "table1":
+            assert set(model.encoder) == {"proto", "service"}
+
+    def test_fields_the_reduction_does_not_read_leave_the_profile_unchanged(self, workspace, tmp_path, schema):
+        """Editing a training row's srcip, dstip, state, sport or attack_cat
+        field, none of which table1 models, changes no byte of the profile or
+        of its preprocessing document."""
+        lines = _train_lines(workspace, 200)
+        edits = {"srcip": "10.9.9.9", "dstip": "10.8.8.8", "state": "EDITED", "sport": "65000", "attack_cat": "Edited"}
+        rows = [line.split(",") for line in lines]
+        for i, (name, text) in enumerate(edits.items()):
+            for row in rows[1 + i :: 7]:
+                assert row[schema.index_of(name)] != text
+                row[schema.index_of(name)] = text
+        outputs = []
+        for tag, edited in (("a", lines), ("b", [",".join(row) for row in rows])):
+            train = tmp_path / f"train_{tag}.csv"
+            train.write_text("\n".join(edited) + "\n")
+            assert main(_train_args(train, tmp_path / tag / "p.json")) == 0
+            outputs.append([(tmp_path / tag / name).read_bytes() for name in ("p.json", "p.preprocess.json")])
+        assert outputs[0] == outputs[1]
+
     def test_bad_components_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([

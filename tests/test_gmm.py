@@ -189,6 +189,17 @@ def _broadcast_scores(x, model):
     return _log_normalize(terms)
 
 
+def _score_case(d, k, n, seed):
+    """n records of d dimensions and a k-component model, drawn from
+    ``seed`` over many orders of magnitude, with some variances floored."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 4, size=(n, d)), -1e4, 1e4)
+    means = np.clip(rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-2, 4, size=(k, d)), -1e4, 1e4)
+    variances = 10.0 ** rng.uniform(-6, 2, size=(k, d))
+    variances[rng.random((k, d)) < 0.3] = VARIANCE_FLOOR
+    return x, _model(rng.dirichlet(np.ones(k)), means, variances)
+
+
 class TestScoreKernel:
     """score_records sums the centred terms per dimension in numpy's pairwise
     order, so its scores have the bits of the broadcasting form."""
@@ -203,18 +214,23 @@ class TestScoreKernel:
         data=st.data(),
     )
     def test_bitwise_equal_to_the_broadcasting_form(self, d, k, n, chunk, seed, data):
-        rng = np.random.default_rng(seed)
-        x = np.clip(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 4, size=(n, d)), -1e4, 1e4)
-        means = np.clip(rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-2, 4, size=(k, d)), -1e4, 1e4)
-        variances = 10.0 ** rng.uniform(-6, 2, size=(k, d))
-        variances[rng.random((k, d)) < 0.3] = VARIANCE_FLOOR
-        model = _model(rng.dirichlet(np.ones(k)), means, variances)
+        x, model = _score_case(d, k, n, seed)
         cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts"))
         want = _broadcast_scores(x, model)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gmm, "_SCORE_CHUNK", chunk)
             parts = [score_records(x[a:b], model) for a, b in zip([0, *cuts], [*cuts, n])]
         assert np.concatenate(parts).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_a_record_scored_alone_has_the_bits_it_has_in_a_batch(self):
+        """With 8 or more components, np.sum adds the terms of a one-record
+        chunk, a (K, 1) array, in pairwise order, but those of a chunk of
+        two or more records row by row; the log-sum-exp adds row by row for
+        both."""
+        x, model = _score_case(d=1, k=8, n=102, seed=0)
+        whole = score_records(x, model)
+        alone = np.concatenate([score_records(row[None, :], model) for row in x])
+        assert alone.view(np.uint64).tolist() == whole.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 128, 129, 300])
     def test_pairwise_sum_matches_np_sum(self, d):

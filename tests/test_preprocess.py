@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, FlowRecord
+from netanom._docjson import digest_of, pretty_dumps
+from netanom.decision import ensure_bound, load_profile, save_profile, train_profile
+from netanom.gmm import EmConfig
+from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, FlowRecord, batch_of_records
 from netanom.preprocess import (
     CURATED_FEATURES,
     STD_FLOOR,
     PreprocessError,
     _encode_columns,
+    _grow_codes,
     fit_pca,
     fit_preprocess,
     fit_preprocess_batches,
@@ -293,6 +298,32 @@ class TestSerialization:
         a = model.apply_records(test[:50])
         b = reloaded.apply_records(test[:50])
         assert np.array_equal(a, b)
+
+    def test_document_with_tables_for_unread_columns_loads_binds_and_applies(self, split, schema):
+        """A document written when a fit grew a code table for every
+        categorical column, read by the model or not, still loads, binds to
+        the profile trained with it, and gives the same bits."""
+        train, test = split
+        model = fit_preprocess(train, schema, "table1")
+        doc = preprocess_to_doc(model)
+        every = {c.name: {} for c in schema.columns if c.kind == "categorical"}
+        _grow_codes(every, batch_of_records(train, schema, every))
+        assert set(every) == {"srcip", "dstip", "proto", "state", "service"}
+        assert {name: every[name] for name in doc["encoders"]} == doc["encoders"]
+        doc["encoders"] = every
+        old = preprocess_from_doc(json.loads(pretty_dumps(doc)))
+        assert old.digest() == digest_of(doc) != model.digest()
+        profile = train_profile(old.apply_records(train), EmConfig(3, seed=0), preprocess_digest=digest_of(doc))
+        ensure_bound(load_profile(save_profile(profile)), old)
+        assert old.apply_records(test).tobytes() == model.apply_records(test).tobytes()
+
+    @pytest.mark.parametrize("mode, column", [("table1", "service"), ("pca:4", "proto"), ("pca:4", "state")])
+    def test_missing_table_for_a_modeled_categorical_column_rejected(self, split, schema, mode, column):
+        train, _ = split
+        doc = preprocess_to_doc(fit_preprocess(train, schema, mode))
+        del doc["encoders"][column]
+        with pytest.raises(PreprocessError, match=f"^the encoders hold no table for categorical column '{column}'$"):
+            preprocess_from_doc(doc)
 
     def test_bad_version_rejected(self, split, schema):
         train, _ = split
