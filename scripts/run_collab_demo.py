@@ -88,7 +88,7 @@ def main() -> int:
         for node in cfg.nodes:
             res = run["nodes"][node]
             if node in run["failed_nodes"]:
-                print(f"\nnode {node}: FAILED after {res['attempts']} attempt(s): {res['errors'][-1]}")
+                print(f"\nnode {node}: FAILED after {res['attempts']} attempt(s): {res['errors'][-1][0]}")
                 continue
             print(f"\nnode {node} ({res['n_records']} records):")
             print(render_table([read_report(out / f"node_{node}.json")]), end="")

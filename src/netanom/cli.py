@@ -32,13 +32,13 @@ from .collab import SimulationError, load_simconfig, run_simulation, simconfig_t
 from .decision import (
     DecisionError,
     DetectionConfig,
-    classify_scores,
+    _fit_profile,
     ensure_bound,
     load_profile,
     save_profile,
-    train_profile,
+    sides,
 )
-from .evaluation import EvaluationError, render_table, report_to_doc, roc_csv, sweep
+from .evaluation import BandTally, EvaluationError, render_table, report_to_doc, roc_csv
 from .gmm import EmConfig, GmmError
 from .ingest import (
     IngestError,
@@ -61,6 +61,9 @@ from .preprocess import (
 
 #: Most points a ``--w-grid`` may ask for.
 MAX_GRID_POINTS = 10_000
+
+#: The w at which ``train``'s manifest counts the training records outside the band.
+FIT_GRID = (1.5, 2.0, 3.0)
 
 _ERRORS = (
     IngestError,
@@ -254,7 +257,7 @@ def _cmd_train(args, parser) -> int:
     preprocess, matrix = fit_preprocess_batches(batches, schema, args.features)
     k = matrix.shape[1] if args.components == "auto" else int(args.components)
     cfg = EmConfig(n_components=k, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
-    profile = train_profile(matrix, cfg, preprocess_digest=preprocess.digest())
+    profile, scores = _fit_profile(matrix, cfg, preprocess.digest())
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -267,6 +270,7 @@ def _cmd_train(args, parser) -> int:
     _write_manifest(
         _sibling(out, "manifest"), args, inputs, [out, preprocess_path], started, {"components": k},
         records=len(matrix), em={key: value for key, value in asdict(rep).items() if key != "trace"},
+        fit=_fit_doc(profile, scores),
     )
     if not rep.converged:
         print(f"warning: EM did not converge in {rep.iterations} iterations (tol={args.tol})", file=sys.stderr)
@@ -275,6 +279,21 @@ def _cmd_train(args, parser) -> int:
         f"(iterations={rep.iterations}, converged={rep.converged}); wrote {out}"
     )
     return 0
+
+
+def _fit_doc(profile, scores: np.ndarray) -> dict:
+    """``train``'s manifest ``fit`` block: each component's weight, how
+    many of its variances lie within 1% of the variance floor and its
+    smallest variance, then the edge counts of the training ``scores`` at
+    each w of ``FIT_GRID``."""
+    floor = 1.01 * profile.em_config.variance_floor
+    tally = BandTally(FIT_GRID, profile)
+    tally.add(scores, np.zeros(len(scores), np.int8))
+    components = [
+        {"weight": weight, "at_floor": int(np.count_nonzero(v <= floor)), "min_variance": float(v.min())}
+        for weight, v in zip(profile.model.weights.tolist(), profile.model.variances)
+    ]
+    return {"components": components, "edges": tally.edges()}
 
 
 def _training_batches(path: Path, schema, columns):
@@ -327,27 +346,27 @@ def _cmd_detect(args, parser) -> int:
     # Verdicts go to a sibling that replaces ``out`` only once every row is
     # scored, so a bad row in a later batch leaves no verdicts file.
     partial = out.with_name(out.name + ".tmp")
-    n_records = n_flagged = 0
+    tally = BandTally([det.w])
     try:
         with partial.open("w", encoding="utf-8") as fh:
             fh.write("origin_file,origin_row,score,label\n")
             with _scored_batches(args.input, profile, preprocess) as scored:
                 for batch, scores in scored:
-                    flagged = classify_scores(scores, profile, det)
+                    side = sides(scores, profile, det)
                     fh.writelines(
-                        f"{batch.file_id},{row},{score!r},{'attack' if is_attack else 'normal'}\n"
-                        for row, score, is_attack in zip(batch.rows.tolist(), scores.tolist(), flagged.tolist())
+                        f"{batch.file_id},{row},{score!r},{'attack' if outside else 'normal'}\n"
+                        for row, score, outside in zip(batch.rows.tolist(), scores.tolist(), side.tolist())
                     )
-                    n_records += len(batch.rows)
-                    n_flagged += int(np.count_nonzero(flagged))
+                    tally.add_sides(side)
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
+    below, above = int(tally.below.sum()), int(tally.above.sum())
     _write_manifest(
         _sibling(out, "manifest"), args, [profile_path, preprocess_path, args.input], [out], started,
-        {"preprocess": str(preprocess_path)}, records=n_records, flagged=n_flagged,
+        {"preprocess": str(preprocess_path)}, records=int(tally.seen.sum()), flagged=below + above, below=below, above=above,
     )
-    print(f"classified {n_records} records at w={args.w:g}; wrote {out}")
+    print(f"classified {tally.seen.sum()} records at w={args.w:g}; wrote {out}")
     return 0
 
 
@@ -386,9 +405,11 @@ def _sweep_command(args, grid: list[float], texts) -> int:
     ``--out`` prefix as given, dots and all), and print the table."""
     started = time.perf_counter()
     profile, preprocess, profile_path, preprocess_path = _load_pipeline(args)
+    tally = BandTally(grid, profile)
     with _scored_batches(args.test, profile, preprocess) as scored:
-        labeled = ((scores, _labeled(batch, EvaluationError, "metrics need ground truth")) for batch, scores in scored)
-        reports = sweep(labeled, profile, grid)
+        for batch, scores in scored:
+            tally.add(scores, _labeled(batch, EvaluationError, "metrics need ground truth"))
+    reports = tally.reports()
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     outputs = {prefix.with_name(prefix.name + suffix): text for suffix, text in texts(reports).items()}
@@ -396,7 +417,7 @@ def _sweep_command(args, grid: list[float], texts) -> int:
         path.write_text(text, encoding="utf-8")
     _write_manifest(
         prefix.with_name(prefix.name + ".manifest.json"), args, [profile_path, preprocess_path, args.test], list(outputs), started,
-        {"preprocess": str(preprocess_path)}, records=reports[0].counts.total,
+        {"preprocess": str(preprocess_path)}, records=reports[0].counts.total, edges=tally.edges(),
     )
     print(render_table(reports), end="")
     return 0
@@ -437,10 +458,8 @@ def _cmd_simulate(args, parser) -> int:
     for name, text in texts.items():
         (out / name).write_text(text, encoding="utf-8")
 
-    nodes = {
-        node: {key: getattr(outcome.node_results[node], key) for key in ("attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s")}
-        for node in cfg.nodes
-    }
+    fields = ("attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s")
+    nodes = {node: {key: getattr(r, key) for key in fields} | r.tally.edges()[0] for node, r in outcome.node_results.items()}
     # The outcome sits under ``parameters``, not beside it, because bench/run.py reads it there.
     _write_manifest(
         out / "manifest.json", args, [args.config, profile_path, preprocess_path, args.test], [out / name for name in texts], started,

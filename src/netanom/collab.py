@@ -7,15 +7,18 @@ order, into intervals of ``interval_size`` records as they fill; a node's
 last, shorter interval is flushed when the capture ends. Each node
 independently preprocesses and classifies exactly its own intervals, as
 they arrive, against one shared normal profile, and returns only its
-verdicts. The store keeps each node's truths and counts its verdicts
-against them, once for both transports, and sums the per-node counts.
+verdicts: each record's side of the band, -1, 0 or +1. The store keeps
+each node's truths and tallies the verdicts against them, once for both
+transports, and sums the nodes' tallies.
 Nodes never exchange verdicts: sharing stops at the capture layer, so
 partitioning can never change outcomes. Besides the truths, a pass holds
 fewer than ``interval_size`` pending records per node, not the capture.
 
 Retries are rounds: a pass streams every node still owed a result, and a
 node whose attempt fails retryably joins the next pass, up to
-``retry_budget + 1`` passes, until none is owed. Nodes report in
+``retry_budget + 1`` passes, until none is owed. Once every node owed a
+result is one of ``fail_nodes``, which crash before a pass reads, the
+rounds left are counted, not run. Nodes report in
 ``cfg.nodes`` order. A pass runs on the calling thread, on either
 transport: it reads the source's first batch, opens a link to each node it
 streams in ``cfg.nodes`` order, hands each interval to its node's link as
@@ -41,7 +44,7 @@ intervals have truth -1 (unknown). The frames are length-prefixed:
     node -> store    hello     {node}
     store -> node    interval  {file, n, columns, texts} + columns (<f8 | <i4) + rows (<i8), ...
     store -> node    end       {count}
-    node -> store    result    {n} + verdicts (i1)
+    node -> store    result    {n} + verdicts (i1: -1, 0 or +1)
     store -> node    ack
 
 Each header also holds its ``type``, which fixes the body: one raw little-
@@ -53,7 +56,7 @@ the frame's records use (see :func:`_join`). An interval frame is one
 interval, in the node's order; an interval whose frame would pass
 ``_MAX_FRAME`` is halved until each part fits. The node classifies each
 frame as it arrives and checks ``end.count``; the store checks the hello
-and that the result holds one 0/1 verdict per record. A frame that does
+and that the result holds one verdict of -1, 0 or +1 per record. A frame that does
 not fit its layout, a numeric column sent as texts or a code outside its
 texts included, raises a retryable :class:`TransportError`. Truth labels
 are checked once the capture is read: an unlabeled record fails the run,
@@ -82,8 +85,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ._docjson import parse_json
-from .decision import DetectionConfig, NormalProfile, classify_scores, ensure_bound
-from .evaluation import ConfusionCounts, MetricsReport, confusion, metrics
+from .decision import DetectionConfig, NormalProfile, ensure_bound, sides
+from .evaluation import BandTally, ConfusionCounts, MetricsReport
 from .ingest import FeatureSchema, FlowBatch, FlowRecord, SchemaError, batch_of_records
 from .preprocess import PreprocessModel
 
@@ -383,20 +386,22 @@ def replay(
 
 @dataclass(frozen=True)
 class NodeResult:
-    """One node's outcome. ``errors`` holds the reason of each failed
-    attempt, in order: the error of the end that saw the fault, the
-    store's or the node's. A failed node's last reason says why it failed.
-    ``frames`` and ``wire_bytes`` count both directions of the successful
-    loopback connection, length prefixes included; they are 0 in-process.
+    """One node's outcome. ``tally`` counts its verdicts at its w, none for
+    a failed node. ``errors`` holds the reason of each run of failed
+    attempts, in order, with the number of consecutive attempts that gave
+    it: the error of the end that saw the fault, the store's or the node's.
+    A failed node's last reason says why it failed. ``frames`` and
+    ``wire_bytes`` count both directions of the successful loopback
+    connection, length prefixes included; they are 0 in-process.
     ``wall_s`` is the wall time of the passes the node streamed in, in
     seconds."""
 
     node: str
-    counts: ConfusionCounts | None  # None for a node without records or a failed one
-    verdicts: np.ndarray  # read-only int8, one 0/1 verdict per record in file order
+    tally: BandTally
+    verdicts: np.ndarray  # read-only int8, one side of the band (-1, 0 or +1) per record in file order
     failed: bool
     attempts: int
-    errors: tuple[str, ...] = ()
+    errors: tuple[tuple[str, int], ...] = ()
     frames: int = 0
     wire_bytes: int = 0
     wall_s: float = 0.0
@@ -404,6 +409,11 @@ class NodeResult:
     @property
     def n_records(self) -> int:
         return len(self.verdicts)
+
+    @property
+    def counts(self) -> ConfusionCounts | None:
+        """None for a node without records or a failed one."""
+        return self.tally.reports()[0].counts if self.tally.seen.any() else None
 
 
 @dataclass(frozen=True)
@@ -425,8 +435,8 @@ class SimulationOutcome:
 
 
 def _classify(interval: FlowBatch, preprocess: PreprocessModel, profile: NormalProfile, det: DetectionConfig) -> np.ndarray:
-    """One interval's verdicts, as a bool mask."""
-    return classify_scores(profile.score_matrix(preprocess.apply(interval)), profile, det)
+    """One interval's verdicts, as int8 sides of the band."""
+    return sides(profile.score_matrix(preprocess.apply(interval)), profile, det)
 
 
 _F8, _I4, _I8, _I1 = np.dtype("<f8"), np.dtype("<i4"), np.dtype("<i8"), np.dtype("i1")  # floats, codes, row numbers, verdicts
@@ -527,11 +537,11 @@ def _interval_of(header: dict, body: memoryview, schema: FeatureSchema) -> FlowB
 
 
 def _check_result(verdicts: np.ndarray, n: int) -> None:
-    """Raise :class:`TransportError` unless ``verdicts`` holds one 0/1 value per record of an ``n``-record stream."""
+    """Raise :class:`TransportError` unless ``verdicts`` holds one -1, 0 or +1 per record of an ``n``-record stream."""
     if len(verdicts) != n:
         raise TransportError(f"result frame holds {len(verdicts)} verdicts for a stream of {n} records")
-    if not np.isin(verdicts, (0, 1)).all():
-        raise TransportError("result frame verdicts are not all 0 or 1")
+    if not np.isin(verdicts, (-1, 0, 1)).all():
+        raise TransportError("result frame verdicts are not all -1, 0 or +1")
 
 
 def _check_end(header: dict, body: memoryview, received: int) -> None:
@@ -562,14 +572,14 @@ class _Node:
 
     def __init__(self, name: str, preprocess: PreprocessModel, profile: NormalProfile, cfg: SimulationConfig):
         self.name, self.preprocess, self.profile, self.det = name, preprocess, profile, cfg.w_for(name)
-        self.flagged: list[np.ndarray] = []
+        self.verdicts: list[np.ndarray] = []
 
     def take(self, interval: FlowBatch) -> None:
-        self.flagged.append(_classify(interval, self.preprocess, self.profile, self.det))
+        self.verdicts.append(_classify(interval, self.preprocess, self.profile, self.det))
 
     def result(self) -> np.ndarray:
-        """Its int8 0/1 verdicts, in order: bool masks join as int8."""
-        return np.concatenate([np.empty(0, np.int8), *self.flagged])
+        """Its int8 verdicts, in order."""
+        return np.concatenate([np.empty(0, np.int8), *self.verdicts])
 
     def close(self) -> None:
         pass
@@ -643,9 +653,10 @@ def _run_nodes(
     source: Callable[[], Iterator[FlowBatch]], link: Callable[[str], _Node | _Loopback], columns: Sequence[str], cfg: SimulationConfig
 ) -> tuple[dict[str, NodeResult], int]:
     """Run up to ``cfg.retry_budget + 1`` passes, each over the nodes of
-    ``cfg.nodes`` still owed a result, until none is, and count each node's
+    ``cfg.nodes`` still owed a result, until none is, and tally each node's
     verdicts against its truths. A node of ``cfg.fail_nodes`` crashes before
-    a pass reads, and a pass with no node left to stream is not run.
+    a pass reads; once it is the only kind owed, every round left crashes
+    alike, and their attempts are counted at once.
 
     A pass runs on the calling thread, on either transport (see the module
     docstring): ``link(node)`` opens ``node``'s link. A link that raises a
@@ -654,21 +665,29 @@ def _run_nodes(
     once, after every link is closed. The results follow ``cfg.nodes``
     order; the count is the capture's."""
     attempts = dict.fromkeys(cfg.nodes, 0)
-    errors: dict[str, list[str]] = {node: [] for node in cfg.nodes}
+    errors: dict[str, list[tuple[str, int]]] = {node: [] for node in cfg.nodes}  # runs of (reason, attempts)
     wall_s = dict.fromkeys(cfg.nodes, 0.0)
     done: dict[str, NodeResult] = {}
     n_records = 0
-    for _ in range(cfg.retry_budget + 1):
+
+    def note_failure(node: str, reason: str, times: int = 1) -> None:
+        runs = errors[node]
+        if runs and runs[-1][0] == reason:
+            times += runs.pop()[1]
+        runs.append((reason, times))
+
+    for round_ in range(cfg.retry_budget + 1):
         owed = [node for node in cfg.nodes if node not in done]
         if not owed:
             break
-        for node in owed:
-            attempts[node] += 1
-            if node in cfg.fail_nodes:
-                errors[node].append(_reason(SimulatedNodeFailure(f"node {node!r}: injected crash")))
         streaming = [node for node in owed if node not in cfg.fail_nodes]
+        times = 1 if streaming else cfg.retry_budget + 1 - round_
+        for node in owed:
+            attempts[node] += times
+            if node in cfg.fail_nodes:
+                note_failure(node, _reason(SimulatedNodeFailure(f"node {node!r}: injected crash")), times)
         if not streaming:
-            continue
+            break
         started = time.perf_counter()
         store = _Store(cfg, columns, streaming)
         links: dict[str, _Node | _Loopback] = {}
@@ -677,7 +696,7 @@ def _run_nodes(
             try:
                 return step()
             except _RETRYABLE as exc:
-                errors[node].append(_reason(exc))
+                note_failure(node, _reason(exc))
                 store.drop(node)
                 if node in links:
                     links.pop(node).close()
@@ -703,12 +722,14 @@ def _run_nodes(
             wall_s[node] += elapsed
         for node, opened in links.items():
             verdicts[node].setflags(write=False)
-            counts = confusion(verdicts[node], store.truth[node]) if len(verdicts[node]) else None
-            done[node] = NodeResult(node, counts, verdicts[node], False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], frames=opened.frames, wire_bytes=opened.wire_bytes)
+            tally = BandTally([cfg.w_for(node).w])
+            if len(verdicts[node]):
+                tally.add_sides(verdicts[node], store.truth[node])
+            done[node] = NodeResult(node, tally, verdicts[node], False, attempts[node], tuple(errors[node]), wall_s=wall_s[node], frames=opened.frames, wire_bytes=opened.wire_bytes)
     nothing = np.empty(0, np.int8)
     nothing.setflags(write=False)
     results = {
-        node: done.get(node) or NodeResult(node, None, nothing, True, attempts[node], tuple(errors[node]), wall_s=wall_s[node])
+        node: done.get(node) or NodeResult(node, BandTally([cfg.w_for(node).w]), nothing, True, attempts[node], tuple(errors[node]), wall_s=wall_s[node])
         for node in cfg.nodes
     }
     return results, n_records
@@ -730,8 +751,8 @@ def run_simulation(
     reader gives them (see :func:`replay`). A run calls it once, and once
     more for each round of retries.
 
-    The aggregate is the exact field-wise sum of the healthy nodes' counts;
-    failed nodes are excluded and flagged, never silently dropped. A data
+    The aggregate is the sum of the healthy nodes' tallies; failed nodes
+    are excluded and flagged, never silently dropped. A data
     error (see :meth:`_Store.intervals`) raises at once, on either
     transport, after every connection is closed.
     """
@@ -743,15 +764,13 @@ def run_simulation(
             results, n_records = _run_nodes(source, lambda node: _Loopback(_Node(node, preprocess, profile, cfg), server), preprocess.columns, cfg)
 
     failed = tuple(n for n in cfg.nodes if results[n].failed)
-    counted = [n for n in cfg.nodes if not results[n].failed and results[n].counts is not None]
-    if not counted:
+    healthy = [results[n].tally for n in cfg.nodes if not results[n].failed]
+    if not any(tally.seen.any() for tally in healthy):
         raise SimulationError(f"no healthy node produced results; failures: {list(failed)}")
-    aggregate = sum((results[n].counts for n in counted), ConfusionCounts(0, 0, 0, 0))
-    node_ws = {cfg.w_for(n).w for n in cfg.nodes if not results[n].failed}
     return SimulationOutcome(
         node_results=results,
-        per_node_reports={n: metrics(results[n].counts, w=cfg.w_for(n).w) for n in counted},
-        aggregate_report=metrics(aggregate, w=node_ws.pop() if len(node_ws) == 1 else None),
+        per_node_reports={n: r.tally.reports()[0] for n, r in results.items() if r.tally.seen.any()},
+        aggregate_report=sum(healthy[1:], healthy[0]).reports()[0],
         failed_nodes=failed,
         n_records=n_records,
     )

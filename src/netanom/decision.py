@@ -127,12 +127,17 @@ def train_profile(
     Callers guarantee purity; attack rows in the training matrix silently
     corrupt the band.
     """
+    return _fit_profile(train_normal, cfg, preprocess_digest)[0]
+
+
+def _fit_profile(train_normal: np.ndarray, cfg: EmConfig, preprocess_digest: str) -> tuple[NormalProfile, np.ndarray]:
+    """:func:`train_profile`'s profile, and the training scores its quartiles came from."""
     data = np.asarray(train_normal, dtype=np.float64)
     model, report = fit_em(data, cfg)
     scores = score_records(data, model)
     lower = quartile(scores, 1)
     upper = quartile(scores, 3)
-    return NormalProfile(
+    profile = NormalProfile(
         model=model,
         lower=lower,
         upper=upper,
@@ -141,14 +146,22 @@ def train_profile(
         em_config=cfg,
         fit_report=report,
     )
+    return profile, scores
+
+
+def sides(scores: np.ndarray, profile: NormalProfile, cfg: DetectionConfig) -> np.ndarray:
+    """Each score's side of the band, as int8: -1 strictly below its lower
+    edge, +1 strictly above its upper edge, 0 inside. A score exactly on an
+    edge is inside, and so is a NaN score or any score against a NaN edge."""
+    s = np.asarray(scores, dtype=np.float64)
+    lo, hi = profile.band(cfg)
+    return (s > hi).astype(np.int8) - (s < lo)
 
 
 def classify_scores(scores: np.ndarray, profile: NormalProfile, cfg: DetectionConfig) -> np.ndarray:
     """Boolean attack mask for precomputed scores: attack iff the score falls
-    strictly outside the band; a score exactly on a band edge is normal."""
-    s = np.asarray(scores, dtype=np.float64)
-    lo, hi = profile.band(cfg)
-    return (s < lo) | (s > hi)
+    strictly outside the band (see :func:`sides`)."""
+    return sides(scores, profile, cfg) != 0
 
 
 def ensure_bound(profile: NormalProfile, preprocess_model) -> None:

@@ -1,8 +1,10 @@
-"""Confusion counting, detection metrics, and the w sweep.
+"""The band tally, confusion counting, detection metrics, and the w sweep.
 
-A test set is scored one batch at a time; ``sweep`` counts each batch at
-every w of a grid as it arrives and keeps only the counts. Its reports, one
-per w, give the ROC CSV, the JSON reports and the text table.
+Every command counts its verdicts in a :class:`BandTally`, per class and
+band edge at each w of a grid. ``sweep`` adds a test set's scores one
+batch at a time, and ``detect`` and ``simulate``'s store add the sides they
+hold, so only the counts outlive a batch. Its reports, one per w, give the
+ROC CSV, the JSON reports and the text table; the edges go in manifests.
 
 Accuracy = (TP+TN)/(TP+TN+FP+FN); detection rate = TP/(TP+FN); false
 positive rate = FP/(FP+TN). Undefined-denominator cases are reported as an
@@ -69,24 +71,14 @@ class MetricsReport:
 
 
 def confusion(predictions: Sequence[int], truths: Sequence[int]) -> ConfusionCounts:
-    """Exact confusion counts for binary predictions against binary truths."""
+    """Exact confusion counts for binary predictions against binary truths,
+    tallied as sides: a 1 is above the band."""
     pred = np.asarray(predictions)
-    truth = np.asarray(truths)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise EvaluationError(f"shape mismatch: predictions {pred.shape} vs truths {truth.shape}")
-    if pred.shape[0] == 0:
-        raise EvaluationError("cannot count an empty prediction list")
-    for name, arr in (("predictions", pred), ("truths", truth)):
-        if not np.isin(arr, (0, 1)).all():
-            raise EvaluationError(f"{name} must be binary 0/1")
-    pred = pred.astype(bool)
-    truth = truth.astype(bool)
-    return ConfusionCounts(
-        tp=int(np.sum(pred & truth)),
-        tn=int(np.sum(~pred & ~truth)),
-        fp=int(np.sum(pred & ~truth)),
-        fn=int(np.sum(~pred & truth)),
-    )
+    if not np.isin(pred, (0, 1)).all():
+        raise EvaluationError("predictions must be binary 0/1")
+    tally = BandTally([None])
+    tally.add_sides(pred, np.asarray(truths))
+    return tally.reports()[0].counts
 
 
 def metrics(counts: ConfusionCounts, w: float | None = None) -> MetricsReport:
@@ -101,47 +93,101 @@ def metrics(counts: ConfusionCounts, w: float | None = None) -> MetricsReport:
     )
 
 
+#: A record's class in a :class:`BandTally`: its truth, 0 or 1, or unlabeled without one.
+_CLASSES = ("normal", "attack", "unlabeled")
+
+
+class BandTally:
+    """The band rule's verdicts at each w of ``ws``: per class of
+    ``_CLASSES`` the records ``seen``, and per class and w (rows and
+    columns) the records ``below`` ``lower - w*IQR`` and ``above``
+    ``upper + w*IQR``. A NaN score or edge compares false, inside the band.
+    Tallies add; where their w differ, the sum's is None. :meth:`add`
+    needs the band edges of a ``profile``; :meth:`add_sides` needs none."""
+
+    def __init__(self, ws: Sequence[float | None], profile: NormalProfile | None = None):
+        self.ws = tuple(ws)
+        self.bands = None if profile is None else np.array([profile.band(DetectionConfig(w, enforce_range=False)) for w in self.ws])
+        self.seen = np.zeros(len(_CLASSES), np.int64)
+        self.below = np.zeros((len(_CLASSES), len(self.ws)), np.int64)
+        self.above = np.zeros_like(self.below)
+
+    def add(self, scores: np.ndarray, truths: Sequence[int] | None = None) -> None:
+        """Count a batch of scores at every w: by binary search at the band
+        edges in each class's sorted scores (Fawcett 2006, "An introduction
+        to ROC analysis", Algorithm 1)."""
+        lo, hi = self.bands.T
+        for c, s in self._classes(np.asarray(scores, dtype=np.float64), truths):
+            ordered = np.sort(s[~np.isnan(s)])
+            self.below[c] += np.where(np.isnan(lo), 0, np.searchsorted(ordered, lo, side="left"))
+            self.above[c] += len(ordered) - np.searchsorted(ordered, hi, side="right")  # a NaN edge sorts past every score
+
+    def add_sides(self, sides: np.ndarray, truths: Sequence[int] | None = None) -> None:
+        """Count a batch of :func:`~netanom.decision.sides` taken at this tally's one w."""
+        for c, s in self._classes(np.asarray(sides), truths):
+            self.below[c] += np.count_nonzero(s < 0)
+            self.above[c] += np.count_nonzero(s > 0)
+
+    def _classes(self, values: np.ndarray, truths) -> list[tuple[int, np.ndarray]]:
+        """Check a batch, count its records as seen, and split its values by class."""
+        truth = np.full(values.shape, 2) if truths is None else np.asarray(truths)
+        if truth.shape != values.shape or values.ndim != 1:
+            raise EvaluationError(f"shape mismatch: predictions {values.shape} vs truths {truth.shape}")
+        if values.shape[0] == 0:
+            raise EvaluationError("cannot count an empty prediction list")
+        if truths is not None and not np.isin(truth, (0, 1)).all():
+            raise EvaluationError("truths must be binary 0/1")
+        seen = np.bincount(truth.astype(np.intp), minlength=len(_CLASSES))
+        self.seen += seen
+        return [(c, values[truth == c]) for c in np.flatnonzero(seen)]
+
+    def __add__(self, other: "BandTally") -> "BandTally":
+        total = BandTally([a if a == b else None for a, b in zip(self.ws, other.ws)])
+        total.seen = self.seen + other.seen
+        total.below = self.below + other.below
+        total.above = self.above + other.above
+        return total
+
+    def reports(self) -> list[MetricsReport]:
+        """One report per w of the labeled records."""
+        normals, attacks, _ = self.seen.tolist()
+        if normals + attacks == 0:
+            raise EvaluationError("test file has no records")
+        fps, tps, _ = (self.below + self.above).tolist()
+        return [
+            metrics(ConfusionCounts(tp=tp, tn=normals - fp, fp=fp, fn=attacks - tp), w=w)
+            for w, fp, tp in zip(self.ws, fps, tps)
+        ]
+
+    def edges(self) -> list[dict]:
+        """Per w, for the manifests: ``w``, ``below`` and ``above``, each per class with records."""
+        named = [(c, name) for c, name in enumerate(_CLASSES) if self.seen[c]]
+        return [
+            {
+                "w": w,
+                "below": {name: int(self.below[c, i]) for c, name in named},
+                "above": {name: int(self.above[c, i]) for c, name in named},
+            }
+            for i, w in enumerate(self.ws)
+        ]
+
+
 def sweep(
     batches: Iterable[tuple[np.ndarray, Sequence[int]]],
     profile: NormalProfile,
     w_grid: Sequence[float],
 ) -> list[MetricsReport]:
-    """One report per w over ``(scores, truths)`` batches, each counted as
-    it arrives. A verdict depends on w only through the band edges: each
-    batch's scores of each class are sorted, and those flagged at a w are
-    counted by binary search at its edges (Fawcett 2006, "An introduction
-    to ROC analysis", Algorithm 1). The counts are those of
-    :func:`~netanom.decision.classify_scores` and :func:`confusion` at each
-    w; a NaN score or band edge compares false, as it does there."""
+    """One report per w over ``(scores, truths)`` batches, each added to a
+    :class:`BandTally` as it arrives: the counts of
+    :func:`~netanom.decision.classify_scores` and :func:`confusion`."""
     if len(w_grid) == 0:
         raise EvaluationError("w_grid must be non-empty")
     if any(w < 0 for w in w_grid):
         raise EvaluationError("w values must be non-negative")
-    bands = np.array([profile.band(DetectionConfig(w, enforce_range=False)) for w in w_grid])
-    none_flagged, flagged = ConfusionCounts(0, 0, 0, 0), np.zeros((2, len(w_grid)), dtype=np.int64)  # fp, tp rows
+    tally = BandTally(w_grid, profile)
     for scores, truths in batches:
-        s = np.asarray(scores, dtype=np.float64)
-        none_flagged += confusion(np.zeros(s.shape, dtype=int), truths)  # checks the batch's truths
-        is_attack = np.asarray(truths).astype(bool)
-        flagged += [_flagged(np.sort(s[is_attack == attack]), bands) for attack in (False, True)]
-    if none_flagged.total == 0:  # confusion rejects an empty batch, so no batch came
-        raise EvaluationError("test file has no records")
-    fps, tps = flagged.tolist()
-    return [
-        metrics(ConfusionCounts(tp=tp, tn=none_flagged.tn - fp, fp=fp, fn=none_flagged.fn - tp), w=w)
-        for w, fp, tp in zip(w_grid, fps, tps)
-    ]
-
-
-def _flagged(ordered: np.ndarray, bands: np.ndarray) -> np.ndarray:
-    """Per ``(lo, hi)`` row of ``bands``, how many of the sorted scores
-    ``ordered`` fall strictly outside the band, as ``s < lo or s > hi``
-    counts them."""
-    ordered = ordered[~np.isnan(ordered)]  # sorted last, never flagged
-    lo, hi = bands[:, 0], bands[:, 1]
-    below = np.where(np.isnan(lo), 0, np.searchsorted(ordered, lo, side="left"))
-    above = len(ordered) - np.searchsorted(ordered, hi, side="right")  # a NaN edge sorts past every score
-    return below + above
+        tally.add(scores, truths)
+    return tally.reports()
 
 
 def report_to_doc(report: MetricsReport) -> dict:

@@ -55,10 +55,12 @@ def written(out):
 
 
 def assert_same_verdicts(a, b):
-    """Two ``NodeResult.verdicts`` agree: each a read-only int8 array, the
-    two of one length and equal value by value."""
+    """Two ``NodeResult.verdicts`` agree: each a read-only int8 array of
+    sides of the band (-1 below, 0 inside, +1 above), the two of one length
+    and equal value by value."""
     for verdicts in (a, b):
         assert isinstance(verdicts, np.ndarray) and verdicts.dtype == np.int8 and not verdicts.flags.writeable
+        assert np.isin(verdicts, (-1, 0, 1)).all()
     assert len(a) == len(b) and np.array_equal(a, b)
 
 

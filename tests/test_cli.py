@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import netanom
 from netanom import ingest
 from netanom.cli import MAX_GRID_POINTS, _build_parser, _parse_w_grid, main
+from netanom.decision import DetectionConfig, classify_scores
 from netanom.evaluation import confusion
 
 from conftest import written
@@ -163,6 +165,49 @@ class TestTrain:
         doc = json.loads((workspace / "profile.json").read_text())
         assert doc["K"] == 4 and doc["d"] == 10
         assert doc["preprocess_digest"]
+
+    def test_manifest_fit_block_agrees_with_the_profile(self, workspace, tmp_path):
+        """The ``fit`` block's components are the profile's, and its edge
+        counts at w=2 are what ``evaluate`` flags on the training file."""
+        fit = json.loads((workspace / "profile.manifest.json").read_text())["fit"]
+        doc = json.loads((workspace / "profile.json").read_text())
+        floor = doc["em_config"]["variance_floor"]
+        assert fit["components"] == [
+            {"weight": w, "at_floor": sum(v <= 1.01 * floor for v in row), "min_variance": min(row)}
+            for w, row in zip(doc["weights"], doc["variances"])
+        ]
+        assert [edges["w"] for edges in fit["edges"]] == [1.5, 2.0, 3.0]
+        train = workspace / "split" / "train_normal.csv"
+        assert main(_stream_args(workspace, "evaluate", train, tmp_path)) == 0
+        counts = json.loads((tmp_path / "eval.json").read_text())["counts"]
+        assert set(fit["edges"][1]["below"]) == {"normal"}
+        assert _outside(fit["edges"][1], "normal") == counts["fp"] and counts["tp"] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_point_mass_shows_a_component_at_the_floor(self, seed):
+        """One feature constant on a fifth of the rows draws a component
+        onto it, whose variance there shrinks to the floor; without the
+        plant no component reaches it."""
+        from netanom.cli import _fit_doc
+        from netanom.decision import _fit_profile
+        from netanom.gmm import EmConfig
+
+        rng = np.random.default_rng(seed)
+        smooth = rng.normal(size=(1000, 4))
+        planted = smooth.copy()
+        planted[rng.permutation(1000)[:200], 1] = 0.7
+        at_floor = {}
+        for name, matrix in (("smooth", smooth), ("planted", planted)):
+            profile, scores = _fit_profile(matrix, EmConfig(n_components=8, seed=seed), "")
+            fit = _fit_doc(profile, scores)
+            at_floor[name] = [c["at_floor"] for c in fit["components"]]
+            assert [_outside(edges, "normal") for edges in fit["edges"]] == [
+                int(np.sum(classify_scores(scores, profile, DetectionConfig(w)))) for w in (1.5, 2.0, 3.0)
+            ]
+        assert sum(at_floor["smooth"]) == 0
+        assert 1 in at_floor["planted"]
+        (component,) = [c for c in fit["components"] if c["at_floor"]]
+        assert component["min_variance"] == 1e-6 and component["weight"] >= 0.19
 
     def test_auto_components_match_dimension(self, workspace, tmp_path):
         out = tmp_path / "auto.json"
@@ -787,6 +832,11 @@ def _stream_args(workspace, command, capture, out, w="2"):
     return ["roc", *common, "--test", str(capture), "--w-grid", "1.5:3:0.5", "--out", str(out / "roc")]
 
 
+def _outside(edges: dict, name: str) -> int:
+    """``below + above`` of class ``name`` in a manifest's edge counts; a class without records has none."""
+    return edges["below"].get(name, 0) + edges["above"].get(name, 0)
+
+
 class TestStreamedCommands:
     """detect, evaluate and roc score the capture one FlowBatch at a time.
     Every command reads each capture file through one reader process."""
@@ -832,6 +882,17 @@ class TestStreamedCommands:
                     assert main(_stream_args(workspace, command, capture, out, str(w))) == 0
             for name, text in expected.items():
                 assert (out / name).read_text() == text, name
+
+            # Each manifest splits the flagged records by band edge: below + above is what was flagged.
+            lo, hi = profile.band(DetectionConfig(w))
+            manifest = json.loads((out / "verdicts.manifest.json").read_text())
+            assert (manifest["below"], manifest["above"]) == (int(np.sum(scores < lo)), int(np.sum(scores > hi)))
+            assert manifest["below"] + manifest["above"] == manifest["flagged"] == int(np.sum(flagged))
+            for prefix, points in (("eval", [report]), ("roc", reports)):
+                edges = json.loads((out / f"{prefix}.manifest.json").read_text())["edges"]
+                assert [e["w"] for e in edges] == [r.w for r in points]
+                for e, r in zip(edges, points):
+                    assert (_outside(e, "normal"), _outside(e, "attack")) == (r.counts.fp, r.counts.tp)
 
     @pytest.mark.parametrize("fault", ["short-row", "non-numeric"])
     def test_bad_row_in_a_later_batch_leaves_no_verdicts(self, workspace, schema, tmp_path, monkeypatch, capsys, fault):
@@ -1008,6 +1069,8 @@ class TestStreamedSimulate:
                 result = outcome.node_results[node]
                 got = params["nodes"][node]
                 assert (got["n_records"], got["frames"], got["wire_bytes"]) == (result.n_records, result.frames, result.wire_bytes)
+                flagged = (result.counts.fp, result.counts.tp) if result.counts else (0, 0)  # a node without records flags none
+                assert (_outside(got, "normal"), _outside(got, "attack")) == flagged
 
     def _faulty_capture(self, workspace, tmp_path, fault_rows):
         """A 20-row capture, with ``fault_rows`` mapping a data row to
@@ -1463,6 +1526,39 @@ class TestSimulate:
         for key in ("tp", "tn", "fp", "fn"):
             assert agg["counts"][key] == a[key] + c[key]
 
+    @pytest.mark.parametrize("transport", ["in-process", "loopback-socket"])
+    def test_a_crashing_node_costs_the_same_whatever_the_budget(self, workspace, tmp_path, transport):
+        """With B crashing on every attempt, the manifests at retry budgets
+        10 and 10**6 differ only in the durations and in the numbers that
+        the budget sets: the budget itself, the config's digest, and B's
+        attempts, which its one run of errors counts. The 10**6 run takes
+        under 1 s."""
+        manifests = {}
+        for budget in (10, 10**6):
+            cfg = self._write_cfg(tmp_path / "sim.json", nodes=["A", "B"], fail_nodes=["B"], retry_budget=budget, transport=transport)
+            out = tmp_path / "simout"
+            started = time.perf_counter()
+            assert main([
+                "simulate", "--config", str(cfg), "--profile", str(workspace / "profile.json"),
+                "--test", str(workspace / "split" / "test.csv"), "--out", str(out),
+            ]) == 0
+            elapsed = time.perf_counter() - started
+            text = (out / "manifest.json").read_text()
+            doc = json.loads(text)
+            params = doc["parameters"]
+            b = params["nodes"]["B"]
+            assert b["attempts"] == budget + 1
+            assert b["errors"] == [["SimulatedNodeFailure: node 'B': injected crash", budget + 1]]
+            assert params["simulation"]["retry_budget"] == budget
+            b["attempts"] = b["errors"][0][1] = params["simulation"]["retry_budget"] = None
+            doc["input_digests"][str(cfg)] = doc["duration_seconds"] = None
+            for node in params["nodes"].values():
+                node["wall_s"] = None
+            manifests[budget] = (doc, len(text), elapsed)
+        (small, small_size, _), (big, big_size, big_s) = manifests[10], manifests[10**6]
+        assert big == small
+        assert big_size - small_size < 100 and big_s < 1.0
+
 
 class TestEmptyCapture:
     @pytest.mark.parametrize("header", [False, True], ids=["no-bytes", "header-only"])
@@ -1539,7 +1635,7 @@ class TestManifests:
         assert manifest["records"] == 2000 - 720  # sample: 2000 records, 720 normals used for training
 
     def test_simulate_records_each_node(self, workspace, tmp_path):
-        keys = {"attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s"}
+        keys = {"attempts", "errors", "n_records", "frames", "wire_bytes", "wall_s", "w", "below", "above"}
         for transport in ("in-process", "loopback-socket"):
             cfg = tmp_path / f"{transport}.json"
             cfg.write_text(json.dumps({
@@ -1561,13 +1657,17 @@ class TestManifests:
                 wall_s = doc.pop("wall_s")
                 assert isinstance(wall_s, float) and wall_s >= 0.0
             assert nodes["C"] == {
-                "attempts": 2, "errors": ["SimulatedNodeFailure: node 'C': injected crash"] * 2,
-                "n_records": 0, "frames": 0, "wire_bytes": 0,
+                "attempts": 2, "errors": [["SimulatedNodeFailure: node 'C': injected crash", 2]],
+                "n_records": 0, "frames": 0, "wire_bytes": 0, "w": 2.0, "below": {}, "above": {},
             }
             for i, node in enumerate("AB"):
                 doc = nodes[node]
                 assert doc["n_records"] == len(range(i, params["records"], 3))  # round-robin share
                 assert doc["attempts"] == 1 and doc["errors"] == []
+                report = json.loads((out / f"node_{node}.json").read_text())["counts"]
+                assert set(doc["below"]) == set(doc["above"]) == {"normal", "attack"}
+                assert doc["below"]["normal"] + doc["above"]["normal"] == report["fp"]
+                assert doc["below"]["attack"] + doc["above"]["attack"] == report["tp"]
                 if transport == "in-process":
                     assert doc["frames"] == doc["wire_bytes"] == 0
                 else:

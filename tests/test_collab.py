@@ -26,7 +26,7 @@ from netanom.collab import (
     simconfig_from_doc,
     simconfig_to_doc,
 )
-from netanom.decision import DetectionConfig, classify_scores, train_profile
+from netanom.decision import DetectionConfig, classify_scores, sides, train_profile
 from netanom.evaluation import ConfusionCounts, confusion
 from netanom.gmm import EmConfig
 from netanom.ingest import ColumnSpec, FeatureSchema, FlowBatch, FlowRecord, ParseError, SchemaError, batch_of_records, iter_flow_batches
@@ -581,12 +581,13 @@ class TestFrameCodec:
         "verdicts, n, message",
         [
             ([1, 0], 3, "holds 2 verdicts for a stream of 3 records"),
-            ([1, 0, 2], 3, "verdicts are not all 0 or 1"),
+            ([1, 0, 2], 3, "verdicts are not all -1, 0 or +1"),
+            ([-1, 0, -2], 3, "verdicts are not all -1, 0 or +1"),
             ([0], 0, "holds 1 verdicts for a stream of 0 records"),
         ],
     )
     def test_result_checked_against_the_stream_length(self, verdicts, n, message):
-        collab._check_result(np.array([1, 0, 0], dtype=np.int8), 3)
+        collab._check_result(np.array([1, 0, -1], dtype=np.int8), 3)
         collab._check_result(np.empty(0, dtype=np.int8), 0)
         with pytest.raises(TransportError, match=re.escape(message)) as excinfo:
             collab._check_result(np.array(verdicts, dtype=np.int8), n)
@@ -709,6 +710,13 @@ class TestRunSimulation:
         assert outcome.aggregate_report.counts == plain
         assert outcome.per_node_reports["solo"].counts == plain
         assert not outcome.partial
+        # The node's verdicts are each record's side of the band, and its tally splits the flagged by edge.
+        solo, side = outcome.node_results["solo"], sides(scores, profile, DetectionConfig(2.0))
+        side.setflags(write=False)
+        assert_same_verdicts(solo.verdicts, side)
+        truth = np.array([r.truth for r in sim_records])
+        for edge, counts, mark in (("below", solo.tally.below, -1), ("above", solo.tally.above, 1)):
+            assert counts[:, 0].tolist() == [int(np.sum((side == mark) & (truth == t))) for t in (0, 1)] + [0], edge
 
     def test_aggregate_is_sum_of_nodes(self, sim_records, schema, fitted):
         pp, profile = fitted
@@ -874,7 +882,7 @@ class TestRunSimulation:
         assert not outcome.partial and outcome.failed_nodes == ()
         assert outcome.node_results["B"].attempts == 2
         assert not outcome.node_results["B"].failed
-        assert outcome.node_results["B"].errors == ("OSError: transient failure",)
+        assert outcome.node_results["B"].errors == (("OSError: transient failure", 1),)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
         assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert outcome.per_node_reports == clean.per_node_reports
@@ -1014,7 +1022,7 @@ class TestRunSimulation:
         attempts = sorted(r.attempts for r in outcome.node_results.values())
         assert attempts == [1, 1, 2]
         assert not any(r.failed for r in outcome.node_results.values())
-        assert sorted(r.errors for r in outcome.node_results.values()) == [(), (), ("OSError: connection refused",)]
+        assert sorted(r.errors for r in outcome.node_results.values()) == [(), (), (("OSError: connection refused", 1),)]
         assert outcome.aggregate_report.counts == clean.aggregate_report.counts
         assert outcome.per_node_reports == clean.per_node_reports
 
@@ -1038,7 +1046,7 @@ class TestRunSimulation:
         assert sent_bad
         b = outcome.node_results["B"]
         assert not b.failed and b.attempts == 2
-        assert b.errors == ("TransportError: expected hello frame, got 'capture'",)
+        assert b.errors == (("TransportError: expected hello frame, got 'capture'", 1),)
         assert [outcome.node_results[n].attempts for n in ("A", "C")] == [1, 1]
         assert outcome.node_results["A"].errors == ()
         assert outcome.aggregate_report.counts == clean.aggregate_report.counts
@@ -1049,7 +1057,8 @@ class TestRunSimulation:
         [
             ("end", lambda header, arrays: header.pop("count"), "TransportError: end frame counts None records, 200 received"),
             ("hello", lambda header, arrays: header.__setitem__("node", "Z"), "TransportError: hello frame names node 'Z'"),
-            ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], 7)), "TransportError: result frame verdicts are not all 0 or 1"),
+            ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], 2)), "TransportError: result frame verdicts are not all -1, 0 or +1"),
+            ("result", lambda header, arrays: arrays.__setitem__(0, np.full_like(arrays[0], -2)), "TransportError: result frame verdicts are not all -1, 0 or +1"),
         ],
     )
     def test_bad_peer_frame_retried(self, sim_records, schema, fitted, monkeypatch, kind, edit, reason):
@@ -1076,7 +1085,7 @@ class TestRunSimulation:
         assert sorted(r.attempts for r in outcome.node_results.values()) == [1, 2]
         intact, (retried,) = sorted(r.errors for r in outcome.node_results.values())
         assert intact == ()
-        assert retried == reason
+        assert retried == (reason, 1)
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_report.counts == clean.aggregate_report.counts
@@ -1139,7 +1148,7 @@ class TestRunSimulation:
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert sent_bad and not outcome.partial
         assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 2, 1]
-        assert outcome.node_results["B"].errors == ("TransportError: interval frame texts are not lists of strings",)
+        assert outcome.node_results["B"].errors == (("TransportError: interval frame texts are not lists of strings", 1),)
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
         assert outcome.aggregate_report.counts == clean.aggregate_report.counts
@@ -1165,8 +1174,8 @@ class TestRunSimulation:
         assert b.attempts == 2
         if always:
             assert b.failed and outcome.failed_nodes == ("B",)
-            assert len(b.errors) == 2
-            assert all(error.startswith("TransportError: end frame counts 200 records, ") for error in b.errors)
+            assert sum(times for _, times in b.errors) == 2
+            assert all(error.startswith("TransportError: end frame counts 200 records, ") for error, _ in b.errors)
             return
         clean = run_simulation(replay(sim_records, cfg, schema), profile, pp, cfg)
         assert not b.failed and not outcome.partial
@@ -1197,8 +1206,8 @@ class TestRunSimulation:
         assert corrupted and b.attempts == 2
         if always:
             assert b.failed and outcome.failed_nodes == ("B",)
-            assert len(b.errors) == 2
-            assert all(error.startswith("TransportError: ") and "frame body holds" in error for error in b.errors)
+            assert sum(times for _, times in b.errors) == 2
+            assert all(error.startswith("TransportError: ") and "frame body holds" in error for error, _ in b.errors)
             return
         clean = run_simulation(_capture_source(sim_capture, pp, cfg), profile, pp, cfg)
         assert not b.failed and not outcome.partial
@@ -1382,7 +1391,7 @@ class TestPasses:
             outcome = run_simulation(source, profile, pp, cfg)
         assert len(calls) == 2
         assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 2, 1]
-        assert outcome.node_results["B"].errors == ("OSError: injected fault",)
+        assert outcome.node_results["B"].errors == (("OSError: injected fault", 1),)
         assert outcome.per_node_reports == clean.per_node_reports and not outcome.partial
         for node in cfg.nodes:
             assert_same_verdicts(outcome.node_results[node].verdicts, clean.node_results[node].verdicts)
@@ -1410,12 +1419,39 @@ class TestPasses:
         outcome = run_simulation(source, profile, pp, cfg)
         assert len(calls) == 1
         assert [outcome.node_results[n].attempts for n in cfg.nodes] == [1, 3, 1]
+        assert outcome.node_results["B"].errors == (("SimulatedNodeFailure: node 'B': injected crash", 3),)
         assert outcome.failed_nodes == ("B",) and outcome.n_records == 120
         cfg = _cfg(transport=transport, fail_nodes=cfg.nodes, retry_budget=2)
         source, calls = _counted(_capture_source(sim_capture, pp, cfg))
         with pytest.raises(SimulationError, match="no healthy node"):
             run_simulation(source, profile, pp, cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_rounds_only_crashing_nodes_are_owed_are_counted_not_run(self, sim_capture, fitted, transport, monkeypatch):
+        """Once B, crashing on every attempt, is the only node owed, the
+        budget's rounds left are counted at once: a budget of 10**8 takes
+        well under a second, and B's one run of errors counts its every
+        attempt. A retryable fault of A in the first pass comes first."""
+        pp, profile = fitted
+        cfg = _cfg(transport=transport, fail_nodes=("B",), retry_budget=10**8, interval_size=16)
+        source, calls = _counted(_capture_source(sim_capture, pp, cfg))
+        real, fired = collab._classify, []
+
+        def flaky(interval, *args):
+            if not fired:
+                fired.append(True)
+                raise OSError("injected fault")
+            return real(interval, *args)
+
+        monkeypatch.setattr(collab, "_classify", flaky)
+        started = time.perf_counter()
+        outcome = run_simulation(source, profile, pp, cfg)
+        assert time.perf_counter() - started < 1.0
+        assert len(calls) == 2 and outcome.failed_nodes == ("B",)
+        b = outcome.node_results["B"]
+        assert b.errors == (("SimulatedNodeFailure: node 'B': injected crash", 10**8 + 1),) and b.attempts == 10**8 + 1
+        assert [(r.attempts, r.errors) for r in outcome.node_results.values() if r.node != "B"] == [(2, (("OSError: injected fault", 1),)), (1, ())]
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_pass_whose_every_node_failed_reads_no_further(self, sim_records, schema, fitted, monkeypatch, transport):
@@ -1456,22 +1492,24 @@ class TestFaultInjection:
     def _check(self, outcome, clean, node, always, retry_budget, reason, passes):
         """``outcome`` against the ``clean`` run, after a fault on ``node``
         once or on every attempt, in ``passes`` passes; each entry of its
-        errors matches ``reason``."""
+        errors matches ``reason``, each run of attempts names a reason the
+        run before it does not, and the runs count every failed attempt."""
         faulted = outcome.node_results[node]
         others = [n for n in self.NODES if n != node]
         assert passes == (retry_budget + 1 if always else 2)
         assert [outcome.node_results[n].attempts for n in others] == [1, 1]
         assert not any(outcome.node_results[n].errors for n in others)
-        assert all(reason.search(error) for error in faulted.errors), faulted.errors
+        assert all(reason.search(error) for error, _ in faulted.errors), faulted.errors
+        assert all(a != b for (a, _), (b, _) in zip(faulted.errors, faulted.errors[1:]))
         for n in others if always else self.NODES:
             assert_same_verdicts(outcome.node_results[n].verdicts, clean.node_results[n].verdicts)
             assert outcome.node_results[n].counts == clean.node_results[n].counts
         if always:
-            assert faulted.failed and faulted.attempts == len(faulted.errors) == retry_budget + 1
+            assert faulted.failed and faulted.attempts == sum(times for _, times in faulted.errors) == retry_budget + 1
             assert outcome.partial and outcome.failed_nodes == (node,)
             assert outcome.per_node_reports == {n: clean.per_node_reports[n] for n in others}
             return
-        assert not faulted.failed and faulted.attempts == 2 and len(faulted.errors) == 1
+        assert not faulted.failed and faulted.attempts == 2 and [times for _, times in faulted.errors] == [1]
         assert not outcome.partial
         assert outcome.per_node_reports == clean.per_node_reports
         assert outcome.aggregate_report == clean.aggregate_report

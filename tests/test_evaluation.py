@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netanom.decision import DetectionConfig, classify_scores
+from netanom.decision import DetectionConfig, classify_scores, sides
 from netanom.evaluation import (
+    BandTally,
     ConfusionCounts,
     EvaluationError,
     confusion,
@@ -227,6 +228,72 @@ class TestRocSweep:
     def test_csv_marks_undefined(self):
         rep = metrics(ConfusionCounts(tp=0, tn=9, fp=1, fn=0), w=2.0)
         assert roc_csv([rep]).split("\n")[1] == "2.0,undefined,0.1,0.9"
+
+
+def _split(data, n):
+    """``(start, end)`` of each batch of a drawn split of ``n`` records into non-empty batches."""
+    cut_after = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+class TestBandTally:
+    @settings(max_examples=300)
+    @given(
+        data=st.data(),
+        quartiles=st.sampled_from([(-2.0, -2.0), (-1.5, 1.5), (float("-inf"), 1.0), (0.0, float("inf"))]),
+        w=st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+        labeled=st.booleans(),
+    )
+    def test_sorted_feed_and_sides_feed_tally_alike(self, fitted, data, quartiles, w, labeled):
+        """Scores fed sorted, by binary search at the band edges, and the
+        same scores' sides fed record by record give the same tally, each
+        under its own split into batches: with scores on an edge, +-inf,
+        NaN, a NaN lower edge (-inf - 0 * inf), a NaN upper edge
+        (inf + 0 * inf) and records without truths. Both count what a
+        direct comparison with the edges counts."""
+        lower, upper = quartiles
+        profile = dataclasses.replace(fitted[1], lower=lower, upper=upper, iqr=upper - lower)
+        det = DetectionConfig(w, enforce_range=False)
+        lo, hi = profile.band(det)
+        pool = st.one_of(
+            st.sampled_from([e for e in (lo, hi) if np.isfinite(e)] or [0.0]),
+            st.sampled_from([float("-inf"), float("inf"), float("nan"), -100.0, 100.0]),
+            st.floats(-10, 10),
+        )
+        scores = np.array(data.draw(st.lists(pool, min_size=1, max_size=40)))
+        truths = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores))))
+        by_search, by_sides = BandTally([w], profile), BandTally([w])
+        for a, b in _split(data, len(scores)):
+            by_search.add(scores[a:b], truths[a:b] if labeled else None)
+        for a, b in _split(data, len(scores)):
+            by_sides.add_sides(sides(scores[a:b], profile, det), truths[a:b] if labeled else None)
+        none, every = np.zeros(len(scores), bool), np.ones(len(scores), bool)
+        classes = [truths == 0, truths == 1, none] if labeled else [none, none, every]  # normal, attack, unlabeled
+        for tally in (by_search, by_sides):
+            assert tally.seen.tolist() == [int(c.sum()) for c in classes]
+            assert tally.below[:, 0].tolist() == [int(np.sum(c & (scores < lo))) for c in classes]
+            assert tally.above[:, 0].tolist() == [int(np.sum(c & (scores > hi))) for c in classes]
+
+    def test_tallies_add_and_keep_only_a_shared_w(self):
+        a, b = BandTally([2.0]), BandTally([3.0])
+        a.add_sides(np.array([-1, 0, 1, 1], np.int8), [0, 0, 1, 0])
+        b.add_sides(np.array([0, -1], np.int8), [1, 1])
+        total = a + b
+        assert (total.ws, (a + a).ws) == ((None,), (2.0,))
+        assert total.edges() == [{"w": None, "below": {"normal": 1, "attack": 1}, "above": {"normal": 1, "attack": 1}}]
+        assert total.reports()[0].counts == ConfusionCounts(tp=2, tn=1, fp=2, fn=1)
+
+    def test_sides_checked_like_scores(self):
+        tally = BandTally([2.0])
+        with pytest.raises(EvaluationError, match="empty"):
+            tally.add_sides(np.zeros(0, np.int8))
+        with pytest.raises(EvaluationError, match="shape mismatch"):
+            tally.add_sides(np.zeros(2, np.int8), [0])
+        tally.add_sides(np.array([1, -1], np.int8))
+        assert tally.edges() == [{"w": 2.0, "below": {"unlabeled": 1}, "above": {"unlabeled": 1}}]
+        with pytest.raises(EvaluationError, match="test file has no records"):
+            tally.reports()
 
 
 class TestReports:

@@ -53,7 +53,7 @@ def test_run_collab_demo_smoke(tmp_path):
         cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert "node B: FAILED" in result.stdout
+    assert re.search(r"^node B: FAILED after \d+ attempt\(s\): SimulatedNodeFailure: node 'B': injected crash$", result.stdout, re.M)
     assert "aggregate over healthy nodes" in result.stdout
 
 
